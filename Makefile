@@ -29,9 +29,11 @@
 #   make api-check    - diff the facade's exported surface against testdata/api_surface.txt
 
 GO ?= go
-TRACE_TMP := $(shell mktemp -d 2>/dev/null || echo /tmp)/jade-trace.json
+TMP_DIR := $(shell mktemp -d 2>/dev/null || echo /tmp)
+TRACE_TMP := $(TMP_DIR)/jade-trace.json
+BENCH_TMP := $(TMP_DIR)/jade-bench-core.json
 
-.PHONY: all build test vet race sweep trace-smoke bench-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke api-check ci
+.PHONY: all build test vet race sweep trace-smoke bench-smoke bench sql-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke api-check ci
 
 all: build
 
@@ -56,8 +58,17 @@ trace-smoke:
 	rm -f $(TRACE_TMP)
 
 bench-smoke:
-	$(GO) run ./cmd/jadebench -bench-core -bench-out BENCH_core.json
-	$(GO) run ./cmd/jadebench -bench-validate BENCH_core.json
+	$(GO) run ./cmd/jadebench -bench-core -bench-out $(BENCH_TMP)
+	$(GO) run ./cmd/jadebench -bench-validate $(BENCH_TMP)
+	rm -f $(BENCH_TMP) $(TMP_DIR)/BENCH_history.jsonl
+
+bench:
+	$(GO) run ./benchmark
+
+sql-smoke:
+	$(GO) test -run 'TestDifferential|TestSelectStarRowsAreTheStoredRows' ./internal/sqlengine
+	$(GO) test -run TestSnapshotReplayReplicaAnswersIndexedReads ./internal/cjdbc
+	$(GO) test -run FuzzParse -fuzz FuzzParse -fuzztime 1x ./internal/sqlengine
 
 obs-smoke:
 	$(GO) run ./cmd/jadectl scenario -clients 200 -duration 300 -managed -metrics.http 127.0.0.1:0 -metrics.scrape-check
@@ -88,4 +99,4 @@ config-smoke:
 api-check:
 	$(GO) test -run TestAPISurface .
 
-ci: vet race sweep trace-smoke bench-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke api-check
+ci: vet race sweep trace-smoke bench-smoke sql-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke api-check

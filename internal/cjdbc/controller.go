@@ -76,6 +76,9 @@ type backend struct {
 // writeWait tracks one broadcast write's outstanding acknowledgements.
 type writeWait struct {
 	waitingOn map[string]bool
+	// stmt is the write, parsed, for the backends in waitingOn. The log
+	// keeps only the string, and replay on a stale replica re-parses it.
+	stmt      sqlengine.Statement
 	successes int
 	done      func(error)
 	firstErr  error
@@ -417,7 +420,9 @@ func (c *Controller) pump(b *backend) {
 	// already completed, and a child span closing after its parent would
 	// break span-tree well-formedness (and misattribute latency).
 	q := rec.Query
-	if w, ok := c.waiters[rec.Index]; !ok || !w.waitingOn[b.name] {
+	if w, ok := c.waiters[rec.Index]; ok && w.waitingOn[b.name] {
+		q.Stmt = w.stmt
+	} else {
 		q.TraceSpan = 0
 	}
 	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, q, func(err error) {
@@ -509,9 +514,14 @@ func (c *Controller) ExecSQL(q legacy.Query, done func(error)) {
 	// walker uses them to split the span's self-time into components.
 	var busy float64
 	submitted := c.eng.Now()
+	// Classify and parse here, once: every backend the query reaches
+	// executes the parsed form. SQL that does not parse travels as text,
+	// and the backend that receives it reports the error.
+	write := sqlengine.IsWrite(q.SQL)
+	q.Stmt, _ = sqlengine.Parse(q.SQL)
 	if q.TraceSpan != 0 {
 		var fields []trace.Field
-		if sqlengine.IsWrite(q.SQL) {
+		if write {
 			// A write's completion waits on the RAIDb-1 broadcast: time
 			// not covered by this record's own applies is queueing for
 			// db-tier capacity (earlier log records draining), which the
@@ -529,7 +539,7 @@ func (c *Controller) ExecSQL(q legacy.Query, done func(error)) {
 	}
 	c.node.Submit(c.opts.ProxyCost, func() {
 		busy = c.eng.Now() - submitted
-		if sqlengine.IsWrite(q.SQL) {
+		if write {
 			c.execWrite(q, done)
 		} else {
 			c.execRead(q, done, len(c.backends)+1)
@@ -556,7 +566,7 @@ func (c *Controller) execWrite(q legacy.Query, done func(error)) {
 		c.Trace.EmitIn(q.TraceSpan, "sql.write", c.name,
 			trace.Fi("log-index", int(idx)), trace.Fi("acks", len(actives)))
 	}
-	w := &writeWait{waitingOn: make(map[string]bool, len(actives)), done: done}
+	w := &writeWait{waitingOn: make(map[string]bool, len(actives)), stmt: q.Stmt, done: done}
 	for _, b := range actives {
 		w.waitingOn[b.name] = true
 	}

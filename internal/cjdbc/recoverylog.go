@@ -40,8 +40,11 @@ func NewRecoveryLog() *RecoveryLog {
 	return &RecoveryLog{checkpoints: make(map[string]int64)}
 }
 
-// Append logs a write request and returns its index.
+// Append logs a write request and returns its index. The log holds the
+// request as a string (§4.1): the parsed form is dropped, and a replica
+// that replays the record parses it again.
 func (l *RecoveryLog) Append(q legacy.Query) int64 {
+	q.Stmt = nil
 	idx := int64(len(l.records))
 	l.records = append(l.records, LogRecord{Index: idx, Query: q})
 	return idx

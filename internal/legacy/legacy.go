@@ -21,6 +21,7 @@ import (
 	"jade/internal/config"
 	"jade/internal/obs"
 	"jade/internal/sim"
+	"jade/internal/sqlengine"
 	"jade/internal/trace"
 )
 
@@ -64,6 +65,10 @@ func (s State) String() string {
 type Query struct {
 	SQL  string
 	Cost float64 // CPU-seconds on a database node
+	// Stmt, when non-nil, is SQL already parsed: C-JDBC parses a statement
+	// once and hands the result to every backend it sends the query to. A
+	// server given no Stmt parses SQL itself.
+	Stmt sqlengine.Statement
 	// TraceSpan, when non-zero, is the telemetry span this query belongs
 	// to; servers along the path attach their own child spans under it.
 	TraceSpan trace.ID

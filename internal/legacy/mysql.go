@@ -142,7 +142,15 @@ func (m *MySQL) ExecSQL(q Query, done func(error)) {
 	}
 	m.node.Submit(q.Cost, func() {
 		busy = m.env.Eng.Now() - submitted
-		if _, err := m.db.Exec(q.SQL); err != nil {
+		stmt := q.Stmt
+		var err error
+		if stmt == nil {
+			stmt, err = sqlengine.Parse(q.SQL)
+		}
+		if err == nil {
+			_, err = m.db.ExecStmt(stmt)
+		}
+		if err != nil {
 			m.failed++
 			done(fmt.Errorf("mysql %s: %w", m.name, err))
 			return

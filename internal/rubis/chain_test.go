@@ -7,6 +7,7 @@ import (
 
 	"jade/internal/legacy"
 	"jade/internal/sim"
+	"jade/internal/sqlengine"
 )
 
 func TestDefaultTransitionsValidate(t *testing.T) {
@@ -100,7 +101,7 @@ func TestChainCalibrationRegime(t *testing.T) {
 		web += req.WebCost
 		app += req.AppCost
 		for _, q := range req.Queries {
-			if isWriteSQL(q.SQL) {
+			if sqlengine.IsWrite(q.SQL) {
 				dbWrite += q.Cost
 			} else {
 				dbRead += q.Cost

@@ -3,6 +3,8 @@ package rubis
 import (
 	"math"
 	"math/rand"
+
+	"jade/internal/sqlengine"
 )
 
 // FluidDemand is a mix's mean per-request resource profile: the
@@ -35,7 +37,7 @@ func (m *Mix) FluidDemand(ds Dataset, seed int64, samples int) FluidDemand {
 		d.App += req.AppCost
 		for _, query := range req.Queries {
 			d.QueriesPerRequest++
-			if isWriteSQL(query.SQL) {
+			if sqlengine.IsWrite(query.SQL) {
 				d.DBWrite += query.Cost
 				d.WriteQueriesPerRequest++
 			} else {

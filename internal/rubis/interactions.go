@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"jade/internal/legacy"
+	"jade/internal/sqlengine"
 )
 
 // GenContext carries what an interaction needs to build its SQL: the
@@ -315,7 +316,7 @@ func (m *Mix) ExpectedCosts(ds Dataset, seed int64, samples int) (web, app, dbRe
 		web += req.WebCost
 		app += req.AppCost
 		for _, query := range req.Queries {
-			if isWriteSQL(query.SQL) {
+			if sqlengine.IsWrite(query.SQL) {
 				dbWrite += query.Cost
 			} else {
 				dbRead += query.Cost
@@ -324,12 +325,4 @@ func (m *Mix) ExpectedCosts(ds Dataset, seed int64, samples int) (web, app, dbRe
 	}
 	n := float64(samples)
 	return web / n, app / n, dbRead / n, dbWrite / n
-}
-
-func isWriteSQL(sql string) bool {
-	switch {
-	case len(sql) >= 6 && (sql[:6] == "INSERT" || sql[:6] == "UPDATE" || sql[:6] == "DELETE"):
-		return true
-	}
-	return false
 }

@@ -3,6 +3,7 @@ package rubis
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"jade/internal/legacy"
@@ -138,7 +139,10 @@ func TestAllQueriesParseAndExecute(t *testing.T) {
 				if _, err := db.Exec(q.SQL); err != nil {
 					t.Fatalf("%s: %q: %v", it.Name, q.SQL, err)
 				}
-				if sqlengine.IsWrite(q.SQL) != isWriteSQL(q.SQL) {
+				// The statement-prefix rule rubis classified by before it
+				// used the engine's IsWrite.
+				prefix := strings.HasPrefix(q.SQL, "INSERT") || strings.HasPrefix(q.SQL, "UPDATE") || strings.HasPrefix(q.SQL, "DELETE")
+				if sqlengine.IsWrite(q.SQL) != prefix {
 					t.Fatalf("%s: write classification mismatch for %q", it.Name, q.SQL)
 				}
 			}

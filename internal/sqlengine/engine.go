@@ -3,8 +3,7 @@ package sqlengine
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -16,14 +15,28 @@ var (
 	ErrTypeMismatch = errors.New("sql: type mismatch")
 )
 
-// Row is one table row; indices align with the table's columns.
+// Row is one table row; indices align with the table's columns. A stored
+// row is immutable: UPDATE replaces it instead of writing its cells, so
+// snapshots share rows and results return them without copying.
 type Row []Value
 
-// Table is one in-memory table.
+// Table is one in-memory table. Callers may read it but must not modify
+// Rows or any row in it.
 type Table struct {
 	Name    string
 	Columns []Column
 	Rows    []Row
+
+	names []string   // column names, the Columns of every SELECT * result
+	index []*eqIndex // by column ordinal; nil until a statement uses it
+}
+
+func newTable(name string, cols []Column) *Table {
+	t := &Table{Name: name, Columns: cols, names: make([]string, len(cols))}
+	for i, c := range cols {
+		t.names[i] = c.Name
+	}
+	return t
 }
 
 func (t *Table) colIndex(name string) (int, error) {
@@ -35,6 +48,43 @@ func (t *Table) colIndex(name string) (int, error) {
 	return -1, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.Name, name)
 }
 
+// eqIndex answers "which rows hold v in this INT column": for every value
+// a chain through the positions of the rows holding it, in ascending
+// order. The engine builds one the first time a statement's leading
+// condition is "column = integer literal", extends it on INSERT, and
+// drops it when positions or the column's values change (DELETE, an
+// UPDATE that sets the column); the next such statement rebuilds it.
+type eqIndex struct {
+	ends map[int64][2]int32 // value → first and last position holding it
+	next []int32            // position → next position with the same value, -1 at the end
+}
+
+// add indexes the cell of the row at position len(ix.next).
+func (ix *eqIndex) add(cell Value) {
+	pos := int32(len(ix.next))
+	ix.next = append(ix.next, -1)
+	v, ok := cell.(int64)
+	if !ok {
+		return // NULL equals no literal
+	}
+	e, ok := ix.ends[v]
+	if ok {
+		ix.next[e[1]] = pos
+	} else {
+		e[0] = pos
+	}
+	e[1] = pos
+	ix.ends[v] = e
+}
+
+// first returns the lowest position holding v, or -1.
+func (ix *eqIndex) first(v int64) int32 {
+	if e, ok := ix.ends[v]; ok {
+		return e[0]
+	}
+	return -1
+}
+
 // Engine is one database instance (one MySQL replica's state).
 type Engine struct {
 	tables map[string]*Table
@@ -44,7 +94,9 @@ type Engine struct {
 // New returns an empty database.
 func New() *Engine { return &Engine{tables: make(map[string]*Table)} }
 
-// Result is the outcome of executing a statement.
+// Result is the outcome of executing a statement. It is read-only: Rows of
+// a SELECT * are the table's stored rows, and Columns may be the table's or
+// the statement's own slice.
 type Result struct {
 	Columns  []string
 	Rows     []Row
@@ -56,12 +108,15 @@ func (e *Engine) Writes() uint64 { return e.writes }
 
 // Tables returns table names sorted.
 func (e *Engine) Tables() []string {
-	out := make([]string, 0, len(e.tables))
+	return e.sortedNames(make([]string, 0, len(e.tables)))
+}
+
+func (e *Engine) sortedNames(dst []string) []string {
 	for n := range e.tables {
-		out = append(out, n)
+		dst = append(dst, n)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(dst)
+	return dst
 }
 
 // Table returns the named table.
@@ -109,7 +164,7 @@ func (e *Engine) execCreate(s CreateStmt) (Result, error) {
 		}
 		seen[c.Name] = true
 	}
-	e.tables[s.Table] = &Table{Name: s.Table, Columns: append([]Column(nil), s.Columns...)}
+	e.tables[s.Table] = newTable(s.Table, slices.Clone(s.Columns))
 	e.writes++
 	return Result{}, nil
 }
@@ -130,19 +185,19 @@ func coerce(v Value, t ColType) (Value, error) {
 	}
 	switch t {
 	case TInt:
-		if n, ok := v.(int64); ok {
-			return n, nil
+		if _, ok := v.(int64); ok {
+			return v, nil
 		}
 	case TFloat:
 		switch n := v.(type) {
 		case float64:
-			return n, nil
+			return v, nil
 		case int64:
 			return float64(n), nil
 		}
 	case TText:
-		if s, ok := v.(string); ok {
-			return s, nil
+		if _, ok := v.(string); ok {
+			return v, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: %v (%T) is not %s", ErrTypeMismatch, v, v, t)
@@ -153,8 +208,7 @@ func (e *Engine) execInsert(s InsertStmt) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	row := make(Row, len(t.Columns))
-	assigned := make([]bool, len(t.Columns))
+	row := make(Row, len(t.Columns)) // unassigned columns stay NULL
 	for i, cn := range s.Columns {
 		ci, err := t.colIndex(cn)
 		if err != nil {
@@ -165,132 +219,208 @@ func (e *Engine) execInsert(s InsertStmt) (Result, error) {
 			return Result{}, fmt.Errorf("column %s: %w", cn, err)
 		}
 		row[ci] = v
-		assigned[ci] = true
-	}
-	for i := range row {
-		if !assigned[i] {
-			row[i] = nil
-		}
 	}
 	t.Rows = append(t.Rows, row)
+	for ci, ix := range t.index {
+		if ix != nil {
+			ix.add(row[ci])
+		}
+	}
 	e.writes++
 	return Result{Affected: 1}, nil
 }
 
-func matches(t *Table, row Row, conds []Cond) (bool, error) {
+// How a cell stands to a literal. An operator is the set of relations it
+// accepts, so evaluating a bound condition is one mask test.
+const (
+	relLT uint8 = 1 << iota
+	relEQ       // both non-NULL and equal
+	relGT
+	relNone // unordered: NULL against a value, or a NaN
+	relNull // NULL against NULL: equal under "=", and nothing else
+)
+
+func relation[T int64 | float64 | string](a, b T) uint8 {
+	switch {
+	case a < b:
+		return relLT
+	case a == b:
+		return relEQ
+	case a > b:
+		return relGT
+	}
+	return relNone
+}
+
+// pred is one WHERE condition bound to a table: the column's ordinal and
+// the operator's accepted relations are resolved once per statement, not
+// once per row.
+type pred struct {
+	Cond
+	ci     int   // column ordinal; -1 if the table has no such column
+	accept uint8 // 0 for an operator the engine does not know
+}
+
+// bind resolves conds against t. total reports that no condition can
+// fail on any row: every column exists, every operator is known and every
+// literal is NULL or of the column's family. (Failures are reported by
+// the row that meets them, so an empty table accepts any WHERE clause.)
+func (t *Table) bind(dst []pred, conds []Cond) (preds []pred, total bool) {
+	total = true
 	for _, c := range conds {
-		ci, err := t.colIndex(c.Column)
-		if err != nil {
+		p := pred{Cond: c}
+		p.ci, _ = t.colIndex(c.Column)
+		switch c.Op {
+		case "=":
+			p.accept = relEQ | relNull
+		case "!=":
+			p.accept = relLT | relGT | relNone
+		case "<":
+			p.accept = relLT
+		case ">":
+			p.accept = relGT
+		case "<=":
+			p.accept = relLT | relEQ
+		case ">=":
+			p.accept = relGT | relEQ
+		}
+		if p.ci < 0 || p.accept == 0 {
+			total = false
+		} else {
+			switch c.Val.(type) {
+			case nil:
+			case int64, float64:
+				total = total && t.Columns[p.ci].Type != TText
+			case string:
+				total = total && t.Columns[p.ci].Type == TText
+			default:
+				total = false
+			}
+		}
+		dst = append(dst, p)
+	}
+	return dst, total
+}
+
+// holds evaluates "cell op literal" for each condition in order. NULL
+// compares equal only to NULL under "=" and unequal under "!="; ordered
+// comparisons with NULL are false.
+func (t *Table) holds(preds []pred, row Row) (bool, error) {
+	for i := range preds {
+		p := &preds[i]
+		if p.ci < 0 {
+			_, err := t.colIndex(p.Column)
 			return false, err
 		}
-		ok, err := compare(row[ci], c.Op, c.Val)
-		if err != nil {
-			return false, err
+		cell, rel := row[p.ci], relNone
+		if cell == nil || p.Val == nil {
+			if cell == nil && p.Val == nil {
+				rel = relNull
+			}
+		} else {
+			var err error
+			if rel, err = relate(cell, p.Val); err != nil {
+				return false, err
+			}
+			if p.accept == 0 {
+				return false, fmt.Errorf("sql: bad operator %q", p.Op)
+			}
 		}
-		if !ok {
+		if p.accept&rel == 0 {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
-// compare evaluates "cell op literal". NULL compares equal only to NULL
-// under "=" and unequal under "!="; ordered comparisons with NULL are
-// false.
-func compare(cell Value, op string, lit Value) (bool, error) {
-	if cell == nil || lit == nil {
-		switch op {
-		case "=":
-			return cell == nil && lit == nil, nil
-		case "!=":
-			return (cell == nil) != (lit == nil), nil
-		default:
-			return false, nil
-		}
-	}
+// relate compares a non-NULL cell with a non-NULL literal; INT and FLOAT
+// compare with each other, as floats.
+func relate(cell, lit Value) (uint8, error) {
 	switch a := cell.(type) {
 	case int64:
-		var b int64
 		switch l := lit.(type) {
 		case int64:
-			b = l
+			return relation(a, l), nil
 		case float64:
-			return compareFloat(float64(a), op, l)
-		default:
-			return false, fmt.Errorf("%w: comparing INT with %T", ErrTypeMismatch, lit)
+			return relation(float64(a), l), nil
 		}
-		return compareInt(a, op, b)
+		return 0, fmt.Errorf("%w: comparing INT with %T", ErrTypeMismatch, lit)
 	case float64:
 		switch l := lit.(type) {
 		case float64:
-			return compareFloat(a, op, l)
+			return relation(a, l), nil
 		case int64:
-			return compareFloat(a, op, float64(l))
-		default:
-			return false, fmt.Errorf("%w: comparing FLOAT with %T", ErrTypeMismatch, lit)
+			return relation(a, float64(l)), nil
 		}
+		return 0, fmt.Errorf("%w: comparing FLOAT with %T", ErrTypeMismatch, lit)
 	case string:
-		b, ok := lit.(string)
-		if !ok {
-			return false, fmt.Errorf("%w: comparing TEXT with %T", ErrTypeMismatch, lit)
+		if l, ok := lit.(string); ok {
+			return relation(a, l), nil
 		}
-		return compareString(a, op, b)
+		return 0, fmt.Errorf("%w: comparing TEXT with %T", ErrTypeMismatch, lit)
 	}
-	return false, fmt.Errorf("%w: unsupported cell type %T", ErrTypeMismatch, cell)
+	return 0, fmt.Errorf("%w: unsupported cell type %T", ErrTypeMismatch, cell)
 }
 
-func compareInt(a int64, op string, b int64) (bool, error) {
-	switch op {
-	case "=":
-		return a == b, nil
-	case "!=":
-		return a != b, nil
-	case "<":
-		return a < b, nil
-	case ">":
-		return a > b, nil
-	case "<=":
-		return a <= b, nil
-	case ">=":
-		return a >= b, nil
+// indexFor returns the equality index that serves the leading condition,
+// building it on first use, or nil when that condition is not "INT
+// column = integer literal". Only the leading condition qualifies: the
+// rows it rejects are rejected by a scan too, before a later condition
+// could fail on them, so skipping them changes neither results nor errors.
+func (t *Table) indexFor(preds []pred) *eqIndex {
+	if len(preds) == 0 {
+		return nil
 	}
-	return false, fmt.Errorf("sql: bad operator %q", op)
+	p := &preds[0]
+	if _, ok := p.Val.(int64); !ok || p.Op != "=" || p.ci < 0 || t.Columns[p.ci].Type != TInt {
+		return nil
+	}
+	if t.index == nil {
+		t.index = make([]*eqIndex, len(t.Columns))
+	}
+	ix := t.index[p.ci]
+	if ix == nil {
+		ix = &eqIndex{ends: make(map[int64][2]int32), next: make([]int32, 0, len(t.Rows))}
+		for _, row := range t.Rows {
+			ix.add(row[p.ci])
+		}
+		t.index[p.ci] = ix
+	}
+	return ix
 }
 
-func compareFloat(a float64, op string, b float64) (bool, error) {
-	switch op {
-	case "=":
-		return a == b, nil
-	case "!=":
-		return a != b, nil
-	case "<":
-		return a < b, nil
-	case ">":
-		return a > b, nil
-	case "<=":
-		return a <= b, nil
-	case ">=":
-		return a >= b, nil
+// match appends to dst, in ascending order, the positions of the rows that
+// satisfy every condition. With limit >= 0 it stops after that many, unless
+// a condition could fail on a row not yet seen.
+func (t *Table) match(dst []int32, conds []Cond, limit int) ([]int32, error) {
+	var buf [4]pred
+	preds, total := t.bind(buf[:0], conds)
+	if !total {
+		limit = -1
 	}
-	return false, fmt.Errorf("sql: bad operator %q", op)
-}
-
-func compareString(a, op, b string) (bool, error) {
-	switch op {
-	case "=":
-		return a == b, nil
-	case "!=":
-		return a != b, nil
-	case "<":
-		return a < b, nil
-	case ">":
-		return a > b, nil
-	case "<=":
-		return a <= b, nil
-	case ">=":
-		return a >= b, nil
+	if ix := t.indexFor(preds); ix != nil {
+		// The chain holds exactly the rows that pass the leading condition.
+		for pos := ix.first(preds[0].Val.(int64)); pos >= 0 && len(dst) != limit; pos = ix.next[pos] {
+			ok, err := t.holds(preds[1:], t.Rows[pos])
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				dst = append(dst, pos)
+			}
+		}
+		return dst, nil
 	}
-	return false, fmt.Errorf("sql: bad operator %q", op)
+	for pos := 0; pos < len(t.Rows) && len(dst) != limit; pos++ {
+		ok, err := t.holds(preds, t.Rows[pos])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			dst = append(dst, int32(pos))
+		}
+	}
+	return dst, nil
 }
 
 func (e *Engine) execSelect(s SelectStmt) (Result, error) {
@@ -298,45 +428,39 @@ func (e *Engine) execSelect(s SelectStmt) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	var matched []Row
-	for _, row := range t.Rows {
-		ok, err := matches(t, row, s.Where)
-		if err != nil {
-			return Result{}, err
-		}
-		if ok {
-			matched = append(matched, row)
-		}
+	limit := s.Limit
+	if s.OrderBy != "" {
+		limit = -1 // the first rows in sort order may be the last in the table
+	}
+	var buf [64]int32
+	pos, err := t.match(buf[:0], s.Where, limit)
+	if err != nil {
+		return Result{}, err
 	}
 	if s.OrderBy != "" {
 		ci, err := t.colIndex(s.OrderBy)
 		if err != nil {
 			return Result{}, err
 		}
-		sort.SliceStable(matched, func(i, j int) bool {
-			less := lessValue(matched[i][ci], matched[j][ci])
+		slices.SortStableFunc(pos, func(a, b int32) int {
 			if s.Desc {
-				return lessValue(matched[j][ci], matched[i][ci])
+				a, b = b, a
 			}
-			return less
+			return cmpValue(t.Rows[a][ci], t.Rows[b][ci])
 		})
 	}
-	if s.Limit >= 0 && len(matched) > s.Limit {
-		matched = matched[:s.Limit]
+	if s.Limit >= 0 && len(pos) > s.Limit {
+		pos = pos[:s.Limit]
 	}
 	if s.Count {
-		return Result{Columns: []string{"count"}, Rows: []Row{{int64(len(matched))}}}, nil
+		return Result{Columns: []string{"count"}, Rows: []Row{{int64(len(pos))}}}, nil
 	}
+	out := make([]Row, len(pos))
 	if s.Columns == nil {
-		cols := make([]string, len(t.Columns))
-		for i, c := range t.Columns {
-			cols[i] = c.Name
+		for i, p := range pos {
+			out[i] = t.Rows[p]
 		}
-		out := make([]Row, len(matched))
-		for i, r := range matched {
-			out[i] = append(Row(nil), r...)
-		}
-		return Result{Columns: cols, Rows: out}, nil
+		return Result{Columns: t.names, Rows: out}, nil
 	}
 	idx := make([]int, len(s.Columns))
 	for i, cn := range s.Columns {
@@ -346,46 +470,61 @@ func (e *Engine) execSelect(s SelectStmt) (Result, error) {
 		}
 		idx[i] = ci
 	}
-	out := make([]Row, len(matched))
-	for i, r := range matched {
-		proj := make(Row, len(idx))
+	cells := make([]Value, len(pos)*len(idx)) // one array for every projected row
+	for i, p := range pos {
+		out[i], cells = cells[:len(idx):len(idx)], cells[len(idx):]
 		for j, ci := range idx {
-			proj[j] = r[ci]
+			out[i][j] = t.Rows[p][ci]
 		}
-		out[i] = proj
 	}
-	return Result{Columns: append([]string(nil), s.Columns...), Rows: out}, nil
+	return Result{Columns: s.Columns, Rows: out}, nil
 }
 
-// lessValue orders values of the same family; NULL sorts first.
-func lessValue(a, b Value) bool {
-	if a == nil {
-		return b != nil
-	}
-	if b == nil {
-		return false
-	}
+// cmpValue orders values of the same family for ORDER BY; NULL sorts
+// first. Values it cannot order compare equal and keep their row order.
+func cmpValue(a, b Value) int {
 	switch x := a.(type) {
+	case nil:
+		if b != nil {
+			return -1
+		}
 	case int64:
 		switch y := b.(type) {
+		case nil:
+			return 1
 		case int64:
-			return x < y
+			return threeWay(x, y)
 		case float64:
-			return float64(x) < y
+			return threeWay(float64(x), y)
 		}
 	case float64:
 		switch y := b.(type) {
+		case nil:
+			return 1
 		case float64:
-			return x < y
+			return threeWay(x, y)
 		case int64:
-			return x < float64(y)
+			return threeWay(x, float64(y))
 		}
 	case string:
-		if y, ok := b.(string); ok {
-			return x < y
+		switch y := b.(type) {
+		case nil:
+			return 1
+		case string:
+			return threeWay(x, y)
 		}
 	}
-	return false
+	return 0
+}
+
+func threeWay[T int64 | float64 | string](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 func (e *Engine) execUpdate(s UpdateStmt) (Result, error) {
@@ -402,7 +541,7 @@ func (e *Engine) execUpdate(s UpdateStmt) (Result, error) {
 	for cn := range s.Set {
 		cols = append(cols, cn)
 	}
-	sort.Strings(cols)
+	slices.Sort(cols)
 	ops := make([]setOp, 0, len(cols))
 	for _, cn := range cols {
 		ci, err := t.colIndex(cn)
@@ -415,22 +554,25 @@ func (e *Engine) execUpdate(s UpdateStmt) (Result, error) {
 		}
 		ops = append(ops, setOp{ci: ci, v: v})
 	}
-	affected := 0
-	for i, row := range t.Rows {
-		ok, err := matches(t, row, s.Where)
-		if err != nil {
-			return Result{}, err
-		}
-		if !ok {
-			continue
-		}
+	var buf [64]int32
+	pos, err := t.match(buf[:0], s.Where, -1)
+	if err != nil {
+		return Result{}, err
+	}
+	for _, p := range pos {
+		row := slices.Clone(t.Rows[p]) // the old row may be shared
 		for _, op := range ops {
-			t.Rows[i][op.ci] = op.v
+			row[op.ci] = op.v
 		}
-		affected++
+		t.Rows[p] = row
+	}
+	if len(pos) > 0 && t.index != nil {
+		for _, op := range ops {
+			t.index[op.ci] = nil
+		}
 	}
 	e.writes++
-	return Result{Affected: affected}, nil
+	return Result{Affected: len(pos)}, nil
 }
 
 func (e *Engine) execDelete(s DeleteStmt) (Result, error) {
@@ -438,38 +580,57 @@ func (e *Engine) execDelete(s DeleteStmt) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	kept := t.Rows[:0]
-	affected := 0
-	for _, row := range t.Rows {
-		ok, err := matches(t, row, s.Where)
-		if err != nil {
-			return Result{}, err
-		}
-		if ok {
-			affected++
-		} else {
-			kept = append(kept, row)
-		}
+	var buf [64]int32
+	pos, err := t.match(buf[:0], s.Where, -1)
+	if err != nil {
+		return Result{}, err
 	}
-	t.Rows = kept
+	if len(pos) > 0 {
+		kept, gone := t.Rows[:pos[0]], pos
+		for i := int(pos[0]); i < len(t.Rows); i++ {
+			if len(gone) > 0 && int(gone[0]) == i {
+				gone = gone[1:]
+			} else {
+				kept = append(kept, t.Rows[i])
+			}
+		}
+		clear(t.Rows[len(kept):])
+		t.Rows, t.index = kept, nil // every later position moved
+	}
 	e.writes++
-	return Result{Affected: affected}, nil
+	return Result{Affected: len(pos)}, nil
 }
 
-// Snapshot returns a deep copy of the database — the "initial known state"
+// Snapshot returns a copy of the database — the "initial known state"
 // installed on a fresh replica before the recovery log replays the delta.
+// The copy shares the (immutable) rows and schema with the original and
+// owns only its row lists; it has no indexes until its statements ask
+// for them.
 func (e *Engine) Snapshot() *Engine {
 	cp := New()
 	cp.writes = e.writes
 	for name, t := range e.tables {
-		nt := &Table{Name: t.Name, Columns: append([]Column(nil), t.Columns...)}
-		nt.Rows = make([]Row, len(t.Rows))
-		for i, r := range t.Rows {
-			nt.Rows[i] = append(Row(nil), r...)
-		}
-		cp.tables[name] = nt
+		cp.tables[name] = &Table{Name: t.Name, Columns: t.Columns, Rows: slices.Clone(t.Rows), names: t.names}
 	}
 	return cp
+}
+
+// fnv64a is hash/fnv's 64-bit FNV-1a, inlined so that hashing a database
+// allocates nothing.
+type fnv64a uint64
+
+func (h *fnv64a) byte(b byte) { *h = (*h ^ fnv64a(b)) * 1099511628211 }
+
+func (h *fnv64a) string(s string) {
+	for i := 0; i < len(s); i++ {
+		h.byte(s[i])
+	}
+}
+
+func (h *fnv64a) bytes(b []byte) {
+	for _, c := range b {
+		h.byte(c)
+	}
 }
 
 // Fingerprint returns a content hash of the full database state
@@ -477,35 +638,45 @@ func (e *Engine) Snapshot() *Engine {
 // a table as row order is part of engine state). Two replicas are
 // consistent iff their fingerprints are equal.
 func (e *Engine) Fingerprint() uint64 {
-	h := fnv.New64a()
-	for _, name := range e.Tables() {
+	h := fnv64a(14695981039346656037)
+	var names [16]string
+	for _, name := range e.sortedNames(names[:0]) {
 		t := e.tables[name]
-		h.Write([]byte("table:" + name))
+		h.string("table:")
+		h.string(name)
 		for _, c := range t.Columns {
-			h.Write([]byte(c.Name + ":" + c.Type.String()))
+			h.string(c.Name)
+			h.byte(':')
+			h.string(c.Type.String())
 		}
 		for _, r := range t.Rows {
 			for _, v := range r {
-				writeValue(h, v)
+				h.value(v)
 			}
-			h.Write([]byte{0xFF})
+			h.byte(0xFF)
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
-func writeValue(h interface{ Write([]byte) (int, error) }, v Value) {
+// value feeds one cell: a type tag, the value's shortest decimal text (what
+// strconv.FormatInt and FormatFloat 'g' print), and a terminating zero.
+func (h *fnv64a) value(v Value) {
+	var buf [32]byte
 	switch x := v.(type) {
 	case nil:
-		h.Write([]byte("N"))
+		h.byte('N')
 	case int64:
-		h.Write([]byte("i" + strconv.FormatInt(x, 10)))
+		h.byte('i')
+		h.bytes(strconv.AppendInt(buf[:0], x, 10))
 	case float64:
-		h.Write([]byte("f" + strconv.FormatFloat(x, 'g', -1, 64)))
+		h.byte('f')
+		h.bytes(strconv.AppendFloat(buf[:0], x, 'g', -1, 64))
 	case string:
-		h.Write([]byte("s" + x))
+		h.byte('s')
+		h.string(x)
 	}
-	h.Write([]byte{0})
+	h.byte(0)
 }
 
 // RowCount returns the number of rows in a table (0 if absent).

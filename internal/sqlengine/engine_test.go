@@ -441,3 +441,90 @@ func BenchmarkExecSelectWhere(b *testing.B) {
 		}
 	}
 }
+
+// Identifiers are ASCII. The lexer used to class single bytes with
+// unicode.IsLetter, which accepts the Latin-1 letters 0xAA, 0xB5, 0xBA and
+// 0xC0-0xFF: the halves of UTF-8 sequences went into identifiers, ToLower
+// folded each to U+FFFD, and "tÃ" and "tÄ" became one table name.
+func TestIdentifiersAreASCII(t *testing.T) {
+	e := New()
+	for _, sql := range []string{
+		"CREATE TABLE t\xc3 (id INT)",
+		"CREATE TABLE t\xc4 (id INT)",
+		"CREATE TABLE caf\xc3\xa9 (id INT)",
+		"CREATE TABLE t (\xb5 INT)",
+		"SELECT * FROM t WHERE id = \xaa",
+	} {
+		_, err := e.Exec(sql)
+		if err == nil || !strings.Contains(err.Error(), "unexpected character") || !strings.Contains(err.Error(), " at ") {
+			t.Errorf("Exec(%q) = %v, want a positioned unexpected-character error", sql, err)
+		}
+	}
+	if got := e.Tables(); len(got) != 0 {
+		t.Fatalf("tables created from non-ASCII names: %q", got)
+	}
+	// Inside a string literal any byte is data.
+	mustExec(t, e, "CREATE TABLE t (s TEXT)")
+	mustExec(t, e, "INSERT INTO t (s) VALUES ('caf\xc3\xa9 \xff')")
+	if r := mustExec(t, e, "SELECT s FROM t"); r.Rows[0][0] != "caf\xc3\xa9 \xff" {
+		t.Fatalf("string literal = %q", r.Rows[0][0])
+	}
+}
+
+// IsWrite reads the first token as Parse does, so for every statement that
+// parses it is true exactly when the statement is not a SELECT.
+func TestIsWriteAgreesWithParse(t *testing.T) {
+	for _, sql := range []string{
+		"  \t\nINSERT INTO t (a) VALUES (1)",
+		";INSERT INTO t (a) VALUES (1)",
+		"insert;into t (a) values (1)",
+		"Drop Table t",
+		"SELECT*FROM t",
+		"select a from t where a = 1",
+		"DELETE FROM t WHERE a = 1;",
+	} {
+		stmt, err := Parse(sql)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", sql, err)
+		}
+		if _, read := stmt.(SelectStmt); IsWrite(sql) == read {
+			t.Errorf("IsWrite(%q) = %v for a %T", sql, IsWrite(sql), stmt)
+		}
+	}
+	for _, sql := range []string{"", "   ", "INSERTED", "'INSERT'", "\xc3INSERT", "42"} {
+		if IsWrite(sql) {
+			t.Errorf("IsWrite(%q) = true", sql)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { IsWrite("  UPDATE items SET end_date = 0 WHERE id = 7") }); n != 0 {
+		t.Errorf("IsWrite allocates %v times", n)
+	}
+}
+
+// The fingerprint is part of recorded artifacts (consistency reports,
+// invariant traces): its value for a given state must not change.
+func TestFingerprintGolden(t *testing.T) {
+	e := newUsers(t)
+	mustExec(t, e, "CREATE TABLE empty (a INT, b TEXT)")
+	mustExec(t, e, "INSERT INTO users (id) VALUES (-4)")
+	mustExec(t, e, "INSERT INTO users (id, nickname, rating) VALUES (9007199254740993, 'd''e', 0.1)")
+	mustExec(t, e, "UPDATE users SET rating = 12345678.9 WHERE id = 2")
+	const want uint64 = 0xc307e69ad8fd2a1d // computed at the commit before the hash was inlined
+	if got := e.Fingerprint(); got != want {
+		t.Fatalf("Fingerprint = %#x, want %#x", got, want)
+	}
+	if New().Fingerprint() != 0xcbf29ce484222325 {
+		t.Fatalf("empty Fingerprint = %#x, want the FNV-1a offset basis", New().Fingerprint())
+	}
+}
+
+func TestFingerprintDoesNotAllocate(t *testing.T) {
+	e := New()
+	mustExec(t, e, "CREATE TABLE t (id INT, f FLOAT, s TEXT, n INT)")
+	for i := 0; i < 750; i++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO t (id, f, s) VALUES (%d, %d.25, 'row-%d')", i*1000003, i, i))
+	}
+	if n := testing.AllocsPerRun(10, func() { e.Fingerprint() }); n != 0 {
+		t.Fatalf("Fingerprint of 3000 cells allocates %v times", n)
+	}
+}

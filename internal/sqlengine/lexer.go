@@ -13,7 +13,6 @@ package sqlengine
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 type tokenKind int
@@ -32,109 +31,111 @@ type token struct {
 	pos  int
 }
 
+// Byte classes. SQL here is ASCII: identifiers are [A-Za-z_][A-Za-z0-9_]*,
+// and a byte outside the table (any byte >= 0x80 included) is an error
+// wherever it appears outside a string literal.
+const (
+	clsSpace  uint8 = 1 << iota // blank, or the tolerated statement separator ';'
+	clsLetter                   // A-Z a-z _
+	clsDigit                    // 0-9
+	clsSymbol                   // one-byte symbols ( ) , = * .
+)
+
+var byteClass = func() (t [256]uint8) {
+	for _, c := range " \t\n\r;" {
+		t[c] = clsSpace
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = clsLetter, clsLetter
+	}
+	t['_'] = clsLetter
+	for c := '0'; c <= '9'; c++ {
+		t[c] = clsDigit
+	}
+	for _, c := range "(),=*." {
+		t[c] = clsSymbol
+	}
+	return t
+}()
+
+// lexer yields the tokens of src one at a time; token texts other than
+// string literals are substrings of src, so lexing allocates nothing.
 type lexer struct {
-	src    string
-	pos    int
-	tokens []token
+	src string
+	pos int
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			l.pos++
-		case unicode.IsLetter(rune(c)) || c == '_':
-			l.lexIdent()
-		case unicode.IsDigit(rune(c)) || (c == '-' && l.pos+1 < len(l.src) && unicode.IsDigit(rune(l.src[l.pos+1]))):
-			l.lexNumber()
-		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
-		case strings.ContainsRune("(),=*.", rune(c)):
-			l.emit(tokSymbol, string(c))
-			l.pos++
-		case c == '<' || c == '>' || c == '!':
-			start := l.pos
-			l.pos++
-			if l.pos < len(l.src) && (l.src[l.pos] == '=' || (c == '<' && l.src[l.pos] == '>')) {
-				l.pos++
-			}
-			sym := l.src[start:l.pos]
-			if sym == "!" {
-				return nil, fmt.Errorf("sql: stray '!' at %d", start)
-			}
-			l.emit(tokSymbol, sym)
-		case c == ';':
-			l.pos++ // trailing statement separator is tolerated
-		default:
-			return nil, fmt.Errorf("sql: unexpected character %q at %d", c, l.pos)
-		}
-	}
-	l.emit(tokEOF, "")
-	return l.tokens, nil
-}
-
-func (l *lexer) emit(k tokenKind, text string) {
-	l.tokens = append(l.tokens, token{kind: k, text: text, pos: l.pos})
-}
-
-func (l *lexer) lexIdent() {
-	start := l.pos
-	for l.pos < len(l.src) {
-		c := rune(l.src[l.pos])
-		if unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' {
-			l.pos++
-		} else {
-			break
-		}
-	}
-	l.tokens = append(l.tokens, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
-}
-
-func (l *lexer) lexNumber() {
-	start := l.pos
-	if l.src[l.pos] == '-' {
+// next returns the next token, or tokEOF at the end of the input.
+func (l *lexer) next() (token, error) {
+	for l.pos < len(l.src) && byteClass[l.src[l.pos]] == clsSpace {
 		l.pos++
 	}
-	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if unicode.IsDigit(rune(c)) {
-			l.pos++
-		} else if c == '.' && !seenDot {
-			seenDot = true
-			l.pos++
-		} else {
-			break
-		}
+	start := l.pos
+	if start == len(l.src) {
+		return token{kind: tokEOF, pos: start}, nil
 	}
-	l.tokens = append(l.tokens, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
+	c := l.src[start]
+	switch cls := byteClass[c]; {
+	case cls == clsLetter:
+		l.skip(clsLetter | clsDigit)
+		return token{tokIdent, l.src[start:l.pos], start}, nil
+	case cls == clsDigit || (c == '-' && start+1 < len(l.src) && byteClass[l.src[start+1]] == clsDigit):
+		l.pos++
+		l.skip(clsDigit)
+		if l.pos < len(l.src) && l.src[l.pos] == '.' {
+			l.pos++
+			l.skip(clsDigit)
+		}
+		return token{tokNumber, l.src[start:l.pos], start}, nil
+	case c == '\'':
+		return l.lexString()
+	case cls == clsSymbol:
+		l.pos++
+		return token{tokSymbol, l.src[start:l.pos], start}, nil
+	case c == '<' || c == '>' || c == '!':
+		l.pos++
+		if l.pos < len(l.src) && (l.src[l.pos] == '=' || (c == '<' && l.src[l.pos] == '>')) {
+			l.pos++
+		} else if c == '!' {
+			return token{}, fmt.Errorf("sql: stray '!' at %d", start)
+		}
+		return token{tokSymbol, l.src[start:l.pos], start}, nil
+	}
+	return token{}, fmt.Errorf("sql: unexpected character %q at %d", c, start)
 }
 
-func (l *lexer) lexString() error {
-	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			// '' escapes a quote, as in standard SQL.
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.tokens = append(l.tokens, token{kind: tokString, text: b.String(), pos: start})
-			return nil
-		}
-		b.WriteByte(c)
+// skip advances past every byte whose class is in set.
+func (l *lexer) skip(set uint8) {
+	for l.pos < len(l.src) && byteClass[l.src[l.pos]]&set != 0 {
 		l.pos++
 	}
-	return fmt.Errorf("sql: unterminated string starting at %d", start)
+}
+
+// lexString reads a quoted literal; a doubled quote inside it is one
+// quote, as in standard SQL. The text is copied out of src so that a stored TEXT cell
+// does not keep its whole INSERT statement alive.
+func (l *lexer) lexString() (token, error) {
+	start := l.pos
+	escaped := false
+	for l.pos++; l.pos < len(l.src); l.pos++ {
+		if l.src[l.pos] != '\'' {
+			continue
+		}
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+			escaped = true
+			l.pos++
+			continue
+		}
+		text := l.src[start+1 : l.pos]
+		if escaped {
+			text = strings.ReplaceAll(text, "''", "'")
+		} else {
+			text = strings.Clone(text)
+		}
+		l.pos++
+		return token{tokString, text, start}, nil
+	}
+	return token{}, fmt.Errorf("sql: unterminated string starting at %d", start)
 }
 
 // QuoteString renders a Go string as a SQL string literal.

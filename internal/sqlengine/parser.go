@@ -94,19 +94,22 @@ type Cond struct {
 // Value is a SQL literal: int64, float64 or string.
 type Value any
 
+// parser is a recursive-descent parser over one token of lookahead,
+// pulled from the lexer as it goes.
 type parser struct {
-	toks []token
-	i    int
+	lex lexer
+	tok token // the current token
+	err error // the first lexical error; the token stream ends there
 }
 
 // Parse parses one SQL statement.
 func Parse(src string) (Statement, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{lex: lexer{src: src}}
+	p.advance()
 	stmt, err := p.statement()
+	if p.err != nil {
+		return nil, p.err
+	}
 	if err != nil {
 		return nil, fmt.Errorf("sql: %w (in %q)", err, truncate(src))
 	}
@@ -123,13 +126,14 @@ func truncate(s string) string {
 	return s
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) atEOF() bool { return p.cur().kind == tokEOF }
+func (p *parser) cur() token  { return p.tok }
+func (p *parser) atEOF() bool { return p.tok.kind == tokEOF }
 
+// advance consumes the current token and returns it.
 func (p *parser) advance() token {
-	t := p.toks[p.i]
-	if t.kind != tokEOF {
-		p.i++
+	t := p.tok
+	if p.err == nil {
+		p.tok, p.err = p.lex.next()
 	}
 	return t
 }
@@ -195,19 +199,19 @@ func (p *parser) statement() (Statement, error) {
 	if t.kind != tokIdent {
 		return nil, fmt.Errorf("expected statement keyword, got %q", t.text)
 	}
-	switch strings.ToUpper(t.text) {
-	case "CREATE":
-		return p.createStmt()
-	case "DROP":
-		return p.dropStmt()
-	case "INSERT":
-		return p.insertStmt()
-	case "SELECT":
+	switch {
+	case p.peekKeyword("SELECT"):
 		return p.selectStmt()
-	case "UPDATE":
+	case p.peekKeyword("INSERT"):
+		return p.insertStmt()
+	case p.peekKeyword("UPDATE"):
 		return p.updateStmt()
-	case "DELETE":
+	case p.peekKeyword("DELETE"):
 		return p.deleteStmt()
+	case p.peekKeyword("CREATE"):
+		return p.createStmt()
+	case p.peekKeyword("DROP"):
+		return p.dropStmt()
 	}
 	return nil, fmt.Errorf("unsupported statement %q", t.text)
 }
@@ -235,12 +239,12 @@ func (p *parser) createStmt() (Statement, error) {
 			return nil, err
 		}
 		var ct ColType
-		switch strings.ToUpper(tn) {
-		case "INT", "INTEGER", "BIGINT":
+		switch tn { // ident lower-cases
+		case "int", "integer", "bigint":
 			ct = TInt
-		case "FLOAT", "DOUBLE", "REAL":
+		case "float", "double", "real":
 			ct = TFloat
-		case "TEXT", "VARCHAR", "CHAR":
+		case "text", "varchar", "char":
 			ct = TText
 		default:
 			return nil, fmt.Errorf("unsupported column type %q", tn)
@@ -292,7 +296,7 @@ func (p *parser) insertStmt() (Statement, error) {
 	if err := p.symbol("("); err != nil {
 		return nil, err
 	}
-	var cols []string
+	cols := make([]string, 0, 8)
 	for {
 		c, err := p.ident()
 		if err != nil {
@@ -314,7 +318,7 @@ func (p *parser) insertStmt() (Statement, error) {
 	if err := p.symbol("("); err != nil {
 		return nil, err
 	}
-	var vals []Value
+	vals := make([]Value, 0, len(cols))
 	for {
 		v, err := p.literal()
 		if err != nil {
@@ -502,14 +506,18 @@ func (p *parser) optionalWhere() ([]Cond, error) {
 
 // IsWrite reports whether a statement mutates database state. It is the
 // classification C-JDBC's recovery log applies to decide what to record.
+// It looks at the first token exactly as Parse does, so the two agree on
+// every statement that parses.
 func IsWrite(sql string) bool {
-	fields := strings.Fields(sql)
-	if len(fields) == 0 {
+	l := lexer{src: sql}
+	t, err := l.next()
+	if err != nil || t.kind != tokIdent {
 		return false
 	}
-	switch strings.ToUpper(fields[0]) {
-	case "INSERT", "UPDATE", "DELETE", "CREATE", "DROP":
-		return true
+	for _, kw := range [...]string{"INSERT", "UPDATE", "DELETE", "CREATE", "DROP"} {
+		if strings.EqualFold(t.text, kw) {
+			return true
+		}
 	}
 	return false
 }
