@@ -76,6 +76,10 @@ func TestGrayFailureBalancedBeatsRoundRobin(t *testing.T) {
 		if v.Result.Stats.Completed == 0 {
 			t.Fatalf("%s: no requests completed", v.Name)
 		}
+		// Unmanaged runs report the replicas the ADL deployed, not 1.
+		if app, db := v.Result.App.Replicas.Max(), v.Result.DB.Replicas.Max(); app != 3 || db != 2 {
+			t.Fatalf("%s: replica series peak app=%v db=%v, want 3/2", v.Name, app, db)
+		}
 		byName[v.Name] = v
 	}
 	rr, ok1 := byName["round-robin"]

@@ -616,9 +616,9 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		res.App.CPURaw, res.App.CPUSmoothed = appSensor.Raw, appSensor.Smoothed
 		res.DB.CPURaw, res.DB.CPUSmoothed = dbSensor.Raw, dbSensor.Smoothed
 		res.App.Replicas = metrics.NewSeries("application-servers-replicas")
-		res.App.Replicas.Add(p.Eng.Now(), 1)
+		res.App.Replicas.Add(p.Eng.Now(), float64(appTier.ReplicaCount()))
 		res.DB.Replicas = metrics.NewSeries("database-backends-replicas")
-		res.DB.Replicas.Add(p.Eng.Now(), 1)
+		res.DB.Replicas.Add(p.Eng.Now(), float64(dbTier.ReplicaCount()))
 		p.Eng.Every(1, "observe", func(now float64) {
 			appSensor.Sample(now)
 			dbSensor.Sample(now)
