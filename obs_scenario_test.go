@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -211,4 +212,36 @@ func TestScenarioSLOReportPopulated(t *testing.T) {
 	if p50, p99 := res.RequestLatency.Quantile(0.5), res.RequestLatency.Quantile(0.99); p50 <= 0 || p99 < p50 {
 		t.Fatalf("implausible latency quantiles: p50=%g p99=%g", p50, p99)
 	}
+}
+
+// TestAdminClosedWhenRunFails: a run that fails after the admin listener
+// came up returns no result to close it through, so RunScenario itself
+// must release the port.
+func TestAdminClosedWhenRunFails(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "metrics")
+	cfg := shortObsScenario(3)
+	cfg.MetricsDir = dir
+	cfg.HTTPAddr = "127.0.0.1:0"
+	var addr string
+	cfg.AdminReady = func(a string) {
+		addr = a
+		// Make every artifact write fail from here on: the directory
+		// becomes a regular file.
+		if err := os.RemoveAll(dir); err != nil {
+			t.Error(err)
+		}
+		if err := os.WriteFile(dir, nil, 0o644); err != nil {
+			t.Error(err)
+		}
+	}
+	res, err := RunScenario(cfg)
+	if err == nil {
+		res.Admin.Close()
+		t.Fatal("run with an unwritable MetricsDir succeeded")
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("admin address %s still bound after the failed run: %v", addr, err)
+	}
+	ln.Close()
 }

@@ -4,13 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"os"
-	"path/filepath"
 	"sort"
-	"time"
 
-	"jade/internal/cjdbc"
 	"jade/internal/cluster"
 	"jade/internal/core"
 	"jade/internal/fluid"
@@ -22,9 +17,7 @@ import (
 	"jade/internal/obs/alert"
 	"jade/internal/obs/attrib"
 	"jade/internal/refresh"
-	"jade/internal/rubis"
 	"jade/internal/selector"
-	"jade/internal/sim"
 	"jade/internal/trace"
 )
 
@@ -430,8 +423,92 @@ func (r *ScenarioResult) Throughput() float64 {
 	return float64(r.Stats.Completed) / d
 }
 
+// run is the state the stages of one RunScenario call share: what
+// deployment produced, plus each plane's handle once its stage has built
+// it. Stages run in runStages order on the simulation goroutine; every
+// plane field is set by exactly one stage and read only by later ones.
+type run struct {
+	cfg ScenarioConfig // defaulted; management fills in the sizing caps
+	res *ScenarioResult
+	p   *Platform
+	dep *Deployment
+	// plb and cjdbc are the two balancer wrappers, resolved once.
+	plb     *core.PLBWrapper
+	cjdbc   *core.CJDBCWrapper
+	appTier *AppTier
+	dbTier  *DBTier
+	fabric  *netsim.Fabric // nil with cfg.Net disabled; its methods are nil-safe
+	fluidOn bool
+
+	detector *netsim.Detector   // management (with recovery) or monitoring; may stay nil
+	arb      *core.Arbiter      // management; nil unless cfg.Arbitrate
+	harness  *invariant.Harness // invariants; nil unless cfg.Invariants
+	em       *Emulator          // workload
+	fnet     *fluid.Network     // workload; nil in discrete mode
+	slo      *obs.SLOEngine     // slo
+	alerts   *alert.Engine      // alerting
+	hub      *refresh.Hub       // liveConfig
+	crt      *configRuntime     // liveConfig
+	pub      *obs.Publisher     // liveConfig (it owns /config); publishing fills the rest
+
+	// finish holds the stages' post-run steps, run in registration order
+	// once the engine has reached the horizon.
+	finish []func()
+	// artifactErr is the first failed artifact write (see writeArtifact).
+	artifactErr error
+}
+
+// runStages is the run lifecycle: each stage wires one plane onto the
+// deployed system, registers that plane's tickers and appends its
+// finisher. The engine orders same-instant events by scheduling sequence,
+// so this order is the event schedule and the metric-registration order;
+// DESIGN.md "The run lifecycle" lists the tickers it pins.
+var runStages = []func(*run) error{
+	(*run).management,
+	(*run).monitoring,
+	(*run).invariants,
+	(*run).accounting,
+	(*run).workload,
+	(*run).sloEval,
+	(*run).alerting,
+	(*run).liveConfig,
+	(*run).publishing,
+	(*run).faults,
+	(*run).pacing,
+	(*run).churn,
+}
+
 // RunScenario executes one full evaluation run in virtual time.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
+	r, err := newRun(cfg.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	for _, stage := range runStages {
+		if err := stage(r); err != nil {
+			return r.fail(err)
+		}
+	}
+	r.p.Eng.RunUntil(r.res.WorkloadStart + r.cfg.Profile.Duration() + r.cfg.DrainSeconds)
+	for _, fin := range r.finish {
+		fin()
+	}
+	if r.artifactErr != nil {
+		return r.fail(r.artifactErr)
+	}
+	return r.res, nil
+}
+
+// fail abandons the run: the caller gets no result to close the admin
+// endpoint through, so a listener that is already up is closed here.
+func (r *run) fail(err error) (*ScenarioResult, error) {
+	r.res.Admin.Close() // nil-safe
+	return nil, err
+}
+
+// withDefaults returns cfg with every zero-valued knob that has a default
+// replaced by it.
+func (cfg ScenarioConfig) withDefaults() ScenarioConfig {
 	if cfg.Profile == nil {
 		cfg.Profile = PaperRamp()
 	}
@@ -469,6 +546,31 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if cfg.NodeCPU == 0 {
 		cfg.NodeCPU = 1.0
 	}
+	if cfg.ADL == "" {
+		cfg.ADL = ThreeTierADL
+	}
+	if len(cfg.AppReplicas) == 0 {
+		cfg.AppReplicas = []string{"tomcat1"}
+	}
+	if len(cfg.DBReplicas) == 0 {
+		cfg.DBReplicas = []string{"mysql1"}
+	}
+	if cfg.SLOs == nil {
+		cfg.SLOs = DefaultSLOs()
+	}
+	if cfg.SLOInterval <= 0 {
+		cfg.SLOInterval = 10
+	}
+	if cfg.MetricsInterval <= 0 {
+		cfg.MetricsInterval = 60
+	}
+	return cfg
+}
+
+// newRun validates the defaulted configuration, builds the platform (with
+// the network fabric, when enabled), deploys the ADL and resolves the
+// handles every stage works on.
+func newRun(cfg ScenarioConfig) (*run, error) {
 	fluidOn, err := resolveWorkloadMode(cfg.WorkloadMode, cfg.Profile)
 	if err != nil {
 		return nil, err
@@ -477,7 +579,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		return nil, fmt.Errorf("jade: bad fluid parameters (tick %g, sample rate %g, node cpu %g)",
 			cfg.FluidTick, cfg.FluidSampleRate, cfg.NodeCPU)
 	}
-
 	if err := cfg.Routing.Validate(); err != nil {
 		return nil, err
 	}
@@ -502,14 +603,14 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	}
 	popts.TraceDisabled = cfg.TraceOff
 	p := NewPlatform(popts)
+	r := &run{cfg: cfg, p: p, fluidOn: fluidOn, finish: make([]func(), 0, len(runStages))}
 
 	// The network fabric goes in before deployment so even the initial
 	// recovery-log joins travel over it.
-	var fabric *netsim.Fabric
 	if cfg.Net.Enabled {
-		fabric = netsim.New(p.Eng, cfg.Net, cfg.Seed)
-		fabric.Instrument(p.Trace(), p.Metrics())
-		p.Net.SetTransport(fabric)
+		r.fabric = netsim.New(p.Eng, cfg.Net, cfg.Seed)
+		r.fabric.Instrument(p.Trace(), p.Metrics())
+		p.Net.SetTransport(r.fabric)
 	}
 
 	dump, err := cfg.Dataset.InitialDatabase(cfg.Seed)
@@ -518,892 +619,52 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	}
 	p.RegisterDump("rubis", dump)
 
-	adlText := cfg.ADL
-	if adlText == "" {
-		adlText = ThreeTierADL
-	}
-	def, err := ParseADL(adlText)
+	def, err := ParseADL(cfg.ADL)
 	if err != nil {
 		return nil, err
 	}
-	var dep *Deployment
 	derr := errors.New("jade: deployment did not complete")
-	p.Deploy(def, func(d *Deployment, err error) { dep, derr = d, err })
+	p.Deploy(def, func(d *Deployment, err error) { r.dep, derr = d, err })
 	p.Eng.Run()
 	if derr != nil {
 		return nil, derr
 	}
 
-	appReplicas := cfg.AppReplicas
-	if len(appReplicas) == 0 {
-		appReplicas = []string{"tomcat1"}
-	}
-	dbReplicas := cfg.DBReplicas
-	if len(dbReplicas) == 0 {
-		dbReplicas = []string{"mysql1"}
-	}
-	appTier, err := NewAppTier(p, dep, "plb1", "cjdbc1", appReplicas)
-	if err != nil {
+	if r.appTier, err = NewAppTier(p, r.dep, "plb1", "cjdbc1", cfg.AppReplicas); err != nil {
 		return nil, err
 	}
-	dbTier, err := NewDBTier(p, dep, "cjdbc1", dbReplicas)
-	if err != nil {
+	if r.dbTier, err = NewDBTier(p, r.dep, "cjdbc1", cfg.DBReplicas); err != nil {
 		return nil, err
 	}
-
-	res := &ScenarioResult{Config: cfg, Platform: p, Deployment: dep}
-	res.App.Min, res.App.Max = cfg.AppSizing.Min, cfg.AppSizing.Max
-	res.DB.Min, res.DB.Max = cfg.DBSizing.Min, cfg.DBSizing.Max
-
-	shared := &Inhibitor{}
-	var recMgr *RecoveryManager
-	var detector *netsim.Detector
-	var arb *core.Arbiter
-	if cfg.Managed {
-		cfg.AppSizing.MaxReplicas = cfg.MaxAppReplicas
-		cfg.DBSizing.MaxReplicas = cfg.MaxDBReplicas
-		appMgr, err := NewSizingManager(p, "self-optimization-app", appTier, cfg.AppSizing, shared)
-		if err != nil {
-			return nil, err
-		}
-		dbMgr, err := NewSizingManager(p, "self-optimization-db", dbTier, cfg.DBSizing, shared)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Arbitrate {
-			arb = core.NewArbiter(cfg.AppSizing.InhibitSeconds)
-			arb.Trace = p.Trace()
-			appMgr.Reactor.Arbiter = arb
-			dbMgr.Reactor.Arbiter = arb
-		}
-		if err := appMgr.Loop.Start(); err != nil {
-			return nil, err
-		}
-		if err := dbMgr.Loop.Start(); err != nil {
-			return nil, err
-		}
-		res.AppManager, res.DBManager = appMgr, dbMgr
-		res.App.CPURaw, res.App.CPUSmoothed = appMgr.Sensor.Raw, appMgr.Sensor.Smoothed
-		res.DB.CPURaw, res.DB.CPUSmoothed = dbMgr.Sensor.Raw, dbMgr.Sensor.Smoothed
-		res.App.Replicas = appMgr.Replicas
-		res.DB.Replicas = dbMgr.Replicas
-		if cfg.Recovery {
-			rec, err := NewRecoveryManager(p, "self-recovery", 1, appTier, dbTier)
-			if err != nil {
-				return nil, err
-			}
-			if arb != nil {
-				rec.Arbiter = arb
-			}
-			if fabric.Enabled() {
-				// With a real network the perfect oracle gives way to the
-				// heartbeat suspicion detector: detection is now late and
-				// sometimes wrong, as on the paper's LAN.
-				det := netsim.NewDetector(p.Eng, fabric, cfg.Net.Heartbeat)
-				det.Instrument(p.Trace(), p.Metrics())
-				rec.Suspector = det
-				detector = det
-			}
-			if err := rec.Loop.Start(); err != nil {
-				return nil, err
-			}
-			recMgr = rec
-		}
-	} else {
-		// Passive observation: same sensors, zero probe cost, no reactor.
-		appSensor := core.NewCPUSensor(appTier.Nodes, cfg.AppSizing.Window, 0)
-		dbSensor := core.NewCPUSensor(dbTier.Nodes, cfg.DBSizing.Window, 0)
-		res.App.CPURaw, res.App.CPUSmoothed = appSensor.Raw, appSensor.Smoothed
-		res.DB.CPURaw, res.DB.CPUSmoothed = dbSensor.Raw, dbSensor.Smoothed
-		res.App.Replicas = metrics.NewSeries("application-servers-replicas")
-		res.App.Replicas.Add(p.Eng.Now(), float64(appTier.ReplicaCount()))
-		res.DB.Replicas = metrics.NewSeries("database-backends-replicas")
-		res.DB.Replicas.Add(p.Eng.Now(), float64(dbTier.ReplicaCount()))
-		p.Eng.Every(1, "observe", func(now float64) {
-			appSensor.Sample(now)
-			dbSensor.Sample(now)
-		})
+	var isPLB, isCJDBC bool
+	r.plb, isPLB = r.dep.MustComponent("plb1").Content().(*core.PLBWrapper)
+	r.cjdbc, isCJDBC = r.dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper)
+	if !isPLB || !isCJDBC {
+		return nil, errors.New("jade: the ADL must deploy plb1 with the plb wrapper and cjdbc1 with the cjdbc wrapper")
 	}
 
-	if detector == nil && cfg.Monitor && fabric.Enabled() {
-		// Monitoring-only mode: the detector watches the initial replicas
-		// as a signal source (suspicion routing, incident timelines, the
-		// alert-latency comparison) without any repair acting on it.
-		det := netsim.NewDetector(p.Eng, fabric, cfg.Net.Heartbeat)
-		det.Instrument(p.Trace(), p.Metrics())
-		for _, name := range append(append([]string{}, appReplicas...), dbReplicas...) {
-			if node, err := dep.NodeOf(name); err == nil {
-				det.Monitor(name, node)
-			}
-		}
-		detector = det
-	}
+	r.res = &ScenarioResult{Config: cfg, Platform: p, Deployment: r.dep}
+	r.res.App.Min, r.res.App.Max = cfg.AppSizing.Min, cfg.AppSizing.Max
+	r.res.DB.Min, r.res.DB.Max = cfg.DBSizing.Min, cfg.DBSizing.Max
+	return r, nil
+}
 
-	if detector != nil {
-		// Feed the failure detector's verdicts into the balancer pools
-		// once per second: suspected replicas leave rotation (probe
-		// requests bring them back in), cleared suspicions restore them.
-		plbW := dep.MustComponent("plb1").Content().(*core.PLBWrapper)
-		cw := dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper)
-		p.Eng.Every(1, "route-suspicions", func(float64) {
-			if b := plbW.Balancer(); b != nil {
-				b.Pool().SyncSuspicions(detector)
-			}
-			if ctl := cw.Controller(); ctl != nil {
-				ctl.Pool().SyncSuspicions(detector)
-			}
-		})
+// appPool returns the PLB's live backend pool (nil while the balancer is
+// stopped).
+func (r *run) appPool() *selector.Pool {
+	if b := r.plb.Balancer(); b != nil {
+		return b.Pool()
 	}
+	return nil
+}
 
-	var harness *invariant.Harness
-	var doubleRepair *invariant.DoubleRepair
-	if cfg.Invariants {
-		harness = invariant.NewHarness(p.Eng)
-		harness.Tail = p.Trace().Tail
-		if cfg.InvariantPeriod > 0 {
-			harness.Period = cfg.InvariantPeriod
-		}
-		cw := dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper)
-		plbW := dep.MustComponent("plb1").Content().(*core.PLBWrapper)
-		componentState := func(name string) (fractal.State, error) {
-			c, err := dep.Component(name)
-			if err != nil {
-				return fractal.Stopped, err
-			}
-			return c.State(), nil
-		}
-		appAgree := invariant.NewBalancerAgreement("plb1/"+appTier.TierName(), func() []string {
-			b := plbW.Balancer()
-			if b == nil || !b.Running() {
-				return nil
-			}
-			return b.Workers()
-		}, appTier)
-		appAgree.Pendings = func() map[string]int {
-			b := plbW.Balancer()
-			if b == nil {
-				return nil
-			}
-			return b.Pendings()
-		}
-		appAgree.ComponentState = componentState
-		appAgree.NodeOf = dep.NodeOf
-		dbAgree := invariant.NewBalancerAgreement("cjdbc1/"+dbTier.TierName(), func() []string {
-			ctl := cw.Controller()
-			if ctl == nil || !ctl.Running() {
-				return nil
-			}
-			var names []string
-			for _, b := range ctl.Backends() {
-				if b.State == cjdbc.Active {
-					names = append(names, b.Name)
-				}
-			}
-			if names == nil {
-				names = []string{}
-			}
-			return names
-		}, dbTier)
-		dbAgree.ComponentState = componentState
-		dbAgree.NodeOf = dep.NodeOf
-		harness.Register(
-			invariant.NewCJDBCConsistency("cjdbc1", cw.Controller),
-			invariant.NewNodeConservation(p.Pool),
-			appAgree,
-			dbAgree,
-			invariant.NewLifecycle(dep.Root, p.ManagementRoot()),
-		)
-		doubleRepair = invariant.NewDoubleRepair()
-		p.OnRepairDiscard(doubleRepair.Record)
-		harness.Register(doubleRepair)
-		if arb != nil {
-			harness.Register(invariant.NewArbiterLegality(arb.QuietSeconds, func() []invariant.ArbiterDecisionView {
-				ds := arb.Decisions()
-				out := make([]invariant.ArbiterDecisionView, len(ds))
-				for i, d := range ds {
-					out[i] = invariant.ArbiterDecisionView{
-						T:        d.T,
-						Priority: d.Priority,
-						Granted:  d.Granted,
-						Released: d.Reason == "released",
-					}
-				}
-				return out
-			}))
-		}
-		p.OnReconfiguration(func(now float64, event string) { harness.CheckNow(event) })
-		harness.Start()
+// dbPool returns the C-JDBC controller's live backend pool (nil while the
+// controller is stopped).
+func (r *run) dbPool() *selector.Pool {
+	if ctl := r.cjdbc.Controller(); ctl != nil {
+		return ctl.Pool()
 	}
-
-	// Table 1 accounting: per-second CPU and memory across the nodes
-	// hosting components (static and dynamically added alike).
-	var cpuSum, memSum float64
-	var sampleCount int
-	var nodeSeconds float64
-	readers := make(map[*Node]*cluster.UtilizationReader)
-	peak := p.Pool.AllocatedCount()
-	p.Eng.Every(1, "node-accounting", func(now float64) {
-		var cpu, mem float64
-		var n int
-		for _, name := range dep.ComponentNames() {
-			node, err := dep.NodeOf(name)
-			if err != nil || node.Failed() {
-				continue
-			}
-			r, ok := readers[node]
-			if !ok {
-				r = cluster.NewUtilizationReader(node)
-				readers[node] = r
-			}
-			cpu += r.Read()
-			mem += node.MemoryFraction()
-			n++
-		}
-		if n > 0 {
-			cpuSum += cpu / float64(n)
-			memSum += mem / float64(n)
-			sampleCount++
-		}
-		alloc := p.Pool.AllocatedCount()
-		nodeSeconds += float64(alloc)
-		if alloc > peak {
-			peak = alloc
-		}
-	})
-
-	front := dep.MustComponent("plb1").Content().(*core.PLBWrapper).Balancer()
-
-	// In fluid mode the emulator drives only a sampled fraction of the
-	// population as real request chains; the rest is carried as a rate
-	// flow through the queue-theoretic station chain, whose per-tier
-	// utilization lands on the member nodes as background CPU load — the
-	// same meters the sizing sensors read.
-	driveProfile := cfg.Profile
-	var fnet *fluid.Network
-	if fluidOn {
-		sampled := rubis.ScaledProfile{Inner: cfg.Profile, Rate: cfg.FluidSampleRate, Min: cfg.FluidMinSampled}
-		driveProfile = sampled
-		demand := cfg.Mix.FluidDemand(*cfg.Dataset, cfg.Seed, fluidCalibrationSamples)
-		plbModel := front.FluidModel()
-		ctlModel := dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper).Controller().FluidModel()
-		single := func(m fluid.ServiceModel) func() []*cluster.Node {
-			return func() []*cluster.Node {
-				if m.Up == nil || m.Up() {
-					return []*cluster.Node{m.Node}
-				}
-				return nil
-			}
-		}
-		perQuery := demand.QueriesPerRequest * ctlModel.CostPerUnit
-		thrT, thrF := cfg.ThrashThreshold, cfg.ThrashFactor
-		stations := []*fluid.Station{
-			{
-				Name:    "plb",
-				Demand:  func(int) float64 { return plbModel.CostPerUnit },
-				Service: func(int) float64 { return plbModel.CostPerUnit },
-				Members: single(plbModel),
-			},
-			{
-				Name:            "app",
-				Demand:          func(k int) float64 { return demand.App / float64(k) },
-				Service:         func(int) float64 { return demand.App },
-				Members:         appTier.Nodes,
-				ThrashThreshold: thrT,
-				ThrashFactor:    thrF,
-			},
-			{
-				Name:    "cjdbc",
-				Demand:  func(int) float64 { return perQuery },
-				Service: func(int) float64 { return perQuery },
-				Members: single(ctlModel),
-			},
-			{
-				// Reads load-balance across the k replicas; RAIDb-1
-				// broadcasts every write to all of them.
-				Name:            "db",
-				Demand:          func(k int) float64 { return demand.DBRead/float64(k) + demand.DBWrite },
-				Service:         func(int) float64 { return demand.DBRead + demand.DBWrite },
-				Members:         dbTier.Nodes,
-				ThrashThreshold: thrT,
-				ThrashFactor:    thrF,
-			},
-		}
-		start := p.Eng.Now()
-		total, dur := cfg.Profile, cfg.Profile.Duration()
-		pop := func(now float64) float64 {
-			rel := now - start
-			if rel < 0 || rel >= dur {
-				return 0
-			}
-			n := total.Active(rel) - sampled.Active(rel)
-			if n < 0 {
-				return 0
-			}
-			return float64(n)
-		}
-		fnet = fluid.NewNetwork(fluid.Config{
-			ThinkTime:    cfg.ThinkTime,
-			Population:   pop,
-			RecordSeries: true,
-		}, stations...)
-		barrier := sim.NewTickBarrier(p.Eng, cfg.FluidTick, "fluid:tick")
-		barrier.Register("network", fnet.Tick)
-		barrier.Start()
-	}
-
-	// With the fabric enabled the clients sit behind the network too, as
-	// the pseudo-endpoint "client".
-	em := NewEmulator(p.Eng, p.Net.RemoteHTTP(netsim.ClientEndpoint, "front", front), cfg.Mix, driveProfile, *cfg.Dataset)
-	em.ThinkTime = cfg.ThinkTime
-	if fluidOn {
-		// The workload series records the full (fluid + sampled)
-		// population, so plots and SLO context keep paper-scale numbers.
-		em.ReportProfile = cfg.Profile
-	}
-	if cfg.TraceRequests > 0 {
-		em.Trace = p.Trace()
-		em.TraceEvery = cfg.TraceRequests
-	}
-	if cfg.Sessions {
-		em.Chain = rubis.DefaultTransitions()
-	}
-	if err := em.Start(); err != nil {
-		return nil, err
-	}
-	res.WorkloadStart = p.Eng.Now()
-
-	// Introspection plane: client latency histogram, SLO engine and the
-	// snapshot publisher. Both tickers run unconditionally so the event
-	// schedule is identical whether or not anyone watches the run.
-	reg := p.Metrics()
-	em.Obs = obs.NewTierMetrics(reg, "client", "emulator")
-	res.RequestLatency = em.Obs.Latency
-
-	objs := cfg.SLOs
-	if objs == nil {
-		objs = DefaultSLOs()
-	}
-	for i := range objs {
-		if objs[i].Probe == nil {
-			objs[i].Probe = scenarioProbe(&objs[i], em, res)
-		}
-	}
-	sloInterval := cfg.SLOInterval
-	if sloInterval <= 0 {
-		sloInterval = 10
-	}
-	slo := obs.NewSLOEngine(reg, sloInterval, objs)
-	p.Eng.Every(sloInterval, "slo-eval", slo.Evaluate)
-	for _, name := range sortedKeys(cfg.SLOTargets) {
-		slo.Retarget(name, cfg.SLOTargets[name])
-	}
-
-	// Alerting plane: burn-rate rules over the SLO evaluation stream,
-	// streaming anomaly detectors over the client series, pool-skew rules
-	// over the routing reservoirs, and the incident correlator fed by
-	// detector suspicions, control-loop decisions and routing evictions.
-	// The ticker runs unconditionally and every rule only reads existing
-	// measurement streams, so enabling alerting never changes the
-	// trajectory — Tick is a pure observer of the run.
-	aeng := alert.NewEngine(cfg.Alerting, p.Trace())
-	aeng.Instrument(reg)
-	res.Alerts = aeng
-	if aeng.Enabled() {
-		acfg := aeng.Config()
-		burn := make(map[string]*alert.BurnRule, len(objs))
-		for _, o := range objs {
-			br := alert.NewBurnRule(acfg, o.Name, o.Tier)
-			burn[o.Name] = br
-			aeng.AddRule(br)
-		}
-		slo.Observer = func(now float64, name, _ string, value float64, met bool) {
-			if br := burn[name]; br != nil {
-				br.Observe(now, value, met)
-			}
-		}
-		latProbe := func() alert.Probe {
-			prev := -1.0
-			return func(now float64) (float64, bool) {
-				t0 := prev
-				prev = now
-				vs := windowValues(em.Stats().Latency, t0, now)
-				if t0 < 0 || len(vs) == 0 {
-					return 0, false
-				}
-				sort.Float64s(vs)
-				return metrics.Percentile(vs, 0.99), true
-			}
-		}
-		abandonProbe := func() alert.Probe {
-			var prevC, prevF uint64
-			primed := false
-			return func(now float64) (float64, bool) {
-				st := em.Stats()
-				dc, df := st.Completed-prevC, st.Failed-prevF
-				prevC, prevF = st.Completed, st.Failed
-				if !primed {
-					primed = true
-					return 0, false
-				}
-				if dc+df == 0 {
-					return 0, false
-				}
-				return float64(df) / float64(dc+df), true
-			}
-		}
-		aeng.AddRule(alert.NewZScoreRule(acfg, "anomaly:client-latency-p99", "client", "client", true, 0.3, latProbe()))
-		aeng.AddRule(alert.NewRateRule(acfg, "anomaly:client-abandon-rate", "client", "client", true, 0.02, abandonProbe()))
-		plbW := dep.MustComponent("plb1").Content().(*core.PLBWrapper)
-		cw := dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper)
-		poolStats := func(pool func() *selector.Pool) func() []alert.BackendStat {
-			return func() []alert.BackendStat {
-				pl := pool()
-				if pl == nil {
-					return nil
-				}
-				snap := pl.Snapshot()
-				out := make([]alert.BackendStat, 0, len(snap))
-				for _, s := range snap {
-					out = append(out, alert.BackendStat{
-						Name: s.Name, MeanLatency: s.MeanLatency,
-						LatencySamples: s.LatencySamples,
-						Failures:       s.DecayedFails, InFlight: s.InFlight,
-					})
-				}
-				return out
-			}
-		}
-		aeng.AddRule(alert.NewSkewRule(acfg, "skew:app-pool", "app", 0.1, poolStats(func() *selector.Pool {
-			if b := plbW.Balancer(); b != nil {
-				return b.Pool()
-			}
-			return nil
-		})))
-		aeng.AddRule(alert.NewSkewRule(acfg, "skew:db-pool", "db", 0.05, poolStats(func() *selector.Pool {
-			if ctl := cw.Controller(); ctl != nil {
-				return ctl.Pool()
-			}
-			return nil
-		})))
-		// Causal context for the incident timelines.
-		p.OnReconfiguration(func(now float64, event string) {
-			aeng.Observe(now, "loop.reconfig", "control-loop", "", event, 0)
-		})
-		if b := plbW.Balancer(); b != nil {
-			b.Pool().OnEvict(func(name string) {
-				aeng.Observe(p.Eng.Now(), "route.evict", "router", name, "app pool evicted "+name, 0)
-			})
-		}
-		if ctl := cw.Controller(); ctl != nil {
-			ctl.Pool().OnEvict(func(name string) {
-				aeng.Observe(p.Eng.Now(), "route.evict", "router", name, "db pool evicted "+name, 0)
-			})
-		}
-		if detector != nil {
-			detector.OnTransition(func(now float64, target string, suspected, falsePositive bool) {
-				kind, detail := "detector.suspect", fmt.Sprintf("phi over threshold (false positive: %v)", falsePositive)
-				if !suspected {
-					kind, detail = "detector.clear", "phi back under threshold"
-				}
-				aeng.Observe(now, kind, "detector", target, detail, 0)
-			})
-		}
-	}
-	p.Eng.Every(aeng.Config().EvalIntervalSeconds, "alert-eval", aeng.Tick)
-
-	// Live refreshable configuration: typed views over the refreshable
-	// sub-configs, a hub every change funnels through (operator schedule,
-	// chaos config events, admin POSTs), and subscriptions wiring each
-	// view to the live managers. Changes land at exact virtual ticks on
-	// the simulation goroutine and emit "config" trace spans, so retunes
-	// replay byte-identically with the same seed and schedule.
-	hub := refresh.NewHub(p.Trace())
-	crt := newConfigRuntime(hub,
-		cfg.AppSizing, cfg.DBSizing, cfg.Routing,
-		fabric.RPCBudgets(), slo.Targets(), aeng.Config())
-	if cfg.Managed {
-		res.AppManager.Watch(crt.appSizing)
-		res.DBManager.Watch(crt.dbSizing)
-	}
-	crt.routing.Subscribe(func(now float64, old, cur RoutingConfig) {
-		// Future (re)starts build pools with the new policies; live pools
-		// are swapped and retuned in place, keeping backend bookkeeping.
-		p.UpdateRouting(cur)
-		retune := func(pl *selector.Pool, name string, def selector.Policy) {
-			if pl == nil {
-				return
-			}
-			pol := def
-			if name != "" {
-				if parsed, err := selector.ParsePolicy(name); err == nil {
-					pol = parsed
-				}
-			}
-			pl.SetPolicy(pol)
-			pl.Retune(cur.HalfLifeSeconds, cur.ProbeAfterSeconds)
-		}
-		if w, ok := dep.MustComponent("plb1").Content().(*core.PLBWrapper); ok {
-			if b := w.Balancer(); b != nil {
-				retune(b.Pool(), cur.App, selector.RoundRobin)
-			}
-		}
-		if w, ok := dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper); ok {
-			if ctl := w.Controller(); ctl != nil {
-				retune(ctl.Pool(), cur.DB, selector.LeastPending)
-			}
-		}
-		if c, err := dep.Component("l4"); err == nil {
-			if w, ok := c.Content().(*core.L4Wrapper); ok {
-				if sw := w.Switch(); sw != nil {
-					retune(sw.Pool(), cur.L4, selector.WeightedRoundRobin)
-				}
-			}
-		}
-	})
-	crt.rpc.Subscribe(func(now float64, old, cur map[string]RPCBudget) {
-		fabric.SetRPCBudgets(cur)
-	})
-	crt.sloTargets.Subscribe(func(now float64, old, cur map[string]float64) {
-		for _, name := range sortedKeys(cur) {
-			slo.Retarget(name, cur[name])
-		}
-	})
-	crt.alerting.Subscribe(func(now float64, old, cur AlertConfig) {
-		aeng.Retune(cur)
-	})
-
-	if cfg.MetricsDir != "" {
-		if err := os.MkdirAll(cfg.MetricsDir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	pub := obs.NewPublisher()
-	pub.SetPostHandler("/config", crt.handleConfigPost)
-	// The drain ticker runs unconditionally (like every other plane's
-	// ticker) so the event schedule never depends on HTTPAddr; without an
-	// admin endpoint no submission can ever be pending, so headless runs
-	// drain nothing. Live POSTs are wall-clock-timed — headless replays
-	// script the same changes via cfg.Operator instead.
-	p.Eng.Every(1, "config-drain", func(now float64) {
-		if hub.Drain(now) > 0 {
-			// Refresh the /config page right away so a live `jadectl
-			// config get` sees its own set without waiting for the next
-			// metrics snapshot. Only live submissions reach this branch,
-			// so headless trajectories are untouched.
-			pub.Set("/config", crt.renderPage(now))
-		}
-	})
-	if cfg.HTTPAddr != "" {
-		admin, aerr := obs.StartAdmin(cfg.HTTPAddr, pub)
-		if aerr != nil {
-			return nil, aerr
-		}
-		res.Admin = admin
-		res.AdminAddr = admin.Addr()
-		if cfg.AdminReady != nil {
-			cfg.AdminReady(admin.Addr())
-		}
-	}
-	metricsInterval := cfg.MetricsInterval
-	if metricsInterval <= 0 {
-		metricsInterval = 60
-	}
-	// Trace-plane loss counters: silent span/event drops would undermine
-	// any attribution built on spans, so they are first-class metrics.
-	traceDropped := reg.Counter("jade_trace_dropped_spans_total", "Spans refused because the span store was full.")
-	traceEvicted := reg.Counter("jade_trace_evicted_events_total", "Events evicted from the trace ring buffer.")
-	var prevDropped, prevEvicted uint64
-	// Fluid-engine internals: per-station utilization/backlog/wait gauges
-	// refreshed at every snapshot tick (flat zeros in discrete mode keep
-	// the exposition shape identical across workload engines).
-	type fluidGaugeSet struct {
-		st                               *fluid.Station
-		rho, backlog, wait, pRho, pWait *obs.Gauge
-	}
-	var fluidGauges []fluidGaugeSet
-	if fnet != nil {
-		for _, s := range fnet.Stations() {
-			lbl := obs.L("station", s.Name)
-			fluidGauges = append(fluidGauges, fluidGaugeSet{
-				st:      s,
-				rho:     reg.Gauge("jade_fluid_rho", "Fluid station member utilization last tick.", lbl),
-				backlog: reg.Gauge("jade_fluid_backlog", "Fluid station backlog beyond capacity (requests).", lbl),
-				wait:    reg.Gauge("jade_fluid_wait_seconds", "Fluid station per-request latency estimate.", lbl),
-				pRho:    reg.Gauge("jade_fluid_peak_rho", "Fluid station peak member utilization.", lbl),
-				pWait:   reg.Gauge("jade_fluid_peak_wait_seconds", "Fluid station peak latency estimate.", lbl),
-			})
-		}
-	}
-	var snapErr error
-	snapshot := func(now float64) {
-		st := p.Trace().Stat()
-		traceDropped.Add(st.SpansDropped - prevDropped)
-		traceEvicted.Add(st.EventsEvicted - prevEvicted)
-		prevDropped, prevEvicted = st.SpansDropped, st.EventsEvicted
-		for _, fg := range fluidGauges {
-			fg.rho.Set(fg.st.Rho())
-			fg.backlog.Set(fg.st.Backlog())
-			fg.wait.Set(fg.st.Wait())
-			fg.pRho.Set(fg.st.PeakRho())
-			fg.pWait.Set(fg.st.PeakWait())
-		}
-		if res.Admin == nil && cfg.MetricsDir == "" {
-			return // nobody watching: skip rendering, keep the schedule
-		}
-		snap := reg.Snapshot()
-		prom := obs.PrometheusText(snap)
-		js := obs.MetricsJSON(snap)
-		pub.Set("/metrics", prom)
-		pub.Set("/metrics.json", js)
-		pub.Set("/components", componentsPage(now, dep, p))
-		pub.Set("/loops", loopsPage(now, res))
-		pub.Set("/healthz", healthPage(now, p, dep, harness, slo, aeng))
-		pub.Set("/alerts", aeng.AlertsPage(now))
-		pub.Set("/incidents", aeng.IncidentsJSON(now))
-		pub.Set("/fluid", fluidPage(now, fnet))
-		pub.Set("/config", crt.renderPage(now))
-		if cfg.MetricsDir != "" {
-			base := filepath.Join(cfg.MetricsDir, fmt.Sprintf("metrics-t%08d", int64(math.Round(now))))
-			if err := os.WriteFile(base+".prom", prom, 0o644); err != nil && snapErr == nil {
-				snapErr = err
-			}
-			if err := os.WriteFile(base+".json", js, 0o644); err != nil && snapErr == nil {
-				snapErr = err
-			}
-		}
-	}
-	snapshot(p.Eng.Now())
-	p.Eng.Every(metricsInterval, "obs-snapshot", snapshot)
-
-	if cfg.FailComponent != "" {
-		p.Eng.After(cfg.FailAt, "inject-failure", func() {
-			if node, err := dep.NodeOf(cfg.FailComponent); err == nil {
-				node.Fail()
-			}
-		})
-	}
-	if len(cfg.Chaos) > 0 {
-		// Targets are resolved at fire time: a component discarded by a
-		// repair no longer resolves, and a Reboot names the node its
-		// earlier Crash actually hit.
-		crashed := map[string]*cluster.Node{}
-		resolve := func(target string) *cluster.Node {
-			if node, err := dep.NodeOf(target); err == nil {
-				return node
-			}
-			if node, ok := p.Pool.Lookup(target); ok {
-				return node
-			}
-			return nil
-		}
-		for _, ev := range cfg.Chaos.Sorted() {
-			ev := ev
-			p.Eng.At(res.WorkloadStart+ev.At, "chaos:"+string(ev.Kind), func() {
-				switch ev.Kind {
-				case invariant.Crash:
-					node := resolve(ev.Target)
-					if node == nil || node.Failed() {
-						return
-					}
-					p.Logf("chaos: crashing %s (%s)", node.Name(), ev.Target)
-					crashed[ev.Target] = node
-					node.Fail()
-					res.InjectedFailures++
-				case invariant.Reboot:
-					node := crashed[ev.Target]
-					if node == nil {
-						node = resolve(ev.Target)
-					}
-					if node != nil && node.Failed() {
-						p.Logf("chaos: rebooting %s (%s)", node.Name(), ev.Target)
-						node.Reboot()
-					}
-				case invariant.Slow:
-					node := resolve(ev.Target)
-					if node == nil || node.Failed() {
-						return
-					}
-					dur := ev.Duration
-					if dur <= 0 {
-						dur = 60
-					}
-					p.Logf("chaos: slowing %s (%s) for %.0f s", node.Name(), ev.Target, dur)
-					hog := node.Submit(1e12, nil, nil)
-					if hog != nil {
-						p.Eng.After(dur, "chaos:slow-end", func() { node.Cancel(hog) })
-					}
-				case invariant.Partition:
-					if !fabric.Enabled() {
-						p.Logf("chaos: partition event ignored (network fabric disabled)")
-						return
-					}
-					a := resolveEndpoints(dep, ev.A)
-					b := resolveEndpoints(dep, ev.B)
-					p.Logf("chaos: partitioning %v | %v", a, b)
-					id := fabric.Partition(a, b)
-					if ev.Duration > 0 {
-						p.Eng.After(ev.Duration, "chaos:partition-heal", func() {
-							p.Logf("chaos: healing partition %v | %v", a, b)
-							fabric.Heal(id)
-						})
-					}
-				case invariant.Heal:
-					if fabric.Enabled() {
-						p.Logf("chaos: healing all partitions")
-						fabric.HealAll()
-					}
-				case invariant.Config:
-					if err := hub.Apply(p.Eng.Now(), refresh.SourceChaos, ev.Patch); err != nil {
-						p.Logf("chaos: config patch rejected: %v", err)
-					} else {
-						p.Logf("chaos: applied config patch %s", ev.Patch)
-					}
-				default:
-					if cfg.ChaosHandler == nil || !cfg.ChaosHandler(res, ev) {
-						p.Logf("chaos: unhandled event kind %q on %s", ev.Kind, ev.Target)
-					}
-				}
-			})
-		}
-	}
-	for _, ev := range cfg.Operator.Sorted() {
-		ev := ev
-		p.Eng.At(res.WorkloadStart+ev.At, "config:operator", func() {
-			if err := hub.Apply(p.Eng.Now(), refresh.SourceOperator, ev.Patch); err != nil {
-				p.Logf("operator: config patch rejected: %v", err)
-			} else {
-				p.Logf("operator: applied config patch %s", ev.Patch)
-			}
-		})
-	}
-	if cfg.Pace > 0 {
-		wallStart := time.Now()
-		virtStart := p.Eng.Now()
-		p.Eng.Every(1, "pace", func(now float64) {
-			target := time.Duration(float64(time.Second) * (now - virtStart) / cfg.Pace)
-			if ahead := target - time.Since(wallStart); ahead > 0 {
-				time.Sleep(ahead)
-			}
-		})
-	}
-	if cfg.MTBFSeconds > 0 {
-		var scheduleCrash func()
-		scheduleCrash = func() {
-			delay := p.Eng.Exponential(cfg.MTBFSeconds)
-			p.Eng.After(delay, "chaos", func() {
-				if p.Eng.Now() >= res.WorkloadStart+cfg.Profile.Duration() {
-					return // workload over, stop injecting
-				}
-				// Crash a random currently deployed replica node (app or
-				// db tier; balancers and the controller are spared so
-				// availability stays attributable to replica repair).
-				var victims []string
-				for _, name := range appTier.ReplicaNames() {
-					victims = append(victims, name)
-				}
-				for _, name := range dbTier.ReplicaNames() {
-					victims = append(victims, name)
-				}
-				if len(victims) > 0 {
-					victim := victims[p.Eng.Rand().Intn(len(victims))]
-					if node, err := dep.NodeOf(victim); err == nil && !node.Failed() {
-						p.Logf("chaos: crashing %s (%s)", node.Name(), victim)
-						node.Fail()
-						res.InjectedFailures++
-						// The node is later repaired off-pool; reboot it
-						// so the pool does not starve under long churn.
-						p.Eng.After(60, "chaos:reboot", node.Reboot)
-					}
-				}
-				scheduleCrash()
-			})
-		}
-		scheduleCrash()
-	}
-
-	p.Eng.RunUntil(res.WorkloadStart + cfg.Profile.Duration() + cfg.DrainSeconds)
-	hub.Close() // freeze the configuration: late POSTs get ErrClosed
-	res.ConfigChanges = crt.changes()
-	em.Stop()
-	res.WorkloadEnd = res.WorkloadStart + cfg.Profile.Duration()
-	if harness != nil {
-		harness.Stop()
-		res.InvariantViolation = harness.Violation()
-		res.InvariantChecks = harness.Checks()
-	}
-
-	res.Stats = em.Stats()
-	if fnet != nil {
-		rep := fnet.Report()
-		res.Fluid = &rep
-	}
-	if sampleCount > 0 {
-		res.NodeCPUPercent = 100 * cpuSum / float64(sampleCount)
-		res.NodeMemPercent = 100 * memSum / float64(sampleCount)
-	}
-	res.PeakNodesUsed = peak
-	res.NodeSeconds = nodeSeconds
-	if recMgr != nil {
-		res.Repairs = recMgr.Repairs
-	}
-	res.Net = fabric.Stats()
-	if detector != nil {
-		stats := detector.Stats()
-		res.Detector = &stats
-	}
-	if doubleRepair != nil {
-		res.RepairDiscards = doubleRepair.Discards()
-		res.RepairsConfirmedLegal = doubleRepair.Confirmed()
-	}
-	if cfg.Managed {
-		res.Reconfigurations = int(res.AppManager.Reactor.Grows + res.AppManager.Reactor.Shrinks +
-			res.DBManager.Reactor.Grows + res.DBManager.Reactor.Shrinks)
-	}
-	res.SLOReport = slo.Report()
-	// Latency attribution: walk the traced span forest into per-request
-	// component breakdowns, and aggregate (with the fluid stations' wait
-	// estimates when the run was fluid) into the budget report.
-	if cfg.TraceRequests > 0 && !cfg.TraceOff {
-		res.Attribution = attrib.FromTracer(p.Trace())
-	}
-	if res.Attribution != nil || fnet != nil {
-		analysis := res.Attribution
-		if analysis == nil {
-			analysis = &attrib.Analysis{}
-		}
-		res.LatencyBudget = attrib.BuildReport(analysis, fluidBudgetTiers(fnet))
-	}
-	snapshot(p.Eng.Now())
-	if cfg.MetricsDir != "" {
-		if err := os.WriteFile(filepath.Join(cfg.MetricsDir, "alerts.jsonl"), aeng.AlertsJSONL(), 0o644); err != nil && snapErr == nil {
-			snapErr = err
-		}
-		if err := os.WriteFile(filepath.Join(cfg.MetricsDir, "incidents.json"), aeng.IncidentsJSON(p.Eng.Now()), 0o644); err != nil && snapErr == nil {
-			snapErr = err
-		}
-		if sloJSON, err := json.MarshalIndent(res.SLOReport, "", "  "); err == nil {
-			if werr := os.WriteFile(filepath.Join(cfg.MetricsDir, "slo_report.json"), append(sloJSON, '\n'), 0o644); werr != nil && snapErr == nil {
-				snapErr = werr
-			}
-		}
-		if res.LatencyBudget != nil {
-			if err := os.WriteFile(filepath.Join(cfg.MetricsDir, "latency_budget.json"), res.LatencyBudget.Marshal(), 0o644); err != nil && snapErr == nil {
-				snapErr = err
-			}
-		}
-		if fnet != nil {
-			if err := os.WriteFile(filepath.Join(cfg.MetricsDir, "fluid.json"), fluidPage(p.Eng.Now(), fnet), 0o644); err != nil && snapErr == nil {
-				snapErr = err
-			}
-		}
-		if err := os.WriteFile(filepath.Join(cfg.MetricsDir, "config.json"), crt.renderPage(p.Eng.Now()), 0o644); err != nil && snapErr == nil {
-			snapErr = err
-		}
-	}
-	if snapErr != nil {
-		return nil, snapErr
-	}
-	return res, nil
+	return nil
 }
 
 // scenarioProbe returns the standard probe for an objective's Kind/Tier,
