@@ -6,12 +6,9 @@
 //	jadebench [-seed N] [-speedup X] [-csv DIR] [-experiment NAME] [-quick] [-trace.chrome FILE]
 //	jadebench -sweep N [-speedup X] [-parallel N] [-artifact PATH]
 //	jadebench -replay PATH [-speedup X]
-//	jadebench -bench-core [-bench-out PATH] [-parallel N]
-//	jadebench -bench-validate PATH
 //
 // -trace.chrome writes the managed paper run's telemetry bus as a Chrome
-// trace-event file (Perfetto-loadable); the old -trace spelling still
-// parses as a hidden deprecated alias that warns once.
+// trace-event file (Perfetto-loadable).
 //
 // -parallel fans independent runs (sweep seeds, ablation variants, the
 // managed/unmanaged pair) over a worker pool; 0 uses GOMAXPROCS. Results
@@ -23,9 +20,8 @@
 // summary) and churn; self-contained experiments (grayfail, liveretune,
 // netfault, ...) fix their own configurations and ignore them.
 //
-// -bench-core benchmarks the simulation core (events/sec, ns/event,
-// allocs/event, sweep seeds/minute) and writes BENCH_core.json;
-// -bench-validate sanity-checks such a record.
+// Performance is measured by the repository benchmark (`go run
+// ./benchmark`), not here.
 //
 // Experiments: fig4, fig5, fig6, fig7, fig8, fig9, table1, churn,
 // netfault, grayfail, liveretune, alertlat, latbudget, ablations,
@@ -71,19 +67,10 @@ func main() {
 	replay := flag.String("replay", "", "replay a failure artifact written by -sweep")
 	traceOut := flag.String("trace.chrome", "", "write the managed paper run's telemetry bus as a Chrome trace-event file")
 	parallel := flag.Int("parallel", 0, "worker count for fanning independent runs out (0 = GOMAXPROCS; results are deterministic regardless)")
-	benchCore := flag.Bool("bench-core", false, "benchmark the simulation core and write the perf record instead of running an experiment")
-	benchOut := flag.String("bench-out", "BENCH_core.json", "where -bench-core writes its record")
-	benchValidate := flag.String("bench-validate", "", "sanity-check a BENCH_core.json written by -bench-core")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	specFlags := cliutil.RegisterSpecGroups(flag.CommandLine,
 		"sessions", "recovery", "workload", "fault", "route", "net", "alert")
-	cliutil.Warnings = os.Stderr
-	cliutil.Alias(flag.CommandLine, "trace.chrome", "trace")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: jadebench [flags]")
-		cliutil.PrintDefaults(flag.CommandLine, os.Stderr)
-	}
 	flag.Parse()
 
 	if *parallel > 0 {
@@ -96,10 +83,6 @@ func main() {
 	}
 	err := withProfiles(*cpuprofile, *memprofile, func() error {
 		switch {
-		case *benchValidate != "":
-			return validateBenchCore(*benchValidate)
-		case *benchCore:
-			return runBenchCore(*benchOut, *parallel)
 		case *replay != "":
 			return runReplay(*replay, *speedup)
 		case *sweep > 0:

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"jade"
-	"jade/internal/cliutil"
 )
 
 // cmdDiff compares two run artifact directories (written with
@@ -17,10 +16,9 @@ func cmdDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	relTol := fs.Float64("tol", 0, "relative tolerance for budget components and metric series (0 = default 0.05)")
 	sloTol := fs.Float64("slo-tol", 0, "absolute SLO compliance drop that flags an objective (0 = default 0.01)")
-	benchTol := fs.Float64("bench-tol", 0, "relative tolerance for BENCH_history ns/event entries (0 = default 0.10)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: jadectl diff [-tol X] [-slo-tol X] [-bench-tol X] RUN_DIR_A RUN_DIR_B")
-		cliutil.PrintDefaults(fs, os.Stderr)
+		fmt.Fprintln(os.Stderr, "usage: jadectl diff [-tol X] [-slo-tol X] RUN_DIR_A RUN_DIR_B")
+		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -29,9 +27,7 @@ func cmdDiff(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("diff takes exactly two run directories")
 	}
-	d, err := jade.DiffRuns(fs.Arg(0), fs.Arg(1), jade.RunDiffOptions{
-		RelTol: *relTol, SLOTol: *sloTol, BenchTol: *benchTol,
-	})
+	d, err := jade.DiffRuns(fs.Arg(0), fs.Arg(1), jade.RunDiffOptions{RelTol: *relTol, SLOTol: *sloTol})
 	if err != nil {
 		return err
 	}

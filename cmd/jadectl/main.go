@@ -22,7 +22,7 @@
 //	jadectl config get [-addr HOST:PORT]
 //	jadectl config set [-addr HOST:PORT] PATCH|@FILE|-
 //	jadectl trace-validate FILE
-//	jadectl diff [-tol X] [-slo-tol X] [-bench-tol X] RUN_DIR_A RUN_DIR_B
+//	jadectl diff [-tol X] [-slo-tol X] RUN_DIR_A RUN_DIR_B
 //
 // Without -adl, the built-in three-tier RUBiS architecture is used.
 //
@@ -102,7 +102,6 @@ import (
 )
 
 func main() {
-	cliutil.Warnings = os.Stderr
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
@@ -154,7 +153,7 @@ func usage() {
   jadectl config get [-addr HOST:PORT]
   jadectl config set [-addr HOST:PORT] PATCH|@FILE|-
   jadectl trace-validate FILE
-  jadectl diff [-tol X] [-slo-tol X] [-bench-tol X] RUN_DIR_A RUN_DIR_B`)
+  jadectl diff [-tol X] [-slo-tol X] RUN_DIR_A RUN_DIR_B`)
 }
 
 func loadADL(path string) (*jade.ADLDefinition, error) {
@@ -288,13 +287,9 @@ func cmdScenario(args []string) error {
 	serve := fs.Bool("metrics.serve", false, "keep the admin endpoint serving the final pages after the run (requires -metrics.http; ctrl-C to exit)")
 	showAlerts := fs.Bool("alerts", false, "print the run's alert and incident report after the SLO table")
 	specFlags := cliutil.RegisterSpecFlags(fs)
-	cliutil.Alias(fs, "trace.chrome", "trace")
-	cliutil.Alias(fs, "trace.jsonl", "trace-jsonl")
-	cliutil.Alias(fs, "metrics.scrape-check", "scrape-check")
-	cliutil.Alias(fs, "metrics.serve", "serve")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: jadectl scenario [flags]")
-		cliutil.PrintDefaults(fs, os.Stderr)
+		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -325,7 +320,7 @@ func cmdScenario(args []string) error {
 			return err
 		}
 		spec = loaded
-		cliutil.SetVisited(fs, apply)
+		fs.Visit(func(f *flag.Flag) { apply(f.Name) })
 	} else {
 		specFlags.ApplyAll(&spec)
 	}
@@ -555,7 +550,7 @@ func cmdConfig(args []string) error {
 			fmt.Fprint(os.Stderr, " PATCH|@FILE|-")
 		}
 		fmt.Fprintln(os.Stderr)
-		cliutil.PrintDefaults(fs, os.Stderr)
+		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return err

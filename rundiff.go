@@ -26,9 +26,6 @@ type RunDiffOptions struct {
 	// SLOTol is the absolute compliance-ratio drop that flags an
 	// objective (default 0.01).
 	SLOTol float64
-	// BenchTol is the relative tolerance for ns/event benchmark entries
-	// in BENCH_history.jsonl (default 0.10 — wall-clock noise is real).
-	BenchTol float64
 }
 
 func (o RunDiffOptions) withDefaults() RunDiffOptions {
@@ -38,16 +35,13 @@ func (o RunDiffOptions) withDefaults() RunDiffOptions {
 	if o.SLOTol <= 0 {
 		o.SLOTol = 0.01
 	}
-	if o.BenchTol <= 0 {
-		o.BenchTol = 0.10
-	}
 	return o
 }
 
 // DiffFinding is one regression DiffRuns found: run B is worse than run
 // A in the named section. A and B carry the compared values.
 type DiffFinding struct {
-	Section string  `json:"section"` // budget | slo | metrics | bench | artifact
+	Section string  `json:"section"` // budget | slo | metrics | artifact
 	Name    string  `json:"name"`
 	A       float64 `json:"a"`
 	B       float64 `json:"b"`
@@ -101,9 +95,9 @@ func (d *RunDiff) Render() string {
 }
 
 // DiffRuns compares two run artifact directories written by -metrics.dir
-// (latency budgets, SLO reports, final metrics snapshots, and optional
-// BENCH_history.jsonl entries) and returns a deterministic regression
-// verdict: which sections regressed in B relative to A, with the
+// (latency budgets, SLO reports and final metrics snapshots) and returns
+// a deterministic regression verdict: which sections regressed in B
+// relative to A, with the
 // dominant latency-budget delta localized to a tier and component.
 func DiffRuns(dirA, dirB string, opt RunDiffOptions) (*RunDiff, error) {
 	opt = opt.withDefaults()
@@ -116,7 +110,6 @@ func DiffRuns(dirA, dirB string, opt RunDiffOptions) (*RunDiff, error) {
 	d.diffBudgets(opt)
 	d.diffSLO(opt)
 	d.diffMetrics(opt)
-	d.diffBench(opt)
 	return d, nil
 }
 
@@ -439,81 +432,4 @@ func (d *RunDiff) diffMetrics(opt RunDiffOptions) {
 		Section: "metrics", Name: worstName, A: worstA, B: worstB,
 		Detail: fmt.Sprintf("%d series differ beyond %.0f%% (worst shown)", differing, 100*opt.RelTol),
 	})
-}
-
-// BenchHistorySchema identifies one line of BENCH_history.jsonl — the
-// append-only perf trajectory `jadebench -bench-validate` maintains.
-const BenchHistorySchema = "jade-bench-history/v1"
-
-// BenchHistoryEntry is one appended measurement: a validated
-// BENCH_core.json document plus the wall-clock stamp of validation.
-type BenchHistoryEntry struct {
-	Schema  string          `json:"schema"`
-	TimeUTC string          `json:"time_utc"`
-	Source  string          `json:"source"` // the validated BENCH file
-	Bench   json.RawMessage `json:"bench"`
-}
-
-// lastBenchEntry parses the final well-formed entry of a
-// BENCH_history.jsonl stream.
-func lastBenchEntry(raw []byte) *BenchHistoryEntry {
-	var last *BenchHistoryEntry
-	for _, line := range bytes.Split(raw, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var e BenchHistoryEntry
-		if json.Unmarshal(line, &e) == nil && e.Schema == BenchHistorySchema {
-			last = &e
-		}
-	}
-	return last
-}
-
-func (d *RunDiff) diffBench(opt RunDiffOptions) {
-	rawA := readIfExists(filepath.Join(d.DirA, "BENCH_history.jsonl"))
-	rawB := readIfExists(filepath.Join(d.DirB, "BENCH_history.jsonl"))
-	if rawA == nil && rawB == nil {
-		return // bench history is optional; silence, not even a note
-	}
-	if !d.pairNote("bench", "BENCH_history.jsonl", rawA, rawB) {
-		return
-	}
-	ea, eb := lastBenchEntry(rawA), lastBenchEntry(rawB)
-	if ea == nil || eb == nil {
-		d.Findings = append(d.Findings, DiffFinding{Section: "bench", Name: "BENCH_history.jsonl",
-			Detail: "no well-formed entries"})
-		return
-	}
-	var ba, bb map[string]any
-	if json.Unmarshal(ea.Bench, &ba) != nil || json.Unmarshal(eb.Bench, &bb) != nil {
-		d.Findings = append(d.Findings, DiffFinding{Section: "bench", Name: "BENCH_history.jsonl",
-			Detail: "unparseable bench payload"})
-		return
-	}
-	// Compare the cost-per-event fields; wall-clock throughput numbers
-	// (events/sec, seeds/min) are the same signal inverted, so one
-	// direction suffices.
-	names := make([]string, 0, len(ba))
-	for k := range ba {
-		if strings.HasSuffix(k, "ns_per_event") {
-			names = append(names, k)
-		}
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		va, okA := ba[k].(float64)
-		vb, okB := bb[k].(float64)
-		if !okA || !okB || va <= 0 {
-			continue
-		}
-		if vb > va*(1+opt.BenchTol) {
-			d.Findings = append(d.Findings, DiffFinding{
-				Section: "bench", Name: k, A: va, B: vb,
-				Detail: fmt.Sprintf("+%.1f%% ns/event", 100*(vb/va-1)),
-			})
-		} else if vb < va*(1-opt.BenchTol) {
-			d.Notes = append(d.Notes, fmt.Sprintf("bench: %s improved %.1f%%", k, 100*(1-vb/va)))
-		}
-	}
 }
