@@ -4,7 +4,11 @@
 #   make test         - plain test run (what the seed gate runs)
 #   make sweep        - 20-seed invariant chaos sweep at 8x compression
 #   make trace-smoke  - export a managed-run trace and validate its schema
-#   make bench-smoke  - measure the sim core into BENCH_core.json and sanity-check it
+#   make golden       - re-run the pinned run matrix against testdata/golden_digests.json
+#                       (cross-commit determinism; `go test -run TestGoldenDigests -update .`
+#                       accepts an intended behaviour change)
+#   make bench        - the repository benchmark (go run ./benchmark), the only
+#                       performance entry point
 #   make obs-smoke    - scrape a live run's admin endpoint and validate the exposition
 #   make netsim-smoke - run the partition scenario from examples/netfault.json
 #                       end to end (invariant-checked; nonzero exit on violation)
@@ -31,9 +35,8 @@
 GO ?= go
 TMP_DIR := $(shell mktemp -d 2>/dev/null || echo /tmp)
 TRACE_TMP := $(TMP_DIR)/jade-trace.json
-BENCH_TMP := $(TMP_DIR)/jade-bench-core.json
 
-.PHONY: all build test vet race sweep trace-smoke bench-smoke bench sql-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke api-check ci
+.PHONY: all build test vet race sweep trace-smoke golden bench sql-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke api-check ci
 
 all: build
 
@@ -57,10 +60,8 @@ trace-smoke:
 	$(GO) run ./cmd/jadectl trace-validate $(TRACE_TMP)
 	rm -f $(TRACE_TMP)
 
-bench-smoke:
-	$(GO) run ./cmd/jadebench -bench-core -bench-out $(BENCH_TMP)
-	$(GO) run ./cmd/jadebench -bench-validate $(BENCH_TMP)
-	rm -f $(BENCH_TMP) $(TMP_DIR)/BENCH_history.jsonl
+golden:
+	$(GO) test -run TestGoldenDigests .
 
 bench:
 	$(GO) run ./benchmark
@@ -99,4 +100,4 @@ config-smoke:
 api-check:
 	$(GO) test -run TestAPISurface .
 
-ci: vet race sweep trace-smoke bench-smoke sql-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke api-check
+ci: vet race sweep trace-smoke golden sql-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke api-check

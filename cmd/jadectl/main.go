@@ -74,8 +74,8 @@
 // validate its own endpoint after the run (the CI smoke check).
 //
 // diff compares two such artifact directories — latency budgets, SLO
-// reports, final metrics snapshots, and BENCH_history.jsonl entries when
-// present — and emits a deterministic regression verdict: same-seed runs
+// reports and final metrics snapshots — and emits a deterministic
+// regression verdict: same-seed runs
 // diff clean, and a localized slowdown is blamed on the responsible tier
 // and latency component (e.g. app/queue). diff exits nonzero on
 // regression, so it slots into CI.

@@ -26,6 +26,11 @@ type goldenManifest struct {
 	Runs   map[string]map[string]string `json:"runs"`
 }
 
+type goldenCase struct {
+	name string
+	cfg  ScenarioConfig
+}
+
 // goldenRamp is the paper ramp at 8x time compression.
 func goldenRamp() Profile {
 	return RampProfile{Base: 80, Peak: 500, StepPerMinute: 21 * 8, HoldAtPeak: 120.0 / 8}
@@ -36,10 +41,7 @@ func goldenRamp() Profile {
 // file; the experiment constructors for the flagship runs); between them
 // they cross every plane and every fault-injection route of the run
 // lifecycle.
-func goldenMatrix(t *testing.T) []struct {
-	name string
-	cfg  ScenarioConfig
-} {
+func goldenMatrix(t *testing.T) []goldenCase {
 	t.Helper()
 	paper := func(managed bool) ScenarioConfig {
 		cfg := DefaultScenario(1, managed)
@@ -68,10 +70,7 @@ func goldenMatrix(t *testing.T) []struct {
 	sweep := ChaosSweepScenario(8)
 	sweep.Invariants = true
 	sweep.Chaos = DefaultCrashSchedule(sweep.Profile.Duration())
-	return []struct {
-		name string
-		cfg  ScenarioConfig
-	}{
+	return []goldenCase{
 		{"paper-managed", paper(true)},
 		{"paper-unmanaged", paper(false)},
 		{"netfault-spec", netfault},

@@ -104,8 +104,8 @@ type compInfo struct {
 // so the per-class filter passes compare pointers), and each class's
 // component samples are bucketed into one reused flat buffer (count,
 // then fill), so only plain float64 slices are ever sorted — the
-// budget is rebuilt per analysis window and its cost is tracked in
-// BENCH_core.json against a 2%-of-engine budget.
+// budget is rebuilt per analysis window and its cost is tracked as the
+// benchmark's obs_attrib.driver_analyze_ms.
 func BuildReport(a *Analysis, fluid []FluidTier) *Report {
 	r := &Report{
 		Schema:   BudgetSchema,

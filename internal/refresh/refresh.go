@@ -39,9 +39,8 @@ import (
 //
 // The value+generation pair is published behind one atomic pointer so
 // the read path — the only part managers touch on their loop ticks — is
-// a single load and a struct copy, lock-free. BENCH_core.json's
-// refresh_read_ns_per_event gate holds this under 1% of the engine's
-// per-event cost; a mutex here blows that budget by ~7x.
+// a single load and a struct copy, lock-free (the benchmark's
+// refresh.driver_get_ns); a mutex here costs ~7x as much.
 type View[T any] struct {
 	name string
 	cur  atomic.Pointer[viewState[T]]

@@ -96,8 +96,8 @@ type Engine struct {
 	// (nCancel*2 > len(queue)). The floor keeps tiny queues from
 	// compacting on every cancel; the majority rule bounds the queue at
 	// roughly 2x the live events, so cancel-heavy workloads (the
-	// cluster-node reschedule pattern measured as cancel_ns_per_event in
-	// BENCH_core.json) stay amortized O(1) per cancel instead of drifting
+	// cluster-node reschedule pattern, the benchmark's
+	// sim.driver_ns_per_cancel) stay amortized O(1) per cancel instead of drifting
 	// with queue growth.
 	compactMinCancels int
 	// processed counts events executed since construction; useful in

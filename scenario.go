@@ -460,9 +460,9 @@ type run struct {
 
 // runStages is the run lifecycle: each stage wires one plane onto the
 // deployed system, registers that plane's tickers and appends its
-// finisher. The engine orders same-instant events by scheduling sequence,
-// so this order is the event schedule and the metric-registration order;
-// DESIGN.md "The run lifecycle" lists the tickers it pins.
+// finisher. The engine orders same-instant events by scheduling sequence
+// and platform hooks fire in registration order, so this order is the
+// event schedule; DESIGN.md "The run lifecycle" lists what it pins.
 var runStages = []func(*run) error{
 	(*run).management,
 	(*run).monitoring,
