@@ -16,6 +16,7 @@
 package obs
 
 import (
+	"cmp"
 	"math"
 	"sort"
 	"sync"
@@ -116,15 +117,26 @@ func DefaultBuckets() []float64 {
 }
 
 // Histogram observes a distribution: log-spaced cumulative-exposable
-// buckets (mergeable across instances) plus the raw samples, so quantiles
-// are exact rather than bucket-interpolated. Runs are bounded in virtual
-// time, so retaining samples is cheap (the workload harness already does).
+// buckets (mergeable across instances) plus every raw sample, so quantiles
+// are exact rather than bucket-interpolated.
+//
+// Invariant: samples[:ordered] is ascending in sort.Float64s order (NaN
+// first) and samples[ordered:] is the tail observed since, in arrival
+// order. Observe and Merge only append; Quantile and snapshot call order,
+// which sorts the tail alone and merges it into the prefix from the back,
+// leaving exactly the slice sort.Float64s over all samples would, so
+// quantiles and exposition do not depend on when reads happened. A read
+// after k new samples over n retained costs O(k log k + k log n)
+// comparisons and one move of the prefix above the tail's minimum, and
+// nothing when k = 0. No sample is dropped or approximated; bounding
+// retention is a separate decision (ROADMAP).
 type Histogram struct {
 	mu      sync.Mutex
 	bounds  []float64 // ascending upper bounds; +Inf implicit
 	counts  []uint64  // per-bucket (non-cumulative), len(bounds)+1
 	samples []float64
-	sorted  bool
+	ordered int       // length of the ascending prefix of samples
+	scratch []float64 // reused by order: the sorted tail while it is merged
 	sum     float64
 	min     float64
 	max     float64
@@ -153,7 +165,6 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i]++
 	h.samples = append(h.samples, v)
-	h.sorted = false
 	h.sum += v
 	if v < h.min {
 		h.min = v
@@ -193,11 +204,35 @@ func (h *Histogram) Quantile(p float64) float64 {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
+	h.order()
 	return metrics.Percentile(h.samples, p)
+}
+
+// order restores full ascending order after appends. The caller holds
+// h.mu.
+func (h *Histogram) order() {
+	n := len(h.samples)
+	if h.ordered == n {
+		return
+	}
+	tail := h.samples[h.ordered:]
+	sort.Float64s(tail)
+	// A tail that starts at or above the prefix maximum is already in place.
+	if h.ordered > 0 && cmp.Less(tail[0], h.samples[h.ordered-1]) {
+		h.scratch = append(h.scratch[:0], tail...)
+		// Largest tail sample first: the prefix run above it (samples[p:i])
+		// moves up past the j+1 tail samples still to be placed at or below
+		// it. Once the tail is placed, the rest of the prefix is in place.
+		i := h.ordered
+		for j := len(h.scratch) - 1; j >= 0; j-- {
+			v := h.scratch[j]
+			p := sort.Search(i, func(x int) bool { return cmp.Less(v, h.samples[x]) })
+			copy(h.samples[p+j+1:], h.samples[p:i])
+			h.samples[p+j] = v
+			i = p
+		}
+	}
+	h.ordered = n
 }
 
 // Merge folds other's buckets and samples into h. Bucket bounds must be
@@ -221,7 +256,6 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.counts[i] += c
 	}
 	h.samples = append(h.samples, samples...)
-	h.sorted = false
 	h.sum += sum
 	if mn < h.min {
 		h.min = mn
@@ -244,10 +278,7 @@ type HistogramSnapshot struct {
 func (h *Histogram) snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
+	h.order()
 	cum := make([]uint64, len(h.counts))
 	var run uint64
 	for i, c := range h.counts {
