@@ -15,6 +15,17 @@
 //     when every attempt times out the call is abandoned with
 //     ErrRPCTimeout instead of hanging forever.
 //
+// A Call lives in one record (rpc) plus one record per attempt
+// (rpcAttempt). An attempt starts its own timer, then sends the request;
+// each reply the callee gives crosses the network as a message of its own.
+// Exactly two things may settle a call, whichever comes first: a reply
+// arriving, from any attempt, or the last attempt's timer when the budget
+// is spent. A reply that settles the call cancels the timer of the attempt
+// it answers and no other: when it answers a superseded attempt, whose
+// timer has already fired, the live attempt's timer still fires later and
+// finds the call settled. Replies and timers that find the call settled do
+// nothing. A settled call schedules no further attempt.
+//
 // Endpoints are plain node names ("node3"); the pseudo-endpoints
 // "client" and "jade" stand for the load injectors and the management
 // node. All randomness comes from the Fabric's own seeded source, so a
@@ -26,6 +37,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"jade/internal/obs"
 	"jade/internal/sim"
@@ -126,6 +138,15 @@ type Fabric struct {
 	parts  []*partition
 	nextID int
 
+	// links is cfg.Links resolved once, keyed by the directed endpoint
+	// pair, so the per-message lookup builds no "from->to" string.
+	links map[[2]string]Link
+	// kinds interns the strings derived from a message kind, so the
+	// per-message path does not concatenate. It grows to the callers'
+	// vocabulary of kinds: in a run, the tier classes, their replies and
+	// "heartbeat".
+	kinds map[string]kindNames
+
 	tr *trace.Tracer
 
 	mMessages    *obs.Counter
@@ -140,11 +161,21 @@ type Fabric struct {
 // New builds a fabric over the engine. seed is mixed with cfg.Seed so the
 // fabric draws from its own stream, decoupled from workload randomness.
 func New(eng *sim.Engine, cfg Config, seed int64) *Fabric {
-	return &Fabric{
-		eng: eng,
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(seed ^ cfg.Seed ^ 0x6e657473696d)), // "netsim"
+	f := &Fabric{
+		eng:   eng,
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(seed ^ cfg.Seed ^ 0x6e657473696d)), // "netsim"
+		links: make(map[[2]string]Link, len(cfg.Links)),
+		kinds: make(map[string]kindNames),
 	}
+	for key, l := range cfg.Links {
+		// A key without "->" never matched any pair; Spec validation
+		// rejects it before it gets here.
+		if from, to, ok := strings.Cut(key, "->"); ok {
+			f.links[[2]string{from, to}] = l
+		}
+	}
+	return f
 }
 
 // Instrument attaches the tracer and registers the fabric's metrics. Both
@@ -200,10 +231,8 @@ func (f *Fabric) Stats() Stats {
 
 // link resolves the quality of the from->to link.
 func (f *Fabric) link(from, to string) Link {
-	if f.cfg.Links != nil {
-		if l, ok := f.cfg.Links[from+"->"+to]; ok {
-			return l
-		}
+	if l, ok := f.links[[2]string{from, to}]; ok {
+		return l
 	}
 	l := f.cfg.Default
 	if l.LatencyMS == 0 {
@@ -330,8 +359,22 @@ func (f *Fabric) Send(from, to, kind string, deliver func()) bool {
 	}
 	f.stats.Delivered++
 	f.mDelivered.Inc()
-	f.eng.After(delay, "net:"+kind, deliver)
+	f.eng.After(delay, f.names(kind).label, deliver)
 	return true
+}
+
+// kindNames are the strings derived from a message kind: the engine label
+// of its delivery event and, when the kind is a tier's RPC request, the
+// kind of the responses.
+type kindNames struct{ label, reply string }
+
+func (f *Fabric) names(kind string) kindNames {
+	n, ok := f.kinds[kind]
+	if !ok {
+		n = kindNames{label: "net:" + kind, reply: kind + ".reply"}
+		f.kinds[kind] = n
+	}
+	return n
 }
 
 // Call performs one tier RPC from->to. attempt runs on the callee side
@@ -346,50 +389,100 @@ func (f *Fabric) Call(from, to, tier string, attempt func(reply func(error)), do
 		attempt(done)
 		return
 	}
-	b := f.budget(tier)
 	f.stats.RPCs++
-	settled := false
-	var try func(n int)
-	try = func(n int) {
-		if settled {
-			return
-		}
-		if n > 0 {
-			f.stats.Retransmits++
-			f.mRetransmits.Inc()
-			f.tr.Emit("net", "net.retransmit",
-				trace.F("from", from), trace.F("to", to), trace.F("tier", tier), trace.Fi("attempt", n))
-		}
-		var timeout sim.Handle
-		reply := func(err error) {
-			// The response crosses the network too; late responses from
-			// superseded attempts lose the race and are discarded.
-			f.Send(to, from, tier+".reply", func() {
-				if settled {
-					return
-				}
-				settled = true
-				f.eng.Cancel(timeout)
-				done(err)
-			})
-		}
-		timeout = f.eng.After(b.TimeoutSeconds, "net:rpc-timeout", func() {
-			if settled {
-				return
-			}
-			if n+1 < b.Attempts {
-				backoff := b.BackoffSeconds * float64(int(1)<<n)
-				f.eng.After(backoff, "net:rpc-backoff", func() { try(n + 1) })
-				return
-			}
-			settled = true
-			f.stats.Abandoned++
-			f.mAbandoned.Inc()
-			f.tr.Emit("net", "net.abandon",
-				trace.F("from", from), trace.F("to", to), trace.F("tier", tier), trace.Fi("attempts", n+1))
-			done(fmt.Errorf("%w: %s %s->%s after %d attempts", ErrRPCTimeout, tier, from, to, n+1))
-		})
-		f.Send(from, to, tier, func() { attempt(reply) })
-	}
-	try(0)
+	c := &rpc{f: f, from: from, to: to, tier: tier, budget: f.budget(tier), attempt: attempt, done: done}
+	c.try(0)
 }
+
+// rpc is the record of one Call: what was asked, the budget resolved when
+// it was issued, and whether done has fired.
+type rpc struct {
+	f              *Fabric
+	from, to, tier string
+	budget         RPCBudget
+	attempt        func(reply func(error))
+	done           func(error)
+	settled        bool
+}
+
+// rpcAttempt is one try of an rpc: its number, its own timer, and the
+// error of its first reply while that reply crosses the network.
+type rpcAttempt struct {
+	c       *rpc
+	n       int
+	timeout sim.Handle
+	replied bool
+	err     error
+}
+
+// try starts attempt n: the timer first, then the request message.
+func (c *rpc) try(n int) {
+	if c.settled {
+		return
+	}
+	f := c.f
+	if n > 0 {
+		f.stats.Retransmits++
+		f.mRetransmits.Inc()
+		f.tr.Emit("net", "net.retransmit",
+			trace.F("from", c.from), trace.F("to", c.to), trace.F("tier", c.tier), trace.Fi("attempt", n))
+	}
+	a := &rpcAttempt{c: c, n: n}
+	a.timeout = f.eng.After(c.budget.TimeoutSeconds, "net:rpc-timeout", a.timedOut)
+	f.Send(c.from, c.to, c.tier, a.deliver)
+}
+
+// settle fires done with the outcome of attempt a unless the call is
+// already settled. Only a's own timer is canceled: a late reply from a
+// superseded attempt leaves the live attempt's timer to fire as a no-op.
+func (c *rpc) settle(a *rpcAttempt, err error) {
+	if c.settled {
+		return
+	}
+	c.settled = true
+	c.f.eng.Cancel(a.timeout)
+	c.done(err)
+}
+
+func (a *rpcAttempt) deliver() { a.c.attempt(a.reply) }
+
+// reply sends the callee's result back; the response crosses the network
+// too, and one that arrives after the call settled is discarded. The
+// first reply's error rides in the attempt record; a callee that replies
+// again gets a message of its own, so neither error overwrites the other.
+func (a *rpcAttempt) reply(err error) {
+	c := a.c
+	var arrive func()
+	if a.replied {
+		arrive = func() { c.settle(a, err) }
+	} else {
+		a.replied, a.err = true, err
+		arrive = a.replyArrived
+	}
+	c.f.Send(c.to, c.from, c.f.names(c.tier).reply, arrive)
+}
+
+func (a *rpcAttempt) replyArrived() { a.c.settle(a, a.err) }
+
+// timedOut backs off into the next attempt, or abandons the call when the
+// budget is spent.
+func (a *rpcAttempt) timedOut() {
+	c := a.c
+	if c.settled {
+		return
+	}
+	f := c.f
+	if a.n+1 < c.budget.Attempts {
+		backoff := c.budget.BackoffSeconds * float64(int(1)<<a.n)
+		f.eng.After(backoff, "net:rpc-backoff", a.retry)
+		return
+	}
+	c.settled = true
+	f.stats.Abandoned++
+	f.mAbandoned.Inc()
+	f.tr.Emit("net", "net.abandon",
+		trace.F("from", c.from), trace.F("to", c.to), trace.F("tier", c.tier), trace.Fi("attempts", a.n+1))
+	c.done(fmt.Errorf("%w: %s %s->%s after %d attempts", ErrRPCTimeout, c.tier, c.from, c.to, a.n+1))
+}
+
+func (a *rpcAttempt) retry() { a.c.try(a.n + 1) }

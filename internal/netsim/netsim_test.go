@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"jade/internal/cluster"
+	"jade/internal/obs"
 	"jade/internal/sim"
 )
 
@@ -216,6 +217,143 @@ func TestCallLateReplyDiscarded(t *testing.T) {
 	eng.Run()
 	if fired != 1 {
 		t.Fatalf("done fired %d times, want exactly 1", fired)
+	}
+	// Both answers crossed the network: two requests, two replies.
+	if got := f.Stats().Messages; got != 4 {
+		t.Fatalf("messages = %d, want 4", got)
+	}
+}
+
+// A callee that replies twice on one attempt sends two reply messages,
+// each carrying the error it was given.
+func TestCallRepliedTwice(t *testing.T) {
+	first, second := errors.New("first"), errors.New("second")
+	for _, tc := range []struct {
+		name      string
+		loseFirst bool
+		want      error
+	}{
+		{"both arrive: the first settles with its own error", false, first},
+		{"first lost: the second still carries its own error", true, second},
+	} {
+		eng := sim.NewEngine(1)
+		f := New(eng, enabledConfig(), 1)
+		var got []error
+		f.Call("a", "b", "app", func(reply func(error)) {
+			if tc.loseFirst {
+				id := f.Partition([]string{"a"}, []string{"b"})
+				reply(first)
+				f.Heal(id)
+			} else {
+				reply(first)
+			}
+			reply(second)
+		}, func(err error) { got = append(got, err) })
+		eng.Run()
+		if len(got) != 1 || got[0] != tc.want {
+			t.Fatalf("%s: done got %v, want [%v]", tc.name, got, tc.want)
+		}
+		if m := f.Stats().Messages; m != 3 {
+			t.Fatalf("%s: messages = %d, want one request and two replies", tc.name, m)
+		}
+	}
+}
+
+// A reply that comes after the call was abandoned still crosses the
+// network but reaches nobody.
+func TestCallReplyAfterAbandonDiscarded(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := enabledConfig()
+	cfg.RPC = map[string]RPCBudget{"app": {TimeoutSeconds: 1, Attempts: 2, BackoffSeconds: 0.5}}
+	f := New(eng, cfg, 1)
+	var replies []func(error)
+	var got []error
+	f.Call("a", "b", "app", func(reply func(error)) { replies = append(replies, reply) },
+		func(err error) { got = append(got, err) })
+	eng.Run()
+	if len(got) != 1 || !errors.Is(got[0], ErrRPCTimeout) || len(replies) != 2 {
+		t.Fatalf("done got %v after %d attempts, want one ErrRPCTimeout after 2", got, len(replies))
+	}
+	before := f.Stats()
+	for _, reply := range replies {
+		reply(nil)
+	}
+	eng.Run()
+	if len(got) != 1 {
+		t.Fatalf("done fired again after abandonment: %v", got)
+	}
+	if st := f.Stats(); st.Messages != before.Messages+2 || st.Delivered != before.Delivered+2 {
+		t.Fatalf("late replies not carried: %+v -> %+v", before, st)
+	}
+}
+
+// warmFabric returns an enabled, instrumented fabric whose engine freelist
+// and intern tables are already populated, the state every message after
+// a run's first few finds.
+func warmFabric(cfg Config) (*sim.Engine, *Fabric) {
+	eng := sim.NewEngine(1)
+	f := New(eng, cfg, 1)
+	f.Instrument(nil, obs.NewRegistry(eng.Now))
+	for i := 0; i < 4096; i++ {
+		f.Call("a", "b", "app", replyNil, ignoreErr)
+	}
+	eng.Run()
+	return eng, f
+}
+
+// Package-level callbacks, so the alloc tests measure the fabric and not
+// closure capture at the call site.
+func nop()                       {}
+func replyNil(reply func(error)) { reply(nil) }
+func ignoreErr(error)            {}
+
+// TestCallAllocs pins the call record: an uncontended RPC allocates the
+// record, one attempt and the four callbacks bound to it (timeout, request
+// delivery, reply, reply delivery). The closure chain it replaced cost 11.
+func TestCallAllocs(t *testing.T) {
+	eng, f := warmFabric(enabledConfig())
+	avg := testing.AllocsPerRun(1000, func() {
+		f.Call("a", "b", "app", replyNil, ignoreErr)
+		eng.Run()
+	})
+	if avg > 6 {
+		t.Fatalf("one uncontended RPC allocates %.2f objects, want <= 6", avg)
+	}
+}
+
+// TestSendAllocs: a one-way message allocates nothing, with or without
+// per-link overrides configured.
+func TestSendAllocs(t *testing.T) {
+	cfg := enabledConfig()
+	for _, links := range []map[string]Link{nil, {"a->b": {LatencyMS: 5}}} {
+		cfg.Links = links
+		eng, f := warmFabric(cfg)
+		avg := testing.AllocsPerRun(1000, func() {
+			f.Send("a", "b", "app", nop)
+			eng.Run()
+		})
+		if avg != 0 {
+			t.Fatalf("links %v: Send allocates %.2f objects/op, want 0", links, avg)
+		}
+	}
+}
+
+func TestLinkOverrideIsDirected(t *testing.T) {
+	eng := sim.NewEngine(1)
+	f := New(eng, Config{Enabled: true, Links: map[string]Link{"a->b": {LatencyMS: 5}}}, 1)
+	arrival := func(from, to string) float64 {
+		start, at := eng.Now(), -1.0
+		f.Send(from, to, "x", func() { at = eng.Now() })
+		eng.Run()
+		return at - start
+	}
+	if got := arrival("a", "b"); math.Abs(got-0.005) > 1e-9 {
+		t.Fatalf("a->b took %g s, want the 5 ms override", got)
+	}
+	for _, pair := range [][2]string{{"b", "a"}, {"a", "c"}, {"c", "b"}, {"", "b"}} {
+		if got := arrival(pair[0], pair[1]); math.Abs(got-0.0003) > 1e-9 {
+			t.Fatalf("%s->%s took %g s, want the 0.3 ms LAN default", pair[0], pair[1], got)
+		}
 	}
 }
 

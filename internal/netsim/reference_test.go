@@ -1,0 +1,168 @@
+package netsim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"jade/internal/sim"
+	"jade/internal/trace"
+)
+
+// referenceCall is Fabric.Call as it was before the call record: nested
+// closures over a settled flag, kept verbatim as the oracle for
+// TestCallMatchesReferenceClosures (the way sqlengine's reference_test.go
+// keeps the row-by-row executor).
+func (f *Fabric) referenceCall(from, to, tier string, attempt func(reply func(error)), done func(error)) {
+	if !f.Enabled() {
+		attempt(done)
+		return
+	}
+	b := f.budget(tier)
+	f.stats.RPCs++
+	settled := false
+	var try func(n int)
+	try = func(n int) {
+		if settled {
+			return
+		}
+		if n > 0 {
+			f.stats.Retransmits++
+			f.mRetransmits.Inc()
+			f.tr.Emit("net", "net.retransmit",
+				trace.F("from", from), trace.F("to", to), trace.F("tier", tier), trace.Fi("attempt", n))
+		}
+		var timeout sim.Handle
+		reply := func(err error) {
+			// The response crosses the network too; late responses from
+			// superseded attempts lose the race and are discarded.
+			f.Send(to, from, tier+".reply", func() {
+				if settled {
+					return
+				}
+				settled = true
+				f.eng.Cancel(timeout)
+				done(err)
+			})
+		}
+		timeout = f.eng.After(b.TimeoutSeconds, "net:rpc-timeout", func() {
+			if settled {
+				return
+			}
+			if n+1 < b.Attempts {
+				backoff := b.BackoffSeconds * float64(int(1)<<n)
+				f.eng.After(backoff, "net:rpc-backoff", func() { try(n + 1) })
+				return
+			}
+			settled = true
+			f.stats.Abandoned++
+			f.mAbandoned.Inc()
+			f.tr.Emit("net", "net.abandon",
+				trace.F("from", from), trace.F("to", to), trace.F("tier", tier), trace.Fi("attempts", n+1))
+			done(fmt.Errorf("%w: %s %s->%s after %d attempts", ErrRPCTimeout, tier, from, to, n+1))
+		})
+		f.Send(from, to, tier, func() { attempt(reply) })
+	}
+	try(0)
+}
+
+// callTranscript is everything observable about a batch of RPCs: each
+// dispatched event, each done(err), and the fabric's counters.
+type callTranscript struct {
+	Events []string
+	Dones  []string
+	Stats  Stats
+}
+
+// scriptedCalls issues 40 staggered RPCs through call over a lossy,
+// jittery fabric with a 3-attempt budget. What the callee does on the k-th
+// arrival of call i — answer at once, answer late (possibly after the
+// attempt timed out and a newer one is live), answer twice, or stay
+// silent — depends only on (seed, i, k), never on the implementation.
+func scriptedCalls(seed int64, call func(f *Fabric, from, to, tier string, attempt func(reply func(error)), done func(error))) callTranscript {
+	eng := sim.NewEngine(seed)
+	f := New(eng, Config{
+		Enabled: true,
+		Default: Link{LatencyMS: 1, JitterMS: 4, Loss: 0.3},
+		RPC:     map[string]RPCBudget{"app": {TimeoutSeconds: 1, Attempts: 3, BackoffSeconds: 0.5}},
+	}, seed)
+	var tr callTranscript
+	eng.SetEventHook(func(t float64, label string) {
+		tr.Events = append(tr.Events, fmt.Sprintf("%.9f %s", t, label))
+	})
+	for i := 0; i < 40; i++ {
+		i := i
+		eng.At(float64(i)*0.37, "issue", func() {
+			arrivals := 0
+			call(f, "a", "b", "app", func(reply func(error)) {
+				arrivals++
+				script := rand.New(rand.NewSource(seed<<16 + int64(i)<<4 + int64(arrivals)))
+				fail := fmt.Errorf("call %d arrival %d failed", i, arrivals)
+				switch script.Intn(6) {
+				case 0:
+					reply(nil)
+				case 1:
+					reply(fail)
+				case 2: // late: 1.7 s and 4 s outlive the attempt that asked
+					eng.After([]float64{0.2, 1.7, 4}[script.Intn(3)], "callee:late", func() { reply(fail) })
+				case 3: // twice at once, each with its own result
+					reply(fail)
+					reply(nil)
+				case 4: // twice, the second late
+					reply(nil)
+					eng.After(1.6, "callee:again", func() { reply(fail) })
+				case 5: // never
+				}
+			}, func(err error) {
+				tr.Dones = append(tr.Dones, fmt.Sprintf("%.9f call %d: %v", eng.Now(), i, err))
+			})
+		})
+	}
+	eng.Run()
+	tr.Stats = f.Stats()
+	return tr
+}
+
+func requireSameSequence(t *testing.T, seed int64, what string, got, want []string) {
+	t.Helper()
+	for i := 0; i < len(got) || i < len(want); i++ {
+		if i >= len(got) || i >= len(want) || got[i] != want[i] {
+			g, w := "<none>", "<none>"
+			if i < len(got) {
+				g = got[i]
+			}
+			if i < len(want) {
+				w = want[i]
+			}
+			t.Fatalf("seed %d: %s %d is %q, reference %q (%d vs %d in all)", seed, what, i, g, w, len(got), len(want))
+		}
+	}
+}
+
+// TestCallMatchesReferenceClosures runs the call record and the closure
+// chain it replaced on twin engines and fabrics and requires the same
+// event sequence, the same done(err) sequence (error text included) and
+// the same counters. Mutants it was checked to catch: a reply canceling
+// the live attempt's timer instead of its own (a "net:rpc-timeout" event
+// goes missing), a second reply on one attempt overwriting the first
+// one's error, and a second reply being dropped.
+func TestCallMatchesReferenceClosures(t *testing.T) {
+	var retransmits, abandoned uint64
+	for seed := int64(1); seed <= 20; seed++ {
+		want := scriptedCalls(seed, (*Fabric).referenceCall)
+		got := scriptedCalls(seed, (*Fabric).Call)
+		if got.Stats != want.Stats {
+			t.Errorf("seed %d: stats %+v, reference %+v", seed, got.Stats, want.Stats)
+		}
+		requireSameSequence(t, seed, "done", got.Dones, want.Dones)
+		requireSameSequence(t, seed, "event", got.Events, want.Events)
+		if len(want.Dones) != 40 {
+			t.Fatalf("seed %d: %d of 40 calls settled", seed, len(want.Dones))
+		}
+		retransmits += want.Stats.Retransmits
+		abandoned += want.Stats.Abandoned
+	}
+	if retransmits == 0 || abandoned == 0 {
+		t.Fatalf("script exercised %d retransmits and %d abandons; it must cover both", retransmits, abandoned)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 
 	"jade/internal/netsim"
 )
@@ -349,6 +350,9 @@ func (s Spec) Validate() error {
 		ve.addf("faults.network.default.loss", "must be within [0,1), got %g", n.Default.Loss)
 	}
 	for key, l := range n.Links {
+		if from, to, ok := strings.Cut(key, "->"); !ok || from == "" || to == "" {
+			ve.addf("faults.network.links["+key+"]", `key must be "from->to" with both endpoints named`)
+		}
 		if l.Loss < 0 || l.Loss >= 1 {
 			ve.addf("faults.network.links["+key+"].loss", "must be within [0,1), got %g", l.Loss)
 		}

@@ -54,6 +54,18 @@ func TestSpecValidate(t *testing.T) {
 		{"link loss negative", func(s *Spec) {
 			s.Faults.Network.Links = map[string]LinkConfig{"node1->node2": {Loss: -0.1}}
 		}, false},
+		{"link key well formed", func(s *Spec) {
+			s.Faults.Network.Links = map[string]LinkConfig{"node1->node2": {LatencyMS: 5}}
+		}, true},
+		{"link key without arrow", func(s *Spec) {
+			s.Faults.Network.Links = map[string]LinkConfig{"node1-node2": {LatencyMS: 5}}
+		}, false},
+		{"link key without source", func(s *Spec) {
+			s.Faults.Network.Links = map[string]LinkConfig{"->node2": {LatencyMS: 5}}
+		}, false},
+		{"link key without destination", func(s *Spec) {
+			s.Faults.Network.Links = map[string]LinkConfig{"node1->": {LatencyMS: 5}}
+		}, false},
 		{"partition without network", func(s *Spec) {
 			s.Faults.Partition = []PartitionSpec{{At: 1, A: []string{"tomcat1"}}}
 		}, false},
@@ -82,6 +94,17 @@ func TestSpecValidate(t *testing.T) {
 				t.Fatal("want a validation error")
 			}
 		})
+	}
+}
+
+// A link key that can never match a directed pair is reported by its field
+// path, like every other spec error (it used to be accepted and ignored).
+func TestSpecLinkKeyErrorNamesTheKey(t *testing.T) {
+	s := DefaultSpec(1, true)
+	s.Faults.Network.Links = map[string]LinkConfig{"node1-node2": {LatencyMS: 5}}
+	fields := AsValidationError(s.Validate())
+	if len(fields) != 1 || fields[0].Path != "faults.network.links[node1-node2]" {
+		t.Fatalf("got %+v, want one error at faults.network.links[node1-node2]", fields)
 	}
 }
 
