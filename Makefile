@@ -1,6 +1,8 @@
 # Tier-1 gate plus the simulation-testing harness.
 #
-#   make ci           - vet, race-enabled tests, chaos sweep, smokes, api check
+#   make ci           - vet, race-enabled tests, chaos sweep, smokes, api check.
+#                       `race` runs every Go test once; no other target re-runs a
+#                       subset of them (one gate per behaviour)
 #   make test         - plain test run (what the seed gate runs)
 #   make sweep        - 20-seed invariant chaos sweep at 8x compression
 #   make trace-smoke  - export a managed-run trace and validate its schema
@@ -12,24 +14,23 @@
 #   make obs-smoke    - scrape a live run's admin endpoint and validate the exposition
 #   make netsim-smoke - run the partition scenario from examples/netfault.json
 #                       end to end (invariant-checked; nonzero exit on violation)
-#   make selector-smoke - selector property tests, one rendezvous fuzz pass,
-#                       and the quick gray-failure routing comparison
+#   make sql-smoke    - one FuzzParse pass over the committed corpus (the SQL
+#                       engine's differential and replay tests run under `race`)
+#   make selector-smoke - one rendezvous fuzz pass over the committed corpus
+#                       (the selector property tests run under `race`)
 #   make alert-smoke  - run the quick alert-latency experiment end to end
 #                       (self-checking: nonzero exit unless the alert plane
 #                       pages the gray replica while the φ detector is silent)
-#   make fluid-smoke  - fluid-engine gate: cross-validation + determinism
-#                       tests, then the quick million-client experiment
-#                       (self-checking: nonzero exit unless the run reaches
-#                       a million clients with both sizing loops actuating)
-#   make diff-smoke   - attribution sweep tests, then the quick latency-budget
-#                       experiment (self-checking: nonzero exit unless same-seed
-#                       runs diff clean and the injected app slowdown is
-#                       localized to app-tier queueing)
-#   make config-smoke - live-config gate: the HTTP POST→apply round-trip and
-#                       no-op-refresh neutrality tests, then the quick live-retune
-#                       experiment (self-checking: nonzero exit unless the mid-run
-#                       selector swap improves gray-failure p99 >=2x with zero
-#                       restarts and a byte-identical same-seed replay)
+#   make fluid-smoke  - the quick million-client experiment (self-checking:
+#                       nonzero exit unless the run reaches a million clients
+#                       with both sizing loops actuating)
+#   make diff-smoke   - the quick latency-budget experiment (self-checking:
+#                       nonzero exit unless same-seed runs diff clean and the
+#                       injected app slowdown is localized to app-tier queueing)
+#   make config-smoke - the quick live-retune experiment (self-checking: nonzero
+#                       exit unless the mid-run selector swap improves
+#                       gray-failure p99 >=2x with zero restarts and a
+#                       byte-identical same-seed replay)
 #   make api-check    - diff the facade's exported surface against testdata/api_surface.txt
 
 GO ?= go
@@ -67,8 +68,6 @@ bench:
 	$(GO) run ./benchmark
 
 sql-smoke:
-	$(GO) test -run 'TestDifferential|TestSelectStarRowsAreTheStoredRows' ./internal/sqlengine
-	$(GO) test -run TestSnapshotReplayReplicaAnswersIndexedReads ./internal/cjdbc
 	$(GO) test -run FuzzParse -fuzz FuzzParse -fuzztime 1x ./internal/sqlengine
 
 obs-smoke:
@@ -78,23 +77,18 @@ netsim-smoke:
 	$(GO) run ./cmd/jadectl scenario -config examples/netfault.json
 
 selector-smoke:
-	$(GO) test ./internal/selector
 	$(GO) test -run FuzzRendezvousPick -fuzz FuzzRendezvousPick -fuzztime 1x ./internal/selector
-	$(GO) test -run 'TestGrayFailureParallelismInvariance|TestRoutingPoolConcurrentObservers' .
 
 alert-smoke:
 	$(GO) run ./cmd/jadebench -experiment alertlat -quick
 
 fluid-smoke:
-	$(GO) test -run 'TestFluid(CrossValidation|Determinism)' .
 	$(GO) run ./cmd/jadebench -experiment millionclient -quick
 
 diff-smoke:
-	$(GO) test -run 'TestAttrib(ConservationSweep|WindowPartition)' .
 	$(GO) run ./cmd/jadebench -experiment latbudget -quick
 
 config-smoke:
-	$(GO) test -run 'TestConfigPostRoundTrip|TestNoopRefreshTrajectoryNeutral' .
 	$(GO) run ./cmd/jadebench -experiment liveretune -quick
 
 api-check:
