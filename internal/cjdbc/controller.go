@@ -501,53 +501,81 @@ func (c *Controller) ExecSQL(q legacy.Query, done func(error)) {
 		done(fmt.Errorf("%w: %s", ErrNotRunning, c.name))
 		return
 	}
-	if c.Obs != nil {
-		start := c.Obs.Begin()
-		orig := done
-		done = func(err error) {
-			c.Obs.End(start, err)
-			orig(err)
-		}
-	}
-	// "busy" records the local queue-wait + service interval on the
-	// controller node and "svc" the ideal service time; the attribution
-	// walker uses them to split the span's self-time into components.
-	var busy float64
-	submitted := c.eng.Now()
+	r := &request{c: c, q: q, done: done}
+	r.began = c.Obs.Begin()
+	r.submitted = c.eng.Now()
 	// Classify and parse here, once: every backend the query reaches
 	// executes the parsed form. SQL that does not parse travels as text,
 	// and the backend that receives it reports the error.
-	write := sqlengine.IsWrite(q.SQL)
-	q.Stmt, _ = sqlengine.Parse(q.SQL)
+	r.write = sqlengine.IsWrite(q.SQL)
+	r.q.Stmt, _ = sqlengine.Parse(q.SQL)
+	// "busy" records the local queue-wait + service interval on the
+	// controller node and "svc" the ideal service time; the attribution
+	// walker uses them to split the span's self-time into components.
 	if q.TraceSpan != 0 {
 		var fields []trace.Field
-		if write {
+		if r.write {
 			// A write's completion waits on the RAIDb-1 broadcast: time
 			// not covered by this record's own applies is queueing for
 			// db-tier capacity (earlier log records draining), which the
 			// attribution walker charges to the db tier, not this one.
 			fields = append(fields, trace.F("waits-on", "db"))
 		}
-		span := c.Trace.Begin(q.TraceSpan, "sql", c.name, fields...)
-		q.TraceSpan = span
-		orig := done
-		done = func(err error) {
-			c.Trace.End(span, trace.Ff("busy", busy),
-				trace.Ff("svc", c.opts.ProxyCost/c.node.Config().CPUCapacity), trace.Outcome(err))
-			orig(err)
-		}
+		r.span = c.Trace.Begin(q.TraceSpan, "sql", c.name, fields...)
+		r.q.TraceSpan = r.span
 	}
-	c.node.Submit(c.opts.ProxyCost, func() {
-		busy = c.eng.Now() - submitted
-		if write {
-			c.execWrite(q, done)
-		} else {
-			c.execRead(q, done, len(c.backends)+1)
-		}
-	}, func() {
-		c.failures++
-		done(fmt.Errorf("cjdbc %s: controller node failed", c.name))
-	})
+	c.node.Run(&r.job, c.opts.ProxyCost, r)
+}
+
+// request is the record of one statement in the controller: the query as
+// the backends will receive it (parsed, under this hop's span), the proxy
+// job on the controller node (the record is its own continuation), the
+// read attempt in flight, and what the span and the instruments need when
+// the statement ends.
+type request struct {
+	c     *Controller
+	q     legacy.Query
+	done  func(error)
+	job   cluster.Job
+	write bool
+
+	began     float64  // Obs.Begin
+	submitted float64  // when the proxy job was queued
+	busy      float64  // queue wait + service on the controller node; zero if it crashed
+	span      trace.ID // the "sql" span, zero when the query is untraced
+
+	attempts int      // read attempts left, this one included
+	backend  *backend // the replica the read in flight went to
+	sent     float64  // when it left
+}
+
+// JobDone: the proxy cost is paid; route the statement.
+func (r *request) JobDone() {
+	c := r.c
+	r.busy = c.eng.Now() - r.submitted
+	if r.write {
+		c.execWrite(r.q, r.finish)
+		return
+	}
+	r.attempts = len(c.backends) + 1
+	r.read()
+}
+
+// JobFailed: the controller node crashed under the proxy job.
+func (r *request) JobFailed() {
+	r.c.failures++
+	r.finish(fmt.Errorf("cjdbc %s: controller node failed", r.c.name))
+}
+
+// finish closes the span, records the outcome and answers the caller.
+func (r *request) finish(err error) {
+	c := r.c
+	if r.span != 0 {
+		c.Trace.End(r.span, trace.Ff("busy", r.busy),
+			trace.Ff("svc", c.opts.ProxyCost/c.node.Config().CPUCapacity), trace.Outcome(err))
+	}
+	c.Obs.End(r.began, err)
+	r.done(err)
 }
 
 func (c *Controller) execWrite(q legacy.Query, done func(error)) {
@@ -577,35 +605,43 @@ func (c *Controller) execWrite(q legacy.Query, done func(error)) {
 	}
 }
 
-func (c *Controller) execRead(q legacy.Query, done func(error), attempts int) {
-	b := c.pickReader(q)
+// read sends the statement to one active backend chosen by policy.
+func (r *request) read() {
+	c := r.c
+	b := c.pickReader(r.q)
 	if b == nil {
 		c.failures++
-		done(fmt.Errorf("%w: cannot read through %s", ErrNoBackend, c.name))
+		r.finish(fmt.Errorf("%w: cannot read through %s", ErrNoBackend, c.name))
 		return
 	}
 	c.pool.Acquire(b.name)
-	start := c.eng.Now()
-	if q.TraceSpan != 0 {
-		c.Trace.EmitIn(q.TraceSpan, "sql.read", c.name, trace.F("backend", b.name))
+	r.backend, r.sent = b, c.eng.Now()
+	if r.q.TraceSpan != 0 {
+		c.Trace.EmitIn(r.q.TraceSpan, "sql.read", c.name, trace.F("backend", b.name))
 	}
-	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, q, func(err error) {
-		// Release feeds the latency/failure reservoirs before markDead
-		// evicts the entry, so the failure is recorded against the backend.
-		c.pool.Release(b.name, c.eng.Now()-start, err != nil)
-		if err != nil {
-			c.markDead(b, err)
-			if attempts > 1 {
-				c.execRead(q, done, attempts-1)
-				return
-			}
-			c.failures++
-			done(fmt.Errorf("cjdbc %s: read failed: %w", c.name, err))
+	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, r.q, r.readDone)
+}
+
+// readDone takes the backend's answer: a failed backend is marked dead
+// and the read goes to another while attempts remain.
+func (r *request) readDone(err error) {
+	c, b := r.c, r.backend
+	// Release feeds the latency/failure reservoirs before markDead
+	// evicts the entry, so the failure is recorded against the backend.
+	c.pool.Release(b.name, c.eng.Now()-r.sent, err != nil)
+	if err != nil {
+		c.markDead(b, err)
+		if r.attempts > 1 {
+			r.attempts--
+			r.read()
 			return
 		}
-		c.reads++
-		done(nil)
-	})
+		c.failures++
+		r.finish(fmt.Errorf("cjdbc %s: read failed: %w", c.name, err))
+		return
+	}
+	c.reads++
+	r.finish(nil)
 }
 
 // BackendInfo is a snapshot of one backend's status.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -392,6 +393,97 @@ func TestPropertyJobAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ownedJob is a caller-owned job record: the Job embedded, the record its
+// own continuation.
+type ownedJob struct {
+	Job
+	done, failed int
+}
+
+func (o *ownedJob) JobDone()   { o.done++ }
+func (o *ownedJob) JobFailed() { o.failed++ }
+
+// Regression test for DESIGN.md's bug (2): jobs that leave a node in one
+// instant are called back by (remaining, seq), never by where they happen
+// to sit in the job array.
+func TestEqualJobsLeaveInSubmissionOrder(t *testing.T) {
+	const k = 8
+	var order []int
+	record := func(i int) func() { return func() { order = append(order, i) } }
+	requireOrder := func(what string, want ...int) {
+		t.Helper()
+		if !reflect.DeepEqual(order, want) {
+			t.Fatalf("%s: order %v, want %v", what, order, want)
+		}
+		order = nil
+	}
+
+	eng := sim.NewEngine(1)
+	n := newNode(eng, 1)
+	for i := 0; i < k; i++ {
+		n.Submit(0.25, record(i), nil)
+	}
+	eng.Run()
+	requireOrder("equal demands, one instant", 0, 1, 2, 3, 4, 5, 6, 7)
+
+	// Canceling the job in slot 0 moves the last one there; canceling that
+	// one moves the next. The survivors still complete first in, first out.
+	jobs := make([]*Job, k)
+	hog := n.Submit(100, nil, record(100))
+	for i := 0; i < k; i++ {
+		jobs[i] = n.Submit(0.25, record(i), record(10+i))
+	}
+	n.Cancel(hog)
+	n.Cancel(jobs[k-1])
+	requireOrder("cancels", 100, 10+k-1)
+	eng.Run()
+	requireOrder("equal demands after two swap-removals", 0, 1, 2, 3, 4, 5, 6)
+
+	// A crash aborts least remaining first, submission order among equals,
+	// again whatever a removal did to the array.
+	hog = n.Submit(100, nil, record(100))
+	for i, demand := range []float64{3, 1, 2, 1, 3} {
+		n.Submit(demand, nil, record(i))
+	}
+	eng.RunUntil(eng.Now() + 0.5)
+	n.Cancel(hog)
+	order = nil
+	n.Fail()
+	requireOrder("crash", 1, 3, 2, 0, 4)
+}
+
+// Allocation budgets: a Submit is its one record from submission to
+// callback (measured 1; 4 with the map: the job, the finished slice, the
+// sort.Slice boxing and a bound completion callback per reschedule), a
+// caller-owned job is nothing at all inside this package (measured 0).
+func TestJobAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	n := newNode(eng, 1)
+	done := func() {}
+	owned := make([]ownedJob, 4)
+	warm := func() {
+		for i := range owned {
+			n.Run(&owned[i].Job, 0.001*float64(i), &owned[i])
+		}
+		eng.Run()
+	}
+	warm() // grows the job array, the finished list and the engine's queue
+	if got := testing.AllocsPerRun(200, warm); got != 0 {
+		t.Errorf("four caller-owned jobs allocate %v objects, want 0", got)
+	}
+	if owned[0].done != 202 || owned[0].failed != 0 {
+		t.Fatalf("owned job called back %d/%d times over 202 runs", owned[0].done, owned[0].failed)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		n.Submit(0.001, done, nil)
+		n.Submit(0.001, done, nil)
+		eng.Run()
+	})
+	if got > 2 {
+		t.Errorf("two Submits allocate %v objects from submission to callback, want at most one each", got)
 	}
 }
 

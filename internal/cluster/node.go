@@ -8,10 +8,11 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"jade/internal/metrics"
 	"jade/internal/sim"
@@ -26,13 +27,28 @@ var (
 )
 
 // Job is a unit of CPU work executing on a node under processor sharing.
+//
+// A Job is owned by whoever allocated it. Submit allocates one per call;
+// a caller of Run embeds one in its own per-request record, so queueing
+// the work allocates nothing. The zero value is an idle job. From Run
+// until its callback the job belongs to the node, which keeps a pointer
+// to it: the owner must not copy, move or Run it again in that interval.
+// Once the callback has begun the job is idle and may be Run again, on
+// any node.
 type Job struct {
-	node      *Node
+	idx       int     // position in the node's job array plus one; zero while idle
 	seq       uint64  // submission order, for deterministic FIFO tie-breaks
 	remaining float64 // CPU-seconds of service still owed
-	done      func()
-	failed    func()
-	canceled  bool
+	owner     JobOwner
+}
+
+// JobOwner is the continuation of a job queued with Run. The node calls
+// exactly one of the two methods, once: JobDone when the job has received
+// its service demand, JobFailed when the node crashed or the job was
+// canceled first.
+type JobOwner interface {
+	JobDone()
+	JobFailed()
 }
 
 // Config describes a node's resources.
@@ -56,17 +72,38 @@ func DefaultConfig() Config {
 }
 
 // Node is one simulated cluster machine.
+//
+// Its CPU is the layer under every request of every run, so a job event
+// (Run, a completion, Cancel, SetBackgroundLoad) is one pass over a dense
+// array and allocates nothing. What the pass may not change is the
+// arithmetic: every job receives remaining -= dt*rate at exactly the
+// instants it always has, including the splits a Utilization, BusyTotal
+// or UtilizationReader.Read makes by settling progress mid-job (two
+// subtractions round differently from one). That is why there is no
+// virtual clock with finish tags here: tag - V rounds differently from a
+// running subtraction and moves completion instants in the last ulp.
+// reference_test.go holds the array to the map walk it replaced.
 type Node struct {
 	eng  *sim.Engine
 	name string
 	cfg  Config
 
-	jobs       map[*Job]struct{}
+	// jobs is dense and unordered: a job's idx is its position plus one,
+	// removal moves the last job into the hole, and nothing observable
+	// depends on the order (the minimum does not; jobs leaving together
+	// are sorted by (remaining, seq)).
+	jobs []*Job
+	// finished is the completion event's scratch list. onCompletion takes
+	// it out of the node while the callbacks run, so a completion
+	// dispatched from inside one of them builds its own.
+	finished   []*Job
 	lastUpdate float64
 	completion sim.Handle
-	// completeLabel is the completion event label, precomputed so the
-	// cancel-and-reschedule hot path does not concatenate strings.
+	// completeLabel and complete are the completion event's label and
+	// callback, built once so the cancel-and-reschedule hot path neither
+	// concatenates strings nor allocates a method value.
 	completeLabel string
+	complete      func()
 
 	memUsed float64
 	util    metrics.UtilizationMeter
@@ -102,13 +139,14 @@ func NewNode(eng *sim.Engine, name string, cfg Config) *Node {
 	if cfg.MemoryMB <= 0 {
 		panic(fmt.Sprintf("cluster: node %q with non-positive memory", name))
 	}
-	return &Node{
+	n := &Node{
 		eng:           eng,
 		name:          name,
 		cfg:           cfg,
-		jobs:          make(map[*Job]struct{}),
 		completeLabel: "node:" + name + ":complete",
 	}
+	n.complete = n.onCompletion
+	return n
 }
 
 // Name returns the node's hostname.
@@ -138,29 +176,36 @@ func (n *Node) effectiveCapacity() float64 {
 	return c * (1 - n.bgLoad)
 }
 
-// advance applies elapsed processor-sharing progress to all active jobs.
-func (n *Node) advance() {
+// advance applies elapsed processor-sharing progress to all active jobs
+// and returns the least service any of them still owes, leaving skip (a
+// job about to be removed) out of that minimum; +Inf when no job counts.
+func (n *Node) advance(skip *Job) float64 {
 	now := n.eng.Now()
 	dt := now - n.lastUpdate
-	if dt > 0 && len(n.jobs) > 0 {
-		rate := n.effectiveCapacity() / float64(len(n.jobs))
-		for j := range n.jobs {
+	n.lastUpdate = now
+	minRem := math.Inf(1)
+	if len(n.jobs) == 0 {
+		return minRem
+	}
+	rate := n.effectiveCapacity() / float64(len(n.jobs))
+	for _, j := range n.jobs {
+		if dt > 0 {
 			j.remaining -= dt * rate
 		}
+		if j.remaining < minRem && j != skip {
+			minRem = j.remaining
+		}
 	}
-	n.lastUpdate = now
+	return minRem
 }
 
-// reschedule computes the next completion instant and (re)schedules it.
+// reschedule replaces the completion event with one for the instant the
+// job owing minRem, the least among the active jobs, will finish.
 // Canceling a zero or already-fired handle is a no-op, so no guard is
 // needed around the cancel.
-func (n *Node) reschedule() {
+func (n *Node) reschedule(minRem float64) {
 	n.eng.Cancel(n.completion)
 	n.completion = sim.Handle{}
-	if n.failed {
-		n.util.SetBusy(n.eng.Now(), 0)
-		return
-	}
 	if len(n.jobs) == 0 {
 		n.util.SetBusy(n.eng.Now(), n.bgLoad)
 		return
@@ -168,91 +213,149 @@ func (n *Node) reschedule() {
 	// Work-conserving: discrete jobs soak up whatever the background
 	// flow leaves, so the meter reads fully busy.
 	n.util.SetBusy(n.eng.Now(), 1)
-	minRem := math.Inf(1)
-	for j := range n.jobs {
-		if j.remaining < minRem {
-			minRem = j.remaining
-		}
-	}
 	if minRem < 0 {
 		minRem = 0
 	}
 	dt := minRem * float64(len(n.jobs)) / n.effectiveCapacity()
-	n.completion = n.eng.After(dt, n.completeLabel, n.onCompletion)
+	n.completion = n.eng.After(dt, n.completeLabel, n.complete)
 }
 
+// remove takes j out of the job array in O(1): the last job moves into its
+// place.
+func (n *Node) remove(j *Job) {
+	last := len(n.jobs) - 1
+	moved := n.jobs[last]
+	n.jobs[j.idx-1] = moved
+	moved.idx = j.idx
+	n.jobs[last] = nil
+	n.jobs = n.jobs[:last]
+	j.idx = 0
+}
+
+// leavingOrder is the order in which jobs that leave the node in one
+// instant are called back: least remaining service first, submission
+// (FIFO) order among equals. Without the seq tie-break the order of
+// equal-remaining jobs would be an accident of the array — able to
+// reorder a request pipeline (e.g. writes traversing a balancer's proxy
+// node).
+func leavingOrder(a, b *Job) int {
+	return cmp.Or(cmp.Compare(a.remaining, b.remaining), cmp.Compare(a.seq, b.seq))
+}
+
+// onCompletion is the completion event: one pass settles progress, moves
+// the jobs that are done (within 1e-9 CPU-seconds of it, so a batch due in
+// the same instant leaves together) to the finished list, closes the
+// array over them and finds the least remaining service of the rest.
 func (n *Node) onCompletion() {
 	n.completion = sim.Handle{}
-	n.advance()
+	now := n.eng.Now()
+	dt := now - n.lastUpdate
+	n.lastUpdate = now
 	const eps = 1e-9
-	var finished []*Job
-	for j := range n.jobs {
+	finished := n.finished[:0]
+	n.finished = nil
+	rate := n.effectiveCapacity() / float64(len(n.jobs))
+	minRem := math.Inf(1)
+	live := n.jobs[:0]
+	for _, j := range n.jobs {
+		if dt > 0 {
+			j.remaining -= dt * rate
+		}
 		if j.remaining <= eps {
+			j.idx = 0
 			finished = append(finished, j)
+			continue
+		}
+		live = append(live, j)
+		j.idx = len(live)
+		if j.remaining < minRem {
+			minRem = j.remaining
 		}
 	}
-	// Deterministic completion order: jobs finishing in the same event
-	// complete in submission (FIFO) order. Without the seq tie-break the
-	// order of equal-remaining jobs would be map-iteration order —
-	// non-deterministic, and able to reorder a request pipeline (e.g.
-	// writes traversing a balancer's proxy node).
-	sort.Slice(finished, func(i, k int) bool {
-		if finished[i].remaining != finished[k].remaining {
-			return finished[i].remaining < finished[k].remaining
-		}
-		return finished[i].seq < finished[k].seq
-	})
-	for _, j := range finished {
-		delete(n.jobs, j)
+	clear(n.jobs[len(live):])
+	n.jobs = live
+	if len(finished) > 1 {
+		slices.SortFunc(finished, leavingOrder)
 	}
-	n.reschedule()
+	n.reschedule(minRem)
 	for _, j := range finished {
 		n.jobsCompleted++
-		if j.done != nil {
-			j.done()
-		}
+		j.owner.JobDone()
+	}
+	clear(finished)
+	n.finished = finished
+}
+
+// Run queues j, a job its caller owns, with the given service demand
+// (CPU-seconds). Exactly one of owner's methods runs, once: JobDone when
+// the job completes, JobFailed if the node crashes or the job is canceled
+// first — at once, from inside Run, if the node is already down. Queueing
+// a job that is still queued panics.
+func (n *Node) Run(j *Job, service float64, owner JobOwner) {
+	if service < 0 {
+		panic(fmt.Sprintf("cluster: negative service demand %v on %s", service, n.name))
+	}
+	if j.idx != 0 {
+		panic(fmt.Sprintf("cluster: job queued twice on %s", n.name))
+	}
+	if n.failed {
+		owner.JobFailed()
+		return
+	}
+	minRem := n.advance(nil)
+	*j = Job{idx: len(n.jobs) + 1, seq: n.jobsStarted, remaining: service, owner: owner}
+	n.jobs = append(n.jobs, j)
+	n.jobsStarted++
+	if service < minRem {
+		minRem = service
+	}
+	n.reschedule(minRem)
+}
+
+// funcJob is the job Submit allocates: the callbacks it was given, behind
+// the interface Run calls.
+type funcJob struct {
+	Job
+	done, failed func()
+}
+
+func (f *funcJob) JobDone() {
+	if f.done != nil {
+		f.done()
+	}
+}
+
+func (f *funcJob) JobFailed() {
+	if f.failed != nil {
+		f.failed()
 	}
 }
 
 // Submit adds a CPU job of the given service demand (CPU-seconds). done
 // runs when the job completes; failed (optional) runs if the node crashes
 // or the job is canceled before completion. Submitting to a failed node
-// invokes failed immediately and returns nil.
+// invokes failed immediately and returns nil. It is Run with a job and an
+// owner allocated here, for callers with no record of their own.
 func (n *Node) Submit(service float64, done func(), failedFn func()) *Job {
-	if service < 0 {
-		panic(fmt.Sprintf("cluster: negative service demand %v on %s", service, n.name))
-	}
-	if n.failed {
-		if failedFn != nil {
-			failedFn()
-		}
+	f := &funcJob{done: done, failed: failedFn}
+	n.Run(&f.Job, service, f)
+	if f.idx == 0 {
 		return nil
 	}
-	n.advance()
-	j := &Job{node: n, seq: n.jobsStarted, remaining: service, done: done, failed: failedFn}
-	n.jobs[j] = struct{}{}
-	n.jobsStarted++
-	n.reschedule()
-	return j
+	return &f.Job
 }
 
 // Cancel aborts a job before completion; its failed callback runs. A nil
-// or already finished job is a no-op.
+// or already finished job, or one queued on another node, is a no-op.
 func (n *Node) Cancel(j *Job) {
-	if j == nil || j.canceled {
+	if j == nil || j.idx == 0 || j.idx > len(n.jobs) || n.jobs[j.idx-1] != j {
 		return
 	}
-	if _, ok := n.jobs[j]; !ok {
-		return
-	}
-	j.canceled = true
-	n.advance()
-	delete(n.jobs, j)
+	minRem := n.advance(j)
+	n.remove(j)
 	n.jobsAborted++
-	n.reschedule()
-	if j.failed != nil {
-		j.failed()
-	}
+	n.reschedule(minRem)
+	j.owner.JobFailed()
 }
 
 // maxBackgroundLoad caps the fluid background utilization so discrete
@@ -278,9 +381,9 @@ func (n *Node) SetBackgroundLoad(frac float64) {
 	if frac == n.bgLoad {
 		return
 	}
-	n.advance() // settle discrete progress under the old capacity split
+	minRem := n.advance(nil) // settle discrete progress under the old capacity split
 	n.bgLoad = frac
-	n.reschedule()
+	n.reschedule(minRem)
 }
 
 // BackgroundLoad returns the current fluid background utilization.
@@ -311,7 +414,7 @@ func (n *Node) GrantedShares() float64 {
 // Utilization caller; independent observers (multiple sensors, the
 // experiment accounting) must each use their own UtilizationReader.
 func (n *Node) Utilization() float64 {
-	n.advance() // keep the meter aligned with job state
+	n.advance(nil) // keep the meter aligned with job state
 	return n.util.Read(n.eng.Now())
 }
 
@@ -347,7 +450,7 @@ func (r *UtilizationReader) Read() float64 {
 
 // BusyTotal returns the integral of CPU busy time since boot.
 func (n *Node) BusyTotal() float64 {
-	n.advance()
+	n.advance(nil)
 	return n.util.Total(n.eng.Now())
 }
 
@@ -391,29 +494,24 @@ func (n *Node) Fail() {
 	if n.failed {
 		return
 	}
-	n.advance()
+	n.advance(nil)
 	n.failed = true
 	n.eng.Cancel(n.completion)
 	n.completion = sim.Handle{}
-	aborted := make([]*Job, 0, len(n.jobs))
-	for j := range n.jobs {
-		aborted = append(aborted, j)
+	// The array itself becomes the abort list: a callback that reboots the
+	// node and queues new work grows a fresh one.
+	aborted := n.jobs
+	n.jobs = nil
+	for _, j := range aborted {
+		j.idx = 0
 	}
-	sort.Slice(aborted, func(i, k int) bool {
-		if aborted[i].remaining != aborted[k].remaining {
-			return aborted[i].remaining < aborted[k].remaining
-		}
-		return aborted[i].seq < aborted[k].seq
-	})
-	n.jobs = make(map[*Job]struct{})
+	slices.SortFunc(aborted, leavingOrder)
 	n.jobsAborted += uint64(len(aborted))
 	n.memUsed = 0
 	n.bgLoad = 0 // the fluid flow reroutes; next tick reloads survivors
 	n.util.SetBusy(n.eng.Now(), 0)
 	for _, j := range aborted {
-		if j.failed != nil {
-			j.failed()
-		}
+		j.owner.JobFailed()
 	}
 	for _, fn := range n.onFail {
 		fn(n)

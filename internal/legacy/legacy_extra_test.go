@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"jade/internal/config"
+	"jade/internal/obs"
+	"jade/internal/sqlengine"
 )
 
 func TestPortConflictOnSameNode(t *testing.T) {
@@ -174,4 +176,79 @@ func TestListenerFreedAfterStopAllowsRestartElsewhere(t *testing.T) {
 	m2 := NewMySQL(env, "mysqlB", node, DefaultMySQLOptions())
 	writeMySQLConf(t, env, m2, 3306)
 	startOK(t, env.Eng, m2.Start)
+}
+
+// instantSQL answers every query at once.
+type instantSQL struct{}
+
+func (instantSQL) ExecSQL(_ Query, done func(error)) { done(nil) }
+
+// A servlet request is one record and one callback bound once for all its
+// statements: 2 objects whether it issues one query or four (9 before
+// the record, plus 1 per further query). Instruments on, tracing off.
+func TestTomcatHandleHTTPAllocs(t *testing.T) {
+	env, pool := testEnv(t, 1)
+	env.Obs = obs.NewRegistry(env.Eng.Now)
+	if err := env.Net.Register("virtualdb:3306", instantSQL{}); err != nil {
+		t.Fatal(err)
+	}
+	tc := NewTomcat(env, "tomcat1", allocNode(t, pool), DefaultTomcatOptions())
+	writeTomcatConf(t, env, tc, 8009, "jdbc:mysql://virtualdb:3306/rubis")
+	startOK(t, env.Eng, tc.Start)
+	done := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, queries := range []int{1, 4} {
+		req := &WebRequest{AppCost: 0.001, Queries: make([]Query, queries)}
+		got := testing.AllocsPerRun(200, func() {
+			tc.HandleHTTP(req, done)
+			env.Eng.Run()
+		})
+		if got > 2 {
+			t.Errorf("a request of %d queries allocates %v objects in legacy and cluster, want at most 2", queries, got)
+		}
+	}
+	if tc.Served() != 402 {
+		t.Fatalf("served %d of 402 requests", tc.Served())
+	}
+}
+
+// A statement costs MySQL its one record beyond what the engine allocates
+// to execute it (measured 1; 8 before the record). Instruments on, tracing
+// off.
+func TestMySQLExecSQLAllocs(t *testing.T) {
+	env, pool := testEnv(t, 1)
+	env.Obs = obs.NewRegistry(env.Eng.Now)
+	m := NewMySQL(env, "mysql1", allocNode(t, pool), DefaultMySQLOptions())
+	writeMySQLConf(t, env, m, 3306)
+	startOK(t, env.Eng, m.Start)
+	for _, sql := range []string{"CREATE TABLE items (id INT, name TEXT)", "INSERT INTO items (id, name) VALUES (1, 'book')"} {
+		if _, err := m.DB().Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmt, err := sqlengine.Parse("SELECT name FROM items WHERE id = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := testing.AllocsPerRun(200, func() {
+		if _, err := m.DB().ExecStmt(stmt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	done := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := Query{Cost: 0.001, Stmt: stmt}
+	got := testing.AllocsPerRun(200, func() {
+		m.ExecSQL(q, done)
+		env.Eng.Run()
+	})
+	if got > engine+1 {
+		t.Errorf("a statement allocates %v objects, %v of them the engine's: want at most 1 in legacy and cluster", got, engine)
+	}
 }

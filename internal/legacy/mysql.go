@@ -117,48 +117,67 @@ func (m *MySQL) ExecSQL(q Query, done func(error)) {
 		done(fmt.Errorf("%w: mysql %s is %s", ErrNotRunning, m.name, m.state))
 		return
 	}
-	if m.obs != nil {
-		start := m.obs.Begin()
-		orig := done
-		done = func(err error) {
-			m.obs.End(start, err)
-			orig(err)
-		}
-	}
+	e := &execution{m: m, q: q, done: done}
+	e.began = m.obs.Begin()
+	e.submitted = m.env.Eng.Now()
 	// The "db" span brackets local queue wait + execution; "busy" records
 	// that interval and "svc" the ideal service time so the attribution
 	// walker can split the leaf tier into queue/service components.
-	var span trace.ID
-	var busy float64
-	submitted := m.env.Eng.Now()
 	if q.TraceSpan != 0 {
-		span = m.env.Trace.Begin(q.TraceSpan, "db", m.name)
-		orig := done
-		done = func(err error) {
-			m.env.Trace.End(span, trace.Ff("busy", busy),
-				trace.Ff("svc", q.Cost/m.node.Config().CPUCapacity), trace.Outcome(err))
-			orig(err)
-		}
+		e.span = m.env.Trace.Begin(q.TraceSpan, "db", m.name)
 	}
-	m.node.Submit(q.Cost, func() {
-		busy = m.env.Eng.Now() - submitted
-		stmt := q.Stmt
-		var err error
-		if stmt == nil {
-			stmt, err = sqlengine.Parse(q.SQL)
-		}
-		if err == nil {
-			_, err = m.db.ExecStmt(stmt)
-		}
-		if err != nil {
-			m.failed++
-			done(fmt.Errorf("mysql %s: %w", m.name, err))
-			return
-		}
-		m.served++
-		done(nil)
-	}, func() {
+	m.node.Run(&e.job, q.Cost, e)
+}
+
+// execution is the record of one statement in a MySQL server: the query,
+// the CPU job on the database node (the record is its own continuation),
+// and what the span and the instruments need when the statement ends.
+type execution struct {
+	m    *MySQL
+	q    Query
+	done func(error)
+	job  cluster.Job
+
+	began     float64  // obs.Begin
+	submitted float64  // when the CPU job was queued
+	busy      float64  // queue wait + service on the node; zero if it crashed
+	span      trace.ID // the "db" span, zero when the query is untraced
+}
+
+// JobDone: the CPU is paid for; run the statement.
+func (e *execution) JobDone() {
+	m := e.m
+	e.busy = m.env.Eng.Now() - e.submitted
+	stmt := e.q.Stmt
+	var err error
+	if stmt == nil {
+		stmt, err = sqlengine.Parse(e.q.SQL)
+	}
+	if err == nil {
+		_, err = m.db.ExecStmt(stmt)
+	}
+	if err != nil {
 		m.failed++
-		done(fmt.Errorf("%w: mysql %s", ErrServerFailed, m.name))
-	})
+		e.finish(fmt.Errorf("mysql %s: %w", m.name, err))
+		return
+	}
+	m.served++
+	e.finish(nil)
+}
+
+// JobFailed: the database node crashed under the statement.
+func (e *execution) JobFailed() {
+	e.m.failed++
+	e.finish(fmt.Errorf("%w: mysql %s", ErrServerFailed, e.m.name))
+}
+
+// finish closes the span, records the outcome and answers the caller.
+func (e *execution) finish(err error) {
+	m := e.m
+	if e.span != 0 {
+		m.env.Trace.End(e.span, trace.Ff("busy", e.busy),
+			trace.Ff("svc", e.q.Cost/m.node.Config().CPUCapacity), trace.Outcome(err))
+	}
+	m.obs.End(e.began, err)
+	e.done(err)
 }

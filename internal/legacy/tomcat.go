@@ -142,57 +142,86 @@ func (t *Tomcat) HandleHTTP(req *WebRequest, done func(error)) {
 		done(fmt.Errorf("%w: tomcat %s is %s", ErrNotRunning, t.name, t.state))
 		return
 	}
-	if t.obs != nil {
-		start := t.obs.Begin()
-		orig := done
-		done = func(err error) {
-			t.obs.End(start, err)
-			orig(err)
-		}
-	}
+	s := &servlet{t: t, req: req, done: done}
+	s.queryDone = s.onQueryDone
+	s.began = t.obs.Begin()
+	s.submitted = t.env.Eng.Now()
 	// "busy" records the local queue-wait + service interval on the app
 	// node and "svc" the ideal service time; the attribution walker uses
 	// them to split the span's self-time into queue/service/network.
-	var span trace.ID
-	var busy float64
-	submitted := t.env.Eng.Now()
 	if req.TraceSpan != 0 {
-		span = t.env.Trace.Begin(req.TraceSpan, "app", t.name, trace.Fi("queries", len(req.Queries)))
-		orig := done
-		done = func(err error) {
-			t.env.Trace.End(span, trace.Ff("busy", busy),
-				trace.Ff("svc", req.AppCost/t.node.Config().CPUCapacity), trace.Outcome(err))
-			orig(err)
-		}
+		s.span = t.env.Trace.Begin(req.TraceSpan, "app", t.name, trace.Fi("queries", len(req.Queries)))
 	}
-	t.node.Submit(req.AppCost, func() {
-		busy = t.env.Eng.Now() - submitted
-		t.runQueries(req, span, 0, done)
-	}, func() {
-		t.failed++
-		done(fmt.Errorf("%w: tomcat %s", ErrServerFailed, t.name))
-	})
+	t.node.Run(&s.job, req.AppCost, s)
 }
 
-func (t *Tomcat) runQueries(req *WebRequest, span trace.ID, i int, done func(error)) {
-	if i >= len(req.Queries) {
+// servlet is the record of one request in a Tomcat: what was asked, the
+// CPU job on the app node (the record is its own continuation), the
+// query in flight, and what the span and the instruments need when the
+// request ends.
+type servlet struct {
+	t    *Tomcat
+	req  *WebRequest
+	done func(error)
+	job  cluster.Job
+
+	began     float64  // obs.Begin
+	submitted float64  // when the CPU job was queued
+	busy      float64  // queue wait + service on the app node; zero if it crashed
+	span      trace.ID // the "app" span, zero when the request is untraced
+	query     int      // index of the statement in flight
+	// queryDone is onQueryDone bound once, so a request's second and later
+	// statements allocate nothing here.
+	queryDone func(error)
+}
+
+// JobDone: the servlet's CPU work is done; issue the statements.
+func (s *servlet) JobDone() {
+	s.busy = s.t.env.Eng.Now() - s.submitted
+	s.runQueries()
+}
+
+// JobFailed: the app node crashed under the servlet.
+func (s *servlet) JobFailed() {
+	s.t.failed++
+	s.finish(fmt.Errorf("%w: tomcat %s", ErrServerFailed, s.t.name))
+}
+
+// runQueries sends statement s.query, or answers when none is left.
+func (s *servlet) runQueries() {
+	t := s.t
+	if s.query >= len(s.req.Queries) {
 		t.served++
-		done(nil)
+		s.finish(nil)
 		return
 	}
 	if t.jdbc == nil {
 		t.failed++
-		done(fmt.Errorf("%w: tomcat %s has no JDBC resource", ErrNoBackend, t.name))
+		s.finish(fmt.Errorf("%w: tomcat %s has no JDBC resource", ErrNoBackend, t.name))
 		return
 	}
-	q := req.Queries[i]
-	q.TraceSpan = span
-	t.env.Net.ForwardSQL(t.node.Name(), "sql", t.jdbc, q, func(err error) {
-		if err != nil {
-			t.failed++
-			done(fmt.Errorf("tomcat %s: query %d: %w", t.name, i, err))
-			return
-		}
-		t.runQueries(req, span, i+1, done)
-	})
+	q := s.req.Queries[s.query]
+	q.TraceSpan = s.span
+	t.env.Net.ForwardSQL(t.node.Name(), "sql", t.jdbc, q, s.queryDone)
+}
+
+func (s *servlet) onQueryDone(err error) {
+	if err != nil {
+		s.t.failed++
+		s.finish(fmt.Errorf("tomcat %s: query %d: %w", s.t.name, s.query, err))
+		return
+	}
+	s.query++
+	s.runQueries()
+}
+
+// finish closes the span, records the outcome and answers the caller.
+func (s *servlet) finish(err error) {
+	t := s.t
+	if s.span != 0 {
+		t.env.Trace.End(s.span, trace.Ff("busy", s.busy),
+			trace.Ff("svc", s.req.AppCost/t.node.Config().CPUCapacity), trace.Outcome(err))
+	}
+	t.obs.End(s.began, err)
+	s.done(err)
 }

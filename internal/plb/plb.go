@@ -248,63 +248,84 @@ func (b *Balancer) HandleHTTP(req *legacy.WebRequest, done func(error)) {
 		done(fmt.Errorf("%w: %s", ErrNotRunning, b.name))
 		return
 	}
-	if b.Obs != nil {
-		start := b.Obs.Begin()
-		orig := done
-		done = func(err error) {
-			b.Obs.End(start, err)
-			orig(err)
-		}
-	}
+	f := &forward{b: b, req: req, done: done, parent: req.TraceSpan}
+	f.began = b.Obs.Begin()
+	f.submitted = b.eng.Now()
 	// The forward span opens before the balancer node's run queue so it
 	// covers local queue wait + service; "busy" records that local
 	// interval and "svc" the ideal service time, letting the attribution
 	// walker split the span's self-time into queue/service/network.
-	var span trace.ID
-	parent := req.TraceSpan
-	submitted := b.eng.Now()
-	if parent != 0 {
-		span = b.Trace.Begin(parent, "forward", b.name)
-		req.TraceSpan = span
+	if f.parent != 0 {
+		f.span = b.Trace.Begin(f.parent, "forward", b.name)
+		req.TraceSpan = f.span
 	}
-	endSpan := func(err error, busy float64, worker string) {
-		if span == 0 {
-			return
-		}
-		req.TraceSpan = parent
+	b.node.Run(&f.job, b.opts.ProxyCost, f)
+}
+
+// forward is the record of one proxied request: what was asked, the
+// proxy job on the balancer node (the record is its own continuation),
+// and what the span and the instruments need when the request ends.
+type forward struct {
+	b    *Balancer
+	req  *legacy.WebRequest
+	done func(error)
+	job  cluster.Job
+
+	began     float64  // Obs.Begin
+	submitted float64  // when the proxy job was queued
+	busy      float64  // queue wait + service on the balancer node
+	parent    trace.ID // the request's span on arrival; restored at the end
+	span      trace.ID // the "forward" span, zero when the request is untraced
+	worker    string
+	sent      float64 // when the request left for the worker
+}
+
+// JobDone picks the worker and hands the request on.
+func (f *forward) JobDone() {
+	b := f.b
+	f.busy = b.eng.Now() - f.submitted
+	name, ok := b.pickWorker(f.req.SessionKey)
+	if !ok {
+		b.dropped++
+		f.finish(fmt.Errorf("%w (plb %s)", ErrNoWorker, b.name))
+		return
+	}
+	f.worker = name
+	target := b.targets[name]
+	b.pool.Acquire(name)
+	b.forwarded++
+	f.sent = b.eng.Now()
+	b.net.ForwardHTTP(b.node.Name(), "app", target, f.req, f.replied)
+}
+
+func (f *forward) replied(err error) {
+	f.b.pool.Release(f.worker, f.b.eng.Now()-f.sent, err != nil)
+	f.finish(err)
+}
+
+// JobFailed: the balancer node crashed under the proxy job.
+func (f *forward) JobFailed() {
+	b := f.b
+	b.dropped++
+	f.busy = b.eng.Now() - f.submitted
+	f.finish(fmt.Errorf("plb %s: balancer node failed", b.name))
+}
+
+// finish closes the span, records the outcome and answers the caller.
+func (f *forward) finish(err error) {
+	b := f.b
+	if f.span != 0 {
+		f.req.TraceSpan = f.parent
 		fields := []trace.Field{
-			trace.Ff("busy", busy),
+			trace.Ff("busy", f.busy),
 			trace.Ff("svc", b.opts.ProxyCost/b.node.Config().CPUCapacity),
 			trace.Outcome(err),
 		}
-		if worker != "" {
-			fields = append(fields, trace.F("worker", worker))
+		if f.worker != "" {
+			fields = append(fields, trace.F("worker", f.worker))
 		}
-		b.Trace.End(span, fields...)
+		b.Trace.End(f.span, fields...)
 	}
-	b.node.Submit(b.opts.ProxyCost, func() {
-		busy := b.eng.Now() - submitted
-		name, ok := b.pickWorker(req.SessionKey)
-		if !ok {
-			b.dropped++
-			err := fmt.Errorf("%w (plb %s)", ErrNoWorker, b.name)
-			endSpan(err, busy, "")
-			done(err)
-			return
-		}
-		target := b.targets[name]
-		b.pool.Acquire(name)
-		b.forwarded++
-		start := b.eng.Now()
-		b.net.ForwardHTTP(b.node.Name(), "app", target, req, func(err error) {
-			b.pool.Release(name, b.eng.Now()-start, err != nil)
-			endSpan(err, busy, name)
-			done(err)
-		})
-	}, func() {
-		b.dropped++
-		err := fmt.Errorf("plb %s: balancer node failed", b.name)
-		endSpan(err, b.eng.Now()-submitted, "")
-		done(err)
-	})
+	b.Obs.End(f.began, err)
+	f.done(err)
 }

@@ -6,6 +6,7 @@ import (
 
 	"jade/internal/cluster"
 	"jade/internal/legacy"
+	"jade/internal/obs"
 	"jade/internal/selector"
 	"jade/internal/sim"
 )
@@ -272,5 +273,39 @@ func TestSessionAffinityStickyAndEvicted(t *testing.T) {
 	}
 	if w, ok := b.StickyWorker("s1"); !ok || w == pinned {
 		t.Fatalf("s1 re-pinned to %q (ok=%v), departed worker was %q", w, ok, pinned)
+	}
+}
+
+// instantWorker answers every request at once.
+type instantWorker struct{}
+
+func (instantWorker) HandleHTTP(_ *legacy.WebRequest, done func(error)) { done(nil) }
+
+// A forwarded request is one record and the bound callback it hands the
+// worker (measured 2; 10 before the record, the proxy job and the node's
+// own allocations included), with instruments on and tracing off.
+func TestHandleHTTPAllocs(t *testing.T) {
+	eng, b := newBalancer(t, selector.RoundRobin)
+	b.Obs = obs.NewTierMetrics(obs.NewRegistry(eng.Now), "lb", "plb")
+	if err := b.AddWorker("t1", instantWorker{}); err != nil {
+		t.Fatal(err)
+	}
+	req := &legacy.WebRequest{SessionKey: "s1"}
+	answered := 0
+	done := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		answered++
+	}
+	got := testing.AllocsPerRun(200, func() {
+		b.HandleHTTP(req, done)
+		eng.Run()
+	})
+	if got > 2 {
+		t.Errorf("a forwarded request allocates %v objects in plb and cluster, want at most 2", got)
+	}
+	if answered != 201 || b.Obs.Requests.Value() != 201 {
+		t.Fatalf("%d answers and %d counted requests over 201 runs", answered, b.Obs.Requests.Value())
 	}
 }

@@ -79,6 +79,9 @@ type Pool struct {
 	opts    Options
 	sel     Selector
 	entries []*Backend
+	// elig is Pick's candidate list, rebuilt on every call (under mu, for
+	// the length of the call) so that picking allocates nothing.
+	elig    []*Backend
 	onEvict []func(name string)
 	// lastNow caches the virtual clock as of the latest mutator call.
 	// Observer methods read it instead of opts.Now, which belongs to the
@@ -286,7 +289,7 @@ func (p *Pool) Pick(key string) (string, bool) {
 			return b.name, true
 		}
 	}
-	elig := make([]*Backend, 0, len(p.entries))
+	elig := p.elig[:0]
 	for _, b := range p.entries {
 		if !b.down {
 			elig = append(elig, b)
@@ -295,6 +298,7 @@ func (p *Pool) Pick(key string) (string, bool) {
 	if len(elig) == 0 {
 		elig = append(elig, p.entries...)
 	}
+	p.elig = elig
 	b := p.sel.Pick(elig, Context{Key: key, Now: now})
 	return b.name, true
 }

@@ -172,6 +172,36 @@ func TestPoolAllDownDegradesGracefully(t *testing.T) {
 	}
 }
 
+// Pick builds its candidate list in the pool's own scratch slice: no
+// policy allocates per request (one []*Backend per call before), with
+// every backend up, one down, and all down.
+func TestPickAllocs(t *testing.T) {
+	for _, policy := range []Policy{RoundRobin, WeightedRoundRobin, LeastPending, Balanced, Rendezvous} {
+		p := New(DefaultOptions(policy))
+		for _, n := range []string{"a", "b", "c"} {
+			if err := p.Add(n, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, down := range [][]string{nil, {"b"}, {"a", "c"}} {
+			for _, n := range down {
+				p.MarkDown(n)
+			}
+			got := testing.AllocsPerRun(100, func() {
+				name, ok := p.Pick("SELECT 1")
+				if !ok {
+					t.Fatal("pick refused")
+				}
+				p.Acquire(name)
+				p.Release(name, 0.01, false)
+			})
+			if got != 0 {
+				t.Errorf("%s with %d down: Pick+Acquire+Release allocates %v objects, want 0", policy, len(down), got)
+			}
+		}
+	}
+}
+
 type fakeSuspector map[string]bool
 
 func (f fakeSuspector) Suspected(name string) bool { return f[name] }

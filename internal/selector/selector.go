@@ -101,7 +101,9 @@ type Context struct {
 // Selector picks one backend from a non-empty candidate list. The list
 // is in registration order and contains only eligible (not suspected
 // down) backends; implementations must be deterministic functions of
-// the candidates, their recorded state and ctx.
+// the candidates, their recorded state and ctx. The slice is the pool's
+// scratch space, valid only during the call: an implementation may keep
+// the *Backend it returns, never the slice.
 type Selector interface {
 	Pick(candidates []*Backend, ctx Context) *Backend
 }
