@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -100,24 +99,7 @@ func fiveTierArtifacts(t *testing.T, l4Policy string, script func(s *fiveTierSes
 	t.Helper()
 	opts := DefaultPlatformOptions()
 	opts.Routing.L4 = l4Policy
-	p := NewPlatform(opts)
-	ds := Dataset{Regions: 5, Categories: 5, Users: 40, Items: 50, BidsPerItem: 1, CommentsPerUser: 1}
-	dump, err := ds.InitialDatabase(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.RegisterDump("rubis", dump)
-	def, err := ParseADL(FiveTierADL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dep *Deployment
-	derr := errors.New("pending")
-	p.Deploy(def, func(d *Deployment, err error) { dep, derr = d, err })
-	p.Eng.Run()
-	if derr != nil {
-		t.Fatal(derr)
-	}
+	p, dep := deployFiveTierWith(t, opts)
 	front, err := dep.FrontEnd()
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,12 @@ import (
 // deployFiveTier deploys the full Fig. 2 architecture.
 func deployFiveTier(t *testing.T) (*Platform, *Deployment) {
 	t.Helper()
-	p := NewPlatform(DefaultPlatformOptions())
+	return deployFiveTierWith(t, DefaultPlatformOptions())
+}
+
+func deployFiveTierWith(t *testing.T, opts PlatformOptions) (*Platform, *Deployment) {
+	t.Helper()
+	p := NewPlatform(opts)
 	ds := Dataset{Regions: 5, Categories: 5, Users: 40, Items: 50, BidsPerItem: 1, CommentsPerUser: 1}
 	dump, err := ds.InitialDatabase(1)
 	if err != nil {

@@ -125,7 +125,7 @@ func TestRoutingPoolConcurrentObservers(t *testing.T) {
 		if ev.Kind != "observe-pools" {
 			return false
 		}
-		plbPool := res.Deployment.MustComponent("plb1").Content().(*core.PLBWrapper).Balancer().Pool()
+		plbPool := res.Deployment.MustComponent("plb1").Content().(*core.BalancerWrapper).Balancer().Pool()
 		dbPool := res.Deployment.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper).Controller().Pool()
 		wg.Add(1)
 		go func() {

@@ -502,47 +502,34 @@ func (c *Controller) ExecSQL(q legacy.Query, done func(error)) {
 		return
 	}
 	r := &request{c: c, q: q, done: done}
-	r.began = c.Obs.Begin()
-	r.submitted = c.eng.Now()
 	// Classify and parse here, once: every backend the query reaches
 	// executes the parsed form. SQL that does not parse travels as text,
 	// and the backend that receives it reports the error.
 	r.write = sqlengine.IsWrite(q.SQL)
 	r.q.Stmt, _ = sqlengine.Parse(q.SQL)
-	// "busy" records the local queue-wait + service interval on the
-	// controller node and "svc" the ideal service time; the attribution
-	// walker uses them to split the span's self-time into components.
-	if q.TraceSpan != 0 {
-		var fields []trace.Field
-		if r.write {
-			// A write's completion waits on the RAIDb-1 broadcast: time
-			// not covered by this record's own applies is queueing for
-			// db-tier capacity (earlier log records draining), which the
-			// attribution walker charges to the db tier, not this one.
-			fields = append(fields, trace.F("waits-on", "db"))
-		}
-		r.span = c.Trace.Begin(q.TraceSpan, "sql", c.name, fields...)
-		r.q.TraceSpan = r.span
+	if r.write {
+		// A write's completion waits on the RAIDb-1 broadcast: time not
+		// covered by this record's own applies is queueing for db-tier
+		// capacity (earlier log records draining), which the attribution
+		// walker charges to the db tier, not this one.
+		r.Begin(c.eng.Now(), c.Obs, c.Trace, q.TraceSpan, "sql", c.name, trace.F("waits-on", "db"))
+	} else {
+		r.Begin(c.eng.Now(), c.Obs, c.Trace, q.TraceSpan, "sql", c.name)
 	}
-	c.node.Run(&r.job, c.opts.ProxyCost, r)
+	r.q.TraceSpan = r.Span
+	c.node.Run(&r.Job, c.opts.ProxyCost, r)
 }
 
 // request is the record of one statement in the controller: the query as
-// the backends will receive it (parsed, under this hop's span), the proxy
-// job on the controller node (the record is its own continuation), the
-// read attempt in flight, and what the span and the instruments need when
-// the statement ends.
+// the backends will receive it (parsed, under this hop's span), the hop on
+// the controller node (the record is its job's continuation) and the read
+// attempt in flight.
 type request struct {
+	legacy.Hop
 	c     *Controller
 	q     legacy.Query
 	done  func(error)
-	job   cluster.Job
 	write bool
-
-	began     float64  // Obs.Begin
-	submitted float64  // when the proxy job was queued
-	busy      float64  // queue wait + service on the controller node; zero if it crashed
-	span      trace.ID // the "sql" span, zero when the query is untraced
 
 	attempts int      // read attempts left, this one included
 	backend  *backend // the replica the read in flight went to
@@ -552,7 +539,7 @@ type request struct {
 // JobDone: the proxy cost is paid; route the statement.
 func (r *request) JobDone() {
 	c := r.c
-	r.busy = c.eng.Now() - r.submitted
+	r.Ran(c.eng.Now())
 	if r.write {
 		c.execWrite(r.q, r.finish)
 		return
@@ -567,14 +554,9 @@ func (r *request) JobFailed() {
 	r.finish(fmt.Errorf("cjdbc %s: controller node failed", r.c.name))
 }
 
-// finish closes the span, records the outcome and answers the caller.
+// finish ends the hop and answers the caller.
 func (r *request) finish(err error) {
-	c := r.c
-	if r.span != 0 {
-		c.Trace.End(r.span, trace.Ff("busy", r.busy),
-			trace.Ff("svc", c.opts.ProxyCost/c.node.Config().CPUCapacity), trace.Outcome(err))
-	}
-	c.Obs.End(r.began, err)
+	r.End(r.c.Obs, r.c.Trace, r.c.opts.ProxyCost/r.c.node.Config().CPUCapacity, err)
 	r.done(err)
 }
 

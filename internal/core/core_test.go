@@ -65,7 +65,7 @@ func deployThreeTier(t *testing.T) (*Platform, *Deployment) {
 // non-empty forever).
 func run(t *testing.T, p *Platform, dep *Deployment, req *legacy.WebRequest) error {
 	t.Helper()
-	front := dep.MustComponent("plb1").Content().(*PLBWrapper).Balancer()
+	front := dep.MustComponent("plb1").Content().(*BalancerWrapper).Balancer()
 	var got error = errors.New("request never completed")
 	doneAt := -1.0
 	front.HandleHTTP(req, func(err error) { got, doneAt = err, p.Eng.Now() })
@@ -373,7 +373,7 @@ func TestAppTierGrowAndShrink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plbW := dep.MustComponent("plb1").Content().(*PLBWrapper)
+	plbW := dep.MustComponent("plb1").Content().(*BalancerWrapper)
 
 	var gerr error = errors.New("pending")
 	tier.Grow(func(err error) { gerr = err })
@@ -384,8 +384,8 @@ func TestAppTierGrowAndShrink(t *testing.T) {
 	if tier.ReplicaCount() != 2 {
 		t.Fatalf("replicas = %d", tier.ReplicaCount())
 	}
-	if plbW.Balancer().WorkerCount() != 2 {
-		t.Fatalf("plb workers = %d", plbW.Balancer().WorkerCount())
+	if plbW.Balancer().MemberCount() != 2 {
+		t.Fatalf("plb workers = %d", plbW.Balancer().MemberCount())
 	}
 	// The new replica serves traffic.
 	newName := tier.ReplicaNames()[1]
@@ -405,9 +405,9 @@ func TestAppTierGrowAndShrink(t *testing.T) {
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	if tier.ReplicaCount() != 1 || plbW.Balancer().WorkerCount() != 1 {
+	if tier.ReplicaCount() != 1 || plbW.Balancer().MemberCount() != 1 {
 		t.Fatalf("after shrink: replicas=%d workers=%d",
-			tier.ReplicaCount(), plbW.Balancer().WorkerCount())
+			tier.ReplicaCount(), plbW.Balancer().MemberCount())
 	}
 	// The freed node returned to the pool.
 	if p.Pool.AllocatedCount() != 4 {
@@ -507,7 +507,7 @@ func TestSelfSizingGrowsUnderLoad(t *testing.T) {
 
 	// Drive the single Tomcat to ~95% CPU: 95 requests/s of 0.01 app
 	// cost each, no db work.
-	front := dep.MustComponent("plb1").Content().(*PLBWrapper).Balancer()
+	front := dep.MustComponent("plb1").Content().(*BalancerWrapper).Balancer()
 	tk := p.Eng.Every(1.0/95, "load", func(now float64) {
 		front.HandleHTTP(&legacy.WebRequest{WebCost: 0.0001, AppCost: 0.01}, func(error) {})
 	})

@@ -90,3 +90,31 @@ func TestExportADLCapturesAutonomicReconfiguration(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Exported ADL must be reproducible: the Tomcat wrapper once set its
+// default attributes by ranging over a map, so about one deployment in
+// thirteen listed http-port before ajp-port.
+func TestExportADLIsReproducible(t *testing.T) {
+	var order, text string
+	for i := 0; i < 64; i++ {
+		_, dep := deployThreeTier(t)
+		gotOrder := strings.Join(dep.MustComponent("tomcat1").Attributes(), ",")
+		gotText, err := dep.ExportADL().Render()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			order, text = gotOrder, gotText
+			if order != "ajp-port,http-port" {
+				t.Fatalf("tomcat1 attributes = %s, want ajp-port,http-port", order)
+			}
+			continue
+		}
+		if gotOrder != order {
+			t.Fatalf("deployment %d: tomcat1 attributes = %s, deployment 0 had %s", i, gotOrder, order)
+		}
+		if gotText != text {
+			t.Fatalf("deployment %d exports different ADL text:\n%s\n-- deployment 0:\n%s", i, gotText, text)
+		}
+	}
+}

@@ -9,11 +9,11 @@ import (
 	"jade/internal/cluster"
 	"jade/internal/config"
 	"jade/internal/fractal"
-	"jade/internal/l4"
 	"jade/internal/legacy"
 	"jade/internal/obs"
 	"jade/internal/plb"
 	"jade/internal/selector"
+	"jade/internal/sim"
 )
 
 // Errors returned by wrappers.
@@ -89,6 +89,39 @@ func targetWrapper(server *fractal.Interface) (Wrapper, error) {
 	return w, nil
 }
 
+// parsePort parses a port attribute value; what names the attribute in the
+// error ("apache port").
+func parsePort(value, what string) (int, error) {
+	port, err := strconv.Atoi(value)
+	if err != nil || port <= 0 {
+		return 0, fmt.Errorf("%w: %s %q", ErrBadAttribute, what, value)
+	}
+	return port, nil
+}
+
+// editConfig is how a wrapper reflects a change into a legacy
+// configuration file: read it, parse it, edit the parsed form, render it
+// and write it back.
+func editConfig[T any](fs config.FS, path string, parse func([]byte) (T, error), render func(T) (string, error), edit func(T)) error {
+	raw, err := fs.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	conf, err := parse(raw)
+	if err != nil {
+		return err
+	}
+	edit(conf)
+	text, err := render(conf)
+	if err != nil {
+		return err
+	}
+	return fs.WriteFile(path, []byte(text))
+}
+
+// rendered is editConfig's render for the formats whose Render cannot fail.
+func rendered[T interface{ Render() string }](conf T) (string, error) { return conf.Render(), nil }
+
 // --- Apache wrapper ---
 
 // ApacheWrapper manages an Apache web server. Attribute "port" is
@@ -145,40 +178,18 @@ func (w *ApacheWrapper) HTTPEndpoint() legacy.HTTPHandler { return w.srv }
 func (w *ApacheWrapper) OnSetAttribute(c *fractal.Component, name, value string) error {
 	switch name {
 	case "port":
-		port, err := strconv.Atoi(value)
-		if err != nil || port <= 0 {
-			return fmt.Errorf("%w: apache port %q", ErrBadAttribute, value)
+		if _, err := parsePort(value, "apache port"); err != nil {
+			return err
 		}
-		return w.editHTTPD(func(hc *config.HTTPDConf) { hc.Set("Listen", value) })
+		return editConfig(w.p.FS, w.srv.ConfPath(), legacy.ParseHTTPD, rendered,
+			func(hc *config.HTTPDConf) { hc.Set("Listen", value) })
 	default:
 		return nil // free-form attributes are recorded only
 	}
 }
 
-func (w *ApacheWrapper) editHTTPD(edit func(*config.HTTPDConf)) error {
-	raw, err := w.p.FS.ReadFile(w.srv.ConfPath())
-	if err != nil {
-		return err
-	}
-	hc, err := legacy.ParseHTTPD(raw)
-	if err != nil {
-		return err
-	}
-	edit(hc)
-	return w.p.FS.WriteFile(w.srv.ConfPath(), []byte(hc.Render()))
-}
-
 func (w *ApacheWrapper) editWorkers(edit func(*config.WorkerProperties)) error {
-	raw, err := w.p.FS.ReadFile(w.srv.WorkersPath())
-	if err != nil {
-		return err
-	}
-	wp, err := legacy.ParseWorkers(raw)
-	if err != nil {
-		return err
-	}
-	edit(wp)
-	return w.p.FS.WriteFile(w.srv.WorkersPath(), []byte(wp.Render()))
+	return editConfig(w.p.FS, w.srv.WorkersPath(), legacy.ParseWorkers, rendered, edit)
 }
 
 // OnBind reflects an AJP binding into worker.properties.
@@ -254,8 +265,10 @@ func NewTomcatComponent(p *Platform, name string, node *cluster.Node) (*fractal.
 	if err := p.FS.WriteFile(w.srv.ConfPath(), []byte(text)); err != nil {
 		return nil, err
 	}
-	for attr, v := range map[string]string{"ajp-port": "8009", "http-port": "8080"} {
-		if err := comp.SetAttribute(attr, v); err != nil {
+	// A slice, not a map: the component records first-set order, and
+	// exported ADL lists attributes in it.
+	for _, attr := range [][2]string{{"ajp-port", "8009"}, {"http-port", "8080"}} {
+		if err := comp.SetAttribute(attr[0], attr[1]); err != nil {
 			return nil, err
 		}
 	}
@@ -276,29 +289,16 @@ func (w *TomcatWrapper) Server() *legacy.Tomcat { return w.srv }
 func (w *TomcatWrapper) HTTPEndpoint() legacy.HTTPHandler { return w.srv }
 
 func (w *TomcatWrapper) editServerXML(edit func(*config.ServerXML)) error {
-	raw, err := w.p.FS.ReadFile(w.srv.ConfPath())
-	if err != nil {
-		return err
-	}
-	sx, err := legacy.ParseServerXML(raw)
-	if err != nil {
-		return err
-	}
-	edit(sx)
-	text, err := sx.Render()
-	if err != nil {
-		return err
-	}
-	return w.p.FS.WriteFile(w.srv.ConfPath(), []byte(text))
+	return editConfig(w.p.FS, w.srv.ConfPath(), legacy.ParseServerXML, (*config.ServerXML).Render, edit)
 }
 
 // OnSetAttribute reflects connector ports into server.xml.
 func (w *TomcatWrapper) OnSetAttribute(c *fractal.Component, name, value string) error {
 	switch name {
 	case "ajp-port", "http-port":
-		port, err := strconv.Atoi(value)
-		if err != nil || port <= 0 {
-			return fmt.Errorf("%w: tomcat %s %q", ErrBadAttribute, name, value)
+		port, err := parsePort(value, "tomcat "+name)
+		if err != nil {
+			return err
 		}
 		proto := "ajp13"
 		if name == "http-port" {
@@ -385,20 +385,12 @@ func (w *MySQLWrapper) Server() *legacy.MySQL { return w.srv }
 func (w *MySQLWrapper) OnSetAttribute(c *fractal.Component, name, value string) error {
 	switch name {
 	case "port":
-		port, err := strconv.Atoi(value)
-		if err != nil || port <= 0 {
-			return fmt.Errorf("%w: mysql port %q", ErrBadAttribute, value)
+		port, err := parsePort(value, "mysql port")
+		if err != nil {
+			return err
 		}
-		raw, rerr := w.p.FS.ReadFile(w.srv.ConfPath())
-		if rerr != nil {
-			return rerr
-		}
-		cnf, perr := legacy.ParseMyCnf(raw)
-		if perr != nil {
-			return perr
-		}
-		cnf.SetInt("mysqld", "port", port)
-		return w.p.FS.WriteFile(w.srv.ConfPath(), []byte(cnf.Render()))
+		return editConfig(w.p.FS, w.srv.ConfPath(), legacy.ParseMyCnf, rendered,
+			func(cnf *config.MyCnf) { cnf.SetInt("mysqld", "port", port) })
 	default:
 		return nil
 	}
@@ -478,8 +470,8 @@ func (w *CJDBCWrapper) OnSetAttribute(c *fractal.Component, name, value string) 
 		if w.ctl != nil && w.ctl.Running() {
 			return fmt.Errorf("%w: cjdbc port", ErrAttributeFrozen)
 		}
-		if port, err := strconv.Atoi(value); err != nil || port <= 0 {
-			return fmt.Errorf("%w: cjdbc port %q", ErrBadAttribute, value)
+		if _, err := parsePort(value, "cjdbc port"); err != nil {
+			return err
 		}
 	case "read-policy":
 		if w.ctl != nil && w.ctl.Running() {
@@ -609,12 +601,34 @@ func (w *CJDBCWrapper) LeaveBackend(name string, done func(int64)) error {
 	return w.ctl.Leave(name, done)
 }
 
-// --- PLB wrapper ---
+// --- Balancer wrapper (PLB, L4 switch) ---
 
-// PLBWrapper manages the application-tier load balancer. Its "workers"
-// client interface is a dynamic collection; binding and unbinding while
-// running adds and removes workers live (the self-sizing actuator path).
-type PLBWrapper struct {
+// balancerKind is what tells the two HTTP balancers' wrappers apart.
+type balancerKind struct {
+	kind    string // wrapper kind, obs tier and error texts: "plb", "l4"
+	members string // the dynamic client interface: "workers", "servers"
+	member  string // one of them, in error texts
+	// configured names the platform-wide policy for this tier, if any.
+	configured func(RoutingConfig) string
+	// options holds the defaults, the port and the policy among them.
+	options func() plb.Options
+	build   func(*sim.Engine, *legacy.Network, *cluster.Node, string, plb.Options) *plb.Balancer
+}
+
+var (
+	plbBalancer = &balancerKind{kind: "plb", members: "workers", member: "worker",
+		configured: func(r RoutingConfig) string { return r.App }, options: plb.DefaultOptions, build: plb.New}
+	l4Balancer = &balancerKind{kind: "l4", members: "servers", member: "server",
+		configured: func(r RoutingConfig) string { return r.L4 }, options: plb.DefaultL4Options, build: plb.NewL4}
+)
+
+// BalancerWrapper manages an HTTP balancer: the application-tier PLB or
+// the front-end L4 switch balancing the Apache tier. Its members client
+// interface ("workers" / "servers") is a dynamic collection; binding and
+// unbinding while running adds and removes members live (the self-sizing
+// actuator path).
+type BalancerWrapper struct {
+	k    *balancerKind
 	p    *Platform
 	node *cluster.Node
 	comp *fractal.Component
@@ -623,17 +637,26 @@ type PLBWrapper struct {
 
 // NewPLBComponent is the WrapperFactory for PLB.
 func NewPLBComponent(p *Platform, name string, node *cluster.Node) (*fractal.Component, error) {
-	w := &PLBWrapper{p: p, node: node}
+	return plbBalancer.newComponent(p, name, node)
+}
+
+// NewL4Component is the WrapperFactory for the L4 switch.
+func NewL4Component(p *Platform, name string, node *cluster.Node) (*fractal.Component, error) {
+	return l4Balancer.newComponent(p, name, node)
+}
+
+func (k *balancerKind) newComponent(p *Platform, name string, node *cluster.Node) (*fractal.Component, error) {
+	w := &BalancerWrapper{k: k, p: p, node: node}
 	comp, err := fractal.NewPrimitive(name, w,
 		fractal.ItfSpec{Name: "http", Signature: SigHTTP, Role: fractal.Server},
-		fractal.ItfSpec{Name: "workers", Signature: SigHTTP, Role: fractal.Client,
+		fractal.ItfSpec{Name: k.members, Signature: SigHTTP, Role: fractal.Client,
 			Contingency: fractal.Optional, Collection: true, Dynamic: true},
 	)
 	if err != nil {
 		return nil, err
 	}
 	w.comp = comp
-	if err := comp.SetAttribute("port", "8080"); err != nil {
+	if err := comp.SetAttribute("port", strconv.Itoa(k.options().Port)); err != nil {
 		return nil, err
 	}
 	p.attachManagement(node)
@@ -641,80 +664,86 @@ func NewPLBComponent(p *Platform, name string, node *cluster.Node) (*fractal.Com
 }
 
 // Kind implements Wrapper.
-func (w *PLBWrapper) Kind() string { return "plb" }
+func (w *BalancerWrapper) Kind() string { return w.k.kind }
 
 // Node implements Wrapper.
-func (w *PLBWrapper) Node() *cluster.Node { return w.node }
+func (w *BalancerWrapper) Node() *cluster.Node { return w.node }
 
-// Balancer exposes the managed PLB instance (nil before start).
-func (w *PLBWrapper) Balancer() *plb.Balancer { return w.b }
+// Balancer exposes the managed balancer (nil before start).
+func (w *BalancerWrapper) Balancer() *plb.Balancer { return w.b }
 
 // HTTPEndpoint implements httpEndpoint (for the L4 switch or clients).
-func (w *PLBWrapper) HTTPEndpoint() legacy.HTTPHandler { return w.b }
+func (w *BalancerWrapper) HTTPEndpoint() legacy.HTTPHandler { return w.b }
 
 // OnSetAttribute validates balancer attributes (frozen while running).
-func (w *PLBWrapper) OnSetAttribute(c *fractal.Component, name, value string) error {
+func (w *BalancerWrapper) OnSetAttribute(c *fractal.Component, name, value string) error {
 	if name != "port" {
 		return nil
 	}
 	if w.b != nil && w.b.Running() {
-		return fmt.Errorf("%w: plb port", ErrAttributeFrozen)
+		return fmt.Errorf("%w: %s port", ErrAttributeFrozen, w.k.kind)
 	}
-	if port, err := strconv.Atoi(value); err != nil || port <= 0 {
-		return fmt.Errorf("%w: plb port %q", ErrBadAttribute, value)
-	}
-	return nil
+	_, err := parsePort(value, w.k.kind+" port")
+	return err
 }
 
-// OnBind integrates a worker live when the balancer runs.
-func (w *PLBWrapper) OnBind(c *fractal.Component, itf string, server *fractal.Interface) error {
+// endpointOf resolves the HTTP target behind a member binding.
+func (w *BalancerWrapper) endpointOf(server *fractal.Interface) (legacy.HTTPHandler, error) {
 	ep, ok := server.Owner().Content().(httpEndpoint)
 	if !ok {
-		return fmt.Errorf("jade: plb worker %s does not serve HTTP", server.Owner().Name())
+		return nil, fmt.Errorf("jade: %s %s %s does not serve HTTP", w.k.kind, w.k.member, server.Owner().Name())
 	}
-	if w.b != nil && w.b.Running() {
-		return w.b.AddWorker(server.Owner().Name(), ep.HTTPEndpoint())
-	}
-	return nil
+	return ep.HTTPEndpoint(), nil
 }
 
-// OnUnbind removes a worker live when the balancer runs.
-func (w *PLBWrapper) OnUnbind(c *fractal.Component, itf string, server *fractal.Interface) error {
-	if w.b != nil && w.b.Running() {
-		return w.b.RemoveWorker(server.Owner().Name())
-	}
-	return nil
-}
-
-// StartManaged starts the balancer and integrates bound workers.
-func (w *PLBWrapper) StartManaged(done func(error)) {
-	port, err := strconv.Atoi(w.comp.AttributeOr("port", "8080"))
+// OnBind integrates a member live when the balancer runs.
+func (w *BalancerWrapper) OnBind(c *fractal.Component, itf string, server *fractal.Interface) error {
+	target, err := w.endpointOf(server)
 	if err != nil {
-		done(fmt.Errorf("%w: plb port", ErrBadAttribute))
+		return err
+	}
+	if w.b != nil && w.b.Running() {
+		return w.b.Add(server.Owner().Name(), target, 1)
+	}
+	return nil
+}
+
+// OnUnbind removes a member live when the balancer runs.
+func (w *BalancerWrapper) OnUnbind(c *fractal.Component, itf string, server *fractal.Interface) error {
+	if w.b != nil && w.b.Running() {
+		return w.b.Remove(server.Owner().Name())
+	}
+	return nil
+}
+
+// StartManaged starts the balancer and integrates bound members.
+func (w *BalancerWrapper) StartManaged(done func(error)) {
+	k := w.k
+	opts := k.options()
+	port, err := strconv.Atoi(w.comp.AttributeOr("port", strconv.Itoa(opts.Port)))
+	if err != nil {
+		done(fmt.Errorf("%w: %s port", ErrBadAttribute, k.kind))
 		return
 	}
-	opts := plb.DefaultOptions()
 	opts.Port = port
-	ropts, err := w.p.opts.Routing.tierOptions(w.p.opts.Routing.App, selector.RoundRobin)
+	opts.Routing, err = w.p.opts.Routing.tierOptions(k.configured(w.p.opts.Routing), opts.Routing.Policy)
 	if err != nil {
 		done(err)
 		return
 	}
-	opts.Routing = ropts
-	w.b = plb.New(w.p.Eng, w.p.Net, w.node, w.comp.Name(), opts)
+	w.b = k.build(w.p.Eng, w.p.Net, w.node, w.comp.Name(), opts)
 	w.b.Trace = w.p.Trace()
-	w.b.Obs = obs.NewTierMetrics(w.p.Metrics(), "plb", w.comp.Name())
+	w.b.Obs = obs.NewTierMetrics(w.p.Metrics(), k.kind, w.comp.Name())
 	if err := w.b.Start(); err != nil {
 		done(err)
 		return
 	}
-	for _, bd := range w.comp.Bindings("workers") {
-		ep, ok := bd.ServerItf.Owner().Content().(httpEndpoint)
-		if !ok {
-			done(fmt.Errorf("jade: plb worker %s does not serve HTTP", bd.ServerItf.Owner().Name()))
-			return
+	for _, bd := range w.comp.Bindings(k.members) {
+		target, err := w.endpointOf(bd.ServerItf)
+		if err == nil {
+			err = w.b.Add(bd.ServerItf.Owner().Name(), target, 1)
 		}
-		if err := w.b.AddWorker(bd.ServerItf.Owner().Name(), ep.HTTPEndpoint()); err != nil {
+		if err != nil {
 			done(err)
 			return
 		}
@@ -723,128 +752,9 @@ func (w *PLBWrapper) StartManaged(done func(error)) {
 }
 
 // StopManaged stops the balancer.
-func (w *PLBWrapper) StopManaged(done func(error)) {
+func (w *BalancerWrapper) StopManaged(done func(error)) {
 	if w.b != nil {
 		w.b.Stop()
-	}
-	done(nil)
-}
-
-// --- L4 switch wrapper ---
-
-// L4Wrapper manages the front-end L4 switch balancing the Apache tier.
-type L4Wrapper struct {
-	p    *Platform
-	node *cluster.Node
-	comp *fractal.Component
-	sw   *l4.Switch
-}
-
-// NewL4Component is the WrapperFactory for the L4 switch.
-func NewL4Component(p *Platform, name string, node *cluster.Node) (*fractal.Component, error) {
-	w := &L4Wrapper{p: p, node: node}
-	comp, err := fractal.NewPrimitive(name, w,
-		fractal.ItfSpec{Name: "http", Signature: SigHTTP, Role: fractal.Server},
-		fractal.ItfSpec{Name: "servers", Signature: SigHTTP, Role: fractal.Client,
-			Contingency: fractal.Optional, Collection: true, Dynamic: true},
-	)
-	if err != nil {
-		return nil, err
-	}
-	w.comp = comp
-	if err := comp.SetAttribute("port", "80"); err != nil {
-		return nil, err
-	}
-	p.attachManagement(node)
-	return comp, nil
-}
-
-// Kind implements Wrapper.
-func (w *L4Wrapper) Kind() string { return "l4" }
-
-// Node implements Wrapper.
-func (w *L4Wrapper) Node() *cluster.Node { return w.node }
-
-// Switch exposes the managed switch (nil before start).
-func (w *L4Wrapper) Switch() *l4.Switch { return w.sw }
-
-// HTTPEndpoint implements httpEndpoint.
-func (w *L4Wrapper) HTTPEndpoint() legacy.HTTPHandler { return w.sw }
-
-// OnSetAttribute validates switch attributes (frozen while running).
-func (w *L4Wrapper) OnSetAttribute(c *fractal.Component, name, value string) error {
-	if name != "port" {
-		return nil
-	}
-	if w.sw != nil && w.sw.Running() {
-		return fmt.Errorf("%w: l4 port", ErrAttributeFrozen)
-	}
-	if port, err := strconv.Atoi(value); err != nil || port <= 0 {
-		return fmt.Errorf("%w: l4 port %q", ErrBadAttribute, value)
-	}
-	return nil
-}
-
-// OnBind integrates a real server live when the switch runs.
-func (w *L4Wrapper) OnBind(c *fractal.Component, itf string, server *fractal.Interface) error {
-	ep, ok := server.Owner().Content().(httpEndpoint)
-	if !ok {
-		return fmt.Errorf("jade: l4 server %s does not serve HTTP", server.Owner().Name())
-	}
-	if w.sw != nil && w.sw.Running() {
-		return w.sw.AddServer(server.Owner().Name(), ep.HTTPEndpoint(), 1)
-	}
-	return nil
-}
-
-// OnUnbind removes a real server live when the switch runs.
-func (w *L4Wrapper) OnUnbind(c *fractal.Component, itf string, server *fractal.Interface) error {
-	if w.sw != nil && w.sw.Running() {
-		return w.sw.RemoveServer(server.Owner().Name())
-	}
-	return nil
-}
-
-// StartManaged starts the switch and integrates bound servers.
-func (w *L4Wrapper) StartManaged(done func(error)) {
-	port, err := strconv.Atoi(w.comp.AttributeOr("port", "80"))
-	if err != nil {
-		done(fmt.Errorf("%w: l4 port", ErrBadAttribute))
-		return
-	}
-	opts := l4.DefaultOptions()
-	opts.Port = port
-	ropts, err := w.p.opts.Routing.tierOptions(w.p.opts.Routing.L4, selector.WeightedRoundRobin)
-	if err != nil {
-		done(err)
-		return
-	}
-	opts.Routing = ropts
-	w.sw = l4.New(w.p.Eng, w.p.Net, w.node, w.comp.Name(), opts)
-	w.sw.Trace = w.p.Trace()
-	w.sw.Obs = obs.NewTierMetrics(w.p.Metrics(), "l4", w.comp.Name())
-	if err := w.sw.Start(); err != nil {
-		done(err)
-		return
-	}
-	for _, bd := range w.comp.Bindings("servers") {
-		ep, ok := bd.ServerItf.Owner().Content().(httpEndpoint)
-		if !ok {
-			done(fmt.Errorf("jade: l4 server %s does not serve HTTP", bd.ServerItf.Owner().Name()))
-			return
-		}
-		if err := w.sw.AddServer(bd.ServerItf.Owner().Name(), ep.HTTPEndpoint(), 1); err != nil {
-			done(err)
-			return
-		}
-	}
-	done(nil)
-}
-
-// StopManaged stops the switch.
-func (w *L4Wrapper) StopManaged(done func(error)) {
-	if w.sw != nil {
-		w.sw.Stop()
 	}
 	done(nil)
 }

@@ -164,20 +164,20 @@ func TestL4WrapperLiveServerManagement(t *testing.T) {
 		t.Fatal(derr)
 	}
 	l4c := dep.MustComponent("l4")
-	lw := l4c.Content().(*L4Wrapper)
-	if got := lw.Switch().Servers(); len(got) != 1 {
+	lw := l4c.Content().(*BalancerWrapper)
+	if got := lw.Balancer().Members(); len(got) != 1 {
 		t.Fatalf("servers = %v", got)
 	}
 	// Live bind of apache2.
 	if err := l4c.Bind("servers", dep.MustComponent("apache2").MustInterface("http")); err != nil {
 		t.Fatal(err)
 	}
-	if got := lw.Switch().Servers(); len(got) != 2 {
+	if got := lw.Balancer().Members(); len(got) != 2 {
 		t.Fatalf("servers after live bind = %v", got)
 	}
 	// Static requests split across both.
 	for i := 0; i < 8; i++ {
-		lw.Switch().HandleHTTP(&legacy.WebRequest{Static: true, WebCost: 0.001}, func(err error) {
+		lw.Balancer().HandleHTTP(&legacy.WebRequest{Static: true, WebCost: 0.001}, func(err error) {
 			if err != nil {
 				t.Errorf("request: %v", err)
 			}
@@ -193,7 +193,7 @@ func TestL4WrapperLiveServerManagement(t *testing.T) {
 	if err := l4c.Unbind("servers", dep.MustComponent("apache2").MustInterface("http")); err != nil {
 		t.Fatal(err)
 	}
-	if got := lw.Switch().Servers(); len(got) != 1 {
+	if got := lw.Balancer().Members(); len(got) != 1 {
 		t.Fatalf("servers after live unbind = %v", got)
 	}
 }

@@ -44,9 +44,8 @@ const rhoSafe = 0.98
 
 // ServiceModel is one tier component's contribution to the fluid
 // network: the parameters a component exposes (see the FluidModel
-// methods on the L4 switch, Apache, PLB, Tomcat, C-JDBC and MySQL
-// models) so scenario wiring can assemble Stations without reaching into
-// component internals.
+// methods on the PLB / L4 balancer and the C-JDBC controller) so scenario
+// wiring can assemble Stations without reaching into component internals.
 type ServiceModel struct {
 	// Name identifies the component (diagnostics only).
 	Name string
@@ -54,8 +53,8 @@ type ServiceModel struct {
 	Node *cluster.Node
 	// CostPerUnit is the component's own CPU demand per unit of work —
 	// per forwarded request for the L4 switch and PLB, per proxied query
-	// for C-JDBC. Zero for components whose demand is carried by the
-	// request itself (Apache, Tomcat, MySQL): those costs are
+	// for C-JDBC. The demand of Apache, Tomcat and MySQL is carried by the
+	// request itself; those tiers expose no model, and their stations are
 	// mix-calibrated via rubis.FluidDemand.
 	CostPerUnit float64
 	// Up reports whether the component is serving.

@@ -10,8 +10,8 @@ import (
 	"jade/internal/cluster"
 	"jade/internal/config"
 	"jade/internal/fractal"
-	"jade/internal/l4"
 	"jade/internal/legacy"
+	"jade/internal/plb"
 	"jade/internal/sim"
 )
 
@@ -288,7 +288,7 @@ func TestBalancerAgreementOverL4Switch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := l4.New(eng, net, n, "l4", l4.DefaultOptions())
+	sw := plb.NewL4(eng, net, n, "l4", plb.DefaultL4Options())
 	if err := sw.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +297,13 @@ func TestBalancerAgreementOverL4Switch(t *testing.T) {
 		if !sw.Running() {
 			return nil
 		}
-		return sw.Servers()
+		return sw.Members()
 	}, tier)
 	chk.Pendings = sw.Pendings
 
 	handler := nopHandler{}
 	for _, name := range tier.replicas {
-		if err := sw.AddServer(name, handler, 1); err != nil {
+		if err := sw.Add(name, handler, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,17 +311,17 @@ func TestBalancerAgreementOverL4Switch(t *testing.T) {
 		t.Fatalf("matching L4 members: %v", err)
 	}
 	// A member the actuator does not know about is a violation.
-	if err := sw.AddServer("rogue", handler, 1); err != nil {
+	if err := sw.Add("rogue", handler, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := chk.Check(1, true); err == nil || !strings.Contains(err.Error(), "not a replica") {
 		t.Fatalf("rogue L4 member: err = %v, want 'not a replica'", err)
 	}
-	if err := sw.RemoveServer("rogue"); err != nil {
+	if err := sw.Remove("rogue"); err != nil {
 		t.Fatal(err)
 	}
 	// A replica silently dropped from the switch is a violation too.
-	if err := sw.RemoveServer("apache2"); err != nil {
+	if err := sw.Remove("apache2"); err != nil {
 		t.Fatal(err)
 	}
 	if err := chk.Check(2, true); err == nil || !strings.Contains(err.Error(), "missing from balancer") {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jade/internal/cluster"
-	"jade/internal/fluid"
 	"jade/internal/obs"
 	"jade/internal/trace"
 )
@@ -121,18 +120,6 @@ func (a *Apache) Routes() []string {
 	return out
 }
 
-// FluidModel exposes the server's service model to the fluid workload
-// network. The web-tier CPU demand travels with each request (WebCost),
-// not with the server, so CostPerUnit is zero and the fluid station's
-// demand is calibrated from the mix (rubis.FluidDemand.Web).
-func (a *Apache) FluidModel() fluid.ServiceModel {
-	return fluid.ServiceModel{
-		Name: a.name,
-		Node: a.node,
-		Up:   func() bool { return a.state == Running },
-	}
-}
-
 // HandleHTTP serves a request: static documents cost web-tier CPU only;
 // dynamic documents additionally forward to an AJP worker (round-robin
 // across resolved workers, as mod_jk's lb worker does).
@@ -143,56 +130,63 @@ func (a *Apache) HandleHTTP(req *WebRequest, done func(error)) {
 		done(fmt.Errorf("%w: apache %s is %s", ErrNotRunning, a.name, a.state))
 		return
 	}
-	if a.obs != nil {
-		start := a.obs.Begin()
-		orig := done
-		done = func(err error) {
-			a.obs.End(start, err)
-			orig(err)
-		}
-	}
+	p := &page{a: a, req: req, done: done, parent: req.TraceSpan}
 	// The "web" span brackets local queue wait + service plus the AJP
-	// forward; "busy" records the local interval and "svc" the ideal
-	// service time for the attribution walker's component split.
-	var span trace.ID
-	var busy float64
-	parent := req.TraceSpan
-	submitted := a.env.Eng.Now()
-	if parent != 0 {
-		span = a.env.Trace.Begin(parent, "web", a.name)
-		req.TraceSpan = span
-		orig := done
-		done = func(err error) {
-			req.TraceSpan = parent
-			a.env.Trace.End(span, trace.Ff("busy", busy),
-				trace.Ff("svc", req.WebCost/a.node.Config().CPUCapacity), trace.Outcome(err))
-			orig(err)
-		}
+	// forward, which travels under it.
+	p.Begin(a.env.Eng.Now(), a.obs, a.env.Trace, p.parent, "web", a.name)
+	req.TraceSpan = p.Span
+	a.node.Run(&p.Job, req.WebCost, p)
+}
+
+// page is the record of one request in an Apache: what was asked, the hop
+// on the web node (the record is its job's continuation) and the span the
+// request arrived with, restored when it leaves.
+type page struct {
+	Hop
+	a      *Apache
+	req    *WebRequest
+	done   func(error)
+	parent trace.ID
+}
+
+// JobDone: the web tier's CPU work is done; answer a static page, hand a
+// dynamic one to the next AJP worker.
+func (p *page) JobDone() {
+	a := p.a
+	p.Ran(a.env.Eng.Now())
+	if p.req.Static {
+		a.served++
+		p.finish(nil)
+		return
 	}
-	a.node.Submit(req.WebCost, func() {
-		busy = a.env.Eng.Now() - submitted
-		if req.Static {
-			a.served++
-			done(nil)
-			return
-		}
-		if len(a.routes) == 0 {
-			a.failed++
-			done(fmt.Errorf("%w: apache %s has no AJP worker", ErrNoBackend, a.name))
-			return
-		}
-		r := a.routes[a.rrNext%len(a.routes)]
-		a.rrNext++
-		a.env.Net.ForwardHTTP(a.node.Name(), "app", r.target, req, func(err error) {
-			if err != nil {
-				a.failed++
-			} else {
-				a.served++
-			}
-			done(err)
-		})
-	}, func() {
+	if len(a.routes) == 0 {
 		a.failed++
-		done(fmt.Errorf("%w: apache %s", ErrServerFailed, a.name))
-	})
+		p.finish(fmt.Errorf("%w: apache %s has no AJP worker", ErrNoBackend, a.name))
+		return
+	}
+	r := a.routes[a.rrNext%len(a.routes)]
+	a.rrNext++
+	a.env.Net.ForwardHTTP(a.node.Name(), "app", r.target, p.req, p.replied)
+}
+
+func (p *page) replied(err error) {
+	if err != nil {
+		p.a.failed++
+	} else {
+		p.a.served++
+	}
+	p.finish(err)
+}
+
+// JobFailed: the web node crashed under the request.
+func (p *page) JobFailed() {
+	p.a.failed++
+	p.finish(fmt.Errorf("%w: apache %s", ErrServerFailed, p.a.name))
+}
+
+// finish ends the hop and answers the caller.
+func (p *page) finish(err error) {
+	p.req.TraceSpan = p.parent
+	p.End(p.a.obs, p.a.env.Trace, p.req.WebCost/p.a.node.Config().CPUCapacity, err)
+	p.done(err)
 }

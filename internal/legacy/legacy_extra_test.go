@@ -252,3 +252,41 @@ func TestMySQLExecSQLAllocs(t *testing.T) {
 		t.Errorf("a statement allocates %v objects, %v of them the engine's: want at most 1 in legacy and cluster", got, engine)
 	}
 }
+
+// instantHTTP answers every request at once.
+type instantHTTP struct{}
+
+func (instantHTTP) HandleHTTP(_ *WebRequest, done func(error)) { done(nil) }
+
+// An Apache request is one record, plus the bound callback it hands the AJP
+// worker when the page is dynamic: measured 1 static and 2 forwarded (5 and
+// 6 before the record, when a request was a chain of closures around
+// Submit). Instruments on, tracing off.
+func TestApacheHandleHTTPAllocs(t *testing.T) {
+	env, pool := testEnv(t, 1)
+	env.Obs = obs.NewRegistry(env.Eng.Now)
+	if err := env.Net.Register("appserver:8009", instantHTTP{}); err != nil {
+		t.Fatal(err)
+	}
+	a := NewApache(env, "apache1", allocNode(t, pool), DefaultApacheOptions())
+	writeApacheConf(t, env, a, 80, []config.Worker{{Name: "tomcat1", Host: "appserver", Port: 8009}})
+	startOK(t, env.Eng, a.Start)
+	done := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, static := range []bool{true, false} {
+		req := &WebRequest{Static: static, WebCost: 0.001}
+		got := testing.AllocsPerRun(200, func() {
+			a.HandleHTTP(req, done)
+			env.Eng.Run()
+		})
+		if got > 2 {
+			t.Errorf("a request (static=%v) allocates %v objects in legacy and cluster, want at most 2", static, got)
+		}
+	}
+	if a.Served() != 402 {
+		t.Fatalf("served %d of 402 requests", a.Served())
+	}
+}

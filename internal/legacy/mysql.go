@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"jade/internal/cluster"
-	"jade/internal/fluid"
 	"jade/internal/obs"
 	"jade/internal/sqlengine"
-	"jade/internal/trace"
 )
 
 // MySQL simulates a MySQL 4.0 server: a process holding one sqlengine
@@ -55,19 +53,6 @@ func NewMySQL(env *Env, name string, node *cluster.Node, opts MySQLOptions) *MyS
 
 // ConfPath returns the my.cnf path in the workspace FS.
 func (m *MySQL) ConfPath() string { return m.confPath }
-
-// FluidModel exposes the server's service model to the fluid workload
-// network. Query CPU demand travels with each query, so CostPerUnit is
-// zero and the fluid station's demand is calibrated from the mix: a tier
-// of k replicas behind C-JDBC puts DBRead/k + DBWrite on each node per
-// request (reads load-balanced, writes broadcast under RAIDb-1).
-func (m *MySQL) FluidModel() fluid.ServiceModel {
-	return fluid.ServiceModel{
-		Name: m.name,
-		Node: m.node,
-		Up:   func() bool { return m.state == Running },
-	}
-}
 
 // DB exposes the underlying database engine. The C-JDBC controller uses
 // it to install snapshots on fresh replicas and to compare fingerprints;
@@ -118,36 +103,23 @@ func (m *MySQL) ExecSQL(q Query, done func(error)) {
 		return
 	}
 	e := &execution{m: m, q: q, done: done}
-	e.began = m.obs.Begin()
-	e.submitted = m.env.Eng.Now()
-	// The "db" span brackets local queue wait + execution; "busy" records
-	// that interval and "svc" the ideal service time so the attribution
-	// walker can split the leaf tier into queue/service components.
-	if q.TraceSpan != 0 {
-		e.span = m.env.Trace.Begin(q.TraceSpan, "db", m.name)
-	}
-	m.node.Run(&e.job, q.Cost, e)
+	e.Begin(m.env.Eng.Now(), m.obs, m.env.Trace, q.TraceSpan, "db", m.name)
+	m.node.Run(&e.Job, q.Cost, e)
 }
 
-// execution is the record of one statement in a MySQL server: the query,
-// the CPU job on the database node (the record is its own continuation),
-// and what the span and the instruments need when the statement ends.
+// execution is the record of one statement in a MySQL server: the query
+// and the hop on the database node (the record is its job's continuation).
 type execution struct {
+	Hop
 	m    *MySQL
 	q    Query
 	done func(error)
-	job  cluster.Job
-
-	began     float64  // obs.Begin
-	submitted float64  // when the CPU job was queued
-	busy      float64  // queue wait + service on the node; zero if it crashed
-	span      trace.ID // the "db" span, zero when the query is untraced
 }
 
 // JobDone: the CPU is paid for; run the statement.
 func (e *execution) JobDone() {
 	m := e.m
-	e.busy = m.env.Eng.Now() - e.submitted
+	e.Ran(m.env.Eng.Now())
 	stmt := e.q.Stmt
 	var err error
 	if stmt == nil {
@@ -171,13 +143,8 @@ func (e *execution) JobFailed() {
 	e.finish(fmt.Errorf("%w: mysql %s", ErrServerFailed, e.m.name))
 }
 
-// finish closes the span, records the outcome and answers the caller.
+// finish ends the hop and answers the caller.
 func (e *execution) finish(err error) {
-	m := e.m
-	if e.span != 0 {
-		m.env.Trace.End(e.span, trace.Ff("busy", e.busy),
-			trace.Ff("svc", e.q.Cost/m.node.Config().CPUCapacity), trace.Outcome(err))
-	}
-	m.obs.End(e.began, err)
+	e.End(e.m.obs, e.m.env.Trace, e.q.Cost/e.m.node.Config().CPUCapacity, err)
 	e.done(err)
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"jade/internal/cluster"
-	"jade/internal/fluid"
 	"jade/internal/obs"
 	"jade/internal/trace"
 )
@@ -57,19 +56,6 @@ func NewTomcat(env *Env, name string, node *cluster.Node, opts TomcatOptions) *T
 
 // ConfPath returns the server.xml path in the workspace FS.
 func (t *Tomcat) ConfPath() string { return t.confPath }
-
-// FluidModel exposes the server's service model to the fluid workload
-// network. The application-tier CPU demand travels with each request
-// (AppCost), so CostPerUnit is zero and the fluid station's demand is
-// calibrated from the mix (rubis.FluidDemand.App); a tier of k Tomcats
-// load-balances that demand, putting App/k on each node per request.
-func (t *Tomcat) FluidModel() fluid.ServiceModel {
-	return fluid.ServiceModel{
-		Name: t.name,
-		Node: t.node,
-		Up:   func() bool { return t.state == Running },
-	}
-}
 
 // JDBCAddr returns the database address resolved at the last start.
 func (t *Tomcat) JDBCAddr() string { return t.jdbcAddr }
@@ -144,32 +130,19 @@ func (t *Tomcat) HandleHTTP(req *WebRequest, done func(error)) {
 	}
 	s := &servlet{t: t, req: req, done: done}
 	s.queryDone = s.onQueryDone
-	s.began = t.obs.Begin()
-	s.submitted = t.env.Eng.Now()
-	// "busy" records the local queue-wait + service interval on the app
-	// node and "svc" the ideal service time; the attribution walker uses
-	// them to split the span's self-time into queue/service/network.
-	if req.TraceSpan != 0 {
-		s.span = t.env.Trace.Begin(req.TraceSpan, "app", t.name, trace.Fi("queries", len(req.Queries)))
-	}
-	t.node.Run(&s.job, req.AppCost, s)
+	s.Begin(t.env.Eng.Now(), t.obs, t.env.Trace, req.TraceSpan, "app", t.name, trace.Fi("queries", len(req.Queries)))
+	t.node.Run(&s.Job, req.AppCost, s)
 }
 
 // servlet is the record of one request in a Tomcat: what was asked, the
-// CPU job on the app node (the record is its own continuation), the
-// query in flight, and what the span and the instruments need when the
-// request ends.
+// hop on the app node (the record is its job's continuation) and the query
+// in flight.
 type servlet struct {
-	t    *Tomcat
-	req  *WebRequest
-	done func(error)
-	job  cluster.Job
-
-	began     float64  // obs.Begin
-	submitted float64  // when the CPU job was queued
-	busy      float64  // queue wait + service on the app node; zero if it crashed
-	span      trace.ID // the "app" span, zero when the request is untraced
-	query     int      // index of the statement in flight
+	Hop
+	t     *Tomcat
+	req   *WebRequest
+	done  func(error)
+	query int // index of the statement in flight
 	// queryDone is onQueryDone bound once, so a request's second and later
 	// statements allocate nothing here.
 	queryDone func(error)
@@ -177,7 +150,7 @@ type servlet struct {
 
 // JobDone: the servlet's CPU work is done; issue the statements.
 func (s *servlet) JobDone() {
-	s.busy = s.t.env.Eng.Now() - s.submitted
+	s.Ran(s.t.env.Eng.Now())
 	s.runQueries()
 }
 
@@ -201,7 +174,7 @@ func (s *servlet) runQueries() {
 		return
 	}
 	q := s.req.Queries[s.query]
-	q.TraceSpan = s.span
+	q.TraceSpan = s.Span
 	t.env.Net.ForwardSQL(t.node.Name(), "sql", t.jdbc, q, s.queryDone)
 }
 
@@ -215,13 +188,8 @@ func (s *servlet) onQueryDone(err error) {
 	s.runQueries()
 }
 
-// finish closes the span, records the outcome and answers the caller.
+// finish ends the hop and answers the caller.
 func (s *servlet) finish(err error) {
-	t := s.t
-	if s.span != 0 {
-		t.env.Trace.End(s.span, trace.Ff("busy", s.busy),
-			trace.Ff("svc", s.req.AppCost/t.node.Config().CPUCapacity), trace.Outcome(err))
-	}
-	t.obs.End(s.began, err)
+	s.End(s.t.obs, s.t.env.Trace, s.req.AppCost/s.t.node.Config().CPUCapacity, err)
 	s.done(err)
 }

@@ -1,12 +1,16 @@
-// Package plb simulates PLB 0.3, the application-server load balancer the
-// paper places in front of the replicated Tomcat tier. It forwards HTTP
-// requests to a dynamic set of workers; the self-sizing actuator's
-// "integrate the new replica with the load balancer" step is AddWorker,
-// and the shrink path's "unbind some replicas from the load balancer" is
-// RemoveWorker. Worker selection is delegated to the shared
-// internal/selector framework: the pool tracks in-flight counts, decayed
-// failure/latency history and suspected-down workers, and the configured
-// policy (round-robin by default) picks among the eligible ones.
+// Package plb simulates the two HTTP balancers of the paper's Fig. 2 as
+// one Balancer: PLB 0.3, the application-server load balancer in front of
+// the replicated Tomcat tier (New), and the L4 switch in front of the
+// replicated Apache tier, a connection-level balancer with per-server
+// weights matching link-level hardware (NewL4). Both forward HTTP requests
+// to a dynamic member set; the self-sizing actuator's "integrate the new
+// replica with the load balancer" step is Add, and the shrink path's
+// "unbind some replicas from the load balancer" is Remove. Member selection
+// is delegated to the shared internal/selector framework: the pool tracks
+// in-flight counts, decayed failure/latency history and suspected-down
+// members, and the configured policy (round-robin for PLB, weighted
+// round-robin for the switch) picks among the eligible ones. What differs
+// between the two is the data in kind, fixed by the constructor.
 package plb
 
 import (
@@ -22,30 +26,63 @@ import (
 	"jade/internal/trace"
 )
 
-// Errors returned by the balancer.
+// Errors returned by a balancer; which set depends on its kind.
 var (
 	ErrNoWorker      = errors.New("plb: no worker available")
 	ErrWorkerExists  = errors.New("plb: worker already registered")
 	ErrUnknownWorker = errors.New("plb: unknown worker")
 	ErrNotRunning    = errors.New("plb: balancer not running")
+
+	ErrNoServer         = errors.New("l4: no real server available")
+	ErrServerExists     = errors.New("l4: server already registered")
+	ErrUnknownServer    = errors.New("l4: unknown server")
+	ErrSwitchNotRunning = errors.New("l4: switch not running")
+
+	// ErrBadWeight is wrapped behind the kind's label ("l4: weight must be
+	// positive: ...").
+	ErrBadWeight = errors.New("weight must be positive")
+)
+
+// kind is what tells a PLB from an L4 switch.
+type kind struct {
+	label   string // obs tier and error texts: "plb", "l4"
+	unit    string // what the instance is called when its node fails
+	next    string // RPC tier class of the hop to a member
+	member  string // trace field naming a member; its plural counts them
+	members string
+	// weighted: a join records the member's weight.
+	weighted bool
+	// sticky: under the rendezvous policy a key is pinned to its first
+	// member in the session table; the switch rehashes every connection.
+	sticky bool
+
+	errNone, errExists, errUnknown, errNotRunning error
+}
+
+var (
+	plbKind = &kind{label: "plb", unit: "balancer", next: "app", member: "worker", members: "workers", sticky: true,
+		errNone: ErrNoWorker, errExists: ErrWorkerExists, errUnknown: ErrUnknownWorker, errNotRunning: ErrNotRunning}
+	l4Kind = &kind{label: "l4", unit: "switch", next: "web", member: "server", members: "servers", weighted: true,
+		errNone: ErrNoServer, errExists: ErrServerExists, errUnknown: ErrUnknownServer, errNotRunning: ErrSwitchNotRunning}
 )
 
 // Options tunes a balancer instance.
 type Options struct {
-	// Routing configures the worker-selection policy and its pool
-	// (selector round-robin by default, PLB's historic behavior).
+	// Routing configures the member-selection policy and its pool.
 	Routing selector.Options
 	// ProxyCost is the CPU-seconds consumed on the balancer node per
 	// forwarded request (PLB is lightweight; the paper dedicates it one
-	// node that never saturates).
+	// node that never saturates. Hardware switches are effectively free;
+	// their small non-zero default keeps the node's utilization meter
+	// honest).
 	ProxyCost float64
 	// Port is the listening port registered on the network.
 	Port int
-	// MemoryMB is the balancer process footprint, held while running.
+	// MemoryMB is the balancer's footprint on its node, held while running.
 	MemoryMB float64
 }
 
-// DefaultOptions mirrors the paper's deployment.
+// DefaultOptions mirrors the paper's PLB deployment.
 func DefaultOptions() Options {
 	return Options{
 		Routing:   selector.DefaultOptions(selector.RoundRobin),
@@ -55,8 +92,19 @@ func DefaultOptions() Options {
 	}
 }
 
-// Balancer is one PLB instance.
+// DefaultL4Options mirrors a hardware L4 switch front end.
+func DefaultL4Options() Options {
+	return Options{
+		Routing:   selector.DefaultOptions(selector.WeightedRoundRobin),
+		ProxyCost: 0.00005,
+		Port:      80,
+		MemoryMB:  8,
+	}
+}
+
+// Balancer is one PLB or L4 switch instance.
 type Balancer struct {
+	kind    *kind
 	eng     *sim.Engine
 	net     *legacy.Network
 	node    *cluster.Node
@@ -67,30 +115,40 @@ type Balancer struct {
 
 	pool    *selector.Pool
 	targets map[string]legacy.HTTPHandler
-	// sessions pins affinity keys to workers under the rendezvous
-	// policy; entries are evicted when their worker leaves the pool
-	// (clean shrink or fencing discard alike), so a sticky session can
-	// never be routed to a departed worker.
+	// sessions pins affinity keys to members of a sticky balancer under
+	// the rendezvous policy; entries are evicted when their member leaves
+	// the pool (clean shrink or fencing discard alike), so a sticky
+	// session can never be routed to a departed member.
 	sessions map[string]string
 
 	forwarded uint64
 	dropped   uint64
 
-	// Trace, when set, records worker membership changes and, for
-	// requests carrying a TraceSpan, a "forward" child span naming the
-	// chosen worker. All Tracer methods are nil-receiver safe, so the
-	// field may stay unset.
+	// Trace, when set, records membership changes and, for requests
+	// carrying a TraceSpan, a "forward" child span naming the chosen
+	// member. All Tracer methods are nil-receiver safe, so the field may
+	// stay unset.
 	Trace *trace.Tracer
 	// Obs, when set, records per-request counters and forward latency for
 	// the balancer instance. Nil-safe like Trace.
 	Obs *obs.TierMetrics
 }
 
-// New creates a stopped balancer on node.
+// New creates a stopped PLB on node.
 func New(eng *sim.Engine, net *legacy.Network, node *cluster.Node, name string, opts Options) *Balancer {
+	return plbKind.build(eng, net, node, name, opts)
+}
+
+// NewL4 creates a stopped L4 switch on node.
+func NewL4(eng *sim.Engine, net *legacy.Network, node *cluster.Node, name string, opts Options) *Balancer {
+	return l4Kind.build(eng, net, node, name, opts)
+}
+
+func (k *kind) build(eng *sim.Engine, net *legacy.Network, node *cluster.Node, name string, opts Options) *Balancer {
 	ropts := opts.Routing
 	ropts.Now = eng.Now
 	b := &Balancer{
+		kind:     k,
 		eng:      eng,
 		net:      net,
 		node:     node,
@@ -100,9 +158,9 @@ func New(eng *sim.Engine, net *legacy.Network, node *cluster.Node, name string, 
 		targets:  make(map[string]legacy.HTTPHandler),
 		sessions: make(map[string]string),
 	}
-	b.pool.OnEvict(func(worker string) {
-		for key, w := range b.sessions {
-			if w == worker {
+	b.pool.OnEvict(func(member string) {
+		for key, m := range b.sessions {
+			if m == member {
 				delete(b.sessions, key)
 			}
 		}
@@ -122,19 +180,19 @@ func (b *Balancer) Addr() string { return b.addr }
 // Running reports whether the balancer is serving.
 func (b *Balancer) Running() bool { return b.running }
 
-// Forwarded returns the number of requests successfully handed to workers.
+// Forwarded returns the number of requests handed to members.
 func (b *Balancer) Forwarded() uint64 { return b.forwarded }
 
-// Dropped returns the number of requests rejected for lack of workers.
+// Dropped returns the number of requests rejected.
 func (b *Balancer) Dropped() uint64 { return b.dropped }
 
-// Pool exposes the worker pool (suspicion feeding, introspection).
+// Pool exposes the member pool (suspicion feeding, introspection).
 func (b *Balancer) Pool() *selector.Pool { return b.pool }
 
 // FluidModel exposes the balancer's service model to the fluid workload
-// network: every proxied request costs ProxyCost CPU-seconds on the
-// balancer node, so as a fluid station the PLB saturates at
-// μ = C/ProxyCost requests per second.
+// network: every forwarded request costs ProxyCost CPU-seconds on the
+// balancer node, so as a fluid station it saturates at μ = C/ProxyCost
+// requests per second.
 func (b *Balancer) FluidModel() fluid.ServiceModel {
 	return fluid.ServiceModel{
 		Name:        b.name,
@@ -147,7 +205,7 @@ func (b *Balancer) FluidModel() fluid.ServiceModel {
 // Start registers the balancer's listener.
 func (b *Balancer) Start() error {
 	if b.running {
-		return fmt.Errorf("plb %s: already running", b.name)
+		return fmt.Errorf("%s %s: already running", b.kind.label, b.name)
 	}
 	if err := b.node.AllocMemory(b.opts.MemoryMB); err != nil {
 		return err
@@ -173,63 +231,73 @@ func (b *Balancer) Stop() {
 	b.node.FreeMemory(b.opts.MemoryMB)
 }
 
-// AddWorker registers a worker target under a unique name.
-func (b *Balancer) AddWorker(name string, target legacy.HTTPHandler) error {
-	if err := b.pool.Add(name, 1); err != nil {
-		return fmt.Errorf("%w: %s", ErrWorkerExists, name)
+// Add registers a member target under a unique name with a positive weight
+// (which only the weighted policies read).
+func (b *Balancer) Add(name string, target legacy.HTTPHandler, weight int) error {
+	k := b.kind
+	if weight <= 0 {
+		return fmt.Errorf("%s: %w: %d for %s", k.label, ErrBadWeight, weight, name)
+	}
+	if err := b.pool.Add(name, weight); err != nil {
+		return fmt.Errorf("%w: %s", k.errExists, name)
 	}
 	b.targets[name] = target
-	b.Trace.Emit("membership.join", b.name, trace.F("worker", name), trace.Fi("workers", b.pool.Len()))
+	fields := []trace.Field{trace.F(k.member, name)}
+	if k.weighted {
+		fields = append(fields, trace.Fi("weight", weight))
+	}
+	b.Trace.Emit("membership.join", b.name, append(fields, trace.Fi(k.members, b.pool.Len()))...)
 	return nil
 }
 
-// RemoveWorker unbinds a worker; in-flight requests on it complete, and
-// any sessions pinned to it are evicted.
-func (b *Balancer) RemoveWorker(name string) error {
+// Remove unbinds a member; in-flight requests on it complete, and any
+// sessions pinned to it are evicted.
+func (b *Balancer) Remove(name string) error {
 	if err := b.pool.Remove(name); err != nil {
-		return fmt.Errorf("%w: %s", ErrUnknownWorker, name)
+		return fmt.Errorf("%w: %s", b.kind.errUnknown, name)
 	}
 	delete(b.targets, name)
-	b.Trace.Emit("membership.leave", b.name, trace.F("worker", name), trace.Fi("workers", b.pool.Len()))
+	b.Trace.Emit("membership.leave", b.name, trace.F(b.kind.member, name), trace.Fi(b.kind.members, b.pool.Len()))
 	return nil
 }
 
-// Workers returns worker names sorted.
-func (b *Balancer) Workers() []string { return b.pool.Names() }
+// Members returns member names sorted.
+func (b *Balancer) Members() []string { return b.pool.Names() }
 
-// WorkerCount returns the number of registered workers.
-func (b *Balancer) WorkerCount() int { return b.pool.Len() }
+// MemberCount returns the number of registered members.
+func (b *Balancer) MemberCount() int { return b.pool.Len() }
 
 // SessionCount returns the number of pinned session entries.
 func (b *Balancer) SessionCount() int { return len(b.sessions) }
 
-// StickyWorker returns the worker a session key is pinned to, if any.
-func (b *Balancer) StickyWorker(key string) (string, bool) {
-	w, ok := b.sessions[key]
-	return w, ok
+// Sticky returns the member a session key is pinned to, if any.
+func (b *Balancer) Sticky(key string) (string, bool) {
+	m, ok := b.sessions[key]
+	return m, ok
 }
 
-// Pending returns the in-flight request count for a worker.
+// Pending returns the in-flight request count for a member.
 func (b *Balancer) Pending(name string) (int, error) {
 	if !b.pool.Has(name) {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownWorker, name)
+		return 0, fmt.Errorf("%w: %s", b.kind.errUnknown, name)
 	}
 	return b.pool.Pendings()[name], nil
 }
 
-// Pendings returns the in-flight request count of every worker, keyed by
-// worker name. Invariant checkers verify the counts never go negative
-// (a negative count would mean a completion callback ran twice).
+// Pendings returns the in-flight request count of every member, keyed by
+// name. Invariant checkers verify the counts never go negative (a negative
+// count would mean a completion callback ran twice).
 func (b *Balancer) Pendings() map[string]int { return b.pool.Pendings() }
 
-// pickWorker selects a worker for the request's affinity key. Under the
-// rendezvous policy a key sticks to its first worker until that worker
-// leaves the pool or goes down; other policies ignore the table.
-func (b *Balancer) pickWorker(key string) (string, bool) {
-	sticky := b.pool.Policy() == selector.Rendezvous && key != ""
+// pick selects a member for the request's affinity key. On a sticky
+// balancer under the rendezvous policy a key stays with its first member
+// until that member leaves the pool or goes down; otherwise the policy
+// alone decides.
+func (b *Balancer) pick(key string) (string, bool) {
+	sticky := b.kind.sticky && b.pool.Policy() == selector.Rendezvous && key != ""
 	if sticky {
-		if w, ok := b.sessions[key]; ok && b.pool.Healthy(w) {
-			return w, true
+		if m, ok := b.sessions[key]; ok && b.pool.Healthy(m) {
+			return m, true
 		}
 	}
 	name, ok := b.pool.Pick(key)
@@ -239,67 +307,55 @@ func (b *Balancer) pickWorker(key string) (string, bool) {
 	return name, ok
 }
 
-// HandleHTTP proxies the request to a worker chosen by policy, consuming
+// HandleHTTP forwards the request to a member chosen by policy, consuming
 // the proxy cost on the balancer node first.
 func (b *Balancer) HandleHTTP(req *legacy.WebRequest, done func(error)) {
 	if !b.running {
 		b.Obs.Drop()
 		b.dropped++
-		done(fmt.Errorf("%w: %s", ErrNotRunning, b.name))
+		done(fmt.Errorf("%w: %s", b.kind.errNotRunning, b.name))
 		return
 	}
 	f := &forward{b: b, req: req, done: done, parent: req.TraceSpan}
-	f.began = b.Obs.Begin()
-	f.submitted = b.eng.Now()
-	// The forward span opens before the balancer node's run queue so it
-	// covers local queue wait + service; "busy" records that local
-	// interval and "svc" the ideal service time, letting the attribution
-	// walker split the span's self-time into queue/service/network.
-	if f.parent != 0 {
-		f.span = b.Trace.Begin(f.parent, "forward", b.name)
-		req.TraceSpan = f.span
-	}
-	b.node.Run(&f.job, b.opts.ProxyCost, f)
+	// The member's hop travels under the "forward" span.
+	f.Begin(b.eng.Now(), b.Obs, b.Trace, f.parent, "forward", b.name)
+	req.TraceSpan = f.Span
+	b.node.Run(&f.Job, b.opts.ProxyCost, f)
 }
 
-// forward is the record of one proxied request: what was asked, the
-// proxy job on the balancer node (the record is its own continuation),
-// and what the span and the instruments need when the request ends.
+// forward is the record of one forwarded request: what was asked, the hop
+// on the balancer node (the record is its job's continuation), the span
+// the request arrived with, and the member it went to.
 type forward struct {
-	b    *Balancer
-	req  *legacy.WebRequest
-	done func(error)
-	job  cluster.Job
-
-	began     float64  // Obs.Begin
-	submitted float64  // when the proxy job was queued
-	busy      float64  // queue wait + service on the balancer node
-	parent    trace.ID // the request's span on arrival; restored at the end
-	span      trace.ID // the "forward" span, zero when the request is untraced
-	worker    string
-	sent      float64 // when the request left for the worker
+	legacy.Hop
+	b      *Balancer
+	req    *legacy.WebRequest
+	done   func(error)
+	parent trace.ID // restored when the request leaves
+	member string
+	sent   float64 // when the request left for the member
 }
 
-// JobDone picks the worker and hands the request on.
+// JobDone picks the member and hands the request on.
 func (f *forward) JobDone() {
 	b := f.b
-	f.busy = b.eng.Now() - f.submitted
-	name, ok := b.pickWorker(f.req.SessionKey)
+	f.Ran(b.eng.Now())
+	name, ok := b.pick(f.req.SessionKey)
 	if !ok {
 		b.dropped++
-		f.finish(fmt.Errorf("%w (plb %s)", ErrNoWorker, b.name))
+		f.finish(fmt.Errorf("%w (%s %s)", b.kind.errNone, b.kind.label, b.name))
 		return
 	}
-	f.worker = name
+	f.member = name
 	target := b.targets[name]
 	b.pool.Acquire(name)
 	b.forwarded++
 	f.sent = b.eng.Now()
-	b.net.ForwardHTTP(b.node.Name(), "app", target, f.req, f.replied)
+	b.net.ForwardHTTP(b.node.Name(), b.kind.next, target, f.req, f.replied)
 }
 
 func (f *forward) replied(err error) {
-	f.b.pool.Release(f.worker, f.b.eng.Now()-f.sent, err != nil)
+	f.b.pool.Release(f.member, f.b.eng.Now()-f.sent, err != nil)
 	f.finish(err)
 }
 
@@ -307,25 +363,22 @@ func (f *forward) replied(err error) {
 func (f *forward) JobFailed() {
 	b := f.b
 	b.dropped++
-	f.busy = b.eng.Now() - f.submitted
-	f.finish(fmt.Errorf("plb %s: balancer node failed", b.name))
+	f.Ran(b.eng.Now())
+	f.finish(fmt.Errorf("%s %s: %s node failed", b.kind.label, b.name, b.kind.unit))
 }
 
-// finish closes the span, records the outcome and answers the caller.
+// finish ends the hop, naming the member if one was chosen, and answers
+// the caller.
 func (f *forward) finish(err error) {
 	b := f.b
-	if f.span != 0 {
+	if f.Span != 0 {
 		f.req.TraceSpan = f.parent
-		fields := []trace.Field{
-			trace.Ff("busy", f.busy),
-			trace.Ff("svc", b.opts.ProxyCost/b.node.Config().CPUCapacity),
-			trace.Outcome(err),
-		}
-		if f.worker != "" {
-			fields = append(fields, trace.F("worker", f.worker))
-		}
-		b.Trace.End(f.span, fields...)
 	}
-	b.Obs.End(f.began, err)
+	svc := b.opts.ProxyCost / b.node.Config().CPUCapacity
+	if f.member != "" {
+		f.End(b.Obs, b.Trace, svc, err, trace.F(b.kind.member, f.member))
+	} else {
+		f.End(b.Obs, b.Trace, svc, err)
+	}
 	f.done(err)
 }

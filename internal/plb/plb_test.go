@@ -51,10 +51,10 @@ func TestRoundRobinDistribution(t *testing.T) {
 	eng, b := newBalancer(t, selector.RoundRobin)
 	w1 := &fakeWorker{eng: eng, delay: 0.01}
 	w2 := &fakeWorker{eng: eng, delay: 0.01}
-	if err := b.AddWorker("t1", w1); err != nil {
+	if err := b.Add("t1", w1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddWorker("t2", w2); err != nil {
+	if err := b.Add("t2", w2, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -73,10 +73,10 @@ func TestLeastConnectionsPrefersIdleWorker(t *testing.T) {
 	eng, b := newBalancer(t, selector.LeastPending)
 	slow := &fakeWorker{eng: eng, delay: 10}
 	fast := &fakeWorker{eng: eng, delay: 0.001}
-	if err := b.AddWorker("slow", slow); err != nil {
+	if err := b.Add("slow", slow, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddWorker("fast", fast); err != nil {
+	if err := b.Add("fast", fast, 1); err != nil {
 		t.Fatal(err)
 	}
 	// First two requests land one on each; afterwards the slow worker is
@@ -99,22 +99,22 @@ func TestLeastConnectionsPrefersIdleWorker(t *testing.T) {
 func TestAddRemoveWorkerDynamics(t *testing.T) {
 	eng, b := newBalancer(t, selector.RoundRobin)
 	w1 := &fakeWorker{eng: eng, delay: 0.001}
-	if err := b.AddWorker("t1", w1); err != nil {
+	if err := b.Add("t1", w1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddWorker("t1", w1); !errors.Is(err, ErrWorkerExists) {
+	if err := b.Add("t1", w1, 1); !errors.Is(err, ErrWorkerExists) {
 		t.Fatalf("duplicate add: %v", err)
 	}
-	if got := b.Workers(); len(got) != 1 || got[0] != "t1" {
+	if got := b.Members(); len(got) != 1 || got[0] != "t1" {
 		t.Fatalf("Workers = %v", got)
 	}
-	if b.WorkerCount() != 1 {
-		t.Fatalf("WorkerCount = %d", b.WorkerCount())
+	if b.MemberCount() != 1 {
+		t.Fatalf("MemberCount = %d", b.MemberCount())
 	}
-	if err := b.RemoveWorker("t1"); err != nil {
+	if err := b.Remove("t1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RemoveWorker("t1"); !errors.Is(err, ErrUnknownWorker) {
+	if err := b.Remove("t1"); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("double remove: %v", err)
 	}
 	var got error
@@ -131,7 +131,7 @@ func TestAddRemoveWorkerDynamics(t *testing.T) {
 func TestRemoveWorkerLetsInFlightComplete(t *testing.T) {
 	eng, b := newBalancer(t, selector.RoundRobin)
 	w := &fakeWorker{eng: eng, delay: 5}
-	if err := b.AddWorker("t1", w); err != nil {
+	if err := b.Add("t1", w, 1); err != nil {
 		t.Fatal(err)
 	}
 	completed := false
@@ -142,19 +142,19 @@ func TestRemoveWorkerLetsInFlightComplete(t *testing.T) {
 		completed = true
 	})
 	eng.RunUntil(0.1)
-	if err := b.RemoveWorker("t1"); err != nil {
+	if err := b.Remove("t1"); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
 	if !completed {
-		t.Fatal("in-flight request lost on RemoveWorker")
+		t.Fatal("in-flight request lost on Remove")
 	}
 }
 
 func TestPendingAccounting(t *testing.T) {
 	eng, b := newBalancer(t, selector.RoundRobin)
 	w := &fakeWorker{eng: eng, delay: 1}
-	if err := b.AddWorker("t1", w); err != nil {
+	if err := b.Add("t1", w, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -176,7 +176,7 @@ func TestPendingAccounting(t *testing.T) {
 func TestWorkerErrorsCountedAndPropagated(t *testing.T) {
 	eng, b := newBalancer(t, selector.RoundRobin)
 	w := &fakeWorker{eng: eng, delay: 0.001, err: errors.New("boom")}
-	if err := b.AddWorker("t1", w); err != nil {
+	if err := b.Add("t1", w, 1); err != nil {
 		t.Fatal(err)
 	}
 	var got error
@@ -214,7 +214,7 @@ func TestLifecycle(t *testing.T) {
 func TestBalancerNodeFailure(t *testing.T) {
 	eng, b := newBalancer(t, selector.RoundRobin)
 	w := &fakeWorker{eng: eng, delay: 0.001}
-	if err := b.AddWorker("t1", w); err != nil {
+	if err := b.Add("t1", w, 1); err != nil {
 		t.Fatal(err)
 	}
 	var got error
@@ -232,7 +232,7 @@ func TestSessionAffinityStickyAndEvicted(t *testing.T) {
 	for _, n := range []string{"t1", "t2", "t3"} {
 		w := &fakeWorker{eng: eng, delay: 0.001}
 		workers[n] = w
-		if err := b.AddWorker(n, w); err != nil {
+		if err := b.Add(n, w, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +246,7 @@ func TestSessionAffinityStickyAndEvicted(t *testing.T) {
 	if b.SessionCount() != 4 {
 		t.Fatalf("SessionCount = %d, want 4", b.SessionCount())
 	}
-	pinned, ok := b.StickyWorker("s1")
+	pinned, ok := b.Sticky("s1")
 	if !ok {
 		t.Fatal("s1 has no sticky worker")
 	}
@@ -259,10 +259,10 @@ func TestSessionAffinityStickyAndEvicted(t *testing.T) {
 	}
 	// Removing the pinned worker evicts its sessions; the key re-pins to
 	// a survivor and requests keep flowing.
-	if err := b.RemoveWorker(pinned); err != nil {
+	if err := b.Remove(pinned); err != nil {
 		t.Fatal(err)
 	}
-	if w, ok := b.StickyWorker("s1"); ok {
+	if w, ok := b.Sticky("s1"); ok {
 		t.Fatalf("session s1 still pinned to departed worker %s", w)
 	}
 	var got error
@@ -271,7 +271,7 @@ func TestSessionAffinityStickyAndEvicted(t *testing.T) {
 	if got != nil {
 		t.Fatalf("re-pinned request failed: %v", got)
 	}
-	if w, ok := b.StickyWorker("s1"); !ok || w == pinned {
+	if w, ok := b.Sticky("s1"); !ok || w == pinned {
 		t.Fatalf("s1 re-pinned to %q (ok=%v), departed worker was %q", w, ok, pinned)
 	}
 }
@@ -287,7 +287,7 @@ func (instantWorker) HandleHTTP(_ *legacy.WebRequest, done func(error)) { done(n
 func TestHandleHTTPAllocs(t *testing.T) {
 	eng, b := newBalancer(t, selector.RoundRobin)
 	b.Obs = obs.NewTierMetrics(obs.NewRegistry(eng.Now), "lb", "plb")
-	if err := b.AddWorker("t1", instantWorker{}); err != nil {
+	if err := b.Add("t1", instantWorker{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	req := &legacy.WebRequest{SessionKey: "s1"}

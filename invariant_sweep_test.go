@@ -39,8 +39,8 @@ func sabotagedScenario() ScenarioConfig {
 		if ev.Kind != "sabotage" {
 			return false
 		}
-		w := res.Deployment.MustComponent("plb1").Content().(*core.PLBWrapper)
-		_ = w.Balancer().RemoveWorker(ev.Target)
+		w := res.Deployment.MustComponent("plb1").Content().(*core.BalancerWrapper)
+		_ = w.Balancer().Remove(ev.Target)
 		return true
 	}
 	return base

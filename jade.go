@@ -13,9 +13,9 @@
 //     (Apache, Tomcat, MySQL) configured exclusively through their
 //     proprietary files (httpd.conf, server.xml, my.cnf,
 //     worker.properties);
-//   - internal/cjdbc, internal/plb, internal/l4 — the clustering
-//     middleware (C-JDBC with its recovery log, the PLB application-tier
-//     balancer, the L4 front-end switch);
+//   - internal/cjdbc, internal/plb — the clustering middleware (C-JDBC
+//     with its recovery log; the PLB application-tier balancer and the L4
+//     front-end switch, one balancer type in two kinds);
 //   - internal/core — Jade itself: wrappers, the Software Installation
 //     Service, the ADL deployer, the control-loop framework, the
 //     self-optimization and self-recovery managers;

@@ -433,7 +433,7 @@ type run struct {
 	p   *Platform
 	dep *Deployment
 	// plb and cjdbc are the two balancer wrappers, resolved once.
-	plb     *core.PLBWrapper
+	plb     *core.BalancerWrapper
 	cjdbc   *core.CJDBCWrapper
 	appTier *AppTier
 	dbTier  *DBTier
@@ -637,9 +637,9 @@ func newRun(cfg ScenarioConfig) (*run, error) {
 		return nil, err
 	}
 	var isPLB, isCJDBC bool
-	r.plb, isPLB = r.dep.MustComponent("plb1").Content().(*core.PLBWrapper)
+	r.plb, isPLB = r.dep.MustComponent("plb1").Content().(*core.BalancerWrapper)
 	r.cjdbc, isCJDBC = r.dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper)
-	if !isPLB || !isCJDBC {
+	if !isPLB || r.plb.Kind() != "plb" || !isCJDBC {
 		return nil, errors.New("jade: the ADL must deploy plb1 with the plb wrapper and cjdbc1 with the cjdbc wrapper")
 	}
 

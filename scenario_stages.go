@@ -177,7 +177,7 @@ func (r *run) invariants() error {
 		if b == nil || !b.Running() {
 			return nil
 		}
-		return b.Workers()
+		return b.Members()
 	}, r.appTier)
 	appAgree.Pendings = func() map[string]int {
 		b := r.plb.Balancer()
@@ -582,8 +582,8 @@ func (r *run) liveConfig() error {
 		retune(r.appPool(), cur.App, selector.RoundRobin)
 		retune(r.dbPool(), cur.DB, selector.LeastPending)
 		if c, err := r.dep.Component("l4"); err == nil {
-			if w, ok := c.Content().(*core.L4Wrapper); ok {
-				if sw := w.Switch(); sw != nil {
+			if w, ok := c.Content().(*core.BalancerWrapper); ok && w.Kind() == "l4" {
+				if sw := w.Balancer(); sw != nil {
 					retune(sw.Pool(), cur.L4, selector.WeightedRoundRobin)
 				}
 			}
