@@ -626,12 +626,15 @@ func (r *request) readDone(err error) {
 	r.finish(nil)
 }
 
-// BackendInfo is a snapshot of one backend's status.
+// BackendInfo is a snapshot of one backend's status. Fingerprint is its
+// database's sqlengine fingerprint, the state the Applied log prefix
+// produced.
 type BackendInfo struct {
-	Name    string
-	State   BackendState
-	Applied int64
-	Node    string
+	Name        string
+	State       BackendState
+	Applied     int64
+	Node        string
+	Fingerprint uint64
 }
 
 // Backends returns status for all registered backends, sorted by name.
@@ -639,10 +642,11 @@ func (c *Controller) Backends() []BackendInfo {
 	out := make([]BackendInfo, 0, len(c.backends))
 	for _, b := range c.backends {
 		out = append(out, BackendInfo{
-			Name:    b.name,
-			State:   b.state,
-			Applied: b.applied,
-			Node:    b.srv.Node().Name(),
+			Name:        b.name,
+			State:       b.state,
+			Applied:     b.applied,
+			Node:        b.srv.Node().Name(),
+			Fingerprint: b.srv.DB().Fingerprint(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

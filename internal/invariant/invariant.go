@@ -1,8 +1,8 @@
 // Package invariant is the deterministic simulation-testing harness: a
 // pluggable set of machine-checkable predicates over the live managed
-// architecture, evaluated on a sim ticker and at every reconfiguration
-// boundary, plus a seed-sweep chaos runner with failing-schedule replay
-// (see sweep.go).
+// architecture, each evaluated in full every virtual second (a sim ticker)
+// and at every reconfiguration boundary, plus a seed-sweep chaos runner
+// with failing-schedule replay (see sweep.go).
 //
 // The paper's claim — that autonomic control loops can safely reconfigure
 // a live cluster — only holds if the system preserves its invariants under
@@ -30,7 +30,6 @@ package invariant
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"jade/internal/cjdbc"
 	"jade/internal/cluster"
@@ -41,8 +40,8 @@ import (
 // Checker is one registered invariant. Check returns a non-nil error when
 // the invariant is violated at time now. boundary is true when the check
 // runs at a reconfiguration boundary (deploy, grow, shrink, repair) rather
-// than on the periodic ticker; expensive checkers may throttle their
-// ticker work but must always check fully at boundaries.
+// than on the periodic ticker; every checker does the same, full work on
+// both.
 type Checker interface {
 	Name() string
 	Check(now float64, boundary bool) error
@@ -177,19 +176,14 @@ func (h *Harness) Boundaries() uint64 { return h.boundaries }
 // CJDBCConsistency checks the database tier's replication invariants: the
 // recovery log never shrinks, per-backend applied indices and per-backend
 // checkpoints only move forward, every index stays within the log bounds,
-// and backends at the same applied index have identical state
-// fingerprints. Fingerprinting walks the whole database, so it is
-// throttled to FingerprintEvery seconds on ticker checks (boundaries
-// always fingerprint).
+// and active backends at the same applied index have identical state
+// fingerprints, compared on every check: the engine maintains its
+// fingerprint as it writes, so reading one costs a step per table.
 type CJDBCConsistency struct {
 	// Controller returns the live controller, or nil while it is down.
 	Controller func() *cjdbc.Controller
-	// FingerprintEvery throttles ticker-driven fingerprinting (seconds).
-	FingerprintEvery float64
 
 	label       string
-	lastFP      float64
-	fpDone      bool
 	lastLen     int64
 	lastApplied map[string]int64
 	lastCkpt    map[string]int64
@@ -198,11 +192,10 @@ type CJDBCConsistency struct {
 // NewCJDBCConsistency builds the checker for one controller accessor.
 func NewCJDBCConsistency(label string, controller func() *cjdbc.Controller) *CJDBCConsistency {
 	return &CJDBCConsistency{
-		Controller:       controller,
-		FingerprintEvery: 5,
-		label:            label,
-		lastApplied:      map[string]int64{},
-		lastCkpt:         map[string]int64{},
+		Controller:  controller,
+		label:       label,
+		lastApplied: map[string]int64{},
+		lastCkpt:    map[string]int64{},
 	}
 }
 
@@ -263,32 +256,19 @@ func (c *CJDBCConsistency) Check(now float64, boundary bool) error {
 	// State digests: every pair of active backends at the same applied
 	// index must agree (state is a pure function of dump + log prefix).
 	// Backends at different indices legitimately differ mid-broadcast.
-	if boundary || !c.fpDone || now-c.lastFP >= c.FingerprintEvery {
-		c.lastFP, c.fpDone = now, true
-		rep := ctl.CheckConsistency()
-		byIdx := map[int64]string{} // applied index -> first backend seen
-		for _, name := range sortedKeys(rep.Fingerprints) {
-			idx := rep.Applied[name]
-			if firstName, ok := byIdx[idx]; ok {
-				if rep.Fingerprints[firstName] != rep.Fingerprints[name] {
-					return fmt.Errorf("state divergence at log index %d: %s fingerprint %016x != %s fingerprint %016x",
-						idx, firstName, rep.Fingerprints[firstName], name, rep.Fingerprints[name])
-				}
-			} else {
-				byIdx[idx] = name
+	// infos is sorted by name, so the pair reported is the same every run.
+	for i, b := range infos {
+		if b.State != cjdbc.Active {
+			continue
+		}
+		for _, a := range infos[:i] {
+			if a.State == cjdbc.Active && a.Applied == b.Applied && a.Fingerprint != b.Fingerprint {
+				return fmt.Errorf("state divergence at log index %d: %s fingerprint %016x != %s fingerprint %016x",
+					b.Applied, a.Name, a.Fingerprint, b.Name, b.Fingerprint)
 			}
 		}
 	}
 	return nil
-}
-
-func sortedKeys(m map[string]uint64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -419,23 +419,20 @@ func TestCJDBCConsistencyChecker(t *testing.T) {
 	}
 }
 
-func TestCJDBCConsistencyThrottlesFingerprints(t *testing.T) {
+// A backend corrupted between two ticker checks one second apart is reported
+// by the second: fingerprints are compared on every check, not every few.
+func TestCJDBCConsistencyCatchesDivergenceOnNextTick(t *testing.T) {
 	r := newCJDBCRig(t)
 	chk := NewCJDBCConsistency("cjdbc", func() *cjdbc.Controller { return r.ctl })
-	chk.FingerprintEvery = 100
 	r.exec(t, "CREATE TABLE items (id INT)")
-	if err := chk.Check(1, false); err != nil { // first tick fingerprints
+	if err := chk.Check(1, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.dbs["mysql2"].DB().Exec("INSERT INTO items (id) VALUES (7)"); err != nil {
 		t.Fatal(err)
 	}
-	// Within the throttle window, a tick check skips fingerprinting...
-	if err := chk.Check(2, false); err != nil {
-		t.Fatalf("throttled tick should not fingerprint: %v", err)
-	}
-	// ...but a boundary check always fingerprints.
-	if err := chk.Check(3, true); err == nil {
-		t.Fatal("boundary check did not fingerprint")
+	err := chk.Check(2, false)
+	if err == nil || !strings.Contains(err.Error(), "state divergence") {
+		t.Fatalf("tick after the corruption: err = %v, want state divergence", err)
 	}
 }

@@ -3,8 +3,8 @@ package sqlengine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
-	"strconv"
 )
 
 // Errors returned by the engine.
@@ -27,15 +27,20 @@ type Table struct {
 	Columns []Column
 	Rows    []Row
 
-	names []string   // column names, the Columns of every SELECT * result
-	index []*eqIndex // by column ordinal; nil until a statement uses it
+	names  []string   // column names, the Columns of every SELECT * result
+	index  []*eqIndex // by column ordinal; nil until a statement uses it
+	schema uint64     // hash of the name and the columns, fixed at CREATE
+	digest uint64     // Σ rowDigest(i, Rows[i]), wrapping; every write path keeps it
 }
 
 func newTable(name string, cols []Column) *Table {
 	t := &Table{Name: name, Columns: cols, names: make([]string, len(cols))}
+	h := hash64(0).text(name)
 	for i, c := range cols {
 		t.names[i] = c.Name
+		h = h.text(c.Name).word(uint64(c.Type))
 	}
+	t.schema = uint64(h)
 	return t
 }
 
@@ -108,15 +113,12 @@ func (e *Engine) Writes() uint64 { return e.writes }
 
 // Tables returns table names sorted.
 func (e *Engine) Tables() []string {
-	return e.sortedNames(make([]string, 0, len(e.tables)))
-}
-
-func (e *Engine) sortedNames(dst []string) []string {
+	names := make([]string, 0, len(e.tables))
 	for n := range e.tables {
-		dst = append(dst, n)
+		names = append(names, n)
 	}
-	slices.Sort(dst)
-	return dst
+	slices.Sort(names)
+	return names
 }
 
 // Table returns the named table.
@@ -220,6 +222,7 @@ func (e *Engine) execInsert(s InsertStmt) (Result, error) {
 		}
 		row[ci] = v
 	}
+	t.digest += rowDigest(len(t.Rows), row)
 	t.Rows = append(t.Rows, row)
 	for ci, ix := range t.index {
 		if ix != nil {
@@ -560,10 +563,12 @@ func (e *Engine) execUpdate(s UpdateStmt) (Result, error) {
 		return Result{}, err
 	}
 	for _, p := range pos {
-		row := slices.Clone(t.Rows[p]) // the old row may be shared
+		old := t.Rows[p]
+		row := slices.Clone(old) // the old row may be shared
 		for _, op := range ops {
 			row[op.ci] = op.v
 		}
+		t.digest += rowDigest(int(p), row) - rowDigest(int(p), old)
 		t.Rows[p] = row
 	}
 	if len(pos) > 0 && t.index != nil {
@@ -596,6 +601,10 @@ func (e *Engine) execDelete(s DeleteStmt) (Result, error) {
 		}
 		clear(t.Rows[len(kept):])
 		t.Rows, t.index = kept, nil // every later position moved
+		t.digest = 0
+		for i, row := range t.Rows {
+			t.digest += rowDigest(i, row)
+		}
 	}
 	e.writes++
 	return Result{Affected: len(pos)}, nil
@@ -610,73 +619,77 @@ func (e *Engine) Snapshot() *Engine {
 	cp := New()
 	cp.writes = e.writes
 	for name, t := range e.tables {
-		cp.tables[name] = &Table{Name: t.Name, Columns: t.Columns, Rows: slices.Clone(t.Rows), names: t.names}
+		cp.tables[name] = &Table{Name: t.Name, Columns: t.Columns, Rows: slices.Clone(t.Rows),
+			names: t.names, schema: t.schema, digest: t.digest}
 	}
 	return cp
 }
 
-// fnv64a is hash/fnv's 64-bit FNV-1a, inlined so that hashing a database
-// allocates nothing.
-type fnv64a uint64
+// hash64 is a running 64-bit hash over a sequence of words. Each word goes
+// through the splitmix64 finalizer, a bijection of the state that spreads
+// every input bit over the whole word.
+type hash64 uint64
 
-func (h *fnv64a) byte(b byte) { *h = (*h ^ fnv64a(b)) * 1099511628211 }
-
-func (h *fnv64a) string(s string) {
-	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
-	}
+func (h hash64) word(w uint64) hash64 {
+	x := uint64(h) + w + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return hash64(x ^ x>>31)
 }
 
-func (h *fnv64a) bytes(b []byte) {
-	for _, c := range b {
-		h.byte(c)
+// text feeds the length of s, then its bytes eight to a word, little-endian,
+// the last word zero-padded: the length says where the text ends.
+func (h hash64) text(s string) hash64 {
+	h = h.word(uint64(len(s)))
+	for ; len(s) >= 8; s = s[8:] {
+		h = h.word(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)
 	}
-}
-
-// Fingerprint returns a content hash of the full database state
-// (schema + rows, order-independent across tables, order-dependent within
-// a table as row order is part of engine state). Two replicas are
-// consistent iff their fingerprints are equal.
-func (e *Engine) Fingerprint() uint64 {
-	h := fnv64a(14695981039346656037)
-	var names [16]string
-	for _, name := range e.sortedNames(names[:0]) {
-		t := e.tables[name]
-		h.string("table:")
-		h.string(name)
-		for _, c := range t.Columns {
-			h.string(c.Name)
-			h.byte(':')
-			h.string(c.Type.String())
+	if len(s) > 0 {
+		var w uint64
+		for i := len(s) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(s[i])
 		}
-		for _, r := range t.Rows {
-			for _, v := range r {
-				h.value(v)
-			}
-			h.byte(0xFF)
+		h = h.word(w)
+	}
+	return h
+}
+
+// rowDigest hashes the row standing at position pos of its table: the
+// position, then for every cell a type tag and the value's raw bits (none
+// for NULL, the length-prefixed bytes for TEXT), so that the words of one
+// cell cannot be read as another's.
+func rowDigest(pos int, row Row) uint64 {
+	h := hash64(0).word(uint64(pos))
+	for _, v := range row {
+		switch x := v.(type) {
+		case nil:
+			h = h.word('N')
+		case int64:
+			h = h.word('i').word(uint64(x))
+		case float64:
+			h = h.word('f').word(math.Float64bits(x))
+		case string:
+			h = h.word('s').text(x)
 		}
 	}
 	return uint64(h)
 }
 
-// value feeds one cell: a type tag, the value's shortest decimal text (what
-// strconv.FormatInt and FormatFloat 'g' print), and a terminating zero.
-func (h *fnv64a) value(v Value) {
-	var buf [32]byte
-	switch x := v.(type) {
-	case nil:
-		h.byte('N')
-	case int64:
-		h.byte('i')
-		h.bytes(strconv.AppendInt(buf[:0], x, 10))
-	case float64:
-		h.byte('f')
-		h.bytes(strconv.AppendFloat(buf[:0], x, 'g', -1, 64))
-	case string:
-		h.byte('s')
-		h.string(x)
+// Fingerprint returns a content hash of the full database state (schema +
+// rows, order-independent across tables, order-dependent within a table as
+// row order is part of engine state). Two replicas are consistent iff their
+// fingerprints are equal. It is a pure function of that state, whatever
+// statements led to it, and costs one step per table: the rows are hashed
+// when they are written (INSERT and UPDATE hash the rows they touch, a
+// DELETE that removes rows rehashes its table), never here. The value is
+// compared, not recorded: it may differ from one commit to the next.
+func (e *Engine) Fingerprint() uint64 {
+	var fp uint64
+	for _, t := range e.tables {
+		fp += uint64(hash64(t.schema).word(t.digest).word(uint64(len(t.Rows))))
 	}
-	h.byte(0)
+	return fp
 }
 
 // RowCount returns the number of rows in a table (0 if absent).

@@ -10,8 +10,10 @@ import (
 
 // FuzzParse feeds arbitrary bytes to the parser: it must not panic, IsWrite
 // must agree with it, and whatever it accepts must execute against a
-// populated RUBiS database without panicking (errors are fine). The
-// committed corpus is under testdata/fuzz/FuzzParse.
+// populated RUBiS database without panicking (errors are fine) and leave
+// the maintained fingerprint equal to one rebuilt from the rows, unmoved
+// if the statement is a SELECT. The committed corpus is under
+// testdata/fuzz/FuzzParse.
 func FuzzParse(f *testing.F) {
 	ds := rubis.DefaultDataset()
 	base, err := ds.InitialDatabase(1)
@@ -35,6 +37,9 @@ func FuzzParse(f *testing.F) {
 		db := base.Snapshot()
 		for i := 0; i < 2; i++ { // the second run meets the indexes the first one built
 			_, _ = db.ExecStmt(stmt)
+			if got, want := db.Fingerprint(), sqlengine.RebuiltFingerprint(db); got != want {
+				t.Fatalf("run %d of %q: fingerprint %x, rebuilt from the rows %x", i, sql, got, want)
+			}
 		}
 		if _, ok := stmt.(sqlengine.SelectStmt); ok && db.Fingerprint() != base.Fingerprint() {
 			t.Fatalf("SELECT changed the database: %q", sql)

@@ -1,11 +1,11 @@
 package sqlengine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"math"
 	"sort"
-	"strconv"
 )
 
 // refEngine is the executor the engine used before it had indexes, kept as
@@ -339,37 +339,74 @@ func (r *refEngine) snapshot() *refEngine {
 	return cp
 }
 
-// fingerprint hashes the state the way Engine.Fingerprint did when it
-// formatted every cell into a string and fed hash/fnv.
+// fingerprint is the definition of Engine.Fingerprint, computed from
+// scratch over the oracle's own rows with nothing maintained: the sum over
+// tables of hash(hash(name, columns), digest, row count), where digest is the
+// sum over rows of the hash of (position, cells) and a cell is a type tag
+// followed by its raw bits.
 func (r *refEngine) fingerprint() uint64 {
-	names := make([]string, 0, len(r.tables))
-	for n := range r.tables {
-		names = append(names, n)
+	var fp uint64
+	for _, t := range r.tables {
+		fp += refTableHash(t.name, t.cols, t.rows)
 	}
-	sort.Strings(names)
-	h := fnv.New64a()
-	for _, name := range names {
-		t := r.tables[name]
-		h.Write([]byte("table:" + name))
-		for _, c := range t.cols {
-			h.Write([]byte(c.Name + ":" + c.Type.String()))
-		}
-		for _, row := range t.rows {
-			for _, v := range row {
-				switch x := v.(type) {
-				case nil:
-					h.Write([]byte("N"))
-				case int64:
-					h.Write([]byte("i" + strconv.FormatInt(x, 10)))
-				case float64:
-					h.Write([]byte("f" + strconv.FormatFloat(x, 'g', -1, 64)))
-				case string:
-					h.Write([]byte("s" + x))
-				}
-				h.Write([]byte{0})
+	return fp
+}
+
+// RebuiltFingerprint applies the same definition to the engine's tables as
+// they stand; FuzzParse compares it with the value the engine maintained.
+func RebuiltFingerprint(e *Engine) uint64 {
+	var fp uint64
+	for _, t := range e.tables {
+		fp += refTableHash(t.Name, t.Columns, t.Rows)
+	}
+	return fp
+}
+
+func refTableHash(name string, cols []Column, rows []Row) uint64 {
+	schema := refText(nil, name)
+	for _, c := range cols {
+		schema = append(refText(schema, c.Name), uint64(c.Type))
+	}
+	var digest uint64
+	for pos, row := range rows {
+		words := []uint64{uint64(pos)}
+		for _, v := range row {
+			switch x := v.(type) {
+			case nil:
+				words = append(words, 'N')
+			case int64:
+				words = append(words, 'i', uint64(x))
+			case float64:
+				words = append(words, 'f', math.Float64bits(x))
+			case string:
+				words = refText(append(words, 's'), x)
 			}
-			h.Write([]byte{0xFF})
 		}
+		digest += refHash(0, words)
 	}
-	return h.Sum64()
+	return refHash(refHash(0, schema), []uint64{digest, uint64(len(rows))})
+}
+
+// refText appends the length of s and its bytes, zero-padded to whole
+// little-endian words.
+func refText(words []uint64, s string) []uint64 {
+	words = append(words, uint64(len(s)))
+	b := append([]byte(s), make([]byte, (8-len(s)%8)%8)...)
+	for ; len(b) > 0; b = b[8:] {
+		words = append(words, binary.LittleEndian.Uint64(b))
+	}
+	return words
+}
+
+// refHash runs every word through splitmix64's finalizer, chained.
+func refHash(h uint64, words []uint64) uint64 {
+	for _, w := range words {
+		h += w + 0x9e3779b97f4a7c15
+		h ^= h >> 30
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 27
+		h *= 0x94d049bb133111eb
+		h ^= h >> 31
+	}
+	return h
 }
