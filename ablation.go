@@ -251,7 +251,7 @@ func replayLogRun(seed int64, delta int) (ReplayRow, error) {
 	}
 	// Install a replica holding only the initial dump (log index 0),
 	// so its synchronization replays exactly `delta` records. (The
-	// DBTier actuator would snapshot an up-to-date backend instead —
+	// database tier actuator would snapshot an up-to-date backend instead —
 	// this ablation quantifies what that optimization saves.)
 	node, err := p.Pool.Allocate()
 	if err != nil {

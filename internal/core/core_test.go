@@ -201,6 +201,60 @@ func TestAbortedDeployStopsStartedComponents(t *testing.T) {
 	if got := len(p.Net.Addresses()); got != 0 {
 		t.Fatalf("leaked %d listeners: %v", got, p.Net.Addresses())
 	}
+	requireNoManagementFootprint(t, p)
+
+	// A placement that fails after the wrapper factory ran — the factory
+	// charged the node the management footprint, then an attribute is
+	// refused, or the root already holds a composite of that name (neither
+	// is Validate's to catch) — gives the node back without the footprint,
+	// like the placements before it.
+	for _, adlText := range []string{
+		`<definition name="bad-attribute">
+		  <component name="mysql1" wrapper="mysql"/>
+		  <component name="tomcat1" wrapper="tomcat"><attribute name="ajp-port" value="none"/></component>
+		</definition>`,
+		`<definition name="name-clash">
+		  <composite name="db"><component name="mysql1" wrapper="mysql"/></composite>
+		  <component name="db" wrapper="mysql"/>
+		</definition>`,
+	} {
+		p := NewPlatform(DefaultOptions())
+		def, err := adl.Parse(adlText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		derr = nil
+		p.Deploy(def, func(_ *Deployment, err error) { derr = err })
+		p.Eng.Run()
+		if derr == nil {
+			t.Fatalf("%s deployed", def.Name)
+		}
+		if p.Pool.AllocatedCount() != 0 {
+			t.Fatalf("%s: leaked %d nodes (%v)", def.Name, p.Pool.AllocatedCount(), derr)
+		}
+		requireNoManagementFootprint(t, p)
+	}
+}
+
+// requireNoManagementFootprint checks that no node of an emptied platform
+// is still charged Table 1's per-node management components: every node
+// holds its installed packages and nothing else.
+func requireNoManagementFootprint(t *testing.T, p *Platform) {
+	t.Helper()
+	if len(p.mgmtNodes) != 0 {
+		t.Fatalf("nodes still carrying the management footprint: %v", p.mgmtNodes)
+	}
+	for _, n := range p.Pool.Nodes() {
+		var pkgs float64
+		for _, name := range p.SIS.Packages() {
+			if p.SIS.IsInstalled(n, name) {
+				pkgs += p.SIS.packages[name].MemoryMB
+			}
+		}
+		if n.MemoryUsed() != pkgs {
+			t.Fatalf("%s holds %v MB, its installed packages %v MB", n.Name(), n.MemoryUsed(), pkgs)
+		}
+	}
 }
 
 func TestDeployPinnedNode(t *testing.T) {
@@ -228,6 +282,10 @@ func TestDeployPinnedNode(t *testing.T) {
 
 func TestUndeployReleasesEverything(t *testing.T) {
 	p, dep := deployThreeTier(t)
+	var comps []*fractal.Component
+	for _, name := range dep.ComponentNames() {
+		comps = append(comps, dep.MustComponent(name))
+	}
 	var uerr error = errors.New("pending")
 	p.Undeploy(dep, func(err error) { uerr = err })
 	p.Eng.Run()
@@ -237,11 +295,15 @@ func TestUndeployReleasesEverything(t *testing.T) {
 	if p.Pool.AllocatedCount() != 0 {
 		t.Fatalf("allocated after undeploy = %d", p.Pool.AllocatedCount())
 	}
-	for _, name := range dep.ComponentNames() {
-		if dep.MustComponent(name).State() != fractal.Stopped {
-			t.Fatalf("%s still started after undeploy", name)
+	for _, c := range comps {
+		if c.State() != fractal.Stopped || c.Parent() != nil {
+			t.Fatalf("%s still started or in the architecture after undeploy", c.Name())
 		}
 	}
+	if got := dep.ComponentNames(); len(got) != 4-len(comps) {
+		t.Fatalf("components still deployed after undeploy: %v", got)
+	}
+	requireNoManagementFootprint(t, p)
 }
 
 func TestFigure4ReconfigurationViaComponentOperations(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 // a component architecture (one composite per ADL composite) plus the
 // node assignments behind it.
 type Deployment struct {
-	p     *Platform
 	Def   *adl.Definition
 	Root  *fractal.Component
 	comps map[string]*fractal.Component
@@ -80,43 +79,107 @@ func (d *Deployment) FrontEnd() (legacy.HTTPHandler, error) {
 	return nil, fmt.Errorf("jade: deployment %s has no HTTP front end", d.Def.Name)
 }
 
-// register adds a component created outside the initial ADL (by an
-// actuator growing a tier).
-func (d *Deployment) register(name string, c *fractal.Component, node *cluster.Node) {
-	d.comps[name] = c
-	d.nodes[name] = node
+// ranked returns the component names in start order — servers register
+// their listeners before their clients resolve them — or, reversed, in stop
+// order (front end first); by name within a rank.
+func (d *Deployment) ranked(reversed bool) []string {
+	names := d.ComponentNames()
+	rank := func(name string) int { return startRank(d.comps[name].Content().(Wrapper).Kind()) }
+	sort.SliceStable(names, func(i, j int) bool {
+		if reversed {
+			i, j = j, i
+		}
+		return rank(names[i]) < rank(names[j])
+	})
+	return names
 }
 
-// unregister forgets a component removed by an actuator.
-func (d *Deployment) unregister(name string) {
+// place puts one component on a node already holding its software: the
+// wrapper factory creates it, the node is charged the management footprint,
+// ready configures the component (and may take simulated time), then it
+// enters its composite and the deployment's records. On failure nothing is
+// recorded; the caller still owns the node and gives it back through
+// release, which takes the footprint off again.
+func (p *Platform) place(d *Deployment, parent *fractal.Component, kind, name string, node *cluster.Node,
+	ready func(*fractal.Component, func(error)), done func(*fractal.Component, error)) {
+	comp, err := p.registry[kind](p, name, node)
+	if err != nil {
+		done(nil, fmt.Errorf("jade: creating %s: %w", name, err))
+		return
+	}
+	p.attachManagement(node)
+	ready(comp, func(err error) {
+		if err == nil {
+			err = parent.Add(comp)
+		}
+		if err != nil {
+			done(nil, err)
+			return
+		}
+		d.comps[name], d.nodes[name] = comp, node
+		done(comp, nil)
+	})
+}
+
+// terminator is implemented by wrappers whose legacy process can be
+// hard-killed without a graceful stop (STONITH).
+type terminator interface {
+	TerminateManaged()
+}
+
+// withdraw is place's inverse: the component leaves the architecture and
+// the records. A legacy process still alive on a healthy node is killed,
+// not stopped — callers wanting a graceful stop run StopComponent first.
+func (d *Deployment) withdraw(name string) (*cluster.Node, error) {
+	comp, node := d.comps[name], d.nodes[name]
+	if tw, ok := comp.Content().(terminator); ok && !node.Failed() {
+		tw.TerminateManaged()
+	}
+	if comp.State() == fractal.Started {
+		if err := comp.Stop(); err != nil {
+			return nil, err
+		}
+	}
+	if parent := comp.Parent(); parent != nil {
+		if _, err := parent.Remove(name); err != nil {
+			return nil, err
+		}
+	}
 	delete(d.comps, name)
 	delete(d.nodes, name)
+	return node, nil
 }
 
-// abortDeployment tears down a partially completed deployment: started
-// components are stopped (front end first) and every allocated node is
-// released, so a failed Deploy leaks nothing.
-func (p *Platform) abortDeployment(d *Deployment, cause error, finish func(*Deployment, error)) {
-	names := d.ComponentNames()
-	sort.SliceStable(names, func(i, j int) bool {
-		wi := d.comps[names[i]].Content().(Wrapper)
-		wj := d.comps[names[j]].Content().(Wrapper)
-		if startRank(wi.Kind()) != startRank(wj.Kind()) {
-			return startRank(wi.Kind()) > startRank(wj.Kind())
-		}
-		return names[i] < names[j]
-	})
+// retire withdraws one component and gives its node back.
+func (p *Platform) retire(d *Deployment, name string) error {
+	node, err := d.withdraw(name)
+	if err == nil {
+		p.release(node)
+	}
+	return err
+}
+
+// release returns a node to the pool, off the management footprint.
+func (p *Platform) release(n *cluster.Node) {
+	p.detachManagement(n)
+	_ = p.Pool.Release(n)
+}
+
+// teardown stops every started component, front end first, then retires
+// them all. When strict a failed stop ends it there; otherwise (an aborted
+// deployment) whatever does not stop is killed by its retirement.
+func (p *Platform) teardown(d *Deployment, strict bool, done func(error)) {
+	names := d.ranked(true)
 	var stopNext func(i int)
 	stopNext = func(i int) {
 		if i >= len(names) {
+			var first error
 			for _, name := range names {
-				if node, ok := d.nodes[name]; ok {
-					p.detachManagement(node)
-					_ = p.Pool.Release(node)
+				if err := p.retire(d, name); err != nil && first == nil {
+					first = err
 				}
 			}
-			p.logf("deploy: %s aborted: %v", d.Def.Name, cause)
-			finish(nil, cause)
+			done(first)
 			return
 		}
 		c := d.comps[names[i]]
@@ -124,9 +187,24 @@ func (p *Platform) abortDeployment(d *Deployment, cause error, finish func(*Depl
 			stopNext(i + 1)
 			return
 		}
-		p.StopComponent(c, func(error) { stopNext(i + 1) })
+		p.StopComponent(c, func(err error) {
+			if err != nil && strict {
+				done(err)
+				return
+			}
+			stopNext(i + 1)
+		})
 	}
 	stopNext(0)
+}
+
+// abortDeployment tears down a partially completed deployment, so a failed
+// Deploy leaks nothing: no node, no listener, no management footprint.
+func (p *Platform) abortDeployment(d *Deployment, cause error, finish func(*Deployment, error)) {
+	p.teardown(d, false, func(error) {
+		p.logf("deploy: %s aborted: %v", d.Def.Name, cause)
+		finish(nil, cause)
+	})
 }
 
 // Deploy interprets an ADL description (§3.3): it validates the
@@ -139,7 +217,7 @@ func (p *Platform) abortDeployment(d *Deployment, cause error, finish func(*Depl
 func (p *Platform) Deploy(def *adl.Definition, done func(*Deployment, error)) {
 	span := p.tracer.Begin(0, "deploy", def.Name)
 	finish := func(d *Deployment, err error) {
-		p.tracer.End(span, outcomeField(err))
+		p.tracer.End(span, trace.Outcome(err))
 		if done != nil {
 			done(d, err)
 		}
@@ -154,7 +232,6 @@ func (p *Platform) Deploy(def *adl.Definition, done func(*Deployment, error)) {
 		return
 	}
 	d := &Deployment{
-		p:     p,
 		Def:   def,
 		Root:  root,
 		comps: make(map[string]*fractal.Component),
@@ -195,37 +272,35 @@ func (p *Platform) Deploy(def *adl.Definition, done func(*Deployment, error)) {
 			p.abortDeployment(d, fmt.Errorf("jade: allocating node for %s: %w", pc.Name, err), finish)
 			return
 		}
+		// From here on a failure gives the node back before aborting.
+		fail := func(err error) {
+			p.release(node)
+			p.abortDeployment(d, err, finish)
+		}
 		p.SIS.Install(pc.Wrapper, node, func(ierr error) {
 			if ierr != nil {
-				_ = p.Pool.Release(node)
-				p.abortDeployment(d, fmt.Errorf("jade: installing %s: %w", pc.Name, ierr), finish)
+				fail(fmt.Errorf("jade: installing %s: %w", pc.Name, ierr))
 				return
 			}
-			factory := p.registry[pc.Wrapper]
-			comp, cerr := factory(p, pc.Name, node)
-			if cerr != nil {
-				_ = p.Pool.Release(node)
-				p.abortDeployment(d, fmt.Errorf("jade: creating %s: %w", pc.Name, cerr), finish)
-				return
+			configure := func(comp *fractal.Component, next func(error)) {
+				for _, a := range pc.Attributes {
+					if err := comp.SetAttribute(a.Name, a.Value); err != nil {
+						next(fmt.Errorf("jade: configuring %s: %w", pc.Name, err))
+						return
+					}
+				}
+				next(nil)
 			}
-			for _, a := range pc.Attributes {
-				if aerr := comp.SetAttribute(a.Name, a.Value); aerr != nil {
-					_ = p.Pool.Release(node)
-					p.abortDeployment(d, fmt.Errorf("jade: configuring %s: %w", pc.Name, aerr), finish)
+			p.place(d, composites[pc.CompositePath], pc.Wrapper, pc.Name, node, configure, func(_ *fractal.Component, err error) {
+				if err != nil {
+					fail(err)
 					return
 				}
-			}
-			if aerr := composites[pc.CompositePath].Add(comp); aerr != nil {
-				_ = p.Pool.Release(node)
-				p.abortDeployment(d, aerr, finish)
-				return
-			}
-			d.comps[pc.Name] = comp
-			d.nodes[pc.Name] = node
-			p.tracer.EmitIn(span, "deploy.place", pc.Name,
-				trace.F("wrapper", pc.Wrapper), trace.F("node", node.Name()))
-			p.logf("deploy: %s (%s) on %s", pc.Name, pc.Wrapper, node.Name())
-			deployNext(i + 1)
+				p.tracer.EmitIn(span, "deploy.place", pc.Name,
+					trace.F("wrapper", pc.Wrapper), trace.F("node", node.Name()))
+				p.logf("deploy: %s (%s) on %s", pc.Name, pc.Wrapper, node.Name())
+				deployNext(i + 1)
+			})
 		})
 	}
 	deployNext(0)
@@ -240,50 +315,45 @@ func splitPath(path string) (parent, name string) {
 	return "", path
 }
 
+// bind applies one ADL binding declaration.
+func (d *Deployment) bind(b adl.BindingDecl) error {
+	clientName, clientItf, err := adl.SplitRef(b.Client)
+	if err != nil {
+		return err
+	}
+	serverName, serverItf, err := adl.SplitRef(b.Server)
+	if err != nil {
+		return err
+	}
+	client, err := d.Component(clientName)
+	if err != nil {
+		return err
+	}
+	server, err := d.Component(serverName)
+	if err != nil {
+		return err
+	}
+	target, err := server.Interface(serverItf)
+	if err != nil {
+		return err
+	}
+	if err := client.Bind(clientItf, target); err != nil {
+		return fmt.Errorf("jade: binding %s to %s: %w", b.Client, b.Server, err)
+	}
+	return nil
+}
+
 // applyBindingsAndStart wires the architecture and boots it bottom-up.
 func (p *Platform) applyBindingsAndStart(d *Deployment, finish func(*Deployment, error)) {
 	for _, b := range d.Def.Bindings {
-		clientName, clientItf, err := adl.SplitRef(b.Client)
-		if err != nil {
+		if err := d.bind(b); err != nil {
 			p.abortDeployment(d, err, finish)
-			return
-		}
-		serverName, serverItf, err := adl.SplitRef(b.Server)
-		if err != nil {
-			p.abortDeployment(d, err, finish)
-			return
-		}
-		client, err := d.Component(clientName)
-		if err != nil {
-			p.abortDeployment(d, err, finish)
-			return
-		}
-		server, err := d.Component(serverName)
-		if err != nil {
-			p.abortDeployment(d, err, finish)
-			return
-		}
-		target, err := server.Interface(serverItf)
-		if err != nil {
-			p.abortDeployment(d, err, finish)
-			return
-		}
-		if err := client.Bind(clientItf, target); err != nil {
-			p.abortDeployment(d, fmt.Errorf("jade: binding %s to %s: %w", b.Client, b.Server, err), finish)
 			return
 		}
 	}
 
 	// Start order: db tier first, front end last.
-	names := d.ComponentNames()
-	sort.SliceStable(names, func(i, j int) bool {
-		wi := d.comps[names[i]].Content().(Wrapper)
-		wj := d.comps[names[j]].Content().(Wrapper)
-		if startRank(wi.Kind()) != startRank(wj.Kind()) {
-			return startRank(wi.Kind()) < startRank(wj.Kind())
-		}
-		return names[i] < names[j]
-	})
+	names := d.ranked(false)
 	var startNext func(i int)
 	startNext = func(i int) {
 		if i >= len(names) {
@@ -310,53 +380,15 @@ func (p *Platform) applyBindingsAndStart(d *Deployment, finish func(*Deployment,
 	startNext(0)
 }
 
-// Undeploy stops every component (front end first) and releases the
-// nodes.
+// Undeploy stops every component (front end first), retires them and
+// releases the nodes.
 func (p *Platform) Undeploy(d *Deployment, done func(error)) {
-	finish := func(err error) {
+	p.teardown(d, true, func(err error) {
+		if err == nil && d.Root.State() == fractal.Started {
+			err = d.Root.Stop()
+		}
 		if done != nil {
 			done(err)
 		}
-	}
-	names := d.ComponentNames()
-	sort.SliceStable(names, func(i, j int) bool {
-		wi := d.comps[names[i]].Content().(Wrapper)
-		wj := d.comps[names[j]].Content().(Wrapper)
-		if startRank(wi.Kind()) != startRank(wj.Kind()) {
-			return startRank(wi.Kind()) > startRank(wj.Kind())
-		}
-		return names[i] < names[j]
 	})
-	var stopNext func(i int)
-	stopNext = func(i int) {
-		if i >= len(names) {
-			if d.Root.State() == fractal.Started {
-				if err := d.Root.Stop(); err != nil {
-					finish(err)
-					return
-				}
-			}
-			for _, name := range names {
-				if node, ok := d.nodes[name]; ok {
-					p.detachManagement(node)
-					_ = p.Pool.Release(node)
-				}
-			}
-			finish(nil)
-			return
-		}
-		c := d.comps[names[i]]
-		if c.State() != fractal.Started {
-			stopNext(i + 1)
-			return
-		}
-		p.StopComponent(c, func(err error) {
-			if err != nil {
-				finish(err)
-				return
-			}
-			stopNext(i + 1)
-		})
-	}
-	stopNext(0)
 }

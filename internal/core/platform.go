@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"log"
 	"sort"
 
 	"jade/internal/cluster"
@@ -371,11 +370,3 @@ func (p *Platform) ManagementRoot() *fractal.Component { return p.mgmtRoot }
 // DescribeManagement renders Jade's own architecture — the deployed
 // autonomic managers as components.
 func (p *Platform) DescribeManagement() string { return p.mgmtRoot.Describe() }
-
-// StdLogf is a convenience Logf that writes to the standard logger with
-// virtual timestamps.
-func StdLogf(eng *sim.Engine) func(string, ...any) {
-	return func(format string, args ...any) {
-		log.Printf("[t=%8.1f] %s", eng.Now(), fmt.Sprintf(format, args...))
-	}
-}

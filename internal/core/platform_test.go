@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"jade/internal/adl"
-	"jade/internal/cluster"
 )
 
 func TestDescribeManagementListsLoops(t *testing.T) {
@@ -112,88 +111,5 @@ func TestDumpRegistry(t *testing.T) {
 	got, ok := p.Dump("rubis")
 	if !ok || got != db {
 		t.Fatal("dump registry broken")
-	}
-}
-
-func TestTierNodesTracksMembership(t *testing.T) {
-	p, dep := deployThreeTier(t)
-	tier, err := NewAppTier(p, dep, "plb1", "cjdbc1", []string{"tomcat1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tier.Nodes()); got != 1 {
-		t.Fatalf("nodes = %d", got)
-	}
-	gerr := errors.New("pending")
-	tier.Grow(func(err error) { gerr = err })
-	p.Eng.Run()
-	if gerr != nil {
-		t.Fatal(gerr)
-	}
-	nodes := tier.Nodes()
-	if len(nodes) != 2 {
-		t.Fatalf("nodes after grow = %d", len(nodes))
-	}
-	seen := map[*cluster.Node]bool{}
-	for _, n := range nodes {
-		if seen[n] {
-			t.Fatal("duplicate node in tier")
-		}
-		seen[n] = true
-	}
-}
-
-func TestGrowRespectsMaxReplicas(t *testing.T) {
-	p, dep := deployThreeTier(t)
-	tier, err := NewAppTier(p, dep, "plb1", "cjdbc1", []string{"tomcat1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tier.MaxReplicas = 1
-	if tier.CanGrow() {
-		t.Fatal("CanGrow at max")
-	}
-	var gerr error
-	tier.Grow(func(err error) { gerr = err })
-	p.Eng.Run()
-	if !errors.Is(gerr, ErrTierAtMax) {
-		t.Fatalf("grow at max: %v", gerr)
-	}
-}
-
-func TestGrowFailsGracefullyOnEmptyPool(t *testing.T) {
-	p, dep := deployThreeTier(t)
-	// Drain the pool.
-	for {
-		if _, err := p.Pool.Allocate(); err != nil {
-			break
-		}
-	}
-	tier, err := NewAppTier(p, dep, "plb1", "cjdbc1", []string{"tomcat1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tier.CanGrow() {
-		t.Fatal("CanGrow with empty pool")
-	}
-	var gerr error
-	tier.Grow(func(err error) { gerr = err })
-	p.Eng.Run()
-	if !errors.Is(gerr, cluster.ErrPoolExhausted) {
-		t.Fatalf("grow with empty pool: %v", gerr)
-	}
-	// The tier is intact and not stuck busy.
-	if tier.ReplicaCount() != 1 {
-		t.Fatalf("tier state corrupted: %d replicas", tier.ReplicaCount())
-	}
-	if tier.busy {
-		t.Fatal("tier left busy after failed grow")
-	}
-	// A reactor facing the same situation simply does nothing.
-	r := NewThresholdReactor(p, tier, 0.3, 0.8, nil)
-	r.React(p.Eng.Now(), 0.99)
-	p.Eng.Run()
-	if r.Grows != 0 {
-		t.Fatal("reactor grew with an empty pool")
 	}
 }

@@ -9,26 +9,9 @@ import (
 	"jade/internal/trace"
 )
 
-// RepairableTier is the actuation surface of the self-recovery manager
-// (the paper's second autonomic manager, Fig. 3; detailed in ref [4]):
-// replace a failed replica by a fresh one on a newly allocated node.
-type RepairableTier interface {
-	TierActuator
-	// Repair replaces the named failed replica: detach it from the
-	// balancer, discard its component, then grow the tier back.
-	Repair(name string, done func(error))
-}
-
-// terminator is implemented by wrappers whose legacy process can be
-// hard-killed without a graceful stop (STONITH).
-type terminator interface {
-	TerminateManaged()
-}
-
 // serving reports whether the component's legacy process is still alive
 // and able to serve its identity (the double-repair invariant's probe).
 func serving(comp *fractal.Component) (bool, string) {
-	type stateful interface{ State() legacy.State }
 	var st legacy.State
 	switch w := comp.Content().(type) {
 	case *TomcatWrapper:
@@ -37,12 +20,6 @@ func serving(comp *fractal.Component) (bool, string) {
 		st = w.srv.State()
 	case *ApacheWrapper:
 		st = w.srv.State()
-	default:
-		if s, ok := comp.Content().(stateful); ok {
-			st = s.State()
-		} else {
-			return false, ""
-		}
 	}
 	if st == legacy.Running || st == legacy.Starting {
 		return true, "legacy process " + st.String()
@@ -50,41 +27,33 @@ func serving(comp *fractal.Component) (bool, string) {
 	return false, ""
 }
 
-// discardFailedReplica removes a suspected-dead replica from the
-// architecture and the bookkeeping. detach runs first to unhook balancer
-// bindings. When the node is actually alive — a false-positive
-// suspicion — the legacy process is terminated before the identity is
-// handed back, so the repaired tier can never end up with two live
-// replicas claiming one name (the split-brain the DoubleRepair invariant
-// checks for).
-func (t *tierBase) discardFailedReplica(name string, comp *fractal.Component, detach func() error) error {
-	if err := detach(); err != nil {
-		return err
+// discard removes a suspected-dead replica from the balancer, the
+// architecture and the bookkeeping. When the node is actually alive — a
+// false-positive suspicion — retire kills the legacy process before the
+// identity is handed back, so the repaired tier can never end up with two
+// live replicas claiming one name (the split-brain the DoubleRepair
+// invariant checks for). The failed node returns to the pool; Allocate
+// skips failed nodes until an operator reboots them.
+func (t *Tier) discard(name string, comp *fractal.Component) error {
+	// Tell the balancer the member is gone (the C-JDBC controller may not
+	// have noticed yet if no query touched the dead replica), then remove
+	// the architectural binding if still present.
+	if t.kind.evict != nil {
+		t.kind.evict(t, name)
 	}
-	node, _ := t.d.NodeOf(name)
-	if node != nil && !node.Failed() {
-		if tw, ok := comp.Content().(terminator); ok {
-			tw.TerminateManaged()
+	for _, b := range t.balancer.Bindings(t.kind.members) {
+		if b.ServerItf.Owner() == comp {
+			if err := t.balancer.Unbind(t.kind.members, b.ServerItf); err != nil {
+				return err
+			}
 		}
 	}
-	if comp.State() == fractal.Started {
-		if err := comp.Stop(); err != nil {
-			return err
-		}
-	}
-	if _, err := t.composite.Remove(name); err != nil {
+	if err := t.p.retire(t.d, name); err != nil {
 		return err
 	}
-	t.d.unregister(name)
 	t.dropReplica(name)
-	if node != nil {
-		t.p.detachManagement(node)
-		// The failed node returns to the pool; Allocate skips failed
-		// nodes until an operator reboots them.
-		_ = t.p.Pool.Release(node)
-	}
-	t.p.repairDiscarded(t.name, name, func() (bool, string) { return serving(comp) })
-	t.p.reconfigured(t.name + ":discard")
+	t.p.repairDiscarded(t.kind.name, name, func() (bool, string) { return serving(comp) })
+	t.p.reconfigured(t.kind.name + ":discard")
 	return nil
 }
 
@@ -92,7 +61,7 @@ func (t *tierBase) discardFailedReplica(name string, comp *fractal.Component, de
 // concurrent reconfiguration (e.g. the self-optimization manager's): a
 // repair must not silently drop the lost replica just because another
 // actuation was in flight.
-func (t *tierBase) growWithRetry(grow func(func(error)), attempts int, done func(error)) {
+func (t *Tier) growWithRetry(grow func(func(error)), attempts int, done func(error)) {
 	// The ambient cause is re-established around retries so the grow's
 	// actuation span stays attached to the repair that triggered it even
 	// after crossing a scheduler delay.
@@ -110,75 +79,25 @@ func (t *tierBase) growWithRetry(grow func(func(error)), attempts int, done func
 	})
 }
 
-// Repair implements RepairableTier for the application tier.
-func (t *AppTier) Repair(name string, done func(error)) {
-	span := t.p.tracer.Begin(0, "actuate", t.name+":repair", trace.F("replica", name))
+// Repair is the actuation of the self-recovery manager (the paper's
+// second autonomic manager, Fig. 3; detailed in ref [4]): discard the
+// named failed replica, then grow the tier back on a newly allocated node.
+// A database replacement synchronizes through the recovery log as usual.
+func (t *Tier) Repair(name string, done func(error)) {
+	span := t.p.tracer.Begin(0, "actuate", t.kind.name+":repair", trace.F("replica", name))
 	finish := func(err error) {
-		if err != nil {
-			t.p.logf("selfrepair: %s repair of %s failed: %v", t.name, name, err)
-		}
-		t.p.tracer.End(span, outcomeField(err))
-		if done != nil {
-			done(err)
-		}
+		t.p.endActuation(span, "selfrepair: "+t.kind.name+" repair of "+name, err, done)
 	}
 	comp, err := t.d.Component(name)
+	if err == nil {
+		err = t.discard(name, comp)
+	}
 	if err != nil {
 		finish(err)
 		return
 	}
-	if err := t.discardFailedReplica(name, comp, func() error {
-		return t.plbComp.Unbind("workers", comp.MustInterface("http"))
-	}); err != nil {
-		finish(err)
-		return
-	}
 	t.p.tracer.EmitIn(span, "actuate.step", "discarded", trace.F("replica", name))
-	t.p.logf("selfrepair: %s discarded failed replica %s, reallocating", t.name, name)
-	t.p.tracer.WithCause(span, func() {
-		t.growWithRetry(t.Grow, 12, finish)
-	})
-}
-
-// Repair implements RepairableTier for the database tier. The C-JDBC
-// controller drops the dead backend on its first failed operation; the
-// replacement replica synchronizes through the recovery log as usual.
-func (t *DBTier) Repair(name string, done func(error)) {
-	span := t.p.tracer.Begin(0, "actuate", t.name+":repair", trace.F("replica", name))
-	finish := func(err error) {
-		if err != nil {
-			t.p.logf("selfrepair: %s repair of %s failed: %v", t.name, name, err)
-		}
-		t.p.tracer.End(span, outcomeField(err))
-		if done != nil {
-			done(err)
-		}
-	}
-	comp, err := t.d.Component(name)
-	if err != nil {
-		finish(err)
-		return
-	}
-	if err := t.discardFailedReplica(name, comp, func() error {
-		// Tell the controller the backend is gone (it may not have
-		// noticed yet if no query touched the dead replica), then remove
-		// the architectural binding if still present.
-		cw := t.wrapper()
-		if cw.Controller() != nil {
-			_ = cw.Controller().MarkFailed(name, nil)
-		}
-		for _, b := range t.cjdbcComp.Bindings("backends") {
-			if b.ServerItf.Owner() == comp {
-				return t.cjdbcComp.Unbind("backends", b.ServerItf)
-			}
-		}
-		return nil
-	}); err != nil {
-		finish(err)
-		return
-	}
-	t.p.tracer.EmitIn(span, "actuate.step", "discarded", trace.F("replica", name))
-	t.p.logf("selfrepair: %s discarded failed replica %s, reallocating", t.name, name)
+	t.p.logf("selfrepair: %s discarded failed replica %s, reallocating", t.kind.name, name)
 	t.p.tracer.WithCause(span, func() {
 		t.growWithRetry(t.Grow, 12, finish)
 	})
@@ -202,7 +121,7 @@ type Suspector interface {
 type RecoveryManager struct {
 	p     *Platform
 	Loop  *ControlLoop
-	tiers []RepairableTier
+	tiers []*Tier
 	busy  bool
 
 	// Suspector, when set, replaces the perfect node-state oracle with a
@@ -226,7 +145,7 @@ type RecoveryManager struct {
 
 // NewRecoveryManager assembles (but does not start) the self-recovery
 // manager over the given tiers.
-func NewRecoveryManager(p *Platform, name string, period float64, tiers ...RepairableTier) (*RecoveryManager, error) {
+func NewRecoveryManager(p *Platform, name string, period float64, tiers ...*Tier) (*RecoveryManager, error) {
 	m := &RecoveryManager{p: p, tiers: tiers, Priority: PriorityRecovery}
 	loop, err := NewControlLoop(p, name, period, m, m)
 	if err != nil {
@@ -242,42 +161,32 @@ func (m *RecoveryManager) Sample(now float64) (float64, bool) {
 }
 
 type failedReplica struct {
-	tier RepairableTier
+	tier *Tier
 	name string
 }
 
+// failedReplicas lists the replicas to repair: those on a failed node, or
+// with a Suspector those it suspects — its membership is reconciled with
+// the tiers' current replicas on the way.
 func (m *RecoveryManager) failedReplicas() []failedReplica {
+	var out []failedReplica
+	var current map[string]bool
 	if m.Suspector != nil {
-		return m.suspectedReplicas()
+		current = make(map[string]bool)
 	}
-	var out []failedReplica
 	for _, t := range m.tiers {
-		names := t.ReplicaNames()
-		nodes := t.Nodes()
-		for i, name := range names {
-			if i < len(nodes) && nodes[i].Failed() {
-				out = append(out, failedReplica{tier: t, name: name})
-			}
-		}
-	}
-	return out
-}
-
-// suspectedReplicas reconciles the detector's membership with the tiers'
-// current replicas and returns those the detector suspects.
-func (m *RecoveryManager) suspectedReplicas() []failedReplica {
-	var out []failedReplica
-	current := make(map[string]bool)
-	for _, t := range m.tiers {
-		names := t.ReplicaNames()
-		nodes := t.Nodes()
-		for i, name := range names {
-			if i >= len(nodes) || nodes[i] == nil {
+		for _, name := range t.replicas {
+			node := t.NodeOf(name)
+			if node == nil {
 				continue
 			}
-			current[name] = true
-			m.Suspector.Monitor(name, nodes[i])
-			if m.Suspector.Suspected(name) {
+			failed := node.Failed()
+			if m.Suspector != nil {
+				current[name] = true
+				m.Suspector.Monitor(name, node)
+				failed = m.Suspector.Suspected(name)
+			}
+			if failed {
 				out = append(out, failedReplica{tier: t, name: name})
 			}
 		}
@@ -330,7 +239,7 @@ func (m *RecoveryManager) React(now float64, v float64) {
 			} else {
 				m.p.logf("selfrepair: repair of %s failed: %v", f.name, err)
 			}
-			tr.End(dec, outcomeField(err))
+			tr.End(dec, trace.Outcome(err))
 		})
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"jade/internal/cjdbc"
 	"jade/internal/cluster"
@@ -21,31 +22,18 @@ var (
 	ErrTierBusy  = errors.New("jade: tier reconfiguration in progress")
 )
 
-// TierActuator is the uniform actuation surface the self-optimization
-// reactor drives: grow or shrink one replicated tier. Thanks to the
-// uniform component interface the actuators are generic — "increasing or
-// decreasing the number of replicas is implemented as adding or removing
-// components in the application structure" (§4.1).
-type TierActuator interface {
-	TierName() string
-	ReplicaCount() int
-	ReplicaNames() []string
-	Nodes() []*cluster.Node
-	CanGrow() bool
-	CanShrink() bool
-	// Reconfiguring reports whether an actuation is currently in flight;
-	// observers (e.g. invariant checkers) use it to distinguish transient
-	// mid-reconfiguration states from steady-state violations.
-	Reconfiguring() bool
-	Grow(done func(error))
-	Shrink(done func(error))
-}
-
-// tierBase holds bookkeeping common to both tiers.
-type tierBase struct {
+// Tier is the actuator of one replicated tier: Tomcat replicas behind the
+// PLB balancer, or MySQL replicas behind the C-JDBC controller. Thanks to
+// the uniform component interface it is generic — "increasing or decreasing
+// the number of replicas is implemented as adding or removing components in
+// the application structure" (§4.1) — and everything that tells the two
+// tiers apart is in its kind.
+type Tier struct {
 	p         *Platform
 	d         *Deployment
-	name      string
+	kind      *tierKind
+	balancer  *fractal.Component // PLB, or the C-JDBC controller
+	upstream  *fractal.Component // what a new replica's kind.uses interface binds to
 	composite *fractal.Component
 	replicas  []string
 	counter   int
@@ -55,257 +43,9 @@ type tierBase struct {
 	// means "whatever the node pool allows").
 	MinReplicas int
 	MaxReplicas int
-}
 
-func (t *tierBase) TierName() string { return t.name }
-
-func (t *tierBase) ReplicaCount() int { return len(t.replicas) }
-
-func (t *tierBase) ReplicaNames() []string { return append([]string(nil), t.replicas...) }
-
-// Nodes returns the nodes currently hosting replicas.
-func (t *tierBase) Nodes() []*cluster.Node {
-	out := make([]*cluster.Node, 0, len(t.replicas))
-	for _, name := range t.replicas {
-		if n, err := t.d.NodeOf(name); err == nil {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func (t *tierBase) Reconfiguring() bool { return t.busy }
-
-func (t *tierBase) CanGrow() bool {
-	if t.busy {
-		return false
-	}
-	if t.MaxReplicas > 0 && len(t.replicas) >= t.MaxReplicas {
-		return false
-	}
-	return t.p.Pool.FreeCount() > 0
-}
-
-func (t *tierBase) CanShrink() bool {
-	return !t.busy && len(t.replicas) > t.MinReplicas
-}
-
-func (t *tierBase) nextName(prefix string) string {
-	for {
-		t.counter++
-		name := fmt.Sprintf("%s%d", prefix, t.counter)
-		if _, err := t.d.Component(name); err != nil {
-			return name
-		}
-	}
-}
-
-func (t *tierBase) dropReplica(name string) {
-	for i, r := range t.replicas {
-		if r == name {
-			t.replicas = append(t.replicas[:i], t.replicas[i+1:]...)
-			return
-		}
-	}
-}
-
-// AppTier is the application-server tier actuator: Tomcat replicas behind
-// the PLB load balancer, all bound to the same database endpoint.
-type AppTier struct {
-	tierBase
-	plbComp *fractal.Component
-	dbComp  *fractal.Component // the component Tomcat's jdbc itf binds to
-}
-
-// NewAppTier builds the actuator for a deployment. plbName is the PLB
-// component, dbName the component new Tomcats bind their JDBC interface
-// to (C-JDBC in the paper), replicas the initial Tomcat component names.
-func NewAppTier(p *Platform, d *Deployment, plbName, dbName string, replicas []string) (*AppTier, error) {
-	plbComp, err := d.Component(plbName)
-	if err != nil {
-		return nil, err
-	}
-	dbComp, err := d.Component(dbName)
-	if err != nil {
-		return nil, err
-	}
-	var composite *fractal.Component = d.Root
-	for _, r := range replicas {
-		c, err := d.Component(r)
-		if err != nil {
-			return nil, err
-		}
-		if c.Parent() != nil {
-			composite = c.Parent()
-		}
-	}
-	return &AppTier{
-		tierBase: tierBase{
-			p: p, d: d, name: "application-servers",
-			composite:   composite,
-			replicas:    append([]string(nil), replicas...),
-			counter:     len(replicas),
-			MinReplicas: 1,
-		},
-		plbComp: plbComp,
-		dbComp:  dbComp,
-	}, nil
-}
-
-// Grow allocates a node, installs Tomcat, configures and starts a new
-// replica and integrates it with the load balancer.
-func (t *AppTier) Grow(done func(error)) {
-	var span trace.ID
-	finish := func(err error) {
-		t.busy = false
-		if err != nil {
-			t.p.logf("selfsize: %s grow failed: %v", t.name, err)
-		}
-		t.p.tracer.End(span, outcomeField(err))
-		if done != nil {
-			done(err)
-		}
-	}
-	if t.busy {
-		done(ErrTierBusy)
-		return
-	}
-	if t.MaxReplicas > 0 && len(t.replicas) >= t.MaxReplicas {
-		done(ErrTierAtMax)
-		return
-	}
-	span = t.p.tracer.Begin(0, "actuate", t.name+":grow", trace.Fi("replicas", len(t.replicas)))
-	t.busy = true
-	node, err := t.p.Pool.Allocate()
-	if err != nil {
-		finish(err)
-		return
-	}
-	t.p.tracer.EmitIn(span, "actuate.step", "node-allocated", trace.F("node", node.Name()))
-	t.p.SIS.Install("tomcat", node, func(ierr error) {
-		if ierr != nil {
-			_ = t.p.Pool.Release(node)
-			finish(ierr)
-			return
-		}
-		name := t.nextName("tomcat-r")
-		t.p.tracer.EmitIn(span, "actuate.step", "installed",
-			trace.F("package", "tomcat"), trace.F("replica", name))
-		comp, cerr := NewTomcatComponent(t.p, name, node)
-		if cerr != nil {
-			_ = t.p.Pool.Release(node)
-			finish(cerr)
-			return
-		}
-		if err := comp.Bind("jdbc", t.dbComp.MustInterface("jdbc")); err != nil {
-			_ = t.p.Pool.Release(node)
-			finish(err)
-			return
-		}
-		if err := t.composite.Add(comp); err != nil {
-			_ = t.p.Pool.Release(node)
-			finish(err)
-			return
-		}
-		t.d.register(name, comp, node)
-		t.p.StartComponent(comp, func(serr error) {
-			if serr != nil {
-				t.d.unregister(name)
-				if _, rerr := t.composite.Remove(name); rerr != nil {
-					t.p.logf("selfsize: cleanup of %s: %v", name, rerr)
-				}
-				_ = t.p.Pool.Release(node)
-				finish(serr)
-				return
-			}
-			t.p.tracer.EmitIn(span, "actuate.step", "started", trace.F("replica", name))
-			if berr := t.plbComp.Bind("workers", comp.MustInterface("http")); berr != nil {
-				finish(berr)
-				return
-			}
-			t.p.tracer.EmitIn(span, "actuate.step", "joined-balancer", trace.F("replica", name))
-			t.replicas = append(t.replicas, name)
-			t.p.logf("selfsize: %s grew to %d replicas (+%s on %s)",
-				t.name, len(t.replicas), name, node.Name())
-			t.busy = false
-			t.p.reconfigured(t.name + ":grow")
-			finish(nil)
-		})
-	})
-}
-
-// Shrink unbinds the most recently added replica from the load balancer,
-// stops it and releases its node.
-func (t *AppTier) Shrink(done func(error)) {
-	var span trace.ID
-	finish := func(err error) {
-		t.busy = false
-		if err != nil {
-			t.p.logf("selfsize: %s shrink failed: %v", t.name, err)
-		}
-		t.p.tracer.End(span, outcomeField(err))
-		if done != nil {
-			done(err)
-		}
-	}
-	if t.busy {
-		done(ErrTierBusy)
-		return
-	}
-	if len(t.replicas) <= t.MinReplicas {
-		done(ErrTierAtMin)
-		return
-	}
-	span = t.p.tracer.Begin(0, "actuate", t.name+":shrink", trace.Fi("replicas", len(t.replicas)))
-	t.busy = true
-	name := t.replicas[len(t.replicas)-1]
-	comp, err := t.d.Component(name)
-	if err != nil {
-		finish(err)
-		return
-	}
-	if err := t.plbComp.Unbind("workers", comp.MustInterface("http")); err != nil {
-		finish(err)
-		return
-	}
-	t.p.tracer.EmitIn(span, "actuate.step", "left-balancer", trace.F("replica", name))
-	t.p.StopComponent(comp, func(serr error) {
-		if serr != nil {
-			finish(serr)
-			return
-		}
-		if err := comp.Unbind("jdbc", nil); err != nil {
-			finish(err)
-			return
-		}
-		if _, err := t.composite.Remove(name); err != nil {
-			finish(err)
-			return
-		}
-		node, _ := t.d.NodeOf(name)
-		t.d.unregister(name)
-		t.dropReplica(name)
-		if node != nil {
-			t.p.detachManagement(node)
-			_ = t.p.Pool.Release(node)
-			t.p.tracer.EmitIn(span, "actuate.step", "node-released",
-				trace.F("node", node.Name()), trace.F("replica", name))
-		}
-		t.p.logf("selfsize: %s shrank to %d replicas (-%s)", t.name, len(t.replicas), name)
-		t.busy = false
-		t.p.reconfigured(t.name + ":shrink")
-		finish(nil)
-	})
-}
-
-// DBTier is the database tier actuator: MySQL replicas behind the C-JDBC
-// controller, kept consistent through the recovery log.
-type DBTier struct {
-	tierBase
-	cjdbcComp *fractal.Component
-
-	// StateTransferSeconds models copying the database snapshot onto the
-	// new replica's node before replaying the log delta.
+	// StateTransferSeconds models copying the database snapshot onto a new
+	// database replica's node before replaying the log delta.
 	StateTransferSeconds float64
 
 	// DumpName names the registered dump used when no active backend is
@@ -315,17 +55,82 @@ type DBTier struct {
 	DumpName string
 }
 
-// NewDBTier builds the actuator. cjdbcName is the controller component,
-// replicas the initial MySQL component names.
-func NewDBTier(p *Platform, d *Deployment, cjdbcName string, replicas []string) (*DBTier, error) {
-	cjdbcComp, err := d.Component(cjdbcName)
+// tierKind is what tells the two tiers apart: names and labels, and the
+// two places where §4.1's database protocol has a step the application
+// tier does not.
+type tierKind struct {
+	name    string // TierName
+	pkg     string // wrapper kind and software package of a replica
+	prefix  string // new replicas are named prefix + counter
+	members string // the balancer's client interface ...
+	serves  string // ... and the replica's server interface it binds to
+	uses    string // the replica's own client interface ("" for none)
+	joined  string // actuate.step labels around the architectural bind
+	left    string
+
+	// prepare runs once the software is installed, before the replica is
+	// named (a failure consumes no name); the ready it returns runs on the
+	// created component before its first start.
+	prepare func(t *Tier, a *actuation) (ready func(*fractal.Component, func(error)), err error)
+	// join and leave bracket the architectural bind to the balancer (nil:
+	// the bind is all there is). evict is the join's undo and the forced
+	// leave of a failed replica.
+	join  func(t *Tier, a *actuation, name string, comp *fractal.Component, done func(error)) error
+	leave func(t *Tier, a *actuation, name string, done func()) error
+	evict func(t *Tier, name string)
+}
+
+var (
+	appKind = &tierKind{name: "application-servers", pkg: "tomcat", prefix: "tomcat-r",
+		members: "workers", serves: "http", uses: "jdbc", joined: "joined-balancer", left: "left-balancer",
+		prepare: func(t *Tier, _ *actuation) (func(*fractal.Component, func(error)), error) {
+			return func(comp *fractal.Component, next func(error)) {
+				next(comp.Bind(t.kind.uses, t.upstream.MustInterface(t.kind.uses)))
+			}, nil
+		}}
+	dbKind = &tierKind{name: "database-backends", pkg: "mysql", prefix: "mysql-r",
+		members: "backends", serves: "sql", joined: "joined-backend", left: "left-backend",
+		prepare: dbPrepare, join: dbJoin, leave: dbLeave,
+		evict: func(t *Tier, name string) {
+			if ctl := t.cjdbc().Controller(); ctl != nil {
+				_ = ctl.MarkFailed(name, nil)
+			}
+		}}
+)
+
+// NewAppTier builds the application-tier actuator for a deployment. plbName
+// is the PLB component, dbName the component new Tomcats bind their JDBC
+// interface to (C-JDBC in the paper), replicas the initial Tomcat component
+// names.
+func NewAppTier(p *Platform, d *Deployment, plbName, dbName string, replicas []string) (*Tier, error) {
+	t, err := newTier(p, d, appKind, plbName, replicas)
+	if err == nil {
+		t.upstream, err = d.Component(dbName)
+	}
+	return t, err
+}
+
+// NewDBTier builds the database-tier actuator: replicas kept consistent
+// through the recovery log. cjdbcName is the controller component, replicas
+// the initial MySQL component names.
+func NewDBTier(p *Platform, d *Deployment, cjdbcName string, replicas []string) (*Tier, error) {
+	t, err := newTier(p, d, dbKind, cjdbcName, replicas)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := cjdbcComp.Content().(*CJDBCWrapper); !ok {
+	if _, ok := t.balancer.Content().(*CJDBCWrapper); !ok {
 		return nil, fmt.Errorf("jade: %s is not a cjdbc component", cjdbcName)
 	}
-	var composite *fractal.Component = d.Root
+	t.StateTransferSeconds, t.DumpName = 5, "rubis"
+	return t, nil
+}
+
+func newTier(p *Platform, d *Deployment, k *tierKind, balancer string, replicas []string) (*Tier, error) {
+	bc, err := d.Component(balancer)
+	if err != nil {
+		return nil, err
+	}
+	composite := d.Root
 	for _, r := range replicas {
 		c, err := d.Component(r)
 		if err != nil {
@@ -335,208 +140,282 @@ func NewDBTier(p *Platform, d *Deployment, cjdbcName string, replicas []string) 
 			composite = c.Parent()
 		}
 	}
-	return &DBTier{
-		tierBase: tierBase{
-			p: p, d: d, name: "database-backends",
-			composite:   composite,
-			replicas:    append([]string(nil), replicas...),
-			counter:     len(replicas),
-			MinReplicas: 1,
-		},
-		cjdbcComp:            cjdbcComp,
-		StateTransferSeconds: 5,
-		DumpName:             "rubis",
-	}, nil
+	return &Tier{p: p, d: d, kind: k, balancer: bc, composite: composite,
+		replicas: append([]string(nil), replicas...), counter: len(replicas), MinReplicas: 1}, nil
 }
 
-func (t *DBTier) wrapper() *CJDBCWrapper { return t.cjdbcComp.Content().(*CJDBCWrapper) }
+func (t *Tier) TierName() string { return t.kind.name }
 
-// Grow implements the §4.1 protocol for adding a database replica:
-// allocate a node, install MySQL, install a snapshot of an active
-// backend, start the server, replay the recovery-log delta, activate, and
-// record the binding in the management layer.
-func (t *DBTier) Grow(done func(error)) {
-	var span trace.ID
-	finish := func(err error) {
-		t.busy = false
-		if err != nil {
-			t.p.logf("selfsize: %s grow failed: %v", t.name, err)
-		}
-		t.p.tracer.End(span, outcomeField(err))
-		if done != nil {
-			done(err)
+func (t *Tier) ReplicaCount() int { return len(t.replicas) }
+
+func (t *Tier) ReplicaNames() []string { return append([]string(nil), t.replicas...) }
+
+// NodeOf returns the node hosting the named replica, nil when unknown.
+func (t *Tier) NodeOf(name string) *cluster.Node { return t.d.nodes[name] }
+
+// Nodes returns the nodes currently hosting replicas.
+func (t *Tier) Nodes() []*cluster.Node {
+	out := make([]*cluster.Node, 0, len(t.replicas))
+	for _, name := range t.replicas {
+		if n := t.NodeOf(name); n != nil {
+			out = append(out, n)
 		}
 	}
-	if t.busy {
+	return out
+}
+
+// Reconfiguring reports whether an actuation is currently in flight;
+// observers (e.g. invariant checkers) use it to distinguish transient
+// mid-reconfiguration states from steady-state violations.
+func (t *Tier) Reconfiguring() bool { return t.busy }
+
+func (t *Tier) CanGrow() bool {
+	return !t.busy && !t.atMax() && t.p.Pool.FreeCount() > 0
+}
+
+func (t *Tier) CanShrink() bool {
+	return !t.busy && len(t.replicas) > t.MinReplicas
+}
+
+func (t *Tier) atMax() bool { return t.MaxReplicas > 0 && len(t.replicas) >= t.MaxReplicas }
+
+func (t *Tier) nextName() string {
+	for {
+		t.counter++
+		name := fmt.Sprintf("%s%d", t.kind.prefix, t.counter)
+		if _, err := t.d.Component(name); err != nil {
+			return name
+		}
+	}
+}
+
+func (t *Tier) dropReplica(name string) {
+	t.replicas = slices.DeleteFunc(t.replicas, func(r string) bool { return r == name })
+}
+
+// actuation is one grow or shrink in flight: its span, what a failure has
+// to undo, and what the kind's hooks add to the closing step and log line.
+type actuation struct {
+	t      *Tier
+	verb   string
+	span   trace.ID
+	undo   []func()
+	index  int64         // database: the recovery-log index a grow replays from
+	fields []trace.Field // database: added to the left step
+	suffix string        // database: added to the closing log line
+	done   func(error)
+}
+
+// begin opens an actuation unless the tier is busy or already at bound.
+func (t *Tier) begin(verb string, atBound bool, bound error, done func(error)) *actuation {
+	switch {
+	case t.busy:
 		done(ErrTierBusy)
+	case atBound:
+		done(bound)
+	case t.balancer.State() != fractal.Started:
+		done(fmt.Errorf("jade: %s %s is not running", t.balancer.Content().(Wrapper).Kind(), t.balancer.Name()))
+	default:
+		t.busy = true
+		return &actuation{t: t, verb: verb, done: done,
+			span: t.p.tracer.Begin(0, "actuate", t.kind.name+":"+verb, trace.Fi("replicas", len(t.replicas)))}
+	}
+	return nil
+}
+
+func (a *actuation) step(label string, fields ...trace.Field) {
+	a.t.p.tracer.EmitIn(a.span, "actuate.step", label, fields...)
+}
+
+// finish closes the actuation — the one place busy is cleared. A failure
+// first runs the undo list, last step first.
+func (a *actuation) finish(err error) {
+	t := a.t
+	for i := len(a.undo) - 1; err != nil && i >= 0; i-- {
+		a.undo[i]()
+	}
+	t.busy = false
+	if err == nil {
+		t.p.reconfigured(t.kind.name + ":" + a.verb)
+	}
+	t.p.endActuation(a.span, "selfsize: "+t.kind.name+" "+a.verb, err, a.done)
+}
+
+// endActuation logs a failed actuation, closes its span and reports.
+func (p *Platform) endActuation(span trace.ID, what string, err error, done func(error)) {
+	if err != nil {
+		p.logf("%s failed: %v", what, err)
+	}
+	p.tracer.End(span, trace.Outcome(err))
+	if done != nil {
+		done(err)
+	}
+}
+
+// Grow adds a replica: allocate a node, install the software, prepare and
+// place the component, start it, join it to the balancer. For the database
+// tier that is the §4.1 protocol: the prepare step installs a snapshot of
+// an active backend, the join replays the recovery-log delta and activates.
+func (t *Tier) Grow(done func(error)) {
+	k := t.kind
+	a := t.begin("grow", t.atMax(), ErrTierAtMax, done)
+	if a == nil {
 		return
 	}
-	if t.MaxReplicas > 0 && len(t.replicas) >= t.MaxReplicas {
-		done(ErrTierAtMax)
-		return
-	}
-	cw := t.wrapper()
-	if cw.Controller() == nil || !cw.Controller().Running() {
-		done(fmt.Errorf("jade: cjdbc %s is not running", t.cjdbcComp.Name()))
-		return
-	}
-	span = t.p.tracer.Begin(0, "actuate", t.name+":grow", trace.Fi("replicas", len(t.replicas)))
-	t.busy = true
 	node, err := t.p.Pool.Allocate()
 	if err != nil {
-		finish(err)
+		a.finish(err)
 		return
 	}
-	t.p.tracer.EmitIn(span, "actuate.step", "node-allocated", trace.F("node", node.Name()))
-	t.p.SIS.Install("mysql", node, func(ierr error) {
-		if ierr != nil {
-			_ = t.p.Pool.Release(node)
-			finish(ierr)
+	a.undo = append(a.undo, func() { t.p.release(node) })
+	a.step("node-allocated", trace.F("node", node.Name()))
+	t.p.SIS.Install(k.pkg, node, func(err error) {
+		var ready func(*fractal.Component, func(error))
+		if err == nil {
+			ready, err = k.prepare(t, a)
+		}
+		if err != nil {
+			a.finish(err)
 			return
 		}
-		snap, idx, serr := cw.Controller().AnyActiveSnapshot()
-		if errors.Is(serr, cjdbc.ErrNoBackend) && t.DumpName != "" {
-			// No live replica to snapshot (repairing the last backend):
-			// fall back to the initial dump at recovery-log index 0 and
-			// replay the whole log.
-			if dump, ok := t.p.Dump(t.DumpName); ok {
-				snap, idx, serr = dump, 0, nil
-				t.p.logf("selfsize: %s has no active backend; rebuilding from dump %q + full log replay",
-					t.name, t.DumpName)
-			}
-		}
-		if serr != nil {
-			_ = t.p.Pool.Release(node)
-			finish(serr)
-			return
-		}
-		name := t.nextName("mysql-r")
-		t.p.tracer.EmitIn(span, "actuate.step", "installed",
-			trace.F("package", "mysql"), trace.F("replica", name))
-		comp, cerr := NewMySQLComponent(t.p, name, node)
-		if cerr != nil {
-			_ = t.p.Pool.Release(node)
-			finish(cerr)
-			return
-		}
-		mw := comp.Content().(*MySQLWrapper)
-		// State transfer: copy the snapshot onto the new node.
-		t.p.Eng.After(t.StateTransferSeconds, "dbtier:state-transfer", func() {
-			if err := mw.Server().LoadSnapshot(snap); err != nil {
-				_ = t.p.Pool.Release(node)
-				finish(err)
+		name := t.nextName()
+		a.step("installed", trace.F("package", k.pkg), trace.F("replica", name))
+		t.p.place(t.d, t.composite, k.pkg, name, node, ready, func(comp *fractal.Component, err error) {
+			if err != nil {
+				a.finish(err)
 				return
 			}
-			t.p.tracer.EmitIn(span, "actuate.step", "state-transferred",
-				trace.F("replica", name), trace.Fi("log-index", int(idx)))
-			if err := t.composite.Add(comp); err != nil {
-				_ = t.p.Pool.Release(node)
-				finish(err)
-				return
-			}
-			t.d.register(name, comp, node)
-			t.p.StartComponent(comp, func(sterr error) {
-				if sterr != nil {
-					t.d.unregister(name)
-					if _, rerr := t.composite.Remove(name); rerr != nil {
-						t.p.logf("selfsize: cleanup of %s: %v", name, rerr)
-					}
-					_ = t.p.Pool.Release(node)
-					finish(sterr)
+			a.undo = append(a.undo, func() {
+				if _, err := t.d.withdraw(name); err != nil {
+					t.p.logf("selfsize: cleanup of %s: %v", name, err)
+				}
+			})
+			t.p.StartComponent(comp, func(err error) {
+				if err != nil {
+					a.finish(err)
 					return
 				}
-				t.p.tracer.EmitIn(span, "actuate.step", "started", trace.F("replica", name))
-				jerr := cw.JoinBackend(name, mw, idx, func(syncErr error) {
-					if syncErr != nil {
-						finish(syncErr)
+				a.step("started", trace.F("replica", name))
+				joined := func(err error) {
+					if err == nil {
+						err = t.balancer.Bind(k.members, comp.MustInterface(k.serves))
+					}
+					if err != nil {
+						a.finish(err)
 						return
 					}
-					if berr := t.cjdbcComp.Bind("backends", comp.MustInterface("sql")); berr != nil {
-						finish(berr)
-						return
-					}
-					t.p.tracer.EmitIn(span, "actuate.step", "joined-backend", trace.F("replica", name))
+					a.step(k.joined, trace.F("replica", name))
 					t.replicas = append(t.replicas, name)
-					t.p.logf("selfsize: %s grew to %d replicas (+%s on %s, replayed from log index %d)",
-						t.name, len(t.replicas), name, node.Name(), idx)
-					t.busy = false
-					t.p.reconfigured(t.name + ":grow")
-					finish(nil)
-				})
-				if jerr != nil {
-					finish(jerr)
+					t.p.logf("selfsize: %s grew to %d replicas (+%s on %s%s)",
+						k.name, len(t.replicas), name, node.Name(), a.suffix)
+					a.finish(nil)
+				}
+				if k.join == nil {
+					joined(nil)
+					return
+				}
+				a.undo = append(a.undo, func() { k.evict(t, name) })
+				if err := k.join(t, a, name, comp, joined); err != nil {
+					a.finish(err)
 				}
 			})
 		})
 	})
 }
 
-// Shrink disables the most recently added replica (its checkpoint index
-// is recorded in the recovery log), stops it and releases its node.
-func (t *DBTier) Shrink(done func(error)) {
-	var span trace.ID
-	finish := func(err error) {
-		t.busy = false
-		if err != nil {
-			t.p.logf("selfsize: %s shrink failed: %v", t.name, err)
-		}
-		t.p.tracer.End(span, outcomeField(err))
-		if done != nil {
-			done(err)
-		}
-	}
-	if t.busy {
-		done(ErrTierBusy)
+// Shrink takes the most recently added replica out of the balancer, stops
+// it and retires it. A database replica first leaves the controller, which
+// records its checkpoint index in the recovery log.
+func (t *Tier) Shrink(done func(error)) {
+	k := t.kind
+	a := t.begin("shrink", len(t.replicas) <= t.MinReplicas, ErrTierAtMin, done)
+	if a == nil {
 		return
 	}
-	if len(t.replicas) <= t.MinReplicas {
-		done(ErrTierAtMin)
-		return
-	}
-	cw := t.wrapper()
-	span = t.p.tracer.Begin(0, "actuate", t.name+":shrink", trace.Fi("replicas", len(t.replicas)))
-	t.busy = true
 	name := t.replicas[len(t.replicas)-1]
 	comp, err := t.d.Component(name)
 	if err != nil {
-		finish(err)
+		a.finish(err)
 		return
 	}
-	lerr := cw.LeaveBackend(name, func(checkpoint int64) {
-		t.p.tracer.EmitIn(span, "actuate.step", "left-backend",
-			trace.F("replica", name), trace.Fi("checkpoint", int(checkpoint)))
-		if err := t.cjdbcComp.Unbind("backends", comp.MustInterface("sql")); err != nil {
-			finish(err)
+	left := func() {
+		if err := t.balancer.Unbind(k.members, comp.MustInterface(k.serves)); err != nil {
+			a.finish(err)
 			return
 		}
-		t.p.StopComponent(comp, func(serr error) {
-			if serr != nil {
-				finish(serr)
+		a.step(k.left, append([]trace.Field{trace.F("replica", name)}, a.fields...)...)
+		t.p.StopComponent(comp, func(err error) {
+			if err == nil && k.uses != "" {
+				err = comp.Unbind(k.uses, nil)
+			}
+			node := t.NodeOf(name)
+			if err == nil {
+				err = t.p.retire(t.d, name)
+			}
+			if err != nil {
+				a.finish(err)
 				return
 			}
-			if _, err := t.composite.Remove(name); err != nil {
-				finish(err)
-				return
-			}
-			node, _ := t.d.NodeOf(name)
-			t.d.unregister(name)
 			t.dropReplica(name)
-			if node != nil {
-				t.p.detachManagement(node)
-				_ = t.p.Pool.Release(node)
-				t.p.tracer.EmitIn(span, "actuate.step", "node-released",
-					trace.F("node", node.Name()), trace.F("replica", name))
-			}
-			t.p.logf("selfsize: %s shrank to %d replicas (-%s, checkpoint %d)",
-				t.name, len(t.replicas), name, checkpoint)
-			t.busy = false
-			t.p.reconfigured(t.name + ":shrink")
-			finish(nil)
+			a.step("node-released", trace.F("node", node.Name()), trace.F("replica", name))
+			t.p.logf("selfsize: %s shrank to %d replicas (-%s%s)", k.name, len(t.replicas), name, a.suffix)
+			a.finish(nil)
 		})
-	})
-	if lerr != nil {
-		finish(lerr)
 	}
+	if k.leave == nil {
+		left()
+	} else if err := k.leave(t, a, name, left); err != nil {
+		a.finish(err)
+	}
+}
+
+// The database tier's protocol steps (§4.1).
+
+func (t *Tier) cjdbc() *CJDBCWrapper { return t.balancer.Content().(*CJDBCWrapper) }
+
+// dbPrepare takes the snapshot the new replica starts from — an active
+// backend's, or with none left the initial dump at recovery-log index 0,
+// to be followed by a replay of the whole log — and returns the state
+// transfer that installs it.
+func dbPrepare(t *Tier, a *actuation) (func(*fractal.Component, func(error)), error) {
+	snap, idx, err := t.cjdbc().Controller().AnyActiveSnapshot()
+	if errors.Is(err, cjdbc.ErrNoBackend) && t.DumpName != "" {
+		if dump, ok := t.p.Dump(t.DumpName); ok {
+			snap, idx, err = dump, 0, nil
+			t.p.logf("selfsize: %s has no active backend; rebuilding from dump %q + full log replay",
+				t.kind.name, t.DumpName)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	a.index = idx
+	a.suffix = fmt.Sprintf(", replayed from log index %d", idx)
+	return func(comp *fractal.Component, next func(error)) {
+		t.p.Eng.After(t.StateTransferSeconds, "dbtier:state-transfer", func() {
+			err := comp.Content().(*MySQLWrapper).Server().LoadSnapshot(snap)
+			if err == nil {
+				a.step("state-transferred", trace.F("replica", comp.Name()), trace.Fi("log-index", int(idx)))
+			}
+			next(err)
+		})
+	}, nil
+}
+
+// dbJoin replays the recovery log on the started replica from the
+// snapshot's index and activates it.
+func dbJoin(t *Tier, a *actuation, name string, comp *fractal.Component, done func(error)) error {
+	return t.cjdbc().JoinBackend(name, comp.Content().(*MySQLWrapper), a.index, done)
+}
+
+// dbLeave disables the replica cleanly, its checkpoint index recorded in
+// the recovery log.
+func dbLeave(t *Tier, a *actuation, name string, done func()) error {
+	return t.cjdbc().LeaveBackend(name, func(checkpoint int64) {
+		a.fields = []trace.Field{trace.Fi("checkpoint", int(checkpoint))}
+		a.suffix = fmt.Sprintf(", checkpoint %d", checkpoint)
+		done()
+	})
 }
 
 // ThresholdReactor is the paper's decision logic: keep the tier's
@@ -544,7 +423,7 @@ func (t *DBTier) Shrink(done func(error)) {
 // resizing, with a shared post-reconfiguration inhibition window.
 type ThresholdReactor struct {
 	p    *Platform
-	tier TierActuator
+	tier *Tier
 
 	// Min and Max are the CPU-usage thresholds.
 	Min, Max float64
@@ -593,7 +472,7 @@ func (r *ThresholdReactor) gate() gate {
 
 // NewThresholdReactor builds the reactor with the paper's one-minute
 // inhibition.
-func NewThresholdReactor(p *Platform, tier TierActuator, min, max float64, shared *Inhibitor) *ThresholdReactor {
+func NewThresholdReactor(p *Platform, tier *Tier, min, max float64, shared *Inhibitor) *ThresholdReactor {
 	if shared == nil {
 		shared = &Inhibitor{}
 	}
@@ -608,9 +487,27 @@ func NewThresholdReactor(p *Platform, tier TierActuator, min, max float64, share
 	}
 }
 
-// decisionSpan opens the span recording one threshold crossing; the
-// actuation it triggers nests under it via the ambient cause.
-func (r *ThresholdReactor) decisionSpan(direction string, v, threshold float64) trace.ID {
+// React implements Reactor.
+func (r *ThresholdReactor) React(now float64, v float64) {
+	r.DistanceGauge.Set(thresholdDistance(v, r.Min, r.Max))
+	r.InhibitedGauge.SetBool(r.Inhibit != nil && r.Inhibit.Inhibited(now))
+	r.ReplicasGauge.Set(float64(r.tier.ReplicaCount()))
+	switch {
+	case v > r.Max && r.tier.CanGrow():
+		r.resize(now, "grow", v, ">", r.Max, r.tier.Grow, &r.Grows, r.GrowsCtr)
+	case v < r.Min && r.tier.CanShrink():
+		r.resize(now, "shrink", v, "<", r.Min, r.tier.Shrink, &r.Shrinks, r.ShrinksCtr)
+	}
+}
+
+// resize acts on one threshold crossing, the gate permitting: it opens the
+// decision span (the actuation nests under it via the ambient cause), runs
+// the actuation and tallies a success.
+func (r *ThresholdReactor) resize(now float64, direction string, v float64, rel string, threshold float64,
+	act func(func(error)), tally *uint64, ctr *obs.Counter) {
+	if !r.gate().tryAcquire(now, r.tier.TierName(), r.Priority) {
+		return
+	}
 	fields := []trace.Field{
 		trace.F("tier", r.tier.TierName()),
 		trace.F("direction", direction),
@@ -623,53 +520,20 @@ func (r *ThresholdReactor) decisionSpan(direction string, v, threshold float64) 
 			fields = append(fields, trace.Fid("sample", id))
 		}
 	}
-	return r.p.tracer.Begin(0, "decision", r.tier.TierName()+":"+direction, fields...)
-}
-
-// React implements Reactor.
-func (r *ThresholdReactor) React(now float64, v float64) {
-	r.DistanceGauge.Set(thresholdDistance(v, r.Min, r.Max))
-	r.InhibitedGauge.SetBool(r.Inhibit != nil && r.Inhibit.Inhibited(now))
-	r.ReplicasGauge.Set(float64(r.tier.ReplicaCount()))
 	tr := r.p.tracer
-	switch {
-	case v > r.Max && r.tier.CanGrow():
-		if !r.gate().tryAcquire(now, r.tier.TierName(), r.Priority) {
-			return
-		}
-		dec := r.decisionSpan("grow", v, r.Max)
-		r.p.logf("selfsize: %s cpu %.2f > %.2f, growing", r.tier.TierName(), v, r.Max)
-		tr.WithCause(dec, func() {
-			r.tier.Grow(func(err error) {
-				if err == nil {
-					r.Grows++
-					r.GrowsCtr.Inc()
-					r.notify()
-				}
-				tr.End(dec, outcomeField(err))
-			})
+	dec := tr.Begin(0, "decision", r.tier.TierName()+":"+direction, fields...)
+	r.p.logf("selfsize: %s cpu %.2f %s %.2f, %sing", r.tier.TierName(), v, rel, threshold, direction)
+	tr.WithCause(dec, func() {
+		act(func(err error) {
+			if err == nil {
+				*tally++
+				ctr.Inc()
+				r.notify()
+			}
+			tr.End(dec, trace.Outcome(err))
 		})
-	case v < r.Min && r.tier.CanShrink():
-		if !r.gate().tryAcquire(now, r.tier.TierName(), r.Priority) {
-			return
-		}
-		dec := r.decisionSpan("shrink", v, r.Min)
-		r.p.logf("selfsize: %s cpu %.2f < %.2f, shrinking", r.tier.TierName(), v, r.Min)
-		tr.WithCause(dec, func() {
-			r.tier.Shrink(func(err error) {
-				if err == nil {
-					r.Shrinks++
-					r.ShrinksCtr.Inc()
-					r.notify()
-				}
-				tr.End(dec, outcomeField(err))
-			})
-		})
-	}
+	})
 }
-
-// outcomeField summarizes an actuation result for span closure.
-func outcomeField(err error) trace.Field { return trace.Outcome(err) }
 
 func (r *ThresholdReactor) notify() {
 	if r.OnResize != nil {
@@ -710,7 +574,7 @@ type SizingManager struct {
 	Loop    *ControlLoop
 	Sensor  *CPUSensor
 	Reactor *ThresholdReactor
-	Tier    TierActuator
+	Tier    *Tier
 
 	// Replicas traces the tier size over time (Fig. 5).
 	Replicas *metrics.Series
@@ -718,12 +582,12 @@ type SizingManager struct {
 
 // NewSizingManager assembles and registers (but does not start) a
 // self-optimization manager for one tier.
-func NewSizingManager(p *Platform, name string, tier TierActuator, cfg SizingConfig, shared *Inhibitor) (*SizingManager, error) {
+func NewSizingManager(p *Platform, name string, tier *Tier, cfg SizingConfig, shared *Inhibitor) (*SizingManager, error) {
 	sensor := NewCPUSensor(tier.Nodes, cfg.Window, p.opts.ProbeCPUCost)
 	reactor := NewThresholdReactor(p, tier, cfg.Min, cfg.Max, shared)
 	reactor.InhibitSeconds = cfg.InhibitSeconds
-	if tb, ok := tier.(interface{ setMax(int) }); ok && cfg.MaxReplicas > 0 {
-		tb.setMax(cfg.MaxReplicas)
+	if cfg.MaxReplicas > 0 {
+		tier.MaxReplicas = cfg.MaxReplicas
 	}
 	loop, err := NewControlLoop(p, name, cfg.Period, sensor, reactor)
 	if err != nil {
@@ -796,6 +660,3 @@ func (m *SizingManager) Status(now float64) obs.LoopStatus {
 	}
 	return st
 }
-
-// setMax lets SizingConfig.MaxReplicas reach the embedded tierBase.
-func (t *tierBase) setMax(n int) { t.MaxReplicas = n }

@@ -158,7 +158,6 @@ func NewApacheComponent(p *Platform, name string, node *cluster.Node) (*fractal.
 	if err := comp.SetAttribute("port", "80"); err != nil {
 		return nil, err
 	}
-	p.attachManagement(node)
 	return comp, nil
 }
 
@@ -272,7 +271,6 @@ func NewTomcatComponent(p *Platform, name string, node *cluster.Node) (*fractal.
 			return nil, err
 		}
 	}
-	p.attachManagement(node)
 	return comp, nil
 }
 
@@ -368,7 +366,6 @@ func NewMySQLComponent(p *Platform, name string, node *cluster.Node) (*fractal.C
 	if err := comp.SetAttribute("port", "3306"); err != nil {
 		return nil, err
 	}
-	p.attachManagement(node)
 	return comp, nil
 }
 
@@ -450,7 +447,6 @@ func NewCJDBCComponent(p *Platform, name string, node *cluster.Node) (*fractal.C
 	if err := comp.SetAttribute("port", "25322"); err != nil {
 		return nil, err
 	}
-	p.attachManagement(node)
 	return comp, nil
 }
 
@@ -659,7 +655,6 @@ func (k *balancerKind) newComponent(p *Platform, name string, node *cluster.Node
 	if err := comp.SetAttribute("port", strconv.Itoa(k.options().Port)); err != nil {
 		return nil, err
 	}
-	p.attachManagement(node)
 	return comp, nil
 }
 

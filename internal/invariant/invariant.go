@@ -102,15 +102,6 @@ func NewHarness(eng *sim.Engine) *Harness {
 // Register adds checkers to the harness.
 func (h *Harness) Register(cs ...Checker) { h.checkers = append(h.checkers, cs...) }
 
-// Checkers returns the registered checker names, in registration order.
-func (h *Harness) Checkers() []string {
-	out := make([]string, len(h.checkers))
-	for i, c := range h.checkers {
-		out[i] = c.Name()
-	}
-	return out
-}
-
 // Start begins periodic checking. It may be called once.
 func (h *Harness) Start() {
 	if h.ticker != nil {
@@ -318,7 +309,7 @@ func (c *NodeConservation) Check(now float64, boundary bool) error {
 // Balancer / actuator agreement
 
 // TierView is the slice of the actuator surface the agreement checker
-// needs (satisfied by core.TierActuator).
+// needs (satisfied by *core.Tier).
 type TierView interface {
 	TierName() string
 	ReplicaNames() []string

@@ -94,17 +94,7 @@ type Detector struct {
 	tr      *trace.Tracer
 	reg     *obs.Registry
 	eval    *sim.Ticker
-	history []SuspicionEvent
 	onTrans []func(now float64, target string, suspected, falsePositive bool)
-}
-
-// SuspicionEvent is one suspect/clear transition, kept in emission order
-// so the alerting plane can splice suspicion history into incidents.
-type SuspicionEvent struct {
-	T             float64 `json:"t"`
-	Target        string  `json:"target"`
-	Suspected     bool    `json:"suspected"`
-	FalsePositive bool    `json:"false_positive,omitempty"`
 }
 
 // OnTransition registers a hook fired on every suspect/clear transition,
@@ -112,10 +102,6 @@ type SuspicionEvent struct {
 func (d *Detector) OnTransition(fn func(now float64, target string, suspected, falsePositive bool)) {
 	d.onTrans = append(d.onTrans, fn)
 }
-
-// History returns every suspicion transition so far (live slice; do not
-// mutate).
-func (d *Detector) History() []SuspicionEvent { return d.history }
 
 // NewDetector builds a detector fed by heartbeats over fab.
 func NewDetector(eng *sim.Engine, fab *Fabric, cfg HeartbeatConfig) *Detector {
@@ -303,7 +289,6 @@ func (d *Detector) evaluate(name string, m *monitored) {
 }
 
 func (d *Detector) transition(now float64, name string, suspected, falsePositive bool) {
-	d.history = append(d.history, SuspicionEvent{T: now, Target: name, Suspected: suspected, FalsePositive: falsePositive})
 	for _, fn := range d.onTrans {
 		fn(now, name, suspected, falsePositive)
 	}

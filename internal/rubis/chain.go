@@ -3,7 +3,6 @@ package rubis
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Chain is a Markov session model over the 26 interactions: the original
@@ -53,16 +52,6 @@ func (c *Chain) Next(from string, rng *rand.Rand) string {
 		}
 	}
 	return ts[len(ts)-1].To
-}
-
-// States returns all states with outgoing transitions, sorted.
-func (c *Chain) States() []string {
-	out := make([]string, 0, len(c.transitions))
-	for s := range c.transitions {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Validate checks the chain against an interaction set: every state and

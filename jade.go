@@ -71,32 +71,22 @@ type (
 	PlatformOptions = core.Options
 	// Deployment is an application deployed from an ADL description.
 	Deployment = core.Deployment
-	// Wrapper is the management contract of wrapped legacy software.
-	Wrapper = core.Wrapper
 	// SizingManager is a deployed self-optimization manager.
 	SizingManager = core.SizingManager
 	// SizingConfig parameterizes a self-optimization manager.
 	SizingConfig = core.SizingConfig
 	// RecoveryManager is the self-recovery manager.
 	RecoveryManager = core.RecoveryManager
-	// AppTier is the application-tier actuator.
-	AppTier = core.AppTier
-	// DBTier is the database-tier actuator.
-	DBTier = core.DBTier
-	// TierActuator is the uniform resize surface of a replicated tier.
-	TierActuator = core.TierActuator
+	// Tier is the actuator of one replicated tier (NewAppTier, NewDBTier).
+	Tier = core.Tier
 	// ControlLoop binds a sensor to a reactor at a fixed period.
 	ControlLoop = core.ControlLoop
 	// Sensor observes the managed system.
 	Sensor = core.Sensor
 	// Reactor decides and actuates.
 	Reactor = core.Reactor
-	// CPUSensor is the spatial+temporal CPU probe.
-	CPUSensor = core.CPUSensor
 	// Inhibitor serializes reconfigurations across loops.
 	Inhibitor = core.Inhibitor
-	// InstallService is the Software Installation Service.
-	InstallService = core.InstallService
 	// Arbiter coordinates conflicting autonomic policies (the paper's
 	// future-work arbitration manager).
 	Arbiter = core.Arbiter
@@ -106,8 +96,6 @@ type (
 	AdaptiveTuner = core.AdaptiveTuner
 	// ThresholdReactor is the paper's threshold decision logic.
 	ThresholdReactor = core.ThresholdReactor
-	// ResponseTimeSensor observes client-perceived latency.
-	ResponseTimeSensor = core.ResponseTimeSensor
 	// RoutingConfig names the backend-selection policy of each balancing
 	// tier (L4 switch, PLB, C-JDBC reads); see RoutingPolicies for the
 	// accepted spellings.
@@ -141,20 +129,12 @@ func NewAdaptiveTuner(reactor *ThresholdReactor, readLatency func(now float64) (
 	return core.NewAdaptiveTuner(reactor, readLatency, slo)
 }
 
-// Arbitration priorities for Arbiter.Request.
-const (
-	PriorityOptimization = core.PriorityOptimization
-	PriorityRecovery     = core.PriorityRecovery
-)
-
 // Re-exported architecture description types.
 type (
 	// ADLDefinition is a parsed architecture description.
 	ADLDefinition = adl.Definition
 	// Component is a Fractal component.
 	Component = fractal.Component
-	// Interface is a Fractal interface.
-	Interface = fractal.Interface
 )
 
 // Re-exported workload types.
@@ -178,34 +158,16 @@ type (
 	// ScaledProfile drives a sampled fraction of another profile's
 	// population (the discrete stream of fluid workload mode).
 	ScaledProfile = rubis.ScaledProfile
-	// FluidDemand is a mix's calibrated mean per-request resource
-	// profile, the constants behind the fluid tier equations.
-	FluidDemand = rubis.FluidDemand
 	// FluidReport summarizes a fluid-mode run (ScenarioResult.Fluid).
 	FluidReport = fluid.Report
-	// FluidStationReport is one tier's aggregate fluid outcome.
-	FluidStationReport = fluid.StationReport
-	// LatencyAttribution is the per-request latency decomposition over a
-	// run's traced span forest (ScenarioResult.Attribution).
-	LatencyAttribution = attrib.Analysis
 	// LatencyBudget is the aggregated per-interaction-class budget report
 	// with critical-path blame (ScenarioResult.LatencyBudget).
 	LatencyBudget = attrib.Report
-	// LatencyBandBlame names the dominant tier/component of one
-	// percentile band in a LatencyBudget's critical path.
-	LatencyBandBlame = attrib.BandBlame
 )
-
-// LatencyBudgetSchema identifies the latency_budget.json artifact.
-const LatencyBudgetSchema = attrib.BudgetSchema
 
 // ParseLatencyBudget parses and validates a latency_budget.json
 // artifact (jadectl diff reads run directories through it).
 func ParseLatencyBudget(raw []byte) (*LatencyBudget, error) { return attrib.ParseReport(raw) }
-
-// DefaultTransitions is the bidding-mix session graph for Markov-session
-// emulation.
-func DefaultTransitions() *SessionChain { return rubis.DefaultTransitions() }
 
 // Re-exported measurement types.
 type (
@@ -237,48 +199,22 @@ type (
 // injectable partitions, replacing the recovery manager's failure oracle
 // with a φ-accrual heartbeat detector that can be wrong.
 type (
-	// NetworkConfig enables and parameterizes the simulated network.
-	NetworkConfig = netsim.Config
 	// LinkConfig is one directed link's latency/jitter/loss model.
 	LinkConfig = netsim.Link
 	// RPCBudget is a tier call's timeout/retry/backoff budget.
 	RPCBudget = netsim.RPCBudget
 	// HeartbeatConfig parameterizes the φ-accrual failure detector.
 	HeartbeatConfig = netsim.HeartbeatConfig
-	// NetworkFabric is the message-level simulated network.
-	NetworkFabric = netsim.Fabric
-	// NetworkStats counts fabric traffic, drops and abandoned RPCs.
-	NetworkStats = netsim.Stats
-	// FailureDetector is the heartbeat suspicion detector.
-	FailureDetector = netsim.Detector
-	// DetectorStats counts suspicions, mistakes and heals.
-	DetectorStats = netsim.DetectorStats
 )
 
-// Pseudo-endpoints of the simulated network: the client population and
-// the Jade management node.
-const (
-	ClientEndpoint     = netsim.ClientEndpoint
-	ManagementEndpoint = netsim.ManagementEndpoint
-)
+// ManagementEndpoint is the simulated network's pseudo-endpoint of the
+// Jade management node.
+const ManagementEndpoint = netsim.ManagementEndpoint
 
-// ErrRPCTimeout marks a tier call abandoned after its retry budget.
-var ErrRPCTimeout = netsim.ErrRPCTimeout
-
-// Re-exported telemetry types: every platform carries a structured event
-// bus recording management decisions as causal spans (see internal/trace).
-type (
-	// Tracer is the deterministic telemetry bus.
-	Tracer = trace.Tracer
-	// TraceID identifies one event or span on the bus.
-	TraceID = trace.ID
-	// TraceEvent is one instantaneous bus record.
-	TraceEvent = trace.Event
-	// TraceSpan is one interval with a causal parent.
-	TraceSpan = trace.Span
-	// TraceSpanNode is a node of the reconstructed span tree.
-	TraceSpanNode = trace.SpanNode
-)
+// TraceSpan is one interval with a causal parent on the platform's
+// structured event bus, which records management decisions as causal
+// spans (see internal/trace).
+type TraceSpan = trace.Span
 
 // ValidateChromeTrace checks data against the Chrome trace-event schema
 // and returns the number of trace events.
@@ -295,38 +231,11 @@ func ChromeTraceStats(data []byte) (droppedSpans, evictedEvents uint64, ok bool)
 // metrics registry clocked on virtual time (see internal/obs), exposed
 // through snapshot files and the live admin endpoint.
 type (
-	// MetricsRegistry is the platform's deterministic metrics registry.
-	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is a point-in-time view of every registered series.
-	MetricsSnapshot = obs.Snapshot
-	// Histogram is a log-bucketed latency histogram with exact quantiles.
-	Histogram = obs.Histogram
 	// SLObjective is one service-level objective under evaluation.
 	SLObjective = obs.Objective
-	// SLObjectiveKind names an objective family.
-	SLObjectiveKind = obs.ObjectiveKind
 	// SLOReport is the post-run compliance report.
 	SLOReport = obs.SLOReport
-	// SLObjectiveReport is one objective's line in the report.
-	SLObjectiveReport = obs.ObjectiveReport
-	// AdminServer is the live introspection HTTP endpoint.
-	AdminServer = obs.AdminServer
-	// LoopStatus is a control loop's introspection document.
-	LoopStatus = obs.LoopStatus
-	// ComponentView is the JSON introspection view of a Fractal component.
-	ComponentView = fractal.View
 )
-
-// Objective kinds for SLObjective.Kind.
-const (
-	SLOLatencyPercentile = obs.LatencyPercentile
-	SLOAbandonRate       = obs.AbandonRate
-	SLOCPUBand           = obs.CPUBand
-)
-
-// Unbounded is the NaN sentinel for an SLObjective bound that doesn't
-// apply.
-func Unbounded() float64 { return obs.Unbounded() }
 
 // ValidatePrometheusText checks a page against the Prometheus text
 // exposition format 0.0.4 and returns the number of samples.
@@ -345,26 +254,10 @@ func ValidateComponentsJSON(doc []byte) (int, error) { return obs.ValidateCompon
 // streaming anomaly detectors, and the incident correlation engine behind
 // /alerts, /incidents, alerts.jsonl and incidents.json.
 type (
-	// AlertEngine is a run's alerting plane (ScenarioResult.Alerts).
-	AlertEngine = alert.Engine
 	// AlertConfig tunes the alerting plane (ScenarioConfig.Alerting).
 	AlertConfig = alert.Config
 	// Alert is one fired (or resolved) alert instance.
 	Alert = alert.Alert
-	// AlertSeverity grades an alert (warn | page).
-	AlertSeverity = alert.Severity
-	// AlertTransition is one line of the alerts.jsonl stream.
-	AlertTransition = alert.Transition
-	// Incident is a set of correlated alerts with a causal timeline.
-	Incident = alert.Incident
-	// IncidentTimelineEntry is one causal step inside an incident.
-	IncidentTimelineEntry = alert.TimelineEntry
-)
-
-// Alert severities.
-const (
-	AlertWarn = alert.SevWarn
-	AlertPage = alert.SevPage
 )
 
 // ValidateAlertsJSONL checks an alerts.jsonl transition stream and
@@ -407,22 +300,22 @@ func AppSizingDefaults() SizingConfig { return core.AppSizingDefaults() }
 func DBSizingDefaults() SizingConfig { return core.DBSizingDefaults() }
 
 // NewAppTier builds the application-tier actuator for a deployment.
-func NewAppTier(p *Platform, d *Deployment, plbName, dbName string, replicas []string) (*AppTier, error) {
+func NewAppTier(p *Platform, d *Deployment, plbName, dbName string, replicas []string) (*Tier, error) {
 	return core.NewAppTier(p, d, plbName, dbName, replicas)
 }
 
 // NewDBTier builds the database-tier actuator for a deployment.
-func NewDBTier(p *Platform, d *Deployment, cjdbcName string, replicas []string) (*DBTier, error) {
+func NewDBTier(p *Platform, d *Deployment, cjdbcName string, replicas []string) (*Tier, error) {
 	return core.NewDBTier(p, d, cjdbcName, replicas)
 }
 
 // NewSizingManager assembles a self-optimization manager for one tier.
-func NewSizingManager(p *Platform, name string, tier TierActuator, cfg SizingConfig, shared *Inhibitor) (*SizingManager, error) {
+func NewSizingManager(p *Platform, name string, tier *Tier, cfg SizingConfig, shared *Inhibitor) (*SizingManager, error) {
 	return core.NewSizingManager(p, name, tier, cfg, shared)
 }
 
 // NewRecoveryManager assembles the self-recovery manager.
-func NewRecoveryManager(p *Platform, name string, period float64, tiers ...core.RepairableTier) (*RecoveryManager, error) {
+func NewRecoveryManager(p *Platform, name string, period float64, tiers ...*Tier) (*RecoveryManager, error) {
 	return core.NewRecoveryManager(p, name, period, tiers...)
 }
 

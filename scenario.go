@@ -435,8 +435,8 @@ type run struct {
 	// plb and cjdbc are the two balancer wrappers, resolved once.
 	plb     *core.BalancerWrapper
 	cjdbc   *core.CJDBCWrapper
-	appTier *AppTier
-	dbTier  *DBTier
+	appTier *Tier
+	dbTier  *Tier
 	fabric  *netsim.Fabric // nil with cfg.Net disabled; its methods are nil-safe
 	fluidOn bool
 
