@@ -15,8 +15,9 @@
 #   make obs-smoke    - scrape a live run's admin endpoint and validate the exposition
 #   make netsim-smoke - run the partition scenario from examples/netfault.json
 #                       end to end (invariant-checked; nonzero exit on violation)
-#   make sql-smoke    - one FuzzParse pass over the committed corpus (the SQL
-#                       engine's differential and replay tests run under `race`)
+#   make sql-smoke    - one FuzzParse and one FuzzPrepare pass over the committed
+#                       corpora (the SQL engine's differential and replay tests
+#                       run under `race`)
 #   make selector-smoke - one rendezvous fuzz pass over the committed corpus
 #                       (the selector property tests run under `race`)
 #   make alert-smoke  - run the quick alert-latency experiment end to end
@@ -75,6 +76,7 @@ bench:
 
 sql-smoke:
 	$(GO) test -run FuzzParse -fuzz FuzzParse -fuzztime 1x ./internal/sqlengine
+	$(GO) test -run FuzzPrepare -fuzz FuzzPrepare -fuzztime 1x ./internal/sqlengine
 
 obs-smoke:
 	$(GO) run ./cmd/jadectl scenario -clients 200 -duration 300 -managed -metrics.http 127.0.0.1:0 -metrics.scrape-check

@@ -616,18 +616,24 @@ func TestSnapshotReplayReplicaAnswersIndexedReads(t *testing.T) {
 }
 
 // A read costs the controller one record and the bound callback it hands
-// the backend, beyond what sqlengine.Parse allocates for the statement
-// and what the backend allocates to serve it (both measured here and
-// subtracted; for this SELECT, Parse is 3 of the 9 and the backend 4).
-// Measured 2; 10 before the record. Instruments on, tracing off.
+// the backend, beyond the backend's own record (measured here and
+// subtracted). Prepared, it costs nothing else: nothing is parsed and the
+// engine allocates nothing, here or in the backend. As text it costs what
+// sqlengine.Parse allocates for the statement on top (3 for this SELECT).
+// Measured 2 in cjdbc and cluster; 10 before the record. Instruments on,
+// tracing off.
 func TestReadAllocs(t *testing.T) {
 	r := newRig(t, 2)
 	r.ctl.Obs = obs.NewTierMetrics(obs.NewRegistry(r.env.Eng.Now), "sql", "cjdbc")
 	m := r.mysql("mysql1")
 	r.join("b1", m)
 	r.mustExec("CREATE TABLE t (a INT, b TEXT)")
-	r.mustExec("INSERT INTO t (a, b) VALUES (1, 'x')")
-	const sql = "SELECT b FROM t WHERE a = 1"
+	r.mustExec("INSERT INTO t (a, b) VALUES (1000, 'x')")
+	const sql = "SELECT b FROM t WHERE a = 1000"
+	prepared, err := sqlengine.Prepare("SELECT b FROM t WHERE a = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := func(err error) {
 		if err != nil {
 			t.Fatal(err)
@@ -638,16 +644,176 @@ func TestReadAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	stmt, _ := sqlengine.Parse(sql)
+	engine := testing.AllocsPerRun(200, func() {
+		if n, err := m.DB().CountPrepared(prepared, 1000); n != 1 || err != nil {
+			t.Fatal(n, err)
+		}
+	})
+	if engine != 0 {
+		t.Errorf("the engine allocates %v objects to count a prepared read, want 0", engine)
+	}
+	q := legacy.Query{Cost: 0.001, Prepared: prepared, Arg: 1000}
 	backend := testing.AllocsPerRun(200, func() {
-		m.ExecSQL(legacy.Query{Cost: 0.001, Stmt: stmt}, done)
+		m.ExecSQL(q, done)
 		r.env.Eng.Run()
 	})
-	got := testing.AllocsPerRun(200, func() {
-		r.ctl.ExecSQL(legacy.Query{SQL: sql, Cost: 0.001}, done)
+	for _, c := range []struct {
+		form  string
+		q     legacy.Query
+		parse float64
+	}{
+		{"prepared", q, 0},
+		{"text", legacy.Query{SQL: sql, Cost: 0.001}, parse},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			r.ctl.ExecSQL(c.q, done)
+			r.env.Eng.Run()
+		})
+		if own := got - c.parse - backend; own > 2 {
+			t.Errorf("a %s read allocates %v objects (%v parsing, %v in the backend): %v in cjdbc and cluster, want at most 2", c.form, got, c.parse, backend, own)
+		}
+	}
+}
+
+// A statement the backend rejects is the caller's error, not the backend's
+// failure: the server answered. Before, the read was retried on every
+// backend, each was dropped in turn, and the tier was gone.
+func TestRejectedReadKeepsBackends(t *testing.T) {
+	r := newRig(t, 4)
+	r.join("b1", r.mysql("mysql1"))
+	r.join("b2", r.mysql("mysql2"))
+	r.mustExec("CREATE TABLE t (a INT)")
+	for _, sql := range []string{"SELECT * FROM nope", "SELECT ghost FROM t", "SELECT * FROM"} {
+		err := r.exec(sql)
+		if err == nil || errors.Is(err, ErrNoBackend) {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		var rejected *legacy.StatementError
+		if !errors.As(err, &rejected) {
+			t.Fatalf("%s: %v is not the server's answer", sql, err)
+		}
+		if r.ctl.ActiveCount() != 2 {
+			t.Fatalf("%s left %d active backends, want 2", sql, r.ctl.ActiveCount())
+		}
+	}
+	if err := r.exec("SELECT * FROM nope"); !errors.Is(err, sqlengine.ErrNoSuchTable) {
+		t.Fatalf("the cause is lost: %v", err)
+	}
+	if r.ctl.Failures() != 4 || r.ctl.Reads() != 0 {
+		t.Fatalf("failures=%d reads=%d", r.ctl.Failures(), r.ctl.Reads())
+	}
+	r.mustExec("SELECT * FROM t")
+	// A backend that is down is still dropped, and the read retried.
+	r.ctl.lookup("b1").srv.Node().Fail()
+	r.ctl.lookup("b2").srv.Node().Fail()
+	if err := r.exec("SELECT * FROM t"); err == nil || r.ctl.ActiveCount() != 0 {
+		t.Fatalf("read through two dead backends: %v, %d active", err, r.ctl.ActiveCount())
+	}
+}
+
+// A query that arrives parsed or prepared is classified by what it is, not
+// by its text: an INSERT with no text used to be routed as a read (the
+// empty string is no write), parsed again from nothing, and to take every
+// backend down. It is a write, and a write that cannot be logged is refused
+// before it touches anything; a prepared write renders its text and is
+// logged as text.
+func TestSuppliedStatementIsClassifiedAsItIs(t *testing.T) {
+	r := newRig(t, 4)
+	m1, m2 := r.mysql("mysql1"), r.mysql("mysql2")
+	r.join("b1", m1)
+	r.join("b2", m2)
+	r.mustExec("CREATE TABLE t (a INT)")
+	r.mustExec("INSERT INTO t (a) VALUES (7)")
+	run := func(q legacy.Query) error {
+		t.Helper()
+		var got error = errors.New("pending")
+		r.ctl.ExecSQL(q, func(err error) { got = err })
 		r.env.Eng.Run()
-	})
-	if own := got - parse - backend; own > 2 {
-		t.Errorf("a read allocates %v objects (%v parsing, %v in the backend): %v in cjdbc and cluster, want at most 2", got, parse, backend, own)
+		return got
+	}
+	insert, err := sqlengine.Parse("INSERT INTO t (a) VALUES (1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(legacy.Query{Stmt: insert, Cost: 0.001}); err == nil {
+		t.Fatal("a write with no text was accepted")
+	}
+	if r.ctl.ActiveCount() != 2 || r.ctl.Log().Len() != 2 || m1.DB().RowCount("t") != 1 {
+		t.Fatalf("after the refused write: %d active, %d logged, %d rows", r.ctl.ActiveCount(), r.ctl.Log().Len(), m1.DB().RowCount("t"))
+	}
+	// With its text it is the write it says it is, whatever the text says.
+	if err := run(legacy.Query{SQL: "INSERT INTO t (a) VALUES (1)", Stmt: insert, Cost: 0.001}); err != nil {
+		t.Fatal(err)
+	}
+	// A supplied SELECT is executed as supplied, not parsed again.
+	sel, err := sqlengine.Parse("SELECT * FROM t WHERE a = 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(legacy.Query{SQL: "not SQL at all", Stmt: sel, Cost: 0.001}); err != nil {
+		t.Fatal(err)
+	}
+	del, err := sqlengine.Prepare("DELETE FROM t WHERE a = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(legacy.Query{Prepared: del, Arg: 7, Cost: 0.001}); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := r.ctl.Log().At(3)
+	if rec.Query.SQL != "DELETE FROM t WHERE a = 7" || rec.Query.Prepared != nil || rec.Query.Stmt != nil {
+		t.Fatalf("logged %+v", rec.Query)
+	}
+	if r.ctl.Reads() != 1 || r.ctl.Writes() != 4 || r.ctl.ActiveCount() != 2 {
+		t.Fatalf("reads=%d writes=%d active=%d", r.ctl.Reads(), r.ctl.Writes(), r.ctl.ActiveCount())
+	}
+	if m1.DB().RowCount("t") != 1 || m2.DB().RowCount("t") != 1 || !r.ctl.CheckConsistency().Consistent {
+		t.Fatalf("rows %d / %d", m1.DB().RowCount("t"), m2.DB().RowCount("t"))
+	}
+}
+
+// Under the rendezvous policy a read's text is its affinity key, so a
+// prepared read and its text go to the same replica; the other policies
+// never render it.
+func TestRendezvousKeysPreparedReadsByText(t *testing.T) {
+	r := newRig(t, 5)
+	ms := []*legacy.MySQL{r.mysql("mysql1"), r.mysql("mysql2"), r.mysql("mysql3")}
+	for i, m := range ms {
+		r.join(fmt.Sprintf("b%d", i+1), m)
+	}
+	r.mustExec("CREATE TABLE t (a INT)")
+	r.ctl.Pool().SetPolicy(selector.Rendezvous)
+	p, err := sqlengine.Prepare("SELECT * FROM t WHERE a = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := func() (out [3]uint64) {
+		for i, m := range ms {
+			out[i] = m.Served()
+		}
+		return out
+	}
+	spread := map[[3]uint64]bool{}
+	for arg := int64(0); arg < 40; arg++ {
+		before := served()
+		r.mustExec(fmt.Sprintf("SELECT * FROM t WHERE a = %d", arg))
+		text := served()
+		var got error = errors.New("pending")
+		r.ctl.ExecSQL(legacy.Query{Prepared: p, Arg: arg, Cost: 0.001}, func(err error) { got = err })
+		r.env.Eng.Run()
+		if got != nil {
+			t.Fatal(got)
+		}
+		after := served()
+		for i := range ms {
+			if text[i]-before[i] != after[i]-text[i] {
+				t.Fatalf("arg %d: text went %v -> %v, prepared %v -> %v", arg, before, text, text, after)
+			}
+			before[i] = text[i] - before[i]
+		}
+		spread[before] = true
+	}
+	if len(spread) != 3 {
+		t.Fatalf("40 keys reached %d of 3 replicas", len(spread))
 	}
 }

@@ -476,11 +476,16 @@ func (c *Controller) activeBackends() []*backend {
 	return out
 }
 
-// pickReader selects an active backend through the pool (the query text
-// is the affinity key, so the rendezvous policy gives query-to-replica
-// cache affinity).
-func (c *Controller) pickReader(q legacy.Query) *backend {
-	name, ok := c.pool.Pick(q.SQL)
+// pickReader selects an active backend through the pool. Under the
+// rendezvous policy the query text is the affinity key (query-to-replica
+// cache affinity), which is the one place a read's text is rendered; no
+// other policy looks at the key.
+func (c *Controller) pickReader(q *legacy.Query) *backend {
+	key := ""
+	if c.pool.Policy() == selector.Rendezvous {
+		key, _ = q.Text() // a statement that does not render is refused by the backend
+	}
+	name, ok := c.pool.Pick(key)
 	if !ok {
 		return nil
 	}
@@ -503,10 +508,25 @@ func (c *Controller) ExecSQL(q legacy.Query, done func(error)) {
 	}
 	r := &request{c: c, q: q, done: done}
 	// Classify and parse here, once: every backend the query reaches
-	// executes the parsed form. SQL that does not parse travels as text,
-	// and the backend that receives it reports the error.
-	r.write = sqlengine.IsWrite(q.SQL)
-	r.q.Stmt, _ = sqlengine.Parse(q.SQL)
+	// executes the parsed form. A query that arrives prepared or parsed is
+	// taken as it is; SQL that does not parse travels as text, and the
+	// backend that receives it reports the error.
+	r.write = q.IsWrite()
+	if r.write && q.Prepared != nil {
+		// A write goes the text path whatever form it arrived in: the
+		// recovery log is a log of strings, and replay parses them (§4.1).
+		r.q.SQL, _ = q.Text()
+		r.q.Prepared = nil
+	}
+	if r.write && r.q.SQL == "" {
+		c.Obs.Drop()
+		c.failures++
+		done(fmt.Errorf("cjdbc %s: a write without its SQL text cannot be logged", c.name))
+		return
+	}
+	if r.q.Prepared == nil && r.q.Stmt == nil {
+		r.q.Stmt, _ = sqlengine.Parse(r.q.SQL)
+	}
 	if r.write {
 		// A write's completion waits on the RAIDb-1 broadcast: time not
 		// covered by this record's own applies is queueing for db-tier
@@ -590,7 +610,7 @@ func (c *Controller) execWrite(q legacy.Query, done func(error)) {
 // read sends the statement to one active backend chosen by policy.
 func (r *request) read() {
 	c := r.c
-	b := c.pickReader(r.q)
+	b := c.pickReader(&r.q)
 	if b == nil {
 		c.failures++
 		r.finish(fmt.Errorf("%w: cannot read through %s", ErrNoBackend, c.name))
@@ -604,20 +624,29 @@ func (r *request) read() {
 	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, r.q, r.readDone)
 }
 
-// readDone takes the backend's answer: a failed backend is marked dead
-// and the read goes to another while attempts remain.
+// readDone takes the backend's answer. A backend that failed (its server
+// or its node is down, the call did not get through) is marked dead and
+// the read goes to another while attempts remain; a backend that answered
+// that the statement is wrong stays, and its answer is the caller's.
 func (r *request) readDone(err error) {
 	c, b := r.c, r.backend
+	failed := false
+	if err != nil {
+		var rejected *legacy.StatementError
+		failed = !errors.As(err, &rejected)
+	}
 	// Release feeds the latency/failure reservoirs before markDead
 	// evicts the entry, so the failure is recorded against the backend.
-	c.pool.Release(b.name, c.eng.Now()-r.sent, err != nil)
-	if err != nil {
+	c.pool.Release(b.name, c.eng.Now()-r.sent, failed)
+	if failed {
 		c.markDead(b, err)
 		if r.attempts > 1 {
 			r.attempts--
 			r.read()
 			return
 		}
+	}
+	if err != nil {
 		c.failures++
 		r.finish(fmt.Errorf("cjdbc %s: read failed: %w", c.name, err))
 		return

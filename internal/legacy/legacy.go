@@ -61,17 +61,73 @@ func (s State) String() string {
 }
 
 // Query is one SQL request flowing from the application tier to the
-// database tier, with its CPU service demand on a database node.
+// database tier, with its CPU service demand on a database node. The
+// statement travels in one of three forms, the first one set winning:
+// Prepared with Arg (a servlet's read, which needs no text), Stmt (text
+// C-JDBC has parsed), or SQL alone.
 type Query struct {
 	SQL  string
 	Cost float64 // CPU-seconds on a database node
 	// Stmt, when non-nil, is SQL already parsed: C-JDBC parses a statement
 	// once and hands the result to every backend it sends the query to. A
-	// server given no Stmt parses SQL itself.
+	// server given neither Stmt nor Prepared parses SQL itself.
 	Stmt sqlengine.Statement
+	// Prepared, when non-nil, is the statement as a template prepared once
+	// per process, and Arg the argument of its placeholder if it has one
+	// (a Connector/J prepared statement, as the RUBiS servlets use). Text
+	// renders it for whatever reads statements as strings.
+	Prepared *sqlengine.Prepared
+	Arg      int64
 	// TraceSpan, when non-zero, is the telemetry span this query belongs
 	// to; servers along the path attach their own child spans under it.
 	TraceSpan trace.ID
+}
+
+// args returns the arguments of q.Prepared. A template with more than the
+// one placeholder a Query has room for gets one argument, and the engine
+// refuses the count.
+func (q *Query) args() []int64 {
+	return []int64{q.Arg}[:min(q.Prepared.NumArgs(), 1)]
+}
+
+// Text returns the statement as SQL text: the prepared statement rendered
+// with its argument, or else SQL.
+func (q *Query) Text() (string, error) {
+	if q.Prepared != nil {
+		return q.Prepared.Text(q.args()...)
+	}
+	return q.SQL, nil
+}
+
+// IsWrite reports whether the statement mutates database state, from the
+// prepared or parsed form when there is one and from the text otherwise.
+func (q *Query) IsWrite() bool {
+	switch {
+	case q.Prepared != nil:
+		return q.Prepared.IsWrite()
+	case q.Stmt != nil:
+		_, read := q.Stmt.(sqlengine.SelectStmt)
+		return !read
+	}
+	return sqlengine.IsWrite(q.SQL)
+}
+
+// run executes the statement on db: a write for its effect, a read for its
+// error (the rows are counted, not built: nobody downstream reads them).
+func (q *Query) run(db *sqlengine.Engine) error {
+	if q.Prepared != nil {
+		_, err := db.CountPrepared(q.Prepared, q.args()...)
+		return err
+	}
+	stmt := q.Stmt
+	if stmt == nil {
+		var err error
+		if stmt, err = sqlengine.Parse(q.SQL); err != nil {
+			return err
+		}
+	}
+	_, err := db.Count(stmt)
+	return err
 }
 
 // WebRequest is one HTTP request flowing through the tiers.

@@ -215,26 +215,32 @@ func TestTomcatHandleHTTPAllocs(t *testing.T) {
 	}
 }
 
-// A statement costs MySQL its one record beyond what the engine allocates
-// to execute it (measured 1; 8 before the record). Instruments on, tracing
-// off.
+// A read costs MySQL its one record and nothing else, prepared or parsed:
+// the engine counts the rows of a read without building them (measured 1;
+// 5 while ExecSQL built the result it threw away, 8 before the record).
+// Text pays what Parse allocates on top. Instruments on, tracing off.
 func TestMySQLExecSQLAllocs(t *testing.T) {
 	env, pool := testEnv(t, 1)
 	env.Obs = obs.NewRegistry(env.Eng.Now)
 	m := NewMySQL(env, "mysql1", allocNode(t, pool), DefaultMySQLOptions())
 	writeMySQLConf(t, env, m, 3306)
 	startOK(t, env.Eng, m.Start)
-	for _, sql := range []string{"CREATE TABLE items (id INT, name TEXT)", "INSERT INTO items (id, name) VALUES (1, 'book')"} {
+	for _, sql := range []string{"CREATE TABLE items (id INT, name TEXT)", "INSERT INTO items (id, name) VALUES (1000, 'book')"} {
 		if _, err := m.DB().Exec(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stmt, err := sqlengine.Parse("SELECT name FROM items WHERE id = 1")
+	const sql = "SELECT name FROM items WHERE id = 1000"
+	stmt, err := sqlengine.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := testing.AllocsPerRun(200, func() {
-		if _, err := m.DB().ExecStmt(stmt); err != nil {
+	prepared, err := sqlengine.Prepare("SELECT name FROM items WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := testing.AllocsPerRun(200, func() {
+		if _, err := sqlengine.Parse(sql); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -243,13 +249,25 @@ func TestMySQLExecSQLAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q := Query{Cost: 0.001, Stmt: stmt}
-	got := testing.AllocsPerRun(200, func() {
-		m.ExecSQL(q, done)
-		env.Eng.Run()
-	})
-	if got > engine+1 {
-		t.Errorf("a statement allocates %v objects, %v of them the engine's: want at most 1 in legacy and cluster", got, engine)
+	for _, c := range []struct {
+		form string
+		q    Query
+		want float64
+	}{
+		{"prepared", Query{Cost: 0.001, Prepared: prepared, Arg: 1000}, 1},
+		{"parsed", Query{Cost: 0.001, Stmt: stmt}, 1},
+		{"text", Query{Cost: 0.001, SQL: sql}, parse + 1},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			m.ExecSQL(c.q, done)
+			env.Eng.Run()
+		})
+		if got > c.want {
+			t.Errorf("a %s read allocates %v objects, want at most %v (Parse is %v)", c.form, got, c.want, parse)
+		}
+	}
+	if m.Served() < 600 {
+		t.Fatalf("served %d", m.Served())
 	}
 }
 

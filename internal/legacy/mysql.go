@@ -120,22 +120,26 @@ type execution struct {
 func (e *execution) JobDone() {
 	m := e.m
 	e.Ran(m.env.Eng.Now())
-	stmt := e.q.Stmt
-	var err error
-	if stmt == nil {
-		stmt, err = sqlengine.Parse(e.q.SQL)
-	}
-	if err == nil {
-		_, err = m.db.ExecStmt(stmt)
-	}
-	if err != nil {
+	if err := e.q.run(m.db); err != nil {
 		m.failed++
-		e.finish(fmt.Errorf("mysql %s: %w", m.name, err))
+		e.finish(&StatementError{Server: m.name, Err: err})
 		return
 	}
 	m.served++
 	e.finish(nil)
 }
+
+// StatementError is a running server's answer to a statement it cannot
+// execute: it does not parse, names no table, compares a number with text.
+// The fault is the statement's, so a caller holding several replicas
+// (C-JDBC) has no reason to distrust this one or to try the next.
+type StatementError struct {
+	Server string
+	Err    error
+}
+
+func (e *StatementError) Error() string { return "mysql " + e.Server + ": " + e.Err.Error() }
+func (e *StatementError) Unwrap() error { return e.Err }
 
 // JobFailed: the database node crashed under the statement.
 func (e *execution) JobFailed() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"jade/internal/legacy"
 	"jade/internal/metrics"
@@ -111,32 +112,36 @@ type Stats struct {
 	Completed uint64
 	Failed    uint64
 
-	perInteraction map[string]*InteractionStats
+	mix            *Mix
+	perInteraction []InteractionStats // by position in the mix
 	latencies      []float64
 }
 
-func newStats() *Stats {
+func newStats(mix *Mix) *Stats {
 	return &Stats{
 		Latency:        metrics.NewSeries("latency"),
 		Workload:       metrics.NewSeries("workload"),
 		Throughput:     metrics.NewThroughput(30),
-		perInteraction: make(map[string]*InteractionStats),
+		mix:            mix,
+		perInteraction: make([]InteractionStats, len(mix.Interactions)),
 	}
 }
 
 // Interaction returns the aggregate for one interaction name.
 func (s *Stats) Interaction(name string) InteractionStats {
-	if st, ok := s.perInteraction[name]; ok {
-		return *st
+	if it, ok := s.mix.ByName(name); ok {
+		return s.perInteraction[it.idx]
 	}
 	return InteractionStats{}
 }
 
 // InteractionNames returns the interaction names observed, sorted.
 func (s *Stats) InteractionNames() []string {
-	out := make([]string, 0, len(s.perInteraction))
-	for n := range s.perInteraction {
-		out = append(out, n)
+	var out []string
+	for i, st := range s.perInteraction {
+		if st.Count+st.Errors > 0 {
+			out = append(out, s.mix.Interactions[i].Name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -152,12 +157,10 @@ func (s *Stats) MeanLatencyBetween(t0, t1 float64) float64 {
 	return s.Latency.MeanBetween(t0, t1)
 }
 
-func (s *Stats) record(name string, t, latency float64, err error) {
-	st, ok := s.perInteraction[name]
-	if !ok {
-		st = &InteractionStats{}
-		s.perInteraction[name] = st
-	}
+// record counts one answered request of the interaction at position it of
+// the mix.
+func (s *Stats) record(it int, t, latency float64, err error) {
+	st := &s.perInteraction[it]
 	if err != nil {
 		s.Failed++
 		st.Errors++
@@ -209,10 +212,10 @@ type Emulator struct {
 	// drives the sampled stream.
 	ReportProfile Profile
 
-	issued   uint64
-	ds       Dataset
-	counters *Counters
-	rng      *rand.Rand
+	issued uint64
+	// gen is what every interaction builds its statements from: one
+	// random source and one set of ID counters for the whole population.
+	gen      GenContext
 	stats    *Stats
 	clients  []*client
 	ticker   *sim.Ticker
@@ -220,12 +223,34 @@ type Emulator struct {
 	deadline float64
 }
 
+// client is one emulated user: its place in the think / issue / answer
+// cycle and the one request it may have in flight. The cycle's two
+// continuations are bound once, at Start, so a cycle allocates neither.
 type client struct {
 	id     int
 	em     *Emulator
 	active bool
 	parked bool
 	state  string // current session state in Chain mode
+	key    string // the session key its requests carry, "c<id>"
+
+	issueFn  func()      // c.issue
+	answerFn func(error) // c.answer
+
+	// The request in flight: when it left, its interaction and, when it is
+	// sampled for tracing, its root span.
+	sent float64
+	it   *Interaction
+	span trace.ID
+}
+
+// issued is one request as it leaves the emulator: the request and the
+// room for its statements, in one allocation. It is per request, not per
+// client: over the fabric a timed-out call answers the client while the
+// callee may still hold the request.
+type issued struct {
+	legacy.WebRequest
+	queries [3]legacy.Query
 }
 
 // NewEmulator creates an emulator (not yet started).
@@ -236,10 +261,8 @@ func NewEmulator(eng *sim.Engine, front legacy.HTTPHandler, mix *Mix, profile Pr
 		mix:       mix,
 		profile:   profile,
 		ThinkTime: 7,
-		ds:        ds,
-		counters:  NewCounters(ds),
-		rng:       rand.New(rand.NewSource(eng.Rand().Int63())),
-		stats:     newStats(),
+		gen:       GenContext{DS: ds, RNG: rand.New(rand.NewSource(eng.Rand().Int63())), Counters: NewCounters(ds)},
+		stats:     newStats(mix),
 	}
 }
 
@@ -267,7 +290,9 @@ func (e *Emulator) Start() error {
 	e.deadline = e.eng.Now() + e.profile.Duration()
 	e.clients = make([]*client, e.profile.Max())
 	for i := range e.clients {
-		e.clients[i] = &client{id: i, em: e, parked: true}
+		c := &client{id: i, em: e, parked: true, key: "c" + strconv.Itoa(i)}
+		c.issueFn, c.answerFn = c.issue, c.answer
+		e.clients[i] = c
 	}
 	e.adjust(e.eng.Now())
 	e.ticker = e.eng.Every(1, "rubis:population", func(now float64) {
@@ -332,10 +357,10 @@ func (c *client) think() {
 		return
 	}
 	delay := c.em.eng.Exponential(c.em.ThinkTime)
-	c.em.eng.After(delay, "rubis:think", c.issue)
+	c.em.eng.After(delay, "rubis:think", c.issueFn)
 }
 
-// issue sends one interaction and recurses into the next cycle when the
+// issue sends one interaction; answer starts the next cycle when the
 // response arrives.
 func (c *client) issue() {
 	if !c.active {
@@ -343,35 +368,39 @@ func (c *client) issue() {
 		return
 	}
 	em := c.em
-	g := &GenContext{DS: em.ds, RNG: em.rng, Counters: em.counters}
+	rng := em.gen.RNG
 	var it *Interaction
 	if em.Chain != nil {
-		c.state = em.Chain.Next(c.state, em.rng)
+		c.state = em.Chain.Next(c.state, rng)
 		next, ok := em.mix.ByName(c.state)
-		if !ok { // chain names an interaction absent from the mix
-			next = em.mix.Pick(em.rng)
+		if !ok || next.Weight == 0 { // the chain names an interaction the mix does not issue
+			next = em.mix.Pick(rng)
 			c.state = next.Name
 		}
 		it = next
 	} else {
-		it = em.mix.Pick(em.rng)
+		it = em.mix.Pick(rng)
 	}
-	req := it.Request(g)
-	req.SessionKey = fmt.Sprintf("c%d", c.id)
-	t0 := em.eng.Now()
+	req := &issued{}
+	it.build(&em.gen, &req.WebRequest, req.queries[:0])
+	req.SessionKey = c.key
+	c.sent, c.it, c.span = em.eng.Now(), it, 0
 	em.issued++
-	var span trace.ID
 	if em.Trace != nil && em.TraceEvery > 0 && em.issued%uint64(em.TraceEvery) == 0 {
-		span = em.Trace.Begin(0, "request", it.Name, trace.Fi("client", c.id))
-		req.TraceSpan = span
+		c.span = em.Trace.Begin(0, "request", it.Name, trace.Fi("client", c.id))
+		req.TraceSpan = c.span
 	}
-	em.front.HandleHTTP(req, func(err error) {
-		now := em.eng.Now()
-		if span != 0 {
-			em.Trace.End(span, trace.Outcome(err))
-		}
-		em.Obs.End(t0, err)
-		em.stats.record(it.Name, now, now-t0, err)
-		c.think()
-	})
+	em.front.HandleHTTP(&req.WebRequest, c.answerFn)
+}
+
+// answer records the outcome of the request in flight and thinks again.
+func (c *client) answer(err error) {
+	em := c.em
+	now := em.eng.Now()
+	if c.span != 0 {
+		em.Trace.End(c.span, trace.Outcome(err))
+	}
+	em.Obs.End(c.sent, err)
+	em.stats.record(c.it.idx, now, now-c.sent, err)
+	c.think()
 }

@@ -49,16 +49,52 @@ type Interaction struct {
 	// WebCost and AppCost are CPU-seconds at the web and application
 	// tiers.
 	WebCost, AppCost float64
-	// Queries builds the interaction's SQL (empty for pure-HTML pages).
-	Queries func(g *GenContext) []legacy.Query
+	// Queries appends the interaction's statements to qs and returns it
+	// (nil for pure-HTML pages): reads as prepared statements with their
+	// argument, which carry no text until something asks for it (Request
+	// does; the emulator does not), writes as SQL text.
+	Queries func(g *GenContext, qs []legacy.Query) []legacy.Query
+
+	idx int // position in the Mix that holds it
 }
 
-// q is shorthand for a costed query.
-func q(cost float64, format string, args ...any) legacy.Query {
+// The reads of the 26 interactions: the prepared statements the RUBiS
+// servlets hold on their Connector/J connection, parsed once per process.
+var (
+	selCategories    = mustPrepare("SELECT id, name FROM categories")
+	selRegions       = mustPrepare("SELECT id, name FROM regions")
+	selItemsInCat    = mustPrepare("SELECT * FROM items WHERE category = ? ORDER BY end_date LIMIT 20")
+	selUsersInRegion = mustPrepare("SELECT id FROM users WHERE region = ?")
+	selItem          = mustPrepare("SELECT * FROM items WHERE id = ?")
+	countBidsOnItem  = mustPrepare("SELECT COUNT(*) FROM bids WHERE item_id = ?")
+	selUser          = mustPrepare("SELECT * FROM users WHERE id = ?")
+	selCommentsTo    = mustPrepare("SELECT * FROM comments WHERE to_user = ? LIMIT 10")
+	selBidHistory    = mustPrepare("SELECT * FROM bids WHERE item_id = ? ORDER BY date DESC LIMIT 20")
+	selTopBids       = mustPrepare("SELECT * FROM bids WHERE item_id = ? ORDER BY bid DESC LIMIT 3")
+	selBidsByUser    = mustPrepare("SELECT * FROM bids WHERE user_id = ? ORDER BY date DESC LIMIT 10")
+	selItemsBySeller = mustPrepare("SELECT * FROM items WHERE seller = ? LIMIT 10")
+)
+
+func mustPrepare(template string) *sqlengine.Prepared {
+	p, err := sqlengine.Prepare(template)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// rd is a costed read: a prepared statement and the argument of its
+// placeholder (ignored by a statement that has none).
+func rd(cost float64, p *sqlengine.Prepared, arg int) legacy.Query {
+	return legacy.Query{Prepared: p, Arg: int64(arg), Cost: cost}
+}
+
+// wr is a costed write. A write stays text from the start: the recovery
+// log is a log of strings that replay parses again (paper §4.1), and %.2f
+// makes the text the definition of a bid's value.
+func wr(cost float64, format string, args ...any) legacy.Query {
 	return legacy.Query{SQL: fmt.Sprintf(format, args...), Cost: cost}
 }
-
-func none(*GenContext) []legacy.Query { return nil }
 
 // webCost is the flat web-tier CPU cost per interaction.
 const webCost = 0.002
@@ -67,158 +103,144 @@ const webCost = 0.002
 // (~12.5% read-write interactions, matching RUBiS's default bidding mix).
 func Interactions() []Interaction {
 	return []Interaction{
-		{Name: "Home", Weight: 0.08, WebCost: webCost, AppCost: 0.008, Queries: none},
-		{Name: "Browse", Weight: 0.05, WebCost: webCost, AppCost: 0.006, Queries: none},
+		{Name: "Home", Weight: 0.08, WebCost: webCost, AppCost: 0.008},
+		{Name: "Browse", Weight: 0.05, WebCost: webCost, AppCost: 0.006},
 		{Name: "BrowseCategories", Weight: 0.075, WebCost: webCost, AppCost: 0.012,
-			Queries: func(g *GenContext) []legacy.Query {
-				return []legacy.Query{q(0.010, "SELECT id, name FROM categories")}
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
+				return append(qs, rd(0.010, selCategories, 0))
 			}},
 		{Name: "SearchItemsInCategory", Weight: 0.15, WebCost: webCost, AppCost: 0.016,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				cat := g.RNG.Intn(max(1, g.DS.Categories))
-				return []legacy.Query{
-					q(0.056, "SELECT * FROM items WHERE category = %d ORDER BY end_date LIMIT 20", cat),
-				}
+				return append(qs, rd(0.056, selItemsInCat, cat))
 			}},
 		{Name: "BrowseRegions", Weight: 0.03, WebCost: webCost, AppCost: 0.012,
-			Queries: func(g *GenContext) []legacy.Query {
-				return []legacy.Query{q(0.010, "SELECT id, name FROM regions")}
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
+				return append(qs, rd(0.010, selRegions, 0))
 			}},
 		{Name: "BrowseCategoriesInRegion", Weight: 0.03, WebCost: webCost, AppCost: 0.012,
-			Queries: func(g *GenContext) []legacy.Query {
-				return []legacy.Query{q(0.015, "SELECT id, name FROM categories")}
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
+				return append(qs, rd(0.015, selCategories, 0))
 			}},
 		{Name: "SearchItemsInRegion", Weight: 0.06, WebCost: webCost, AppCost: 0.016,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				region := g.RNG.Intn(max(1, g.DS.Regions))
 				cat := g.RNG.Intn(max(1, g.DS.Categories))
-				return []legacy.Query{
-					q(0.020, "SELECT id FROM users WHERE region = %d", region),
-					q(0.036, "SELECT * FROM items WHERE category = %d ORDER BY end_date LIMIT 20", cat),
-				}
+				return append(qs,
+					rd(0.020, selUsersInRegion, region),
+					rd(0.036, selItemsInCat, cat))
 			}},
 		{Name: "ViewItem", Weight: 0.15, WebCost: webCost, AppCost: 0.015,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				item := g.RNG.Intn(max(1, g.DS.Items))
-				return []legacy.Query{
-					q(0.018, "SELECT * FROM items WHERE id = %d", item),
-					q(0.026, "SELECT COUNT(*) FROM bids WHERE item_id = %d", item),
-				}
+				return append(qs,
+					rd(0.018, selItem, item),
+					rd(0.026, countBidsOnItem, item))
 			}},
 		{Name: "ViewUserInfo", Weight: 0.04, WebCost: webCost, AppCost: 0.014,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				user := g.RNG.Intn(max(1, g.DS.Users))
-				return []legacy.Query{
-					q(0.014, "SELECT * FROM users WHERE id = %d", user),
-					q(0.0235, "SELECT * FROM comments WHERE to_user = %d LIMIT 10", user),
-				}
+				return append(qs,
+					rd(0.014, selUser, user),
+					rd(0.0235, selCommentsTo, user))
 			}},
 		{Name: "ViewBidHistory", Weight: 0.04, WebCost: webCost, AppCost: 0.014,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				item := g.RNG.Intn(max(1, g.DS.Items))
-				return []legacy.Query{
-					q(0.044, "SELECT * FROM bids WHERE item_id = %d ORDER BY date DESC LIMIT 20", item),
-				}
+				return append(qs, rd(0.044, selBidHistory, item))
 			}},
-		{Name: "BuyNowAuth", Weight: 0.015, WebCost: webCost, AppCost: 0.006, Queries: none},
+		{Name: "BuyNowAuth", Weight: 0.015, WebCost: webCost, AppCost: 0.006},
 		{Name: "BuyNow", Weight: 0.015, WebCost: webCost, AppCost: 0.014,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				item := g.RNG.Intn(max(1, g.DS.Items))
-				return []legacy.Query{q(0.025, "SELECT * FROM items WHERE id = %d", item)}
+				return append(qs, rd(0.025, selItem, item))
 			}},
 		{Name: "StoreBuyNow", Weight: 0.02, Write: true, WebCost: webCost, AppCost: 0.016,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				item := g.RNG.Intn(max(1, g.DS.Items))
 				buyer := g.RNG.Intn(max(1, g.DS.Users))
 				id := g.Counters.nextBuyNow
 				g.Counters.nextBuyNow++
-				return []legacy.Query{
-					q(0.015, "SELECT * FROM items WHERE id = %d", item),
-					q(0.008, "INSERT INTO buy_now (id, buyer_id, item_id, qty, date) VALUES (%d, %d, %d, 1, %d)",
+				return append(qs,
+					rd(0.015, selItem, item),
+					wr(0.008, "INSERT INTO buy_now (id, buyer_id, item_id, qty, date) VALUES (%d, %d, %d, 1, %d)",
 						id, buyer, item, id),
-					q(0.006, "UPDATE items SET end_date = 0 WHERE id = %d", item),
-				}
+					wr(0.006, "UPDATE items SET end_date = 0 WHERE id = %d", item))
 			}},
-		{Name: "PutBidAuth", Weight: 0.025, WebCost: webCost, AppCost: 0.006, Queries: none},
+		{Name: "PutBidAuth", Weight: 0.025, WebCost: webCost, AppCost: 0.006},
 		{Name: "PutBid", Weight: 0.025, WebCost: webCost, AppCost: 0.014,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				item := g.RNG.Intn(max(1, g.DS.Items))
-				return []legacy.Query{
-					q(0.018, "SELECT * FROM items WHERE id = %d", item),
-					q(0.0195, "SELECT * FROM bids WHERE item_id = %d ORDER BY bid DESC LIMIT 3", item),
-				}
+				return append(qs,
+					rd(0.018, selItem, item),
+					rd(0.0195, selTopBids, item))
 			}},
 		{Name: "StoreBid", Weight: 0.055, Write: true, WebCost: webCost, AppCost: 0.016,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				item := g.RNG.Intn(max(1, g.DS.Items))
 				user := g.RNG.Intn(max(1, g.DS.Users))
 				id := g.Counters.nextBid
 				g.Counters.nextBid++
 				amount := 1 + g.RNG.Float64()*200
-				return []legacy.Query{
-					q(0.025, "SELECT * FROM items WHERE id = %d", item),
-					q(0.008, "INSERT INTO bids (id, user_id, item_id, bid, date) VALUES (%d, %d, %d, %.2f, %d)",
+				return append(qs,
+					rd(0.025, selItem, item),
+					wr(0.008, "INSERT INTO bids (id, user_id, item_id, bid, date) VALUES (%d, %d, %d, %.2f, %d)",
 						id, user, item, amount, id),
-					q(0.006, "UPDATE items SET max_bid = %.2f, nb_of_bids = %d WHERE id = %d",
-						amount, id, item),
-				}
+					wr(0.006, "UPDATE items SET max_bid = %.2f, nb_of_bids = %d WHERE id = %d",
+						amount, id, item))
 			}},
-		{Name: "PutCommentAuth", Weight: 0.01, WebCost: webCost, AppCost: 0.006, Queries: none},
+		{Name: "PutCommentAuth", Weight: 0.01, WebCost: webCost, AppCost: 0.006},
 		{Name: "PutComment", Weight: 0.01, WebCost: webCost, AppCost: 0.014,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				user := g.RNG.Intn(max(1, g.DS.Users))
-				return []legacy.Query{q(0.025, "SELECT * FROM users WHERE id = %d", user)}
+				return append(qs, rd(0.025, selUser, user))
 			}},
 		{Name: "StoreComment", Weight: 0.02, Write: true, WebCost: webCost, AppCost: 0.016,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				from := g.RNG.Intn(max(1, g.DS.Users))
 				to := g.RNG.Intn(max(1, g.DS.Users))
 				item := g.RNG.Intn(max(1, g.DS.Items))
 				id := g.Counters.nextComment
 				g.Counters.nextComment++
-				return []legacy.Query{
-					q(0.008, "INSERT INTO comments (id, from_user, to_user, item_id, rating, comment) VALUES (%d, %d, %d, %d, %d, 'emulated comment')",
+				return append(qs,
+					wr(0.008, "INSERT INTO comments (id, from_user, to_user, item_id, rating, comment) VALUES (%d, %d, %d, %d, %d, 'emulated comment')",
 						id, from, to, item, g.RNG.Intn(5)),
-					q(0.006, "UPDATE users SET rating = %d WHERE id = %d", g.RNG.Intn(10), to),
-				}
+					wr(0.006, "UPDATE users SET rating = %d WHERE id = %d", g.RNG.Intn(10), to))
 			}},
-		{Name: "Sell", Weight: 0.01, WebCost: webCost, AppCost: 0.006, Queries: none},
+		{Name: "Sell", Weight: 0.01, WebCost: webCost, AppCost: 0.006},
 		{Name: "SelectCategoryToSellItem", Weight: 0.01, WebCost: webCost, AppCost: 0.012,
-			Queries: func(g *GenContext) []legacy.Query {
-				return []legacy.Query{q(0.019, "SELECT id, name FROM categories")}
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
+				return append(qs, rd(0.019, selCategories, 0))
 			}},
-		{Name: "SellItemForm", Weight: 0.01, WebCost: webCost, AppCost: 0.008, Queries: none},
+		{Name: "SellItemForm", Weight: 0.01, WebCost: webCost, AppCost: 0.008},
 		{Name: "RegisterItem", Weight: 0.02, Write: true, WebCost: webCost, AppCost: 0.016,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				id := g.Counters.nextItem
 				g.Counters.nextItem++
 				seller := g.RNG.Intn(max(1, g.DS.Users))
 				cat := g.RNG.Intn(max(1, g.DS.Categories))
 				price := 1 + g.RNG.Float64()*100
-				return []legacy.Query{
-					q(0.010, "INSERT INTO items (id, name, seller, category, initial_price, max_bid, nb_of_bids, end_date, buy_now) VALUES (%d, 'new-item-%d', %d, %d, %.2f, %.2f, 0, 2000000, %.2f)",
-						id, id, seller, cat, price, price, price*1.5),
-				}
+				return append(qs,
+					wr(0.010, "INSERT INTO items (id, name, seller, category, initial_price, max_bid, nb_of_bids, end_date, buy_now) VALUES (%d, 'new-item-%d', %d, %d, %.2f, %.2f, 0, 2000000, %.2f)",
+						id, id, seller, cat, price, price, price*1.5))
 			}},
-		{Name: "Register", Weight: 0.01, WebCost: webCost, AppCost: 0.006, Queries: none},
+		{Name: "Register", Weight: 0.01, WebCost: webCost, AppCost: 0.006},
 		{Name: "RegisterUser", Weight: 0.01, Write: true, WebCost: webCost, AppCost: 0.016,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				id := g.Counters.nextUser
 				g.Counters.nextUser++
 				region := g.RNG.Intn(max(1, g.DS.Regions))
-				return []legacy.Query{
-					q(0.010, "INSERT INTO users (id, nickname, password, region, rating, balance) VALUES (%d, 'newuser%d', 'pw', %d, 0, 0.0)",
-						id, id, region),
-				}
+				return append(qs,
+					wr(0.010, "INSERT INTO users (id, nickname, password, region, rating, balance) VALUES (%d, 'newuser%d', 'pw', %d, 0, 0.0)",
+						id, id, region))
 			}},
 		{Name: "AboutMe", Weight: 0.03, WebCost: webCost, AppCost: 0.020,
-			Queries: func(g *GenContext) []legacy.Query {
+			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
 				user := g.RNG.Intn(max(1, g.DS.Users))
-				return []legacy.Query{
-					q(0.014, "SELECT * FROM users WHERE id = %d", user),
-					q(0.024, "SELECT * FROM bids WHERE user_id = %d ORDER BY date DESC LIMIT 10", user),
-					q(0.0245, "SELECT * FROM items WHERE seller = %d LIMIT 10", user),
-				}
+				return append(qs,
+					rd(0.014, selUser, user),
+					rd(0.024, selBidsByUser, user),
+					rd(0.0245, selItemsBySeller, user))
 			}},
 	}
 }
@@ -239,6 +261,7 @@ func NewMix(name string, interactions []Interaction) *Mix {
 	for i := range interactions {
 		sum += interactions[i].Weight
 		m.cumulative = append(m.cumulative, sum)
+		m.Interactions[i].idx = i
 		m.byName[interactions[i].Name] = &m.Interactions[i]
 	}
 	m.total = sum
@@ -290,18 +313,33 @@ func (m *Mix) WriteFraction() float64 {
 	return w / m.total
 }
 
-// Request materializes an interaction into a WebRequest.
-func (it *Interaction) Request(g *GenContext) *legacy.WebRequest {
-	var queries []legacy.Query
+// build fills req with the interaction's costs and its statements, the
+// statements appended to qs.
+func (it *Interaction) build(g *GenContext, req *legacy.WebRequest, qs []legacy.Query) {
+	req.Interaction, req.WebCost, req.AppCost = it.Name, it.WebCost, it.AppCost
 	if it.Queries != nil {
-		queries = it.Queries(g)
+		req.Queries = it.Queries(g, qs)
 	}
-	return &legacy.WebRequest{
-		Interaction: it.Name,
-		WebCost:     it.WebCost,
-		AppCost:     it.AppCost,
-		Queries:     queries,
+}
+
+// Request materializes an interaction into a WebRequest whose every
+// statement carries its SQL text: the form for whoever reads the
+// statements (calibration, tools, tests), not for the emulator, whose
+// requests go down the tiers without text.
+func (it *Interaction) Request(g *GenContext) *legacy.WebRequest {
+	req := &legacy.WebRequest{}
+	it.build(g, req, nil)
+	for i := range req.Queries {
+		q := &req.Queries[i]
+		if q.SQL != "" {
+			continue
+		}
+		var err error
+		if q.SQL, err = q.Text(); err != nil {
+			panic(fmt.Sprintf("rubis: %s: %v", it.Name, err)) // a template with two placeholders: a bug in the table above
+		}
 	}
+	return req
 }
 
 // ExpectedCosts returns the weighted mean per-request CPU demand of the

@@ -164,7 +164,7 @@ func TestWriteInteractionsActuallyWrite(t *testing.T) {
 			continue
 		}
 		wrote := false
-		for _, q := range it.Queries(g) {
+		for _, q := range it.Request(g).Queries {
 			if sqlengine.IsWrite(q.SQL) {
 				wrote = true
 			}
@@ -395,10 +395,12 @@ func TestEmulatorDeterminism(t *testing.T) {
 }
 
 func TestStatsInteractionAggregates(t *testing.T) {
-	s := newStats()
-	s.record("Home", 1, 0.1, nil)
-	s.record("Home", 2, 0.3, nil)
-	s.record("Home", 3, 0, legacy.ErrNotRunning)
+	mix := BiddingMix()
+	home, _ := mix.ByName("Home")
+	s := newStats(mix)
+	s.record(home.idx, 1, 0.1, nil)
+	s.record(home.idx, 2, 0.3, nil)
+	s.record(home.idx, 3, 0, legacy.ErrNotRunning)
 	got := s.Interaction("Home")
 	if got.Count != 2 || got.Errors != 1 || math.Abs(got.TotalLatency-0.4) > 1e-9 {
 		t.Fatalf("aggregate = %+v", got)

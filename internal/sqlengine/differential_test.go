@@ -32,10 +32,35 @@ func errClass(err error) string {
 }
 
 // apply runs stmt on both halves of r and fails the test unless they agree
-// on the result, the class of error and the fingerprint afterwards.
+// on the result, the class of error and the fingerprint afterwards. A SELECT
+// also goes through the count-only entry, which owes the reference's error
+// and the length of its result.
 func (r replica) apply(t *testing.T, what string, stmt Statement) {
 	t.Helper()
-	got, gerr := r.eng.ExecStmt(stmt)
+	r.check(t, what, stmt, func(rows bool) (Result, error) {
+		if !rows {
+			n, err := r.eng.Count(stmt)
+			return Result{Affected: n}, err
+		}
+		return r.eng.ExecStmt(stmt)
+	})
+}
+
+// check is apply with the engine's side given as a function: exec(true)
+// executes the statement the reference is given, exec(false) counts it.
+func (r replica) check(t *testing.T, what string, stmt Statement, exec func(rows bool) (Result, error)) {
+	t.Helper()
+	if _, ok := stmt.(SelectStmt); ok {
+		n, cerr := exec(false)
+		want, werr := r.ref.exec(stmt)
+		if errClass(cerr) != errClass(werr) {
+			t.Fatalf("%s: count-only error %v, reference error %v", what, cerr, werr)
+		}
+		if cerr == nil && n.Affected != len(want.Rows) {
+			t.Fatalf("%s: count-only says %d rows, reference has %d", what, n.Affected, len(want.Rows))
+		}
+	}
+	got, gerr := exec(true)
 	want, werr := r.ref.exec(stmt)
 	if errClass(gerr) != errClass(werr) {
 		t.Fatalf("%s: engine error %v, reference error %v", what, gerr, werr)

@@ -137,7 +137,23 @@ func (e *Engine) Exec(sql string) (Result, error) {
 }
 
 // ExecStmt executes a parsed statement.
-func (e *Engine) ExecStmt(stmt Statement) (Result, error) {
+func (e *Engine) ExecStmt(stmt Statement) (Result, error) { return e.exec(stmt, nil, true) }
+
+// Count executes stmt as ExecStmt does, with the same effect and the same
+// error, and returns the number of rows instead of the rows: Affected for
+// a write, and for a SELECT the length of the result, which it counts
+// without sorting the matches, building a row or allocating. It is for
+// the caller that needs to know whether the statement runs, not what it
+// returns.
+func (e *Engine) Count(stmt Statement) (int, error) {
+	r, err := e.exec(stmt, nil, false)
+	return r.Affected, err
+}
+
+// exec is every entry's one path: stmt, the arguments of its placeholders
+// (none unless it comes from a Prepared), and whether a SELECT builds its
+// rows or reports their number in Affected.
+func (e *Engine) exec(stmt Statement, args []int64, rows bool) (Result, error) {
 	switch s := stmt.(type) {
 	case CreateStmt:
 		return e.execCreate(s)
@@ -146,11 +162,11 @@ func (e *Engine) ExecStmt(stmt Statement) (Result, error) {
 	case InsertStmt:
 		return e.execInsert(s)
 	case SelectStmt:
-		return e.execSelect(s)
+		return e.execSelect(s, args, rows)
 	case UpdateStmt:
-		return e.execUpdate(s)
+		return e.execUpdate(s, args)
 	case DeleteStmt:
-		return e.execDelete(s)
+		return e.execDelete(s, args)
 	}
 	return Result{}, fmt.Errorf("sql: unknown statement type %T", stmt)
 }
@@ -255,23 +271,47 @@ func relation[T int64 | float64 | string](a, b T) uint8 {
 	return relNone
 }
 
-// pred is one WHERE condition bound to a table: the column's ordinal and
-// the operator's accepted relations are resolved once per statement, not
-// once per row.
+// What the literal of a bound condition is.
+const (
+	litNull  uint8 = iota
+	litInt         // n, and f = float64(n) for a FLOAT cell
+	litFloat       // f
+	litText        // s
+	litBad         // a Go value that is no SQL literal; it fails on the row that meets it
+)
+
+// pred is one WHERE condition bound to a table: the column's ordinal, the
+// operator's accepted relations and the literal's value are resolved once
+// per statement, not once per row. The literal is held unboxed, so that a
+// placeholder's argument takes its place without an allocation.
 type pred struct {
-	Cond
+	c      *Cond
 	ci     int   // column ordinal; -1 if the table has no such column
 	accept uint8 // 0 for an operator the engine does not know
+	kind   uint8 // litNull ... litBad
+	n      int64
+	f      float64
+	s      string
 }
 
-// bind resolves conds against t. total reports that no condition can
-// fail on any row: every column exists, every operator is known and every
-// literal is NULL or of the column's family. (Failures are reported by
-// the row that meets them, so an empty table accepts any WHERE clause.)
-func (t *Table) bind(dst []pred, conds []Cond) (preds []pred, total bool) {
+// lit returns the literal as a Value, for error texts.
+func (p *pred) lit() Value {
+	if _, ok := p.c.Val.(param); ok {
+		return p.n
+	}
+	return p.c.Val
+}
+
+// bind resolves conds against t, a placeholder taking its argument from
+// args. total reports that no condition can fail on any row: every column
+// exists, every operator is known and every literal is NULL or of the
+// column's family. (Failures are reported by the row that meets them, so
+// an empty table accepts any WHERE clause.)
+func (t *Table) bind(dst []pred, conds []Cond, args []int64) (preds []pred, total bool) {
 	total = true
-	for _, c := range conds {
-		p := pred{Cond: c}
+	for i := range conds {
+		c := &conds[i]
+		p := pred{c: c}
 		p.ci, _ = t.colIndex(c.Column)
 		switch c.Op {
 		case "=":
@@ -287,18 +327,26 @@ func (t *Table) bind(dst []pred, conds []Cond) (preds []pred, total bool) {
 		case ">=":
 			p.accept = relGT | relEQ
 		}
-		if p.ci < 0 || p.accept == 0 {
+		switch v := c.Val.(type) {
+		case nil:
+		case param:
+			p.kind, p.n, p.f = litInt, args[v], float64(args[v])
+		case int64:
+			p.kind, p.n, p.f = litInt, v, float64(v)
+		case float64:
+			p.kind, p.f = litFloat, v
+		case string:
+			p.kind, p.s = litText, v
+		default:
+			p.kind = litBad
+		}
+		switch {
+		case p.ci < 0 || p.accept == 0 || p.kind == litBad:
 			total = false
-		} else {
-			switch c.Val.(type) {
-			case nil:
-			case int64, float64:
-				total = total && t.Columns[p.ci].Type != TText
-			case string:
-				total = total && t.Columns[p.ci].Type == TText
-			default:
-				total = false
-			}
+		case p.kind == litInt || p.kind == litFloat:
+			total = total && t.Columns[p.ci].Type != TText
+		case p.kind == litText:
+			total = total && t.Columns[p.ci].Type == TText
 		}
 		dst = append(dst, p)
 	}
@@ -312,21 +360,21 @@ func (t *Table) holds(preds []pred, row Row) (bool, error) {
 	for i := range preds {
 		p := &preds[i]
 		if p.ci < 0 {
-			_, err := t.colIndex(p.Column)
+			_, err := t.colIndex(p.c.Column)
 			return false, err
 		}
 		cell, rel := row[p.ci], relNone
-		if cell == nil || p.Val == nil {
-			if cell == nil && p.Val == nil {
+		if cell == nil || p.kind == litNull {
+			if cell == nil && p.kind == litNull {
 				rel = relNull
 			}
 		} else {
 			var err error
-			if rel, err = relate(cell, p.Val); err != nil {
+			if rel, err = p.relate(cell); err != nil {
 				return false, err
 			}
 			if p.accept == 0 {
-				return false, fmt.Errorf("sql: bad operator %q", p.Op)
+				return false, fmt.Errorf("sql: bad operator %q", p.c.Op)
 			}
 		}
 		if p.accept&rel == 0 {
@@ -336,31 +384,28 @@ func (t *Table) holds(preds []pred, row Row) (bool, error) {
 	return true, nil
 }
 
-// relate compares a non-NULL cell with a non-NULL literal; INT and FLOAT
-// compare with each other, as floats.
-func relate(cell, lit Value) (uint8, error) {
+// relate compares a non-NULL cell with the condition's non-NULL literal;
+// INT and FLOAT compare with each other, as floats.
+func (p *pred) relate(cell Value) (uint8, error) {
 	switch a := cell.(type) {
 	case int64:
-		switch l := lit.(type) {
-		case int64:
-			return relation(a, l), nil
-		case float64:
-			return relation(float64(a), l), nil
+		switch p.kind {
+		case litInt:
+			return relation(a, p.n), nil
+		case litFloat:
+			return relation(float64(a), p.f), nil
 		}
-		return 0, fmt.Errorf("%w: comparing INT with %T", ErrTypeMismatch, lit)
+		return 0, fmt.Errorf("%w: comparing INT with %T", ErrTypeMismatch, p.lit())
 	case float64:
-		switch l := lit.(type) {
-		case float64:
-			return relation(a, l), nil
-		case int64:
-			return relation(a, float64(l)), nil
+		if p.kind == litInt || p.kind == litFloat {
+			return relation(a, p.f), nil
 		}
-		return 0, fmt.Errorf("%w: comparing FLOAT with %T", ErrTypeMismatch, lit)
+		return 0, fmt.Errorf("%w: comparing FLOAT with %T", ErrTypeMismatch, p.lit())
 	case string:
-		if l, ok := lit.(string); ok {
-			return relation(a, l), nil
+		if p.kind == litText {
+			return relation(a, p.s), nil
 		}
-		return 0, fmt.Errorf("%w: comparing TEXT with %T", ErrTypeMismatch, lit)
+		return 0, fmt.Errorf("%w: comparing TEXT with %T", ErrTypeMismatch, p.lit())
 	}
 	return 0, fmt.Errorf("%w: unsupported cell type %T", ErrTypeMismatch, cell)
 }
@@ -375,7 +420,7 @@ func (t *Table) indexFor(preds []pred) *eqIndex {
 		return nil
 	}
 	p := &preds[0]
-	if _, ok := p.Val.(int64); !ok || p.Op != "=" || p.ci < 0 || t.Columns[p.ci].Type != TInt {
+	if p.kind != litInt || p.c.Op != "=" || p.ci < 0 || t.Columns[p.ci].Type != TInt {
 		return nil
 	}
 	if t.index == nil {
@@ -392,51 +437,68 @@ func (t *Table) indexFor(preds []pred) *eqIndex {
 	return ix
 }
 
-// match appends to dst, in ascending order, the positions of the rows that
-// satisfy every condition. With limit >= 0 it stops after that many, unless
-// a condition could fail on a row not yet seen.
-func (t *Table) match(dst []int32, conds []Cond, limit int) ([]int32, error) {
+// match is the one matcher every statement with a WHERE clause runs: it
+// counts the rows that satisfy every condition, in ascending order of
+// position, and with collect appends their positions to dst. With
+// limit >= 0 it stops after that many, unless a condition could fail on a
+// row not yet seen.
+func (t *Table) match(dst []int32, collect bool, conds []Cond, args []int64, limit int) ([]int32, int, error) {
 	var buf [4]pred
-	preds, total := t.bind(buf[:0], conds)
+	preds, total := t.bind(buf[:0], conds, args)
 	if !total {
 		limit = -1
 	}
+	n := 0
 	if ix := t.indexFor(preds); ix != nil {
 		// The chain holds exactly the rows that pass the leading condition.
-		for pos := ix.first(preds[0].Val.(int64)); pos >= 0 && len(dst) != limit; pos = ix.next[pos] {
+		for pos := ix.first(preds[0].n); pos >= 0 && n != limit; pos = ix.next[pos] {
 			ok, err := t.holds(preds[1:], t.Rows[pos])
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if ok {
-				dst = append(dst, pos)
+				n++
+				if collect {
+					dst = append(dst, pos)
+				}
 			}
 		}
-		return dst, nil
+		return dst, n, nil
 	}
-	for pos := 0; pos < len(t.Rows) && len(dst) != limit; pos++ {
+	for pos := 0; pos < len(t.Rows) && n != limit; pos++ {
 		ok, err := t.holds(preds, t.Rows[pos])
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if ok {
-			dst = append(dst, int32(pos))
+			n++
+			if collect {
+				dst = append(dst, int32(pos))
+			}
 		}
 	}
-	return dst, nil
+	return dst, n, nil
 }
 
-func (e *Engine) execSelect(s SelectStmt) (Result, error) {
+// execSelect is the matcher, then the checks of the names the statement
+// mentions, then - only when the rows are wanted - sort and projection.
+// Without them the answer is the number of rows the result would hold, in
+// Affected: as many matches as LIMIT lets through, whatever their order,
+// and one row for COUNT(*), however many it counts.
+func (e *Engine) execSelect(s SelectStmt, args []int64, rows bool) (Result, error) {
 	t, ok := e.tables[s.Table]
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
 	limit := s.Limit
-	if s.OrderBy != "" {
+	switch {
+	case !rows && s.Count:
+		limit = 0 // no match changes the answer; the scan is for a condition that fails
+	case rows && s.OrderBy != "":
 		limit = -1 // the first rows in sort order may be the last in the table
 	}
 	var buf [64]int32
-	pos, err := t.match(buf[:0], s.Where, limit)
+	pos, n, err := t.match(buf[:0], rows, s.Where, args, limit)
 	if err != nil {
 		return Result{}, err
 	}
@@ -445,35 +507,45 @@ func (e *Engine) execSelect(s SelectStmt) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		slices.SortStableFunc(pos, func(a, b int32) int {
-			if s.Desc {
-				a, b = b, a
-			}
-			return cmpValue(t.Rows[a][ci], t.Rows[b][ci])
-		})
+		if rows {
+			slices.SortStableFunc(pos, func(a, b int32) int {
+				if s.Desc {
+					a, b = b, a
+				}
+				return cmpValue(t.Rows[a][ci], t.Rows[b][ci])
+			})
+		}
 	}
-	if s.Limit >= 0 && len(pos) > s.Limit {
-		pos = pos[:s.Limit]
+	if s.Limit >= 0 && n > s.Limit {
+		n = s.Limit
 	}
 	if s.Count {
-		return Result{Columns: []string{"count"}, Rows: []Row{{int64(len(pos))}}}, nil
+		if !rows {
+			return Result{Affected: 1}, nil
+		}
+		return Result{Columns: []string{"count"}, Rows: []Row{{int64(n)}}}, nil
 	}
-	out := make([]Row, len(pos))
+	var ibuf [8]int
+	idx := ibuf[:0]
+	for _, cn := range s.Columns {
+		ci, err := t.colIndex(cn)
+		if err != nil {
+			return Result{}, err
+		}
+		idx = append(idx, ci)
+	}
+	if !rows {
+		return Result{Affected: n}, nil
+	}
+	pos = pos[:n]
+	out := make([]Row, n)
 	if s.Columns == nil {
 		for i, p := range pos {
 			out[i] = t.Rows[p]
 		}
 		return Result{Columns: t.names, Rows: out}, nil
 	}
-	idx := make([]int, len(s.Columns))
-	for i, cn := range s.Columns {
-		ci, err := t.colIndex(cn)
-		if err != nil {
-			return Result{}, err
-		}
-		idx[i] = ci
-	}
-	cells := make([]Value, len(pos)*len(idx)) // one array for every projected row
+	cells := make([]Value, n*len(idx)) // one array for every projected row
 	for i, p := range pos {
 		out[i], cells = cells[:len(idx):len(idx)], cells[len(idx):]
 		for j, ci := range idx {
@@ -530,7 +602,7 @@ func threeWay[T int64 | float64 | string](a, b T) int {
 	return 0
 }
 
-func (e *Engine) execUpdate(s UpdateStmt) (Result, error) {
+func (e *Engine) execUpdate(s UpdateStmt, args []int64) (Result, error) {
 	t, ok := e.tables[s.Table]
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
@@ -558,7 +630,7 @@ func (e *Engine) execUpdate(s UpdateStmt) (Result, error) {
 		ops = append(ops, setOp{ci: ci, v: v})
 	}
 	var buf [64]int32
-	pos, err := t.match(buf[:0], s.Where, -1)
+	pos, _, err := t.match(buf[:0], true, s.Where, args, -1)
 	if err != nil {
 		return Result{}, err
 	}
@@ -580,13 +652,13 @@ func (e *Engine) execUpdate(s UpdateStmt) (Result, error) {
 	return Result{Affected: len(pos)}, nil
 }
 
-func (e *Engine) execDelete(s DeleteStmt) (Result, error) {
+func (e *Engine) execDelete(s DeleteStmt, args []int64) (Result, error) {
 	t, ok := e.tables[s.Table]
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
 	var buf [64]int32
-	pos, err := t.match(buf[:0], s.Where, -1)
+	pos, _, err := t.match(buf[:0], true, s.Where, args, -1)
 	if err != nil {
 		return Result{}, err
 	}

@@ -23,6 +23,7 @@ const (
 	tokNumber
 	tokString
 	tokSymbol // ( ) , = < > <= >= != <> * .
+	tokParam  // ? in a template (Prepare); a stray character anywhere else
 )
 
 type token struct {
@@ -61,8 +62,9 @@ var byteClass = func() (t [256]uint8) {
 // lexer yields the tokens of src one at a time; token texts other than
 // string literals are substrings of src, so lexing allocates nothing.
 type lexer struct {
-	src string
-	pos int
+	src    string
+	pos    int
+	params bool // src is a template: '?' is a placeholder token
 }
 
 // next returns the next token, or tokEOF at the end of the input.
@@ -92,6 +94,9 @@ func (l *lexer) next() (token, error) {
 	case cls == clsSymbol:
 		l.pos++
 		return token{tokSymbol, l.src[start:l.pos], start}, nil
+	case c == '?' && l.params:
+		l.pos++
+		return token{tokParam, l.src[start:l.pos], start}, nil
 	case c == '<' || c == '>' || c == '!':
 		l.pos++
 		if l.pos < len(l.src) && (l.src[l.pos] == '=' || (c == '<' && l.src[l.pos] == '>')) {

@@ -97,14 +97,20 @@ type Value any
 // parser is a recursive-descent parser over one token of lookahead,
 // pulled from the lexer as it goes.
 type parser struct {
-	lex lexer
-	tok token // the current token
-	err error // the first lexical error; the token stream ends there
+	lex    lexer
+	tok    token // the current token
+	err    error // the first lexical error; the token stream ends there
+	params []int // byte offsets of the template's placeholders, in order
 }
 
 // Parse parses one SQL statement.
 func Parse(src string) (Statement, error) {
 	p := parser{lex: lexer{src: src}}
+	return p.parse()
+}
+
+func (p *parser) parse() (Statement, error) {
+	src := p.lex.src
 	p.advance()
 	stmt, err := p.statement()
 	if p.err != nil {
@@ -490,8 +496,11 @@ func (p *parser) optionalWhere() ([]Cond, error) {
 			return nil, fmt.Errorf("unsupported operator %q", op)
 		}
 		p.advance()
-		v, err := p.literal()
-		if err != nil {
+		var v Value
+		if p.cur().kind == tokParam {
+			v = param(len(p.params))
+			p.params = append(p.params, p.advance().pos)
+		} else if v, err = p.literal(); err != nil {
 			return nil, err
 		}
 		conds = append(conds, Cond{Column: col, Op: op, Val: v})
