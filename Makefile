@@ -51,6 +51,7 @@ test: build
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # ./benchmark's tests run without the detector: TestDecodeRuntimeProfile
 # checks that its own spin loop owns most of a CPU profile's samples, and

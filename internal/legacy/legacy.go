@@ -19,6 +19,7 @@ import (
 
 	"jade/internal/cluster"
 	"jade/internal/config"
+	"jade/internal/netsim"
 	"jade/internal/obs"
 	"jade/internal/sim"
 	"jade/internal/sqlengine"
@@ -161,35 +162,22 @@ type SQLExecutor interface {
 	ExecSQL(q Query, done func(err error))
 }
 
-// Transport, when installed on a Network, carries inter-tier calls as
-// simulated messages with latency, loss, retries and partitions instead
-// of direct function calls (implemented by netsim.Fabric). Endpoints are
-// node names; pseudo-endpoints like "client" name off-cluster parties.
-type Transport interface {
-	// Call performs one RPC from endpoint from to endpoint to for tier
-	// class tier: attempt runs on the callee side each time a request
-	// message arrives (possibly more than once under retries) and must
-	// route its result through reply; done fires exactly once with the
-	// final outcome, which may be a timeout error.
-	Call(from, to, tier string, attempt func(reply func(error)), done func(error))
-}
-
 // Network is the simulated LAN: a registry of listeners by "host:port".
-// Without a Transport installed, calls between listeners are direct and
-// instantaneous; with one, every forward traverses the simulated fabric.
+// Without a fabric, calls between listeners are direct and instantaneous;
+// with an enabled one, every forward is an RPC over it, with latency,
+// loss, retries and partitions. Endpoints are node names; pseudo-endpoints
+// like "client" name off-cluster parties.
 type Network struct {
 	listeners map[string]any
-	transport Transport
+	fabric    *netsim.Fabric
 }
 
 // NewNetwork returns an empty network.
 func NewNetwork() *Network { return &Network{listeners: make(map[string]any)} }
 
-// SetTransport installs (or, with nil, removes) the message transport.
-func (n *Network) SetTransport(t Transport) { n.transport = t }
-
-// Transport returns the installed transport (nil when calls are direct).
-func (n *Network) Transport() Transport { return n.transport }
+// SetFabric installs (or, with nil, removes) the fabric forwards travel
+// over.
+func (n *Network) SetFabric(f *netsim.Fabric) { n.fabric = f }
 
 // endpointName extracts the network endpoint of a handler: the name of
 // the node it runs on, or "" for handlers not tied to a node (an empty
@@ -204,29 +192,46 @@ func endpointName(target any) string {
 	return ""
 }
 
+// httpCall is one forwarded HTTP request: the fabric's call record plus
+// what each attempt hands the target.
+type httpCall struct {
+	netsim.RPC
+	target HTTPHandler
+	req    *WebRequest
+}
+
+func (c *httpCall) Attempt(reply func(error)) { c.target.HandleHTTP(c.req, reply) }
+
+// sqlCall is one forwarded query, the same way.
+type sqlCall struct {
+	netsim.RPC
+	target SQLExecutor
+	q      Query
+}
+
+func (c *sqlCall) Attempt(reply func(error)) { c.target.ExecSQL(c.q, reply) }
+
 // ForwardHTTP delivers req to target on behalf of the endpoint from,
-// over the transport when one is installed and directly otherwise. tier
-// names the RPC budget class ("front", "web", "app").
+// over the fabric when one is enabled and directly otherwise. tier names
+// the RPC budget class ("front", "web", "app").
 func (n *Network) ForwardHTTP(from, tier string, target HTTPHandler, req *WebRequest, done func(error)) {
-	if n.transport == nil {
+	if !n.fabric.Enabled() {
 		target.HandleHTTP(req, done)
 		return
 	}
-	n.transport.Call(from, endpointName(target), tier, func(reply func(error)) {
-		target.HandleHTTP(req, reply)
-	}, done)
+	c := &httpCall{target: target, req: req}
+	n.fabric.Start(&c.RPC, from, endpointName(target), tier, c, done)
 }
 
 // ForwardSQL delivers q to target on behalf of the endpoint from, over
-// the transport when one is installed and directly otherwise.
+// the fabric when one is enabled and directly otherwise.
 func (n *Network) ForwardSQL(from, tier string, target SQLExecutor, q Query, done func(error)) {
-	if n.transport == nil {
+	if !n.fabric.Enabled() {
 		target.ExecSQL(q, done)
 		return
 	}
-	n.transport.Call(from, endpointName(target), tier, func(reply func(error)) {
-		target.ExecSQL(q, reply)
-	}, done)
+	c := &sqlCall{target: target, q: q}
+	n.fabric.Start(&c.RPC, from, endpointName(target), tier, c, done)
 }
 
 // remoteHTTP adapts ForwardHTTP to the HTTPHandler interface.
@@ -242,9 +247,9 @@ func (r remoteHTTP) HandleHTTP(req *WebRequest, done func(error)) {
 
 // RemoteHTTP wraps target so every request traverses the network from
 // the named endpoint (used to put the client emulator behind the fabric).
-// Without a transport it returns target unchanged.
+// Without an enabled fabric it returns target unchanged.
 func (n *Network) RemoteHTTP(from, tier string, target HTTPHandler) HTTPHandler {
-	if n.transport == nil {
+	if !n.fabric.Enabled() {
 		return target
 	}
 	return remoteHTTP{n: n, from: from, tier: tier, target: target}

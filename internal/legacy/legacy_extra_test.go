@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"jade/internal/config"
+	"jade/internal/netsim"
 	"jade/internal/obs"
 	"jade/internal/sqlengine"
 )
@@ -306,5 +307,47 @@ func TestApacheHandleHTTPAllocs(t *testing.T) {
 	}
 	if a.Served() != 402 {
 		t.Fatalf("served %d of 402 requests", a.Served())
+	}
+}
+
+// A forward over an enabled fabric is one record, the fabric's call record
+// embedded in it, plus the reply function the target is handed: at most 2
+// objects beyond the target for a query and for a page (7 while the
+// fabric bound four methods to a record and an attempt of its own, behind
+// a forwarding closure). The fabric's instruments are on.
+func TestForwardOverFabricAllocs(t *testing.T) {
+	env, _ := testEnv(t, 1)
+	fab := netsim.New(env.Eng, netsim.Config{Enabled: true}, 1)
+	fab.Instrument(nil, obs.NewRegistry(env.Eng.Now))
+	env.Net.SetFabric(fab)
+	answered := 0
+	done := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		answered++
+	}
+	sql := func() { env.Net.ForwardSQL("app", "sql", instantSQL{}, Query{Cost: 0.001}, done) }
+	req := &WebRequest{}
+	http := func() { env.Net.ForwardHTTP("web", "app", instantHTTP{}, req, done) }
+	for i := 0; i < 4096; i++ {
+		sql()
+		http()
+	}
+	env.Eng.Run()
+	for _, c := range []struct {
+		kind    string
+		forward func()
+	}{{"SQL", sql}, {"HTTP", http}} {
+		got := testing.AllocsPerRun(200, func() {
+			c.forward()
+			env.Eng.Run()
+		})
+		if got > 2 {
+			t.Errorf("a forwarded %s call allocates %v objects beyond its target, want at most 2", c.kind, got)
+		}
+	}
+	if st := fab.Stats(); answered != 2*4096+2*201 || st.RPCs != uint64(answered) || st.Messages != 2*st.RPCs {
+		t.Fatalf("%d answered, stats %+v: every forward must be one RPC of two messages", answered, st)
 	}
 }

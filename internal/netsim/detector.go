@@ -65,8 +65,12 @@ func (s DetectorStats) MeanDetectionLatency() float64 {
 	return s.DetectionLatencySum / float64(s.TruePositives)
 }
 
-// monitored is one replica under watch.
+// monitored is one replica under watch. It is also the arrival of its
+// heartbeats at the management endpoint (Fire), so a heartbeat allocates
+// nothing.
 type monitored struct {
+	d         *Detector
+	name      string
 	node      *cluster.Node
 	hb        *sim.Ticker
 	last      float64   // arrival time of the newest heartbeat
@@ -131,7 +135,7 @@ func (d *Detector) Monitor(name string, node *cluster.Node) {
 	if _, ok := d.mon[name]; ok {
 		return
 	}
-	m := &monitored{node: node, last: d.eng.Now(), failedAt: -1}
+	m := &monitored{d: d, name: name, node: node, last: d.eng.Now(), failedAt: -1}
 	if d.reg != nil {
 		m.phiGauge = d.reg.Gauge("jade_detector_phi", "Suspicion level of a monitored replica.", obs.L("target", name))
 		m.susGauge = d.reg.Gauge("jade_detector_suspected", "1 while the replica is suspect.", obs.L("target", name))
@@ -143,9 +147,7 @@ func (d *Detector) Monitor(name string, node *cluster.Node) {
 		if m.node.Failed() {
 			return
 		}
-		d.fab.Send(m.node.Name(), ManagementEndpoint, "heartbeat", func() {
-			d.observe(name, m)
-		})
+		d.fab.send(m.node.Name(), ManagementEndpoint, "heartbeat", m)
 	})
 	if d.eval == nil {
 		d.eval = d.eng.Every(d.cfg.PeriodSeconds, "detector:eval", func(float64) {
@@ -171,9 +173,10 @@ func (d *Detector) Forget(name string) {
 	}
 }
 
-// observe records a heartbeat arrival.
-func (d *Detector) observe(name string, m *monitored) {
-	if d.mon[name] != m {
+// Fire records a heartbeat arrival.
+func (m *monitored) Fire() {
+	d := m.d
+	if d.mon[m.name] != m {
 		return // forgotten while the heartbeat was in flight
 	}
 	now := d.eng.Now()

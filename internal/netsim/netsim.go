@@ -15,16 +15,19 @@
 //     when every attempt times out the call is abandoned with
 //     ErrRPCTimeout instead of hanging forever.
 //
-// A Call lives in one record (rpc) plus one record per attempt
-// (rpcAttempt). An attempt starts its own timer, then sends the request;
-// each reply the callee gives crosses the network as a message of its own.
+// A call lives in one record (RPC), which its caller owns (Start) or Call
+// allocates, and which holds the first attempt; a retry allocates its own
+// (rpcAttempt). Every event of an attempt is the attempt record itself.
+// An attempt starts its own timer, then sends the request; each reply the
+// callee gives crosses the network as a message of its own.
 // Exactly two things may settle a call, whichever comes first: a reply
 // arriving, from any attempt, or the last attempt's timer when the budget
 // is spent. A reply that settles the call cancels the timer of the attempt
 // it answers and no other: when it answers a superseded attempt, whose
 // timer has already fired, the live attempt's timer still fires later and
 // finds the call settled. Replies and timers that find the call settled do
-// nothing. A settled call schedules no further attempt.
+// nothing, but they read the record, so an RPC is never reused. A settled
+// call schedules no further attempt.
 //
 // Endpoints are plain node names ("node3"); the pseudo-endpoints
 // "client" and "jade" stand for the load injectors and the management
@@ -331,8 +334,14 @@ func joinNames(names []string) string {
 // datagrams cannot observe the loss). A disabled fabric delivers
 // immediately.
 func (f *Fabric) Send(from, to, kind string, deliver func()) bool {
+	return f.send(from, to, kind, sim.Func(deliver))
+}
+
+// send is Send for a handler, which the fabric's own records schedule
+// without allocating.
+func (f *Fabric) send(from, to, kind string, deliver sim.Handler) bool {
 	if !f.Enabled() {
-		deliver()
+		deliver.Fire()
 		return true
 	}
 	f.stats.Messages++
@@ -359,7 +368,7 @@ func (f *Fabric) Send(from, to, kind string, deliver func()) bool {
 	}
 	f.stats.Delivered++
 	f.mDelivered.Inc()
-	f.eng.After(delay, f.names(kind).label, deliver)
+	f.eng.Schedule(f.eng.Now()+delay, f.names(kind).label, deliver)
 	return true
 }
 
@@ -377,65 +386,103 @@ func (f *Fabric) names(kind string) kindNames {
 	return n
 }
 
+// Callee is the far end of an RPC: Attempt runs each time a request
+// message arrives and answers through reply.
+type Callee interface {
+	Attempt(reply func(error))
+}
+
+// attemptFunc adapts a function to Callee.
+type attemptFunc func(reply func(error))
+
+func (fn attemptFunc) Attempt(reply func(error)) { fn(reply) }
+
 // Call performs one tier RPC from->to. attempt runs on the callee side
 // each time a request message arrives (so a retried call may execute
 // more than once — at-least-once semantics, like a real stateless HTTP
 // retry); reply carries the result back across the network. done fires
 // exactly once: with the first response to arrive, or with ErrRPCTimeout
 // once the budget for tier is exhausted. A disabled fabric runs attempt
-// directly with done as its reply.
+// directly with done as its reply. Call is Start over a record of its own.
 func (f *Fabric) Call(from, to, tier string, attempt func(reply func(error)), done func(error)) {
+	f.Start(new(RPC), from, to, tier, attemptFunc(attempt), done)
+}
+
+// Start is Call over a record the caller owns, typically embedded in its
+// own per-call record. Events of the call may fire after done, so each
+// call takes an RPC of its own, never reused. A disabled fabric runs
+// callee.Attempt directly with done as its reply and leaves c untouched.
+func (f *Fabric) Start(c *RPC, from, to, tier string, callee Callee, done func(error)) {
 	if !f.Enabled() {
-		attempt(done)
+		callee.Attempt(done)
 		return
 	}
 	f.stats.RPCs++
-	c := &rpc{f: f, from: from, to: to, tier: tier, budget: f.budget(tier), attempt: attempt, done: done}
+	*c = RPC{f: f, from: from, to: to, tier: tier, budget: f.budget(tier), callee: callee, done: done}
 	c.try(0)
 }
 
-// rpc is the record of one Call: what was asked, the budget resolved when
-// it was issued, and whether done has fired.
-type rpc struct {
+// RPC is the record of one call: what was asked, the budget resolved when
+// it was issued, whether done has fired, and its first attempt. The zero
+// value is ready for Start.
+type RPC struct {
 	f              *Fabric
 	from, to, tier string
 	budget         RPCBudget
-	attempt        func(reply func(error))
+	callee         Callee
 	done           func(error)
 	settled        bool
+	first          rpcAttempt
 }
 
-// rpcAttempt is one try of an rpc: its number, its own timer, and the
+// rpcAttempt is one try of an RPC: its number, its own timer, and the
 // error of its first reply while that reply crosses the network.
 type rpcAttempt struct {
-	c       *rpc
+	c       *RPC
 	n       int
 	timeout sim.Handle
 	replied bool
 	err     error
 }
 
-// try starts attempt n: the timer first, then the request message.
-func (c *rpc) try(n int) {
+// The events of an attempt are the attempt itself under four pointer
+// types, so scheduling one allocates nothing.
+type (
+	attemptTimeout rpcAttempt
+	attemptRequest rpcAttempt
+	attemptReply   rpcAttempt
+	attemptBackoff rpcAttempt
+)
+
+func (a *attemptTimeout) Fire() { (*rpcAttempt)(a).timedOut() }
+func (a *attemptRequest) Fire() { (*rpcAttempt)(a).deliver() }
+func (a *attemptReply) Fire()   { (*rpcAttempt)(a).replyArrived() }
+func (a *attemptBackoff) Fire() { (*rpcAttempt)(a).retry() }
+
+// try starts attempt n: the timer first, then the request message. The
+// first attempt lives in the record; a retry allocates its own.
+func (c *RPC) try(n int) {
 	if c.settled {
 		return
 	}
 	f := c.f
+	a := &c.first
 	if n > 0 {
 		f.stats.Retransmits++
 		f.mRetransmits.Inc()
 		f.tr.Emit("net", "net.retransmit",
 			trace.F("from", c.from), trace.F("to", c.to), trace.F("tier", c.tier), trace.Fi("attempt", n))
+		a = new(rpcAttempt)
 	}
-	a := &rpcAttempt{c: c, n: n}
-	a.timeout = f.eng.After(c.budget.TimeoutSeconds, "net:rpc-timeout", a.timedOut)
-	f.Send(c.from, c.to, c.tier, a.deliver)
+	a.c, a.n = c, n
+	a.timeout = f.eng.Schedule(f.eng.Now()+c.budget.TimeoutSeconds, "net:rpc-timeout", (*attemptTimeout)(a))
+	f.send(c.from, c.to, c.tier, (*attemptRequest)(a))
 }
 
 // settle fires done with the outcome of attempt a unless the call is
 // already settled. Only a's own timer is canceled: a late reply from a
 // superseded attempt leaves the live attempt's timer to fire as a no-op.
-func (c *rpc) settle(a *rpcAttempt, err error) {
+func (c *RPC) settle(a *rpcAttempt, err error) {
 	if c.settled {
 		return
 	}
@@ -444,7 +491,7 @@ func (c *rpc) settle(a *rpcAttempt, err error) {
 	c.done(err)
 }
 
-func (a *rpcAttempt) deliver() { a.c.attempt(a.reply) }
+func (a *rpcAttempt) deliver() { a.c.callee.Attempt(a.reply) }
 
 // reply sends the callee's result back; the response crosses the network
 // too, and one that arrives after the call settled is discarded. The
@@ -452,14 +499,14 @@ func (a *rpcAttempt) deliver() { a.c.attempt(a.reply) }
 // again gets a message of its own, so neither error overwrites the other.
 func (a *rpcAttempt) reply(err error) {
 	c := a.c
-	var arrive func()
+	var arrive sim.Handler
 	if a.replied {
-		arrive = func() { c.settle(a, err) }
+		arrive = sim.Func(func() { c.settle(a, err) })
 	} else {
 		a.replied, a.err = true, err
-		arrive = a.replyArrived
+		arrive = (*attemptReply)(a)
 	}
-	c.f.Send(c.to, c.from, c.f.names(c.tier).reply, arrive)
+	c.f.send(c.to, c.from, c.f.names(c.tier).reply, arrive)
 }
 
 func (a *rpcAttempt) replyArrived() { a.c.settle(a, a.err) }
@@ -474,7 +521,7 @@ func (a *rpcAttempt) timedOut() {
 	f := c.f
 	if a.n+1 < c.budget.Attempts {
 		backoff := c.budget.BackoffSeconds * float64(int(1)<<a.n)
-		f.eng.After(backoff, "net:rpc-backoff", a.retry)
+		f.eng.Schedule(f.eng.Now()+backoff, "net:rpc-backoff", (*attemptBackoff)(a))
 		return
 	}
 	c.settled = true

@@ -307,17 +307,35 @@ func nop()                       {}
 func replyNil(reply func(error)) { reply(nil) }
 func ignoreErr(error)            {}
 
-// TestCallAllocs pins the call record: an uncontended RPC allocates the
-// record, one attempt and the four callbacks bound to it (timeout, request
-// delivery, reply, reply delivery). The closure chain it replaced cost 11.
+// replyNilCallee is replyNil as a Callee.
+type replyNilCallee struct{}
+
+func (replyNilCallee) Attempt(reply func(error)) { reply(nil) }
+
+// TestCallAllocs pins the call record: an uncontended Call allocates the
+// record, which holds its first attempt, and the reply function handed to
+// the callee; the attempt's four events are the attempt itself. Start over
+// a record the caller owns allocates the reply alone. Before handlers a
+// Call cost 6 (the record, an attempt and four bound methods), and the
+// closure chain before that 11.
 func TestCallAllocs(t *testing.T) {
 	eng, f := warmFabric(enabledConfig())
-	avg := testing.AllocsPerRun(1000, func() {
+	call := testing.AllocsPerRun(1000, func() {
 		f.Call("a", "b", "app", replyNil, ignoreErr)
 		eng.Run()
 	})
-	if avg > 6 {
-		t.Fatalf("one uncontended RPC allocates %.2f objects, want <= 6", avg)
+	recs := make([]RPC, 1001) // AllocsPerRun runs the function once more
+	i := 0
+	start := testing.AllocsPerRun(1000, func() {
+		f.Start(&recs[i], "a", "b", "app", replyNilCallee{}, ignoreErr)
+		i++
+		eng.Run()
+	})
+	if call > 2 || start > 1 {
+		t.Fatalf("one uncontended RPC allocates %.2f objects through Call and %.2f through Start, want <= 2 and <= 1", call, start)
+	}
+	if st := f.Stats(); st.RPCs != 4096+2*1001 || st.Retransmits != 0 {
+		t.Fatalf("stats %+v: every RPC must be counted and none retried", st)
 	}
 }
 

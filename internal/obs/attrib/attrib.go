@@ -330,4 +330,3 @@ func accountingFields(s *trace.Span) (busy, svc float64, downstream string, hasB
 	}
 	return busy, svc, downstream, hasBusy
 }
-

@@ -22,13 +22,24 @@ import (
 	"math/rand"
 )
 
-// event is a scheduled callback. Events are engine-owned and recycled
+// Handler is what an event runs. A record scheduled for several reasons
+// gives each its own pointer type converted from the record, so
+// scheduling it allocates nothing.
+type Handler interface{ Fire() }
+
+// Func adapts a function to Handler; the conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// event is a scheduled handler. Events are engine-owned and recycled
 // after they fire or are discarded; callers refer to them through the
 // generation-checked Handle returned by the scheduling methods.
 type event struct {
 	time     float64
 	seq      uint64
-	fn       func()
+	h        Handler
 	label    string
 	canceled bool
 	queued   bool
@@ -174,10 +185,10 @@ func (e *Engine) alloc() *event {
 
 // release returns a fired or discarded event to the freelist. The seq is
 // left in place so stale handles keep failing their generation check
-// only once the struct is reused; fn is dropped so the closure can be
+// only once the struct is reused; the handler is dropped so it can be
 // collected.
 func (e *Engine) release(ev *event) {
-	ev.fn = nil
+	ev.h = nil
 	ev.label = ""
 	ev.queued = false
 	ev.next = e.free
@@ -187,6 +198,13 @@ func (e *Engine) release(ev *event) {
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past (t < Now) panics: it would silently reorder causality.
 func (e *Engine) At(t float64, label string, fn func()) Handle {
+	return e.Schedule(t, label, Func(fn))
+}
+
+// Schedule is At for a Handler: h.Fire runs at absolute virtual time t.
+// Handlers and functions share one queue and one sequence, so ties break
+// in scheduling order whichever form scheduled them.
+func (e *Engine) Schedule(t float64, label string, h Handler) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %.9f, before now %.9f", label, t, e.now))
 	}
@@ -195,7 +213,7 @@ func (e *Engine) At(t float64, label string, fn func()) Handle {
 	}
 	ev := e.alloc()
 	e.seq++
-	ev.time, ev.seq, ev.fn, ev.label = t, e.seq, fn, label
+	ev.time, ev.seq, ev.h, ev.label = t, e.seq, h, label
 	ev.canceled, ev.queued = false, true
 	e.push(ev)
 	return Handle{ev: ev, seq: ev.seq}
@@ -319,12 +337,12 @@ func (e *Engine) Step() bool {
 		}
 		e.now = ev.time
 		e.processed++
-		fn := ev.fn
+		h := ev.h
 		if e.hook != nil {
 			e.hook(ev.time, ev.label)
 		}
-		fn()
-		// Recycle only after fn returns: handles to the firing event stay
+		h.Fire()
+		// Recycle only after Fire returns: handles to the firing event stay
 		// generation-valid during the callback (a ticker canceling itself
 		// from inside its own tick must remain a no-op, not hit a reused
 		// struct).
@@ -417,15 +435,22 @@ func (e *Engine) Every(period float64, label string, fn func(now float64)) *Tick
 }
 
 func (t *Ticker) schedule() {
-	t.ev = t.eng.After(t.period, t.label, func() {
-		if t.done {
-			return
-		}
-		t.fn(t.eng.Now())
-		if !t.done {
-			t.schedule()
-		}
-	})
+	t.ev = t.eng.Schedule(t.eng.now+t.period, t.label, (*tick)(t))
+}
+
+// tick is a Ticker as the event of its next tick, so a tick allocates
+// nothing.
+type tick Ticker
+
+func (k *tick) Fire() {
+	t := (*Ticker)(k)
+	if t.done {
+		return
+	}
+	t.fn(t.eng.Now())
+	if !t.done {
+		t.schedule()
+	}
 }
 
 // Stop cancels future ticks. Safe to call multiple times.

@@ -459,6 +459,83 @@ func TestScheduleCancelAllocs(t *testing.T) {
 	}
 }
 
+// counter is a Handler that counts its firings.
+type counter int
+
+func (c *counter) Fire() { *c++ }
+
+// A warm Handler schedule+fire and schedule+cancel allocate nothing, as
+// their func forms do.
+func TestScheduleHandlerAllocs(t *testing.T) {
+	e := NewEngine(1)
+	var c counter
+	for i := 0; i < 4096; i++ {
+		e.Schedule(1, "warm", &c)
+	}
+	e.Run()
+	fire := testing.AllocsPerRun(1000, func() {
+		e.Schedule(e.Now()+1, "x", &c)
+		e.Step()
+	})
+	cancel := testing.AllocsPerRun(1000, func() {
+		e.Cancel(e.Schedule(e.Now()+1, "x", &c))
+	})
+	if fire != 0 || cancel != 0 {
+		t.Fatalf("schedule+fire allocates %.2f, schedule+cancel %.2f objects/op, want 0 and 0", fire, cancel)
+	}
+	if c != 4096+1001 {
+		t.Fatalf("handler fired %d times, want %d", c, 4096+1001)
+	}
+}
+
+// step records its index in the firing order.
+type step struct {
+	i     int
+	order *[]int
+}
+
+func (s *step) Fire() { *s.order = append(*s.order, s.i) }
+
+// Handlers and funcs share one queue: at equal times they fire in the
+// order they were scheduled, whichever form each took.
+func TestHandlerAndFuncTiesBreakInSchedulingOrder(t *testing.T) {
+	e := NewEngine(1)
+	var order []int
+	for i := 0; i < 10; i++ {
+		if i%3 == 0 {
+			e.Schedule(7, "handler", &step{i: i, order: &order})
+		} else {
+			i := i
+			e.At(7, "func", func() { order = append(order, i) })
+		}
+	}
+	e.Run()
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("tie order = %v, want ascending scheduling order", order)
+		}
+	}
+	if len(order) != 10 {
+		t.Fatalf("fired %d of 10", len(order))
+	}
+}
+
+// A ticker reschedules itself: once the freelist is warm, a tick
+// allocates nothing.
+func TestTickAllocs(t *testing.T) {
+	e := NewEngine(1)
+	ticks := 0
+	e.Every(1, "tick", func(float64) { ticks++ })
+	e.RunUntil(4096)
+	avg := testing.AllocsPerRun(1000, func() { e.Step() })
+	if avg != 0 {
+		t.Fatalf("a tick allocates %.2f objects, want 0", avg)
+	}
+	if ticks != 4096+1001 {
+		t.Fatalf("ticked %d times, want %d", ticks, 4096+1001)
+	}
+}
+
 func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -188,9 +188,9 @@ type ConfigChange struct {
 // ConfigSnapshot is the GET /config wire document (jade-config/v1): the
 // current refreshable configuration plus the applied-change log.
 type ConfigSnapshot struct {
-	Schema     string `json:"schema"`
-	Time       float64 `json:"time"`
-	Generation uint64  `json:"generation"`
+	Schema      string  `json:"schema"`
+	Time        float64 `json:"time"`
+	Generation  uint64  `json:"generation"`
 	Refreshable struct {
 		Sizing struct {
 			App SizingConfig `json:"app"`

@@ -610,7 +610,7 @@ func newRun(cfg ScenarioConfig) (*run, error) {
 	if cfg.Net.Enabled {
 		r.fabric = netsim.New(p.Eng, cfg.Net, cfg.Seed)
 		r.fabric.Instrument(p.Trace(), p.Metrics())
-		p.Net.SetTransport(r.fabric)
+		p.Net.SetFabric(r.fabric)
 	}
 
 	dump, err := cfg.Dataset.InitialDatabase(cfg.Seed)
