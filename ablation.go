@@ -6,6 +6,7 @@ import (
 
 	"jade/internal/core"
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 )
 
 // AblationRow summarizes one ablation variant of the self-optimization
@@ -238,11 +239,11 @@ func replayLogRun(seed int64, delta int) (ReplayRow, error) {
 	// new replica will have to replay.
 	for i := 0; i < delta; i++ {
 		sql := fmt.Sprintf("INSERT INTO buy_now (id, buyer_id, item_id, qty, date) VALUES (%d, 1, 1, 1, %d)", i, i)
-		cw.Controller().ExecSQL(legacy.Query{SQL: sql, Cost: 0.002}, func(err error) {
+		cw.Controller().ExecSQL(legacy.Query{SQL: sql, Cost: 0.002}, netsim.ReplyFunc(func(err error) {
 			if err != nil {
 				derr = err
 			}
-		})
+		}))
 	}
 	derr = nil
 	p.Eng.Run()

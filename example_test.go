@@ -5,6 +5,7 @@ import (
 	"log"
 
 	"jade"
+	"jade/internal/netsim"
 )
 
 // ExampleParseADL validates the built-in three-tier architecture.
@@ -85,7 +86,7 @@ func Example_selfSizing() {
 	// Saturate the single Tomcat.
 	front, _ := dep.FrontEnd()
 	tk := p.Eng.Every(1.0/95, "load", func(now float64) {
-		front.HandleHTTP(&jade.WebRequest{WebCost: 0.0001, AppCost: 0.01}, func(error) {})
+		front.HandleHTTP(&jade.WebRequest{WebCost: 0.0001, AppCost: 0.01}, netsim.ReplyFunc(func(error) {}))
 	})
 	p.Eng.RunUntil(p.Eng.Now() + 120)
 	tk.Stop()

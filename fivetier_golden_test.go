@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 	"jade/internal/obs"
 	"jade/internal/trace"
 )
@@ -47,10 +48,10 @@ func (s *fiveTierSession) send(offset float64, req *WebRequest) {
 		tr := s.p.Trace()
 		root := tr.Begin(0, "request", req.Interaction, trace.Fi("n", n))
 		req.TraceSpan = root
-		s.front.HandleHTTP(req, func(err error) {
+		s.front.HandleHTTP(req, netsim.ReplyFunc(func(err error) {
 			s.answered++
 			tr.End(root, trace.Outcome(err))
-		})
+		}))
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jade/internal/core"
+	"jade/internal/netsim"
 )
 
 // deployFiveTier deploys the full Fig. 2 architecture.
@@ -89,12 +90,12 @@ func TestFiveTierTrafficFlowsThroughEveryLayer(t *testing.T) {
 				{SQL: fmt.Sprintf("INSERT INTO buy_now (id, buyer_id, item_id, qty, date) VALUES (%d, 1, 1, 1, 0)", i), Cost: 0.001},
 			},
 		}
-		front.HandleHTTP(req, func(err error) {
+		front.HandleHTTP(req, netsim.ReplyFunc(func(err error) {
 			pending--
 			if err != nil {
 				t.Errorf("request failed: %v", err)
 			}
-		})
+		}))
 	}
 	p.Eng.Run()
 	if pending != 0 {

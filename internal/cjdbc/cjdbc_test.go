@@ -9,6 +9,7 @@ import (
 	"jade/internal/cluster"
 	"jade/internal/config"
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 	"jade/internal/obs"
 	"jade/internal/selector"
 	"jade/internal/sim"
@@ -78,7 +79,7 @@ func (r *rig) join(name string, m *legacy.MySQL) {
 func (r *rig) exec(sql string) error {
 	r.t.Helper()
 	var got error = errors.New("pending")
-	r.ctl.ExecSQL(legacy.Query{SQL: sql, Cost: 0.001}, func(err error) { got = err })
+	r.ctl.ExecSQL(legacy.Query{SQL: sql, Cost: 0.001}, netsim.ReplyFunc(func(err error) { got = err }))
 	r.env.Eng.Run()
 	return got
 }
@@ -137,7 +138,7 @@ func TestReadsBalancedAcrossBackends(t *testing.T) {
 	r.mustExec("CREATE TABLE t (a INT)")
 	before1, before2 := m1.Served(), m2.Served()
 	for i := 0; i < 20; i++ {
-		r.ctl.ExecSQL(legacy.Query{SQL: "SELECT * FROM t", Cost: 0.002}, func(error) {})
+		r.ctl.ExecSQL(legacy.Query{SQL: "SELECT * FROM t", Cost: 0.002}, netsim.ReplyFunc(func(error) {}))
 	}
 	r.env.Eng.Run()
 	got1, got2 := m1.Served()-before1, m2.Served()-before2
@@ -230,11 +231,11 @@ func TestWritesDuringSyncAreNotLost(t *testing.T) {
 	// Interleave new writes while b2 is replaying.
 	for i := 50; i < 60; i++ {
 		sql := fmt.Sprintf("INSERT INTO t (a) VALUES (%d)", i)
-		r.ctl.ExecSQL(legacy.Query{SQL: sql, Cost: 0.001}, func(err error) {
+		r.ctl.ExecSQL(legacy.Query{SQL: sql, Cost: 0.001}, netsim.ReplyFunc(func(err error) {
 			if err != nil {
 				t.Errorf("write during sync: %v", err)
 			}
-		})
+		}))
 	}
 	r.env.Eng.Run()
 	if !synced {
@@ -304,7 +305,7 @@ func TestLeaveWhileWriteInFlightStillAcks(t *testing.T) {
 	// and b2 must still apply it before checkpointing.
 	var writeErr error = errors.New("pending")
 	r.ctl.ExecSQL(legacy.Query{SQL: "INSERT INTO t (a) VALUES (1)", Cost: 0.5},
-		func(err error) { writeErr = err })
+		netsim.ReplyFunc(func(err error) { writeErr = err }))
 	r.env.Eng.RunUntil(r.env.Eng.Now() + 0.01) // past the proxy hop, mid-apply
 	var checkpoint int64 = -1
 	if err := r.ctl.Leave("b2", func(idx int64) { checkpoint = idx }); err != nil {
@@ -425,7 +426,7 @@ func TestControllerLifecycle(t *testing.T) {
 		t.Fatal("still running after stop")
 	}
 	var got error
-	r.ctl.ExecSQL(legacy.Query{SQL: "SELECT 1 FROM t"}, func(err error) { got = err })
+	r.ctl.ExecSQL(legacy.Query{SQL: "SELECT 1 FROM t"}, netsim.ReplyFunc(func(err error) { got = err }))
 	r.env.Eng.Run()
 	if !errors.Is(got, ErrNotRunning) {
 		t.Fatalf("request to stopped controller: %v", got)
@@ -485,7 +486,7 @@ func TestRoundRobinReadPolicy(t *testing.T) {
 	r.mustExec("CREATE TABLE t (a INT)")
 	b1, b2 := m1.Served(), m2.Served()
 	for i := 0; i < 10; i++ {
-		ctl.ExecSQL(legacy.Query{SQL: "SELECT * FROM t", Cost: 0.001}, func(error) {})
+		ctl.ExecSQL(legacy.Query{SQL: "SELECT * FROM t", Cost: 0.001}, netsim.ReplyFunc(func(error) {}))
 	}
 	eng.Run()
 	if m1.Served()-b1 != 5 || m2.Served()-b2 != 5 {
@@ -615,13 +616,13 @@ func TestSnapshotReplayReplicaAnswersIndexedReads(t *testing.T) {
 	}
 }
 
-// A read costs the controller one record and the bound callback it hands
-// the backend, beyond the backend's own record (measured here and
-// subtracted). Prepared, it costs nothing else: nothing is parsed and the
-// engine allocates nothing, here or in the backend. As text it costs what
+// A read costs the controller one record, which is also the backend's
+// reply, beyond the backend's own record (measured here and subtracted).
+// Prepared, it costs nothing else: nothing is parsed and the engine
+// allocates nothing, here or in the backend. As text it costs what
 // sqlengine.Parse allocates for the statement on top (3 for this SELECT).
-// Measured 2 in cjdbc and cluster; 10 before the record. Instruments on,
-// tracing off.
+// Measured 1 in cjdbc and cluster; 2 while the record bound a callback for
+// the backend, 10 before the record. Instruments on, tracing off.
 func TestReadAllocs(t *testing.T) {
 	r := newRig(t, 2)
 	r.ctl.Obs = obs.NewTierMetrics(obs.NewRegistry(r.env.Eng.Now), "sql", "cjdbc")
@@ -654,7 +655,7 @@ func TestReadAllocs(t *testing.T) {
 	}
 	q := legacy.Query{Cost: 0.001, Prepared: prepared, Arg: 1000}
 	backend := testing.AllocsPerRun(200, func() {
-		m.ExecSQL(q, done)
+		m.ExecSQL(q, netsim.ReplyFunc(done))
 		r.env.Eng.Run()
 	})
 	for _, c := range []struct {
@@ -666,11 +667,11 @@ func TestReadAllocs(t *testing.T) {
 		{"text", legacy.Query{SQL: sql, Cost: 0.001}, parse},
 	} {
 		got := testing.AllocsPerRun(200, func() {
-			r.ctl.ExecSQL(c.q, done)
+			r.ctl.ExecSQL(c.q, netsim.ReplyFunc(done))
 			r.env.Eng.Run()
 		})
-		if own := got - c.parse - backend; own > 2 {
-			t.Errorf("a %s read allocates %v objects (%v parsing, %v in the backend): %v in cjdbc and cluster, want at most 2", c.form, got, c.parse, backend, own)
+		if own := got - c.parse - backend; own > 1 {
+			t.Errorf("a %s read allocates %v objects (%v parsing, %v in the backend): %v in cjdbc and cluster, want at most 1", c.form, got, c.parse, backend, own)
 		}
 	}
 }
@@ -727,7 +728,7 @@ func TestSuppliedStatementIsClassifiedAsItIs(t *testing.T) {
 	run := func(q legacy.Query) error {
 		t.Helper()
 		var got error = errors.New("pending")
-		r.ctl.ExecSQL(q, func(err error) { got = err })
+		r.ctl.ExecSQL(q, netsim.ReplyFunc(func(err error) { got = err }))
 		r.env.Eng.Run()
 		return got
 	}
@@ -799,7 +800,7 @@ func TestRendezvousKeysPreparedReadsByText(t *testing.T) {
 		r.mustExec(fmt.Sprintf("SELECT * FROM t WHERE a = %d", arg))
 		text := served()
 		var got error = errors.New("pending")
-		r.ctl.ExecSQL(legacy.Query{Prepared: p, Arg: arg, Cost: 0.001}, func(err error) { got = err })
+		r.ctl.ExecSQL(legacy.Query{Prepared: p, Arg: arg, Cost: 0.001}, netsim.ReplyFunc(func(err error) { got = err }))
 		r.env.Eng.Run()
 		if got != nil {
 			t.Fatal(got)

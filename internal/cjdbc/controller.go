@@ -8,6 +8,7 @@ import (
 	"jade/internal/cluster"
 	"jade/internal/fluid"
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 	"jade/internal/obs"
 	"jade/internal/selector"
 	"jade/internal/sim"
@@ -80,7 +81,7 @@ type writeWait struct {
 	// keeps only the string, and replay on a stale replica re-parses it.
 	stmt      sqlengine.Statement
 	successes int
-	done      func(error)
+	done      netsim.Reply // the request that wrote
 	firstErr  error
 }
 
@@ -425,7 +426,7 @@ func (c *Controller) pump(b *backend) {
 	} else {
 		q.TraceSpan = 0
 	}
-	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, q, func(err error) {
+	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, q, netsim.ReplyFunc(func(err error) {
 		b.busy = false
 		if err != nil {
 			c.markDead(b, err)
@@ -434,7 +435,7 @@ func (c *Controller) pump(b *backend) {
 		b.applied = rec.Index + 1
 		c.ack(rec.Index, b)
 		c.pump(b)
-	})
+	}))
 }
 
 // ack records that a backend applied the write at idx.
@@ -459,10 +460,10 @@ func (c *Controller) maybeFinishWrite(idx int64, w *writeWait) {
 		if err == nil {
 			err = ErrNoBackend
 		}
-		w.done(fmt.Errorf("cjdbc %s: write lost on all backends: %w", c.name, err))
+		w.done.Reply(fmt.Errorf("cjdbc %s: write lost on all backends: %w", c.name, err))
 		return
 	}
-	w.done(nil)
+	w.done.Reply(nil)
 }
 
 // activeBackends returns backends eligible for reads.
@@ -499,11 +500,11 @@ func (c *Controller) pickReader(q *legacy.Query) *backend {
 // ExecSQL implements the virtual database: writes are logged and
 // broadcast to every backend currently applying the log; reads go to one
 // active backend chosen by policy, with one retry on backend failure.
-func (c *Controller) ExecSQL(q legacy.Query, done func(error)) {
+func (c *Controller) ExecSQL(q legacy.Query, done netsim.Reply) {
 	if !c.running {
 		c.Obs.Drop()
 		c.failures++
-		done(fmt.Errorf("%w: %s", ErrNotRunning, c.name))
+		done.Reply(fmt.Errorf("%w: %s", ErrNotRunning, c.name))
 		return
 	}
 	r := &request{c: c, q: q, done: done}
@@ -521,7 +522,7 @@ func (c *Controller) ExecSQL(q legacy.Query, done func(error)) {
 	if r.write && r.q.SQL == "" {
 		c.Obs.Drop()
 		c.failures++
-		done(fmt.Errorf("cjdbc %s: a write without its SQL text cannot be logged", c.name))
+		done.Reply(fmt.Errorf("cjdbc %s: a write without its SQL text cannot be logged", c.name))
 		return
 	}
 	if r.q.Prepared == nil && r.q.Stmt == nil {
@@ -542,13 +543,13 @@ func (c *Controller) ExecSQL(q legacy.Query, done func(error)) {
 
 // request is the record of one statement in the controller: the query as
 // the backends will receive it (parsed, under this hop's span), the hop on
-// the controller node (the record is its job's continuation) and the read
-// attempt in flight.
+// the controller node (the record is its job's continuation, and the reply
+// to its read or write) and the read attempt in flight.
 type request struct {
 	legacy.Hop
 	c     *Controller
 	q     legacy.Query
-	done  func(error)
+	done  netsim.Reply
 	write bool
 
 	attempts int      // read attempts left, this one included
@@ -561,7 +562,7 @@ func (r *request) JobDone() {
 	c := r.c
 	r.Ran(c.eng.Now())
 	if r.write {
-		c.execWrite(r.q, r.finish)
+		c.execWrite(r.q, r)
 		return
 	}
 	r.attempts = len(c.backends) + 1
@@ -577,17 +578,17 @@ func (r *request) JobFailed() {
 // finish ends the hop and answers the caller.
 func (r *request) finish(err error) {
 	r.End(r.c.Obs, r.c.Trace, r.c.opts.ProxyCost/r.c.node.Config().CPUCapacity, err)
-	r.done(err)
+	r.done.Reply(err)
 }
 
-func (c *Controller) execWrite(q legacy.Query, done func(error)) {
+func (c *Controller) execWrite(q legacy.Query, done netsim.Reply) {
 	// The ack set is every backend that will apply this record: actives
 	// (client completion waits on them) — syncing and draining backends
 	// apply it through their own pumps without gating the client.
 	actives := c.activeBackends()
 	if len(actives) == 0 {
 		c.failures++
-		done(fmt.Errorf("%w: cannot write through %s", ErrNoBackend, c.name))
+		done.Reply(fmt.Errorf("%w: cannot write through %s", ErrNoBackend, c.name))
 		return
 	}
 	idx := c.log.Append(q)
@@ -621,14 +622,20 @@ func (r *request) read() {
 	if r.q.TraceSpan != 0 {
 		c.Trace.EmitIn(r.q.TraceSpan, "sql.read", c.name, trace.F("backend", b.name))
 	}
-	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, r.q, r.readDone)
+	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, r.q, r)
 }
 
-// readDone takes the backend's answer. A backend that failed (its server
-// or its node is down, the call did not get through) is marked dead and
-// the read goes to another while attempts remain; a backend that answered
-// that the statement is wrong stays, and its answer is the caller's.
-func (r *request) readDone(err error) {
+// Reply takes the answer to the statement: the broadcast's for a write,
+// which is the caller's; the backend's for a read. A backend that failed
+// (its server or its node is down, the call did not get through) is
+// marked dead and the read goes to another while attempts remain; a
+// backend that answered that the statement is wrong stays, and its answer
+// is the caller's.
+func (r *request) Reply(err error) {
+	if r.write {
+		r.finish(err)
+		return
+	}
 	c, b := r.c, r.backend
 	failed := false
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"jade/internal/cluster"
 	"jade/internal/config"
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 	"jade/internal/sim"
 	"jade/internal/sqlengine"
 )
@@ -76,11 +77,11 @@ func TestPropertyConsistencyUnderChurn(t *testing.T) {
 				}
 				writeN++
 				ref.exec(sql)
-				ctl.ExecSQL(legacy.Query{SQL: sql, Cost: 0.001}, func(err error) {
+				ctl.ExecSQL(legacy.Query{SQL: sql, Cost: 0.001}, netsim.ReplyFunc(func(err error) {
 					if err != nil {
 						writeErrs++
 					}
-				})
+				}))
 			case 2: // leave a random joined backend (keep at least one)
 				i := int(op/4) % 3
 				if joined[i] && ctl.ActiveCount() > 1 {

@@ -9,6 +9,7 @@ import (
 	"jade/internal/cluster"
 	"jade/internal/fractal"
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 	"jade/internal/rubis"
 )
 
@@ -68,7 +69,7 @@ func run(t *testing.T, p *Platform, dep *Deployment, req *legacy.WebRequest) err
 	front := dep.MustComponent("plb1").Content().(*BalancerWrapper).Balancer()
 	var got error = errors.New("request never completed")
 	doneAt := -1.0
-	front.HandleHTTP(req, func(err error) { got, doneAt = err, p.Eng.Now() })
+	front.HandleHTTP(req, netsim.ReplyFunc(func(err error) { got, doneAt = err, p.Eng.Now() }))
 	p.Eng.RunUntil(p.Eng.Now() + 60)
 	if doneAt < 0 {
 		t.Fatal("request did not complete within 60 simulated seconds")
@@ -345,7 +346,7 @@ func TestFigure4ReconfigurationViaComponentOperations(t *testing.T) {
 	// Traffic flows to tomcat1 initially.
 	var rerr error = errors.New("pending")
 	aw.Server().HandleHTTP(&legacy.WebRequest{WebCost: 0.001, AppCost: 0.001},
-		func(err error) { rerr = err })
+		netsim.ReplyFunc(func(err error) { rerr = err }))
 	p.Eng.Run()
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -392,7 +393,7 @@ func TestFigure4ReconfigurationViaComponentOperations(t *testing.T) {
 	// Traffic now flows to tomcat2.
 	rerr = errors.New("pending")
 	aw.Server().HandleHTTP(&legacy.WebRequest{WebCost: 0.001, AppCost: 0.001},
-		func(err error) { rerr = err })
+		netsim.ReplyFunc(func(err error) { rerr = err }))
 	p.Eng.Run()
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -571,7 +572,7 @@ func TestSelfSizingGrowsUnderLoad(t *testing.T) {
 	// cost each, no db work.
 	front := dep.MustComponent("plb1").Content().(*BalancerWrapper).Balancer()
 	tk := p.Eng.Every(1.0/95, "load", func(now float64) {
-		front.HandleHTTP(&legacy.WebRequest{WebCost: 0.0001, AppCost: 0.01}, func(error) {})
+		front.HandleHTTP(&legacy.WebRequest{WebCost: 0.0001, AppCost: 0.01}, netsim.ReplyFunc(func(error) {}))
 	})
 	t0 := p.Eng.Now()
 	p.Eng.RunUntil(t0 + 120)

@@ -10,6 +10,7 @@ import (
 	"jade/internal/cjdbc"
 	"jade/internal/cluster"
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 )
 
 // tierCase is one row of the actuator table: how the tier is built over
@@ -341,7 +342,7 @@ func TestGrowFailureLeavesNothingBehind(t *testing.T) {
 						front.HandleHTTP(&legacy.WebRequest{WebCost: 0.0001, AppCost: 0.0001, Queries: []legacy.Query{{
 							SQL:  "INSERT INTO buy_now (id, buyer_id, item_id, qty, date) VALUES (" + itoa(i) + ", 1, 1, 1, 0)",
 							Cost: 0.05,
-						}}}, func(error) {})
+						}}}, netsim.ReplyFunc(func(error) {}))
 					}
 				})
 				p.Eng.Run()

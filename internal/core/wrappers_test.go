@@ -7,6 +7,7 @@ import (
 
 	"jade/internal/adl"
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 )
 
 func TestApacheWrapperPortReflectedIntoHTTPDConf(t *testing.T) {
@@ -177,11 +178,11 @@ func TestL4WrapperLiveServerManagement(t *testing.T) {
 	}
 	// Static requests split across both.
 	for i := 0; i < 8; i++ {
-		lw.Balancer().HandleHTTP(&legacy.WebRequest{Static: true, WebCost: 0.001}, func(err error) {
+		lw.Balancer().HandleHTTP(&legacy.WebRequest{Static: true, WebCost: 0.001}, netsim.ReplyFunc(func(err error) {
 			if err != nil {
 				t.Errorf("request: %v", err)
 			}
-		})
+		}))
 	}
 	p.Eng.Run()
 	a1 := dep.MustComponent("apache1").Content().(*ApacheWrapper).Server().Served()

@@ -11,6 +11,7 @@ import (
 	"jade/internal/config"
 	"jade/internal/fractal"
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 	"jade/internal/plb"
 	"jade/internal/sim"
 )
@@ -276,7 +277,7 @@ func TestBalancerAgreementFailedNodeGrace(t *testing.T) {
 // nopHandler is a no-op HTTP target for registering balancer members.
 type nopHandler struct{}
 
-func (nopHandler) HandleHTTP(req *legacy.WebRequest, done func(error)) { done(nil) }
+func (nopHandler) HandleHTTP(req *legacy.WebRequest, done netsim.Reply) { done.Reply(nil) }
 
 // TestBalancerAgreementOverL4Switch drives the checker against a real L4
 // switch: its member set must track the replica set exactly like the PLB.
@@ -389,7 +390,7 @@ func newCJDBCRig(t *testing.T) *cjdbcRig {
 func (r *cjdbcRig) exec(t *testing.T, sql string) {
 	t.Helper()
 	done := errors.New("pending")
-	r.ctl.ExecSQL(legacy.Query{SQL: sql}, func(err error) { done = err })
+	r.ctl.ExecSQL(legacy.Query{SQL: sql}, netsim.ReplyFunc(func(err error) { done = err }))
 	r.eng.Run()
 	if done != nil {
 		t.Fatalf("%s: %v", sql, done)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"jade/internal/cluster"
+	"jade/internal/netsim"
 	"jade/internal/obs"
 	"jade/internal/trace"
 )
@@ -123,11 +124,11 @@ func (a *Apache) Routes() []string {
 // HandleHTTP serves a request: static documents cost web-tier CPU only;
 // dynamic documents additionally forward to an AJP worker (round-robin
 // across resolved workers, as mod_jk's lb worker does).
-func (a *Apache) HandleHTTP(req *WebRequest, done func(error)) {
+func (a *Apache) HandleHTTP(req *WebRequest, done netsim.Reply) {
 	if a.state != Running {
 		a.obs.Drop()
 		a.failed++
-		done(fmt.Errorf("%w: apache %s is %s", ErrNotRunning, a.name, a.state))
+		done.Reply(fmt.Errorf("%w: apache %s is %s", ErrNotRunning, a.name, a.state))
 		return
 	}
 	p := &page{a: a, req: req, done: done, parent: req.TraceSpan}
@@ -139,13 +140,14 @@ func (a *Apache) HandleHTTP(req *WebRequest, done func(error)) {
 }
 
 // page is the record of one request in an Apache: what was asked, the hop
-// on the web node (the record is its job's continuation) and the span the
-// request arrived with, restored when it leaves.
+// on the web node (the record is its job's continuation, and the AJP
+// worker's reply) and the span the request arrived with, restored when it
+// leaves.
 type page struct {
 	Hop
 	a      *Apache
 	req    *WebRequest
-	done   func(error)
+	done   netsim.Reply
 	parent trace.ID
 }
 
@@ -166,10 +168,11 @@ func (p *page) JobDone() {
 	}
 	r := a.routes[a.rrNext%len(a.routes)]
 	a.rrNext++
-	a.env.Net.ForwardHTTP(a.node.Name(), "app", r.target, p.req, p.replied)
+	a.env.Net.ForwardHTTP(a.node.Name(), "app", r.target, p.req, p)
 }
 
-func (p *page) replied(err error) {
+// Reply takes the AJP worker's answer.
+func (p *page) Reply(err error) {
 	if err != nil {
 		p.a.failed++
 	} else {
@@ -188,5 +191,5 @@ func (p *page) JobFailed() {
 func (p *page) finish(err error) {
 	p.req.TraceSpan = p.parent
 	p.End(p.a.obs, p.a.env.Trace, p.req.WebCost/p.a.node.Config().CPUCapacity, err)
-	p.done(err)
+	p.done.Reply(err)
 }

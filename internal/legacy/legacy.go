@@ -153,13 +153,13 @@ type WebRequest struct {
 // HTTPHandler is anything that can serve a WebRequest: a Tomcat instance,
 // a PLB or L4 balancer, or an Apache server.
 type HTTPHandler interface {
-	HandleHTTP(req *WebRequest, done func(err error))
+	HandleHTTP(req *WebRequest, done netsim.Reply)
 }
 
 // SQLExecutor is anything that can execute a Query: a MySQL instance or
 // the C-JDBC controller.
 type SQLExecutor interface {
-	ExecSQL(q Query, done func(err error))
+	ExecSQL(q Query, done netsim.Reply)
 }
 
 // Network is the simulated LAN: a registry of listeners by "host:port".
@@ -200,7 +200,7 @@ type httpCall struct {
 	req    *WebRequest
 }
 
-func (c *httpCall) Attempt(reply func(error)) { c.target.HandleHTTP(c.req, reply) }
+func (c *httpCall) Attempt(reply netsim.Reply) { c.target.HandleHTTP(c.req, reply) }
 
 // sqlCall is one forwarded query, the same way.
 type sqlCall struct {
@@ -209,12 +209,12 @@ type sqlCall struct {
 	q      Query
 }
 
-func (c *sqlCall) Attempt(reply func(error)) { c.target.ExecSQL(c.q, reply) }
+func (c *sqlCall) Attempt(reply netsim.Reply) { c.target.ExecSQL(c.q, reply) }
 
 // ForwardHTTP delivers req to target on behalf of the endpoint from,
 // over the fabric when one is enabled and directly otherwise. tier names
 // the RPC budget class ("front", "web", "app").
-func (n *Network) ForwardHTTP(from, tier string, target HTTPHandler, req *WebRequest, done func(error)) {
+func (n *Network) ForwardHTTP(from, tier string, target HTTPHandler, req *WebRequest, done netsim.Reply) {
 	if !n.fabric.Enabled() {
 		target.HandleHTTP(req, done)
 		return
@@ -225,7 +225,7 @@ func (n *Network) ForwardHTTP(from, tier string, target HTTPHandler, req *WebReq
 
 // ForwardSQL delivers q to target on behalf of the endpoint from, over
 // the fabric when one is enabled and directly otherwise.
-func (n *Network) ForwardSQL(from, tier string, target SQLExecutor, q Query, done func(error)) {
+func (n *Network) ForwardSQL(from, tier string, target SQLExecutor, q Query, done netsim.Reply) {
 	if !n.fabric.Enabled() {
 		target.ExecSQL(q, done)
 		return
@@ -241,7 +241,7 @@ type remoteHTTP struct {
 	target     HTTPHandler
 }
 
-func (r remoteHTTP) HandleHTTP(req *WebRequest, done func(error)) {
+func (r remoteHTTP) HandleHTTP(req *WebRequest, done netsim.Reply) {
 	r.n.ForwardHTTP(r.from, r.tier, r.target, req, done)
 }
 

@@ -96,12 +96,12 @@ func TestApacheMixedStaticDynamicWorkload(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		static := i%2 == 0
 		a.HandleHTTP(&WebRequest{Static: static, WebCost: 0.001, AppCost: 0.001},
-			func(err error) {
+			netsim.ReplyFunc(func(err error) {
 				if err != nil {
 					t.Errorf("request failed: %v", err)
 				}
 				done++
-			})
+			}))
 	}
 	env.Eng.Run()
 	if done != 10 {
@@ -123,12 +123,12 @@ func TestConcurrentRequestsShareTierCPU(t *testing.T) {
 	var finish []float64
 	t0 := env.Eng.Now()
 	for i := 0; i < 2; i++ {
-		a.HandleHTTP(&WebRequest{WebCost: 0, AppCost: 0.1}, func(err error) {
+		a.HandleHTTP(&WebRequest{WebCost: 0, AppCost: 0.1}, netsim.ReplyFunc(func(err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
 			finish = append(finish, env.Eng.Now()-t0)
-		})
+		}))
 	}
 	env.Eng.Run()
 	if len(finish) != 2 {
@@ -182,11 +182,12 @@ func TestListenerFreedAfterStopAllowsRestartElsewhere(t *testing.T) {
 // instantSQL answers every query at once.
 type instantSQL struct{}
 
-func (instantSQL) ExecSQL(_ Query, done func(error)) { done(nil) }
+func (instantSQL) ExecSQL(_ Query, done netsim.Reply) { done.Reply(nil) }
 
-// A servlet request is one record and one callback bound once for all its
-// statements: 2 objects whether it issues one query or four (9 before
-// the record, plus 1 per further query). Instruments on, tracing off.
+// A servlet request is one record, which is also the reply to each of its
+// statements: 1 object whether it issues one query or four (2 while the
+// record bound a callback for its statements; 9 before the record, plus 1
+// per further query). Instruments on, tracing off.
 func TestTomcatHandleHTTPAllocs(t *testing.T) {
 	env, pool := testEnv(t, 1)
 	env.Obs = obs.NewRegistry(env.Eng.Now)
@@ -204,11 +205,11 @@ func TestTomcatHandleHTTPAllocs(t *testing.T) {
 	for _, queries := range []int{1, 4} {
 		req := &WebRequest{AppCost: 0.001, Queries: make([]Query, queries)}
 		got := testing.AllocsPerRun(200, func() {
-			tc.HandleHTTP(req, done)
+			tc.HandleHTTP(req, netsim.ReplyFunc(done))
 			env.Eng.Run()
 		})
-		if got > 2 {
-			t.Errorf("a request of %d queries allocates %v objects in legacy and cluster, want at most 2", queries, got)
+		if got > 1 {
+			t.Errorf("a request of %d queries allocates %v objects in legacy and cluster, want at most 1", queries, got)
 		}
 	}
 	if tc.Served() != 402 {
@@ -260,7 +261,7 @@ func TestMySQLExecSQLAllocs(t *testing.T) {
 		{"text", Query{Cost: 0.001, SQL: sql}, parse + 1},
 	} {
 		got := testing.AllocsPerRun(200, func() {
-			m.ExecSQL(c.q, done)
+			m.ExecSQL(c.q, netsim.ReplyFunc(done))
 			env.Eng.Run()
 		})
 		if got > c.want {
@@ -275,12 +276,13 @@ func TestMySQLExecSQLAllocs(t *testing.T) {
 // instantHTTP answers every request at once.
 type instantHTTP struct{}
 
-func (instantHTTP) HandleHTTP(_ *WebRequest, done func(error)) { done(nil) }
+func (instantHTTP) HandleHTTP(_ *WebRequest, done netsim.Reply) { done.Reply(nil) }
 
-// An Apache request is one record, plus the bound callback it hands the AJP
-// worker when the page is dynamic: measured 1 static and 2 forwarded (5 and
-// 6 before the record, when a request was a chain of closures around
-// Submit). Instruments on, tracing off.
+// An Apache request is one record, which is also the AJP worker's reply
+// when the page is dynamic: 1 object static or forwarded (2 forwarded while
+// the record bound a callback for the worker; 5 and 6 before the record,
+// when a request was a chain of closures around Submit). Instruments on,
+// tracing off.
 func TestApacheHandleHTTPAllocs(t *testing.T) {
 	env, pool := testEnv(t, 1)
 	env.Obs = obs.NewRegistry(env.Eng.Now)
@@ -298,11 +300,11 @@ func TestApacheHandleHTTPAllocs(t *testing.T) {
 	for _, static := range []bool{true, false} {
 		req := &WebRequest{Static: static, WebCost: 0.001}
 		got := testing.AllocsPerRun(200, func() {
-			a.HandleHTTP(req, done)
+			a.HandleHTTP(req, netsim.ReplyFunc(done))
 			env.Eng.Run()
 		})
-		if got > 2 {
-			t.Errorf("a request (static=%v) allocates %v objects in legacy and cluster, want at most 2", static, got)
+		if got > 1 {
+			t.Errorf("a request (static=%v) allocates %v objects in legacy and cluster, want at most 1", static, got)
 		}
 	}
 	if a.Served() != 402 {
@@ -311,10 +313,11 @@ func TestApacheHandleHTTPAllocs(t *testing.T) {
 }
 
 // A forward over an enabled fabric is one record, the fabric's call record
-// embedded in it, plus the reply function the target is handed: at most 2
-// objects beyond the target for a query and for a page (7 while the
-// fabric bound four methods to a record and an attempt of its own, behind
-// a forwarding closure). The fabric's instruments are on.
+// embedded in it, whose first attempt is the reply the target is handed:
+// 1 object beyond the target for a query and for a page (2 while the
+// target was handed a bound method; 7 while the fabric bound four methods
+// to a record and an attempt of its own, behind a forwarding closure). The
+// fabric's instruments are on.
 func TestForwardOverFabricAllocs(t *testing.T) {
 	env, _ := testEnv(t, 1)
 	fab := netsim.New(env.Eng, netsim.Config{Enabled: true}, 1)
@@ -327,9 +330,9 @@ func TestForwardOverFabricAllocs(t *testing.T) {
 		}
 		answered++
 	}
-	sql := func() { env.Net.ForwardSQL("app", "sql", instantSQL{}, Query{Cost: 0.001}, done) }
+	sql := func() { env.Net.ForwardSQL("app", "sql", instantSQL{}, Query{Cost: 0.001}, netsim.ReplyFunc(done)) }
 	req := &WebRequest{}
-	http := func() { env.Net.ForwardHTTP("web", "app", instantHTTP{}, req, done) }
+	http := func() { env.Net.ForwardHTTP("web", "app", instantHTTP{}, req, netsim.ReplyFunc(done)) }
 	for i := 0; i < 4096; i++ {
 		sql()
 		http()
@@ -343,8 +346,8 @@ func TestForwardOverFabricAllocs(t *testing.T) {
 			c.forward()
 			env.Eng.Run()
 		})
-		if got > 2 {
-			t.Errorf("a forwarded %s call allocates %v objects beyond its target, want at most 2", c.kind, got)
+		if got > 1 {
+			t.Errorf("a forwarded %s call allocates %v objects beyond its target, want at most 1", c.kind, got)
 		}
 	}
 	if st := fab.Stats(); answered != 2*4096+2*201 || st.RPCs != uint64(answered) || st.Messages != 2*st.RPCs {

@@ -8,6 +8,7 @@ import (
 
 	"jade/internal/cluster"
 	"jade/internal/config"
+	"jade/internal/netsim"
 	"jade/internal/sim"
 )
 
@@ -127,7 +128,7 @@ func TestEndToEndDynamicRequest(t *testing.T) {
 	// Seed schema through the running stack.
 	var setupErr error
 	m.ExecSQL(Query{SQL: "CREATE TABLE items (id INT, name TEXT)", Cost: 0.01},
-		func(err error) { setupErr = err })
+		netsim.ReplyFunc(func(err error) { setupErr = err }))
 	env.Eng.Run()
 	if setupErr != nil {
 		t.Fatal(setupErr)
@@ -144,7 +145,7 @@ func TestEndToEndDynamicRequest(t *testing.T) {
 	}
 	var reqErr error = errors.New("never completed")
 	t0 := env.Eng.Now()
-	a.HandleHTTP(req, func(err error) { reqErr = err })
+	a.HandleHTTP(req, netsim.ReplyFunc(func(err error) { reqErr = err }))
 	env.Eng.Run()
 	if reqErr != nil {
 		t.Fatal(reqErr)
@@ -166,7 +167,7 @@ func TestStaticRequestServedByWebTierOnly(t *testing.T) {
 	env, a, tc, _ := buildStack(t)
 	req := &WebRequest{Interaction: "logo.png", Static: true, WebCost: 0.001, AppCost: 99}
 	var err error = errors.New("pending")
-	a.HandleHTTP(req, func(e error) { err = e })
+	a.HandleHTTP(req, netsim.ReplyFunc(func(e error) { err = e }))
 	env.Eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +197,7 @@ func TestApacheRoundRobinAcrossWorkers(t *testing.T) {
 	startOK(t, env.Eng, a.Start)
 
 	for i := 0; i < 10; i++ {
-		a.HandleHTTP(&WebRequest{WebCost: 0.001, AppCost: 0.001}, func(error) {})
+		a.HandleHTTP(&WebRequest{WebCost: 0.001, AppCost: 0.001}, netsim.ReplyFunc(func(error) {}))
 	}
 	env.Eng.Run()
 	if tc1.Served() != 5 || tc2.Served() != 5 {
@@ -224,7 +225,7 @@ func TestFigure4RebindScenario(t *testing.T) {
 	startOK(t, env.Eng, tc2.Start)
 	startOK(t, env.Eng, a.Start)
 
-	a.HandleHTTP(&WebRequest{WebCost: 0.001, AppCost: 0.001}, func(error) {})
+	a.HandleHTTP(&WebRequest{WebCost: 0.001, AppCost: 0.001}, netsim.ReplyFunc(func(error) {}))
 	env.Eng.Run()
 	if tc1.Served() != 1 {
 		t.Fatal("initial binding did not route to tomcat1")
@@ -252,7 +253,7 @@ func TestFigure4RebindScenario(t *testing.T) {
 	}
 	startOK(t, env.Eng, a.Start)
 
-	a.HandleHTTP(&WebRequest{WebCost: 0.001, AppCost: 0.001}, func(error) {})
+	a.HandleHTTP(&WebRequest{WebCost: 0.001, AppCost: 0.001}, netsim.ReplyFunc(func(error) {}))
 	env.Eng.Run()
 	if tc2.Served() != 1 {
 		t.Fatal("rebinding did not route to tomcat2")
@@ -327,7 +328,7 @@ func TestRequestsFailWhenServerStopped(t *testing.T) {
 		t.Fatal(stopErr)
 	}
 	var got error
-	a.HandleHTTP(&WebRequest{}, func(err error) { got = err })
+	a.HandleHTTP(&WebRequest{}, netsim.ReplyFunc(func(err error) { got = err }))
 	env.Eng.Run()
 	if !errors.Is(got, ErrNotRunning) {
 		t.Fatalf("request to stopped apache: %v", got)
@@ -339,7 +340,7 @@ func TestRequestsFailWhenServerStopped(t *testing.T) {
 	if mStopErr != nil {
 		t.Fatal(mStopErr)
 	}
-	m.ExecSQL(Query{SQL: "SELECT 1 FROM x"}, func(err error) { sqlErr = err })
+	m.ExecSQL(Query{SQL: "SELECT 1 FROM x"}, netsim.ReplyFunc(func(err error) { sqlErr = err }))
 	env.Eng.Run()
 	if !errors.Is(sqlErr, ErrNotRunning) {
 		t.Fatalf("query to stopped mysql: %v", sqlErr)
@@ -349,7 +350,7 @@ func TestRequestsFailWhenServerStopped(t *testing.T) {
 func TestNodeFailureAbortsInFlightRequests(t *testing.T) {
 	env, a, tc, _ := buildStack(t)
 	var got error
-	a.HandleHTTP(&WebRequest{WebCost: 0.001, AppCost: 10}, func(err error) { got = err })
+	a.HandleHTTP(&WebRequest{WebCost: 0.001, AppCost: 10}, netsim.ReplyFunc(func(err error) { got = err }))
 	// Crash the tomcat node while the request is in the app tier.
 	env.Eng.After(0.5, "crash", func() { tc.Node().Fail() })
 	env.Eng.Run()
@@ -371,7 +372,7 @@ func TestMySQLStatePersistsAcrossRestart(t *testing.T) {
 	writeMySQLConf(t, env, m, 3306)
 	startOK(t, env.Eng, m.Start)
 	var err1 error
-	m.ExecSQL(Query{SQL: "CREATE TABLE t (a INT)", Cost: 0.001}, func(e error) { err1 = e })
+	m.ExecSQL(Query{SQL: "CREATE TABLE t (a INT)", Cost: 0.001}, netsim.ReplyFunc(func(e error) { err1 = e }))
 	env.Eng.Run()
 	if err1 != nil {
 		t.Fatal(err1)
@@ -452,14 +453,14 @@ func TestTomcatWithoutJDBCFailsOnQueries(t *testing.T) {
 	startOK(t, env.Eng, tc.Start)
 	var got error
 	tc.HandleHTTP(&WebRequest{AppCost: 0.001, Queries: []Query{{SQL: "SELECT 1 FROM t"}}},
-		func(err error) { got = err })
+		netsim.ReplyFunc(func(err error) { got = err }))
 	env.Eng.Run()
 	if !errors.Is(got, ErrNoBackend) {
 		t.Fatalf("query without JDBC: %v", got)
 	}
 	// A query-free request still works.
 	var ok error = errors.New("pending")
-	tc.HandleHTTP(&WebRequest{AppCost: 0.001}, func(err error) { ok = err })
+	tc.HandleHTTP(&WebRequest{AppCost: 0.001}, netsim.ReplyFunc(func(err error) { ok = err }))
 	env.Eng.Run()
 	if ok != nil {
 		t.Fatal(ok)
@@ -472,7 +473,7 @@ func TestSQLErrorPropagatesThroughTiers(t *testing.T) {
 	a.HandleHTTP(&WebRequest{
 		WebCost: 0.001, AppCost: 0.001,
 		Queries: []Query{{SQL: "SELECT * FROM missing", Cost: 0.001}},
-	}, func(err error) { got = err })
+	}, netsim.ReplyFunc(func(err error) { got = err }))
 	env.Eng.Run()
 	if got == nil || !strings.Contains(got.Error(), "no such table") {
 		t.Fatalf("SQL error did not propagate: %v", got)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"jade/internal/cluster"
+	"jade/internal/netsim"
 	"jade/internal/obs"
 	"jade/internal/sqlengine"
 )
@@ -95,11 +96,11 @@ func (m *MySQL) Stop(done func(error)) { m.end(done) }
 
 // ExecSQL consumes CPU for the query, then executes the statement against
 // the database.
-func (m *MySQL) ExecSQL(q Query, done func(error)) {
+func (m *MySQL) ExecSQL(q Query, done netsim.Reply) {
 	if m.state != Running {
 		m.obs.Drop()
 		m.failed++
-		done(fmt.Errorf("%w: mysql %s is %s", ErrNotRunning, m.name, m.state))
+		done.Reply(fmt.Errorf("%w: mysql %s is %s", ErrNotRunning, m.name, m.state))
 		return
 	}
 	e := &execution{m: m, q: q, done: done}
@@ -113,7 +114,7 @@ type execution struct {
 	Hop
 	m    *MySQL
 	q    Query
-	done func(error)
+	done netsim.Reply
 }
 
 // JobDone: the CPU is paid for; run the statement.
@@ -150,5 +151,5 @@ func (e *execution) JobFailed() {
 // finish ends the hop and answers the caller.
 func (e *execution) finish(err error) {
 	e.End(e.m.obs, e.m.env.Trace, e.q.Cost/e.m.node.Config().CPUCapacity, err)
-	e.done(err)
+	e.done.Reply(err)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"jade/internal/cluster"
+	"jade/internal/netsim"
 	"jade/internal/obs"
 	"jade/internal/trace"
 )
@@ -121,31 +122,27 @@ func (t *Tomcat) Stop(done func(error)) { t.end(done) }
 
 // HandleHTTP runs the servlet: application-tier CPU, then the request's
 // SQL statements sequentially through the JDBC connection.
-func (t *Tomcat) HandleHTTP(req *WebRequest, done func(error)) {
+func (t *Tomcat) HandleHTTP(req *WebRequest, done netsim.Reply) {
 	if t.state != Running {
 		t.obs.Drop()
 		t.failed++
-		done(fmt.Errorf("%w: tomcat %s is %s", ErrNotRunning, t.name, t.state))
+		done.Reply(fmt.Errorf("%w: tomcat %s is %s", ErrNotRunning, t.name, t.state))
 		return
 	}
 	s := &servlet{t: t, req: req, done: done}
-	s.queryDone = s.onQueryDone
 	s.Begin(t.env.Eng.Now(), t.obs, t.env.Trace, req.TraceSpan, "app", t.name, trace.Fi("queries", len(req.Queries)))
 	t.node.Run(&s.Job, req.AppCost, s)
 }
 
 // servlet is the record of one request in a Tomcat: what was asked, the
-// hop on the app node (the record is its job's continuation) and the query
-// in flight.
+// hop on the app node (the record is its job's continuation, and each
+// statement's reply) and the query in flight.
 type servlet struct {
 	Hop
 	t     *Tomcat
 	req   *WebRequest
-	done  func(error)
+	done  netsim.Reply
 	query int // index of the statement in flight
-	// queryDone is onQueryDone bound once, so a request's second and later
-	// statements allocate nothing here.
-	queryDone func(error)
 }
 
 // JobDone: the servlet's CPU work is done; issue the statements.
@@ -175,10 +172,11 @@ func (s *servlet) runQueries() {
 	}
 	q := s.req.Queries[s.query]
 	q.TraceSpan = s.Span
-	t.env.Net.ForwardSQL(t.node.Name(), "sql", t.jdbc, q, s.queryDone)
+	t.env.Net.ForwardSQL(t.node.Name(), "sql", t.jdbc, q, s)
 }
 
-func (s *servlet) onQueryDone(err error) {
+// Reply takes the answer to statement s.query.
+func (s *servlet) Reply(err error) {
 	if err != nil {
 		s.t.failed++
 		s.finish(fmt.Errorf("tomcat %s: query %d: %w", s.t.name, s.query, err))
@@ -191,5 +189,5 @@ func (s *servlet) onQueryDone(err error) {
 // finish ends the hop and answers the caller.
 func (s *servlet) finish(err error) {
 	s.End(s.t.obs, s.t.env.Trace, s.req.AppCost/s.t.node.Config().CPUCapacity, err)
-	s.done(err)
+	s.done.Reply(err)
 }

@@ -389,13 +389,33 @@ func (f *Fabric) names(kind string) kindNames {
 // Callee is the far end of an RPC: Attempt runs each time a request
 // message arrives and answers through reply.
 type Callee interface {
-	Attempt(reply func(error))
+	Attempt(reply Reply)
 }
 
-// attemptFunc adapts a function to Callee.
+// Reply is where an answer goes: the caller's own per-request record, so
+// answering allocates nothing. An attempt of a call is the Reply its
+// callee is handed.
+type Reply interface {
+	Reply(err error)
+}
+
+// ReplyFunc adapts a function to Reply.
+type ReplyFunc func(err error)
+
+func (fn ReplyFunc) Reply(err error) { fn(err) }
+
+// attemptFunc adapts Call's attempt function to Callee. A disabled fabric
+// hands back Call's own done, which goes through as it came; binding its
+// Reply method would cost a direct call an object.
 type attemptFunc func(reply func(error))
 
-func (fn attemptFunc) Attempt(reply func(error)) { fn(reply) }
+func (fn attemptFunc) Attempt(reply Reply) {
+	if rf, ok := reply.(ReplyFunc); ok {
+		fn(rf)
+		return
+	}
+	fn(reply.Reply)
+}
 
 // Call performs one tier RPC from->to. attempt runs on the callee side
 // each time a request message arrives (so a retried call may execute
@@ -405,14 +425,14 @@ func (fn attemptFunc) Attempt(reply func(error)) { fn(reply) }
 // once the budget for tier is exhausted. A disabled fabric runs attempt
 // directly with done as its reply. Call is Start over a record of its own.
 func (f *Fabric) Call(from, to, tier string, attempt func(reply func(error)), done func(error)) {
-	f.Start(new(RPC), from, to, tier, attemptFunc(attempt), done)
+	f.Start(new(RPC), from, to, tier, attemptFunc(attempt), ReplyFunc(done))
 }
 
 // Start is Call over a record the caller owns, typically embedded in its
 // own per-call record. Events of the call may fire after done, so each
 // call takes an RPC of its own, never reused. A disabled fabric runs
 // callee.Attempt directly with done as its reply and leaves c untouched.
-func (f *Fabric) Start(c *RPC, from, to, tier string, callee Callee, done func(error)) {
+func (f *Fabric) Start(c *RPC, from, to, tier string, callee Callee, done Reply) {
 	if !f.Enabled() {
 		callee.Attempt(done)
 		return
@@ -430,13 +450,14 @@ type RPC struct {
 	from, to, tier string
 	budget         RPCBudget
 	callee         Callee
-	done           func(error)
+	done           Reply
 	settled        bool
 	first          rpcAttempt
 }
 
 // rpcAttempt is one try of an RPC: its number, its own timer, and the
-// error of its first reply while that reply crosses the network.
+// error of its first reply while that reply crosses the network. It is
+// the Reply its callee is handed.
 type rpcAttempt struct {
 	c       *RPC
 	n       int
@@ -488,16 +509,16 @@ func (c *RPC) settle(a *rpcAttempt, err error) {
 	}
 	c.settled = true
 	c.f.eng.Cancel(a.timeout)
-	c.done(err)
+	c.done.Reply(err)
 }
 
-func (a *rpcAttempt) deliver() { a.c.callee.Attempt(a.reply) }
+func (a *rpcAttempt) deliver() { a.c.callee.Attempt(a) }
 
-// reply sends the callee's result back; the response crosses the network
+// Reply sends the callee's result back; the response crosses the network
 // too, and one that arrives after the call settled is discarded. The
 // first reply's error rides in the attempt record; a callee that replies
 // again gets a message of its own, so neither error overwrites the other.
-func (a *rpcAttempt) reply(err error) {
+func (a *rpcAttempt) Reply(err error) {
 	c := a.c
 	var arrive sim.Handler
 	if a.replied {
@@ -529,7 +550,7 @@ func (a *rpcAttempt) timedOut() {
 	f.mAbandoned.Inc()
 	f.tr.Emit("net", "net.abandon",
 		trace.F("from", c.from), trace.F("to", c.to), trace.F("tier", c.tier), trace.Fi("attempts", a.n+1))
-	c.done(fmt.Errorf("%w: %s %s->%s after %d attempts", ErrRPCTimeout, c.tier, c.from, c.to, a.n+1))
+	c.done.Reply(fmt.Errorf("%w: %s %s->%s after %d attempts", ErrRPCTimeout, c.tier, c.from, c.to, a.n+1))
 }
 
 func (a *rpcAttempt) retry() { a.c.try(a.n + 1) }

@@ -67,19 +67,44 @@ func (f *Fabric) referenceCall(from, to, tier string, attempt func(reply func(er
 }
 
 // callTranscript is everything observable about a batch of RPCs: each
-// dispatched event, each done(err), and the fabric's counters.
+// dispatched event, each done(err), and the fabric's counters; and how
+// often the script answered twice on one arrival, or after its call had
+// settled.
 type callTranscript struct {
-	Events []string
-	Dones  []string
-	Stats  Stats
+	Events      []string
+	Dones       []string
+	Stats       Stats
+	Twice, Late int
 }
+
+// A scripted call goes through one of three paths. The reference chain and
+// Call hand their callee a func(error); Start hands its callee the attempt
+// itself as its Reply, so a second or late answer reaches the record.
+type scriptedCall func(f *Fabric, from, to, tier string, attempt func(Reply), done func(error))
+
+func viaReference(f *Fabric, from, to, tier string, attempt func(Reply), done func(error)) {
+	f.referenceCall(from, to, tier, func(reply func(error)) { attempt(ReplyFunc(reply)) }, done)
+}
+
+func viaCall(f *Fabric, from, to, tier string, attempt func(Reply), done func(error)) {
+	f.Call(from, to, tier, func(reply func(error)) { attempt(ReplyFunc(reply)) }, done)
+}
+
+func viaStart(f *Fabric, from, to, tier string, attempt func(Reply), done func(error)) {
+	f.Start(new(RPC), from, to, tier, calleeFunc(attempt), ReplyFunc(done))
+}
+
+// calleeFunc adapts a function to Callee.
+type calleeFunc func(reply Reply)
+
+func (fn calleeFunc) Attempt(reply Reply) { fn(reply) }
 
 // scriptedCalls issues 40 staggered RPCs through call over a lossy,
 // jittery fabric with a 3-attempt budget. What the callee does on the k-th
 // arrival of call i — answer at once, answer late (possibly after the
 // attempt timed out and a newer one is live), answer twice, or stay
 // silent — depends only on (seed, i, k), never on the implementation.
-func scriptedCalls(seed int64, call func(f *Fabric, from, to, tier string, attempt func(reply func(error)), done func(error))) callTranscript {
+func scriptedCalls(seed int64, call scriptedCall) callTranscript {
 	eng := sim.NewEngine(seed)
 	f := New(eng, Config{
 		Enabled: true,
@@ -94,26 +119,36 @@ func scriptedCalls(seed int64, call func(f *Fabric, from, to, tier string, attem
 		i := i
 		eng.At(float64(i)*0.37, "issue", func() {
 			arrivals := 0
-			call(f, "a", "b", "app", func(reply func(error)) {
+			settled := false
+			answer := func(reply Reply, err error) {
+				if settled {
+					tr.Late++
+				}
+				reply.Reply(err)
+			}
+			call(f, "a", "b", "app", func(reply Reply) {
 				arrivals++
 				script := rand.New(rand.NewSource(seed<<16 + int64(i)<<4 + int64(arrivals)))
 				fail := fmt.Errorf("call %d arrival %d failed", i, arrivals)
 				switch script.Intn(6) {
 				case 0:
-					reply(nil)
+					answer(reply, nil)
 				case 1:
-					reply(fail)
+					answer(reply, fail)
 				case 2: // late: 1.7 s and 4 s outlive the attempt that asked
-					eng.After([]float64{0.2, 1.7, 4}[script.Intn(3)], "callee:late", func() { reply(fail) })
+					eng.After([]float64{0.2, 1.7, 4}[script.Intn(3)], "callee:late", func() { answer(reply, fail) })
 				case 3: // twice at once, each with its own result
-					reply(fail)
-					reply(nil)
+					tr.Twice++
+					answer(reply, fail)
+					answer(reply, nil)
 				case 4: // twice, the second late
-					reply(nil)
-					eng.After(1.6, "callee:again", func() { reply(fail) })
+					tr.Twice++
+					answer(reply, nil)
+					eng.After(1.6, "callee:again", func() { answer(reply, fail) })
 				case 5: // never
 				}
 			}, func(err error) {
+				settled = true
 				tr.Dones = append(tr.Dones, fmt.Sprintf("%.9f call %d: %v", eng.Now(), i, err))
 			})
 		})
@@ -139,30 +174,42 @@ func requireSameSequence(t *testing.T, seed int64, what string, got, want []stri
 	}
 }
 
-// TestCallMatchesReferenceClosures runs the call record and the closure
-// chain it replaced on twin engines and fabrics and requires the same
-// event sequence, the same done(err) sequence (error text included) and
-// the same counters. Mutants it was checked to catch: a reply canceling
-// the live attempt's timer instead of its own (a "net:rpc-timeout" event
-// goes missing), a second reply on one attempt overwriting the first
-// one's error, and a second reply being dropped.
+// TestCallMatchesReferenceClosures runs the call record, through Call and
+// through Start, and the closure chain it replaced on twin engines and
+// fabrics and requires the same event sequence, the same done(err)
+// sequence (error text included) and the same counters. Through Start the
+// callee answers on the attempt's Reply, twice on one arrival and after
+// its call settled included. Mutants it was checked to catch: a reply
+// canceling the live attempt's timer instead of its own (a
+// "net:rpc-timeout" event goes missing), a second reply on one attempt
+// overwriting the first one's error, and a second reply being dropped.
 func TestCallMatchesReferenceClosures(t *testing.T) {
 	var retransmits, abandoned uint64
+	var twice, late int
 	for seed := int64(1); seed <= 20; seed++ {
-		want := scriptedCalls(seed, (*Fabric).referenceCall)
-		got := scriptedCalls(seed, (*Fabric).Call)
-		if got.Stats != want.Stats {
-			t.Errorf("seed %d: stats %+v, reference %+v", seed, got.Stats, want.Stats)
+		want := scriptedCalls(seed, viaReference)
+		for _, via := range []struct {
+			name string
+			call scriptedCall
+		}{{"Call", viaCall}, {"Start", viaStart}} {
+			got := scriptedCalls(seed, via.call)
+			if got.Stats != want.Stats || got.Twice != want.Twice || got.Late != want.Late {
+				t.Errorf("seed %d via %s: stats %+v, %d twice, %d late; reference %+v, %d, %d",
+					seed, via.name, got.Stats, got.Twice, got.Late, want.Stats, want.Twice, want.Late)
+			}
+			requireSameSequence(t, seed, via.name+" done", got.Dones, want.Dones)
+			requireSameSequence(t, seed, via.name+" event", got.Events, want.Events)
 		}
-		requireSameSequence(t, seed, "done", got.Dones, want.Dones)
-		requireSameSequence(t, seed, "event", got.Events, want.Events)
 		if len(want.Dones) != 40 {
 			t.Fatalf("seed %d: %d of 40 calls settled", seed, len(want.Dones))
 		}
 		retransmits += want.Stats.Retransmits
 		abandoned += want.Stats.Abandoned
+		twice += want.Twice
+		late += want.Late
 	}
-	if retransmits == 0 || abandoned == 0 {
-		t.Fatalf("script exercised %d retransmits and %d abandons; it must cover both", retransmits, abandoned)
+	if retransmits == 0 || abandoned == 0 || twice == 0 || late == 0 {
+		t.Fatalf("script exercised %d retransmits, %d abandons, %d double and %d late answers; it must cover each",
+			retransmits, abandoned, twice, late)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"jade/internal/cluster"
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 	"jade/internal/obs"
 	"jade/internal/selector"
 	"jade/internal/sim"
@@ -38,7 +39,7 @@ func TestEqualWeightsRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		s.HandleHTTP(&legacy.WebRequest{}, func(error) {})
+		s.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(error) {}))
 	}
 	eng.Run()
 	if a.served != 5 || b.served != 5 {
@@ -57,7 +58,7 @@ func TestWeightedDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		s.HandleHTTP(&legacy.WebRequest{}, func(error) {})
+		s.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(error) {}))
 	}
 	eng.Run()
 	if heavy.served != 30 || light.served != 10 {
@@ -92,7 +93,7 @@ func TestServerManagement(t *testing.T) {
 func TestNoServersDrops(t *testing.T) {
 	eng, s := newSwitch(t)
 	var got error
-	s.HandleHTTP(&legacy.WebRequest{}, func(err error) { got = err })
+	s.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(err error) { got = err }))
 	eng.Run()
 	if !errors.Is(got, ErrNoServer) {
 		t.Fatalf("no-server request: %v", got)
@@ -115,7 +116,7 @@ func TestSwitchLifecycle(t *testing.T) {
 		t.Fatal("running after stop")
 	}
 	var got error
-	s.HandleHTTP(&legacy.WebRequest{}, func(err error) { got = err })
+	s.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(err error) { got = err }))
 	eng.Run()
 	if !errors.Is(got, ErrSwitchNotRunning) {
 		t.Fatalf("stopped switch request: %v", got)
@@ -136,7 +137,7 @@ func TestErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got error
-	s.HandleHTTP(&legacy.WebRequest{}, func(err error) { got = err })
+	s.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(err error) { got = err }))
 	eng.Run()
 	if got == nil || got.Error() != "down" {
 		t.Fatalf("error not propagated: %v", got)
@@ -150,7 +151,7 @@ func TestSwitchNodeFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got error
-	s.HandleHTTP(&legacy.WebRequest{}, func(err error) { got = err })
+	s.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(err error) { got = err }))
 	s.Node().Fail()
 	eng.Run()
 	if got == nil || got.Error() != "l4 l4: switch node failed" {
@@ -174,7 +175,7 @@ func TestSwitchPinsNoSession(t *testing.T) {
 		}
 	}
 	for i := 0; i < 12; i++ {
-		s.HandleHTTP(&legacy.WebRequest{SessionKey: fmt.Sprintf("s%d", i%4)}, func(error) {})
+		s.HandleHTTP(&legacy.WebRequest{SessionKey: fmt.Sprintf("s%d", i%4)}, netsim.ReplyFunc(func(error) {}))
 	}
 	eng.Run()
 	if s.Forwarded() != 12 || s.SessionCount() != 0 {
@@ -182,9 +183,10 @@ func TestSwitchPinsNoSession(t *testing.T) {
 	}
 }
 
-// An L4 forward is one record and the bound callback it hands the server,
-// as a PLB's is (measured 2; 6 before the record, when a forward was a
-// chain of closures around Submit). Instruments on, tracing off.
+// An L4 forward is one record, which is also the server's reply, as a
+// PLB's is (measured 1; 2 while the record bound a callback for the server,
+// 6 before the record, when a forward was a chain of closures around
+// Submit). Instruments on, tracing off.
 func TestL4HandleHTTPAllocs(t *testing.T) {
 	eng, s := newSwitch(t)
 	s.Obs = obs.NewTierMetrics(obs.NewRegistry(eng.Now), "lb", "l4")
@@ -198,11 +200,11 @@ func TestL4HandleHTTPAllocs(t *testing.T) {
 		}
 	}
 	got := testing.AllocsPerRun(200, func() {
-		s.HandleHTTP(req, done)
+		s.HandleHTTP(req, netsim.ReplyFunc(done))
 		eng.Run()
 	})
-	if got > 2 {
-		t.Errorf("a forwarded connection allocates %v objects in plb and cluster, want at most 2", got)
+	if got > 1 {
+		t.Errorf("a forwarded connection allocates %v objects in plb and cluster, want at most 1", got)
 	}
 	if s.Forwarded() != 201 || s.Obs.Requests.Value() != 201 {
 		t.Fatalf("%d forwarded and %d counted requests over 201 runs", s.Forwarded(), s.Obs.Requests.Value())

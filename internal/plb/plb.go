@@ -20,6 +20,7 @@ import (
 	"jade/internal/cluster"
 	"jade/internal/fluid"
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 	"jade/internal/obs"
 	"jade/internal/selector"
 	"jade/internal/sim"
@@ -309,11 +310,11 @@ func (b *Balancer) pick(key string) (string, bool) {
 
 // HandleHTTP forwards the request to a member chosen by policy, consuming
 // the proxy cost on the balancer node first.
-func (b *Balancer) HandleHTTP(req *legacy.WebRequest, done func(error)) {
+func (b *Balancer) HandleHTTP(req *legacy.WebRequest, done netsim.Reply) {
 	if !b.running {
 		b.Obs.Drop()
 		b.dropped++
-		done(fmt.Errorf("%w: %s", b.kind.errNotRunning, b.name))
+		done.Reply(fmt.Errorf("%w: %s", b.kind.errNotRunning, b.name))
 		return
 	}
 	f := &forward{b: b, req: req, done: done, parent: req.TraceSpan}
@@ -324,13 +325,14 @@ func (b *Balancer) HandleHTTP(req *legacy.WebRequest, done func(error)) {
 }
 
 // forward is the record of one forwarded request: what was asked, the hop
-// on the balancer node (the record is its job's continuation), the span
-// the request arrived with, and the member it went to.
+// on the balancer node (the record is its job's continuation, and the
+// member's reply), the span the request arrived with, and the member it
+// went to.
 type forward struct {
 	legacy.Hop
 	b      *Balancer
 	req    *legacy.WebRequest
-	done   func(error)
+	done   netsim.Reply
 	parent trace.ID // restored when the request leaves
 	member string
 	sent   float64 // when the request left for the member
@@ -351,10 +353,11 @@ func (f *forward) JobDone() {
 	b.pool.Acquire(name)
 	b.forwarded++
 	f.sent = b.eng.Now()
-	b.net.ForwardHTTP(b.node.Name(), b.kind.next, target, f.req, f.replied)
+	b.net.ForwardHTTP(b.node.Name(), b.kind.next, target, f.req, f)
 }
 
-func (f *forward) replied(err error) {
+// Reply takes the member's answer.
+func (f *forward) Reply(err error) {
 	f.b.pool.Release(f.member, f.b.eng.Now()-f.sent, err != nil)
 	f.finish(err)
 }
@@ -380,5 +383,5 @@ func (f *forward) finish(err error) {
 	} else {
 		f.End(b.Obs, b.Trace, svc, err)
 	}
-	f.done(err)
+	f.done.Reply(err)
 }

@@ -6,6 +6,7 @@ import (
 
 	"jade/internal/cluster"
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 	"jade/internal/obs"
 	"jade/internal/selector"
 	"jade/internal/sim"
@@ -21,7 +22,7 @@ type fakeWorker struct {
 	maxInFly int
 }
 
-func (f *fakeWorker) HandleHTTP(req *legacy.WebRequest, done func(error)) {
+func (f *fakeWorker) HandleHTTP(req *legacy.WebRequest, done netsim.Reply) {
 	f.inFly++
 	if f.inFly > f.maxInFly {
 		f.maxInFly = f.inFly
@@ -29,7 +30,7 @@ func (f *fakeWorker) HandleHTTP(req *legacy.WebRequest, done func(error)) {
 	f.eng.After(f.delay, "fake", func() {
 		f.inFly--
 		f.served++
-		done(f.err)
+		done.Reply(f.err)
 	})
 }
 
@@ -58,7 +59,7 @@ func TestRoundRobinDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		b.HandleHTTP(&legacy.WebRequest{}, func(error) {})
+		b.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(error) {}))
 	}
 	eng.Run()
 	if w1.served != 5 || w2.served != 5 {
@@ -84,7 +85,7 @@ func TestLeastConnectionsPrefersIdleWorker(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		at := float64(i) * 0.1
 		eng.At(at, "req", func() {
-			b.HandleHTTP(&legacy.WebRequest{}, func(error) {})
+			b.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(error) {}))
 		})
 	}
 	eng.Run()
@@ -118,7 +119,7 @@ func TestAddRemoveWorkerDynamics(t *testing.T) {
 		t.Fatalf("double remove: %v", err)
 	}
 	var got error
-	b.HandleHTTP(&legacy.WebRequest{}, func(err error) { got = err })
+	b.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(err error) { got = err }))
 	eng.Run()
 	if !errors.Is(got, ErrNoWorker) {
 		t.Fatalf("request with no workers: %v", got)
@@ -135,12 +136,12 @@ func TestRemoveWorkerLetsInFlightComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	completed := false
-	b.HandleHTTP(&legacy.WebRequest{}, func(err error) {
+	b.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(err error) {
 		if err != nil {
 			t.Errorf("in-flight request failed: %v", err)
 		}
 		completed = true
-	})
+	}))
 	eng.RunUntil(0.1)
 	if err := b.Remove("t1"); err != nil {
 		t.Fatal(err)
@@ -158,7 +159,7 @@ func TestPendingAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		b.HandleHTTP(&legacy.WebRequest{}, func(error) {})
+		b.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(error) {}))
 	}
 	eng.RunUntil(0.5)
 	if p, err := b.Pending("t1"); err != nil || p != 3 {
@@ -180,7 +181,7 @@ func TestWorkerErrorsCountedAndPropagated(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got error
-	b.HandleHTTP(&legacy.WebRequest{}, func(err error) { got = err })
+	b.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(err error) { got = err }))
 	eng.Run()
 	if got == nil || got.Error() != "boom" {
 		t.Fatalf("worker error not propagated: %v", got)
@@ -200,7 +201,7 @@ func TestLifecycle(t *testing.T) {
 		t.Fatal("running after stop")
 	}
 	var got error
-	b.HandleHTTP(&legacy.WebRequest{}, func(err error) { got = err })
+	b.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(err error) { got = err }))
 	eng.Run()
 	if !errors.Is(got, ErrNotRunning) {
 		t.Fatalf("request to stopped balancer: %v", got)
@@ -218,7 +219,7 @@ func TestBalancerNodeFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got error
-	b.HandleHTTP(&legacy.WebRequest{}, func(err error) { got = err })
+	b.HandleHTTP(&legacy.WebRequest{}, netsim.ReplyFunc(func(err error) { got = err }))
 	b.Node().Fail()
 	eng.Run()
 	if got == nil {
@@ -239,7 +240,7 @@ func TestSessionAffinityStickyAndEvicted(t *testing.T) {
 	// Each session key sticks to one worker across repeated requests.
 	for i := 0; i < 5; i++ {
 		for _, key := range []string{"s1", "s2", "s3", "s4"} {
-			b.HandleHTTP(&legacy.WebRequest{SessionKey: key}, func(error) {})
+			b.HandleHTTP(&legacy.WebRequest{SessionKey: key}, netsim.ReplyFunc(func(error) {}))
 		}
 		eng.Run()
 	}
@@ -266,7 +267,7 @@ func TestSessionAffinityStickyAndEvicted(t *testing.T) {
 		t.Fatalf("session s1 still pinned to departed worker %s", w)
 	}
 	var got error
-	b.HandleHTTP(&legacy.WebRequest{SessionKey: "s1"}, func(err error) { got = err })
+	b.HandleHTTP(&legacy.WebRequest{SessionKey: "s1"}, netsim.ReplyFunc(func(err error) { got = err }))
 	eng.Run()
 	if got != nil {
 		t.Fatalf("re-pinned request failed: %v", got)
@@ -279,11 +280,12 @@ func TestSessionAffinityStickyAndEvicted(t *testing.T) {
 // instantWorker answers every request at once.
 type instantWorker struct{}
 
-func (instantWorker) HandleHTTP(_ *legacy.WebRequest, done func(error)) { done(nil) }
+func (instantWorker) HandleHTTP(_ *legacy.WebRequest, done netsim.Reply) { done.Reply(nil) }
 
-// A forwarded request is one record and the bound callback it hands the
-// worker (measured 2; 10 before the record, the proxy job and the node's
-// own allocations included), with instruments on and tracing off.
+// A forwarded request is one record, which is also the worker's reply
+// (measured 1; 2 while the record bound a callback for the worker, 10
+// before the record, the proxy job and the node's own allocations
+// included), with instruments on and tracing off.
 func TestHandleHTTPAllocs(t *testing.T) {
 	eng, b := newBalancer(t, selector.RoundRobin)
 	b.Obs = obs.NewTierMetrics(obs.NewRegistry(eng.Now), "lb", "plb")
@@ -299,11 +301,11 @@ func TestHandleHTTPAllocs(t *testing.T) {
 		answered++
 	}
 	got := testing.AllocsPerRun(200, func() {
-		b.HandleHTTP(req, done)
+		b.HandleHTTP(req, netsim.ReplyFunc(done))
 		eng.Run()
 	})
-	if got > 2 {
-		t.Errorf("a forwarded request allocates %v objects in plb and cluster, want at most 2", got)
+	if got > 1 {
+		t.Errorf("a forwarded request allocates %v objects in plb and cluster, want at most 1", got)
 	}
 	if answered != 201 || b.Obs.Requests.Value() != 201 {
 		t.Fatalf("%d answers and %d counted requests over 201 runs", answered, b.Obs.Requests.Value())

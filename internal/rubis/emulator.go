@@ -224,8 +224,9 @@ type Emulator struct {
 }
 
 // client is one emulated user: its place in the think / issue / answer
-// cycle and the one request it may have in flight. The cycle's two
-// continuations are bound once, at Start, so a cycle allocates neither.
+// cycle and the one request it may have in flight. The think continuation
+// is bound once, at Start, and the client is its request's Reply, so a
+// cycle allocates neither.
 type client struct {
 	id     int
 	em     *Emulator
@@ -234,8 +235,7 @@ type client struct {
 	state  string // current session state in Chain mode
 	key    string // the session key its requests carry, "c<id>"
 
-	issueFn  func()      // c.issue
-	answerFn func(error) // c.answer
+	issueFn func() // c.issue
 
 	// The request in flight: when it left, its interaction and, when it is
 	// sampled for tracing, its root span.
@@ -291,7 +291,7 @@ func (e *Emulator) Start() error {
 	e.clients = make([]*client, e.profile.Max())
 	for i := range e.clients {
 		c := &client{id: i, em: e, parked: true, key: "c" + strconv.Itoa(i)}
-		c.issueFn, c.answerFn = c.issue, c.answer
+		c.issueFn = c.issue
 		e.clients[i] = c
 	}
 	e.adjust(e.eng.Now())
@@ -360,7 +360,7 @@ func (c *client) think() {
 	c.em.eng.After(delay, "rubis:think", c.issueFn)
 }
 
-// issue sends one interaction; answer starts the next cycle when the
+// issue sends one interaction; Reply starts the next cycle when the
 // response arrives.
 func (c *client) issue() {
 	if !c.active {
@@ -390,11 +390,11 @@ func (c *client) issue() {
 		c.span = em.Trace.Begin(0, "request", it.Name, trace.Fi("client", c.id))
 		req.TraceSpan = c.span
 	}
-	em.front.HandleHTTP(&req.WebRequest, c.answerFn)
+	em.front.HandleHTTP(&req.WebRequest, c)
 }
 
-// answer records the outcome of the request in flight and thinks again.
-func (c *client) answer(err error) {
+// Reply records the outcome of the request in flight and thinks again.
+func (c *client) Reply(err error) {
 	em := c.em
 	now := em.eng.Now()
 	if c.span != 0 {

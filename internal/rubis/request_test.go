@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 	"jade/internal/obs"
 	"jade/internal/sim"
 	"jade/internal/sqlengine"
@@ -88,14 +89,14 @@ type recordingFront struct {
 	writes int
 }
 
-func (f *recordingFront) HandleHTTP(req *legacy.WebRequest, done func(error)) {
+func (f *recordingFront) HandleHTTP(req *legacy.WebRequest, done netsim.Reply) {
 	f.byName[req.Interaction]++
 	for i := range req.Queries {
 		if req.Queries[i].IsWrite() {
 			f.writes++
 		}
 	}
-	done(nil)
+	done.Reply(nil)
 }
 
 // Sessions walk the transition graph, but only over what the mix issues:

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jade/internal/legacy"
+	"jade/internal/netsim"
 	"jade/internal/sim"
 	"jade/internal/sqlengine"
 )
@@ -282,9 +283,9 @@ func TestConstantProfile(t *testing.T) {
 // instantFront answers every request immediately.
 type instantFront struct{ served int }
 
-func (f *instantFront) HandleHTTP(req *legacy.WebRequest, done func(error)) {
+func (f *instantFront) HandleHTTP(req *legacy.WebRequest, done netsim.Reply) {
 	f.served++
-	done(nil)
+	done.Reply(nil)
 }
 
 func TestEmulatorClosedLoopAgainstInstantFront(t *testing.T) {
@@ -350,8 +351,8 @@ func TestEmulatorFollowsRamp(t *testing.T) {
 // errorFront fails every request.
 type errorFront struct{}
 
-func (errorFront) HandleHTTP(req *legacy.WebRequest, done func(error)) {
-	done(legacy.ErrNotRunning)
+func (errorFront) HandleHTTP(req *legacy.WebRequest, done netsim.Reply) {
+	done.Reply(legacy.ErrNotRunning)
 }
 
 func TestEmulatorRecordsFailures(t *testing.T) {
