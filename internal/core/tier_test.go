@@ -109,7 +109,7 @@ func steps(p *Platform) []string {
 	for _, ev := range p.Trace().ByKind("actuate.step") {
 		line := ev.Name
 		for _, f := range ev.Fields {
-			line += " " + f.Key + "=" + f.Value
+			line += " " + f.Key + "=" + f.Value()
 		}
 		out = append(out, line)
 	}

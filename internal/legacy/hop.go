@@ -1,8 +1,6 @@
 package legacy
 
 import (
-	"slices"
-
 	"jade/internal/cluster"
 	"jade/internal/obs"
 	"jade/internal/trace"
@@ -37,9 +35,9 @@ func (h *Hop) Begin(now float64, m *obs.TierMetrics, tr *trace.Tracer, parent tr
 	h.began = m.Begin()
 	h.submitted = now
 	if parent != 0 {
-		// The tracer keeps the slice it is given: handing it a copy keeps
-		// the caller's off the heap when the request is untraced.
-		h.Span = tr.Begin(parent, kind, name, slices.Clone(fields)...)
+		// The tracer copies the fields into its own storage, so the
+		// caller's slice stays on its stack, traced or not.
+		h.Span = tr.Begin(parent, kind, name, fields...)
 	}
 }
 
@@ -54,7 +52,9 @@ func (h *Hop) Ran(now float64) { h.busy = now - h.submitted }
 // records the outcome in the instruments.
 func (h *Hop) End(m *obs.TierMetrics, tr *trace.Tracer, svc float64, err error, extra ...trace.Field) {
 	if h.Span != 0 {
-		tr.End(h.Span, append([]trace.Field{trace.Ff("busy", h.busy), trace.Ff("svc", svc), trace.Outcome(err)}, extra...)...)
+		var buf [4]trace.Field // room for a balancer's member: the fields stay on the stack
+		fields := append(buf[:0], trace.Ff("busy", h.busy), trace.Ff("svc", svc), trace.Outcome(err))
+		tr.End(h.Span, append(fields, extra...)...)
 	}
 	m.End(h.began, err)
 }

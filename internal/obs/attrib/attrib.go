@@ -152,7 +152,7 @@ func hasOpen(n *trace.SpanNode) bool {
 func outcome(s *trace.Span) string {
 	for i := len(s.Fields) - 1; i >= 0; i-- {
 		if s.Fields[i].Key == "outcome" {
-			return s.Fields[i].Value
+			return s.Fields[i].Value()
 		}
 	}
 	return ""
@@ -324,7 +324,7 @@ func accountingFields(s *trace.Span) (busy, svc float64, downstream string, hasB
 			}
 		case "waits-on":
 			if !hasWaits {
-				downstream, hasWaits = s.Fields[i].Value, true
+				downstream, hasWaits = s.Fields[i].Value(), true
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -19,44 +18,54 @@ const ComponentsJSONSchema = "jade-components/v1"
 // LoopsJSONSchema identifies the /loops document.
 const LoopsJSONSchema = "jade-loops/v1"
 
-func fmtFloat(v float64) string {
+// appendFloat appends a sample value: Go's shortest exact representation,
+// with the exposition format's spellings of the infinities and NaN.
+func appendFloat(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(b, "-Inf"...)
 	case math.IsNaN(v):
-		return "NaN"
+		return append(b, "NaN"...)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // PrometheusText renders a snapshot in Prometheus text exposition format
 // 0.0.4: HELP/TYPE headers, families sorted by name, series sorted by
 // label signature, histograms as cumulative _bucket{le=...}/_sum/_count.
 // Output is a pure function of the snapshot, so same-trajectory runs
-// produce byte-identical pages.
+// produce byte-identical pages. Every line is appended to one buffer:
+// no number or sample name becomes a string of its own.
 func PrometheusText(s *Snapshot) []byte {
-	var b bytes.Buffer
+	b := make([]byte, 0, 4096)
 	for _, f := range s.Families {
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Type)
+		b = append(b, "# HELP "...)
+		b = append(b, f.Name...)
+		b = append(b, ' ')
+		b = append(b, escapeHelp(f.Help)...)
+		b = append(b, "\n# TYPE "...)
+		b = append(b, f.Name...)
+		b = append(b, ' ')
+		b = append(b, f.Type...)
+		b = append(b, '\n')
 		for _, m := range f.Series {
 			switch f.Type {
 			case HistogramType:
 				h := m.Histogram
 				for i, bound := range h.Bounds {
-					writeSample(&b, f.Name+"_bucket", m.Sig, "le", fmtFloat(bound), float64(h.Cumulative[i]))
+					b = appendBucket(b, f.Name, m.Sig, bound, float64(h.Cumulative[i]))
 				}
-				writeSample(&b, f.Name+"_bucket", m.Sig, "le", "+Inf", float64(h.Count))
-				writeSample(&b, f.Name+"_sum", m.Sig, "", "", h.Sum)
-				writeSample(&b, f.Name+"_count", m.Sig, "", "", float64(h.Count))
+				b = appendBucket(b, f.Name, m.Sig, math.Inf(1), float64(h.Count))
+				b = appendSample(b, f.Name, "_sum", m.Sig, h.Sum)
+				b = appendSample(b, f.Name, "_count", m.Sig, float64(h.Count))
 			default:
-				writeSample(&b, f.Name, m.Sig, "", "", m.Value)
+				b = appendSample(b, f.Name, "", m.Sig, m.Value)
 			}
 		}
 	}
-	return b.Bytes()
+	return b
 }
 
 // escapeHelp escapes a HELP docstring per text exposition format 0.0.4:
@@ -66,27 +75,35 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// writeSample emits one sample line, splicing an extra label (le) after
-// the series' own labels when given.
-func writeSample(b *bytes.Buffer, name, sig, extraKey, extraVal string, v float64) {
-	b.WriteString(name)
-	if sig != "" || extraKey != "" {
-		b.WriteByte('{')
-		b.WriteString(sig)
-		if extraKey != "" {
-			if sig != "" {
-				b.WriteByte(',')
-			}
-			b.WriteString(extraKey)
-			b.WriteString(`="`)
-			b.WriteString(extraVal)
-			b.WriteByte('"')
-		}
-		b.WriteByte('}')
+// appendSample appends one sample line of the series with label
+// signature sig, its name the family's followed by suffix.
+func appendSample(b []byte, name, suffix, sig string, v float64) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if sig != "" {
+		b = append(b, '{')
+		b = append(b, sig...)
+		b = append(b, '}')
 	}
-	b.WriteByte(' ')
-	b.WriteString(fmtFloat(v))
-	b.WriteByte('\n')
+	b = append(b, ' ')
+	b = appendFloat(b, v)
+	return append(b, '\n')
+}
+
+// appendBucket appends one histogram bucket line, splicing the le label
+// after the series' own labels.
+func appendBucket(b []byte, name, sig string, le, v float64) []byte {
+	b = append(b, name...)
+	b = append(b, "_bucket{"...)
+	if sig != "" {
+		b = append(b, sig...)
+		b = append(b, ',')
+	}
+	b = append(b, `le="`...)
+	b = appendFloat(b, le)
+	b = append(b, `"} `...)
+	b = appendFloat(b, v)
+	return append(b, '\n')
 }
 
 // jsonSeries mirrors SeriesSnapshot with wire-stable JSON tags.

@@ -197,7 +197,9 @@ type Emulator struct {
 	// Trace, when set together with TraceEvery, opens a root "request"
 	// span for every TraceEvery-th issued request; the request then
 	// carries the span through the tiers, which attach their hop spans
-	// under it. Sampling keeps the span store bounded on long runs.
+	// under it. Sampling keeps the span store bounded on long runs. A
+	// traced request allocates no more than an untraced one: the tracer
+	// copies the span and its fields into storage it owns.
 	Trace      *trace.Tracer
 	TraceEvery int
 

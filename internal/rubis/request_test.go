@@ -11,6 +11,7 @@ import (
 	"jade/internal/obs"
 	"jade/internal/sim"
 	"jade/internal/sqlengine"
+	"jade/internal/trace"
 )
 
 // Every read of every interaction, three ways on the initial database: its
@@ -138,17 +139,19 @@ func TestSessionsRespectZeroWeights(t *testing.T) {
 	}
 }
 
-// What a cycle may cost: the request and the room for its statements, one
-// object, against an instant front (measured 1.02: the population ticker
-// and the growth of the latency series are the rest; 7.5 with a context, a
-// request, a statement slice, SQL text, a session key and two closures per
-// cycle). Reads carry no text. Instruments on, tracing off.
-func TestEmulatorAllocsPerRequest(t *testing.T) {
+// emulatorAllocsPerRequest runs a browsing emulator against a front
+// that answers at once and returns the objects it allocates per request;
+// tr, when set, traces every request.
+func emulatorAllocsPerRequest(t *testing.T, tr func(*sim.Engine) *trace.Tracer) float64 {
+	t.Helper()
 	eng := sim.NewEngine(3)
 	front := &instantFront{}
 	em := NewEmulator(eng, front, BrowsingMix(), ConstantProfile{Clients: 50, Length: 1e6}, DefaultDataset())
 	em.ThinkTime = 1
 	em.Obs = obs.NewTierMetrics(obs.NewRegistry(eng.Now), "client", "emulator")
+	if tr != nil {
+		em.Trace, em.TraceEvery = tr(eng), 1
+	}
 	if err := em.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +167,29 @@ func TestEmulatorAllocsPerRequest(t *testing.T) {
 	if requests < 5000 {
 		t.Fatalf("%v requests per run", requests)
 	}
-	if per := allocs / requests; per > 2 {
+	return allocs / requests
+}
+
+// What a cycle may cost: the request and the room for its statements, one
+// object, against an instant front (measured 1.02: the population ticker
+// and the growth of the latency series are the rest; 7.5 with a context, a
+// request, a statement slice, SQL text, a session key and two closures per
+// cycle). Reads carry no text. Instruments on, tracing off.
+func TestEmulatorAllocsPerRequest(t *testing.T) {
+	if per := emulatorAllocsPerRequest(t, nil); per > 2 {
 		t.Errorf("the emulator allocates %.2f objects per request, want at most 2", per)
+	}
+}
+
+// A traced request costs what an untraced one does: the root span and
+// its fields go into the tracer's own storage, whose growth is amortized
+// over the store (a few slabs per thousand requests). Tracing on.
+func TestTracedRequestAllocs(t *testing.T) {
+	untraced := emulatorAllocsPerRequest(t, nil)
+	traced := emulatorAllocsPerRequest(t, func(eng *sim.Engine) *trace.Tracer {
+		return trace.New(eng.Now, 0, 0)
+	})
+	if traced-untraced > 0.01 {
+		t.Errorf("a traced request allocates %.3f objects, an untraced one %.3f", traced, untraced)
 	}
 }

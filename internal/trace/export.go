@@ -29,7 +29,7 @@ func fieldMap(fields []Field) map[string]string {
 	}
 	m := make(map[string]string, len(fields))
 	for _, f := range fields {
-		m[f.Key] = f.Value
+		m[f.Key] = f.Value()
 	}
 	return m
 }

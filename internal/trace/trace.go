@@ -21,6 +21,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -32,55 +33,81 @@ import (
 type ID uint64
 
 // Field is one typed key/value attribute. Fields are an ordered slice
-// (not a map) so emission order is deterministic.
+// (not a map) so emission order is deterministic. A field holds its value
+// as built — a string, a float, an integer or an ID — and formats it only
+// when read (Value, the exporters), so recording a span formats nothing.
 type Field struct {
-	Key   string
-	Value string
-	// num caches the numeric value for fields built with Ff so hot
-	// analysis paths (latency attribution re-reads busy/svc on every
-	// span) never re-parse the formatted string. Unexported: exports
-	// only ever see Key/Value, and Float falls back to parsing for
-	// fields built any other way (e.g. decoded from an artifact).
-	num    float64
-	hasNum bool
+	Key  string
+	str  string
+	bits uint64 // the float's bits, the integer or the ID, by kind
+	kind fieldKind
 }
 
-// Float returns the field's numeric value. Fields built with Ff answer
-// from the cached float; anything else parses Value.
-func (f *Field) Float() (float64, bool) {
-	if f.hasNum {
-		return f.num, true
+type fieldKind uint8
+
+const (
+	stringField fieldKind = iota
+	floatField
+	intField
+	idField
+)
+
+// Value returns the field's text: the string as given, a float in its
+// shortest exact representation, an integer or ID in decimal.
+func (f Field) Value() string {
+	switch f.kind {
+	case floatField:
+		// FormatFloat's text, formatted on the stack: only the string
+		// is allocated.
+		var buf [32]byte
+		return string(strconv.AppendFloat(buf[:0], math.Float64frombits(f.bits), 'g', -1, 64))
+	case intField:
+		return strconv.FormatInt(int64(f.bits), 10)
+	case idField:
+		return strconv.FormatUint(f.bits, 10)
 	}
-	v, err := strconv.ParseFloat(f.Value, 64)
+	return f.str
+}
+
+// Float returns the field's numeric value. Numeric fields answer without
+// formatting or parsing; a string field parses its text.
+func (f Field) Float() (float64, bool) {
+	switch f.kind {
+	case floatField:
+		return math.Float64frombits(f.bits), true
+	case intField:
+		return float64(int64(f.bits)), true
+	case idField:
+		return float64(f.bits), true
+	}
+	v, err := strconv.ParseFloat(f.str, 64)
 	return v, err == nil
 }
 
 // F builds a string field.
-func F(key, value string) Field { return Field{Key: key, Value: value} }
+func F(key, value string) Field { return Field{Key: key, str: value} }
 
-// Ff builds a float field, formatted with the shortest exact
-// representation so exports are byte-stable.
+// Ff builds a float field, exported in the shortest exact representation
+// so exports are byte-stable.
 func Ff(key string, v float64) Field {
-	return Field{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64), num: v, hasNum: true}
+	return Field{Key: key, bits: math.Float64bits(v), kind: floatField}
 }
 
 // Fi builds an integer field.
-func Fi(key string, v int) Field { return Field{Key: key, Value: strconv.Itoa(v)} }
+func Fi(key string, v int) Field { return Field{Key: key, bits: uint64(v), kind: intField} }
 
 // Fid builds a field referencing another event or span ID (a causal
 // link that is not a parent relationship, e.g. the sensor sample a
 // decision was based on).
-func Fid(key string, id ID) Field {
-	return Field{Key: key, Value: strconv.FormatUint(uint64(id), 10)}
-}
+func Fid(key string, id ID) Field { return Field{Key: key, bits: uint64(id), kind: idField} }
 
 // Outcome builds the conventional span-closing field: "ok" on success,
 // the error text otherwise.
 func Outcome(err error) Field {
 	if err != nil {
-		return Field{Key: "outcome", Value: err.Error()}
+		return F("outcome", err.Error())
 	}
-	return Field{Key: "outcome", Value: "ok"}
+	return F("outcome", "ok")
 }
 
 // Event is one instantaneous record.
@@ -111,17 +138,29 @@ const DefaultEventCapacity = 65536
 // DefaultSpanCapacity bounds the span store.
 const DefaultSpanCapacity = 65536
 
+// endFields is the room Begin reserves after a span's own fields for the
+// ones End appends: a hop closes with busy, svc, outcome and at most one
+// more, so a hop's span is recorded without growing its fields.
+const endFields = 4
+
+// fieldChunk is the size, in fields, of one slab of span-field storage.
+const fieldChunk = 1024
+
 // Tracer is the telemetry bus. Construct with New; methods are
 // nil-receiver-safe.
 type Tracer struct {
-	mu      sync.Mutex
-	now     func() float64
-	nextID  uint64
-	events  []Event // ring of capEvents entries once full
-	head    int     // index of the oldest event when the ring is full
-	capEv   int
+	mu     sync.Mutex
+	now    func() float64
+	nextID uint64
+	events []Event // ring of capEvents entries once full
+	head   int     // index of the oldest event when the ring is full
+	capEv  int
+	// spans is in creation order, hence in ID order. Each span's Fields
+	// is carved from slab, with room reserved for End's fields; copies
+	// handed out are capped at their length, so a reader's append never
+	// reaches storage the tracer will write.
 	spans   []Span
-	spanIdx map[ID]int
+	slab    []Field // the current chunk; its unused capacity is free
 	capSp   int
 	dropped uint64 // spans refused because the store was full
 	evicted uint64 // events evicted from the ring
@@ -146,7 +185,7 @@ func New(now func() float64, eventCap, spanCap int) *Tracer {
 	if now == nil {
 		now = func() float64 { return 0 }
 	}
-	return &Tracer{now: now, capEv: eventCap, capSp: spanCap, spanIdx: make(map[ID]int)}
+	return &Tracer{now: now, capEv: eventCap, capSp: spanCap}
 }
 
 // SetLogSink routes Logf lines onward (typically the platform's -v
@@ -220,7 +259,8 @@ func (t *Tracer) emitLocked(span ID, kind, name string, fields []Field) ID {
 
 // Begin opens a span. A zero parent uses the ambient cause (set by
 // WithCause), so actuators opened from a reactor's decision nest under
-// it without explicit plumbing.
+// it without explicit plumbing. The fields are copied: the tracer keeps
+// no reference to the caller's slice, so it may live on the stack.
 func (t *Tracer) Begin(parent ID, kind, name string, fields ...Field) ID {
 	if t == nil || t.disabled.Load() {
 		return 0
@@ -236,26 +276,53 @@ func (t *Tracer) Begin(parent ID, kind, name string, fields ...Field) ID {
 	}
 	id := t.id()
 	now := t.now()
-	t.spanIdx[id] = len(t.spans)
-	t.spans = append(t.spans, Span{ID: id, Parent: parent, Kind: kind, Name: name, Start: now, End: now, Open: true, Fields: fields})
+	own := append(t.carve(len(fields)+endFields), fields...)
+	t.spans = append(t.spans, Span{ID: id, Parent: parent, Kind: kind, Name: name, Start: now, End: now, Open: true, Fields: own})
 	return id
 }
 
-// End closes a span, appending any final fields. Ending an unknown or
-// already-closed span is a no-op.
+// carve returns an empty slice with room for n fields, cut from the
+// current slab or from a new one when it has too little left.
+func (t *Tracer) carve(n int) []Field {
+	if cap(t.slab)-len(t.slab) < n {
+		t.slab = make([]Field, 0, max(fieldChunk, n))
+	}
+	off := len(t.slab)
+	t.slab = t.slab[:off+n]
+	return t.slab[off : off : off+n]
+}
+
+// End closes a span, appending copies of any final fields. Ending an
+// unknown or already-closed span, or an event, is a no-op.
 func (t *Tracer) End(id ID, fields ...Field) {
 	if t == nil || id == 0 || t.disabled.Load() {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.spanIdx[id]
+	i, ok := t.spanIdx(id)
 	if !ok || !t.spans[i].Open {
 		return
 	}
-	t.spans[i].Open = false
-	t.spans[i].End = t.now()
-	t.spans[i].Fields = append(t.spans[i].Fields, fields...)
+	s := &t.spans[i]
+	s.Open = false
+	s.End = t.now()
+	s.Fields = append(s.Fields, fields...) // past the reserved room, a new array
+}
+
+// spanIdx finds a retained span by ID. Spans are stored in ID order, so
+// it is a binary search.
+func (t *Tracer) spanIdx(id ID) (int, bool) {
+	lo, hi := 0, len(t.spans)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.spans[m].ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t.spans) && t.spans[lo].ID == id
 }
 
 // WithCause runs fn with the ambient causal parent set to id, restoring
@@ -356,8 +423,15 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	out := append([]Span(nil), t.spans...)
+	for i := range out {
+		out[i].Fields = capped(out[i].Fields)
+	}
+	return out
 }
+
+// capped returns fs with its capacity cut to its length.
+func capped(fs []Field) []Field { return fs[:len(fs):len(fs)] }
 
 // SpanByID returns a retained span by ID.
 func (t *Tracer) SpanByID(id ID) (Span, bool) {
@@ -366,11 +440,13 @@ func (t *Tracer) SpanByID(id ID) (Span, bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.spanIdx[id]
+	i, ok := t.spanIdx(id)
 	if !ok {
 		return Span{}, false
 	}
-	return t.spans[i], true
+	s := t.spans[i]
+	s.Fields = capped(s.Fields)
+	return s, true
 }
 
 // SpanNode is one node of the causal tree returned by SpanTree.
@@ -381,23 +457,56 @@ type SpanNode struct {
 
 // SpanTree assembles the retained spans into causal trees, returning
 // the roots in creation order. A span whose parent was not retained
-// becomes a root.
+// becomes a root. The forest is three allocations whatever its size: the
+// nodes, a counting pass's scratch, and one array of node pointers that
+// holds the roots and then each node's children in turn.
 func (t *Tracer) SpanTree() []*SpanNode {
-	spans := t.Spans()
-	nodes := make(map[ID]*SpanNode, len(spans))
-	for _, s := range spans {
-		nodes[s.ID] = &SpanNode{Span: s}
+	if t == nil {
+		return nil
 	}
-	var roots []*SpanNode
-	for _, s := range spans {
-		n := nodes[s.ID]
-		if p, ok := nodes[s.Parent]; ok && s.Parent != s.ID {
-			p.Children = append(p.Children, n)
-		} else {
-			roots = append(roots, n)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := len(t.spans)
+	if n == 0 {
+		return nil
+	}
+	nodes := make([]SpanNode, n)
+	// parent[i] is the index of span i's parent, -1 for a root; kids[p]
+	// counts p's children.
+	scratch := make([]int32, 2*n)
+	parent, kids := scratch[:n], scratch[n:]
+	roots := 0
+	for i := range t.spans {
+		s := &t.spans[i]
+		nodes[i].Span = *s
+		nodes[i].Span.Fields = capped(s.Fields)
+		parent[i] = -1
+		if s.Parent != s.ID {
+			if p, ok := t.spanIdx(s.Parent); ok {
+				parent[i] = int32(p)
+				kids[p]++
+				continue
+			}
+		}
+		roots++
+	}
+	ptrs := make([]*SpanNode, n)
+	next := roots
+	for p, c := range kids {
+		if c > 0 {
+			nodes[p].Children = ptrs[next : next : next+int(c)]
+			next += int(c)
 		}
 	}
-	return roots
+	out := ptrs[:0:roots]
+	for i, p := range parent {
+		if p < 0 {
+			out = append(out, &nodes[i])
+		} else {
+			nodes[p].Children = append(nodes[p].Children, &nodes[i])
+		}
+	}
+	return out
 }
 
 // Stats reports retention counters.
@@ -439,7 +548,7 @@ func FormatEvent(ev Event) string {
 		s += " " + ev.Name
 	}
 	for _, f := range ev.Fields {
-		s += fmt.Sprintf(" %s=%s", f.Key, f.Value)
+		s += fmt.Sprintf(" %s=%s", f.Key, f.Value())
 	}
 	return s
 }

@@ -301,6 +301,171 @@ func TestDisabledTracerAllocs(t *testing.T) {
 	}
 }
 
+// hop records one span shaped like a request hop: one field at Begin,
+// busy, svc, outcome and the balancer's member at End.
+func hop(tr *Tracer, parent ID) ID {
+	id := tr.Begin(parent, "forward", "plb1", F("replica", "tomcat1"))
+	tr.End(id, Ff("busy", 0.125), Ff("svc", 0.0625), Outcome(nil), F("worker", "tomcat2"))
+	return id
+}
+
+// Locked-in allocation budgets for a recording tracer: a request's spans
+// cost nothing once the store's and the slabs' growth is amortized over a
+// full store, a refused span costs nothing, and the span tree is a fixed
+// number of allocations whatever its size.
+func TestRecordingTracerAllocs(t *testing.T) {
+	now := 0.0
+	tr := New(clock(&now), 0, 0)
+	root := tr.Begin(0, "request", "ViewItem", Fi("client", 1))
+	if n := testing.AllocsPerRun(DefaultSpanCapacity-2, func() { hop(tr, root) }); n != 0 {
+		t.Fatalf("hop span over a store fill: %v allocs/op, want 0", n)
+	}
+	if st := tr.Stat(); st.Spans != DefaultSpanCapacity || st.SpansDropped != 0 {
+		t.Fatalf("store after the fill: %+v", st)
+	}
+	if n := testing.AllocsPerRun(1000, func() { hop(tr, root) }); n != 0 {
+		t.Fatalf("refused span: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(3, func() { tr.SpanTree() }); n > 4 {
+		t.Fatalf("SpanTree over %d spans: %v allocs, want at most 4", DefaultSpanCapacity, n)
+	}
+	roots := tr.SpanTree()
+	if len(roots) != 1 || len(roots[0].Children) != DefaultSpanCapacity-1 {
+		t.Fatalf("tree of the fill: %d roots", len(roots))
+	}
+}
+
+// TestEndIsANoOpOffOpenSpans pins what the span index map used to
+// guarantee: End touches only a retained, open span.
+func TestEndIsANoOpOffOpenSpans(t *testing.T) {
+	now := 1.0
+	tr := New(clock(&now), 0, 3)
+	a := tr.Begin(0, "s", "a", F("k", "v"))
+	ev := tr.Emit("e", "x")
+	b := tr.Begin(a, "s", "b")
+	tr.End(ev, F("end", "event")) // an event's ID, just before an open span's
+	if sp, _ := tr.SpanByID(b); !sp.Open || len(sp.Fields) != 0 {
+		t.Fatalf("ending an event touched the next span: %+v", sp)
+	}
+	now = 2
+	tr.End(b, F("end", "1"))
+	before := tr.Spans()
+	now = 3
+	tr.End(ID(99), F("end", "99")) // never issued
+	tr.End(b, F("end", "2"))       // already closed
+	c := tr.Begin(0, "s", "c")
+	refused := tr.Begin(0, "s", "refused")
+	tr.End(refused, F("end", "refused")) // refused: the store is full
+	after := tr.Spans()
+	if refused != 0 || len(after) != 3 {
+		t.Fatalf("store full: refused=%d, %d spans", refused, len(after))
+	}
+	if fmt.Sprint(after[:2]) != fmt.Sprint(before) {
+		t.Fatalf("End changed spans it should not touch:\n%v\n%v", before, after[:2])
+	}
+	// A retained span still closes once the store is full.
+	tr.End(c, Outcome(nil))
+	if sp, _ := tr.SpanByID(c); sp.Open || sp.End != 3 || len(sp.Fields) != 1 {
+		t.Fatalf("c after End: %+v", sp)
+	}
+	tr.End(a, F("a", "1"), F("a", "2"), F("a", "3"), F("a", "4"), F("a", "5"))
+	if sp, _ := tr.SpanByID(a); len(sp.Fields) != 6 || sp.Fields[0].Value() != "v" || sp.Fields[5].Value() != "5" {
+		t.Fatalf("fields past the reserved room: %+v", sp.Fields)
+	}
+}
+
+// TestSpansHandOutCappedFields checks a reader's append cannot reach the
+// room a span keeps for End's fields.
+func TestSpansHandOutCappedFields(t *testing.T) {
+	now := 0.0
+	tr := New(clock(&now), 0, 0)
+	id := tr.Begin(0, "s", "open", F("k", "v"))
+	sp, _ := tr.SpanByID(id)
+	readers := [][]Field{
+		append(sp.Fields, F("reader", "x")),
+		append(tr.Spans()[0].Fields, F("reader", "y")),
+		append(tr.SpanTree()[0].Span.Fields, F("reader", "z")),
+	}
+	tr.End(id, Outcome(nil))
+	sp, _ = tr.SpanByID(id)
+	if len(sp.Fields) != 2 || sp.Fields[1].Key != "outcome" {
+		t.Fatalf("fields after End: %+v", sp.Fields)
+	}
+	for _, r := range readers {
+		if r[1].Key != "reader" {
+			t.Fatalf("End wrote into a reader's slice: %+v", r)
+		}
+	}
+}
+
+// referenceSpanTree is the map-based SpanTree the in-place build replaced.
+func referenceSpanTree(spans []Span) []*SpanNode {
+	nodes := make(map[ID]*SpanNode, len(spans))
+	for _, s := range spans {
+		nodes[s.ID] = &SpanNode{Span: s}
+	}
+	var roots []*SpanNode
+	for _, s := range spans {
+		n := nodes[s.ID]
+		if p, ok := nodes[s.Parent]; ok && s.Parent != s.ID {
+			p.Children = append(p.Children, n)
+		} else {
+			roots = append(roots, n)
+		}
+	}
+	return roots
+}
+
+func TestSpanTreeMatchesReference(t *testing.T) {
+	now := 0.0
+	tr := New(clock(&now), 0, 400)
+	var ids []ID
+	tr.WithCause(1, func() { ids = append(ids, tr.Begin(0, "s", "own parent")) })
+	rng := uint64(1)
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % n
+	}
+	for i := 0; i < 500; i++ {
+		now += 0.01
+		var parent ID
+		switch next(4) {
+		case 0: // a root
+		case 1: // an event: its children become roots
+			parent = tr.Emit("e", "x")
+		default:
+			if len(ids) > 0 {
+				parent = ids[next(len(ids))]
+			}
+		}
+		id := tr.Begin(parent, "s", "n", Fi("i", i))
+		if id != 0 {
+			ids = append(ids, id)
+		}
+		if next(3) == 0 && len(ids) > 0 {
+			tr.End(ids[next(len(ids))], Fi("end", i))
+		}
+	}
+	got, want := tr.SpanTree(), referenceSpanTree(tr.Spans())
+	var render func(ns []*SpanNode) string
+	render = func(ns []*SpanNode) string {
+		s := "["
+		for _, n := range ns {
+			s += fmt.Sprintf("%v%s ", n.Span, render(n.Children))
+		}
+		return s + "]"
+	}
+	if render(got) != render(want) {
+		t.Fatal("SpanTree differs from the map-based reference")
+	}
+	if n := testing.AllocsPerRun(3, func() { tr.SpanTree() }); n > 4 {
+		t.Fatalf("SpanTree over a forest: %v allocs, want at most 4", n)
+	}
+	if len(want) < 50 || tr.Stat().SpansDropped == 0 {
+		t.Fatalf("the forest has %d roots and %d dropped spans", len(want), tr.Stat().SpansDropped)
+	}
+}
+
 func BenchmarkDisabledLogf(b *testing.B) {
 	now := 0.0
 	tr := New(clock(&now), 0, 0)

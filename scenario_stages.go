@@ -624,10 +624,16 @@ func (r *run) liveConfig() error {
 	return nil
 }
 
+// prometheusText renders every metrics snapshot of a run. It is
+// obs.PrometheusText; a test wraps it to check each page against the
+// reference renderer.
+var prometheusText = obs.PrometheusText
+
 // publishing starts the admin endpoint (with HTTPAddr) and the snapshot
 // ticker, which runs unconditionally so the event schedule is identical
 // whether or not anyone watches the run; page rendering is skipped when
-// nobody does. Its finisher publishes the final pages and writes the run
+// nobody does, and the admin-only pages are rendered only with an admin
+// server. Its finisher publishes the final pages and writes the run
 // artifacts, so it must stay the last one.
 func (r *run) publishing() error {
 	cfg, p, res, reg := &r.cfg, r.p, r.res, r.p.Metrics()
@@ -663,17 +669,20 @@ func (r *run) publishing() error {
 			return // nobody watching: skip rendering, keep the schedule
 		}
 		snap := reg.Snapshot()
-		prom := obs.PrometheusText(snap)
+		prom := prometheusText(snap)
 		js := obs.MetricsJSON(snap)
 		r.pub.Set("/metrics", prom)
 		r.pub.Set("/metrics.json", js)
-		r.pub.Set("/components", componentsPage(now, r.dep, p))
-		r.pub.Set("/loops", loopsPage(now, res))
-		r.pub.Set("/healthz", healthPage(now, p, r.dep, r.harness, r.slo, r.alerts))
-		r.pub.Set("/alerts", r.alerts.AlertsPage(now))
-		r.pub.Set("/incidents", r.alerts.IncidentsJSON(now))
-		r.pub.Set("/fluid", fluidPage(now, r.fnet))
-		r.pub.Set("/config", r.crt.renderPage(now))
+		if res.Admin != nil {
+			// Only the admin server reads these pages.
+			r.pub.Set("/components", componentsPage(now, r.dep, p))
+			r.pub.Set("/loops", loopsPage(now, res))
+			r.pub.Set("/healthz", healthPage(now, p, r.dep, r.harness, r.slo, r.alerts))
+			r.pub.Set("/alerts", r.alerts.AlertsPage(now))
+			r.pub.Set("/incidents", r.alerts.IncidentsJSON(now))
+			r.pub.Set("/fluid", fluidPage(now, r.fnet))
+			r.pub.Set("/config", r.crt.renderPage(now))
+		}
 		base := fmt.Sprintf("metrics-t%08d", int64(math.Round(now)))
 		r.writeArtifact(base+".prom", prom)
 		r.writeArtifact(base+".json", js)

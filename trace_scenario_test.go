@@ -100,7 +100,7 @@ func TestManagedResizeDecisionChain(t *testing.T) {
 	field := func(s trace.Span, key string) (string, bool) {
 		for _, f := range s.Fields {
 			if f.Key == key {
-				return f.Value, true
+				return f.Value(), true
 			}
 		}
 		return "", false
