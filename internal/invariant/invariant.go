@@ -335,7 +335,8 @@ type BalancerAgreement struct {
 	// NodeOf resolves a replica's node.
 	NodeOf func(name string) (*cluster.Node, error)
 	// FailedGrace is how long a member may point at a failed node before
-	// it is a violation (default 240 s, covering detection + repair).
+	// it is a violation (default 240 s, covering detection + repair;
+	// +Inf where no repair loop runs).
 	FailedGrace float64
 
 	label       string

@@ -203,6 +203,12 @@ func (r *run) invariants() error {
 	}, r.dbTier)
 	dbAgree.ComponentState = componentState
 	dbAgree.NodeOf = dep.NodeOf
+	if !r.cfg.Managed || !r.cfg.Recovery {
+		// The grace is the time self-recovery has to repair; with no
+		// repair loop armed nothing ever unbinds a failed member.
+		appAgree.FailedGrace = math.Inf(1)
+		dbAgree.FailedGrace = math.Inf(1)
+	}
 	doubleRepair := invariant.NewDoubleRepair()
 	p.OnRepairDiscard(doubleRepair.Record)
 	harness.Register(
