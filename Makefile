@@ -20,26 +20,16 @@
 #                       run under `race`)
 #   make selector-smoke - one rendezvous fuzz pass over the committed corpus
 #                       (the selector property tests run under `race`)
-#   make alert-smoke  - run the quick alert-latency experiment end to end
-#                       (self-checking: nonzero exit unless the alert plane
-#                       pages the gray replica while the φ detector is silent)
-#   make fluid-smoke  - the quick million-client experiment (self-checking:
-#                       nonzero exit unless the run reaches a million clients
-#                       with both sizing loops actuating)
-#   make diff-smoke   - the quick latency-budget experiment (self-checking:
-#                       nonzero exit unless same-seed runs diff clean and the
-#                       injected app slowdown is localized to app-tier queueing)
-#   make config-smoke - the quick live-retune experiment (self-checking: nonzero
-#                       exit unless the mid-run selector swap improves
-#                       gray-failure p99 >=2x with zero restarts and a
-#                       byte-identical same-seed replay)
+#   make experiments  - every jadebench experiment at full length (go run
+#                       ./cmd/jadebench at its defaults); each self-checks,
+#                       so a failed claim exits nonzero
 #   make api-check    - diff the facade's exported surface against testdata/api_surface.txt
 
 GO ?= go
 TMP_DIR := $(shell mktemp -d 2>/dev/null || echo /tmp)
 TRACE_TMP := $(TMP_DIR)/jade-trace.json
 
-.PHONY: all build test vet race sweep trace-smoke golden bench sql-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke api-check ci
+.PHONY: all build test vet race sweep trace-smoke golden bench sql-smoke obs-smoke netsim-smoke selector-smoke experiments api-check ci
 
 all: build
 
@@ -88,19 +78,10 @@ netsim-smoke:
 selector-smoke:
 	$(GO) test -run FuzzRendezvousPick -fuzz FuzzRendezvousPick -fuzztime 1x ./internal/selector
 
-alert-smoke:
-	$(GO) run ./cmd/jadebench -experiment alertlat -quick
-
-fluid-smoke:
-	$(GO) run ./cmd/jadebench -experiment millionclient -quick
-
-diff-smoke:
-	$(GO) run ./cmd/jadebench -experiment latbudget -quick
-
-config-smoke:
-	$(GO) run ./cmd/jadebench -experiment liveretune -quick
+experiments:
+	$(GO) run ./cmd/jadebench
 
 api-check:
 	$(GO) test -run TestAPISurface .
 
-ci: vet race sweep trace-smoke golden sql-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke api-check
+ci: vet race sweep trace-smoke golden sql-smoke obs-smoke netsim-smoke selector-smoke experiments api-check

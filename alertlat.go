@@ -2,27 +2,6 @@ package jade
 
 import "fmt"
 
-// AlertLatVariant is one fault mode's run of the alert-latency
-// experiment (see RunAlertLatency).
-type AlertLatVariant struct {
-	Name string
-	// FaultAt is the virtual time of the injection (absolute).
-	FaultAt float64
-	// PageAfter is how long after the fault the alert plane raised its
-	// first page (-1: never paged).
-	PageAfter float64
-	// PageComponent is the component the first page named.
-	PageComponent string
-	// Suspect is the causal suspect of the first incident.
-	Suspect string
-	// PhiAfter is how long after the fault the φ-accrual detector first
-	// suspected anyone (-1: never — the definition of a gray failure).
-	PhiAfter float64
-	// Suspicions is the detector's total suspect-transition count.
-	Suspicions uint64
-	Result     *ScenarioResult
-}
-
 // AlertLatencyScenario returns the alert-latency experiment's
 // configuration for one fault mode. Both modes start from the PR-6
 // gray-failure scenario (round-robin, so nothing routes around the
@@ -58,77 +37,75 @@ const alertLatFaultAt = 20.0
 // the 100+ s a slow-window-only burn alert would take.
 const alertLatPageBound = 120.0
 
-// RunAlertLatency measures virtual-time-to-first-page of the alerting
-// plane against the φ-accrual failure detector on the same faults. The
-// experiment is self-checking: it errors unless (gray) the alert plane
-// pages within alertLatPageBound of the fault, names tomcat2, and φ
-// records zero suspicions; and (crash) both the detector and the alert
-// plane fire on the dead replica. quick shrinks the runs for smoke
-// tests; variants fan out over Parallelism() workers and results are
-// deterministic per seed regardless of the fan-out width.
-func RunAlertLatency(seed int64, quick bool) ([]AlertLatVariant, string, error) {
-	variants := []AlertLatVariant{{Name: "gray"}, {Name: "crash"}}
-	errs := make([]error, len(variants))
-	_ = forEachPar(len(variants), func(i int) error {
-		r, err := RunScenario(AlertLatencyScenario(seed, variants[i].Name, quick))
-		if err != nil {
-			errs[i] = fmt.Errorf("alertlat %q: %w", variants[i].Name, err)
-			return errs[i]
+// alertLatRuns runs the gray and the crash fault mode side by side.
+func alertLatRuns(x *expEnv) ([]expRun, error) {
+	return []expRun{
+		{name: "gray", cfg: AlertLatencyScenario(x.Seed, "gray", x.Quick)},
+		{name: "crash", cfg: AlertLatencyScenario(x.Seed, "crash", x.Quick)},
+	}, nil
+}
+
+// alertLatReport measures virtual-time-to-first-page of the alerting
+// plane against the φ-accrual failure detector on the same faults. It
+// self-checks that (gray) the alert plane pages within alertLatPageBound
+// of the fault, names tomcat2, and φ records zero suspicions; and
+// (crash) both the detector and the alert plane fire on the dead
+// replica.
+func alertLatReport(x *expEnv, rs []expRun) (string, error) {
+	// Per fault mode: seconds after the fault to the first page and to
+	// φ's first suspicion (-1: never), the component paged, the first
+	// incident's suspect and φ's suspect-transition count.
+	type faultMode struct {
+		pageAfter, phiAfter float64
+		paged, suspect      string
+		suspicions          uint64
+	}
+	ms := make([]faultMode, len(rs))
+	for i, v := range rs {
+		r, m := v.res, &ms[i]
+		if viol := r.InvariantViolation; viol != nil {
+			return "", fmt.Errorf("alertlat %q: invariant %q violated: %s", v.name, viol.Checker, viol.Detail)
 		}
-		v := &variants[i]
-		v.Result = r
-		v.FaultAt = r.WorkloadStart + alertLatFaultAt
-		v.PageAfter, v.PhiAfter = -1, -1
+		faultAt := r.WorkloadStart + alertLatFaultAt
+		m.pageAfter, m.phiAfter = -1, -1
 		if t := r.Alerts.FirstPageTime(); t >= 0 {
-			v.PageAfter = t - v.FaultAt
+			m.pageAfter = t - faultAt
 		}
 		if a := r.Alerts.FirstPage(); a != nil {
-			v.PageComponent = a.Component
+			m.paged = a.Component
 		}
 		if incs := r.Alerts.Incidents(); len(incs) > 0 {
-			v.Suspect = incs[0].Suspect
+			m.suspect = incs[0].Suspect
 		}
 		if t := r.Alerts.FirstContextTime("detector.suspect"); t >= 0 {
-			v.PhiAfter = t - v.FaultAt
+			m.phiAfter = t - faultAt
 		}
 		if r.Detector != nil {
-			v.Suspicions = r.Detector.Suspicions
-		}
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, "", err
+			m.suspicions = r.Detector.Suspicions
 		}
 	}
-
-	for _, v := range variants {
-		if viol := v.Result.InvariantViolation; viol != nil {
-			return nil, "", fmt.Errorf("alertlat %q: invariant %q violated: %s", v.Name, viol.Checker, viol.Detail)
-		}
+	gray, crash := ms[0], ms[1]
+	if gray.suspicions != 0 || gray.phiAfter >= 0 {
+		return "", fmt.Errorf("alertlat gray: φ detector suspected a replica (%d suspicions) — the fault is not gray", gray.suspicions)
 	}
-	gray, crash := &variants[0], &variants[1]
-	if gray.Suspicions != 0 || gray.PhiAfter >= 0 {
-		return nil, "", fmt.Errorf("alertlat gray: φ detector suspected a replica (%d suspicions) — the fault is not gray", gray.Suspicions)
+	if gray.pageAfter < 0 {
+		return "", fmt.Errorf("alertlat gray: alert plane never paged on the degraded replica")
 	}
-	if gray.PageAfter < 0 {
-		return nil, "", fmt.Errorf("alertlat gray: alert plane never paged on the degraded replica")
+	if gray.pageAfter > alertLatPageBound {
+		return "", fmt.Errorf("alertlat gray: first page %.1f s after the fault, want <= %.0f s", gray.pageAfter, alertLatPageBound)
 	}
-	if gray.PageAfter > alertLatPageBound {
-		return nil, "", fmt.Errorf("alertlat gray: first page %.1f s after the fault, want <= %.0f s", gray.PageAfter, alertLatPageBound)
+	if gray.paged != "tomcat2" || gray.suspect != "tomcat2" {
+		return "", fmt.Errorf("alertlat gray: paged %q / suspected %q, want tomcat2 for both", gray.paged, gray.suspect)
 	}
-	if gray.PageComponent != "tomcat2" || gray.Suspect != "tomcat2" {
-		return nil, "", fmt.Errorf("alertlat gray: paged %q / suspected %q, want tomcat2 for both", gray.PageComponent, gray.Suspect)
+	if crash.suspicions == 0 || crash.phiAfter < 0 {
+		return "", fmt.Errorf("alertlat crash: φ detector never suspected the dead replica")
 	}
-	if crash.Suspicions == 0 || crash.PhiAfter < 0 {
-		return nil, "", fmt.Errorf("alertlat crash: φ detector never suspected the dead replica")
-	}
-	if crash.PageAfter < 0 {
-		return nil, "", fmt.Errorf("alertlat crash: alert plane never paged on the dead replica")
+	if crash.pageAfter < 0 {
+		return "", fmt.Errorf("alertlat crash: alert plane never paged on the dead replica")
 	}
 
 	title := "Alert latency vs φ-accrual detection (fault at t+20 s, constant 60 clients, 240 s)"
-	if quick {
+	if x.Quick {
 		title = "Alert latency vs φ-accrual detection (fault at t+20 s, constant 40 clients, 120 s, quick)"
 	}
 	tb := &TextTable{
@@ -141,19 +118,19 @@ func RunAlertLatency(seed int64, quick bool) ([]AlertLatVariant, string, error) 
 		}
 		return fmt.Sprintf("%.1f", v)
 	}
-	for _, v := range variants {
-		r := v.Result
-		tb.AddRow(v.Name,
-			fmtAfter(v.PageAfter),
-			orNone(v.PageComponent),
-			orNone(v.Suspect),
-			fmtAfter(v.PhiAfter),
-			fmt.Sprintf("%d", v.Suspicions),
+	for i, v := range rs {
+		r, m := v.res, ms[i]
+		tb.AddRow(v.name,
+			fmtAfter(m.pageAfter),
+			orNone(m.paged),
+			orNone(m.suspect),
+			fmtAfter(m.phiAfter),
+			fmt.Sprintf("%d", m.suspicions),
 			fmt.Sprintf("%.3f", r.RequestLatency.Quantile(0.99)),
 			fmt.Sprintf("%d", r.Stats.Completed),
 			fmt.Sprintf("%d", r.Stats.Failed))
 	}
-	return variants, tb.Render(), nil
+	return tb.Render(), nil
 }
 
 func orNone(s string) string {

@@ -116,87 +116,26 @@ func BenchmarkFigure9LatencyWithJade(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1Intrusivity regenerates Table 1: Jade's overhead at a
-// medium steady workload with no reconfigurations (paper: 12 vs 12 req/s,
-// 89 vs 87 ms, 12.74 vs 12.42 % CPU, 20.1 vs 17.5 % memory).
-func BenchmarkTable1Intrusivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := RunTable1(benchSeed, 600)
-		if err != nil {
-			b.Fatal(err)
+// BenchmarkExperiments regenerates Table 1 — Jade's overhead at a medium
+// steady workload with no reconfigurations (paper: 12 vs 12 req/s, 89 vs
+// 87 ms, 12.74 vs 12.42 % CPU, 20.1 vs 17.5 % memory) — and the ablations
+// of the design choices DESIGN.md calls out, one sub-benchmark per
+// jadebench section.
+func BenchmarkExperiments(b *testing.B) {
+	for i := range experiments {
+		e := &experiments[i]
+		if e.name != "table1" && e.name != "ablations" {
+			continue
 		}
-		printFirst("Table 1", res.Render())
-		b.ReportMetric(res.With.CPUPercent-res.Without.CPUPercent, "cpu-overhead-points")
-		b.ReportMetric(res.With.MemPercent-res.Without.MemPercent, "mem-overhead-points")
-	}
-}
-
-// --- Ablations (design choices called out in DESIGN.md) ---
-
-// BenchmarkAblationNoMovingAverage quantifies what the temporal moving
-// average buys: raw per-second CPU samples versus the paper's 60/90 s
-// windows.
-func BenchmarkAblationNoMovingAverage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := RunAblationSmoothing(benchSeed, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFirst("Ablation: moving average", RenderAblation("Sensor smoothing", rows))
-		b.ReportMetric(float64(rows[0].Reconfigurations), "reconfigs-unsmoothed")
-		b.ReportMetric(float64(rows[len(rows)-1].Reconfigurations), "reconfigs-paper")
-	}
-}
-
-// BenchmarkAblationNoInhibition quantifies the one-minute
-// post-reconfiguration inhibition window.
-func BenchmarkAblationNoInhibition(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := RunAblationInhibition(benchSeed, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFirst("Ablation: inhibition window", RenderAblation("Reconfiguration inhibition", rows))
-		b.ReportMetric(float64(rows[0].Reconfigurations), "reconfigs-no-inhibition")
-		b.ReportMetric(float64(rows[1].Reconfigurations), "reconfigs-paper")
-	}
-}
-
-// BenchmarkAblationThresholdSweep explores the min/max threshold space —
-// the configuration the paper says was "determined manually with some
-// benchmarks" and calls a key challenge.
-func BenchmarkAblationThresholdSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := RunAblationThresholds(benchSeed, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFirst("Ablation: thresholds", RenderAblation("Threshold sweep", rows))
-	}
-}
-
-// BenchmarkAblationBalancerPolicy compares C-JDBC's read balancing
-// policies over two static backends near saturation.
-func BenchmarkAblationBalancerPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := RunAblationBalancerPolicy(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFirst("Ablation: balancer policy", RenderAblation("C-JDBC read policy", rows))
-	}
-}
-
-// BenchmarkAblationRecoveryLogReplay measures replica synchronization
-// time versus the recovery-log delta replayed (§4.1).
-func BenchmarkAblationRecoveryLogReplay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := RunAblationRecoveryLogReplay(benchSeed, []int{0, 250, 500, 1000, 2000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFirst("Ablation: recovery-log replay", RenderReplay(rows))
-		b.ReportMetric(rows[len(rows)-1].SyncSeconds, "sync-seconds-at-2000")
+		b.Run(e.title, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, body, err := e.run(testEnv(b, ExperimentOptions{Seed: benchSeed, Speedup: 2}))
+				if err != nil {
+					b.Fatal(err)
+				}
+				printFirst(e.title, body)
+			}
+		})
 	}
 }
 

@@ -44,9 +44,9 @@
 // -route.probe-after/-route.half-life tune the shared selector pool.
 //
 // scenario flags are namespaced by concern (fault.*, route.*, net.*,
-// trace.*, metrics.*); the pre-namespace spellings (-mtbf, -trace, -trace-jsonl,
-// -trace-requests, -metrics-dir, -metrics-interval, -http, -scrape-check,
-// -serve) still parse as hidden deprecated aliases that warn once.
+// trace.*, metrics.*); the pre-namespace spellings (-mtbf, -trace,
+// -trace-jsonl, -trace-requests, -metrics-dir, -metrics-interval, -http,
+// -scrape-check, -serve) are rejected as unknown flags.
 //
 // -config loads a grouped run spec (JSON, the jade.Spec schema — see
 // examples/netfault.json); flags set explicitly on the command line

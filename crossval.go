@@ -3,6 +3,7 @@ package jade
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -28,19 +29,7 @@ type CrossValidation struct {
 // DecisionsMatch reports whether both tiers took identical resize
 // decision sequences under the two engines.
 func (cv *CrossValidation) DecisionsMatch() bool {
-	return seqEqual(cv.AppFluid, cv.AppDiscrete) && seqEqual(cv.DBFluid, cv.DBDiscrete)
-}
-
-func seqEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(cv.AppFluid, cv.AppDiscrete) && slices.Equal(cv.DBFluid, cv.DBDiscrete)
 }
 
 // resizeSequence extracts the ordered replica-count transitions from a
@@ -84,23 +73,27 @@ func seriesRMS(a, b *Series, t0, t1, step float64) float64 {
 // curves within a few percent RMS of the discrete engine's and take the
 // same resize decisions in the same order.
 func FluidCrossValidation(seed int64, speedup float64) (*CrossValidation, error) {
-	run := func(mode string) (*ScenarioResult, error) {
-		cfg := DefaultScenario(seed, true)
-		cfg.WorkloadMode = mode
-		r := PaperRamp()
-		r.StepPerMinute = int(21 * speedup)
-		r.HoldAtPeak = 120 / speedup
-		cfg.Profile = r
-		return RunScenario(cfg)
-	}
-	f, err := run(WorkloadFluid)
-	if err != nil {
+	rs := crossValRuns(seed, speedup)
+	if err := runAll("crossval", rs); err != nil {
 		return nil, err
 	}
-	d, err := run(WorkloadDiscrete)
-	if err != nil {
-		return nil, err
+	return crossValidate(seed, speedup, rs[0].res, rs[1].res), nil
+}
+
+// crossValRuns is the managed paper ramp, compressed by speedup, once
+// under the fluid engine and once under the discrete one.
+func crossValRuns(seed int64, speedup float64) []expRun {
+	rs := []expRun{{name: WorkloadFluid}, {name: WorkloadDiscrete}}
+	for i := range rs {
+		rs[i].cfg = DefaultScenario(seed, true)
+		rs[i].cfg.WorkloadMode = rs[i].name
+		rs[i].cfg.Profile = compressedRamp(speedup)
 	}
+	return rs
+}
+
+// crossValidate compares the fluid run f with the discrete run d.
+func crossValidate(seed int64, speedup float64, f, d *ScenarioResult) *CrossValidation {
 	horizon := f.Config.Profile.Duration() + f.Config.DrainSeconds
 	return &CrossValidation{
 		Seed:        seed,
@@ -113,7 +106,7 @@ func FluidCrossValidation(seed int64, speedup float64) (*CrossValidation, error)
 		DBDiscrete:  resizeSequence(d.DB.Replicas),
 		Fluid:       f,
 		Discrete:    d,
-	}, nil
+	}
 }
 
 // renderSeq renders a decision sequence for tables ("-" when empty).

@@ -2,12 +2,167 @@ package jade
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"jade/internal/core"
 	"jade/internal/metrics"
 	"jade/internal/report"
 )
+
+// An experiment is one jadebench section: the runs it needs and the
+// report that self-checks them and renders the section body. Entries
+// sharing a name run together (`jadebench -experiment ablations`).
+type experiment struct {
+	name, title string
+	// runs builds the entry's scenarios; nil when the report builds its
+	// own platform or reads the paper pair.
+	runs func(x *expEnv) ([]expRun, error)
+	// report checks the finished runs and renders the section body; an
+	// error is a failed self-check.
+	report func(x *expEnv, rs []expRun) (string, error)
+}
+
+// expRun is one named scenario of an experiment and, once run, its result
+// and the wall-clock seconds it took.
+type expRun struct {
+	name string
+	cfg  ScenarioConfig
+	res  *ScenarioResult
+	wall float64
+}
+
+// experiments is jadebench's evaluation, in section order.
+var experiments = []experiment{
+	{name: "fig4", title: "Figure 4 — qualitative reconfiguration scenario",
+		report: func(x *expEnv, _ []expRun) (string, error) { return Figure4(x.Seed) }},
+	paperFigure("fig5", "Figure 5 — dynamically adjusted number of replicas", (*PaperRuns).Figure5),
+	paperFigure("fig6", "Figure 6 — behavior of the database tier", (*PaperRuns).Figure6),
+	paperFigure("fig7", "Figure 7 — behavior of the application tier", (*PaperRuns).Figure7),
+	paperFigure("fig8", "Figure 8 — response time without Jade", (*PaperRuns).Figure8),
+	paperFigure("fig9", "Figure 9 — response time with Jade", (*PaperRuns).Figure9),
+	paperFigure("summary", "Scenario summary", (*PaperRuns).Summary),
+	{"churn", "Availability under churn — self-recovery manager", churnRuns, churnReport},
+	{"netfault", "Managed recovery under network faults — loss, partitions, crashes", netFaultRuns, netFaultReport},
+	{"grayfail", "Routing policies under gray failure — slow-but-alive replicas", grayFailRuns, grayFailReport},
+	{"liveretune", "Live retune — runtime policy swap over the admin plane, zero restarts", liveRetuneRuns, liveRetuneReport},
+	{"alertlat", "Alert latency — burn-rate/anomaly paging vs φ-accrual detection", alertLatRuns, alertLatReport},
+	{"latbudget", "Latency budgets — per-tier attribution, critical path, run diff", latBudgetRuns, latBudgetReport},
+	{"millionclient", "Million-client scale — hybrid fluid/discrete workload engine", millionClientRuns, millionClientReport},
+	{"table1", "Table 1 — performance overhead (intrusivity)", table1Runs, table1Report},
+	{"ablations", "Ablation — sensor smoothing", smoothingRuns, ablationReport("Moving-average window")},
+	{"ablations", "Ablation — reconfiguration inhibition", inhibitionRuns, ablationReport("Inhibition window")},
+	{"ablations", "Ablation — threshold sweep", thresholdRuns, ablationReport("CPU thresholds")},
+	{"ablations", "Ablation — C-JDBC read policy", balancerPolicyRuns, ablationReport("Read balancing policy")},
+	{name: "ablations", title: "Ablation — recovery-log replay", report: replayReport},
+}
+
+// ExperimentOptions are the settings every jadebench experiment reads.
+type ExperimentOptions struct {
+	Seed int64
+	// Speedup compresses the paper ramp of Figs. 5-9 (1 = the paper's
+	// ~50-minute run) and of the sizing ablations (at least 2).
+	Speedup float64
+	// Quick shrinks the self-checking flagships for smoke runs.
+	Quick bool
+	// Override adjusts the paper pair's and churn's configurations (the
+	// CLI's scenario flags); the other experiments fix their own.
+	Override func(*ScenarioConfig)
+	// Logf, when set, reports progress.
+	Logf func(format string, args ...any)
+}
+
+// expEnv is one jadebench invocation's state: its options, a scratch
+// root for runs that write artifacts, and the paper pair once a figure
+// has run it.
+type expEnv struct {
+	ExperimentOptions
+	tmp   string
+	paper *PaperRuns
+}
+
+func (x *expEnv) logf(format string, args ...any) {
+	if x.Logf != nil {
+		x.Logf(format, args...)
+	}
+}
+
+// RunExperiments runs the experiments named name ("all" for every one)
+// in section order, writing each section to w, and stops at the first
+// failed self-check. It returns the paper pair if a figure ran it.
+func RunExperiments(w io.Writer, name string, opt ExperimentOptions) (*PaperRuns, error) {
+	tmp, err := os.MkdirTemp("", "jadebench-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(tmp)
+	x := &expEnv{ExperimentOptions: opt, tmp: tmp}
+	const rule = "================================================================"
+	for i := range experiments {
+		e := &experiments[i]
+		if name != "all" && name != e.name {
+			continue
+		}
+		x.logf("running %s...", e.title)
+		_, body, err := e.run(x)
+		if err != nil {
+			return x.paper, err
+		}
+		fmt.Fprintf(w, "\n%s\n%s\n%s\n%s\n", rule, e.title, rule, body)
+	}
+	return x.paper, nil
+}
+
+// run builds the entry's runs, fans them out and hands them to its
+// report.
+func (e *experiment) run(x *expEnv) ([]expRun, string, error) {
+	var rs []expRun
+	if e.runs != nil {
+		var err error
+		if rs, err = e.runs(x); err != nil {
+			return nil, "", err
+		}
+		if err := runAll(e.name, rs); err != nil {
+			return nil, "", err
+		}
+	}
+	body, err := e.report(x, rs)
+	return rs, body, err
+}
+
+// runAll runs every scenario over min(Parallelism(), len(rs)) workers.
+// Each run builds its own engine and platform, so results do not depend
+// on the worker count, and the error reported is the lowest-index run's.
+func runAll(experiment string, rs []expRun) error {
+	errs := make([]error, len(rs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(Parallelism(), len(rs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(rs); i = int(next.Add(1) - 1) {
+				t0 := time.Now()
+				rs[i].res, errs[i] = RunScenario(rs[i].cfg)
+				rs[i].wall = time.Since(t0).Seconds()
+				if errs[i] != nil {
+					errs[i] = fmt.Errorf("%s %q: %w", experiment, rs[i].name, errs[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // PaperRuns holds the pair of evaluation runs (with and without Jade)
 // that Figures 5-9 are drawn from: both replay the §5.2 ramp workload on
@@ -22,6 +177,16 @@ type PaperRuns struct {
 	Speedup float64
 }
 
+// compressedRamp is the paper's §5.2 ramp with its time axis compressed
+// by speedup: the same client trajectory, and therefore the same
+// saturation points, speedup times faster.
+func compressedRamp(speedup float64) RampProfile {
+	r := PaperRamp()
+	r.StepPerMinute = int(float64(r.StepPerMinute) * speedup)
+	r.HoldAtPeak /= speedup
+	return r
+}
+
 // RunPaperScenario executes the managed and unmanaged runs. speedup
 // compresses the ramp's time axis (1 reproduces the paper's ~3000 s run;
 // the client trajectory, and therefore the saturation points, are
@@ -32,31 +197,34 @@ func RunPaperScenario(seed int64, speedup float64, mutate ...func(*ScenarioConfi
 	if speedup <= 0 {
 		speedup = 1
 	}
-	profile := RampProfile{
-		Base:          80,
-		Peak:          500,
-		StepPerMinute: int(21 * speedup),
-		HoldAtPeak:    120 / speedup,
-	}
-	// The managed and unmanaged runs are independent simulations; fan
-	// them out (each builds its own engine and platform).
-	runs := [2]*ScenarioResult{}
-	err := forEachPar(2, func(i int) error {
-		cfg := DefaultScenario(seed, i == 0)
-		cfg.Profile = profile
+	rs := []expRun{{name: "managed", cfg: DefaultScenario(seed, true)}, {name: "unmanaged", cfg: DefaultScenario(seed, false)}}
+	for i := range rs {
+		rs[i].cfg.Profile = compressedRamp(speedup)
 		for _, m := range mutate {
 			if m != nil {
-				m(&cfg)
+				m(&rs[i].cfg)
 			}
 		}
-		r, err := mustScenario(cfg)
-		runs[i] = r
-		return err
-	})
-	if err != nil {
+	}
+	if err := runAll("paper", rs); err != nil {
 		return nil, err
 	}
-	return &PaperRuns{Managed: runs[0], Unmanaged: runs[1], Speedup: speedup}, nil
+	return &PaperRuns{Managed: rs[0].res, Unmanaged: rs[1].res, Speedup: speedup}, nil
+}
+
+// paperFigure is the entry of one section drawn from the paper pair,
+// which the first such section runs and the rest reuse.
+func paperFigure(name, title string, render func(*PaperRuns) string) experiment {
+	return experiment{name: name, title: title, report: func(x *expEnv, _ []expRun) (string, error) {
+		if x.paper == nil {
+			pr, err := RunPaperScenario(x.Seed, x.Speedup, x.Override)
+			if err != nil {
+				return "", err
+			}
+			x.paper = pr
+		}
+		return render(x.paper), nil
+	}}
 }
 
 // relativize shifts a series so the workload start is t=0, matching the
@@ -227,87 +395,61 @@ func (pr *PaperRuns) CSVs() map[string]string {
 	}
 }
 
-// Table1Row is one column of the paper's Table 1.
-type Table1Row struct {
-	Throughput float64 // requests per second
-	RespTimeMS float64 // mean response time, milliseconds
-	CPUPercent float64 // mean CPU usage across involved nodes
-	MemPercent float64 // mean memory usage across involved nodes
+// table1Runs is the paper's intrusivity measurement (Table 1): a
+// constant medium workload (80 clients, the paper scenario's base load)
+// for 600 s, with Jade's managers armed and without Jade.
+func table1Runs(x *expEnv) ([]expRun, error) {
+	rs := []expRun{{name: "with Jade", cfg: DefaultScenario(x.Seed, true)}, {name: "without Jade", cfg: DefaultScenario(x.Seed, false)}}
+	for i := range rs {
+		rs[i].cfg.Profile = ConstantProfile{Clients: 80, Length: 600}
+	}
+	return rs, nil
 }
 
-// Table1Result reproduces the paper's intrusivity measurement (Table 1):
-// the same medium constant workload run with Jade's managers armed (no
-// reconfigurations fire at this load) and without Jade.
-type Table1Result struct {
-	With    Table1Row
-	Without Table1Row
-}
-
-// RunTable1 executes the two intrusivity runs: a constant medium
-// workload (80 clients, as in the paper's scenario base load) for the
-// given duration.
-func RunTable1(seed int64, duration float64) (*Table1Result, error) {
-	if duration <= 0 {
-		duration = 600
+// table1Report formats Table 1 as in the paper, after checking that no
+// reconfiguration fired: the medium workload must be steady.
+func table1Report(_ *expEnv, rs []expRun) (string, error) {
+	w, wo := rs[0].res, rs[1].res
+	if w.Reconfigurations != 0 {
+		return "", fmt.Errorf("jade: table 1 run reconfigured %d times; the medium workload must be steady", w.Reconfigurations)
 	}
-	row := func(managed bool) (Table1Row, error) {
-		cfg := DefaultScenario(seed, managed)
-		cfg.Profile = ConstantProfile{Clients: 80, Length: duration}
-		r, err := mustScenario(cfg)
-		if err != nil {
-			return Table1Row{}, err
-		}
-		if managed && r.Reconfigurations != 0 {
-			return Table1Row{}, fmt.Errorf("jade: table 1 run reconfigured %d times; the medium workload must be steady", r.Reconfigurations)
-		}
-		return Table1Row{
-			Throughput: r.Throughput(),
-			RespTimeMS: r.MeanLatency() * 1000,
-			CPUPercent: r.NodeCPUPercent,
-			MemPercent: r.NodeMemPercent,
-		}, nil
-	}
-	var rows [2]Table1Row
-	err := forEachPar(2, func(i int) error {
-		r, err := row(i == 0)
-		rows[i] = r
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Table1Result{With: rows[0], Without: rows[1]}, nil
-}
-
-// Render formats Table 1 as in the paper.
-func (t *Table1Result) Render() string {
 	tb := &TextTable{
 		Title:   "Table 1. Performance overhead",
 		Headers: []string{"", "with Jade", "without Jade"},
 	}
 	tb.AddRow("Throughput (req./s)",
-		fmt.Sprintf("%.0f", t.With.Throughput), fmt.Sprintf("%.0f", t.Without.Throughput))
+		fmt.Sprintf("%.0f", w.Throughput()), fmt.Sprintf("%.0f", wo.Throughput()))
 	tb.AddRow("Resp.time (ms)",
-		fmt.Sprintf("%.0f", t.With.RespTimeMS), fmt.Sprintf("%.0f", t.Without.RespTimeMS))
+		fmt.Sprintf("%.0f", w.MeanLatency()*1000), fmt.Sprintf("%.0f", wo.MeanLatency()*1000))
 	tb.AddRow("CPU usage (%)",
-		fmt.Sprintf("%.2f", t.With.CPUPercent), fmt.Sprintf("%.2f", t.Without.CPUPercent))
+		fmt.Sprintf("%.2f", w.NodeCPUPercent), fmt.Sprintf("%.2f", wo.NodeCPUPercent))
 	tb.AddRow("Memory usage (%)",
-		fmt.Sprintf("%.1f", t.With.MemPercent), fmt.Sprintf("%.1f", t.Without.MemPercent))
-	return tb.Render()
+		fmt.Sprintf("%.1f", w.NodeMemPercent), fmt.Sprintf("%.1f", wo.NodeMemPercent))
+	return tb.Render(), nil
 }
 
-// Figure4 demonstrates the qualitative reconfiguration scenario (paper
-// §5.1/Fig. 4): rebinding Apache1 from Tomcat1 to Tomcat2 as four
-// operations on the management layer, returning a transcript with the
-// regenerated worker.properties. It is implemented in example form in
-// examples/reconfigure; this helper runs the same steps programmatically
-// and returns the transcript.
-func Figure4(seed int64) (string, error) {
-	transcript, err := runFigure4(seed)
-	if err != nil {
-		return "", err
+// churnRuns is the self-recovery manager under random node crashes
+// (MTBF 300 s) at a constant 120 clients for 1800 s.
+func churnRuns(x *expEnv) ([]expRun, error) {
+	cfg := DefaultScenario(x.Seed+10, true)
+	cfg.Recovery = true
+	cfg.MTBFSeconds = 300
+	cfg.Profile = ConstantProfile{Clients: 120, Length: 1800}
+	if x.Override != nil {
+		x.Override(&cfg)
 	}
-	return transcript, nil
+	return []expRun{{name: "churn", cfg: cfg}}, nil
+}
+
+func churnReport(_ *expEnv, rs []expRun) (string, error) {
+	r := rs[0].res
+	total := float64(r.Stats.Completed + r.Stats.Failed)
+	return fmt.Sprintf("MTBF 300 s over 1800 s at 120 clients:\n"+
+		"  crashes injected:  %d\n  repairs completed: %d\n"+
+		"  requests:          %d completed, %d failed\n"+
+		"  availability:      %.4f\n",
+		r.InjectedFailures, r.Repairs, r.Stats.Completed, r.Stats.Failed,
+		float64(r.Stats.Completed)/total), nil
 }
 
 const figure4ADL = `<?xml version="1.0"?>
@@ -328,7 +470,14 @@ const figure4ADL = `<?xml version="1.0"?>
 </definition>
 `
 
-func runFigure4(seed int64) (string, error) {
+// Figure4 demonstrates the qualitative reconfiguration scenario (paper
+// §5.1/Fig. 4): rebinding Apache1 from Tomcat1 to Tomcat2 as four
+// operations on the management layer, returning a transcript with the
+// regenerated worker.properties. It is implemented in example form in
+// examples/reconfigure; this helper runs the same steps programmatically
+// and returns the transcript.
+
+func Figure4(seed int64) (string, error) {
 	var b strings.Builder
 	p := NewPlatform(PlatformOptions{Seed: seed, Nodes: 9})
 	ds := Dataset{Regions: 5, Categories: 5, Users: 20, Items: 20, BidsPerItem: 1, CommentsPerUser: 1}

@@ -1,0 +1,55 @@
+package jade
+
+import (
+	"strings"
+	"testing"
+)
+
+// testEnv is one jadebench invocation with its artifacts under a test
+// temporary directory.
+func testEnv(t testing.TB, opt ExperimentOptions) *expEnv {
+	return &expEnv{ExperimentOptions: opt, tmp: t.TempDir()}
+}
+
+// runEntry runs the one experiment entry whose name or title is key and
+// returns its runs and rendered section body; a failed self-check fails
+// the test.
+func runEntry(t testing.TB, x *expEnv, key string) ([]expRun, string) {
+	t.Helper()
+	var found *experiment
+	for i := range experiments {
+		if e := &experiments[i]; e.name == key || e.title == key {
+			if found != nil {
+				t.Fatalf("experiment key %q is ambiguous", key)
+			}
+			found = e
+		}
+	}
+	if found == nil {
+		t.Fatalf("no experiment %q", key)
+	}
+	rs, body, err := found.run(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs, body
+}
+
+// TestExperimentTableOrder: jadebench prints its sections in the table's
+// order, and every -experiment name the CLI documents selects at least
+// one entry.
+func TestExperimentTableOrder(t *testing.T) {
+	var names []string
+	for _, e := range experiments {
+		if len(names) == 0 || names[len(names)-1] != e.name {
+			names = append(names, e.name)
+		}
+		if e.report == nil || e.title == "" {
+			t.Fatalf("entry %q lacks a title or report", e.name)
+		}
+	}
+	want := "fig4 fig5 fig6 fig7 fig8 fig9 summary churn netfault grayfail liveretune alertlat latbudget millionclient table1 ablations"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("section order\n got %s\nwant %s", got, want)
+	}
+}

@@ -34,16 +34,6 @@ const GrayFailureADL = `<?xml version="1.0"?>
 </definition>
 `
 
-// GrayFailVariant is one routing policy's run of the gray-failure
-// experiment (see RunGrayFailure).
-type GrayFailVariant struct {
-	Name   string
-	Policy string
-	// P99 is the client-perceived 99th-percentile latency in seconds.
-	P99    float64
-	Result *ScenarioResult
-}
-
 // GrayFailureScenario returns the shared configuration of the
 // gray-failure experiment for one routing policy: an unmanaged,
 // invariant-checked constant-load run over GrayFailureADL where chaos
@@ -77,59 +67,49 @@ func GrayFailureScenario(seed int64, policy string, quick bool) ScenarioConfig {
 	return cfg
 }
 
-// RunGrayFailure runs the gray-failure experiment once per routing
-// policy and reports the client-perceived tail latency of each. Under
-// round-robin every third request lands on the crawling Tomcat and p99
-// collapses; the balanced scorer sees the slow replica's latency
+// grayFailRuns runs the gray-failure scenario once per routing policy.
+// Under round-robin every third request lands on the crawling Tomcat and
+// p99 collapses; the balanced scorer sees the slow replica's latency
 // reservoir grow and organically routes around it — no detector, no
-// membership change. quick shrinks the run for smoke tests. Variants
-// fan out over Parallelism() workers; results are deterministic per
-// seed regardless of the fan-out width.
-func RunGrayFailure(seed int64, quick bool) ([]GrayFailVariant, string, error) {
-	variants := []GrayFailVariant{
-		{Name: "round-robin", Policy: "round-robin"},
-		{Name: "least-pending", Policy: "least-pending"},
-		{Name: "balanced", Policy: "balanced"},
+// membership change.
+func grayFailRuns(x *expEnv) ([]expRun, error) {
+	var rs []expRun
+	for _, policy := range []string{"round-robin", "least-pending", "balanced"} {
+		rs = append(rs, expRun{name: policy, cfg: GrayFailureScenario(x.Seed, policy, x.Quick)})
 	}
-	errs := make([]error, len(variants))
-	_ = forEachPar(len(variants), func(i int) error {
-		r, err := RunScenario(GrayFailureScenario(seed, variants[i].Policy, quick))
-		if err != nil {
-			errs[i] = fmt.Errorf("grayfail %q: %w", variants[i].Name, err)
-			return errs[i]
-		}
-		variants[i].Result = r
-		variants[i].P99 = r.RequestLatency.Quantile(0.99)
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, "", err
-		}
-	}
+	return rs, nil
+}
 
+// grayFailReport tabulates each policy's client-perceived latency. It
+// self-checks the experiment's headline claim: balanced routing holds
+// p99 at least 2x below round-robin's.
+func grayFailReport(x *expEnv, rs []expRun) (string, error) {
+	rr, bal := rs[0].res.RequestLatency.Quantile(0.99), rs[2].res.RequestLatency.Quantile(0.99)
+	if rr < 2*bal {
+		return "", fmt.Errorf("grayfail: balanced p99 not 2x better: round-robin %.3fs vs balanced %.3fs", rr, bal)
+	}
 	title := "Routing under gray failure (one slow Tomcat + one slow MySQL, constant 60 clients, 240 s)"
-	if quick {
+	if x.Quick {
 		title = "Routing under gray failure (one slow Tomcat + one slow MySQL, constant 40 clients, 120 s, quick)"
 	}
 	tb := &TextTable{
 		Title:   title,
 		Headers: []string{"policy", "p50 (s)", "p95 (s)", "p99 (s)", "mean (s)", "completed", "failed", "violation"},
 	}
-	for _, v := range variants {
-		r := v.Result
+	for _, v := range rs {
+		r := v.res
 		violation := "none"
 		if r.InvariantViolation != nil {
 			violation = r.InvariantViolation.Checker
 		}
-		tb.AddRow(v.Name,
+		tb.AddRow(v.name,
 			fmt.Sprintf("%.3f", r.RequestLatency.Quantile(0.50)),
 			fmt.Sprintf("%.3f", r.RequestLatency.Quantile(0.95)),
-			fmt.Sprintf("%.3f", v.P99),
+			fmt.Sprintf("%.3f", r.RequestLatency.Quantile(0.99)),
 			fmt.Sprintf("%.3f", r.MeanLatency()),
 			fmt.Sprintf("%d", r.Stats.Completed),
 			fmt.Sprintf("%d", r.Stats.Failed),
 			violation)
 	}
-	return variants, tb.Render(), nil
+	return tb.Render(), nil
 }

@@ -3,6 +3,7 @@ package jade
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -59,56 +60,57 @@ func TestRoutingPolicyDeterminismSweep(t *testing.T) {
 // TestGrayFailureBalancedBeatsRoundRobin is the experiment's headline
 // claim: with one crawling Tomcat and one slowed MySQL replica — alive,
 // heartbeating, invisible to any failure detector — the balanced scorer
-// must hold p99 at least 2x below round-robin's.
+// must hold p99 at least 2x below round-robin's. The grayfail entry's
+// report enforces the claim; this also checks what the runs deployed.
 func TestGrayFailureBalancedBeatsRoundRobin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-length gray-failure run")
 	}
-	variants, _, err := RunGrayFailure(1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]GrayFailVariant{}
-	for _, v := range variants {
-		if v.Result.InvariantViolation != nil {
-			t.Fatalf("%s: invariant violation: %v", v.Name, v.Result.InvariantViolation)
+	rs, _ := runEntry(t, testEnv(t, ExperimentOptions{Seed: 1}), "grayfail")
+	for _, v := range rs {
+		if v.res.InvariantViolation != nil {
+			t.Fatalf("%s: invariant violation: %v", v.name, v.res.InvariantViolation)
 		}
-		if v.Result.Stats.Completed == 0 {
-			t.Fatalf("%s: no requests completed", v.Name)
+		if v.res.Stats.Completed == 0 {
+			t.Fatalf("%s: no requests completed", v.name)
 		}
 		// Unmanaged runs report the replicas the ADL deployed, not 1.
-		if app, db := v.Result.App.Replicas.Max(), v.Result.DB.Replicas.Max(); app != 3 || db != 2 {
-			t.Fatalf("%s: replica series peak app=%v db=%v, want 3/2", v.Name, app, db)
+		if app, db := v.res.App.Replicas.Max(), v.res.DB.Replicas.Max(); app != 3 || db != 2 {
+			t.Fatalf("%s: replica series peak app=%v db=%v, want 3/2", v.name, app, db)
 		}
-		byName[v.Name] = v
 	}
-	rr, ok1 := byName["round-robin"]
-	bal, ok2 := byName["balanced"]
-	if !ok1 || !ok2 {
-		t.Fatalf("missing variants: %v", byName)
-	}
-	if rr.P99 < 2*bal.P99 {
-		t.Fatalf("balanced p99 not 2x better: round-robin %.3fs vs balanced %.3fs", rr.P99, bal.P99)
+	if rs[0].name != "round-robin" || rs[2].name != "balanced" {
+		t.Fatalf("policy order: %q ... %q", rs[0].name, rs[2].name)
 	}
 }
 
-// TestGrayFailureParallelismInvariance: the quick gray-failure variant
-// table must be byte-identical whether the variants run sequentially or
-// fanned over four workers.
+// TestGrayFailureParallelismInvariance: every experiment's section must
+// be byte-identical whether its runs go one at a time or fan out over
+// four workers. Million-client's two wall-clock rows are the only lines
+// allowed to differ.
 func TestGrayFailureParallelismInvariance(t *testing.T) {
 	prev := Parallelism()
 	defer SetParallelism(prev)
-	var tables [2]string
+	var outs [2][]string
 	for i, workers := range []int{1, 4} {
 		SetParallelism(workers)
-		_, table, err := RunGrayFailure(7, true)
-		if err != nil {
+		var b strings.Builder
+		if _, err := RunExperiments(&b, "all", ExperimentOptions{Seed: 1, Speedup: 8, Quick: true}); err != nil {
 			t.Fatal(err)
 		}
-		tables[i] = table
+		for _, line := range strings.Split(b.String(), "\n") {
+			if !strings.HasPrefix(line, "wall time (s)") && !strings.HasPrefix(line, "clients per wall-second") {
+				outs[i] = append(outs[i], line)
+			}
+		}
 	}
-	if tables[0] != tables[1] {
-		t.Fatalf("gray-failure table depends on -parallel:\n%s\nvs\n%s", tables[0], tables[1])
+	if len(outs[0]) != len(outs[1]) {
+		t.Fatalf("output depends on -parallel: %d vs %d lines", len(outs[0]), len(outs[1]))
+	}
+	for j := range outs[0] {
+		if outs[0][j] != outs[1][j] {
+			t.Fatalf("output depends on -parallel at line %d:\n%s\nvs\n%s", j+1, outs[0][j], outs[1][j])
+		}
 	}
 }
 

@@ -151,32 +151,28 @@ func TestFigureRenderersProduceOutput(t *testing.T) {
 }
 
 func TestTable1Intrusivity(t *testing.T) {
-	res, err := RunTable1(1, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, wo := res.With, res.Without
+	rs, out := runEntry(t, testEnv(t, ExperimentOptions{Seed: 1}), "table1")
+	w, wo := rs[0].res, rs[1].res
 	// Throughput identical (closed loop at medium load): ~80/7 ≈ 11.4.
-	if w.Throughput < 9 || w.Throughput > 14 {
-		t.Fatalf("with-Jade throughput = %.1f, want ≈11.4", w.Throughput)
+	if tw := w.Throughput(); tw < 9 || tw > 14 {
+		t.Fatalf("with-Jade throughput = %.1f, want ≈11.4", tw)
 	}
-	if rel := (w.Throughput - wo.Throughput) / wo.Throughput; rel < -0.05 || rel > 0.05 {
-		t.Fatalf("throughput differs by %.1f%%: %v vs %v", rel*100, w.Throughput, wo.Throughput)
+	if rel := (w.Throughput() - wo.Throughput()) / wo.Throughput(); rel < -0.05 || rel > 0.05 {
+		t.Fatalf("throughput differs by %.1f%%: %v vs %v", rel*100, w.Throughput(), wo.Throughput())
 	}
 	// Response time overhead is marginal (paper: 89 vs 87 ms).
-	if w.RespTimeMS > wo.RespTimeMS*1.15 {
+	if w.MeanLatency() > wo.MeanLatency()*1.15 {
 		t.Fatalf("resp time with Jade %.1f ms vs %.1f ms: overhead too large",
-			w.RespTimeMS, wo.RespTimeMS)
+			w.MeanLatency()*1000, wo.MeanLatency()*1000)
 	}
 	// CPU overhead below one percentage point (paper: 12.74 vs 12.42).
-	if d := w.CPUPercent - wo.CPUPercent; d < 0 || d > 1.0 {
-		t.Fatalf("cpu delta = %.2f points (%.2f vs %.2f)", d, w.CPUPercent, wo.CPUPercent)
+	if d := w.NodeCPUPercent - wo.NodeCPUPercent; d < 0 || d > 1.0 {
+		t.Fatalf("cpu delta = %.2f points (%.2f vs %.2f)", d, w.NodeCPUPercent, wo.NodeCPUPercent)
 	}
 	// Memory overhead present but small (paper: 20.1 vs 17.5).
-	if d := w.MemPercent - wo.MemPercent; d < 1.0 || d > 5.0 {
-		t.Fatalf("memory delta = %.2f points (%.2f vs %.2f)", d, w.MemPercent, wo.MemPercent)
+	if d := w.NodeMemPercent - wo.NodeMemPercent; d < 1.0 || d > 5.0 {
+		t.Fatalf("memory delta = %.2f points (%.2f vs %.2f)", d, w.NodeMemPercent, wo.NodeMemPercent)
 	}
-	out := res.Render()
 	if !strings.Contains(out, "Table 1") || !strings.Contains(out, "Memory usage") {
 		t.Fatalf("Table 1 render malformed:\n%s", out)
 	}
@@ -203,31 +199,32 @@ func TestFigure4Transcript(t *testing.T) {
 	}
 }
 
+// ablationEnv runs the sizing ablations on a 10x ramp.
+func ablationEnv(t *testing.T) *expEnv {
+	return testEnv(t, ExperimentOptions{Seed: 1, Speedup: 10})
+}
+
+// meanMS is a run's mean client latency in milliseconds.
+func meanMS(r *ScenarioResult) float64 { return r.Stats.LatencySummary().Mean * 1000 }
+
 func TestAblationSmoothing(t *testing.T) {
-	rows, err := RunAblationSmoothing(1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, out := runEntry(t, ablationEnv(t), "Ablation — sensor smoothing")
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	noSmooth, paper := rows[0], rows[2]
+	noSmooth, paper := rows[0].res, rows[2].res
 	if noSmooth.Reconfigurations < paper.Reconfigurations {
 		t.Fatalf("no-smoothing reconfigs (%d) < paper windows (%d): smoothing should reduce churn",
 			noSmooth.Reconfigurations, paper.Reconfigurations)
 	}
-	out := RenderAblation("smoothing", rows)
 	if !strings.Contains(out, "no smoothing") {
 		t.Fatal("render missing variant")
 	}
 }
 
 func TestAblationInhibition(t *testing.T) {
-	rows, err := RunAblationInhibition(1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	none, paper := rows[0], rows[1]
+	rows, _ := runEntry(t, ablationEnv(t), "Ablation — reconfiguration inhibition")
+	none, paper := rows[0].res, rows[1].res
 	if none.Reconfigurations < paper.Reconfigurations {
 		t.Fatalf("no-inhibition reconfigs (%d) < with inhibition (%d)",
 			none.Reconfigurations, paper.Reconfigurations)
@@ -235,56 +232,49 @@ func TestAblationInhibition(t *testing.T) {
 }
 
 func TestAblationThresholds(t *testing.T) {
-	rows, err := RunAblationThresholds(1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _ := runEntry(t, ablationEnv(t), "Ablation — threshold sweep")
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// The loose pair (0.10/0.95) must provision later/less than the
 	// tight pair (0.20/0.60): fewer node-seconds or higher latency.
-	tight, loose := rows[0], rows[3]
-	if !(loose.NodeSeconds < tight.NodeSeconds || loose.MeanLatencyMS > tight.MeanLatencyMS) {
-		t.Fatalf("threshold sweep shows no tradeoff: tight=%+v loose=%+v", tight, loose)
+	tight, loose := rows[0].res, rows[3].res
+	if !(loose.NodeSeconds < tight.NodeSeconds || meanMS(loose) > meanMS(tight)) {
+		t.Fatalf("threshold sweep shows no tradeoff: tight %.0f node-s / %.0f ms, loose %.0f node-s / %.0f ms",
+			tight.NodeSeconds, meanMS(tight), loose.NodeSeconds, meanMS(loose))
 	}
 }
 
 func TestAblationBalancerPolicy(t *testing.T) {
-	rows, err := RunAblationBalancerPolicy(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, rr := rows[0], rows[1]
-	if lp.Name != "least-pending" || rr.Name != "round-robin" {
-		t.Fatalf("unexpected rows: %+v", rows)
+	rows, _ := runEntry(t, ablationEnv(t), "Ablation — C-JDBC read policy")
+	if rows[0].name != "least-pending" || rows[1].name != "round-robin" {
+		t.Fatalf("unexpected rows: %q, %q", rows[0].name, rows[1].name)
 	}
 	// Least-pending should not be meaningfully worse than round-robin.
-	if lp.MeanLatencyMS > rr.MeanLatencyMS*1.25 {
-		t.Fatalf("least-pending %.0f ms much worse than round-robin %.0f ms",
-			lp.MeanLatencyMS, rr.MeanLatencyMS)
+	if lp, rr := meanMS(rows[0].res), meanMS(rows[1].res); lp > rr*1.25 {
+		t.Fatalf("least-pending %.0f ms much worse than round-robin %.0f ms", lp, rr)
 	}
 }
 
 func TestAblationRecoveryLogReplay(t *testing.T) {
-	rows, err := RunAblationRecoveryLogReplay(1, []int{0, 200, 800})
-	if err != nil {
-		t.Fatal(err)
+	var secs []float64
+	for _, delta := range []int{0, 200, 800} {
+		s, err := replayLogRun(1, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs = append(secs, s)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].SyncSeconds < rows[i-1].SyncSeconds {
-			t.Fatalf("sync time not monotone in log length: %+v", rows)
+	for i := 1; i < len(secs); i++ {
+		if secs[i] < secs[i-1] {
+			t.Fatalf("sync time not monotone in log length: %v", secs)
 		}
 	}
 	// 800 replayed writes at 0.002 CPU-s each dominate the base delay.
-	if rows[2].SyncSeconds < rows[0].SyncSeconds+1 {
-		t.Fatalf("long replay (%.2fs) not clearly above empty replay (%.2fs)",
-			rows[2].SyncSeconds, rows[0].SyncSeconds)
+	if secs[2] < secs[0]+1 {
+		t.Fatalf("long replay (%.2fs) not clearly above empty replay (%.2fs)", secs[2], secs[0])
 	}
-	if !strings.Contains(RenderReplay(rows), "800") {
+	if _, out := runEntry(t, ablationEnv(t), "Ablation — recovery-log replay"); !strings.Contains(out, "2000") {
 		t.Fatal("render missing data")
 	}
 }

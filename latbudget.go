@@ -9,16 +9,6 @@ import (
 	"jade/internal/obs/attrib"
 )
 
-// LatBudgetVariant is one run of the latency-budget experiment (see
-// RunLatBudget).
-type LatBudgetVariant struct {
-	Name   string
-	Result *ScenarioResult
-	// Dir is the run's artifact directory (deleted before RunLatBudget
-	// returns; retained here for the in-run diffs).
-	Dir string
-}
-
 // latBudgetSlowAt is when (seconds after workload start) the slowapp
 // variant's CPU hogs land on tomcat1.
 const latBudgetSlowAt = 30.0
@@ -85,10 +75,21 @@ func firstReplicaChange(s *Series) float64 {
 	return -1
 }
 
-// RunLatBudget is the latency-attribution flagship experiment: three
+// latBudgetRuns is the latency-attribution flagship experiment: three
 // managed paper-ramp runs (baseline, same-seed replay, and a gray
-// app-tier slowdown), each writing the full artifact set, followed by
-// the in-run regression diffs. It is self-checking; it errors unless
+// app-tier slowdown), each writing the full artifact set for the
+// report's run diffs.
+func latBudgetRuns(x *expEnv) ([]expRun, error) {
+	var rs []expRun
+	for _, name := range []string{"baseline", "replay", "slowapp"} {
+		cfg := LatBudgetScenario(x.Seed, name, x.Quick)
+		cfg.MetricsDir = filepath.Join(x.tmp, "latbudget-"+name)
+		rs = append(rs, expRun{name: name, cfg: cfg})
+	}
+	return rs, nil
+}
+
+// latBudgetReport diffs the runs' artifacts and self-checks that
 //
 //   - every variant's budget conserves latency (components sum to the
 //     root span within 1%) and loses no trace spans,
@@ -98,117 +99,88 @@ func firstReplicaChange(s *Series) float64 {
 //   - the same-seed pair's budget artifacts are byte-identical and
 //     DiffRuns reports them clean, and
 //   - DiffRuns flags the slowapp run and localizes it to app/queue.
-//
-// quick shrinks the ramp for smoke tests. Variants fan out over
-// Parallelism() workers; results are deterministic per seed regardless
-// of the fan-out width.
-func RunLatBudget(seed int64, quick bool) ([]LatBudgetVariant, string, error) {
-	variants := []LatBudgetVariant{{Name: "baseline"}, {Name: "replay"}, {Name: "slowapp"}}
-	root, err := os.MkdirTemp("", "jade-latbudget-")
-	if err != nil {
-		return nil, "", err
-	}
-	defer os.RemoveAll(root)
-	errs := make([]error, len(variants))
-	_ = forEachPar(len(variants), func(i int) error {
-		v := &variants[i]
-		v.Dir = filepath.Join(root, v.Name)
-		cfg := LatBudgetScenario(seed, v.Name, quick)
-		cfg.MetricsDir = v.Dir
-		r, err := RunScenario(cfg)
-		if err != nil {
-			errs[i] = fmt.Errorf("latbudget %q: %w", v.Name, err)
-			return errs[i]
-		}
-		v.Result = r
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, "", err
-		}
-	}
-
+func latBudgetReport(x *expEnv, rs []expRun) (string, error) {
 	// Per-variant invariants: a budget exists, conserves latency, and
 	// the span store kept every sampled request.
-	for _, v := range variants {
-		r := v.Result
+	for _, v := range rs {
+		r := v.res
 		if r.LatencyBudget == nil || r.LatencyBudget.Requests == 0 {
-			return nil, "", fmt.Errorf("latbudget %q: no attributed requests", v.Name)
+			return "", fmt.Errorf("latbudget %q: no attributed requests", v.name)
 		}
 		if r.LatencyBudget.MaxConservationErr > 0.01 {
-			return nil, "", fmt.Errorf("latbudget %q: conservation error %.2e exceeds 1%%",
-				v.Name, r.LatencyBudget.MaxConservationErr)
+			return "", fmt.Errorf("latbudget %q: conservation error %.2e exceeds 1%%",
+				v.name, r.LatencyBudget.MaxConservationErr)
 		}
 		if st := r.Trace().Stat(); st.SpansDropped > 0 {
-			return nil, "", fmt.Errorf("latbudget %q: %d spans dropped — budget would undercount",
-				v.Name, st.SpansDropped)
+			return "", fmt.Errorf("latbudget %q: %d spans dropped — budget would undercount",
+				v.name, st.SpansDropped)
 		}
 	}
 
 	// Pre/post-resize blame on the baseline: before the first sizing
 	// action the bottleneck tier's queue must dominate the p99 band, and
 	// acting must shift (or shrink) that blame.
-	base := &variants[0]
-	dbAt := firstReplicaChange(base.Result.DB.Replicas)
-	appAt := firstReplicaChange(base.Result.App.Replicas)
+	base := rs[0].res
+	dbAt := firstReplicaChange(base.DB.Replicas)
+	appAt := firstReplicaChange(base.App.Replicas)
 	resizeAt, resizeTier := dbAt, "db"
 	if dbAt < 0 || (appAt >= 0 && appAt < dbAt) {
 		resizeAt, resizeTier = appAt, "app"
 	}
 	if resizeAt < 0 {
-		return nil, "", fmt.Errorf("latbudget baseline: no sizing loop ever acted — the ramp never saturated a tier")
+		return "", fmt.Errorf("latbudget baseline: no sizing loop ever acted — the ramp never saturated a tier")
 	}
-	pre := attrib.BuildReport(base.Result.Attribution.Window(base.Result.WorkloadStart, resizeAt), nil)
-	post := attrib.BuildReport(base.Result.Attribution.Window(resizeAt, base.Result.WorkloadEnd), nil)
+	pre := attrib.BuildReport(base.Attribution.Window(base.WorkloadStart, resizeAt), nil)
+	post := attrib.BuildReport(base.Attribution.Window(resizeAt, base.WorkloadEnd), nil)
 	preBlame, okPre := pre.Dominant("p99")
 	postBlame, okPost := post.Dominant("p99")
 	if !okPre || !okPost {
-		return nil, "", fmt.Errorf("latbudget baseline: too few traced requests to fill the p99 band")
+		return "", fmt.Errorf("latbudget baseline: too few traced requests to fill the p99 band")
 	}
 	if preBlame.Tier != resizeTier || preBlame.Component != attrib.Queue {
-		return nil, "", fmt.Errorf("latbudget baseline: pre-resize p99 blame %s/%s, want %s/%s (the tier the sizing loop grew first)",
+		return "", fmt.Errorf("latbudget baseline: pre-resize p99 blame %s/%s, want %s/%s (the tier the sizing loop grew first)",
 			preBlame.Tier, preBlame.Component, resizeTier, attrib.Queue)
 	}
 	sameBlame := postBlame.Tier == preBlame.Tier && postBlame.Component == preBlame.Component
 	if sameBlame && postBlame.Share >= preBlame.Share {
-		return nil, "", fmt.Errorf("latbudget baseline: p99 blame did not shift after the resize (%s/%s share %.2f -> %.2f)",
+		return "", fmt.Errorf("latbudget baseline: p99 blame did not shift after the resize (%s/%s share %.2f -> %.2f)",
 			preBlame.Tier, preBlame.Component, preBlame.Share, postBlame.Share)
 	}
 
 	// Same-seed determinism: byte-identical budget artifacts, clean diff.
-	budgetA, errA := os.ReadFile(filepath.Join(variants[0].Dir, "latency_budget.json"))
-	budgetB, errB := os.ReadFile(filepath.Join(variants[1].Dir, "latency_budget.json"))
+	baseDir, replayDir, slowDir := rs[0].cfg.MetricsDir, rs[1].cfg.MetricsDir, rs[2].cfg.MetricsDir
+	budgetA, errA := os.ReadFile(filepath.Join(baseDir, "latency_budget.json"))
+	budgetB, errB := os.ReadFile(filepath.Join(replayDir, "latency_budget.json"))
 	if errA != nil || errB != nil {
-		return nil, "", fmt.Errorf("latbudget: missing budget artifact: %v / %v", errA, errB)
+		return "", fmt.Errorf("latbudget: missing budget artifact: %v / %v", errA, errB)
 	}
 	if !bytes.Equal(budgetA, budgetB) {
-		return nil, "", fmt.Errorf("latbudget: same-seed budget artifacts differ (%d vs %d bytes)",
+		return "", fmt.Errorf("latbudget: same-seed budget artifacts differ (%d vs %d bytes)",
 			len(budgetA), len(budgetB))
 	}
-	cleanDiff, err := DiffRuns(variants[0].Dir, variants[1].Dir, RunDiffOptions{})
+	cleanDiff, err := DiffRuns(baseDir, replayDir, RunDiffOptions{})
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	if !cleanDiff.Clean() {
-		return nil, "", fmt.Errorf("latbudget: same-seed runs did not diff clean:\n%s", cleanDiff.Render())
+		return "", fmt.Errorf("latbudget: same-seed runs did not diff clean:\n%s", cleanDiff.Render())
 	}
 
 	// Injected slowdown: the diff must flag the run and blame app/queue.
-	slowDiff, err := DiffRuns(variants[0].Dir, variants[2].Dir, RunDiffOptions{})
+	slowDiff, err := DiffRuns(baseDir, slowDir, RunDiffOptions{})
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	if slowDiff.Clean() {
-		return nil, "", fmt.Errorf("latbudget: diff did not flag the slowed run")
+		return "", fmt.Errorf("latbudget: diff did not flag the slowed run")
 	}
 	if slowDiff.BlameTier != "app" || slowDiff.BlameComponent != attrib.Queue {
-		return nil, "", fmt.Errorf("latbudget: slowdown blamed on %s/%s, want app/%s:\n%s",
+		return "", fmt.Errorf("latbudget: slowdown blamed on %s/%s, want app/%s:\n%s",
 			slowDiff.BlameTier, slowDiff.BlameComponent, attrib.Queue, slowDiff.Render())
 	}
 
 	title := "Latency budgets and run diff (managed paper ramp at 3x, trace 1/8)"
-	if quick {
+	if x.Quick {
 		title = "Latency budgets and run diff (managed 3x ramp to 300 clients, trace 1/4, quick)"
 	}
 	tb := &TextTable{
@@ -216,11 +188,10 @@ func RunLatBudget(seed int64, quick bool) ([]LatBudgetVariant, string, error) {
 		Headers: []string{"variant", "requests", "attributed", "conservation", "p99 (s)",
 			"p99 blame", "share"},
 	}
-	for i := range variants {
-		v := &variants[i]
-		r := v.Result
+	for _, v := range rs {
+		r := v.res
 		blame, _ := r.LatencyBudget.Dominant("p99")
-		tb.AddRow(v.Name,
+		tb.AddRow(v.name,
 			fmt.Sprintf("%d", r.Stats.Completed),
 			fmt.Sprintf("%d", r.LatencyBudget.Requests),
 			fmt.Sprintf("%.1e", r.LatencyBudget.MaxConservationErr),
@@ -230,10 +201,10 @@ func RunLatBudget(seed int64, quick bool) ([]LatBudgetVariant, string, error) {
 	}
 	out := tb.Render()
 	out += fmt.Sprintf("\nbaseline first resize: %s tier at t=%.0f s; pre-resize p99 blame %s/%s (share %.2f), post-resize %s/%s (share %.2f)\n",
-		resizeTier, resizeAt-base.Result.WorkloadStart,
+		resizeTier, resizeAt-base.WorkloadStart,
 		preBlame.Tier, preBlame.Component, preBlame.Share,
 		postBlame.Tier, postBlame.Component, postBlame.Share)
 	out += fmt.Sprintf("\nsame-seed diff: %s", cleanDiff.Verdict())
 	out += fmt.Sprintf("\nslowapp  diff: %s\n", slowDiff.Verdict())
-	return variants, out, nil
+	return out, nil
 }

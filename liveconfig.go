@@ -155,23 +155,8 @@ func CheckPatch(patch []byte) error {
 	if p.empty() {
 		ve.addf("", "patch changes nothing")
 	}
-	if p.Routing != nil {
-		for _, tier := range []struct {
-			path string
-			v    *string
-		}{
-			{"routing.policy", p.Routing.Policy},
-			{"routing.l4", p.Routing.L4},
-			{"routing.app", p.Routing.App},
-			{"routing.db", p.Routing.DB},
-		} {
-			if tier.v == nil {
-				continue
-			}
-			if _, err := ParseRoutingPolicy(*tier.v); err != nil {
-				ve.addf(tier.path, "unknown policy %q (want one of %v)", *tier.v, RoutingPolicies())
-			}
-		}
+	if r := p.Routing; r != nil {
+		ve.checkPolicies([4]*string{r.Policy, r.L4, r.App, r.DB})
 	}
 	return ve.or()
 }
@@ -364,16 +349,7 @@ func (rt *configRuntime) resolve(p *ConfigPatch) (resolved, error) {
 		if p.Routing.HalfLifeSeconds != nil {
 			rc.HalfLifeSeconds = *p.Routing.HalfLifeSeconds
 		}
-		for _, tier := range []struct{ path, policy string }{
-			{"routing.l4", rc.L4}, {"routing.app", rc.App}, {"routing.db", rc.DB},
-		} {
-			if tier.policy == "" {
-				continue
-			}
-			if _, err := ParseRoutingPolicy(tier.policy); err != nil {
-				ve.addf(tier.path, "unknown policy %q (want one of %v)", tier.policy, RoutingPolicies())
-			}
-		}
+		ve.checkPolicies(givenPolicies("", rc.L4, rc.App, rc.DB))
 		if rc.ProbeAfterSeconds < 0 {
 			ve.addf("routing.probe_after_seconds", "must be >= 0, got %g", rc.ProbeAfterSeconds)
 		}

@@ -104,38 +104,29 @@ func TestConfigDeterminismSweep(t *testing.T) {
 		t.Skip("20-seed sweep in -short mode")
 	}
 	const seeds = 20
-	errs := make([]error, seeds)
-	_ = forEachPar(seeds, func(i int) error {
-		seed := int64(100 + i)
-		run := func() ([]byte, error) {
-			r, err := RunScenario(liveConfigSweepScenario(seed))
+	rs := make([]expRun, 2*seeds)
+	for i := range rs {
+		seed := int64(100 + i/2)
+		rs[i] = expRun{name: fmt.Sprintf("seed %d", seed), cfg: liveConfigSweepScenario(seed)}
+	}
+	if err := runAll("config sweep", rs); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(rs); i += 2 {
+		var prints [2][]byte
+		for j, v := range rs[i : i+2] {
+			if got := appliedOperatorChanges(v.res); got != 3 {
+				t.Fatalf("%s: %d/3 operator changes applied: %+v", v.name, got, v.res.ConfigChanges)
+			}
+			b, err := traceFingerprint(v.res)
 			if err != nil {
-				return nil, err
+				t.Fatal(err)
 			}
-			if got := appliedOperatorChanges(r); got != 3 {
-				return nil, fmt.Errorf("%d/3 operator changes applied: %+v", got, r.ConfigChanges)
-			}
-			return traceFingerprint(r)
+			prints[j] = b
 		}
-		a, err := run()
-		if err != nil {
-			errs[i] = fmt.Errorf("seed %d: %w", seed, err)
-			return errs[i]
-		}
-		b, err := run()
-		if err != nil {
-			errs[i] = fmt.Errorf("seed %d: %w", seed, err)
-			return errs[i]
-		}
-		if !bytes.Equal(a, b) {
-			errs[i] = fmt.Errorf("seed %d: same-seed runs with mid-run config changes diverge (%d vs %d fingerprint bytes)", seed, len(a), len(b))
-			return errs[i]
-		}
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(prints[0], prints[1]) {
+			t.Fatalf("%s: same-seed runs with mid-run config changes diverge (%d vs %d fingerprint bytes)",
+				rs[i].name, len(prints[0]), len(prints[1]))
 		}
 	}
 }
@@ -323,11 +314,8 @@ func TestLiveRetuneQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("liveretune in -short mode")
 	}
-	res, out, err := RunLiveRetune(1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Improvement < liveRetuneMinImprovement || !res.ReplayIdentical {
-		t.Fatalf("liveretune self-checks regressed:\n%s", out)
+	_, out := runEntry(t, testEnv(t, ExperimentOptions{Seed: 1, Quick: true}), "liveretune")
+	if !strings.Contains(out, "same-seed replay byte-identical: true") {
+		t.Fatalf("liveretune report:\n%s", out)
 	}
 }

@@ -9,26 +9,6 @@ import (
 	"jade/internal/metrics"
 )
 
-// LiveRetuneResult carries the live-reconfiguration experiment's runs
-// and self-check measurements (see RunLiveRetune).
-type LiveRetuneResult struct {
-	// Control keeps round-robin routing for the whole gray-failure run.
-	Control *ScenarioResult
-	// Retuned starts identically but an operator patch swaps every
-	// tier's selector to "balanced" mid-run, with zero restarts.
-	Retuned *ScenarioResult
-	// ControlP99/RetunedP99 are client p99 latencies (seconds) over the
-	// post-swap comparison window only.
-	ControlP99, RetunedP99 float64
-	// Improvement is ControlP99/RetunedP99.
-	Improvement float64
-	// ReplayIdentical reports whether a same-seed re-run of the retuned
-	// variant produced a byte-identical trace and config-change log.
-	ReplayIdentical bool
-	// Managed is the mid-ramp threshold-retune run.
-	Managed *ScenarioResult
-}
-
 // liveRetuneMinImprovement is the self-check floor: swapping the
 // selector away from round-robin while a gray failure is active must at
 // least halve the post-swap tail latency.
@@ -103,12 +83,27 @@ func appliedOperatorChanges(r *ScenarioResult) int {
 	return n
 }
 
-// RunLiveRetune is the live-reconfiguration experiment: the same
-// gray-failure scenario as RunGrayFailure, except the cluster *starts*
-// on the pathological round-robin policy and an operator config patch
-// swaps every tier's selector to "balanced" halfway through — over the
-// same code path as a POST to the admin plane's /config endpoint, with
-// zero restarts. The run self-checks that
+// liveRetuneRuns is the live-reconfiguration experiment: the same
+// gray-failure scenario as grayfail, except the cluster *starts* on the
+// pathological round-robin policy and an operator config patch swaps
+// every tier's selector to "balanced" halfway through — over the same
+// code path as a POST to the admin plane's /config endpoint, with zero
+// restarts. The runs are the control that never retunes, the retuned
+// run, its same-seed replay, and the managed threshold-retune ramp.
+func liveRetuneRuns(x *expEnv) ([]expRun, error) {
+	control, _, _ := LiveRetuneScenario(x.Seed, x.Quick, false)
+	retuned, _, _ := LiveRetuneScenario(x.Seed, x.Quick, true)
+	replay, _, _ := LiveRetuneScenario(x.Seed, x.Quick, true)
+	managed, _ := liveRetuneManagedScenario(x.Seed + 1)
+	return []expRun{
+		{name: "control", cfg: control},
+		{name: "retuned", cfg: retuned},
+		{name: "replay", cfg: replay},
+		{name: "managed", cfg: managed},
+	}, nil
+}
+
+// liveRetuneReport self-checks that
 //
 //   - the post-swap p99 improves at least 2x over the control run that
 //     never retunes,
@@ -117,97 +112,70 @@ func appliedOperatorChanges(r *ScenarioResult) int {
 //     byte-identical in both trace and config-change log, and
 //   - a managed ramp accepts a mid-run sizing-threshold patch that the
 //     live reactor observably adopts (trace carries the config span).
-//
-// quick shrinks the runs for smoke tests.
-func RunLiveRetune(seed int64, quick bool) (*LiveRetuneResult, string, error) {
-	controlCfg, _, _ := LiveRetuneScenario(seed, quick, false)
-	retuneCfg, swapAt, settle := LiveRetuneScenario(seed, quick, true)
-	replayCfg, _, _ := LiveRetuneScenario(seed, quick, true)
-	managedCfg, retuneAt := liveRetuneManagedScenario(seed + 1)
+func liveRetuneReport(x *expEnv, rs []expRun) (string, error) {
+	control, retuned, replay, managed := rs[0].res, rs[1].res, rs[2].res, rs[3].res
+	_, swapAt, settle := LiveRetuneScenario(x.Seed, x.Quick, true)
+	_, retuneAt := liveRetuneManagedScenario(x.Seed + 1)
 
-	cfgs := []ScenarioConfig{controlCfg, retuneCfg, replayCfg, managedCfg}
-	runs := make([]*ScenarioResult, len(cfgs))
-	errs := make([]error, len(cfgs))
-	_ = forEachPar(len(cfgs), func(i int) error {
-		r, err := RunScenario(cfgs[i])
-		if err != nil {
-			errs[i] = fmt.Errorf("liveretune run %d: %w", i, err)
-			return errs[i]
-		}
-		runs[i] = r
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, "", err
-		}
-	}
-	res := &LiveRetuneResult{Control: runs[0], Retuned: runs[1], Managed: runs[3]}
-	replay := runs[2]
-
-	length := controlCfg.Profile.Duration()
-	t0 := res.Retuned.WorkloadStart + swapAt + settle
-	t1 := res.Retuned.WorkloadStart + length
-	res.ControlP99 = windowP99(res.Control, t0, t1)
-	res.RetunedP99 = windowP99(res.Retuned, t0, t1)
-	if res.RetunedP99 > 0 {
-		res.Improvement = res.ControlP99 / res.RetunedP99
+	length := rs[0].cfg.Profile.Duration()
+	t0 := retuned.WorkloadStart + swapAt + settle
+	t1 := retuned.WorkloadStart + length
+	controlP99, retunedP99 := windowP99(control, t0, t1), windowP99(retuned, t0, t1)
+	var improvement float64
+	if retunedP99 > 0 {
+		improvement = controlP99 / retunedP99
 	}
 
 	// Self-check: the live swap must pay off without any restart.
-	if res.Improvement < liveRetuneMinImprovement {
-		return nil, "", fmt.Errorf("liveretune: post-swap p99 improved only %.2fx (control %.3fs vs retuned %.3fs), want >= %.1fx",
-			res.Improvement, res.ControlP99, res.RetunedP99, liveRetuneMinImprovement)
+	if improvement < liveRetuneMinImprovement {
+		return "", fmt.Errorf("liveretune: post-swap p99 improved only %.2fx (control %.3fs vs retuned %.3fs), want >= %.1fx",
+			improvement, controlP99, retunedP99, liveRetuneMinImprovement)
 	}
-	for _, v := range []struct {
-		name string
-		r    *ScenarioResult
-	}{{"control", res.Control}, {"retuned", res.Retuned}} {
-		if v.r.Reconfigurations != 0 || v.r.Repairs != 0 || v.r.InjectedFailures != 0 {
-			return nil, "", fmt.Errorf("liveretune: %s run restarted something (reconfigs=%d repairs=%d crashes=%d), want zero",
-				v.name, v.r.Reconfigurations, v.r.Repairs, v.r.InjectedFailures)
+	for _, v := range rs[:2] {
+		if v.res.Reconfigurations != 0 || v.res.Repairs != 0 || v.res.InjectedFailures != 0 {
+			return "", fmt.Errorf("liveretune: %s run restarted something (reconfigs=%d repairs=%d crashes=%d), want zero",
+				v.name, v.res.Reconfigurations, v.res.Repairs, v.res.InjectedFailures)
 		}
 	}
-	if got := appliedOperatorChanges(res.Retuned); got != 1 {
-		return nil, "", fmt.Errorf("liveretune: retuned run applied %d operator config changes, want 1 (log: %+v)",
-			got, res.Retuned.ConfigChanges)
+	if got := appliedOperatorChanges(retuned); got != 1 {
+		return "", fmt.Errorf("liveretune: retuned run applied %d operator config changes, want 1 (log: %+v)",
+			got, retuned.ConfigChanges)
 	}
-	if got := len(res.Control.ConfigChanges); got != 0 {
-		return nil, "", fmt.Errorf("liveretune: control run logged %d config changes, want 0", got)
+	if got := len(control.ConfigChanges); got != 0 {
+		return "", fmt.Errorf("liveretune: control run logged %d config changes, want 0", got)
 	}
 
 	// Self-check: same seed + same schedule replays byte-identically.
-	a, err := traceFingerprint(res.Retuned)
+	a, err := traceFingerprint(retuned)
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	b, err := traceFingerprint(replay)
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
-	res.ReplayIdentical = bytes.Equal(a, b)
-	if !res.ReplayIdentical {
-		return nil, "", fmt.Errorf("liveretune: same-seed replay with mid-run config change is not byte-identical (%d vs %d bytes)", len(a), len(b))
+	if !bytes.Equal(a, b) {
+		return "", fmt.Errorf("liveretune: same-seed replay with mid-run config change is not byte-identical (%d vs %d bytes)", len(a), len(b))
 	}
 
 	// Self-check: the managed reactor adopted the mid-ramp thresholds
 	// and the change is visible as a config span on the telemetry bus.
-	if got := appliedOperatorChanges(res.Managed); got != 1 {
-		return nil, "", fmt.Errorf("liveretune: managed run applied %d operator config changes, want 1", got)
+	if got := appliedOperatorChanges(managed); got != 1 {
+		return "", fmt.Errorf("liveretune: managed run applied %d operator config changes, want 1", got)
 	}
-	reactor := res.Managed.AppManager.Reactor
+	reactor := managed.AppManager.Reactor
 	if reactor.Min != 0.30 || reactor.Max != 0.60 {
-		return nil, "", fmt.Errorf("liveretune: app reactor thresholds (%.2f, %.2f) after retune, want (0.30, 0.60)",
+		return "", fmt.Errorf("liveretune: app reactor thresholds (%.2f, %.2f) after retune, want (0.30, 0.60)",
 			reactor.Min, reactor.Max)
 	}
 	configSpans := 0
-	for _, sp := range res.Managed.Trace().Spans() {
+	for _, sp := range managed.Trace().Spans() {
 		if sp.Kind == "config" {
 			configSpans++
 		}
 	}
 	if configSpans == 0 {
-		return nil, "", fmt.Errorf("liveretune: managed run has no config span on the telemetry bus")
+		return "", fmt.Errorf("liveretune: managed run has no config span on the telemetry bus")
 	}
 
 	title := fmt.Sprintf("Live retune under gray failure (RR -> balanced at t=%.0f s, window [%.0f, %.0f) s after start)",
@@ -221,8 +189,8 @@ func RunLiveRetune(seed int64, quick bool) (*LiveRetuneResult, string, error) {
 		p99  float64
 		r    *ScenarioResult
 	}{
-		{"control (RR throughout)", res.ControlP99, res.Control},
-		{"retuned (swap to balanced)", res.RetunedP99, res.Retuned},
+		{"control (RR throughout)", controlP99, control},
+		{"retuned (swap to balanced)", retunedP99, retuned},
 	} {
 		tb.AddRow(v.name,
 			fmt.Sprintf("%.3f", v.p99),
@@ -233,9 +201,9 @@ func RunLiveRetune(seed int64, quick bool) (*LiveRetuneResult, string, error) {
 			"0")
 	}
 	out := tb.Render()
-	out += fmt.Sprintf("\npost-swap p99 improvement: %.1fx (self-check floor %.1fx); same-seed replay byte-identical: %v\n",
-		res.Improvement, liveRetuneMinImprovement, res.ReplayIdentical)
+	out += fmt.Sprintf("\npost-swap p99 improvement: %.1fx (self-check floor %.1fx); same-seed replay byte-identical: true\n",
+		improvement, liveRetuneMinImprovement)
 	out += fmt.Sprintf("managed mid-ramp retune at t=%.0f s: app thresholds now (%.2f, %.2f), %d config span(s) traced, %d reconfigurations\n",
-		retuneAt, reactor.Min, reactor.Max, configSpans, res.Managed.Reconfigurations)
-	return res, out, nil
+		retuneAt, reactor.Min, reactor.Max, configSpans, managed.Reconfigurations)
+	return out, nil
 }

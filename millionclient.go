@@ -3,7 +3,6 @@ package jade
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // MillionClients is the flagship experiment's peak population.
@@ -14,23 +13,8 @@ const MillionClients = 1_000_000
 // must pass before the million-client numbers are trusted.
 const millionCrossValRMS = 0.05
 
-// MillionClientResult is the outcome of the million-client experiment:
-// the fluid run itself, its wall-clock cost, and the paper-scale
-// cross-validation that anchors the fluid engine's accuracy.
-type MillionClientResult struct {
-	Run *ScenarioResult
-	// WallSeconds is the real time the million-client run took.
-	WallSeconds float64
-	// Events is the discrete-event count of the run (management, faults,
-	// ticks and the sampled stream — everything else flowed as rates).
-	Events uint64
-	// ClientsPerSec is peak population divided by wall seconds — the
-	// headline scale metric (a discrete engine at this population would
-	// need billions of events).
-	ClientsPerSec float64
-	// CrossVal is the paper-scenario accuracy gate run alongside.
-	CrossVal *CrossValidation
-}
+// millionCrossValSpeedup is the cross-validation's ramp compression.
+const millionCrossValSpeedup = 4
 
 // MillionClientScenario configures the flagship run: a RUBiS ramp to
 // one million clients on datacenter-class nodes (1024 abstract
@@ -67,74 +51,55 @@ func MillionClientScenario(seed int64, quick bool) ScenarioConfig {
 	return cfg
 }
 
-// RunMillionClient executes the flagship million-client experiment and
-// renders its table. It is self-checking: it errors unless the run
-// reaches the full million-client population, both sizing loops
-// actuated (each tier grew past its initial single replica), the
-// sampled discrete stream stayed alive, and the paper-scale
-// fluid-vs-discrete cross-validation passes (CPU curves within
-// ±5% RMS, identical resize decision sequences). quick compresses the
-// ramp and skips nothing.
-func RunMillionClient(seed int64, quick bool) (*MillionClientResult, string, error) {
-	cv, err := FluidCrossValidation(seed, 4)
-	if err != nil {
-		return nil, "", fmt.Errorf("millionclient cross-validation: %w", err)
-	}
+// millionClientRuns is the flagship million-client run plus the
+// paper-scale fluid-vs-discrete cross-validation that anchors the fluid
+// engine's accuracy.
+func millionClientRuns(x *expEnv) ([]expRun, error) {
+	return append([]expRun{{name: "million", cfg: MillionClientScenario(x.Seed, x.Quick)}},
+		crossValRuns(x.Seed, millionCrossValSpeedup)...), nil
+}
+
+// millionClientReport self-checks that the cross-validation passes (CPU
+// curves within ±5% RMS, identical resize decision sequences), and that
+// the run reaches the full million-client population, both sizing loops
+// actuated (each tier grew past its initial single replica) and the
+// sampled discrete stream stayed alive.
+func millionClientReport(x *expEnv, rs []expRun) (string, error) {
+	cv := crossValidate(x.Seed, millionCrossValSpeedup, rs[1].res, rs[2].res)
 	if cv.AppCPURMS > millionCrossValRMS || cv.DBCPURMS > millionCrossValRMS {
-		return nil, "", fmt.Errorf("millionclient cross-validation: CPU RMS app %.4f / db %.4f exceeds %.2f",
+		return "", fmt.Errorf("millionclient cross-validation: CPU RMS app %.4f / db %.4f exceeds %.2f",
 			cv.AppCPURMS, cv.DBCPURMS, millionCrossValRMS)
 	}
 	if !cv.DecisionsMatch() {
-		return nil, "", fmt.Errorf("millionclient cross-validation: resize decisions diverge (app %q vs %q, db %q vs %q)",
+		return "", fmt.Errorf("millionclient cross-validation: resize decisions diverge (app %q vs %q, db %q vs %q)",
 			renderSeq(cv.AppFluid), renderSeq(cv.AppDiscrete), renderSeq(cv.DBFluid), renderSeq(cv.DBDiscrete))
 	}
 
-	cfg := MillionClientScenario(seed, quick)
-	t0 := time.Now()
-	r, err := RunScenario(cfg)
-	if err != nil {
-		return nil, "", fmt.Errorf("millionclient: %w", err)
-	}
-	wall := time.Since(t0).Seconds()
-	res := &MillionClientResult{
-		Run:         r,
-		WallSeconds: wall,
-		Events:      r.Platform.Eng.Processed(),
-		CrossVal:    cv,
-	}
-	if wall > 0 {
-		res.ClientsPerSec = MillionClients / wall
-	}
-
+	cfg, r := rs[0].cfg, rs[0].res
 	if r.Fluid == nil {
-		return nil, "", fmt.Errorf("millionclient: run carried no fluid report")
+		return "", fmt.Errorf("millionclient: run carried no fluid report")
 	}
 	sampledPeak := ScaledProfile{Inner: cfg.Profile, Rate: cfg.FluidSampleRate, Min: cfg.FluidMinSampled}.Max()
 	if got := r.Fluid.PeakPopulation + float64(sampledPeak); got < MillionClients {
-		return nil, "", fmt.Errorf("millionclient: peak population %.0f never reached %d", got, MillionClients)
+		return "", fmt.Errorf("millionclient: peak population %.0f never reached %d", got, MillionClients)
 	}
 	if r.Stats.Workload.Max() != MillionClients {
-		return nil, "", fmt.Errorf("millionclient: recorded workload peak %.0f, want %d", r.Stats.Workload.Max(), MillionClients)
+		return "", fmt.Errorf("millionclient: recorded workload peak %.0f, want %d", r.Stats.Workload.Max(), MillionClients)
 	}
 	if r.App.Replicas.Max() <= 1 || r.DB.Replicas.Max() <= 1 {
-		return nil, "", fmt.Errorf("millionclient: sizing idle (app peak %.0f, db peak %.0f replicas)",
+		return "", fmt.Errorf("millionclient: sizing idle (app peak %.0f, db peak %.0f replicas)",
 			r.App.Replicas.Max(), r.DB.Replicas.Max())
 	}
 	if r.Stats.Completed == 0 {
-		return nil, "", fmt.Errorf("millionclient: sampled discrete stream completed no requests")
+		return "", fmt.Errorf("millionclient: sampled discrete stream completed no requests")
 	}
 	if r.Fluid.Completed < MillionClients {
-		return nil, "", fmt.Errorf("millionclient: fluid flow completed only %.0f requests", r.Fluid.Completed)
+		return "", fmt.Errorf("millionclient: fluid flow completed only %.0f requests", r.Fluid.Completed)
 	}
 
-	return res, res.render(cfg, quick), nil
-}
-
-func (res *MillionClientResult) render(cfg ScenarioConfig, quick bool) string {
-	r := res.Run
 	var b strings.Builder
 	mode := "full"
-	if quick {
+	if x.Quick {
 		mode = "quick"
 	}
 	fmt.Fprintf(&b, "Ramp %d -> %d clients (%s), think %.0f s, %d nodes x %.0f CPU\n",
@@ -149,14 +114,16 @@ func (res *MillionClientResult) render(cfg ScenarioConfig, quick bool) string {
 	row("app replicas peak", fmt.Sprintf("%.0f", r.App.Replicas.Max()))
 	row("db replicas peak", fmt.Sprintf("%.0f", r.DB.Replicas.Max()))
 	row("reconfigurations", fmt.Sprintf("%d", r.Reconfigurations))
-	row("events processed", fmt.Sprintf("%d", res.Events))
-	row("wall time (s)", fmt.Sprintf("%.2f", res.WallSeconds))
-	row("clients per wall-second", fmt.Sprintf("%.0f", res.ClientsPerSec))
+	// Events counts management, faults, ticks and the sampled stream:
+	// everything else flowed as rates.
+	row("events processed", fmt.Sprintf("%d", r.Platform.Eng.Processed()))
+	row("wall time (s)", fmt.Sprintf("%.2f", rs[0].wall))
+	row("clients per wall-second", fmt.Sprintf("%.0f", MillionClients/rs[0].wall))
 	fmt.Fprintf(&b, "\nCross-validation (paper scenario, seed %d, %gx, fluid vs discrete):\n",
-		res.CrossVal.Seed, res.CrossVal.Speedup)
+		cv.Seed, cv.Speedup)
 	fmt.Fprintf(&b, "  app CPU RMS %.4f, db CPU RMS %.4f (bound %.2f)\n",
-		res.CrossVal.AppCPURMS, res.CrossVal.DBCPURMS, millionCrossValRMS)
+		cv.AppCPURMS, cv.DBCPURMS, millionCrossValRMS)
 	fmt.Fprintf(&b, "  resize decisions identical: app [%s], db [%s]\n",
-		renderSeq(res.CrossVal.AppFluid), renderSeq(res.CrossVal.DBFluid))
-	return b.String()
+		renderSeq(cv.AppFluid), renderSeq(cv.DBFluid))
+	return b.String(), nil
 }

@@ -2,13 +2,6 @@ package jade
 
 import "fmt"
 
-// NetFaultVariant is one network-fault setting of the managed-recovery
-// comparison (see RunNetFault).
-type NetFaultVariant struct {
-	Name   string
-	Result *ScenarioResult
-}
-
 // netFaultBase is the shared scenario of the network-fault experiment: a
 // managed, recovering, invariant-checked constant-load run with every
 // inter-tier call and heartbeat on the simulated network.
@@ -21,13 +14,12 @@ func netFaultBase(seed int64) Spec {
 	return s
 }
 
-// RunNetFault runs the managed recovery scenario under increasingly
+// netFaultRuns is the managed recovery scenario under increasingly
 // hostile network conditions — message loss, a heartbeat partition, and
-// a real replica crash — and reports what the φ-accrual detector got
-// right, what it got wrong, and whether every resulting repair was legal
-// (the double-repair invariant confirmed the discarded replica dead).
-func RunNetFault(seed int64) ([]NetFaultVariant, string, error) {
-	variants := []struct {
+// a real replica crash.
+func netFaultRuns(x *expEnv) ([]expRun, error) {
+	var rs []expRun
+	for _, v := range []struct {
 		name   string
 		mutate func(*Spec)
 	}{
@@ -44,22 +36,29 @@ func RunNetFault(seed int64) ([]NetFaultVariant, string, error) {
 			s.Faults.Network.Default.Loss = 0.005
 			s.Faults.Chaos = ChaosSchedule{{At: 60, Kind: ChaosCrash, Target: "tomcat1"}}
 		}},
+	} {
+		s := netFaultBase(x.Seed)
+		v.mutate(&s)
+		cfg, err := s.Flatten()
+		if err != nil {
+			return nil, fmt.Errorf("netfault %q: %w", v.name, err)
+		}
+		rs = append(rs, expRun{name: v.name, cfg: cfg})
 	}
+	return rs, nil
+}
 
+// netFaultReport tabulates what the φ-accrual detector got right, what it
+// got wrong, and whether every resulting repair was legal (the
+// double-repair invariant confirmed the discarded replica dead).
+func netFaultReport(_ *expEnv, rs []expRun) (string, error) {
 	tb := &TextTable{
 		Title: "Managed recovery under network faults (constant 40 clients, 240 s)",
 		Headers: []string{"network", "suspicions", "true/false", "detect lat (s)",
 			"repairs", "legal", "failed req", "violation"},
 	}
-	out := make([]NetFaultVariant, 0, len(variants))
-	for _, v := range variants {
-		s := netFaultBase(seed)
-		v.mutate(&s)
-		r, err := RunSpec(s)
-		if err != nil {
-			return nil, "", fmt.Errorf("netfault %q: %w", v.name, err)
-		}
-		out = append(out, NetFaultVariant{Name: v.name, Result: r})
+	for _, v := range rs {
+		r := v.res
 		det := r.Detector
 		lat := "-"
 		if det.TruePositives > 0 {
@@ -78,5 +77,5 @@ func RunNetFault(seed int64) ([]NetFaultVariant, string, error) {
 			fmt.Sprintf("%d", r.Stats.Failed),
 			violation)
 	}
-	return out, tb.Render(), nil
+	return tb.Render(), nil
 }

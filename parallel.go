@@ -2,7 +2,6 @@ package jade
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -10,9 +9,9 @@ import (
 var parallelism atomic.Int64
 
 // SetParallelism sets the worker count used when experiments fan
-// independent simulation runs out over goroutines (sweeps, ablations,
-// the paired paper runs). Values <= 0 restore the default, GOMAXPROCS.
-// `jadebench -parallel N` routes here.
+// independent simulation runs out over goroutines (every experiment's
+// runs, the chaos sweep's seeds). Values <= 0 restore the default,
+// GOMAXPROCS. `jadebench -parallel N` routes here.
 func SetParallelism(n int) {
 	if n < 0 {
 		n = 0
@@ -27,48 +26,4 @@ func Parallelism() int {
 		return int(n)
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// forEachPar runs fn(0) .. fn(n-1) over min(Parallelism(), n) workers
-// and returns the lowest-index error, so the reported failure does not
-// depend on goroutine completion order. Each index must be independent:
-// every fn builds its own engine and platform. With one worker (or one
-// item) it degenerates to the plain loop, stopping at the first error;
-// with more, later indexes may still run after an earlier one fails.
-func forEachPar(n int, fn func(i int) error) error {
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

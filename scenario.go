@@ -879,12 +879,3 @@ func resolveEndpoints(dep *Deployment, names []string) []string {
 	}
 	return out
 }
-
-// mustScenario is a helper for the experiment runners.
-func mustScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
-	r, err := RunScenario(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("jade: scenario (managed=%v): %w", cfg.Managed, err)
-	}
-	return r, nil
-}

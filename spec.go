@@ -391,19 +391,7 @@ func (s Spec) Validate() error {
 	if s.Recovery && !s.Managed {
 		ve.addf("recovery", "requires managed")
 	}
-	for _, tier := range []struct{ path, policy string }{
-		{"routing.policy", s.Routing.Policy},
-		{"routing.l4", s.Routing.L4},
-		{"routing.app", s.Routing.App},
-		{"routing.db", s.Routing.DB},
-	} {
-		if tier.policy == "" {
-			continue
-		}
-		if _, err := ParseRoutingPolicy(tier.policy); err != nil {
-			ve.addf(tier.path, "unknown policy %q (want one of %v)", tier.policy, RoutingPolicies())
-		}
-	}
+	ve.checkPolicies(givenPolicies(s.Routing.Policy, s.Routing.L4, s.Routing.App, s.Routing.DB))
 	if s.Routing.ProbeAfterSeconds < 0 {
 		ve.addf("routing.probe_after_seconds", "must be >= 0, got %g", s.Routing.ProbeAfterSeconds)
 	}

@@ -74,10 +74,7 @@ func ChaosSweepScenario(speedup float64) ScenarioConfig {
 	cfg.Recovery = true
 	cfg.Arbitrate = true
 	if speedup > 1 {
-		ramp := PaperRamp()
-		ramp.StepPerMinute = int(float64(ramp.StepPerMinute) * speedup)
-		ramp.HoldAtPeak /= speedup
-		cfg.Profile = ramp
+		cfg.Profile = compressedRamp(speedup)
 	}
 	return cfg
 }

@@ -44,6 +44,35 @@ func (e *ValidationError) addf(path, format string, args ...any) {
 	e.Fields = append(e.Fields, FieldError{Path: path, Msg: fmt.Sprintf(format, args...)})
 }
 
+// policyPaths are the routing policy fields, in checkPolicies' order.
+var policyPaths = [4]string{"routing.policy", "routing.l4", "routing.app", "routing.db"}
+
+// checkPolicies appends an "unknown policy" error for each given policy
+// that names no routing policy; a nil entry was not given.
+func (e *ValidationError) checkPolicies(policies [4]*string) {
+	for i, p := range policies {
+		if p == nil {
+			continue
+		}
+		if _, err := ParseRoutingPolicy(*p); err != nil {
+			e.addf(policyPaths[i], "unknown policy %q (want one of %v)", *p, RoutingPolicies())
+		}
+	}
+}
+
+// givenPolicies adapts a spec's or the live state's policies, where ""
+// means not given, to checkPolicies; a patch leaves them nil instead.
+func givenPolicies(policy, l4, app, db string) [4]*string {
+	ps := [4]string{policy, l4, app, db}
+	var given [4]*string
+	for i := range ps {
+		if ps[i] != "" {
+			given[i] = &ps[i]
+		}
+	}
+	return given
+}
+
 // or returns nil when no field failed, the aggregate otherwise.
 func (e *ValidationError) or() error {
 	if len(e.Fields) == 0 {
