@@ -345,17 +345,27 @@ func (s Spec) Validate() error {
 			ve.addf(tier.path+".inhibit_seconds", "must be >= 0, got %g", tier.cfg.InhibitSeconds)
 		}
 	}
-	n := s.Faults.Network
-	if n.Default.Loss < 0 || n.Default.Loss >= 1 {
-		ve.addf("faults.network.default.loss", "must be within [0,1), got %g", n.Default.Loss)
+	if s.Faults.FailComponent != "" && s.Faults.FailAt < 0 {
+		ve.addf("faults.fail_at", "must be >= 0, got %g", s.Faults.FailAt)
 	}
+	n := s.Faults.Network
+	checkLink := func(path string, l LinkConfig) {
+		if l.LatencyMS < 0 {
+			ve.addf(path+".latency_ms", "must be >= 0, got %g", l.LatencyMS)
+		}
+		if l.JitterMS < 0 {
+			ve.addf(path+".jitter_ms", "must be >= 0, got %g", l.JitterMS)
+		}
+		if l.Loss < 0 || l.Loss >= 1 {
+			ve.addf(path+".loss", "must be within [0,1), got %g", l.Loss)
+		}
+	}
+	checkLink("faults.network.default", n.Default)
 	for key, l := range n.Links {
 		if from, to, ok := strings.Cut(key, "->"); !ok || from == "" || to == "" {
 			ve.addf("faults.network.links["+key+"]", `key must be "from->to" with both endpoints named`)
 		}
-		if l.Loss < 0 || l.Loss >= 1 {
-			ve.addf("faults.network.links["+key+"].loss", "must be within [0,1), got %g", l.Loss)
-		}
+		checkLink("faults.network.links["+key+"]", l)
 	}
 	if len(s.Faults.Partition) > 0 && !n.Enabled {
 		ve.addf("faults.partition", "requires faults.network.enabled")
@@ -369,6 +379,9 @@ func (s Spec) Validate() error {
 		}
 	}
 	for i, ev := range s.Faults.Chaos {
+		if ev.At < 0 {
+			ve.addf(fmt.Sprintf("faults.chaos[%d].at", i), "must be >= 0, got %g", ev.At)
+		}
 		switch ev.Kind {
 		case ChaosCrash, ChaosReboot, ChaosSlow, ChaosHeal:
 		case ChaosPartition:

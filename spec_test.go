@@ -97,6 +97,38 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// Negative fault times and link delays used to pass Validate and then
+// panic RunSpec in sim.Engine.Schedule ("scheduling ... before now"); each
+// is now a FieldError at its path.
+func TestSpecValidateRejectsNegativeFaultTimes(t *testing.T) {
+	cases := []struct {
+		mutate func(*Spec)
+		path   string
+	}{
+		{func(s *Spec) { s.Faults.Chaos = ChaosSchedule{{At: -5, Kind: ChaosCrash, Target: "tomcat1"}} }, "faults.chaos[0].at"},
+		{func(s *Spec) { s.Faults.FailAt, s.Faults.FailComponent = -1, "tomcat1" }, "faults.fail_at"},
+		{func(s *Spec) { s.Faults.Network.Default.LatencyMS = -1 }, "faults.network.default.latency_ms"},
+		{func(s *Spec) { s.Faults.Network.Default.JitterMS = -1 }, "faults.network.default.jitter_ms"},
+		{func(s *Spec) {
+			s.Faults.Network.Links = map[string]LinkConfig{"node1->node2": {LatencyMS: -2}}
+		}, "faults.network.links[node1->node2].latency_ms"},
+		{func(s *Spec) {
+			s.Faults.Network.Links = map[string]LinkConfig{"node1->node2": {JitterMS: -2}}
+		}, "faults.network.links[node1->node2].jitter_ms"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.path, func(t *testing.T) {
+			s := DefaultSpec(1, true)
+			s.Faults.Network.Enabled = true
+			tc.mutate(&s)
+			fields := AsValidationError(s.Validate())
+			if len(fields) != 1 || fields[0].Path != tc.path {
+				t.Fatalf("got %+v, want one error at %s", fields, tc.path)
+			}
+		})
+	}
+}
+
 // A link key that can never match a directed pair is reported by its field
 // path, like every other spec error (it used to be accepted and ignored).
 func TestSpecLinkKeyErrorNamesTheKey(t *testing.T) {
