@@ -3,7 +3,6 @@ package config
 import (
 	"errors"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,42 +32,6 @@ func TestMemFSRoundTrip(t *testing.T) {
 	}
 	if list := fs.List(); len(list) != 1 || list[0] != "a/b.conf" {
 		t.Fatalf("List = %v", list)
-	}
-	if err := fs.Remove("a/b.conf"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove("a/b.conf"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("double remove: %v", err)
-	}
-}
-
-func TestDirFSRoundTripAndEscape(t *testing.T) {
-	root := t.TempDir()
-	fs, err := NewDirFS(filepath.Join(root, "ws"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("node1/httpd.conf", []byte("Listen 80\n")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadFile("node1/httpd.conf")
-	if err != nil || string(got) != "Listen 80\n" {
-		t.Fatalf("read = %q, %v", got, err)
-	}
-	list := fs.List()
-	if len(list) != 1 || filepath.ToSlash(list[0]) != "node1/httpd.conf" {
-		t.Fatalf("List = %v", list)
-	}
-	// Path traversal is confined to the workspace: the leading ../ is
-	// cleaned away rather than escaping.
-	if err := fs.WriteFile("../escape.txt", []byte("no")); err != nil {
-		t.Fatalf("cleaned write failed: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(root, "escape.txt")); err == nil {
-		t.Fatal("file written outside workspace root")
-	}
-	if err := fs.Remove("node1/httpd.conf"); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -115,10 +78,6 @@ func TestHTTPDParseGetSet(t *testing.T) {
 	if !strings.Contains(c.Render(), "KeepAlive On\n") {
 		t.Fatal("appended directive missing")
 	}
-	c.Unset("LoadModule")
-	if _, ok := c.Get("LoadModule"); ok {
-		t.Fatal("Unset left directive behind")
-	}
 }
 
 func TestHTTPDParseRejectsBareDirective(t *testing.T) {
@@ -136,8 +95,8 @@ func TestHTTPDRoundTripIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(c.Directives(), c2.Directives()) {
-		t.Fatalf("directives changed: %v vs %v", c.Directives(), c2.Directives())
+	if !reflect.DeepEqual(c, c2) {
+		t.Fatalf("round trip changed the document:\n%s\nvs\n%s", c.Render(), c2.Render())
 	}
 }
 
@@ -339,11 +298,8 @@ func TestMyCnfParseAndQuery(t *testing.T) {
 	if p, err := c.GetInt("mysqld", "port"); err != nil || p != 3306 {
 		t.Fatalf("port = %d, %v", p, err)
 	}
-	if !c.HasFlag("mysqld", "skip-networking") {
-		t.Fatal("flag not parsed")
-	}
-	if c.HasFlag("client", "skip-networking") {
-		t.Fatal("flag leaked across sections")
+	if want := "[mysqld]\ndatadir=/var/lib/mysql\nport=3306\nskip-networking\n\n[client]\nport=3306\n"; c.Render() != want {
+		t.Fatalf("flag not parsed into its section:\n%s", c.Render())
 	}
 	if _, ok := c.Get("nosection", "port"); ok {
 		t.Fatal("missing section returned value")
@@ -351,27 +307,18 @@ func TestMyCnfParseAndQuery(t *testing.T) {
 	if _, err := c.GetInt("mysqld", "datadir"); err == nil {
 		t.Fatal("GetInt on path accepted")
 	}
-	if got := c.Sections(); !reflect.DeepEqual(got, []string{"mysqld", "client"}) {
-		t.Fatalf("sections = %v", got)
-	}
 }
 
 func TestMyCnfMutation(t *testing.T) {
 	c := NewMyCnf()
 	c.SetInt("mysqld", "port", 3307)
 	c.Set("mysqld", "bind-address", "node5")
-	c.SetFlag("mysqld", "log-bin")
 	out := c.Render()
-	for _, want := range []string{"[mysqld]", "port=3307", "bind-address=node5", "log-bin"} {
+	for _, want := range []string{"[mysqld]", "port=3307", "bind-address=node5"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	c.Unset("mysqld", "port")
-	if _, ok := c.Get("mysqld", "port"); ok {
-		t.Fatal("Unset failed")
-	}
-	c.Unset("ghost", "port") // no-op on missing section
 }
 
 func TestMyCnfRoundTrip(t *testing.T) {
@@ -386,8 +333,8 @@ func TestMyCnfRoundTrip(t *testing.T) {
 	if v, _ := c2.Get("mysqld", "datadir"); v != "/var/lib/mysql" {
 		t.Fatalf("datadir lost: %q", v)
 	}
-	if !c2.HasFlag("mysqld", "skip-networking") {
-		t.Fatal("flag lost in round trip")
+	if c2.Render() != c.Render() {
+		t.Fatalf("flag lost in round trip:\n%s", c2.Render())
 	}
 }
 

@@ -3,6 +3,7 @@ package config
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -116,17 +117,21 @@ func TestServerXMLFixpoint(t *testing.T) {
 func TestMyCnfFixpoint(t *testing.T) {
 	for seed := int64(0); seed < fixpointSeeds; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		c := NewMyCnf()
+		var text strings.Builder
 		for i := 0; i < 1+r.Intn(3); i++ {
-			section := []string{"mysqld", "client", "mysqldump"}[r.Intn(3)]
+			fmt.Fprintf(&text, "[%s]\n", []string{"mysqld", "client", "mysqldump"}[r.Intn(3)])
 			switch r.Intn(3) {
 			case 0:
-				c.SetInt(section, word(r, "port"), 3306+r.Intn(100))
+				fmt.Fprintf(&text, "%s=%d\n", word(r, "port"), 3306+r.Intn(100))
 			case 1:
-				c.Set(section, word(r, "datadir"), word(r, "/var/lib/"))
+				fmt.Fprintf(&text, "%s=%s\n", word(r, "datadir"), word(r, "/var/lib/"))
 			default:
-				c.SetFlag(section, word(r, "skip-"))
+				fmt.Fprintf(&text, "%s\n", word(r, "skip-"))
 			}
+		}
+		c, err := ParseMyCnf(text.String())
+		if err != nil {
+			t.Fatalf("seed %d: parse 0: %v", seed, err)
 		}
 		once := c.Render()
 		p1, err := ParseMyCnf(once)

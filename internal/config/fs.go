@@ -8,27 +8,16 @@
 // call on the Apache component is *reflected into httpd.conf*. This
 // package is what the wrappers write through, and what the simulated
 // legacy servers parse at startup — keeping the legacy boundary honest.
+// The files live in one in-memory workspace per platform (MemFS); nothing
+// is written to disk.
 package config
 
 import (
-	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 )
 
-// FS is the minimal file-system surface the legacy layer needs. MemFS is
-// used in simulations and tests; DirFS writes through to a real directory
-// so the examples can show actual generated config files.
-type FS interface {
-	ReadFile(path string) ([]byte, error)
-	WriteFile(path string, data []byte) error
-	Remove(path string) error
-	List() []string
-}
-
-// MemFS is an in-memory FS.
+// MemFS is the in-memory workspace holding the legacy configuration files.
 type MemFS struct {
 	files map[string][]byte
 }
@@ -55,90 +44,12 @@ func (m *MemFS) WriteFile(path string, data []byte) error {
 	return nil
 }
 
-// Remove deletes the file.
-func (m *MemFS) Remove(path string) error {
-	if _, ok := m.files[path]; !ok {
-		return &os.PathError{Op: "remove", Path: path, Err: os.ErrNotExist}
-	}
-	delete(m.files, path)
-	return nil
-}
-
 // List returns all paths sorted.
 func (m *MemFS) List() []string {
 	out := make([]string, 0, len(m.files))
 	for p := range m.files {
 		out = append(out, p)
 	}
-	sort.Strings(out)
-	return out
-}
-
-// DirFS stores files under a root directory on the real file system.
-type DirFS struct {
-	Root string
-}
-
-// NewDirFS returns a DirFS rooted at root, creating it if needed.
-func NewDirFS(root string) (*DirFS, error) {
-	if err := os.MkdirAll(root, 0o755); err != nil {
-		return nil, fmt.Errorf("config: creating workspace: %w", err)
-	}
-	return &DirFS{Root: root}, nil
-}
-
-func (d *DirFS) resolve(path string) (string, error) {
-	clean := filepath.Clean("/" + path)
-	full := filepath.Join(d.Root, clean)
-	if !strings.HasPrefix(full, filepath.Clean(d.Root)+string(os.PathSeparator)) {
-		return "", fmt.Errorf("config: path %q escapes workspace", path)
-	}
-	return full, nil
-}
-
-// ReadFile reads a workspace-relative path.
-func (d *DirFS) ReadFile(path string) ([]byte, error) {
-	full, err := d.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	return os.ReadFile(full)
-}
-
-// WriteFile writes a workspace-relative path, creating parent directories.
-func (d *DirFS) WriteFile(path string, data []byte) error {
-	full, err := d.resolve(path)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(full, data, 0o644)
-}
-
-// Remove deletes a workspace-relative path.
-func (d *DirFS) Remove(path string) error {
-	full, err := d.resolve(path)
-	if err != nil {
-		return err
-	}
-	return os.Remove(full)
-}
-
-// List walks the workspace and returns relative paths sorted.
-func (d *DirFS) List() []string {
-	var out []string
-	_ = filepath.Walk(d.Root, func(p string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return nil
-		}
-		rel, rerr := filepath.Rel(d.Root, p)
-		if rerr == nil {
-			out = append(out, rel)
-		}
-		return nil
-	})
 	sort.Strings(out)
 	return out
 }

@@ -89,17 +89,6 @@ func (c *HTTPDConf) Set(directive string, args ...string) {
 	c.lines = append(c.lines, httpdLine{directive: directive, args: append([]string(nil), args...)})
 }
 
-// Unset removes every occurrence of the directive.
-func (c *HTTPDConf) Unset(directive string) {
-	out := c.lines[:0]
-	for _, l := range c.lines {
-		if !strings.EqualFold(l.directive, directive) {
-			out = append(out, l)
-		}
-	}
-	c.lines = out
-}
-
 // Render returns the file text.
 func (c *HTTPDConf) Render() string {
 	var b strings.Builder
@@ -116,21 +105,4 @@ func (c *HTTPDConf) Render() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Directives returns the directive names in file order (first occurrence).
-func (c *HTTPDConf) Directives() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, l := range c.lines {
-		if l.directive == "" {
-			continue
-		}
-		k := strings.ToLower(l.directive)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, l.directive)
-		}
-	}
-	return out
 }

@@ -54,7 +54,7 @@ func ParseMyCnf(text string) (*MyCnf, error) {
 			}
 			c.Set(section, key, val)
 		} else {
-			c.SetFlag(section, trimmed)
+			c.flags[section][trimmed] = true
 		}
 	}
 	return c, nil
@@ -80,12 +80,6 @@ func (c *MyCnf) SetInt(section, key string, value int) {
 	c.Set(section, key, strconv.Itoa(value))
 }
 
-// SetFlag sets a bare flag (e.g. "skip-networking") in a section.
-func (c *MyCnf) SetFlag(section, flag string) {
-	c.ensureSection(section)
-	c.flags[section][flag] = true
-}
-
 // Get returns the value for section/key.
 func (c *MyCnf) Get(section, key string) (string, bool) {
 	vals, ok := c.values[section]
@@ -104,21 +98,6 @@ func (c *MyCnf) GetInt(section, key string) (int, error) {
 	}
 	return strconv.Atoi(v)
 }
-
-// HasFlag reports whether a bare flag is set.
-func (c *MyCnf) HasFlag(section, flag string) bool {
-	return c.flags[section] != nil && c.flags[section][flag]
-}
-
-// Unset removes a key from a section.
-func (c *MyCnf) Unset(section, key string) {
-	if vals, ok := c.values[section]; ok {
-		delete(vals, key)
-	}
-}
-
-// Sections returns section names in first-appearance order.
-func (c *MyCnf) Sections() []string { return append([]string(nil), c.sections...) }
 
 // Render returns the my.cnf text with deterministic key ordering.
 func (c *MyCnf) Render() string {

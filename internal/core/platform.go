@@ -38,9 +38,6 @@ type Options struct {
 	Nodes int
 	// NodeConfig configures every pool node.
 	NodeConfig cluster.Config
-	// FS is the workspace holding legacy configuration files
-	// (in-memory by default).
-	FS config.FS
 	// Logf receives management-layer log lines (default: discarded).
 	Logf func(format string, args ...any)
 	// ManagementMemoryMB is the footprint of the Jade management
@@ -54,15 +51,6 @@ type Options struct {
 	// Routing selects the per-tier backend-selection policies used by the
 	// balancing wrappers (zero value keeps each tier's historic default).
 	Routing RoutingConfig
-	// TraceEventCapacity bounds the telemetry bus's event ring buffer
-	// (default trace.DefaultEventCapacity).
-	TraceEventCapacity int
-	// TraceSpanCapacity bounds the telemetry bus's span store (default
-	// trace.DefaultSpanCapacity).
-	TraceSpanCapacity int
-	// TraceSimEvents additionally records every dispatched scheduler
-	// event on the bus (kind "sim.event"). High volume; off by default.
-	TraceSimEvents bool
 	// TraceDisabled switches the telemetry bus off: instrumentation
 	// calls become two atomic loads and log lines skip formatting unless
 	// Logf is set. Sweeps and benchmarks use it to take tracing off the
@@ -86,7 +74,7 @@ func DefaultOptions() Options {
 type Platform struct {
 	Eng  *sim.Engine
 	Net  *legacy.Network
-	FS   config.FS
+	FS   *config.MemFS
 	Pool *cluster.Pool
 	SIS  *InstallService
 
@@ -132,11 +120,8 @@ func NewPlatform(opts Options) *Platform {
 	if opts.NodeConfig.CPUCapacity == 0 {
 		opts.NodeConfig = cluster.DefaultConfig()
 	}
-	if opts.FS == nil {
-		opts.FS = config.NewMemFS()
-	}
 	eng := sim.NewEngine(opts.Seed)
-	tracer := trace.New(eng.Now, opts.TraceEventCapacity, opts.TraceSpanCapacity)
+	tracer := trace.New(eng.Now, 0, 0)
 	tracer.SetLogSink(opts.Logf)
 	if opts.TraceDisabled {
 		tracer.SetEnabled(false)
@@ -145,7 +130,7 @@ func NewPlatform(opts Options) *Platform {
 	p := &Platform{
 		Eng:       eng,
 		Net:       legacy.NewNetwork(),
-		FS:        opts.FS,
+		FS:        config.NewMemFS(),
 		Pool:      cluster.NewPool(eng, "node", opts.Nodes, opts.NodeConfig),
 		opts:      opts,
 		registry:  make(map[string]WrapperFactory),
@@ -157,11 +142,6 @@ func NewPlatform(opts Options) *Platform {
 	}
 	p.Pool.Metrics = obs.NewPoolMetrics(metrics)
 	p.Pool.Metrics.SetSizes(p.Pool.FreeCount(), p.Pool.AllocatedCount())
-	if opts.TraceSimEvents {
-		eng.SetEventHook(func(t float64, label string) {
-			tracer.Emit("sim.event", label)
-		})
-	}
 	nodeFails := metrics.Counter("jade_node_failures_total", "Node crashes observed by the platform.")
 	nodeReboots := metrics.Counter("jade_node_reboots_total", "Node reboots observed by the platform.")
 	for _, n := range p.Pool.Nodes() {

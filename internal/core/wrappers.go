@@ -102,7 +102,7 @@ func parsePort(value, what string) (int, error) {
 // editConfig is how a wrapper reflects a change into a legacy
 // configuration file: read it, parse it, edit the parsed form, render it
 // and write it back.
-func editConfig[T any](fs config.FS, path string, parse func([]byte) (T, error), render func(T) (string, error), edit func(T)) error {
+func editConfig[T any](fs *config.MemFS, path string, parse func([]byte) (T, error), render func(T) (string, error), edit func(T)) error {
 	raw, err := fs.ReadFile(path)
 	if err != nil {
 		return err

@@ -112,15 +112,6 @@ func (a *Apache) Start(done func(error)) {
 // Stop shuts the server down (the paper's "apachectl stop").
 func (a *Apache) Stop(done func(error)) { a.end(done) }
 
-// Routes returns the worker names resolved at the last start.
-func (a *Apache) Routes() []string {
-	out := make([]string, len(a.routes))
-	for i, r := range a.routes {
-		out[i] = r.name
-	}
-	return out
-}
-
 // HandleHTTP serves a request: static documents cost web-tier CPU only;
 // dynamic documents additionally forward to an AJP worker (round-robin
 // across resolved workers, as mod_jk's lb worker does).

@@ -307,7 +307,7 @@ func (n *Network) Addresses() []string {
 type Env struct {
 	Eng *sim.Engine
 	Net *Network
-	FS  config.FS
+	FS  *config.MemFS
 	// Trace, when set, lets servers attach child spans to requests that
 	// carry a TraceSpan. All Tracer methods are nil-receiver safe, so the
 	// field may stay unset (the standalone unit tests do).

@@ -115,9 +115,6 @@ func TestStackStartupAndStates(t *testing.T) {
 	if len(addrs) != 3 {
 		t.Fatalf("network addresses = %v", addrs)
 	}
-	if got := a.Routes(); len(got) != 1 || got[0] != "tomcat1" {
-		t.Fatalf("apache routes = %v", got)
-	}
 	if tc.JDBCAddr() != m.Node().Name()+":3306" {
 		t.Fatalf("tomcat jdbc addr = %q", tc.JDBCAddr())
 	}
