@@ -569,14 +569,14 @@ func TestSnapshotReplayReplicaAnswersIndexedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The delta: rows for the indexes to take in, an indexed column
-	// rewritten, rows deleted, reads in between.
+	// The delta: rows for the indexes to take in, two indexed columns
+	// rewritten, reads in between.
 	for i := 0; i < 20; i++ {
 		bid(i % 5)
 	}
 	r.mustExec("UPDATE bids SET item_id = 9 WHERE item_id = 3")
 	r.mustExec(reads[2])
-	r.mustExec("DELETE FROM bids WHERE user_id = 5")
+	r.mustExec("UPDATE bids SET user_id = 6 WHERE user_id = 5")
 	r.mustExec(reads[0])
 	bid(3)
 	for i := int64(0); i < r.ctl.log.Len(); i++ {
@@ -754,21 +754,21 @@ func TestSuppliedStatementIsClassifiedAsItIs(t *testing.T) {
 	if err := run(legacy.Query{SQL: "not SQL at all", Stmt: sel, Cost: 0.001}); err != nil {
 		t.Fatal(err)
 	}
-	del, err := sqlengine.Prepare("DELETE FROM t WHERE a = ?")
+	upd, err := sqlengine.Prepare("UPDATE t SET a = 8 WHERE a = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(legacy.Query{Prepared: del, Arg: 7, Cost: 0.001}); err != nil {
+	if err := run(legacy.Query{Prepared: upd, Arg: 7, Cost: 0.001}); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ := r.ctl.Log().At(3)
-	if rec.Query.SQL != "DELETE FROM t WHERE a = 7" || rec.Query.Prepared != nil || rec.Query.Stmt != nil {
+	if rec.Query.SQL != "UPDATE t SET a = 8 WHERE a = 7" || rec.Query.Prepared != nil || rec.Query.Stmt != nil {
 		t.Fatalf("logged %+v", rec.Query)
 	}
 	if r.ctl.Reads() != 1 || r.ctl.Writes() != 4 || r.ctl.ActiveCount() != 2 {
 		t.Fatalf("reads=%d writes=%d active=%d", r.ctl.Reads(), r.ctl.Writes(), r.ctl.ActiveCount())
 	}
-	if m1.DB().RowCount("t") != 1 || m2.DB().RowCount("t") != 1 || !r.ctl.CheckConsistency().Consistent {
+	if m1.DB().RowCount("t") != 2 || m2.DB().RowCount("t") != 2 || !r.ctl.CheckConsistency().Consistent {
 		t.Fatalf("rows %d / %d", m1.DB().RowCount("t"), m2.DB().RowCount("t"))
 	}
 }

@@ -57,8 +57,8 @@ func (t *Table) colIndex(name string) (int, error) {
 // a chain through the positions of the rows holding it, in ascending
 // order. The engine builds one the first time a statement's leading
 // condition is "column = integer literal", extends it on INSERT, and
-// drops it when positions or the column's values change (DELETE, an
-// UPDATE that sets the column); the next such statement rebuilds it.
+// drops it when an UPDATE sets the column; the next such statement
+// rebuilds it. Positions only ever grow: no statement removes a row.
 type eqIndex struct {
 	ends map[int64][2]int32 // value → first and last position holding it
 	next []int32            // position → next position with the same value, -1 at the end
@@ -157,16 +157,12 @@ func (e *Engine) exec(stmt Statement, args []int64, rows bool) (Result, error) {
 	switch s := stmt.(type) {
 	case CreateStmt:
 		return e.execCreate(s)
-	case DropStmt:
-		return e.execDrop(s)
 	case InsertStmt:
 		return e.execInsert(s)
 	case SelectStmt:
 		return e.execSelect(s, args, rows)
 	case UpdateStmt:
 		return e.execUpdate(s, args)
-	case DeleteStmt:
-		return e.execDelete(s, args)
 	}
 	return Result{}, fmt.Errorf("sql: unknown statement type %T", stmt)
 }
@@ -183,15 +179,6 @@ func (e *Engine) execCreate(s CreateStmt) (Result, error) {
 		seen[c.Name] = true
 	}
 	e.tables[s.Table] = newTable(s.Table, slices.Clone(s.Columns))
-	e.writes++
-	return Result{}, nil
-}
-
-func (e *Engine) execDrop(s DropStmt) (Result, error) {
-	if _, ok := e.tables[s.Table]; !ok {
-		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
-	}
-	delete(e.tables, s.Table)
 	e.writes++
 	return Result{}, nil
 }
@@ -652,36 +639,6 @@ func (e *Engine) execUpdate(s UpdateStmt, args []int64) (Result, error) {
 	return Result{Affected: len(pos)}, nil
 }
 
-func (e *Engine) execDelete(s DeleteStmt, args []int64) (Result, error) {
-	t, ok := e.tables[s.Table]
-	if !ok {
-		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
-	}
-	var buf [64]int32
-	pos, _, err := t.match(buf[:0], true, s.Where, args, -1)
-	if err != nil {
-		return Result{}, err
-	}
-	if len(pos) > 0 {
-		kept, gone := t.Rows[:pos[0]], pos
-		for i := int(pos[0]); i < len(t.Rows); i++ {
-			if len(gone) > 0 && int(gone[0]) == i {
-				gone = gone[1:]
-			} else {
-				kept = append(kept, t.Rows[i])
-			}
-		}
-		clear(t.Rows[len(kept):])
-		t.Rows, t.index = kept, nil // every later position moved
-		t.digest = 0
-		for i, row := range t.Rows {
-			t.digest += rowDigest(i, row)
-		}
-	}
-	e.writes++
-	return Result{Affected: len(pos)}, nil
-}
-
 // Snapshot returns a copy of the database — the "initial known state"
 // installed on a fresh replica before the recovery log replays the delta.
 // The copy shares the (immutable) rows and schema with the original and
@@ -753,8 +710,8 @@ func rowDigest(pos int, row Row) uint64 {
 // row order is part of engine state). Two replicas are consistent iff their
 // fingerprints are equal. It is a pure function of that state, whatever
 // statements led to it, and costs one step per table: the rows are hashed
-// when they are written (INSERT and UPDATE hash the rows they touch, a
-// DELETE that removes rows rehashes its table), never here. The value is
+// when they are written (INSERT and UPDATE hash the rows they touch),
+// never here. The value is
 // compared, not recorded: it may differ from one commit to the next.
 func (e *Engine) Fingerprint() uint64 {
 	var fp uint64

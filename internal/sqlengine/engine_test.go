@@ -112,30 +112,17 @@ func TestUpdate(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	e := newUsers(t)
-	r := mustExec(t, e, "DELETE FROM users WHERE rating < 4.0")
-	if r.Affected != 1 {
-		t.Fatalf("affected = %d", r.Affected)
-	}
-	if e.RowCount("users") != 2 {
-		t.Fatalf("rows left = %d", e.RowCount("users"))
-	}
-	// Unconditional delete clears the table.
-	mustExec(t, e, "DELETE FROM users")
-	if e.RowCount("users") != 0 {
-		t.Fatal("unconditional delete left rows")
-	}
-}
-
-func TestDropTable(t *testing.T) {
-	e := newUsers(t)
-	mustExec(t, e, "DROP TABLE users")
-	if _, err := e.Exec("SELECT * FROM users"); !errors.Is(err, ErrNoSuchTable) {
-		t.Fatalf("select after drop: %v", err)
-	}
-	if _, err := e.Exec("DROP TABLE users"); !errors.Is(err, ErrNoSuchTable) {
-		t.Fatalf("double drop: %v", err)
+// The engine runs what RUBiS and the recovery log send. DELETE and DROP
+// TABLE are not among them: they do not parse, and IsWrite does not
+// classify them.
+func TestDeleteAndDropDoNotParse(t *testing.T) {
+	for _, sql := range []string{"DELETE FROM users WHERE id = 1", "DELETE FROM users", "DROP TABLE users"} {
+		if _, err := Parse(sql); err == nil {
+			t.Errorf("Parse(%q) accepted", sql)
+		}
+		if IsWrite(sql) {
+			t.Errorf("IsWrite(%q) = true", sql)
+		}
 	}
 }
 
@@ -253,9 +240,7 @@ func TestIsWrite(t *testing.T) {
 		{"select * from t", false},
 		{"INSERT INTO t (a) VALUES (1)", true},
 		{"update t set a = 1", true},
-		{"DELETE FROM t", true},
 		{"CREATE TABLE t (a INT)", true},
-		{"DROP TABLE t", true},
 		{"", false},
 	}
 	for _, c := range cases {
@@ -324,13 +309,11 @@ func TestPropertyReplayDeterminism(t *testing.T) {
 			}
 			for i, op := range ops {
 				var sql string
-				switch op % 3 {
+				switch op % 2 {
 				case 0:
 					sql = fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, %d)", i, op)
 				case 1:
 					sql = fmt.Sprintf("UPDATE t SET v = %d WHERE id < %d", op, op%10)
-				case 2:
-					sql = fmt.Sprintf("DELETE FROM t WHERE v = %d", op%5)
 				}
 				if _, err := e.Exec(sql); err != nil {
 					return nil
@@ -349,8 +332,7 @@ func TestPropertyReplayDeterminism(t *testing.T) {
 	}
 }
 
-// Property: INSERT then COUNT round trip — count always equals inserts
-// minus matching deletes.
+// Property: INSERT then COUNT round trip — count always equals inserts.
 func TestPropertyInsertCount(t *testing.T) {
 	f := func(vals []int16) bool {
 		e := New()
@@ -480,10 +462,10 @@ func TestIsWriteAgreesWithParse(t *testing.T) {
 		"  \t\nINSERT INTO t (a) VALUES (1)",
 		";INSERT INTO t (a) VALUES (1)",
 		"insert;into t (a) values (1)",
-		"Drop Table t",
+		"Create Table u (a INT)",
 		"SELECT*FROM t",
 		"select a from t where a = 1",
-		"DELETE FROM t WHERE a = 1;",
+		"UPDATE t SET a = 2 WHERE a = 1;",
 	} {
 		stmt, err := Parse(sql)
 		if err != nil {

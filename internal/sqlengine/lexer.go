@@ -1,7 +1,8 @@
 // Package sqlengine implements the in-memory relational engine that stands
-// in for MySQL 4.0 in this reproduction. It executes a practical SQL
-// subset (CREATE TABLE / DROP TABLE / INSERT / SELECT / UPDATE / DELETE
-// with WHERE, ORDER BY and LIMIT) over typed tables.
+// in for MySQL 4.0 in this reproduction. It executes the SQL subset that
+// RUBiS and the recovery log send (CREATE TABLE / INSERT / SELECT / UPDATE
+// with WHERE, ORDER BY and LIMIT) over typed tables. No statement removes
+// a row or a table, so a row's position in its table never changes.
 //
 // The engine exists because the paper's C-JDBC layer keeps database
 // replicas consistent by *logging write-request strings* and replaying

@@ -43,9 +43,6 @@ type CreateStmt struct {
 	Columns []Column
 }
 
-// DropStmt is DROP TABLE.
-type DropStmt struct{ Table string }
-
 // InsertStmt is INSERT INTO t (cols) VALUES (vals).
 type InsertStmt struct {
 	Table   string
@@ -71,18 +68,10 @@ type UpdateStmt struct {
 	Where []Cond
 }
 
-// DeleteStmt is DELETE FROM t [WHERE].
-type DeleteStmt struct {
-	Table string
-	Where []Cond
-}
-
 func (CreateStmt) isStmt() {}
-func (DropStmt) isStmt()   {}
 func (InsertStmt) isStmt() {}
 func (SelectStmt) isStmt() {}
 func (UpdateStmt) isStmt() {}
-func (DeleteStmt) isStmt() {}
 
 // Cond is one "column op literal" predicate; conditions combine with AND.
 type Cond struct {
@@ -212,12 +201,8 @@ func (p *parser) statement() (Statement, error) {
 		return p.insertStmt()
 	case p.peekKeyword("UPDATE"):
 		return p.updateStmt()
-	case p.peekKeyword("DELETE"):
-		return p.deleteStmt()
 	case p.peekKeyword("CREATE"):
 		return p.createStmt()
-	case p.peekKeyword("DROP"):
-		return p.dropStmt()
 	}
 	return nil, fmt.Errorf("unsupported statement %q", t.text)
 }
@@ -276,18 +261,6 @@ func (p *parser) createStmt() (Statement, error) {
 		return nil, err
 	}
 	return CreateStmt{Table: name, Columns: cols}, nil
-}
-
-func (p *parser) dropStmt() (Statement, error) {
-	p.advance() // DROP
-	if err := p.keyword("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	return DropStmt{Table: name}, nil
 }
 
 func (p *parser) insertStmt() (Statement, error) {
@@ -456,22 +429,6 @@ func (p *parser) updateStmt() (Statement, error) {
 	return UpdateStmt{Table: name, Set: set, Where: where}, nil
 }
 
-func (p *parser) deleteStmt() (Statement, error) {
-	p.advance() // DELETE
-	if err := p.keyword("FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	where, err := p.optionalWhere()
-	if err != nil {
-		return nil, err
-	}
-	return DeleteStmt{Table: name, Where: where}, nil
-}
-
 func (p *parser) optionalWhere() ([]Cond, error) {
 	if !p.peekKeyword("WHERE") {
 		return nil, nil
@@ -523,7 +480,7 @@ func IsWrite(sql string) bool {
 	if err != nil || t.kind != tokIdent {
 		return false
 	}
-	for _, kw := range [...]string{"INSERT", "UPDATE", "DELETE", "CREATE", "DROP"} {
+	for _, kw := range [...]string{"INSERT", "UPDATE", "CREATE"} {
 		if strings.EqualFold(t.text, kw) {
 			return true
 		}

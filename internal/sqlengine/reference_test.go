@@ -55,35 +55,12 @@ func (r *refEngine) exec(stmt Statement) (Result, error) {
 		}
 		r.tables[s.Table] = &refTable{name: s.Table, cols: append([]Column(nil), s.Columns...)}
 		return Result{}, nil
-	case DropStmt:
-		if _, err := r.table(s.Table); err != nil {
-			return Result{}, err
-		}
-		delete(r.tables, s.Table)
-		return Result{}, nil
 	case InsertStmt:
 		return r.insert(s)
 	case SelectStmt:
 		return r.sel(s)
 	case UpdateStmt:
 		return r.update(s)
-	case DeleteStmt:
-		t, err := r.table(s.Table)
-		if err != nil {
-			return Result{}, err
-		}
-		hit, n, err := t.scan(s.Where)
-		if err != nil {
-			return Result{}, err
-		}
-		var kept []Row
-		for i, row := range t.rows {
-			if !hit[i] {
-				kept = append(kept, row)
-			}
-		}
-		t.rows = kept
-		return Result{Affected: n}, nil
 	}
 	return Result{}, fmt.Errorf("unknown statement %T", stmt)
 }
