@@ -243,8 +243,8 @@ func TestFailWipesMemory(t *testing.T) {
 func TestPoolAllocateReleaseCycle(t *testing.T) {
 	eng := sim.NewEngine(1)
 	p := NewPool(eng, "node", 3, DefaultConfig())
-	if p.Size() != 3 || p.FreeCount() != 3 {
-		t.Fatalf("fresh pool: size=%d free=%d", p.Size(), p.FreeCount())
+	if len(p.Nodes()) != 3 || p.FreeCount() != 3 {
+		t.Fatalf("fresh pool: size=%d free=%d", len(p.Nodes()), p.FreeCount())
 	}
 	a, err := p.Allocate()
 	if err != nil {
@@ -296,27 +296,6 @@ func TestPoolSkipsFailedNodes(t *testing.T) {
 	if p.FreeCount() != 0 {
 		t.Fatalf("FreeCount counts failed node: %d", p.FreeCount())
 	}
-}
-
-func TestPoolDiscardAndAdd(t *testing.T) {
-	eng := sim.NewEngine(1)
-	p := NewPool(eng, "n", 1, DefaultConfig())
-	n1, _ := p.Lookup("n1")
-	p.Discard(n1)
-	if p.Size() != 0 {
-		t.Fatalf("Size after discard = %d", p.Size())
-	}
-	fresh := NewNode(eng, "spare1", DefaultConfig())
-	p.Add(fresh)
-	if got, ok := p.Lookup("spare1"); !ok || got != fresh {
-		t.Fatal("added node not found")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Add did not panic")
-		}
-	}()
-	p.Add(fresh)
 }
 
 func TestPoolNodesSorted(t *testing.T) {

@@ -44,16 +44,6 @@ func NewPool(eng *sim.Engine, prefix string, count int, cfg Config) *Pool {
 	return p
 }
 
-// Add registers an externally created node as free in the pool.
-func (p *Pool) Add(n *Node) {
-	if _, dup := p.all[n.Name()]; dup {
-		panic(fmt.Sprintf("cluster: duplicate node %q in pool", n.Name()))
-	}
-	p.all[n.Name()] = n
-	p.free = append(p.free, n)
-	p.observe()
-}
-
 // Allocate removes and returns a healthy free node, lowest name first (for
 // determinism). It fails with ErrPoolExhausted when none is available.
 func (p *Pool) Allocate() (*Node, error) {
@@ -116,20 +106,6 @@ func (p *Pool) Release(n *Node) error {
 	return nil
 }
 
-// Discard permanently removes a failed node from the pool's accounting
-// (e.g. hardware loss). Allocated or free nodes may both be discarded.
-func (p *Pool) Discard(n *Node) {
-	delete(p.allocated, n.Name())
-	for i, f := range p.free {
-		if f == n {
-			p.free = append(p.free[:i], p.free[i+1:]...)
-			break
-		}
-	}
-	delete(p.all, n.Name())
-	p.observe()
-}
-
 // FreeCount returns the number of free healthy nodes.
 func (p *Pool) FreeCount() int {
 	c := 0
@@ -143,9 +119,6 @@ func (p *Pool) FreeCount() int {
 
 // AllocatedCount returns the number of allocated nodes.
 func (p *Pool) AllocatedCount() int { return len(p.allocated) }
-
-// Size returns the total number of nodes known to the pool.
-func (p *Pool) Size() int { return len(p.all) }
 
 // Lookup finds a node by name anywhere in the pool.
 func (p *Pool) Lookup(name string) (*Node, bool) {

@@ -30,8 +30,6 @@ type Arbiter struct {
 	until    float64
 
 	decisions []ArbiterDecision
-	granted   uint64
-	denied    uint64
 }
 
 // ArbiterDecision records one arbitration outcome.
@@ -59,7 +57,6 @@ func NewArbiter(quietSeconds float64) *Arbiter {
 // behalf.
 func (a *Arbiter) Request(now float64, requester string, priority int) bool {
 	if now < a.until && priority <= a.priority {
-		a.denied++
 		a.record(now, requester, priority, false,
 			fmt.Sprintf("quiet window held by %s (priority %d) until t=%.1f", a.holder, a.priority, a.until))
 		return false
@@ -71,25 +68,9 @@ func (a *Arbiter) Request(now float64, requester string, priority int) bool {
 	a.holder = requester
 	a.priority = priority
 	a.until = now + a.QuietSeconds
-	a.granted++
 	a.record(now, requester, priority, true, reason)
 	return true
 }
-
-// Release ends the requester's quiet window early (e.g. a reconfiguration
-// failed and consumed no resources). Only the current holder may release.
-func (a *Arbiter) Release(now float64, requester string) {
-	if a.holder == requester && now < a.until {
-		a.until = now
-		a.record(now, requester, a.priority, true, "released")
-	}
-}
-
-// Granted and Denied return decision counters.
-func (a *Arbiter) Granted() uint64 { return a.granted }
-
-// Denied returns the number of refused requests.
-func (a *Arbiter) Denied() uint64 { return a.denied }
 
 // Decisions returns the recorded decision log.
 func (a *Arbiter) Decisions() []ArbiterDecision {

@@ -166,9 +166,8 @@ func (p *Platform) release(n *cluster.Node) {
 }
 
 // teardown stops every started component, front end first, then retires
-// them all. When strict a failed stop ends it there; otherwise (an aborted
-// deployment) whatever does not stop is killed by its retirement.
-func (p *Platform) teardown(d *Deployment, strict bool, done func(error)) {
+// them all; whatever does not stop is killed by its retirement.
+func (p *Platform) teardown(d *Deployment, done func(error)) {
 	names := d.ranked(true)
 	var stopNext func(i int)
 	stopNext = func(i int) {
@@ -187,13 +186,7 @@ func (p *Platform) teardown(d *Deployment, strict bool, done func(error)) {
 			stopNext(i + 1)
 			return
 		}
-		p.StopComponent(c, func(err error) {
-			if err != nil && strict {
-				done(err)
-				return
-			}
-			stopNext(i + 1)
-		})
+		p.StopComponent(c, func(error) { stopNext(i + 1) })
 	}
 	stopNext(0)
 }
@@ -201,7 +194,7 @@ func (p *Platform) teardown(d *Deployment, strict bool, done func(error)) {
 // abortDeployment tears down a partially completed deployment, so a failed
 // Deploy leaks nothing: no node, no listener, no management footprint.
 func (p *Platform) abortDeployment(d *Deployment, cause error, finish func(*Deployment, error)) {
-	p.teardown(d, false, func(error) {
+	p.teardown(d, func(error) {
 		p.logf("deploy: %s aborted: %v", d.Def.Name, cause)
 		finish(nil, cause)
 	})
@@ -378,17 +371,4 @@ func (p *Platform) applyBindingsAndStart(d *Deployment, finish func(*Deployment,
 		})
 	}
 	startNext(0)
-}
-
-// Undeploy stops every component (front end first), retires them and
-// releases the nodes.
-func (p *Platform) Undeploy(d *Deployment, done func(error)) {
-	p.teardown(d, true, func(err error) {
-		if err == nil && d.Root.State() == fractal.Started {
-			err = d.Root.Stop()
-		}
-		if done != nil {
-			done(err)
-		}
-	})
 }

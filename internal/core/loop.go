@@ -147,23 +147,23 @@ type CPUSensor struct {
 	Raw      *metrics.Series
 	Smoothed *metrics.Series
 
-	// WarmupSamples is the minimum number of samples before the sensor
-	// reports valid data.
-	WarmupSamples int
-	count         int
+	count int // samples taken; the first cpuWarmupSamples-1 are not valid
 }
+
+// cpuWarmupSamples is the minimum number of samples before a CPU sensor
+// reports valid data.
+const cpuWarmupSamples = 5
 
 // NewCPUSensor builds a CPU sensor over a node set with the given moving
 // average window (seconds).
 func NewCPUSensor(nodes NodeSet, window float64, probeCost float64) *CPUSensor {
 	return &CPUSensor{
-		nodes:         nodes,
-		window:        metrics.NewMovingAverage(window),
-		probe:         probeCost,
-		readers:       make(map[*cluster.Node]*cluster.UtilizationReader),
-		Raw:           metrics.NewSeries("cpu-raw"),
-		Smoothed:      metrics.NewSeries("cpu-smoothed"),
-		WarmupSamples: 5,
+		nodes:    nodes,
+		window:   metrics.NewMovingAverage(window),
+		probe:    probeCost,
+		readers:  make(map[*cluster.Node]*cluster.UtilizationReader),
+		Raw:      metrics.NewSeries("cpu-raw"),
+		Smoothed: metrics.NewSeries("cpu-smoothed"),
 	}
 }
 
@@ -197,7 +197,7 @@ func (s *CPUSensor) Sample(now float64) (float64, bool) {
 	s.Raw.Add(now, raw)
 	s.Smoothed.Add(now, smoothed)
 	s.count++
-	return smoothed, s.count >= s.WarmupSamples
+	return smoothed, s.count >= cpuWarmupSamples
 }
 
 // WindowState exposes the moving-average window for introspection:
@@ -205,29 +205,6 @@ func (s *CPUSensor) Sample(now float64) (float64, bool) {
 // whether a full window's worth of history has accumulated.
 func (s *CPUSensor) WindowState() (seconds float64, count int, full bool) {
 	return s.window.Window, s.window.Count(), s.window.Full()
-}
-
-// ResponseTimeSensor observes client-perceived latency through a
-// user-supplied reader (e.g. the RUBiS emulator's windowed mean). The
-// paper notes such a sensor can replace the CPU probe when latency is the
-// QoS criterion.
-type ResponseTimeSensor struct {
-	Read   func(now float64) (float64, bool)
-	Series *metrics.Series
-}
-
-// NewResponseTimeSensor wraps a latency reader.
-func NewResponseTimeSensor(read func(now float64) (float64, bool)) *ResponseTimeSensor {
-	return &ResponseTimeSensor{Read: read, Series: metrics.NewSeries("response-time")}
-}
-
-// Sample implements Sensor.
-func (s *ResponseTimeSensor) Sample(now float64) (float64, bool) {
-	v, ok := s.Read(now)
-	if ok {
-		s.Series.Add(now, v)
-	}
-	return v, ok
 }
 
 // Inhibitor serializes reconfigurations across control loops: a

@@ -87,8 +87,8 @@ func TestFrontEndSelection(t *testing.T) {
 func TestPlatformOptionDefaults(t *testing.T) {
 	// Zero-valued options fall back to sane defaults.
 	p := NewPlatform(Options{})
-	if p.Pool.Size() != 9 {
-		t.Fatalf("default pool = %d", p.Pool.Size())
+	if n := len(p.Pool.Nodes()); n != 9 {
+		t.Fatalf("default pool = %d", n)
 	}
 	n, err := p.Pool.Allocate()
 	if err != nil {

@@ -33,7 +33,6 @@ type InstallService struct {
 	logf      func(string, ...any)
 	packages  map[string]Package
 	installed map[string]map[string]bool // node -> package set
-	installs  uint64
 }
 
 // NewInstallService returns an empty service.
@@ -79,9 +78,6 @@ func (s *InstallService) IsInstalled(node *cluster.Node, pkg string) bool {
 	return s.installed[node.Name()][pkg]
 }
 
-// Installs returns the number of completed installations.
-func (s *InstallService) Installs() uint64 { return s.installs }
-
 // Install deploys a package onto a node, asynchronously. Installing onto
 // a node that already holds the package completes quickly (configuration
 // refresh only).
@@ -120,19 +116,7 @@ func (s *InstallService) Install(pkgName string, node *cluster.Node, done func(e
 			}
 			s.installed[node.Name()][pkgName] = true
 		}
-		s.installs++
 		s.logf("sis: installed %s on %s", pkgName, node.Name())
 		finish(nil)
 	})
-}
-
-// Uninstall removes a package from a node, freeing its memory.
-func (s *InstallService) Uninstall(pkgName string, node *cluster.Node) {
-	if !s.IsInstalled(node, pkgName) {
-		return
-	}
-	delete(s.installed[node.Name()], pkgName)
-	if pkg, ok := s.packages[pkgName]; ok {
-		node.FreeMemory(pkg.MemoryMB)
-	}
 }

@@ -35,7 +35,6 @@ import (
 	"math"
 
 	"jade/internal/cluster"
-	"jade/internal/metrics"
 )
 
 // rhoSafe caps the utilization used in the 1/(1-ρ) processor-sharing
@@ -93,12 +92,6 @@ type Station struct {
 	peakRho     float64
 	peakBacklog float64
 	peakWait    float64
-
-	// RhoSeries, WaitSeries and BacklogSeries, when enabled by the
-	// network, record one (t, value) point per tick.
-	RhoSeries     *metrics.Series
-	WaitSeries    *metrics.Series
-	BacklogSeries *metrics.Series
 }
 
 // Rho returns the station's member utilization from the last tick.
@@ -130,9 +123,6 @@ type Config struct {
 	// Population returns the fluid client count at virtual time now
 	// (total population minus the sampled discrete clients).
 	Population func(now float64) float64
-	// RecordSeries, when true, keeps per-tick ρ series on every station
-	// (used by artifacts and the determinism sweep).
-	RecordSeries bool
 }
 
 // Network is the closed fluid queueing network over an ordered chain of
@@ -165,15 +155,7 @@ func NewNetwork(cfg Config, stations ...*Station) *Network {
 	if cfg.Population == nil {
 		panic("fluid: nil population function")
 	}
-	n := &Network{cfg: cfg, stations: stations}
-	if cfg.RecordSeries {
-		for _, s := range stations {
-			s.RhoSeries = metrics.NewSeries("fluid:rho:" + s.Name)
-			s.WaitSeries = metrics.NewSeries("fluid:wait:" + s.Name)
-			s.BacklogSeries = metrics.NewSeries("fluid:backlog:" + s.Name)
-		}
-	}
-	return n
+	return &Network{cfg: cfg, stations: stations}
 }
 
 // Stations returns the station chain.
@@ -213,7 +195,7 @@ func (n *Network) Tick(now, dt float64) {
 	loads := make(map[*cluster.Node]float64, len(n.prevNodes))
 	flow := lambda
 	for _, s := range n.stations {
-		flow = s.step(now, dt, flow, &nodes, loads)
+		flow = s.step(dt, flow, &nodes, loads)
 		resp += s.wait
 	}
 	n.completed += flow * dt
@@ -239,7 +221,7 @@ func (n *Network) Tick(now, dt float64) {
 // step advances one station: it serves what capacity allows out of the
 // incoming flow plus the backlog, updates ρ/latency/backlog, accumulates
 // the members' background load, and returns the departure rate.
-func (s *Station) step(now, dt, in float64, nodes *[]*cluster.Node, loads map[*cluster.Node]float64) float64 {
+func (s *Station) step(dt, in float64, nodes *[]*cluster.Node, loads map[*cluster.Node]float64) float64 {
 	members := s.Members()
 	live := members[:0:0]
 	var capSum float64
@@ -263,7 +245,6 @@ func (s *Station) step(now, dt, in float64, nodes *[]*cluster.Node, loads map[*c
 		if s.wait > s.peakWait {
 			s.peakWait = s.wait
 		}
-		s.record(now)
 		return 0
 	}
 	demand := s.Demand(k)
@@ -310,7 +291,6 @@ func (s *Station) step(now, dt, in float64, nodes *[]*cluster.Node, loads map[*c
 	if wait > s.peakWait {
 		s.peakWait = wait
 	}
-	s.record(now)
 	// Background CPU load on each member. Accumulate: distinct stations
 	// may share a node (e.g. a co-located proxy).
 	for _, m := range live {
@@ -320,19 +300,6 @@ func (s *Station) step(now, dt, in float64, nodes *[]*cluster.Node, loads map[*c
 		loads[m] += rho
 	}
 	return served
-}
-
-// record appends the per-tick series points when recording is enabled.
-func (s *Station) record(now float64) {
-	if s.RhoSeries != nil {
-		s.RhoSeries.Add(now, s.rho)
-	}
-	if s.WaitSeries != nil {
-		s.WaitSeries.Add(now, s.wait)
-	}
-	if s.BacklogSeries != nil {
-		s.BacklogSeries.Add(now, s.backlog)
-	}
 }
 
 // StationReport is one tier's aggregate outcome for artifacts.

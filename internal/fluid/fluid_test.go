@@ -222,7 +222,6 @@ func TestDeterministicReplay(t *testing.T) {
 			Population: func(now float64) float64 {
 				return 100 + 10*now // ramp
 			},
-			RecordSeries: true,
 		}, app, db)
 		run(eng, net, 200)
 		return net.Report()

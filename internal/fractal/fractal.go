@@ -100,20 +100,11 @@ type Interface struct {
 // Name returns the interface name.
 func (i *Interface) Name() string { return i.name }
 
-// Signature returns the interface type name; bindings require equality.
-func (i *Interface) Signature() string { return i.signature }
-
 // Role returns server or client.
 func (i *Interface) Role() Role { return i.role }
 
 // Owner returns the component exposing this interface.
 func (i *Interface) Owner() *Component { return i.owner }
-
-// Collection reports whether the interface accepts multiple bindings.
-func (i *Interface) Collection() bool { return i.collection }
-
-// Dynamic reports whether the interface may be re-bound while started.
-func (i *Interface) Dynamic() bool { return i.dynamic }
 
 // String renders "component.interface".
 func (i *Interface) String() string { return i.owner.Name() + "." + i.name }
@@ -402,16 +393,6 @@ func (c *Component) Bindings(clientItf string) []*Binding {
 	return append([]*Binding(nil), c.bindings[clientItf]...)
 }
 
-// BoundTo returns the single server interface bound to a singleton client
-// interface, or nil when unbound.
-func (c *Component) BoundTo(clientItf string) *Interface {
-	bs := c.bindings[clientItf]
-	if len(bs) == 0 {
-		return nil
-	}
-	return bs[0].ServerItf
-}
-
 // --- Content controller (composites) ---
 
 // Add inserts a subcomponent into a composite.
@@ -475,22 +456,6 @@ func (c *Component) Children() []*Component {
 
 // Parent returns the enclosing composite, or nil at the root.
 func (c *Component) Parent() *Component { return c.parent }
-
-// Find resolves a slash-separated path relative to this component.
-func (c *Component) Find(path string) (*Component, error) {
-	cur := c
-	for _, seg := range strings.Split(path, "/") {
-		if seg == "" {
-			continue
-		}
-		next, err := cur.Child(seg)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	return cur, nil
-}
 
 // Visit walks the component tree depth-first (this component included).
 func (c *Component) Visit(fn func(*Component)) {

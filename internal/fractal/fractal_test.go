@@ -90,7 +90,7 @@ func TestInterfaceIntrospection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if itf.Name() != "svc" || itf.Signature() != "http" || itf.Role() != Server ||
+	if itf.Name() != "svc" || itf.Role() != Server ||
 		itf.Owner() != c || itf.String() != "apache1.svc" {
 		t.Fatalf("interface introspection wrong: %+v", itf)
 	}
@@ -116,8 +116,8 @@ func TestBindUnbindSingleton(t *testing.T) {
 	if err := cli.Bind("out", target); err != nil {
 		t.Fatal(err)
 	}
-	if got := cli.BoundTo("out"); got != target {
-		t.Fatalf("BoundTo = %v", got)
+	if bs := cli.Bindings("out"); len(bs) != 1 || bs[0].ServerItf != target {
+		t.Fatalf("Bindings = %v", bs)
 	}
 	// Singleton interface refuses a second binding.
 	if err := cli.Bind("out", srv2.MustInterface("svc")); !errors.Is(err, ErrAlreadyBound) {
@@ -126,7 +126,7 @@ func TestBindUnbindSingleton(t *testing.T) {
 	if err := cli.Unbind("out", nil); err != nil {
 		t.Fatal(err)
 	}
-	if cli.BoundTo("out") != nil {
+	if len(cli.Bindings("out")) != 0 {
 		t.Fatal("still bound after unbind")
 	}
 	if err := cli.Unbind("out", nil); !errors.Is(err, ErrNotBound) {
@@ -415,28 +415,6 @@ func TestContentController(t *testing.T) {
 	}
 }
 
-func TestFindPath(t *testing.T) {
-	root, _ := NewComposite("root")
-	mid, _ := NewComposite("web-tier")
-	leaf := mkServer(t, "apache1")
-	if err := root.Add(mid); err != nil {
-		t.Fatal(err)
-	}
-	if err := mid.Add(leaf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := root.Find("web-tier/apache1")
-	if err != nil || got != leaf {
-		t.Fatalf("Find = %v, %v", got, err)
-	}
-	if got, err := root.Find(""); err != nil || got != root {
-		t.Fatalf("Find(\"\") = %v, %v", got, err)
-	}
-	if _, err := root.Find("web-tier/ghost"); !errors.Is(err, ErrNoSuchChild) {
-		t.Fatalf("Find ghost: %v", err)
-	}
-}
-
 func TestVisitOrder(t *testing.T) {
 	root, _ := NewComposite("root")
 	a, _ := NewComposite("a")
@@ -500,7 +478,7 @@ func TestBindHookRejection(t *testing.T) {
 	if err := cli.Bind("out", srv.MustInterface("svc")); err == nil {
 		t.Fatal("rejected bind accepted")
 	}
-	if cli.BoundTo("out") != nil {
+	if len(cli.Bindings("out")) != 0 {
 		t.Fatal("rejected bind recorded")
 	}
 }

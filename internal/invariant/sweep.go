@@ -145,11 +145,6 @@ func ParseArtifact(data []byte) (*Artifact, error) {
 type SweepConfig struct {
 	// Run executes one scenario run.
 	Run Runner
-	// NoShrink skips schedule shrinking on failure.
-	NoShrink bool
-	// ShrinkBudget caps the number of extra runs the shrinker may spend
-	// (default 64).
-	ShrinkBudget int
 	// Parallel is the number of worker goroutines fanning seeds out
 	// (values below 2 run serially). The Runner must be safe for
 	// concurrent use when Parallel > 1 — every run must build its own
@@ -199,14 +194,10 @@ func Sweep(cfg SweepConfig, seeds []int64, schedule Schedule) (*SweepResult, err
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	budget := cfg.ShrinkBudget
-	if budget <= 0 {
-		budget = 64
-	}
 	res := &SweepResult{Seeds: append([]int64(nil), seeds...)}
 	sched := schedule.Sorted()
 	if cfg.Parallel > 1 && len(seeds) > 1 {
-		return sweepParallel(cfg, res, seeds, sched, logf, budget)
+		return sweepParallel(cfg, res, seeds, sched, logf)
 	}
 	for _, seed := range seeds {
 		out, err := cfg.Run(seed, sched)
@@ -220,16 +211,19 @@ func Sweep(cfg SweepConfig, seeds []int64, schedule Schedule) (*SweepResult, err
 			logf("sweep: seed %d ok (%d checks)", seed, out.Checks)
 			continue
 		}
-		return sweepFail(cfg, res, seed, sched, out.Violation, logf, budget)
+		return sweepFail(cfg, res, seed, sched, out.Violation, logf)
 	}
 	return res, nil
 }
 
-// sweepFail builds the replayable artifact for a violating seed,
-// shrinking the schedule unless disabled. Shrinking is always
+// shrinkBudget caps the number of extra runs the shrinker may spend.
+const shrinkBudget = 64
+
+// sweepFail builds the replayable artifact for a violating seed, with its
+// schedule shrunk. Shrinking is always
 // single-threaded so its run sequence — and therefore the artifact — is
 // identical however the failing seed was found.
-func sweepFail(cfg SweepConfig, res *SweepResult, seed int64, sched Schedule, v *Violation, logf func(string, ...any), budget int) (*SweepResult, error) {
+func sweepFail(cfg SweepConfig, res *SweepResult, seed int64, sched Schedule, v *Violation, logf func(string, ...any)) (*SweepResult, error) {
 	logf("sweep: seed %d FAILED: %v", seed, v)
 	art := &Artifact{
 		Seed:       seed,
@@ -237,15 +231,13 @@ func sweepFail(cfg SweepConfig, res *SweepResult, seed int64, sched Schedule, v 
 		Violation:  v,
 		ShrunkFrom: len(sched),
 	}
-	if !cfg.NoShrink {
-		shrunk, sv, runs := shrink(cfg.Run, seed, sched, v.Checker, budget)
-		res.Runs += runs
-		art.Schedule = shrunk
-		if sv != nil {
-			art.Violation = sv
-		}
-		logf("sweep: shrunk schedule from %d to %d events in %d runs", len(sched), len(shrunk), runs)
+	shrunk, sv, runs := shrink(cfg.Run, seed, sched, v.Checker, shrinkBudget)
+	res.Runs += runs
+	art.Schedule = shrunk
+	if sv != nil {
+		art.Violation = sv
 	}
+	logf("sweep: shrunk schedule from %d to %d events in %d runs", len(sched), len(shrunk), runs)
 	res.Failure = art
 	return res, nil
 }
@@ -257,7 +249,7 @@ func sweepFail(cfg SweepConfig, res *SweepResult, seed int64, sched Schedule, v 
 // the per-index results in seed order, which makes the outcome — passed
 // count, check totals, reported failure — independent of goroutine
 // completion order.
-func sweepParallel(cfg SweepConfig, res *SweepResult, seeds []int64, sched Schedule, logf func(string, ...any), budget int) (*SweepResult, error) {
+func sweepParallel(cfg SweepConfig, res *SweepResult, seeds []int64, sched Schedule, logf func(string, ...any)) (*SweepResult, error) {
 	type slot struct {
 		out *Outcome
 		err error
@@ -318,7 +310,7 @@ func sweepParallel(cfg SweepConfig, res *SweepResult, seeds []int64, sched Sched
 		return res, fmt.Errorf("invariant: seed %d: %w", seeds[first], s.err)
 	}
 	res.Checks += s.out.Checks
-	return sweepFail(cfg, res, seeds[first], sched, s.out.Violation, logf, budget)
+	return sweepFail(cfg, res, seeds[first], sched, s.out.Violation, logf)
 }
 
 // shrink greedily removes schedule events while a run at the same seed

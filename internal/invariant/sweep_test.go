@@ -88,17 +88,6 @@ func TestSweepFindsAndShrinks(t *testing.T) {
 	}
 }
 
-func TestSweepNoShrink(t *testing.T) {
-	runs := 0
-	res, err := Sweep(SweepConfig{Run: syntheticRunner(1, &runs), NoShrink: true}, []int64{1}, fullSchedule())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failure == nil || len(res.Failure.Schedule) != 5 || res.Runs != 1 {
-		t.Fatalf("NoShrink altered the schedule: %+v (runs %d)", res.Failure, res.Runs)
-	}
-}
-
 func TestSweepScenarioErrorAborts(t *testing.T) {
 	bad := func(seed int64, schedule Schedule) (*Outcome, error) {
 		return nil, fmt.Errorf("boom")
@@ -111,18 +100,12 @@ func TestSweepScenarioErrorAborts(t *testing.T) {
 
 func TestShrinkBudget(t *testing.T) {
 	runs := 0
-	res, err := Sweep(SweepConfig{Run: syntheticRunner(1, &runs), ShrinkBudget: 2}, []int64{1}, fullSchedule())
-	if err != nil {
-		t.Fatal(err)
+	sched, v, n := shrink(syntheticRunner(1, &runs), 1, fullSchedule().Sorted(), "chk", 2)
+	if n > 2 || runs != n {
+		t.Fatalf("shrink spent %d runs (counted %d), want <= 2 under budget 2", n, runs)
 	}
-	if res.Failure == nil {
-		t.Fatal("no failure")
-	}
-	if res.Runs > 3 { // 1 initial + budget 2
-		t.Fatalf("runs = %d, want <= 3 under budget 2", res.Runs)
-	}
-	if res.Failure.Violation == nil {
-		t.Fatal("budget-limited shrink lost the violation")
+	if len(sched) == 0 || v == nil {
+		t.Fatalf("budget-limited shrink lost the failure: %v, %v", sched, v)
 	}
 }
 

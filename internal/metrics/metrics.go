@@ -50,18 +50,6 @@ func (s *Series) Last() Point {
 	return s.Points[len(s.Points)-1]
 }
 
-// Mean returns the arithmetic mean of the values, or 0 if empty.
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range s.Points {
-		sum += p.V
-	}
-	return sum / float64(len(s.Points))
-}
-
 // MeanBetween returns the mean of samples with t0 <= T <= t1.
 func (s *Series) MeanBetween(t0, t1 float64) float64 {
 	sum, n := 0.0, 0
@@ -86,20 +74,6 @@ func (s *Series) Max() float64 {
 		}
 	}
 	if math.IsInf(m, -1) {
-		return 0
-	}
-	return m
-}
-
-// Min returns the minimum value, or 0 if empty.
-func (s *Series) Min() float64 {
-	m := math.Inf(1)
-	for _, p := range s.Points {
-		if p.V < m {
-			m = p.V
-		}
-	}
-	if math.IsInf(m, 1) {
 		return 0
 	}
 	return m

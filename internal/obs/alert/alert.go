@@ -60,38 +60,42 @@ type Config struct {
 	PageBurn float64
 	WarnBurn float64
 	// ZThreshold is the EWMA z-score at which an anomaly rule trips
-	// (4 by default); ZWarmup is how many samples the baseline needs
-	// before z-scores are trusted (12 by default).
+	// (4 by default).
 	ZThreshold float64
-	ZWarmup    int
-	// EWMAHalfLifeSeconds is the anomaly baselines' decay half-life
-	// (60 by default).
-	EWMAHalfLifeSeconds float64
-	// SpikeFactor is the rate-of-change multiplier: a sample at
-	// SpikeFactor times the EWMA baseline is anomalous regardless of
-	// variance (4 by default).
-	SpikeFactor float64
 	// SkewFactor is the pool-skew multiplier: a backend whose decayed
 	// mean latency (or in-flight depth, or failure reservoir) sits at
 	// SkewFactor times the pool median is flagged (3 by default).
 	SkewFactor float64
-	// PagePersistSeconds is how long a skew finding must hold
-	// continuously before it escalates from warn to page even when the
-	// instantaneous ratio stays below 2x SkewFactor (20 by default). A
-	// gray replica that is merely a few times slower than its pool — but
-	// stays that way — still pages.
-	PagePersistSeconds float64
 	// HysteresisSeconds is how long a firing alert's condition must stay
 	// clear before the alert resolves (30 by default).
 	HysteresisSeconds float64
-	// CorrelationGapSeconds is how long after its last alert resolves an
-	// incident stays open to fold late-arriving alerts (120 by default).
-	CorrelationGapSeconds float64
 	// LookbackSeconds is how much pre-incident context (suspicions,
 	// decisions, evictions) is copied into a new incident's timeline
 	// (60 by default).
 	LookbackSeconds float64
 }
+
+// The rules' fixed constants.
+const (
+	// zWarmup is how many samples an anomaly baseline needs before its
+	// z-scores are trusted.
+	zWarmup = 12
+	// ewmaHalfLifeSeconds is the anomaly baselines' decay half-life.
+	ewmaHalfLifeSeconds = 60
+	// spikeFactor is the rate-of-change multiplier: a sample at
+	// spikeFactor times the EWMA baseline is anomalous regardless of
+	// variance.
+	spikeFactor = 4
+	// pagePersistSeconds is how long a skew finding must hold
+	// continuously before it escalates from warn to page even when the
+	// instantaneous ratio stays below 2x SkewFactor. A gray replica that
+	// is merely a few times slower than its pool — but stays that way —
+	// still pages.
+	pagePersistSeconds = 20
+	// correlationGapSeconds is how long after its last alert resolves an
+	// incident stays open to fold late-arriving alerts.
+	correlationGapSeconds = 120
+)
 
 // withDefaults fills zero fields with the documented defaults.
 func (c Config) withDefaults() Config {
@@ -116,26 +120,11 @@ func (c Config) withDefaults() Config {
 	if c.ZThreshold <= 0 {
 		c.ZThreshold = 4
 	}
-	if c.ZWarmup <= 0 {
-		c.ZWarmup = 12
-	}
-	if c.EWMAHalfLifeSeconds <= 0 {
-		c.EWMAHalfLifeSeconds = 60
-	}
-	if c.SpikeFactor <= 0 {
-		c.SpikeFactor = 4
-	}
 	if c.SkewFactor <= 0 {
 		c.SkewFactor = 3
 	}
-	if c.PagePersistSeconds <= 0 {
-		c.PagePersistSeconds = 20
-	}
 	if c.HysteresisSeconds <= 0 {
 		c.HysteresisSeconds = 30
-	}
-	if c.CorrelationGapSeconds <= 0 {
-		c.CorrelationGapSeconds = 120
 	}
 	if c.LookbackSeconds <= 0 {
 		c.LookbackSeconds = 60
@@ -339,7 +328,7 @@ func (e *Engine) Tick(now float64) {
 		remaining = append(remaining, a)
 	}
 	e.active = remaining
-	if e.open != nil && e.open.activeAlerts == 0 && now-e.open.lastActivity >= e.cfg.CorrelationGapSeconds {
+	if e.open != nil && e.open.activeAlerts == 0 && now-e.open.lastActivity >= correlationGapSeconds {
 		e.closeIncident(now)
 	}
 	e.setGauges()

@@ -68,7 +68,7 @@ func TestBurnRuleSingleBadIntervalDoesNotPage(t *testing.T) {
 }
 
 func TestEngineHysteresisAndResolve(t *testing.T) {
-	cfg := Config{EvalIntervalSeconds: 5, HysteresisSeconds: 30, CorrelationGapSeconds: 40}
+	cfg := Config{EvalIntervalSeconds: 5, HysteresisSeconds: 30}
 	f := Finding{Component: "tomcat2", Tier: "app", Severity: SevWarn, Value: 3, Threshold: 2, Detail: "slow"}
 	script := map[float64][]Finding{}
 	for ts := 10.0; ts <= 40; ts += 5 {
@@ -94,8 +94,13 @@ func TestEngineHysteresisAndResolve(t *testing.T) {
 	if len(alerts) != 1 || alerts[0].Firing() {
 		t.Fatalf("alerts = %+v", alerts)
 	}
-	// 40 s after the resolve, the incident closes and blames the replica.
-	tickTo(e, 85, 120)
+	// The incident stays open for the correlation gap (120 s) after the
+	// resolve at 70, then closes and blames the replica.
+	tickTo(e, 75, 185)
+	if incs := e.Incidents(); len(incs) != 1 || !incs[0].Open() {
+		t.Fatalf("incident closed before the correlation gap: %+v", incs)
+	}
+	tickTo(e, 190, 200)
 	incs := e.Incidents()
 	if len(incs) != 1 || incs[0].Open() || incs[0].Suspect != "tomcat2" {
 		t.Fatalf("incidents = %+v", incs)
@@ -103,18 +108,18 @@ func TestEngineHysteresisAndResolve(t *testing.T) {
 }
 
 func TestZScoreRuleFiresAndFreezesBaseline(t *testing.T) {
-	cfg := Config{EvalIntervalSeconds: 5, ZWarmup: 4, ZThreshold: 4, EWMAHalfLifeSeconds: 60}
+	cfg := Config{EvalIntervalSeconds: 5, ZThreshold: 4}
 	series := map[float64]float64{}
-	for ts := 5.0; ts <= 40; ts += 5 { // 8 warmup samples around 1.0
+	for ts := 5.0; ts <= 60; ts += 5 { // the 12 warmup samples, around 1.0
 		series[ts] = 1.0 + 0.01*float64(int(ts)%3)
 	}
-	for ts := 45.0; ts <= 100; ts += 5 { // sustained step to 5.0
+	for ts := 65.0; ts <= 120; ts += 5 { // sustained step to 5.0
 		series[ts] = 5.0
 	}
 	r := NewZScoreRule(cfg, "anomaly:test", "client", "client", true, 0.1,
 		func(now float64) (float64, bool) { v, ok := series[now]; return v, ok })
 	var first float64 = -1
-	for ts := 5.0; ts <= 100; ts += 5 {
+	for ts := 5.0; ts <= 120; ts += 5 {
 		if fs := r.Evaluate(ts); len(fs) > 0 && first < 0 {
 			first = ts
 		}
@@ -122,8 +127,8 @@ func TestZScoreRuleFiresAndFreezesBaseline(t *testing.T) {
 	if first < 0 {
 		t.Fatal("z-score rule never fired on a 5x step")
 	}
-	if first != 50 { // anomalous at 45, 2nd consecutive at 50
-		t.Fatalf("first finding at t=%.0f, want 50 (two consecutive anomalous ticks)", first)
+	if first != 70 { // anomalous at 65, 2nd consecutive at 70
+		t.Fatalf("first finding at t=%.0f, want 70 (two consecutive anomalous ticks)", first)
 	}
 	// The frozen baseline must still be near 1.0 — the sustained
 	// degradation may not absorb itself into normality.
@@ -133,7 +138,7 @@ func TestZScoreRuleFiresAndFreezesBaseline(t *testing.T) {
 }
 
 func TestSkewRuleNamesSlowBackendAndEscalates(t *testing.T) {
-	cfg := Config{EvalIntervalSeconds: 5, SkewFactor: 3, PagePersistSeconds: 20}
+	cfg := Config{EvalIntervalSeconds: 5, SkewFactor: 3}
 	stats := []BackendStat{
 		{Name: "tomcat1", MeanLatency: 0.06, LatencySamples: 10},
 		{Name: "tomcat2", MeanLatency: 0.20, LatencySamples: 10}, // ~3.3x median
@@ -152,7 +157,7 @@ func TestSkewRuleNamesSlowBackendAndEscalates(t *testing.T) {
 		t.Fatalf("alerts after 2 ticks = %+v", alerts)
 	}
 	// Moderate (<2x SkewFactor) but persistent: escalates to page once
-	// the skew has held PagePersistSeconds.
+	// the skew has held pagePersistSeconds.
 	tickTo(e, 15, 30)
 	if alerts[0].Severity != SevPage {
 		t.Fatalf("persistent skew never paged: %+v", alerts[0])
@@ -195,7 +200,7 @@ func TestSkewRuleFailureReservoir(t *testing.T) {
 }
 
 func TestIncidentFoldsOverlappingAlertsAndPrefersReplicaSuspect(t *testing.T) {
-	cfg := Config{EvalIntervalSeconds: 5, HysteresisSeconds: 10, CorrelationGapSeconds: 30}
+	cfg := Config{EvalIntervalSeconds: 5, HysteresisSeconds: 10}
 	burnF := Finding{Component: "client", Tier: "client", Severity: SevPage, Value: 20, Threshold: 14.4, ServiceLevel: true}
 	skewF := Finding{Component: "tomcat2", Tier: "app", Severity: SevWarn, Value: 3.4, Threshold: 3}
 	burnScript, skewScript := map[float64][]Finding{}, map[float64][]Finding{}
@@ -209,7 +214,7 @@ func TestIncidentFoldsOverlappingAlertsAndPrefersReplicaSuspect(t *testing.T) {
 	e.AddRule(&scriptedRule{name: "burn:client-latency-p95", script: burnScript})
 	e.AddRule(&scriptedRule{name: "skew:app-pool", script: skewScript})
 	e.Observe(5, "detector.suspect", "detector", "tomcat9", "phi crossed", 0)
-	tickTo(e, 5, 120)
+	tickTo(e, 5, 200)
 	incs := e.Incidents()
 	if len(incs) != 1 {
 		t.Fatalf("incidents = %d, want the overlapping alerts folded into 1", len(incs))
@@ -241,7 +246,7 @@ func TestIncidentFoldsOverlappingAlertsAndPrefersReplicaSuspect(t *testing.T) {
 }
 
 func TestSeparatedAlertsOpenSeparateIncidents(t *testing.T) {
-	cfg := Config{EvalIntervalSeconds: 5, HysteresisSeconds: 10, CorrelationGapSeconds: 30}
+	cfg := Config{EvalIntervalSeconds: 5, HysteresisSeconds: 10}
 	f := Finding{Component: "tomcat2", Tier: "app", Severity: SevWarn, Value: 4, Threshold: 3}
 	script := map[float64][]Finding{10: {f}, 15: {f}, 200: {f}, 205: {f}}
 	e := NewEngine(cfg, nil)
@@ -254,7 +259,7 @@ func TestSeparatedAlertsOpenSeparateIncidents(t *testing.T) {
 
 func TestExportsValidateAndAreDeterministic(t *testing.T) {
 	build := func() *Engine {
-		cfg := Config{EvalIntervalSeconds: 5, HysteresisSeconds: 10, CorrelationGapSeconds: 30}
+		cfg := Config{EvalIntervalSeconds: 5, HysteresisSeconds: 10}
 		pageF := Finding{Component: "client", Tier: "client", Severity: SevPage, Value: 20, Threshold: 14.4, ServiceLevel: true}
 		warnF := Finding{Component: "tomcat2", Tier: "app", Severity: SevWarn, Value: 3.4, Threshold: 3}
 		burnScript, skewScript := map[float64][]Finding{}, map[float64][]Finding{}
@@ -266,7 +271,7 @@ func TestExportsValidateAndAreDeterministic(t *testing.T) {
 		e.AddRule(&scriptedRule{name: "burn:client-latency-p95", script: burnScript})
 		e.AddRule(&scriptedRule{name: "skew:app-pool", script: skewScript})
 		e.Observe(2, "loop.reconfig", "control-loop", "", "db grow", 0)
-		tickTo(e, 5, 150)
+		tickTo(e, 5, 200)
 		return e
 	}
 	a, b := build(), build()
@@ -278,18 +283,18 @@ func TestExportsValidateAndAreDeterministic(t *testing.T) {
 	if !bytes.Equal(jsonl, b.AlertsJSONL()) {
 		t.Fatal("AlertsJSONL not deterministic")
 	}
-	page := a.AlertsPage(150)
+	page := a.AlertsPage(200)
 	if err := ValidateAlertsPage(page); err != nil {
 		t.Fatalf("AlertsPage invalid: %v\n%s", err, page)
 	}
-	if !bytes.Equal(page, b.AlertsPage(150)) {
+	if !bytes.Equal(page, b.AlertsPage(200)) {
 		t.Fatal("AlertsPage not deterministic")
 	}
-	incs := a.IncidentsJSON(150)
+	incs := a.IncidentsJSON(200)
 	if err := ValidateIncidentsJSON(incs); err != nil {
 		t.Fatalf("IncidentsJSON invalid: %v\n%s", err, incs)
 	}
-	if !bytes.Equal(incs, b.IncidentsJSON(150)) {
+	if !bytes.Equal(incs, b.IncidentsJSON(200)) {
 		t.Fatal("IncidentsJSON not deterministic")
 	}
 	if txt := a.RenderText(); txt == "" || txt != b.RenderText() {

@@ -22,7 +22,7 @@ const (
 // AnomalyRule is a streaming detector over a probe: it keeps an
 // exponentially-weighted mean and variance of the series and flags
 // samples that sit ZThreshold standard deviations above the baseline
-// (z-score mode) or SpikeFactor times above it (rate-of-change mode).
+// (z-score mode) or spikeFactor times above it (rate-of-change mode).
 // While a sample is anomalous the baseline is frozen, so a sustained
 // degradation cannot absorb itself into normality; two consecutive
 // anomalous ticks are required before a finding is emitted.
@@ -52,7 +52,7 @@ func NewZScoreRule(cfg Config, name, component, tier string, serviceLevel bool, 
 }
 
 // NewRateRule builds a rate-of-change detector over probe: it fires when
-// the sample exceeds SpikeFactor times the EWMA baseline (and the floor).
+// the sample exceeds spikeFactor times the EWMA baseline (and the floor).
 func NewRateRule(cfg Config, name, component, tier string, serviceLevel bool, floor float64, probe Probe) *AnomalyRule {
 	return &AnomalyRule{name: name, component: component, tier: tier,
 		serviceLevel: serviceLevel, probe: probe, cfg: cfg.withDefaults(),
@@ -75,7 +75,7 @@ func (r *AnomalyRule) Evaluate(now float64) []Finding {
 	}
 	anomalous := false
 	var z, ratio float64
-	if r.n >= r.cfg.ZWarmup {
+	if r.n >= zWarmup {
 		dev := x - r.mean
 		sd := math.Sqrt(r.variance)
 		z = dev / math.Max(sd, 1e-9)
@@ -84,7 +84,7 @@ func (r *AnomalyRule) Evaluate(now float64) []Finding {
 		case modeZScore:
 			anomalous = dev > r.floor && z >= r.cfg.ZThreshold
 		case modeRate:
-			anomalous = dev > r.floor && ratio >= r.cfg.SpikeFactor
+			anomalous = dev > r.floor && ratio >= spikeFactor
 		}
 	}
 	if !anomalous {
@@ -107,8 +107,8 @@ func (r *AnomalyRule) Evaluate(now float64) []Finding {
 		}
 		detail = fmt.Sprintf("z=%.1f vs baseline %.4g (value %.4g)", z, r.mean, x)
 	case modeRate:
-		threshold = r.cfg.SpikeFactor
-		if ratio >= 2*r.cfg.SpikeFactor {
+		threshold = spikeFactor
+		if ratio >= 2*spikeFactor {
 			sev = SevPage
 		}
 		detail = fmt.Sprintf("%.1fx baseline %.4g (value %.4g)", ratio, r.mean, x)
@@ -126,7 +126,7 @@ func (r *AnomalyRule) Evaluate(now float64) []Finding {
 
 // update folds a non-anomalous sample into the EWMA baseline.
 func (r *AnomalyRule) update(x float64) {
-	alpha := 1 - math.Exp2(-r.cfg.EvalIntervalSeconds/r.cfg.EWMAHalfLifeSeconds)
+	alpha := 1 - math.Exp2(-r.cfg.EvalIntervalSeconds/ewmaHalfLifeSeconds)
 	if r.n == 0 {
 		r.mean = x
 	} else {
@@ -249,10 +249,10 @@ func (r *SkewRule) Evaluate(now float64) []Finding {
 		}
 		sev := SevWarn
 		// Page on an extreme instantaneous skew, or on a moderate one that
-		// has held for PagePersistSeconds of consecutive ticks — the gray
+		// has held for pagePersistSeconds of consecutive ticks — the gray
 		// replica that is "only" a few times slower but stays that way.
 		held := float64(r.consec[s.Name]-1) * r.cfg.EvalIntervalSeconds
-		if ratio >= 2*r.cfg.SkewFactor || held >= r.cfg.PagePersistSeconds {
+		if ratio >= 2*r.cfg.SkewFactor || held >= pagePersistSeconds {
 			sev = SevPage
 		}
 		detail := reasons[0]

@@ -20,7 +20,7 @@ type TimelineEntry struct {
 
 // Incident folds overlapping alerts into one causal object. It opens
 // with its first alert, absorbs every alert that fires while it is
-// open (plus CorrelationGapSeconds after the last one resolves), and
+// open (plus correlationGapSeconds after the last one resolves), and
 // carries a timeline that splices the alert stream together with the
 // context events fed via Engine.Observe. Each incident is also a trace
 // span, so request/decision spans and incidents share one causal bus.

@@ -77,24 +77,6 @@ func TestHistogramQuantilesExact(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(nil), NewHistogram(nil)
-	a.Observe(0.010)
-	a.Observe(0.020)
-	b.Observe(0.500)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	s := a.snapshot()
-	if s.Cumulative[len(s.Cumulative)-1] != 3 {
-		t.Fatalf("merged +Inf cumulative = %d", s.Cumulative[len(s.Cumulative)-1])
-	}
-	if s.Min != 0.010 || s.Max != 0.500 {
-		t.Fatalf("merged min/max = %v/%v", s.Min, s.Max)
-	}
-}
-
 func buildTestRegistry() *Registry {
 	now := 0.0
 	r := NewRegistry(func() float64 { return now })

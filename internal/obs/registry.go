@@ -104,8 +104,7 @@ func (g *Gauge) Value() float64 {
 }
 
 // DefaultBuckets are log-spaced latency bounds in seconds: 1 ms doubling
-// up to ~65 s. Log spacing keeps relative error constant and makes
-// buckets from different instances mergeable bound-for-bound.
+// up to ~65 s. Log spacing keeps relative error constant.
 func DefaultBuckets() []float64 {
 	out := make([]float64, 17)
 	b := 0.001
@@ -117,12 +116,12 @@ func DefaultBuckets() []float64 {
 }
 
 // Histogram observes a distribution: log-spaced cumulative-exposable
-// buckets (mergeable across instances) plus every raw sample, so quantiles
+// buckets plus every raw sample, so quantiles
 // are exact rather than bucket-interpolated.
 //
 // Invariant: samples[:ordered] is ascending in sort.Float64s order (NaN
 // first) and samples[ordered:] is the tail observed since, in arrival
-// order. Observe and Merge only append; Quantile and snapshot call order,
+// order. Observe only appends; Quantile and snapshot call order,
 // which sorts the tail alone and merges it into the prefix from the back,
 // leaving exactly the slice sort.Float64s over all samples would, so
 // quantiles and exposition do not depend on when reads happened. A read
@@ -233,36 +232,6 @@ func (h *Histogram) order() {
 		}
 	}
 	h.ordered = n
-}
-
-// Merge folds other's buckets and samples into h. Bucket bounds must be
-// identical (they are when both came from the same constructor), which is
-// what makes log-spaced buckets mergeable across tier instances.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	other.mu.Lock()
-	counts := append([]uint64(nil), other.counts...)
-	samples := append([]float64(nil), other.samples...)
-	sum, mn, mx := other.sum, other.min, other.max
-	other.mu.Unlock()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(counts) != len(h.counts) {
-		panic("obs: merging histograms with different bucket layouts")
-	}
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	h.samples = append(h.samples, samples...)
-	h.sum += sum
-	if mn < h.min {
-		h.min = mn
-	}
-	if mx > h.max {
-		h.max = mx
-	}
 }
 
 // HistogramSnapshot is an immutable view used by exposition.

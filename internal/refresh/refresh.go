@@ -119,13 +119,11 @@ type Submission struct {
 type Hub struct {
 	tr *trace.Tracer
 
-	mu       sync.Mutex
-	check    func(source string, patch []byte) error
-	apply    func(now float64, source string, patch []byte) error
-	pending  []Submission
-	applied  int
-	rejected int
-	closed   bool
+	mu      sync.Mutex
+	check   func(source string, patch []byte) error
+	apply   func(now float64, source string, patch []byte) error
+	pending []Submission
+	closed  bool
 }
 
 // NewHub builds a hub emitting "config" spans on tr (which may be nil).
@@ -174,7 +172,7 @@ func (h *Hub) Drain(now float64) int {
 	h.pending = nil
 	h.mu.Unlock()
 	for _, s := range pending {
-		h.Apply(now, s.Source, s.Patch) //nolint:errcheck // outcome recorded on the span and counters
+		h.Apply(now, s.Source, s.Patch) //nolint:errcheck // outcome recorded on the span
 	}
 	return len(pending)
 }
@@ -194,13 +192,6 @@ func (h *Hub) Apply(now float64, source string, patch []byte) error {
 		err = apply(now, source, patch)
 	}
 	h.tr.End(span, trace.Outcome(err))
-	h.mu.Lock()
-	if err != nil {
-		h.rejected++
-	} else {
-		h.applied++
-	}
-	h.mu.Unlock()
 	return err
 }
 
@@ -213,9 +204,9 @@ func (h *Hub) Close() {
 	h.mu.Unlock()
 }
 
-// Stats reports the applied/rejected/pending counts.
-func (h *Hub) Stats() (applied, rejected, pending int) {
+// Pending reports how many live submissions wait for the next drain.
+func (h *Hub) Pending() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.applied, h.rejected, len(h.pending)
+	return len(h.pending)
 }

@@ -6,7 +6,6 @@ package report
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"jade/internal/metrics"
@@ -300,26 +299,6 @@ func CSV(step float64, series ...*metrics.Series) string {
 			fmt.Fprintf(&b, ",%.6g", s.At(t))
 		}
 		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// KV renders a sorted key/value block (experiment metadata).
-func KV(pairs map[string]string) string {
-	keys := make([]string, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w := 0
-	for _, k := range keys {
-		if len(k) > w {
-			w = len(k)
-		}
-	}
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%-*s : %s\n", w, k, pairs[k])
 	}
 	return b.String()
 }

@@ -171,10 +171,3 @@ func TestCSVResamplesOntoCommonGrid(t *testing.T) {
 		t.Fatal("CSV of empty series should be empty")
 	}
 }
-
-func TestKVSorted(t *testing.T) {
-	out := KV(map[string]string{"zz": "1", "aa": "2"})
-	if !strings.HasPrefix(out, "aa : 2\nzz : 1\n") {
-		t.Fatalf("KV output = %q", out)
-	}
-}

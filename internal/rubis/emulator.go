@@ -106,22 +106,18 @@ type Stats struct {
 	Latency *metrics.Series
 	// Workload records the active client population each second.
 	Workload *metrics.Series
-	// Throughput is a 30-second windowed completion rate.
-	Throughput *metrics.Throughput
 
 	Completed uint64
 	Failed    uint64
 
 	mix            *Mix
 	perInteraction []InteractionStats // by position in the mix
-	latencies      []float64
 }
 
 func newStats(mix *Mix) *Stats {
 	return &Stats{
 		Latency:        metrics.NewSeries("latency"),
 		Workload:       metrics.NewSeries("workload"),
-		Throughput:     metrics.NewThroughput(30),
 		mix:            mix,
 		perInteraction: make([]InteractionStats, len(mix.Interactions)),
 	}
@@ -149,7 +145,11 @@ func (s *Stats) InteractionNames() []string {
 
 // LatencySummary summarizes completed-request latencies (seconds).
 func (s *Stats) LatencySummary() metrics.Summary {
-	return metrics.Summarize(s.latencies)
+	vs := make([]float64, len(s.Latency.Points))
+	for i, p := range s.Latency.Points {
+		vs[i] = p.V
+	}
+	return metrics.Summarize(vs)
 }
 
 // MeanLatencyBetween returns the mean latency of completions in [t0, t1].
@@ -170,8 +170,6 @@ func (s *Stats) record(it int, t, latency float64, err error) {
 	st.Count++
 	st.TotalLatency += latency
 	s.Latency.Add(t, latency)
-	s.latencies = append(s.latencies, latency)
-	s.Throughput.Observe(t)
 }
 
 // Emulator drives a closed-loop population of clients against a front-end

@@ -28,13 +28,6 @@ type Options struct {
 	// test it (10 by default; probes repeat every interval until one
 	// succeeds or the suspicion is withdrawn).
 	ProbeAfterSeconds float64
-	// FailureWeight and LatencyWeight scale the balanced score's
-	// reservoir terms: score = inflight + FailureWeight * decayed
-	// failures + LatencyWeight * decayed mean latency (defaults 10 and
-	// 10, making one recent failure or one second of mean latency cost
-	// as much as ten in-flight requests or one, respectively).
-	FailureWeight float64
-	LatencyWeight float64
 }
 
 // DefaultOptions returns the framework defaults for a policy.
@@ -43,8 +36,6 @@ func DefaultOptions(p Policy) Options {
 		Policy:            p,
 		HalfLifeSeconds:   30,
 		ProbeAfterSeconds: 10,
-		FailureWeight:     10,
-		LatencyWeight:     10,
 	}
 }
 
@@ -56,12 +47,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeAfterSeconds <= 0 {
 		o.ProbeAfterSeconds = d.ProbeAfterSeconds
-	}
-	if o.FailureWeight <= 0 {
-		o.FailureWeight = d.FailureWeight
-	}
-	if o.LatencyWeight <= 0 {
-		o.LatencyWeight = d.LatencyWeight
 	}
 	return o
 }
@@ -355,29 +340,6 @@ func (p *Pool) Release(name string, latencySeconds float64, failed bool) {
 	}
 }
 
-// MarkDown marks a backend suspected-down: the policy stops picking it
-// (probes excepted) until MarkUp, a successful probe, or a cleared
-// suspicion.
-func (p *Pool) MarkDown(name string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b := p.lookup(name); b != nil && !b.down {
-		b.down = true
-		b.probing = false
-		b.downSince = p.now()
-	}
-}
-
-// MarkUp clears a backend's down mark.
-func (p *Pool) MarkUp(name string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b := p.lookup(name); b != nil {
-		b.down = false
-		b.probing = false
-	}
-}
-
 // SyncSuspicions reconciles every backend's down mark with the failure
 // detector: suspected backends go down, cleared ones come back. The
 // platform calls this on each sensor pass when a detector is armed.
@@ -438,7 +400,7 @@ func (p *Pool) Snapshot() []Status {
 			Served:   b.served,
 			Failed:   b.failed,
 			Down:     b.down,
-			Score:    b.Score(now, p.opts.FailureWeight, p.opts.LatencyWeight),
+			Score:    b.Score(now),
 		}
 		st.LatencySamples = b.latN.valueAt(now)
 		if st.LatencySamples > 1e-9 {

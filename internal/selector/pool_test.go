@@ -118,7 +118,7 @@ func TestPoolProbeCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.MarkDown("a")
+	p.SyncSuspicions(fakeSuspector{"a": true})
 	for i := 0; i < 6; i++ {
 		name, ok := p.Pick("")
 		if !ok || name == "a" {
@@ -159,12 +159,11 @@ func TestPoolAllDownDegradesGracefully(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.MarkDown("a")
-	p.MarkDown("b")
+	p.SyncSuspicions(fakeSuspector{"a": true, "b": true})
 	if _, ok := p.Pick(""); !ok {
 		t.Fatal("all-down pool refused to pick")
 	}
-	p.MarkUp("a")
+	p.SyncSuspicions(fakeSuspector{"b": true})
 	for i := 0; i < 4; i++ {
 		if name, _ := p.Pick(""); name != "a" {
 			t.Fatal("pool picked a down backend over a healthy one")
@@ -183,10 +182,8 @@ func TestPickAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, down := range [][]string{nil, {"b"}, {"a", "c"}} {
-			for _, n := range down {
-				p.MarkDown(n)
-			}
+		for _, down := range []fakeSuspector{nil, {"b": true}, {"a": true, "b": true, "c": true}} {
+			p.SyncSuspicions(down)
 			got := testing.AllocsPerRun(100, func() {
 				name, ok := p.Pick("SELECT 1")
 				if !ok {

@@ -34,9 +34,7 @@ func randomPool(rng *rand.Rand, policy Policy, n int) (*Pool, []string, map[stri
 	if len(down) == len(names) {
 		delete(down, names[rng.Intn(len(names))])
 	}
-	for name := range down {
-		p.MarkDown(name)
-	}
+	p.SyncSuspicions(fakeSuspector(down))
 	return p, names, down
 }
 

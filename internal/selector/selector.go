@@ -156,23 +156,21 @@ type Backend struct {
 // Name returns the backend's registered name.
 func (b *Backend) Name() string { return b.name }
 
-// Weight returns the backend's weight.
-func (b *Backend) Weight() int { return b.weight }
-
-// InFlight returns the current in-flight request count.
-func (b *Backend) InFlight() int { return b.inflight }
-
-// Down reports whether the backend is currently marked suspected-down.
-func (b *Backend) Down() bool { return b.down }
+// The balanced score's reservoir weights: one recent failure costs as much
+// as ten in-flight requests, one second of mean latency as much as ten.
+const (
+	failureWeight = 10
+	latencyWeight = 10
+)
 
 // Score is the balanced policy's ranking at virtual time now: in-flight
-// count plus the decayed failure reservoir (weighted failWeight) plus
-// the decayed mean latency in seconds (weighted latWeight). Lower is
+// count plus the decayed failure reservoir (weighted failureWeight) plus
+// the decayed mean latency in seconds (weighted latencyWeight). Lower is
 // better. Pure: scoring never mutates the backend.
-func (b *Backend) Score(now, failWeight, latWeight float64) float64 {
-	s := float64(b.inflight) + failWeight*b.fail.valueAt(now)
+func (b *Backend) Score(now float64) float64 {
+	s := float64(b.inflight) + failureWeight*b.fail.valueAt(now)
 	if n := b.latN.valueAt(now); n > 1e-9 {
-		s += latWeight * b.lat.valueAt(now) / n
+		s += latencyWeight * b.lat.valueAt(now) / n
 	}
 	return s
 }
@@ -220,18 +218,14 @@ func (leastPending) Pick(cs []*Backend, _ Context) *Backend {
 	return best
 }
 
-type balanced struct {
-	failWeight float64
-	latWeight  float64
-	rr         roundRobin
-}
+type balanced struct{ rr roundRobin }
 
 func (p *balanced) Pick(cs []*Backend, ctx Context) *Backend {
 	best := cs[0]
-	bestScore := best.Score(ctx.Now, p.failWeight, p.latWeight)
+	bestScore := best.Score(ctx.Now)
 	tie := 1
 	for _, b := range cs[1:] {
-		s := b.Score(ctx.Now, p.failWeight, p.latWeight)
+		s := b.Score(ctx.Now)
 		switch {
 		case s < bestScore:
 			best, bestScore, tie = b, s, 1
@@ -274,7 +268,7 @@ func newSelector(opts Options) Selector {
 	case LeastPending:
 		return leastPending{}
 	case Balanced:
-		return &balanced{failWeight: opts.FailureWeight, latWeight: opts.LatencyWeight}
+		return &balanced{}
 	case Rendezvous:
 		return &rendezvous{}
 	default:

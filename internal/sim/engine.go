@@ -60,24 +60,6 @@ type Handle struct {
 // for (the struct has not been recycled for a newer schedule).
 func (h Handle) live() bool { return h.ev != nil && h.ev.seq == h.seq }
 
-// Time returns the virtual time at which the event fires (or fired). It
-// returns 0 for a zero or recycled handle.
-func (h Handle) Time() float64 {
-	if !h.live() {
-		return 0
-	}
-	return h.ev.time
-}
-
-// Label returns the diagnostic label given at scheduling time, or "" for
-// a zero or recycled handle.
-func (h Handle) Label() string {
-	if !h.live() {
-		return ""
-	}
-	return h.ev.label
-}
-
 // Pending reports whether the event is still queued to fire.
 func (h Handle) Pending() bool { return h.live() && h.ev.queued && !h.ev.canceled }
 
@@ -85,9 +67,15 @@ func (h Handle) Pending() bool { return h.live() && h.ev.queued && !h.ev.cancele
 // fired.
 func (h Handle) Canceled() bool { return h.live() && h.ev.canceled }
 
-// DefaultCompactMinCancels is the default lower bound on parked canceled
-// events before a compaction pass is considered (see SetCompactMinCancels).
-const DefaultCompactMinCancels = 64
+// compactMinCancels is the lazy-cancel compaction trigger's floor: a
+// compaction pass runs only once more than this many canceled events are
+// parked in the queue AND they outnumber the live events
+// (nCancel*2 > len(queue)). The floor keeps tiny queues from compacting on
+// every cancel; the majority rule bounds the queue at roughly 2x the live
+// events, so cancel-heavy workloads (the cluster-node reschedule pattern,
+// the benchmark's sim.driver_ns_per_cancel) stay amortized O(1) per cancel
+// instead of drifting with queue growth.
+const compactMinCancels = 64
 
 // Engine is a single-threaded discrete-event executor with a virtual clock
 // measured in seconds. The zero value is not usable; construct one with
@@ -101,16 +89,6 @@ type Engine struct {
 	rng     *rand.Rand
 	stopped bool
 	fault   error
-	// compactMinCancels tunes the lazy-cancel compaction trigger: a
-	// compaction pass runs only once more than this many canceled events
-	// are parked in the queue AND they outnumber the live events
-	// (nCancel*2 > len(queue)). The floor keeps tiny queues from
-	// compacting on every cancel; the majority rule bounds the queue at
-	// roughly 2x the live events, so cancel-heavy workloads (the
-	// cluster-node reschedule pattern, the benchmark's
-	// sim.driver_ns_per_cancel) stay amortized O(1) per cancel instead of drifting
-	// with queue growth.
-	compactMinCancels int
 	// processed counts events executed since construction; useful in
 	// tests and as a progress indicator.
 	processed uint64
@@ -123,28 +101,8 @@ type Engine struct {
 // NewEngine returns an engine whose clock starts at 0 and whose random
 // source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		rng:               rand.New(rand.NewSource(seed)),
-		compactMinCancels: DefaultCompactMinCancels,
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
-
-// SetCompactMinCancels tunes the lazy-cancel compaction floor: compaction
-// is considered only once more than n canceled events are parked in the
-// queue. Lower values compact (and re-heapify) more eagerly, trading
-// cancel throughput for a tighter queue; higher values defer compaction
-// to larger batches. Non-positive n restores the default. The majority
-// rule (canceled events must outnumber live ones) always applies, so any
-// setting keeps the raw queue bounded near 2x the live event count.
-func (e *Engine) SetCompactMinCancels(n int) {
-	if n <= 0 {
-		n = DefaultCompactMinCancels
-	}
-	e.compactMinCancels = n
-}
-
-// CompactMinCancels returns the current compaction floor.
-func (e *Engine) CompactMinCancels() int { return e.compactMinCancels }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -236,7 +194,7 @@ func (e *Engine) Cancel(h Handle) {
 	}
 	ev.canceled = true
 	e.nCancel++
-	if e.nCancel > e.compactMinCancels && e.nCancel*2 > len(e.queue) {
+	if e.nCancel > compactMinCancels && e.nCancel*2 > len(e.queue) {
 		e.compact()
 	}
 }

@@ -74,8 +74,5 @@ func (b *TickBarrier) Stop() {
 	b.ticker = nil
 }
 
-// Period returns the tick period in virtual seconds.
-func (b *TickBarrier) Period() float64 { return b.period }
-
 // Ticks returns the number of ticks executed so far.
 func (b *TickBarrier) Ticks() uint64 { return b.ticks }

@@ -83,40 +83,29 @@ func TestTickBarrierZeroPeriodPanics(t *testing.T) {
 }
 
 // TestCompactionBoundsQueueUnderCancelHeavyLoad is the regression test
-// for the lazy-cancel compaction tunable: under a sustained
+// for the lazy-cancel compaction trigger: under a sustained
 // cancel-and-reschedule workload with a large population of far-future
 // events, the raw queue (live + parked canceled) must stay bounded by
 // the majority rule rather than growing with the number of cancels.
 func TestCompactionBoundsQueueUnderCancelHeavyLoad(t *testing.T) {
-	for _, floor := range []int{0, 8, DefaultCompactMinCancels, 1024} {
-		e := NewEngine(42)
-		e.SetCompactMinCancels(floor)
-		want := floor
-		if floor <= 0 {
-			want = DefaultCompactMinCancels
+	e := NewEngine(42)
+	// Live population: 1000 far-future events that never fire.
+	for i := 0; i < 1000; i++ {
+		e.At(1e6+float64(i), "far", func() {})
+	}
+	// Cancel-heavy churn: 50k reschedules of a near-future event.
+	var h Handle
+	for i := 0; i < 50000; i++ {
+		e.Cancel(h)
+		h = e.At(float64(i)+1, "resched", func() {})
+		// The queue may exceed the bound only until the *next* cancel
+		// trips the majority rule, so allow one pending cancel of slack.
+		limit := 2*(1000+1) + compactMinCancels + 1
+		if raw := e.PendingRaw(); raw > limit {
+			t.Fatalf("PendingRaw %d exceeds bound %d after %d cancels", raw, limit, i+1)
 		}
-		if got := e.CompactMinCancels(); got != want {
-			t.Fatalf("CompactMinCancels() = %d after Set(%d), want %d", got, floor, want)
-		}
-		// Live population: 1000 far-future events that never fire.
-		for i := 0; i < 1000; i++ {
-			e.At(1e6+float64(i), "far", func() {})
-		}
-		// Cancel-heavy churn: 50k reschedules of a near-future event.
-		var h Handle
-		for i := 0; i < 50000; i++ {
-			e.Cancel(h)
-			h = e.At(float64(i)+1, "resched", func() {})
-			// The queue may exceed the bound only until the *next* cancel
-			// trips the majority rule, so allow one pending cancel of slack.
-			limit := 2*(1000+1) + want + 1
-			if raw := e.PendingRaw(); raw > limit {
-				t.Fatalf("floor %d: PendingRaw %d exceeds bound %d after %d cancels",
-					floor, raw, limit, i+1)
-			}
-		}
-		if live := e.Pending(); live != 1000+1 {
-			t.Fatalf("floor %d: Pending %d, want 1001", floor, live)
-		}
+	}
+	if live := e.Pending(); live != 1000+1 {
+		t.Fatalf("Pending %d, want 1001", live)
 	}
 }

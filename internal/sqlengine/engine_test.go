@@ -112,17 +112,31 @@ func TestUpdate(t *testing.T) {
 	}
 }
 
-// The engine runs what RUBiS and the recovery log send. DELETE and DROP
-// TABLE are not among them: they do not parse, and IsWrite does not
-// classify them.
-func TestDeleteAndDropDoNotParse(t *testing.T) {
-	for _, sql := range []string{"DELETE FROM users WHERE id = 1", "DELETE FROM users", "DROP TABLE users"} {
-		if _, err := Parse(sql); err == nil {
-			t.Errorf("Parse(%q) accepted", sql)
+// The engine runs what RUBiS and the recovery log send: CREATE, INSERT,
+// SELECT and UPDATE. DELETE and DROP TABLE are not among them, so they do
+// not parse, IsWrite does not classify them, and the table is untouched.
+func TestDelete(t *testing.T) {
+	requireRefused(t, "DELETE FROM users WHERE rating < 4.0", "DELETE FROM users")
+}
+
+func TestDropTable(t *testing.T) {
+	requireRefused(t, "DROP TABLE users")
+}
+
+func requireRefused(t *testing.T, stmts ...string) {
+	t.Helper()
+	e := newUsers(t)
+	fp := e.Fingerprint()
+	for _, sql := range stmts {
+		if _, err := e.Exec(sql); err == nil {
+			t.Errorf("Exec(%q) accepted", sql)
 		}
 		if IsWrite(sql) {
 			t.Errorf("IsWrite(%q) = true", sql)
 		}
+	}
+	if e.Fingerprint() != fp || e.RowCount("users") != 3 {
+		t.Fatalf("a refused statement changed the database (%d rows)", e.RowCount("users"))
 	}
 }
 

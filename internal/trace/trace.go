@@ -22,7 +22,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -396,13 +395,6 @@ func (t *Tracer) eventsLocked() []Event {
 	}
 	out = append(out, t.events[t.head:]...)
 	return append(out, t.events[:t.head]...)
-}
-
-// Since returns retained events with T >= from.
-func (t *Tracer) Since(from float64) []Event {
-	evs := t.Events()
-	i := sort.Search(len(evs), func(i int) bool { return evs[i].T >= from })
-	return evs[i:]
 }
 
 // ByKind returns retained events of one kind, in time order.

@@ -520,13 +520,15 @@ func (rt *configRuntime) renderPage(now float64) []byte {
 	doc.Refreshable.Alerting.SkewFactor = ac.SkewFactor
 	doc.Refreshable.Alerting.HysteresisSeconds = ac.HysteresisSeconds
 	doc.Applied = rt.changes()
-	_, doc.Rejected, doc.Pending = rt.hub.Stats()
+	doc.Pending = rt.hub.Pending()
 	// The applied log includes rejected submissions (with their error);
 	// keep only committed ones in Applied and count the rest.
 	applied := doc.Applied[:0]
 	for _, c := range doc.Applied {
 		if c.Error == "" {
 			applied = append(applied, c)
+		} else {
+			doc.Rejected++
 		}
 	}
 	doc.Applied = applied

@@ -422,9 +422,8 @@ func (r *run) startFluid(sampled rubis.ScaledProfile) {
 		return float64(n)
 	}
 	r.fnet = fluid.NewNetwork(fluid.Config{
-		ThinkTime:    cfg.ThinkTime,
-		Population:   pop,
-		RecordSeries: true,
+		ThinkTime:  cfg.ThinkTime,
+		Population: pop,
 	}, stations...)
 	barrier := sim.NewTickBarrier(p.Eng, cfg.FluidTick, "fluid:tick")
 	barrier.Register("network", r.fnet.Tick)
