@@ -67,12 +67,16 @@ func goldenMatrix(t *testing.T) []goldenCase {
 	churn.Recovery = true
 	churn.Profile = ConstantProfile{Clients: 120, Length: 300}
 	churn.MTBFSeconds = 90
+	sessions := DefaultScenario(1, true)
+	sessions.Profile = goldenRamp()
+	sessions.Sessions = true
 	sweep := ChaosSweepScenario(8)
 	sweep.Invariants = true
 	sweep.Chaos = DefaultCrashSchedule(sweep.Profile.Duration())
 	return []goldenCase{
 		{"paper-managed", paper(true)},
 		{"paper-unmanaged", paper(false)},
+		{"paper-sessions", sessions},
 		{"netfault-spec", netfault},
 		{"grayfail-quick-balanced", GrayFailureScenario(1, "balanced", true)},
 		{"liveretune-quick", liveRetune},
