@@ -40,49 +40,52 @@ func TestSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// specValidateCases mutate DefaultSpec(1, true) into specs Validate must
+// accept or refuse; FuzzParseSpec seeds from them too.
+var specValidateCases = []struct {
+	name   string
+	mutate func(*Spec)
+	ok     bool
+}{
+	{"default", func(*Spec) {}, true},
+	{"bad mix", func(s *Spec) { s.Workload.Mix = "write-heavy" }, false},
+	{"bad profile kind", func(s *Spec) { s.Workload.Profile.Kind = "spike" }, false},
+	{"browsing mix", func(s *Spec) { s.Workload.Mix = "browsing" }, true},
+	{"loss too high", func(s *Spec) { s.Faults.Network.Default.Loss = 1 }, false},
+	{"link loss negative", func(s *Spec) {
+		s.Faults.Network.Links = map[string]LinkConfig{"node1->node2": {Loss: -0.1}}
+	}, false},
+	{"link key well formed", func(s *Spec) {
+		s.Faults.Network.Links = map[string]LinkConfig{"node1->node2": {LatencyMS: 5}}
+	}, true},
+	{"link key without arrow", func(s *Spec) {
+		s.Faults.Network.Links = map[string]LinkConfig{"node1-node2": {LatencyMS: 5}}
+	}, false},
+	{"link key without source", func(s *Spec) {
+		s.Faults.Network.Links = map[string]LinkConfig{"->node2": {LatencyMS: 5}}
+	}, false},
+	{"link key without destination", func(s *Spec) {
+		s.Faults.Network.Links = map[string]LinkConfig{"node1->": {LatencyMS: 5}}
+	}, false},
+	{"partition without network", func(s *Spec) {
+		s.Faults.Partition = []PartitionSpec{{At: 1, A: []string{"tomcat1"}}}
+	}, false},
+	{"partition with network", func(s *Spec) {
+		s.Faults.Network.Enabled = true
+		s.Faults.Partition = []PartitionSpec{{At: 1, A: []string{"tomcat1"}}}
+	}, true},
+	{"partition empty group", func(s *Spec) {
+		s.Faults.Network.Enabled = true
+		s.Faults.Partition = []PartitionSpec{{At: 1}}
+	}, false},
+	{"chaos partition without network", func(s *Spec) {
+		s.Faults.Chaos = ChaosSchedule{{At: 1, Kind: ChaosPartition, A: []string{"node1"}}}
+	}, false},
+	{"recovery without managed", func(s *Spec) { s.Managed = false; s.Recovery = true }, false},
+}
+
 func TestSpecValidate(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Spec)
-		ok     bool
-	}{
-		{"default", func(*Spec) {}, true},
-		{"bad mix", func(s *Spec) { s.Workload.Mix = "write-heavy" }, false},
-		{"bad profile kind", func(s *Spec) { s.Workload.Profile.Kind = "spike" }, false},
-		{"browsing mix", func(s *Spec) { s.Workload.Mix = "browsing" }, true},
-		{"loss too high", func(s *Spec) { s.Faults.Network.Default.Loss = 1 }, false},
-		{"link loss negative", func(s *Spec) {
-			s.Faults.Network.Links = map[string]LinkConfig{"node1->node2": {Loss: -0.1}}
-		}, false},
-		{"link key well formed", func(s *Spec) {
-			s.Faults.Network.Links = map[string]LinkConfig{"node1->node2": {LatencyMS: 5}}
-		}, true},
-		{"link key without arrow", func(s *Spec) {
-			s.Faults.Network.Links = map[string]LinkConfig{"node1-node2": {LatencyMS: 5}}
-		}, false},
-		{"link key without source", func(s *Spec) {
-			s.Faults.Network.Links = map[string]LinkConfig{"->node2": {LatencyMS: 5}}
-		}, false},
-		{"link key without destination", func(s *Spec) {
-			s.Faults.Network.Links = map[string]LinkConfig{"node1->": {LatencyMS: 5}}
-		}, false},
-		{"partition without network", func(s *Spec) {
-			s.Faults.Partition = []PartitionSpec{{At: 1, A: []string{"tomcat1"}}}
-		}, false},
-		{"partition with network", func(s *Spec) {
-			s.Faults.Network.Enabled = true
-			s.Faults.Partition = []PartitionSpec{{At: 1, A: []string{"tomcat1"}}}
-		}, true},
-		{"partition empty group", func(s *Spec) {
-			s.Faults.Network.Enabled = true
-			s.Faults.Partition = []PartitionSpec{{At: 1}}
-		}, false},
-		{"chaos partition without network", func(s *Spec) {
-			s.Faults.Chaos = ChaosSchedule{{At: 1, Kind: ChaosPartition, A: []string{"node1"}}}
-		}, false},
-		{"recovery without managed", func(s *Spec) { s.Managed = false; s.Recovery = true }, false},
-	}
-	for _, tc := range cases {
+	for _, tc := range specValidateCases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := DefaultSpec(1, true)
 			tc.mutate(&s)
