@@ -2,8 +2,9 @@
 #
 #   make ci           - vet, race-enabled tests, chaos sweep, smokes, api check.
 #                       `race` runs every Go test once (under -race, except
-#                       ./benchmark's: see the target); no other target re-runs
-#                       a subset of them (one gate per behaviour)
+#                       ./benchmark's: see the target), every fuzz target's
+#                       seeds and committed corpus included; no other target
+#                       re-runs a subset of them (one gate per behaviour)
 #   make test         - plain test run (what the seed gate runs)
 #   make sweep        - 20-seed invariant chaos sweep at 8x compression
 #   make trace-smoke  - export a managed-run trace and validate its schema
@@ -15,11 +16,6 @@
 #   make obs-smoke    - scrape a live run's admin endpoint and validate the exposition
 #   make netsim-smoke - run the partition scenario from examples/netfault.json
 #                       end to end (invariant-checked; nonzero exit on violation)
-#   make sql-smoke    - one FuzzParse and one FuzzPrepare pass over the committed
-#                       corpora (the SQL engine's differential and replay tests
-#                       run under `race`)
-#   make selector-smoke - one rendezvous fuzz pass over the committed corpus
-#                       (the selector property tests run under `race`)
 #   make experiments  - every jadebench experiment at full length (go run
 #                       ./cmd/jadebench at its defaults); each self-checks,
 #                       so a failed claim exits nonzero
@@ -29,7 +25,7 @@ GO ?= go
 TMP_DIR := $(shell mktemp -d 2>/dev/null || echo /tmp)
 TRACE_TMP := $(TMP_DIR)/jade-trace.json
 
-.PHONY: all build test vet race sweep trace-smoke golden bench sql-smoke obs-smoke netsim-smoke selector-smoke experiments api-check ci
+.PHONY: all build test vet race sweep trace-smoke golden bench obs-smoke netsim-smoke experiments api-check ci
 
 all: build
 
@@ -65,18 +61,11 @@ golden:
 bench:
 	$(GO) run ./benchmark
 
-sql-smoke:
-	$(GO) test -run FuzzParse -fuzz FuzzParse -fuzztime 1x ./internal/sqlengine
-	$(GO) test -run FuzzPrepare -fuzz FuzzPrepare -fuzztime 1x ./internal/sqlengine
-
 obs-smoke:
 	$(GO) run ./cmd/jadectl scenario -clients 200 -duration 300 -managed -metrics.http 127.0.0.1:0 -metrics.scrape-check
 
 netsim-smoke:
 	$(GO) run ./cmd/jadectl scenario -config examples/netfault.json
-
-selector-smoke:
-	$(GO) test -run FuzzRendezvousPick -fuzz FuzzRendezvousPick -fuzztime 1x ./internal/selector
 
 experiments:
 	$(GO) run ./cmd/jadebench
@@ -84,4 +73,4 @@ experiments:
 api-check:
 	$(GO) test -run TestAPISurface .
 
-ci: vet race sweep trace-smoke golden sql-smoke obs-smoke netsim-smoke selector-smoke experiments api-check
+ci: vet race sweep trace-smoke golden obs-smoke netsim-smoke experiments api-check
