@@ -10,7 +10,7 @@ import (
 )
 
 // ablationRun is one variant of a sizing ablation: the managed paper
-// ramp at jadebench's speed-up, at least 2x.
+// ramp at `jadectl experiment`'s speed-up, at least 2x.
 func ablationRun(x *expEnv, name string) expRun {
 	cfg := DefaultScenario(x.Seed, true)
 	cfg.Profile = compressedRamp(max(x.Speedup, 2))

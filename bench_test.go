@@ -120,7 +120,7 @@ func BenchmarkFigure9LatencyWithJade(b *testing.B) {
 // steady workload with no reconfigurations (paper: 12 vs 12 req/s, 89 vs
 // 87 ms, 12.74 vs 12.42 % CPU, 20.1 vs 17.5 % memory) — and the ablations
 // of the design choices DESIGN.md calls out, one sub-benchmark per
-// jadebench section.
+// `jadectl experiment` section.
 func BenchmarkExperiments(b *testing.B) {
 	for i := range experiments {
 		e := &experiments[i]

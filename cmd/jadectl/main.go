@@ -1,7 +1,8 @@
-// Command jadectl is the administration front end of the Jade platform:
-// it validates and deploys architecture descriptions on a simulated
-// cluster, introspects the resulting component architecture, and shows
-// the legacy configuration files the wrappers generated.
+// Command jadectl is the one front end of the Jade platform: it
+// validates and deploys architecture descriptions on a simulated
+// cluster, introspects the resulting component architecture, shows the
+// legacy configuration files the wrappers generated, runs scenarios, and
+// regenerates the paper's evaluation.
 //
 // Usage:
 //
@@ -23,6 +24,9 @@
 //	jadectl config set [-addr HOST:PORT] PATCH|@FILE|-
 //	jadectl trace-validate FILE
 //	jadectl diff [-tol X] [-slo-tol X] RUN_DIR_A RUN_DIR_B
+//	jadectl experiment [-seed N] [-speedup X] [-quick] [-csv DIR] [-parallel N] [NAME]
+//	jadectl sweep [-seeds N] [-speedup X] [-parallel N] [-artifact PATH]
+//	jadectl replay [-speedup X] FILE
 //
 // Without -adl, the built-in three-tier RUBiS architecture is used.
 //
@@ -85,6 +89,27 @@
 // (burn-rate windows, anomaly z-score, pool-skew factor); -alert.off
 // disables rule evaluation, and -alert.monitor arms the φ-accrual
 // heartbeat detector as a pure signal source (requires -net.enable).
+//
+// experiment regenerates the paper's evaluation: every figure and table
+// of §5, the flagship experiments and the ablation studies. NAME is one
+// of fig4, fig5, fig6, fig7, fig8, fig9, summary, churn, netfault,
+// grayfail, liveretune, alertlat, latbudget, millionclient, table1,
+// ablations or all (the default). Each is an entry of the root package's
+// experiment table (jade.RunExperiments): its runs plus a report that
+// self-checks them and renders the section, so a failed claim exits
+// nonzero. -speedup compresses the paper ramp; -quick shrinks the
+// flagships for smoke runs; -csv writes the figure data of Figs. 5-9.
+//
+// sweep runs the invariant-checked chaos sweep (the Fig. 5 scenario under
+// a crash/reboot/slow schedule) over seeds 1..N, writing a replayable
+// artifact on the first violation; replay re-runs such an artifact and
+// exits nonzero unless the recorded violation reproduces.
+//
+// -parallel fans independent runs (sweep seeds, each experiment's runs)
+// over a worker pool; 0 uses GOMAXPROCS. Results are byte-identical
+// whatever the worker count, apart from millionclient's wall-clock rows.
+// Host cost is measured by the repository benchmark (`go run
+// ./benchmark`), not here.
 package main
 
 import (
@@ -98,7 +123,6 @@ import (
 	"time"
 
 	"jade"
-	"jade/internal/cliutil"
 )
 
 func main() {
@@ -121,6 +145,12 @@ func main() {
 		err = cmdTraceValidate(args)
 	case "diff":
 		err = cmdDiff(args)
+	case "experiment":
+		err = cmdExperiment(args)
+	case "sweep":
+		err = cmdSweep(args)
+	case "replay":
+		err = cmdReplay(args)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -153,7 +183,10 @@ func usage() {
   jadectl config get [-addr HOST:PORT]
   jadectl config set [-addr HOST:PORT] PATCH|@FILE|-
   jadectl trace-validate FILE
-  jadectl diff [-tol X] [-slo-tol X] RUN_DIR_A RUN_DIR_B`)
+  jadectl diff [-tol X] [-slo-tol X] RUN_DIR_A RUN_DIR_B
+  jadectl experiment [-seed N] [-speedup X] [-quick] [-csv DIR] [-parallel N] [NAME]
+  jadectl sweep [-seeds N] [-speedup X] [-parallel N] [-artifact PATH]
+  jadectl replay [-speedup X] FILE`)
 }
 
 func loadADL(path string) (*jade.ADLDefinition, error) {
@@ -273,72 +306,117 @@ func max1(v float64) float64 {
 	return v
 }
 
-func cmdScenario(args []string) error {
-	fs := flag.NewFlagSet("scenario", flag.ExitOnError)
+// scenarioArgs is a parsed `jadectl scenario` command line: the run's
+// Spec and the options that act around the run.
+type scenarioArgs struct {
+	spec                           jade.Spec
+	pace                           float64
+	traceOut, traceJSONL           string
+	scrapeCheck, serve, showAlerts bool
+}
+
+// parseScenario binds every spec flag to its field of one Spec. Without
+// -config the flags' values, set or default, make up the spec; with
+// -config the loaded file replaces the spec and the arguments are parsed
+// a second time, so only the flags set explicitly override the file.
+func parseScenario(fs *flag.FlagSet, args []string) (*scenarioArgs, error) {
+	a := &scenarioArgs{spec: jade.DefaultSpec(1, true)}
+	s := &a.spec
 	configPath := fs.String("config", "", "grouped run spec (JSON, the jade.Spec schema); explicit flags override the file")
-	seed := fs.Int64("seed", 1, "simulation seed")
+	fs.Int64Var(&s.Seed, "seed", 1, "simulation seed")
 	clients := fs.Int("clients", 200, "constant client population")
 	duration := fs.Float64("duration", 600, "workload duration (simulated seconds)")
-	managed := fs.Bool("managed", true, "arm the self-optimization managers")
-	pace := fs.Float64("pace", 0, "pace the run to this many simulated seconds per wall second (0 = as fast as possible; useful with -metrics.http)")
-	traceOut := fs.String("trace.chrome", "", "write the telemetry bus as a Chrome trace-event file (Perfetto-loadable)")
-	traceJSONL := fs.String("trace.jsonl", "", "write the telemetry bus as JSONL (one event/span per line)")
-	scrapeCheck := fs.Bool("metrics.scrape-check", false, "after the run, scrape the admin endpoint and validate the exposition (requires -metrics.http)")
-	serve := fs.Bool("metrics.serve", false, "keep the admin endpoint serving the final pages after the run (requires -metrics.http; ctrl-C to exit)")
-	showAlerts := fs.Bool("alerts", false, "print the run's alert and incident report after the SLO table")
-	specFlags := cliutil.RegisterSpecFlags(fs)
+	fs.BoolVar(&s.Managed, "managed", true, "arm the self-optimization managers")
+	fs.Float64Var(&a.pace, "pace", 0, "pace the run to this many simulated seconds per wall second (0 = as fast as possible; useful with -metrics.http)")
+	fs.StringVar(&a.traceOut, "trace.chrome", "", "write the telemetry bus as a Chrome trace-event file (Perfetto-loadable)")
+	fs.StringVar(&a.traceJSONL, "trace.jsonl", "", "write the telemetry bus as JSONL (one event/span per line)")
+	fs.BoolVar(&a.scrapeCheck, "metrics.scrape-check", false, "after the run, scrape the admin endpoint and validate the exposition (requires -metrics.http)")
+	fs.BoolVar(&a.serve, "metrics.serve", false, "keep the admin endpoint serving the final pages after the run (requires -metrics.http; ctrl-C to exit)")
+	fs.BoolVar(&a.showAlerts, "alerts", false, "print the run's alert and incident report after the SLO table")
+
+	fs.BoolVar(&s.Workload.Sessions, "sessions", false, "use Markov sessions instead of i.i.d. interaction sampling")
+	fs.BoolVar(&s.Recovery, "recovery", false, "arm the self-recovery manager")
+	fs.StringVar(&s.Workload.Mode, "workload.mode", "", "workload engine: discrete|fluid|auto (empty = discrete)")
+	fs.Float64Var(&s.Workload.FluidTickSeconds, "workload.tick", 0, "fluid model tick in simulated seconds (0 = default 1)")
+	fs.Float64Var(&s.Workload.FluidSampleRate, "workload.sample-rate", 0, "fraction of clients kept as real discrete chains in fluid mode (0 = default 0.02)")
+	fs.Float64Var(&s.Faults.MTBFSeconds, "fault.mtbf", 0, "inject node crashes with this mean time between failures (seconds; 0 = none)")
+	fs.StringVar(&s.Routing.Policy, "route.policy", "", "routing policy for every tier: round-robin|weighted-round-robin|least-pending|balanced|rendezvous (empty = per-tier defaults)")
+	fs.StringVar(&s.Routing.L4, "route.l4", "", "routing policy for the L4 switch (overrides -route.policy)")
+	fs.StringVar(&s.Routing.App, "route.app", "", "routing policy for the PLB application tier (overrides -route.policy)")
+	fs.StringVar(&s.Routing.DB, "route.db", "", "read policy for the C-JDBC database tier (overrides -route.policy)")
+	fs.Float64Var(&s.Routing.ProbeAfterSeconds, "route.probe-after", 0, "seconds before a suspected-down backend is probed back in (0 = default)")
+	fs.Float64Var(&s.Routing.HalfLifeSeconds, "route.half-life", 0, "half-life of the balanced policy's failure/latency reservoirs (seconds; 0 = default)")
+	fs.BoolVar(&s.Faults.Network.Enabled, "net.enable", false, "route inter-tier calls and heartbeats over the simulated network")
+	fs.Float64Var(&s.Faults.Network.Default.LatencyMS, "net.latency", 0.3, "default link latency (milliseconds)")
+	fs.Float64Var(&s.Faults.Network.Default.JitterMS, "net.jitter", 0, "default link jitter (milliseconds)")
+	fs.Float64Var(&s.Faults.Network.Default.Loss, "net.loss", 0, "default link loss probability, in [0,1)")
+	fs.IntVar(&s.Telemetry.TraceRequests, "trace.requests", 0, "open a causal span for every N-th client request (0 = default 25 when tracing)")
+	fs.StringVar(&s.Telemetry.MetricsDir, "metrics.dir", "", "write periodic metrics snapshots (Prometheus text + JSON) into this directory")
+	fs.Float64Var(&s.Telemetry.MetricsIntervalSeconds, "metrics.interval", 60, "snapshot period in simulated seconds")
+	fs.StringVar(&s.Telemetry.HTTPAddr, "metrics.http", "", "serve the live admin endpoint on this address (e.g. :8080 or 127.0.0.1:0)")
+	fs.BoolVar(&s.Alerting.Off, "alert.off", false, "disable alerting-rule evaluation")
+	fs.Float64Var(&s.Alerting.EvalIntervalSeconds, "alert.interval", 0, "alert evaluation period in simulated seconds (0 = default 5)")
+	fs.Float64Var(&s.Alerting.FastWindowSeconds, "alert.fast", 0, "fast burn-rate window in simulated seconds (0 = default 60)")
+	fs.Float64Var(&s.Alerting.SlowWindowSeconds, "alert.slow", 0, "slow burn-rate window in simulated seconds (0 = default 600)")
+	fs.Float64Var(&s.Alerting.PageBurn, "alert.page-burn", 0, "error-budget burn rate that pages (0 = default 14.4)")
+	fs.Float64Var(&s.Alerting.WarnBurn, "alert.warn-burn", 0, "error-budget burn rate that warns (0 = default 3)")
+	fs.Float64Var(&s.Alerting.ZThreshold, "alert.z", 0, "anomaly z-score threshold (0 = default 4)")
+	fs.Float64Var(&s.Alerting.SkewFactor, "alert.skew", 0, "pool-skew multiplier vs the pool median (0 = default 3)")
+	fs.Float64Var(&s.Alerting.HysteresisSeconds, "alert.hysteresis", 0, "seconds an alert's condition must stay clear before it resolves (0 = default 30)")
+	fs.BoolVar(&s.Alerting.MonitorReplicas, "alert.monitor", false, "arm the φ-accrual heartbeat detector as a signal source without recovery (requires -net.enable)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if (a.scrapeCheck || a.serve) && s.Telemetry.HTTPAddr == "" {
+		return nil, fmt.Errorf("-metrics.scrape-check and -metrics.serve require -metrics.http")
+	}
+
+	profile := jade.ProfileSpec{Kind: "constant", Clients: *clients, DurationSeconds: *duration}
+	if *configPath == "" {
+		s.Workload.Profile = profile
+	} else {
+		loaded, err := jade.LoadSpec(*configPath)
+		if err != nil {
+			return nil, err
+		}
+		*s = loaded
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "clients" || f.Name == "duration" {
+				s.Workload.Profile = profile
+			}
+		})
+	}
+	if s.Telemetry.TraceRequests == 0 && (a.traceOut != "" || a.traceJSONL != "") {
+		s.Telemetry.TraceRequests = 25
+	}
+	return a, nil
+}
+
+func cmdScenario(args []string) error {
+	fs := flag.NewFlagSet("scenario", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: jadectl scenario [flags]")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	httpAddr := fs.Lookup("metrics.http").Value.String()
-	if (*scrapeCheck || *serve) && httpAddr == "" {
-		return fmt.Errorf("-metrics.scrape-check and -metrics.serve require -metrics.http")
-	}
-
-	spec := jade.DefaultSpec(*seed, *managed)
-	spec.Workload.Profile = jade.ProfileSpec{Kind: "constant", Clients: *clients, DurationSeconds: *duration}
-	apply := func(name string) {
-		if specFlags.Apply(&spec, name) {
-			return
-		}
-		switch name {
-		case "seed":
-			spec.Seed = *seed
-		case "managed":
-			spec.Managed = *managed
-		case "clients", "duration":
-			spec.Workload.Profile = jade.ProfileSpec{Kind: "constant", Clients: *clients, DurationSeconds: *duration}
-		}
-	}
-	if *configPath != "" {
-		loaded, err := jade.LoadSpec(*configPath)
-		if err != nil {
-			return err
-		}
-		spec = loaded
-		fs.Visit(func(f *flag.Flag) { apply(f.Name) })
-	} else {
-		specFlags.ApplyAll(&spec)
-	}
-	if spec.Telemetry.TraceRequests == 0 && (*traceOut != "" || *traceJSONL != "") {
-		spec.Telemetry.TraceRequests = 25
-	}
-	cfg, err := spec.Flatten()
+	a, err := parseScenario(fs, args)
 	if err != nil {
 		return err
 	}
-	cfg.Pace = *pace
+	cfg, err := a.spec.Flatten()
+	if err != nil {
+		return err
+	}
+	cfg.Pace = a.pace
 	if cfg.HTTPAddr != "" {
 		cfg.AdminReady = func(addr string) {
 			fmt.Fprintf(os.Stderr, "admin endpoint: http://%s/metrics\n", addr)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "running %s for %.0fs (managed=%v, network=%v)...\n",
-		describeProfile(spec.Workload.Profile), cfg.Profile.Duration(), cfg.Managed, cfg.Net.Enabled)
+		describeProfile(a.spec.Workload.Profile), cfg.Profile.Duration(), cfg.Managed, cfg.Net.Enabled)
 	t0 := time.Now()
 	r, err := jade.RunScenario(cfg)
 	if err != nil {
@@ -379,10 +457,10 @@ func cmdScenario(args []string) error {
 			r.InvariantChecks, r.RepairDiscards, r.RepairsConfirmedLegal)
 	}
 	fmt.Printf("\nSLO compliance:\n%s", r.SLOReport.Render())
-	if *showAlerts {
+	if a.showAlerts {
 		fmt.Printf("\nAlerts and incidents:\n%s", r.Alerts.RenderText())
 	}
-	if err := writeTraces(r, *traceOut, *traceJSONL); err != nil {
+	if err := writeTraces(r, a.traceOut, a.traceJSONL); err != nil {
 		return err
 	}
 	if v := r.InvariantViolation; v != nil {
@@ -391,12 +469,12 @@ func cmdScenario(args []string) error {
 	if r.Admin != nil {
 		defer r.Admin.Close()
 	}
-	if *scrapeCheck {
+	if a.scrapeCheck {
 		if err := scrapeAdmin(r); err != nil {
 			return err
 		}
 	}
-	if *serve {
+	if a.serve {
 		fmt.Fprintf(os.Stderr, "serving final pages on http://%s (ctrl-C to exit)\n", r.AdminAddr)
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt)

@@ -1,0 +1,97 @@
+package main
+
+import (
+	"flag"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+
+	"jade"
+)
+
+// parse runs parseScenario on a throwaway flag set that reports errors
+// instead of exiting.
+func parse(args ...string) (*scenarioArgs, error) {
+	fs := flag.NewFlagSet("scenario", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseScenario(fs, args)
+}
+
+// The pre-namespace spellings are gone: each now fails like any other
+// unknown flag, while the namespaced flag reaches the spec.
+func TestOldSpellingsRejected(t *testing.T) {
+	for _, old := range []string{"mtbf", "trace", "trace-jsonl", "trace-requests", "metrics-dir", "metrics-interval", "http", "scrape-check", "serve"} {
+		_, err := parse("-"+old, "1")
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("-%s: err = %v, want flag provided but not defined", old, err)
+		}
+	}
+	a, err := parse("-fault.mtbf", "300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.spec.Faults.MTBFSeconds != 300 {
+		t.Fatalf("-fault.mtbf did not reach the spec: mtbf = %v", a.spec.Faults.MTBFSeconds)
+	}
+}
+
+// With -config, the flags set explicitly override the file and every
+// other field keeps the file's value, not the flag's default.
+func TestScenarioExplicitFlagsOverrideConfig(t *testing.T) {
+	const path = "../../examples/netfault.json"
+	a, err := parse("-config", path, "-seed", "2", "-route.policy", "least-pending")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := jade.LoadSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Seed == 2 || want.Routing.Policy != "" || want.Faults.Network.Default.Loss != 0.002 {
+		t.Fatalf("%s changed; the test expects seed 1, no routing policy and loss 0.002", path)
+	}
+	want.Seed = 2
+	want.Routing.Policy = "least-pending"
+	if !reflect.DeepEqual(a.spec, want) {
+		t.Fatalf("spec\n got %+v\nwant %+v", a.spec, want)
+	}
+}
+
+// Without -config, every flag's value, set or default, makes up the spec
+// on top of DefaultSpec: the two nonzero defaults reach it too.
+func TestScenarioFlagDefaultsMakeTheSpec(t *testing.T) {
+	a, err := parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := jade.DefaultSpec(1, true)
+	want.Workload.Profile = jade.ProfileSpec{Kind: "constant", Clients: 200, DurationSeconds: 600}
+	want.Faults.Network.Default.LatencyMS = 0.3
+	want.Telemetry.MetricsIntervalSeconds = 60
+	if !reflect.DeepEqual(a.spec, want) {
+		t.Fatalf("spec\n got %+v\nwant %+v", a.spec, want)
+	}
+
+	a, err = parse("-clients", "300", "-duration", "120", "-managed=false", "-trace.chrome", "t.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := a.spec.Workload.Profile
+	if p.Clients != 300 || p.DurationSeconds != 120 || a.spec.Managed || a.spec.Telemetry.TraceRequests != 25 {
+		t.Fatalf("profile %+v, managed %v, trace requests %d", p, a.spec.Managed, a.spec.Telemetry.TraceRequests)
+	}
+}
+
+// A sweep over no seeds and an unknown experiment are usage errors; both
+// fail before any simulation runs.
+func TestEvaluationUsageErrors(t *testing.T) {
+	for _, n := range []string{"0", "-3"} {
+		if err := cmdSweep([]string{"-seeds", n}); err == nil {
+			t.Errorf("sweep -seeds %s succeeded", n)
+		}
+	}
+	if err := cmdExperiment([]string{"nosuch"}); err == nil || !strings.Contains(err.Error(), "fig4") {
+		t.Errorf("experiment nosuch: err = %v, want one listing the valid names", err)
+	}
+}

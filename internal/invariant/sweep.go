@@ -115,7 +115,7 @@ type Outcome struct {
 type Runner func(seed int64, schedule Schedule) (*Outcome, error)
 
 // Artifact is a replayable record of a failing run: feed it back through
-// Replay (or `jadebench -replay`) to reproduce the violation exactly.
+// Replay (or `jadectl replay`) to reproduce the violation exactly.
 type Artifact struct {
 	// Seed reproduces the run's randomness.
 	Seed int64 `json:"seed"`

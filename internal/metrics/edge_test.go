@@ -174,23 +174,3 @@ func TestPercentileSingleAndDuplicates(t *testing.T) {
 		t.Fatalf("Percentile(dup, 1) = %v, want 5", got)
 	}
 }
-
-func TestThroughputWindowEdges(t *testing.T) {
-	tp := NewThroughput(10)
-	if r := tp.Rate(0); r != 0 || math.IsNaN(r) {
-		t.Fatalf("empty Rate = %v, want 0", r)
-	}
-	tp.Observe(1)
-	tp.Observe(2)
-	tp.Observe(3)
-	if r := tp.Rate(3); math.Abs(r-0.3) > 1e-12 {
-		t.Fatalf("Rate(3) = %v, want 0.3", r)
-	}
-	// Far in the future, everything has left the window.
-	if r := tp.Rate(1000); r != 0 {
-		t.Fatalf("Rate(1000) = %v, want 0", r)
-	}
-	if tp.Total() != 3 {
-		t.Fatalf("Total = %d, want 3", tp.Total())
-	}
-}

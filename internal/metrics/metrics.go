@@ -1,7 +1,7 @@
 // Package metrics provides the measurement primitives used by Jade's
 // sensors and by the experiment harness: time series, temporal (moving)
-// averages, spatial averages, utilization integrators, throughput windows
-// and percentile summaries.
+// averages, spatial averages, utilization integrators and percentile
+// summaries.
 //
 // All types operate on the simulation's virtual clock (float64 seconds)
 // and are deliberately single-threaded: the discrete-event engine executes
@@ -87,25 +87,6 @@ func (s *Series) At(t float64) float64 {
 		return 0
 	}
 	return s.Points[i-1].V
-}
-
-// Resample returns the series values at a fixed step over [t0, t1], using
-// step-function interpolation (the value in effect at each instant).
-func (s *Series) Resample(t0, t1, step float64) []Point {
-	if step <= 0 {
-		panic("metrics: Resample with non-positive step")
-	}
-	// Index-based stepping: accumulating t += step drifts by one ulp per
-	// iteration, which over long ramps drops or duplicates the final sample.
-	var out []Point
-	for i := 0; ; i++ {
-		t := t0 + float64(i)*step
-		if t > t1+1e-9 {
-			break
-		}
-		out = append(out, Point{T: t, V: s.At(t)})
-	}
-	return out
 }
 
 // CSV renders the series as "t,v" lines with a header. Points are
@@ -257,57 +238,6 @@ func (u *UtilizationMeter) Total(now float64) float64 {
 	u.advance(now)
 	return u.busyAccum
 }
-
-// Throughput counts completions and reports a windowed rate.
-type Throughput struct {
-	Window float64
-	times  []float64 // times[head:] retained, ascending
-	head   int
-	total  uint64
-}
-
-// NewThroughput returns a throughput meter with the given window (seconds).
-func NewThroughput(window float64) *Throughput {
-	if window <= 0 {
-		panic("metrics: throughput window must be positive")
-	}
-	return &Throughput{Window: window}
-}
-
-// Observe records one completion at time t. Expiry advances a head index
-// and compacts only when the dead prefix dominates, the same amortized
-// O(1) scheme as MovingAverage.trim.
-func (tp *Throughput) Observe(t float64) {
-	tp.total++
-	tp.times = append(tp.times, t)
-	h := tp.head
-	for h < len(tp.times) && tp.times[h] < t-tp.Window {
-		h++
-	}
-	tp.head = h
-	if h > 64 && h*2 >= len(tp.times) {
-		n := copy(tp.times, tp.times[h:])
-		tp.times = tp.times[:n]
-		tp.head = 0
-	}
-}
-
-// Rate returns completions per second over the window ending at now.
-// Retained times are ascending (Observe appends monotonically), so both
-// window bounds are binary searches.
-func (tp *Throughput) Rate(now float64) float64 {
-	live := tp.times[tp.head:]
-	lo := sort.SearchFloat64s(live, now-tp.Window)
-	hi := sort.Search(len(live), func(i int) bool { return live[i] > now })
-	n := hi - lo
-	if n < 0 {
-		n = 0
-	}
-	return float64(n) / tp.Window
-}
-
-// Total returns the total number of completions observed.
-func (tp *Throughput) Total() uint64 { return tp.total }
 
 // Summary holds order statistics of a sample set.
 type Summary struct {

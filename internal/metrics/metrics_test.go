@@ -71,22 +71,6 @@ func TestSeriesMeanBetween(t *testing.T) {
 	}
 }
 
-func TestSeriesResample(t *testing.T) {
-	s := NewSeries("r")
-	s.Add(0, 1)
-	s.Add(10, 5)
-	pts := s.Resample(0, 20, 5)
-	want := []float64{1, 1, 5, 5, 5}
-	if len(pts) != len(want) {
-		t.Fatalf("got %d points, want %d", len(pts), len(want))
-	}
-	for i, p := range pts {
-		if p.V != want[i] {
-			t.Fatalf("resample[%d] = %v, want %v", i, p.V, want[i])
-		}
-	}
-}
-
 func TestSeriesCSV(t *testing.T) {
 	s := NewSeries("latency")
 	s.Add(1, 2)
@@ -178,20 +162,6 @@ func TestUtilizationMeterZeroDt(t *testing.T) {
 	u.Read(5) // resets the read origin without time passing
 	if got := u.Read(5); !almost(got, 0.7) {
 		t.Fatalf("zero-dt Read = %v, want current busy 0.7", got)
-	}
-}
-
-func TestThroughputWindowedRate(t *testing.T) {
-	tp := NewThroughput(10)
-	for i := 0; i < 20; i++ {
-		tp.Observe(float64(i))
-	}
-	// Window [9.x, 19.x] at now=19.5 holds observations 10..19 → 10 events.
-	if got := tp.Rate(19.5); !almost(got, 1.0) {
-		t.Fatalf("Rate = %v, want 1.0", got)
-	}
-	if tp.Total() != 20 {
-		t.Fatalf("Total = %d", tp.Total())
 	}
 }
 
@@ -332,106 +302,12 @@ func TestPropertySeriesAt(t *testing.T) {
 	}
 }
 
-func TestThroughputPanicsOnBadWindow(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewThroughput(-1) did not panic")
-		}
-	}()
-	NewThroughput(-1)
-}
-
-func TestResamplePanicsOnBadStep(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Resample(step=0) did not panic")
-		}
-	}()
-	NewSeries("x").Resample(0, 1, 0)
-}
-
 func TestPercentileSortedInput(t *testing.T) {
 	// Document that Percentile requires sorted input; Summarize sorts.
 	vs := []float64{5, 1, 9, 3}
 	sort.Float64s(vs)
 	if got := Percentile(vs, 0.5); !almost(got, 4) {
 		t.Fatalf("median = %v, want 4", got)
-	}
-}
-
-func TestResampleNoFloatDrift(t *testing.T) {
-	// Regression: accumulating t += step drifts by one ulp per iteration,
-	// so long resamples with a fractional step dropped the final sample
-	// and reported off-grid timestamps. Index-based stepping is exact.
-	s := NewSeries("d")
-	s.Add(0, 1)
-	pts := s.Resample(0, 50, 0.1)
-	if want := 501; len(pts) != want {
-		t.Fatalf("got %d points, want %d", len(pts), want)
-	}
-	for i, p := range pts {
-		if want := float64(i) * 0.1; p.T != want {
-			t.Fatalf("resample[%d].T = %.17g, want exactly %.17g", i, p.T, want)
-		}
-	}
-	if last := pts[len(pts)-1].T; last != 50 {
-		t.Fatalf("final sample at %.17g, want exactly 50", last)
-	}
-}
-
-func TestThroughputRateBounds(t *testing.T) {
-	tp := NewThroughput(10)
-	for i := 0; i < 20; i++ {
-		tp.Observe(float64(i))
-	}
-	// now beyond every observation: window [15, 25] holds 15..19.
-	if got := tp.Rate(25); !almost(got, 0.5) {
-		t.Fatalf("Rate(25) = %v, want 0.5", got)
-	}
-	// now before the retained observations: nothing in [-10, 0] after
-	// Observe trimmed everything below 9.
-	if got := tp.Rate(0); got != 0 {
-		t.Fatalf("Rate(0) = %v, want 0", got)
-	}
-	if got := NewThroughput(10).Rate(5); got != 0 {
-		t.Fatalf("empty Rate = %v, want 0", got)
-	}
-}
-
-// Property: the binary-search Rate matches a brute-force linear count.
-func TestPropertyThroughputRateMatchesLinear(t *testing.T) {
-	f := func(raw []uint8, probe uint8) bool {
-		tp := NewThroughput(5)
-		now := 0.0
-		var kept []float64
-		for _, r := range raw {
-			now += float64(r%7) / 3
-			tp.Observe(now)
-		}
-		kept = append(kept, tp.times[tp.head:]...)
-		q := float64(probe) / 4
-		n := 0
-		for _, tt := range kept {
-			if tt >= q-tp.Window && tt <= q {
-				n++
-			}
-		}
-		return almost(tp.Rate(q), float64(n)/tp.Window)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkThroughputRate(b *testing.B) {
-	tp := NewThroughput(10000)
-	for i := 0; i < 100000; i++ {
-		tp.Observe(float64(i) / 10)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tp.Rate(10000)
 	}
 }
 

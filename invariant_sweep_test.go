@@ -14,7 +14,7 @@ import (
 // Fig. 5 scenario (managed, recovery, arbitration) under the default
 // crash/reboot/slow schedule preserves every invariant across 20 seeds.
 func TestChaosSweepPassesAcrossSeeds(t *testing.T) {
-	res, err := RunChaosSweep(20, 8, 0, t.Logf)
+	res, err := RunChaosSweep(20, 8, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,8 @@ var parallelism atomic.Int64
 // SetParallelism sets the worker count used when experiments fan
 // independent simulation runs out over goroutines (every experiment's
 // runs, the chaos sweep's seeds). Values <= 0 restore the default,
-// GOMAXPROCS. `jadebench -parallel N` routes here.
+// GOMAXPROCS. `jadectl experiment -parallel N` and `jadectl sweep
+// -parallel N` route here.
 func SetParallelism(n int) {
 	if n < 0 {
 		n = 0

@@ -43,7 +43,7 @@ const (
 	ChaosConfig = invariant.Config
 )
 
-// ParseSweepArtifact decodes an artifact written by `jadebench -sweep`.
+// ParseSweepArtifact decodes an artifact written by `jadectl sweep`.
 func ParseSweepArtifact(data []byte) (*SweepArtifact, error) {
 	return invariant.ParseArtifact(data)
 }
@@ -97,16 +97,13 @@ func DefaultCrashSchedule(profileSeconds float64) ChaosSchedule {
 
 // RunChaosSweep sweeps the Fig. 5 chaos scenario over seeds 1..seedCount
 // at the given time compression, shrinking and returning a replayable
-// artifact on the first violation. parallel is the worker count fanning
-// seeds out (<= 0 uses Parallelism()); the result is deterministic
-// regardless — the reported failure is always the lowest failing seed
-// and shrinking replays stay single-threaded.
-func RunChaosSweep(seedCount int, speedup float64, parallel int, logf func(string, ...any)) (*SweepResult, error) {
+// artifact on the first violation. Parallelism() workers fan the seeds
+// out; the result is deterministic regardless — the reported failure is
+// always the lowest failing seed and shrinking replays stay
+// single-threaded.
+func RunChaosSweep(seedCount int, speedup float64, logf func(string, ...any)) (*SweepResult, error) {
 	if seedCount <= 0 {
 		return nil, fmt.Errorf("jade: sweep needs at least one seed")
-	}
-	if parallel <= 0 {
-		parallel = Parallelism()
 	}
 	base := ChaosSweepScenario(speedup)
 	seeds := make([]int64, seedCount)
@@ -114,7 +111,7 @@ func RunChaosSweep(seedCount int, speedup float64, parallel int, logf func(strin
 		seeds[i] = int64(i + 1)
 	}
 	sched := DefaultCrashSchedule(base.Profile.Duration())
-	return invariant.Sweep(invariant.SweepConfig{Run: SweepRunner(base), Parallel: parallel, Logf: logf}, seeds, sched)
+	return invariant.Sweep(invariant.SweepConfig{Run: SweepRunner(base), Parallel: Parallelism(), Logf: logf}, seeds, sched)
 }
 
 // ReplayArtifact re-runs a failing seed/schedule artifact against the
