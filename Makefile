@@ -1,12 +1,13 @@
 # Tier-1 gate plus the simulation-testing harness.
 #
-#   make ci           - vet, race-enabled tests, chaos sweep, smokes, api check.
+#   make ci           - vet, race-enabled tests, chaos sweep, smokes, experiments,
+#                       api check.
 #                       `race` runs every Go test once (under -race, except
 #                       ./benchmark's: see the target), every fuzz target's
 #                       seeds and committed corpus included; no other target
 #                       re-runs a subset of them (one gate per behaviour)
 #   make test         - plain test run (what the seed gate runs)
-#   make sweep        - 20-seed invariant chaos sweep at 8x compression
+#   make sweep        - 20-seed invariant chaos sweep at 8x compression (jadectl sweep)
 #   make trace-smoke  - export a managed-run trace and validate its schema
 #   make golden       - re-run the pinned run matrix against testdata/golden_digests.json
 #                       (cross-commit determinism; `go test -run TestGoldenDigests -update .`
@@ -16,9 +17,9 @@
 #   make obs-smoke    - scrape a live run's admin endpoint and validate the exposition
 #   make netsim-smoke - run the partition scenario from examples/netfault.json
 #                       end to end (invariant-checked; nonzero exit on violation)
-#   make experiments  - every jadebench experiment at full length (go run
-#                       ./cmd/jadebench at its defaults); each self-checks,
-#                       so a failed claim exits nonzero
+#   make experiments  - every experiment at full length (go run ./cmd/jadectl
+#                       experiment), figure CSVs into a temp dir; each
+#                       self-checks, so a failed claim exits nonzero
 #   make api-check    - diff the facade's exported surface against testdata/api_surface.txt
 
 GO ?= go
@@ -48,7 +49,7 @@ race:
 	$(GO) test ./benchmark
 
 sweep:
-	$(GO) run ./cmd/jadebench -sweep 20 -speedup 8
+	$(GO) run ./cmd/jadectl sweep -seeds 20 -speedup 8
 
 trace-smoke:
 	$(GO) run ./cmd/jadectl scenario -clients 300 -duration 300 -managed -trace.chrome $(TRACE_TMP)
@@ -68,7 +69,8 @@ netsim-smoke:
 	$(GO) run ./cmd/jadectl scenario -config examples/netfault.json
 
 experiments:
-	$(GO) run ./cmd/jadebench
+	$(GO) run ./cmd/jadectl experiment -csv $(TMP_DIR)/csv
+	rm -rf $(TMP_DIR)/csv
 
 api-check:
 	$(GO) test -run TestAPISurface .
