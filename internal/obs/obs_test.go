@@ -230,3 +230,40 @@ func TestAdminServerServesPublishedPages(t *testing.T) {
 		t.Fatalf("served page invalid: %v", err)
 	}
 }
+
+// TestAdminRefusesOversizedPost: a body over maxPostBody gets 413 and
+// never reaches the handler; one of exactly maxPostBody bytes does.
+func TestAdminRefusesOversizedPost(t *testing.T) {
+	pub := NewPublisher()
+	var got []int
+	pub.SetPostHandler("/config", func(body []byte) (int, []byte) {
+		got = append(got, len(body))
+		return http.StatusAccepted, nil
+	})
+	srv, err := StartAdmin("127.0.0.1:0", pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	post := func(n int) int {
+		resp, err := http.Post(fmt.Sprintf("http://%s/config", srv.Addr()), "application/json", bytes.NewReader(make([]byte, n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if status := post(maxPostBody + 1); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST of %d bytes: status %d, want 413", maxPostBody+1, status)
+	}
+	if len(got) != 0 {
+		t.Fatalf("oversized POST reached the handler with %v bytes", got)
+	}
+	if status := post(maxPostBody); status != http.StatusAccepted {
+		t.Fatalf("POST of %d bytes: status %d, want 202", maxPostBody, status)
+	}
+	if len(got) != 1 || got[0] != maxPostBody {
+		t.Fatalf("handler saw bodies of %v bytes, want [%d]", got, maxPostBody)
+	}
+}
