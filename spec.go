@@ -401,6 +401,14 @@ func (s Spec) Validate() error {
 			ve.addf(fmt.Sprintf("faults.chaos[%d].kind", i), "unknown kind %q", ev.Kind)
 		}
 	}
+	// Snapshot files are named by the rounded second, so two snapshots
+	// under a second apart would share a file and one would be lost.
+	switch tel := s.Telemetry; {
+	case tel.MetricsIntervalSeconds < 0:
+		ve.addf("telemetry.metrics_interval_seconds", "must be >= 0, got %g", tel.MetricsIntervalSeconds)
+	case tel.MetricsDir != "" && tel.MetricsIntervalSeconds > 0 && tel.MetricsIntervalSeconds < 1:
+		ve.addf("telemetry.metrics_interval_seconds", "must be >= 1 with telemetry.metrics_dir (snapshot files are named by the second), got %g", tel.MetricsIntervalSeconds)
+	}
 	if s.Recovery && !s.Managed {
 		ve.addf("recovery", "requires managed")
 	}

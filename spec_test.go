@@ -132,6 +132,38 @@ func TestSpecValidateRejectsNegativeFaultTimes(t *testing.T) {
 	}
 }
 
+// TestSpecValidateChecksMetricsInterval: a negative snapshot period used
+// to become the 60 s default, and one below a second with a metrics
+// directory silently overwrote snapshot files that round to the same
+// second's name.
+func TestSpecValidateChecksMetricsInterval(t *testing.T) {
+	const path = "telemetry.metrics_interval_seconds"
+	for _, tc := range []struct {
+		dir      string
+		interval float64
+		ok       bool
+	}{
+		{"", -5, false},
+		{"out", -5, false},
+		{"out", 0.5, false},
+		{"out", 0.999, false},
+		{"", 0.5, true},  // nothing written, nothing to collide
+		{"out", 0, true}, // unset: the 60 s default applies
+		{"out", 1, true},
+		{"out", 10, true},
+	} {
+		s := DefaultSpec(1, true)
+		s.Telemetry.MetricsDir, s.Telemetry.MetricsIntervalSeconds = tc.dir, tc.interval
+		fields := AsValidationError(s.Validate())
+		if tc.ok && len(fields) != 0 {
+			t.Errorf("dir %q interval %g: got %+v, want no error", tc.dir, tc.interval, fields)
+		}
+		if !tc.ok && (len(fields) != 1 || fields[0].Path != path) {
+			t.Errorf("dir %q interval %g: got %+v, want one error at %s", tc.dir, tc.interval, fields, path)
+		}
+	}
+}
+
 // A link key that can never match a directed pair is reported by its field
 // path, like every other spec error (it used to be accepted and ignored).
 func TestSpecLinkKeyErrorNamesTheKey(t *testing.T) {
