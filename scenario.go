@@ -454,8 +454,9 @@ type run struct {
 	// finish holds the stages' post-run steps, run in registration order
 	// once the engine has reached the horizon.
 	finish []func()
-	// artifactErr is the first failed artifact write (see writeArtifact).
-	artifactErr error
+	// out is the artifact writer publishing starts when the run has a
+	// sink (MetricsDir or HTTPAddr); nil otherwise.
+	out *artifactWriter
 }
 
 // runStages is the run lifecycle: each stage wires one plane onto the
@@ -493,15 +494,28 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	for _, fin := range r.finish {
 		fin()
 	}
-	if r.artifactErr != nil {
-		return r.fail(r.artifactErr)
+	if err := r.drain(); err != nil {
+		return r.fail(err)
 	}
 	return r.res, nil
 }
 
+// drain closes the artifact writer, if any, once everything is queued,
+// and returns its first failed write. No writer outlives its run.
+func (r *run) drain() error {
+	if r.out == nil {
+		return nil
+	}
+	err := r.out.close()
+	r.out = nil
+	return err
+}
+
 // fail abandons the run: the caller gets no result to close the admin
-// endpoint through, so a listener that is already up is closed here.
+// endpoint through, so a listener that is already up is closed here,
+// after the writer has stopped.
 func (r *run) fail(err error) (*ScenarioResult, error) {
+	r.drain()
 	r.res.Admin.Close() // nil-safe
 	return nil, err
 }
