@@ -14,7 +14,8 @@
 #                       accepts an intended behaviour change)
 #   make bench        - the repository benchmark (go run ./benchmark), the only
 #                       performance entry point
-#   make obs-smoke    - scrape a live run's admin endpoint and validate the exposition
+#   make obs-smoke    - scrape a live run's admin endpoint and validate the exposition,
+#                       which must equal the newest snapshot files on disk
 #   make netsim-smoke - run the partition scenario from examples/netfault.json
 #                       end to end (invariant-checked; nonzero exit on violation)
 #   make experiments  - every experiment at full length (go run ./cmd/jadectl
@@ -63,7 +64,8 @@ bench:
 	$(GO) run ./benchmark
 
 obs-smoke:
-	$(GO) run ./cmd/jadectl scenario -clients 200 -duration 300 -managed -metrics.http 127.0.0.1:0 -metrics.scrape-check
+	$(GO) run ./cmd/jadectl scenario -clients 200 -duration 300 -managed -metrics.http 127.0.0.1:0 -metrics.dir $(TMP_DIR)/obs -metrics.scrape-check
+	rm -rf $(TMP_DIR)/obs
 
 netsim-smoke:
 	$(GO) run ./cmd/jadectl scenario -config examples/netfault.json

@@ -120,6 +120,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"time"
 
 	"jade"
@@ -470,7 +471,7 @@ func cmdScenario(args []string) error {
 		defer r.Admin.Close()
 	}
 	if a.scrapeCheck {
-		if err := scrapeAdmin(r); err != nil {
+		if err := scrapeAdmin(r, cfg.MetricsDir); err != nil {
 			return err
 		}
 	}
@@ -495,8 +496,10 @@ func describeProfile(ps jade.ProfileSpec) string {
 }
 
 // scrapeAdmin fetches the run's own admin endpoint and validates every
-// exposition format plus the SLO report — the CI smoke check.
-func scrapeAdmin(r *jade.ScenarioResult) error {
+// exposition format plus the SLO report — the CI smoke check. With a
+// metrics directory, /metrics and /metrics.json must also equal the
+// newest snapshot files, byte for byte.
+func scrapeAdmin(r *jade.ScenarioResult, metricsDir string) error {
 	get := func(path string) ([]byte, error) {
 		resp, err := http.Get("http://" + r.AdminAddr + path)
 		if err != nil {
@@ -527,6 +530,26 @@ func scrapeAdmin(r *jade.ScenarioResult) error {
 	series, err := jade.ValidateMetricsJSON(js)
 	if err != nil {
 		return fmt.Errorf("/metrics.json: %w", err)
+	}
+	if metricsDir != "" {
+		for _, page := range []struct {
+			path, ext string
+			body      []byte
+		}{{"/metrics", ".prom", prom}, {"/metrics.json", ".json", js}} {
+			// Zero-padded times: the last name in lexical order is the newest.
+			names, err := filepath.Glob(filepath.Join(metricsDir, "metrics-t*"+page.ext))
+			if err != nil || len(names) == 0 {
+				return fmt.Errorf("scrape-check: no metrics-t*%s in %s", page.ext, metricsDir)
+			}
+			newest := names[len(names)-1]
+			disk, err := os.ReadFile(newest)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(page.body, disk) {
+				return fmt.Errorf("scrape-check: %s differs from %s", page.path, newest)
+			}
+		}
 	}
 	comp, err := get("/components")
 	if err != nil {
