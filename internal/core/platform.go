@@ -181,14 +181,6 @@ func (p *Platform) Logf(format string, args ...any) { p.logf(format, args...) }
 // Trace returns the platform's telemetry bus.
 func (p *Platform) Trace() *trace.Tracer { return p.tracer }
 
-// UpdateRouting replaces the platform's routing configuration, so
-// wrappers started (or restarted, e.g. by the repair manager) after the
-// call build their selector pools with the new policies. Pools already
-// live are retuned in place by the scenario's routing subscription —
-// together the two paths make a live routing retune stick across
-// repairs. Simulation goroutine only.
-func (p *Platform) UpdateRouting(rc RoutingConfig) { p.opts.Routing = rc }
-
 // RegisterDump stores a named database dump the Software Installation
 // Service can install on fresh MySQL replicas (the RUBiS dataset in the
 // experiments).

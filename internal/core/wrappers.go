@@ -525,17 +525,10 @@ func (w *CJDBCWrapper) StartManaged(done func(error)) {
 	}
 	opts := cjdbc.DefaultOptions()
 	opts.Port = port
-	// The component attribute overrides the platform-wide routing config.
-	policy := w.comp.AttributeOr("read-policy", "")
-	if policy == "" {
-		policy = w.p.opts.Routing.DB
-	}
-	ropts, err := w.p.opts.Routing.tierOptions(policy, selector.LeastPending)
-	if err != nil {
+	if opts.Routing, err = w.routing(); err != nil {
 		done(err)
 		return
 	}
-	opts.Routing = ropts
 	w.ctl = cjdbc.New(w.p.Eng, w.p.Net, w.node, w.comp.Name(), opts)
 	w.ctl.Trace = w.p.Trace()
 	w.ctl.Obs = obs.NewTierMetrics(w.p.Metrics(), "cjdbc", w.comp.Name())
@@ -568,6 +561,24 @@ func (w *CJDBCWrapper) StartManaged(done func(error)) {
 		}
 	}
 	joinNext(0)
+}
+
+// routing returns the options the controller's read pool starts with.
+// The component's read-policy attribute overrides the platform-wide
+// routing configuration.
+func (w *CJDBCWrapper) routing() (selector.Options, error) {
+	policy := w.comp.AttributeOr("read-policy", "")
+	if policy == "" {
+		policy = w.p.opts.Routing.DB
+	}
+	return w.p.opts.Routing.tierOptions(policy, cjdbc.DefaultOptions().Routing.Policy)
+}
+
+func (w *CJDBCWrapper) pool() *selector.Pool {
+	if w.ctl == nil {
+		return nil
+	}
+	return w.ctl.Pool()
 }
 
 // StopManaged disables all backends and stops the controller.
@@ -721,8 +732,7 @@ func (w *BalancerWrapper) StartManaged(done func(error)) {
 		return
 	}
 	opts.Port = port
-	opts.Routing, err = w.p.opts.Routing.tierOptions(k.configured(w.p.opts.Routing), opts.Routing.Policy)
-	if err != nil {
+	if opts.Routing, err = w.routing(); err != nil {
 		done(err)
 		return
 	}
@@ -744,6 +754,19 @@ func (w *BalancerWrapper) StartManaged(done func(error)) {
 		}
 	}
 	done(nil)
+}
+
+// routing returns the options the balancer's pool starts with.
+func (w *BalancerWrapper) routing() (selector.Options, error) {
+	r := w.p.opts.Routing
+	return r.tierOptions(w.k.configured(r), w.k.options().Routing.Policy)
+}
+
+func (w *BalancerWrapper) pool() *selector.Pool {
+	if w.b == nil {
+		return nil
+	}
+	return w.b.Pool()
 }
 
 // StopManaged stops the balancer.

@@ -42,37 +42,37 @@ func sevRank(s Severity) int {
 // so the event schedule never depends on the alerting switch).
 type Config struct {
 	// Disabled turns rule evaluation off.
-	Disabled bool
+	Disabled bool `json:"-"`
 	// EvalIntervalSeconds is the rule evaluation period (5 by default).
-	EvalIntervalSeconds float64
+	EvalIntervalSeconds float64 `json:"-"`
 	// FastWindowSeconds / SlowWindowSeconds are the burn-rate windows
 	// (60 and 600 virtual seconds by default): a page needs the error
 	// budget burning in both, so a single flapping window cannot strobe
 	// the pager.
-	FastWindowSeconds float64
-	SlowWindowSeconds float64
+	FastWindowSeconds float64 `json:"fast_window_seconds"`
+	SlowWindowSeconds float64 `json:"slow_window_seconds"`
 	// BudgetFraction is the error budget as a fraction of evaluation
 	// windows allowed to miss their objective (0.01 by default: 99%
 	// compliance target).
-	BudgetFraction float64
+	BudgetFraction float64 `json:"budget_fraction"`
 	// PageBurn / WarnBurn are the burn-rate thresholds (14.4 and 3 by
 	// default, the classic multi-window multi-burn-rate pairing).
-	PageBurn float64
-	WarnBurn float64
+	PageBurn float64 `json:"page_burn"`
+	WarnBurn float64 `json:"warn_burn"`
 	// ZThreshold is the EWMA z-score at which an anomaly rule trips
 	// (4 by default).
-	ZThreshold float64
+	ZThreshold float64 `json:"z_threshold"`
 	// SkewFactor is the pool-skew multiplier: a backend whose decayed
 	// mean latency (or in-flight depth, or failure reservoir) sits at
 	// SkewFactor times the pool median is flagged (3 by default).
-	SkewFactor float64
+	SkewFactor float64 `json:"skew_factor"`
 	// HysteresisSeconds is how long a firing alert's condition must stay
 	// clear before the alert resolves (30 by default).
-	HysteresisSeconds float64
+	HysteresisSeconds float64 `json:"hysteresis_seconds"`
 	// LookbackSeconds is how much pre-incident context (suspicions,
 	// decisions, evictions) is copied into a new incident's timeline
 	// (60 by default).
-	LookbackSeconds float64
+	LookbackSeconds float64 `json:"-"`
 }
 
 // The rules' fixed constants.
@@ -97,36 +97,36 @@ const (
 	correlationGapSeconds = 120
 )
 
-// withDefaults fills zero fields with the documented defaults.
-func (c Config) withDefaults() Config {
-	if c.EvalIntervalSeconds <= 0 {
+// WithDefaults fills zero fields with the documented defaults.
+func (c Config) WithDefaults() Config {
+	if c.EvalIntervalSeconds == 0 {
 		c.EvalIntervalSeconds = 5
 	}
-	if c.FastWindowSeconds <= 0 {
+	if c.FastWindowSeconds == 0 {
 		c.FastWindowSeconds = 60
 	}
-	if c.SlowWindowSeconds <= 0 {
+	if c.SlowWindowSeconds == 0 {
 		c.SlowWindowSeconds = 600
 	}
-	if c.BudgetFraction <= 0 {
+	if c.BudgetFraction == 0 {
 		c.BudgetFraction = 0.01
 	}
-	if c.PageBurn <= 0 {
+	if c.PageBurn == 0 {
 		c.PageBurn = 14.4
 	}
-	if c.WarnBurn <= 0 {
+	if c.WarnBurn == 0 {
 		c.WarnBurn = 3
 	}
-	if c.ZThreshold <= 0 {
+	if c.ZThreshold == 0 {
 		c.ZThreshold = 4
 	}
-	if c.SkewFactor <= 0 {
+	if c.SkewFactor == 0 {
 		c.SkewFactor = 3
 	}
-	if c.HysteresisSeconds <= 0 {
+	if c.HysteresisSeconds == 0 {
 		c.HysteresisSeconds = 30
 	}
-	if c.LookbackSeconds <= 0 {
+	if c.LookbackSeconds == 0 {
 		c.LookbackSeconds = 60
 	}
 	return c
@@ -227,7 +227,7 @@ type Engine struct {
 // NewEngine builds an alerting engine. tr may be nil (no trace links).
 func NewEngine(cfg Config, tr *trace.Tracer) *Engine {
 	return &Engine{
-		cfg:         cfg.withDefaults(),
+		cfg:         cfg.WithDefaults(),
 		tr:          tr,
 		activeByKey: make(map[string]*Alert),
 		firstPage:   -1,
@@ -254,7 +254,7 @@ func (e *Engine) Retune(cfg Config) {
 	}
 	cfg.EvalIntervalSeconds = e.cfg.EvalIntervalSeconds
 	cfg.Disabled = e.cfg.Disabled
-	e.cfg = cfg.withDefaults()
+	e.cfg = cfg.WithDefaults()
 	for _, r := range e.rules {
 		if rt, ok := r.(Retunable); ok {
 			rt.Retune(e.cfg)

@@ -47,7 +47,7 @@ type AnomalyRule struct {
 // against microscopic variance making tiny wobbles look extreme).
 func NewZScoreRule(cfg Config, name, component, tier string, serviceLevel bool, floor float64, probe Probe) *AnomalyRule {
 	return &AnomalyRule{name: name, component: component, tier: tier,
-		serviceLevel: serviceLevel, probe: probe, cfg: cfg.withDefaults(),
+		serviceLevel: serviceLevel, probe: probe, cfg: cfg.WithDefaults(),
 		mode: modeZScore, floor: floor}
 }
 
@@ -55,7 +55,7 @@ func NewZScoreRule(cfg Config, name, component, tier string, serviceLevel bool, 
 // the sample exceeds spikeFactor times the EWMA baseline (and the floor).
 func NewRateRule(cfg Config, name, component, tier string, serviceLevel bool, floor float64, probe Probe) *AnomalyRule {
 	return &AnomalyRule{name: name, component: component, tier: tier,
-		serviceLevel: serviceLevel, probe: probe, cfg: cfg.withDefaults(),
+		serviceLevel: serviceLevel, probe: probe, cfg: cfg.WithDefaults(),
 		mode: modeRate, floor: floor}
 }
 
@@ -65,7 +65,7 @@ func (r *AnomalyRule) Name() string { return r.name }
 // Retune implements Retunable: the EWMA baseline survives, only the
 // trip thresholds change. The ticker-derived decay alpha keeps the
 // construction-time EvalIntervalSeconds (the ticker itself is fixed).
-func (r *AnomalyRule) Retune(cfg Config) { r.cfg = cfg.withDefaults() }
+func (r *AnomalyRule) Retune(cfg Config) { r.cfg = cfg.WithDefaults() }
 
 // Evaluate implements Rule.
 func (r *AnomalyRule) Evaluate(now float64) []Finding {
@@ -170,7 +170,7 @@ type SkewRule struct {
 // NewSkewRule builds a pool-skew rule; stats must return the pool's
 // backends in deterministic (registration) order.
 func NewSkewRule(cfg Config, name, tier string, floor float64, stats func() []BackendStat) *SkewRule {
-	return &SkewRule{name: name, tier: tier, cfg: cfg.withDefaults(),
+	return &SkewRule{name: name, tier: tier, cfg: cfg.WithDefaults(),
 		stats: stats, floor: floor, consec: make(map[string]int)}
 }
 
@@ -179,7 +179,7 @@ func (r *SkewRule) Name() string { return r.name }
 
 // Retune implements Retunable: persistence counters survive, only the
 // skew thresholds change.
-func (r *SkewRule) Retune(cfg Config) { r.cfg = cfg.withDefaults() }
+func (r *SkewRule) Retune(cfg Config) { r.cfg = cfg.WithDefaults() }
 
 func median(vals []float64) float64 {
 	s := append([]float64(nil), vals...)

@@ -27,7 +27,7 @@ type BurnRule struct {
 // NewBurnRule builds a burn-rate rule for one objective. Feed it from
 // SLOEngine.Observer via Observe.
 func NewBurnRule(cfg Config, objective, tier string) *BurnRule {
-	return &BurnRule{cfg: cfg.withDefaults(), objective: objective, tier: tier}
+	return &BurnRule{cfg: cfg.WithDefaults(), objective: objective, tier: tier}
 }
 
 // Name implements Rule.
@@ -35,7 +35,7 @@ func (r *BurnRule) Name() string { return "burn:" + r.objective }
 
 // Retune implements Retunable: future windows use the new burn
 // thresholds; retained samples are re-windowed on the next Evaluate.
-func (r *BurnRule) Retune(cfg Config) { r.cfg = cfg.withDefaults() }
+func (r *BurnRule) Retune(cfg Config) { r.cfg = cfg.WithDefaults() }
 
 // Observe records one objective evaluation outcome (sim goroutine only).
 func (r *BurnRule) Observe(now float64, value float64, met bool) {

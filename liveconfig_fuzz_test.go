@@ -11,8 +11,9 @@ import (
 // FuzzParseConfigPatch feeds arbitrary bytes to the admin POST /config
 // grammar. It must not panic, and every refusal is a ValidationError. A
 // patch it accepts must encode to JSON that it accepts again, and the
-// encoding must be a fixpoint from its first application on; CheckPatch
-// must reach the same verdict on the input and on its encoding. Seeds are
+// encoding must be a fixpoint from its first application on; the live
+// check, over the default run's initial live state, must reach the same
+// verdict on the input and on its encoding. Seeds are
 // the live-config tests' patches and each section of the committed example
 // Specs posted as a patch (mostly structural, so refused). Found inputs go
 // under testdata/fuzz/FuzzParseConfigPatch.
@@ -58,8 +59,10 @@ func FuzzParseConfigPatch(f *testing.F) {
 			f.Add(patch)
 		}
 	}
+	def := DefaultScenario(1, true).withDefaults()
+	live := initialLive(&def)
 	f.Fuzz(func(t *testing.T, patch []byte) {
-		verdict := CheckPatch(patch)
+		_, verdict := live.resolve(patch)
 		p, err := ParseConfigPatch(patch)
 		if err != nil {
 			var ve *ValidationError
@@ -80,8 +83,8 @@ func FuzzParseConfigPatch(f *testing.F) {
 		if err != nil || string(twice) != string(once) {
 			t.Fatalf("encoding moved: %s then %s (%v)", once, twice, err)
 		}
-		if again := CheckPatch(once); (verdict == nil) != (again == nil) {
-			t.Fatalf("CheckPatch says %v of %q and %v of its encoding %s", verdict, patch, again, once)
+		if _, again := live.resolve(once); (verdict == nil) != (again == nil) {
+			t.Fatalf("the live check says %v of %q and %v of its encoding %s", verdict, patch, again, once)
 		}
 	})
 }

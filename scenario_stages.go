@@ -443,9 +443,7 @@ func (r *run) sloEval() error {
 	}
 	r.slo = obs.NewSLOEngine(r.p.Metrics(), cfg.SLOInterval, objs)
 	r.p.Eng.Every(cfg.SLOInterval, "slo-eval", r.slo.Evaluate)
-	for _, name := range sortedKeys(cfg.SLOTargets) {
-		r.slo.Retarget(name, cfg.SLOTargets[name])
-	}
+	retarget(r.slo, cfg.SLOTargets)
 	r.finish = append(r.finish, func() {
 		r.res.SLOReport = r.slo.Report()
 	})
@@ -559,48 +557,22 @@ func sinceLast(probe func(t0, t1 float64) (float64, bool)) alert.Probe {
 func (r *run) liveConfig() error {
 	cfg, p := &r.cfg, r.p
 	r.hub = refresh.NewHub(p.Trace())
-	crt := newConfigRuntime(r.hub,
-		cfg.AppSizing, cfg.DBSizing, cfg.Routing,
-		r.fabric.RPCBudgets(), r.slo.Targets(), r.alerts.Config())
+	crt := newConfigRuntime(r.hub, initialLive(cfg))
 	r.crt = crt
 	if cfg.Managed {
 		r.res.AppManager.Watch(crt.appSizing)
 		r.res.DBManager.Watch(crt.dbSizing)
 	}
 	crt.routing.Subscribe(func(now float64, old, cur RoutingConfig) {
-		// Future (re)starts build pools with the new policies; live pools
-		// are swapped and retuned in place, keeping backend bookkeeping.
-		p.UpdateRouting(cur)
-		retune := func(pl *selector.Pool, name string, def selector.Policy) {
-			if pl == nil {
-				return
-			}
-			pol := def
-			if name != "" {
-				if parsed, err := selector.ParsePolicy(name); err == nil {
-					pol = parsed
-				}
-			}
-			pl.SetPolicy(pol)
-			pl.Retune(cur.HalfLifeSeconds, cur.ProbeAfterSeconds)
-		}
-		retune(r.appPool(), cur.App, selector.RoundRobin)
-		retune(r.dbPool(), cur.DB, selector.LeastPending)
-		if c, err := r.dep.Component("l4"); err == nil {
-			if w, ok := c.Content().(*core.BalancerWrapper); ok && w.Kind() == "l4" {
-				if sw := w.Balancer(); sw != nil {
-					retune(sw.Pool(), cur.L4, selector.WeightedRoundRobin)
-				}
-			}
+		if err := p.SetRouting(r.dep, cur); err != nil {
+			p.Logf("config: routing not applied: %v", err)
 		}
 	})
 	crt.rpc.Subscribe(func(now float64, old, cur map[string]RPCBudget) {
 		r.fabric.SetRPCBudgets(cur)
 	})
 	crt.sloTargets.Subscribe(func(now float64, old, cur map[string]float64) {
-		for _, name := range sortedKeys(cur) {
-			r.slo.Retarget(name, cur[name])
-		}
+		retarget(r.slo, cur)
 	})
 	crt.alerting.Subscribe(func(now float64, old, cur AlertConfig) {
 		r.alerts.Retune(cur)

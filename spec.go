@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"jade/internal/netsim"
@@ -270,92 +271,64 @@ type TelemetrySpec struct {
 	HTTPAddr string `json:"http_addr,omitempty"`
 }
 
-// DefaultSpec mirrors DefaultScenario in grouped form: the paper's §5.2
+// DefaultSpec is DefaultScenario in grouped form: the paper's §5.2
 // configuration.
 func DefaultSpec(seed int64, managed bool) Spec {
+	d := DefaultScenario(seed, managed)
 	return Spec{
 		Seed:    seed,
 		Managed: managed,
 		Workload: WorkloadSpec{
 			Profile:          ProfileSpec{Kind: "paper-ramp"},
 			Mix:              "bidding",
-			ThinkTimeSeconds: 7,
-			DrainSeconds:     60,
+			ThinkTimeSeconds: d.ThinkTime,
+			DrainSeconds:     d.DrainSeconds,
 		},
 		Sizing: SizingSpec{
-			Nodes:           9,
-			App:             AppSizingDefaults(),
-			DB:              DBSizingDefaults(),
-			MaxAppReplicas:  2,
-			MaxDBReplicas:   3,
-			ThrashThreshold: 60,
-			ThrashFactor:    0.08,
+			Nodes:           d.Nodes,
+			App:             d.AppSizing,
+			DB:              d.DBSizing,
+			MaxAppReplicas:  d.MaxAppReplicas,
+			MaxDBReplicas:   d.MaxDBReplicas,
+			ThrashThreshold: d.ThrashThreshold,
+			ThrashFactor:    d.ThrashFactor,
 		},
 	}
 }
 
-// Validate checks the spec for contradictions before a run. Zero values
-// are fine everywhere (they take defaults); Validate flags what defaults
-// cannot repair. Failures come back as a *ValidationError carrying one
-// FieldError per offending knob, each located by its JSON field path
-// ("sizing.app.max: must be > sizing.app.min") — the same structured
-// errors the admin /config POST returns as its 400 body and jadectl
-// renders for -config files.
+// Validate checks the spec for contradictions before a run. A zero value
+// takes its default, and the field rules see the run's numbers after the
+// defaults are filled in. The scripted patches (chaos config events and
+// operator events) are applied in the run's order over the run's initial
+// live state, with the rules a live patch meets. Failures come back as a
+// *ValidationError carrying one FieldError per offending knob, each
+// located by its JSON field path ("sizing.app.max: must be > sizing.app.min")
+// — the same structured errors the admin /config POST returns as its 400
+// body and jadectl renders for -config files.
 func (s Spec) Validate() error {
 	var ve ValidationError
 	if _, err := s.Workload.Profile.Profile(); err != nil {
 		ve.addf("workload.profile.kind", "unknown profile kind %q (want paper-ramp, constant or ramp)", s.Workload.Profile.Kind)
 	}
+	ps := s.Workload.Profile
+	ve.nonNegative("workload.profile.clients", float64(ps.Clients))
+	ve.nonNegative("workload.profile.duration_seconds", ps.DurationSeconds)
+	ve.nonNegative("workload.profile.base", float64(ps.Base))
+	ve.nonNegative("workload.profile.peak", float64(ps.Peak))
+	ve.nonNegative("workload.profile.step_per_minute", float64(ps.StepPerMinute))
+	ve.nonNegative("workload.profile.hold_at_peak_seconds", ps.HoldAtPeakSeconds)
 	switch s.Workload.Mix {
 	case "", "bidding", "browsing":
 	default:
 		ve.addf("workload.mix", "unknown mix %q (want bidding or browsing)", s.Workload.Mix)
-	}
-	if s.Workload.ThinkTimeSeconds < 0 {
-		ve.addf("workload.think_time_seconds", "must be >= 0, got %g", s.Workload.ThinkTimeSeconds)
-	}
-	switch s.Workload.Mode {
-	case "", WorkloadDiscrete, WorkloadFluid, WorkloadAuto:
-	default:
-		ve.addf("workload.mode", "unknown workload mode %q (want discrete, fluid or auto)", s.Workload.Mode)
-	}
-	if s.Workload.FluidTickSeconds < 0 {
-		ve.addf("workload.fluid_tick_seconds", "must be >= 0, got %g", s.Workload.FluidTickSeconds)
-	}
-	if s.Workload.FluidSampleRate < 0 || s.Workload.FluidSampleRate > 1 {
-		ve.addf("workload.fluid_sample_rate", "must be within [0,1], got %g", s.Workload.FluidSampleRate)
-	}
-	if s.Sizing.NodeCPU < 0 {
-		ve.addf("sizing.node_cpu", "must be >= 0, got %g", s.Sizing.NodeCPU)
-	}
-	if s.Sizing.Nodes < 0 {
-		ve.addf("sizing.nodes", "must be >= 0, got %d", s.Sizing.Nodes)
-	}
-	for _, tier := range []struct {
-		path string
-		cfg  SizingConfig
-	}{{"sizing.app", s.Sizing.App}, {"sizing.db", s.Sizing.DB}} {
-		if tier.cfg.Min < 0 {
-			ve.addf(tier.path+".min", "must be >= 0, got %g", tier.cfg.Min)
-		}
-		if tier.cfg.Max != 0 && tier.cfg.Max <= tier.cfg.Min {
-			ve.addf(tier.path+".max", "must be > %s.min (%g), got %g", tier.path, tier.cfg.Min, tier.cfg.Max)
-		}
-		if tier.cfg.InhibitSeconds < 0 {
-			ve.addf(tier.path+".inhibit_seconds", "must be >= 0, got %g", tier.cfg.InhibitSeconds)
-		}
 	}
 	if s.Faults.FailComponent != "" && s.Faults.FailAt < 0 {
 		ve.addf("faults.fail_at", "must be >= 0, got %g", s.Faults.FailAt)
 	}
 	n := s.Faults.Network
 	checkLink := func(path string, l LinkConfig) {
-		if l.LatencyMS < 0 {
-			ve.addf(path+".latency_ms", "must be >= 0, got %g", l.LatencyMS)
-		}
-		if l.JitterMS < 0 {
-			ve.addf(path+".jitter_ms", "must be >= 0, got %g", l.JitterMS)
-		}
+		ve.nonNegative(path+".latency_ms", l.LatencyMS)
+		ve.nonNegative(path+".jitter_ms", l.JitterMS)
 		if l.Loss < 0 || l.Loss >= 1 {
 			ve.addf(path+".loss", "must be within [0,1), got %g", l.Loss)
 		}
@@ -379,23 +352,15 @@ func (s Spec) Validate() error {
 		}
 	}
 	for i, ev := range s.Faults.Chaos {
-		if ev.At < 0 {
-			ve.addf(fmt.Sprintf("faults.chaos[%d].at", i), "must be >= 0, got %g", ev.At)
-		}
+		ve.nonNegative(fmt.Sprintf("faults.chaos[%d].at", i), ev.At)
 		switch ev.Kind {
-		case ChaosCrash, ChaosReboot, ChaosSlow, ChaosHeal:
+		case ChaosCrash, ChaosReboot, ChaosSlow, ChaosHeal, ChaosConfig:
 		case ChaosPartition:
 			if !n.Enabled {
 				ve.addf(fmt.Sprintf("faults.chaos[%d]", i), "partition requires faults.network.enabled")
 			}
 			if len(ev.A) == 0 {
 				ve.addf(fmt.Sprintf("faults.chaos[%d].a", i), "must name at least one endpoint")
-			}
-		case ChaosConfig:
-			if err := CheckPatch(ev.Patch); err != nil {
-				for _, fe := range AsValidationError(err) {
-					ve.addf(joinPath(fmt.Sprintf("faults.chaos[%d].patch", i), fe.Path), "%s", fe.Msg)
-				}
 			}
 		default:
 			ve.addf(fmt.Sprintf("faults.chaos[%d].kind", i), "unknown kind %q", ev.Kind)
@@ -412,60 +377,51 @@ func (s Spec) Validate() error {
 	if s.Recovery && !s.Managed {
 		ve.addf("recovery", "requires managed")
 	}
-	ve.checkPolicies(givenPolicies(s.Routing.Policy, s.Routing.L4, s.Routing.App, s.Routing.DB))
-	if s.Routing.ProbeAfterSeconds < 0 {
-		ve.addf("routing.probe_after_seconds", "must be >= 0, got %g", s.Routing.ProbeAfterSeconds)
-	}
-	if s.Routing.HalfLifeSeconds < 0 {
-		ve.addf("routing.half_life_seconds", "must be >= 0, got %g", s.Routing.HalfLifeSeconds)
-	}
-	for name, target := range s.Checks.SLOTargets {
-		if target <= 0 {
-			ve.addf("checks.slo_targets["+name+"]", "must be > 0, got %g", target)
-		}
-	}
-	a := s.Alerting
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"alerting.eval_interval_seconds", a.EvalIntervalSeconds},
-		{"alerting.fast_window_seconds", a.FastWindowSeconds},
-		{"alerting.slow_window_seconds", a.SlowWindowSeconds},
-		{"alerting.budget_fraction", a.BudgetFraction},
-		{"alerting.page_burn", a.PageBurn},
-		{"alerting.warn_burn", a.WarnBurn},
-		{"alerting.z_threshold", a.ZThreshold},
-		{"alerting.skew_factor", a.SkewFactor},
-		{"alerting.hysteresis_seconds", a.HysteresisSeconds},
-	} {
-		if f.v < 0 {
-			ve.addf(f.name, "must be >= 0, got %g", f.v)
-		}
-	}
-	if a.FastWindowSeconds > 0 && a.SlowWindowSeconds > 0 && a.FastWindowSeconds > a.SlowWindowSeconds {
-		ve.addf("alerting.fast_window_seconds", "must be <= slow window (%g), got %g", a.SlowWindowSeconds, a.FastWindowSeconds)
-	}
-	if a.PageBurn > 0 && a.WarnBurn > 0 && a.WarnBurn > a.PageBurn {
-		ve.addf("alerting.warn_burn", "must be <= page burn (%g), got %g", a.PageBurn, a.WarnBurn)
-	}
-	if a.BudgetFraction > 1 {
-		ve.addf("alerting.budget_fraction", "must be <= 1, got %g", a.BudgetFraction)
-	}
-	if a.MonitorReplicas && !s.Faults.Network.Enabled {
+	if s.Alerting.MonitorReplicas && !s.Faults.Network.Enabled {
 		ve.addf("alerting.monitor_replicas", "requires faults.network.enabled")
 	}
 	for i, ev := range s.Operator {
-		if ev.At < 0 {
-			ve.addf(fmt.Sprintf("operator[%d].at", i), "must be >= 0, got %g", ev.At)
-		}
-		if err := CheckPatch(ev.Patch); err != nil {
-			for _, fe := range AsValidationError(err) {
-				ve.addf(joinPath(fmt.Sprintf("operator[%d].patch", i), fe.Path), "%s", fe.Msg)
-			}
-		}
+		ve.nonNegative(fmt.Sprintf("operator[%d].at", i), ev.At)
+	}
+	cfg := s.compile().withDefaults()
+	if err := cfg.check(); err != nil {
+		ve.Fields = append(ve.Fields, AsValidationError(err)...)
+	} else {
+		ve.checkScripted(s, initialLive(&cfg))
 	}
 	return ve.or()
+}
+
+// checkScripted applies the spec's scripted patches over the initial live
+// state in the order the run applies them: by virtual time, chaos config
+// events before operator events at equal times (run.faults schedules them
+// in that order). A refused patch leaves the state as it was, as in the run.
+func (ve *ValidationError) checkScripted(s Spec, live liveState) {
+	type scripted struct {
+		at    float64
+		path  string
+		patch []byte
+	}
+	var evs []scripted
+	for i, ev := range s.Faults.Chaos {
+		if ev.Kind == ChaosConfig {
+			evs = append(evs, scripted{ev.At, fmt.Sprintf("faults.chaos[%d].patch", i), ev.Patch})
+		}
+	}
+	for i, ev := range s.Operator {
+		evs = append(evs, scripted{ev.At, fmt.Sprintf("operator[%d].patch", i), ev.Patch})
+	}
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
+	for _, ev := range evs {
+		next, err := live.resolve(ev.patch)
+		if err != nil {
+			for _, fe := range AsValidationError(err) {
+				ve.addf(joinPath(ev.path, fe.Path), "%s", fe.Msg)
+			}
+			continue
+		}
+		live = next.liveState
+	}
 }
 
 // joinPath nests an inner field path under an outer one.
@@ -476,18 +432,21 @@ func joinPath(outer, inner string) string {
 	return outer + "." + inner
 }
 
-// Flatten compiles the grouped spec down to the flat ScenarioConfig the
-// runner executes (the compatibility shim: everything expressible as a
-// Spec is expressible as a ScenarioConfig). Partition entries become
-// chaos partition events.
+// Flatten validates the grouped spec and compiles it down to the flat
+// ScenarioConfig the runner executes (the compatibility shim: everything
+// expressible as a Spec is expressible as a ScenarioConfig).
 func (s Spec) Flatten() (ScenarioConfig, error) {
 	if err := s.Validate(); err != nil {
 		return ScenarioConfig{}, err
 	}
-	profile, err := s.Workload.Profile.Profile()
-	if err != nil {
-		return ScenarioConfig{}, err
-	}
+	return s.compile(), nil
+}
+
+// compile is Flatten without the validation. Partition entries become
+// chaos partition events; a managed run's zero replica caps take the
+// defaults. An unknown profile kind compiles to no profile.
+func (s Spec) compile() ScenarioConfig {
+	profile, _ := s.Workload.Profile.Profile()
 	var mix *Mix
 	if s.Workload.Mix == "browsing" {
 		mix = BrowsingMix()
@@ -543,13 +502,12 @@ func (s Spec) Flatten() (ScenarioConfig, error) {
 		Alerting:        s.Alerting.Config(),
 		Monitor:         s.Alerting.MonitorReplicas,
 	}
-	if s.Managed && cfg.MaxAppReplicas == 0 {
-		cfg.MaxAppReplicas = 2
+	if s.Managed {
+		def := DefaultScenario(s.Seed, s.Managed)
+		fill(&cfg.MaxAppReplicas, def.MaxAppReplicas)
+		fill(&cfg.MaxDBReplicas, def.MaxDBReplicas)
 	}
-	if s.Managed && cfg.MaxDBReplicas == 0 {
-		cfg.MaxDBReplicas = 3
-	}
-	return cfg, nil
+	return cfg
 }
 
 // RunSpec validates, flattens and runs the spec.

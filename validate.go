@@ -44,33 +44,82 @@ func (e *ValidationError) addf(path, format string, args ...any) {
 	e.Fields = append(e.Fields, FieldError{Path: path, Msg: fmt.Sprintf(format, args...)})
 }
 
-// policyPaths are the routing policy fields, in checkPolicies' order.
-var policyPaths = [4]string{"routing.policy", "routing.l4", "routing.app", "routing.db"}
+// The field rules, one checker per refreshable section. The live path
+// runs them on a patch merged over the committed values; Spec.Validate and
+// newRun run them on the defaulted run configuration. Each therefore sees
+// the numbers the run will use, and reports them at the path a Spec and a
+// patch share.
 
-// checkPolicies appends an "unknown policy" error for each given policy
-// that names no routing policy; a nil entry was not given.
-func (e *ValidationError) checkPolicies(policies [4]*string) {
-	for i, p := range policies {
-		if p == nil {
-			continue
-		}
-		if _, err := ParseRoutingPolicy(*p); err != nil {
-			e.addf(policyPaths[i], "unknown policy %q (want one of %v)", *p, RoutingPolicies())
+// checkSizing checks one sizing loop's thresholds and hysteresis.
+func (e *ValidationError) checkSizing(path string, c SizingConfig) {
+	e.nonNegative(path+".min", c.Min)
+	if c.Max <= c.Min {
+		e.addf(path+".max", "must be > %s.min (%g), got %g", path, c.Min, c.Max)
+	}
+	e.nonNegative(path+".inhibit_seconds", c.InhibitSeconds)
+}
+
+// checkRouting checks the per-tier policies and the pool tuning with the
+// routing rule, which lives beside the tiers' default policies in core.
+func (e *ValidationError) checkRouting(r RoutingConfig) {
+	r.Check(func(field, msg string) { e.addf("routing."+field, "%s", msg) })
+}
+
+// checkRPC checks per-tier RPC budgets (a zero field keeps the fabric's
+// default).
+func (e *ValidationError) checkRPC(rpc map[string]RPCBudget) {
+	for _, tier := range sortedKeys(rpc) {
+		b, path := rpc[tier], "faults.network.rpc["+tier+"]"
+		e.nonNegative(path+".timeout_seconds", b.TimeoutSeconds)
+		e.nonNegative(path+".attempts", float64(b.Attempts))
+		e.nonNegative(path+".backoff_seconds", b.BackoffSeconds)
+	}
+}
+
+// checkSLOTargets checks objective bounds given by name.
+func (e *ValidationError) checkSLOTargets(targets map[string]float64) {
+	for _, name := range sortedKeys(targets) {
+		if t := targets[name]; t <= 0 {
+			e.addf("checks.slo_targets["+name+"]", "must be > 0, got %g", t)
 		}
 	}
 }
 
-// givenPolicies adapts a spec's or the live state's policies, where ""
-// means not given, to checkPolicies; a patch leaves them nil instead.
-func givenPolicies(policy, l4, app, db string) [4]*string {
-	ps := [4]string{policy, l4, app, db}
-	var given [4]*string
-	for i := range ps {
-		if ps[i] != "" {
-			given[i] = &ps[i]
+// checkAlerting checks the alerting plane's refreshable thresholds.
+func (e *ValidationError) checkAlerting(a AlertConfig) {
+	for _, f := range [...]struct {
+		path string
+		v    float64
+	}{
+		{"alerting.fast_window_seconds", a.FastWindowSeconds},
+		{"alerting.slow_window_seconds", a.SlowWindowSeconds},
+		{"alerting.budget_fraction", a.BudgetFraction},
+		{"alerting.page_burn", a.PageBurn},
+		{"alerting.warn_burn", a.WarnBurn},
+		{"alerting.z_threshold", a.ZThreshold},
+		{"alerting.skew_factor", a.SkewFactor},
+		{"alerting.hysteresis_seconds", a.HysteresisSeconds},
+	} {
+		if f.v <= 0 {
+			e.addf(f.path, "must be > 0, got %g", f.v)
 		}
 	}
-	return given
+	if a.FastWindowSeconds > a.SlowWindowSeconds {
+		e.addf("alerting.fast_window_seconds", "must be <= slow window (%g), got %g", a.SlowWindowSeconds, a.FastWindowSeconds)
+	}
+	if a.WarnBurn > a.PageBurn {
+		e.addf("alerting.warn_burn", "must be <= page burn (%g), got %g", a.PageBurn, a.WarnBurn)
+	}
+	if a.BudgetFraction > 1 {
+		e.addf("alerting.budget_fraction", "must be <= 1, got %g", a.BudgetFraction)
+	}
+}
+
+// nonNegative refuses a negative value.
+func (e *ValidationError) nonNegative(path string, v float64) {
+	if v < 0 {
+		e.addf(path, "must be >= 0, got %g", v)
+	}
 }
 
 // or returns nil when no field failed, the aggregate otherwise.
