@@ -10,7 +10,8 @@ import (
 // FuzzParseSpec feeds arbitrary bytes to the run-spec parser (jadectl
 // scenario -config). It must not panic. A Spec it accepts must encode to
 // JSON that it accepts again, the encoding must be a fixpoint from its
-// first application on, and the Spec must flatten into a run config.
+// first application on, and the Spec must flatten into a run config that
+// passes newRun's field rules once defaulted.
 // Seeds are the committed example Specs and the specs of spec_test.go;
 // found inputs go under testdata/fuzz/FuzzParseSpec.
 func FuzzParseSpec(f *testing.F) {
@@ -72,8 +73,12 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil || string(twice) != string(once) {
 			t.Fatalf("encoding moved: %s then %s (%v)", once, twice, err)
 		}
-		if _, err := spec.Flatten(); err != nil {
+		cfg, err := spec.Flatten()
+		if err != nil {
 			t.Fatalf("accepted %q but cannot flatten it: %v", data, err)
+		}
+		if cfg = cfg.withDefaults(); cfg.check() != nil {
+			t.Fatalf("accepted %q but newRun refuses it: %v", data, cfg.check())
 		}
 	})
 }
