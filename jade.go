@@ -107,14 +107,6 @@ type (
 // rendezvous.
 func RoutingPolicies() []string { return selector.PolicyNames() }
 
-// RoutingPolicy is one backend-selection policy identifier.
-type RoutingPolicy = selector.Policy
-
-// ParseRoutingPolicy resolves one routing policy spelling, erroring on
-// unknown names (the validation layer and live /config patches share
-// it).
-func ParseRoutingPolicy(name string) (RoutingPolicy, error) { return selector.ParsePolicy(name) }
-
 // NewArbiter returns a policy arbiter with the given quiet window.
 func NewArbiter(quietSeconds float64) *Arbiter { return core.NewArbiter(quietSeconds) }
 
