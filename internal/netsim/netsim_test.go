@@ -376,6 +376,29 @@ func TestLinkOverrideIsDirected(t *testing.T) {
 	}
 }
 
+// A per-link override without latency_ms takes the default link's
+// latency, resolved: the 0.3 ms LAN figure when the default sets none,
+// the default's own when it does. It used to make the link instantaneous.
+func TestLinkOverrideWithoutLatencyTakesDefault(t *testing.T) {
+	for _, c := range []struct {
+		def  Link
+		want float64
+	}{{Link{}, 0.0003}, {Link{LatencyMS: 5}, 0.005}} {
+		eng := sim.NewEngine(1)
+		f := New(eng, Config{Enabled: true, Default: c.def, Links: map[string]Link{"a->b": {Loss: 0.01}}}, 1)
+		for _, pair := range [][2]string{{"a", "b"}, {"b", "a"}} {
+			start, at := eng.Now(), -1.0
+			if !f.Send(pair[0], pair[1], "x", func() { at = eng.Now() }) {
+				t.Fatalf("default %+v: %s->%s lost", c.def, pair[0], pair[1])
+			}
+			eng.Run()
+			if got := at - start; math.Abs(got-c.want) > 1e-9 {
+				t.Fatalf("default %+v: %s->%s took %g s, want %g", c.def, pair[0], pair[1], got, c.want)
+			}
+		}
+	}
+}
+
 // --- Detector ---
 
 func detectorRig(t *testing.T, seed int64, cfg Config) (*sim.Engine, *Fabric, *Detector, *cluster.Node) {
