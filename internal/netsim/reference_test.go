@@ -9,10 +9,38 @@ import (
 	"jade/internal/trace"
 )
 
+// referenceSend is Fabric.Send as it was before the fixed-delay lanes:
+// every delivery goes on the engine's heap at Now()+delay.
+func (f *Fabric) referenceSend(from, to, kind string, deliver func()) {
+	f.stats.Messages++
+	f.mMessages.Inc()
+	if f.Partitioned(from, to) {
+		f.stats.DroppedPartition++
+		f.mDropPart.Inc()
+		return
+	}
+	l := f.link(from, to)
+	if lost := f.rng.Float64() < l.Loss; lost {
+		f.stats.DroppedLoss++
+		f.mDropLoss.Inc()
+		f.tr.Emit("net", "net.drop",
+			trace.F("from", from), trace.F("to", to), trace.F("msg", kind))
+		return
+	}
+	delay := l.LatencyMS / 1000
+	if l.JitterMS > 0 {
+		delay += f.rng.Float64() * l.JitterMS / 1000
+	}
+	f.stats.Delivered++
+	f.mDelivered.Inc()
+	f.eng.Schedule(f.eng.Now()+delay, "net:"+kind, sim.Func(deliver))
+}
+
 // referenceCall is Fabric.Call as it was before the call record: nested
 // closures over a settled flag, kept verbatim as the oracle for
 // TestCallMatchesReferenceClosures (the way sqlengine's reference_test.go
-// keeps the row-by-row executor).
+// keeps the row-by-row executor), except that its messages go through
+// referenceSend, so it schedules only through the engine's heap.
 func (f *Fabric) referenceCall(from, to, tier string, attempt func(reply func(error)), done func(error)) {
 	if !f.Enabled() {
 		attempt(done)
@@ -36,7 +64,7 @@ func (f *Fabric) referenceCall(from, to, tier string, attempt func(reply func(er
 		reply := func(err error) {
 			// The response crosses the network too; late responses from
 			// superseded attempts lose the race and are discarded.
-			f.Send(to, from, tier+".reply", func() {
+			f.referenceSend(to, from, tier+".reply", func() {
 				if settled {
 					return
 				}
@@ -61,7 +89,7 @@ func (f *Fabric) referenceCall(from, to, tier string, attempt func(reply func(er
 				trace.F("from", from), trace.F("to", to), trace.F("tier", tier), trace.Fi("attempts", n+1))
 			done(fmt.Errorf("%w: %s %s->%s after %d attempts", ErrRPCTimeout, tier, from, to, n+1))
 		})
-		f.Send(from, to, tier, func() { attempt(reply) })
+		f.referenceSend(from, to, tier, func() { attempt(reply) })
 	}
 	try(0)
 }
@@ -69,12 +97,35 @@ func (f *Fabric) referenceCall(from, to, tier string, attempt func(reply func(er
 // callTranscript is everything observable about a batch of RPCs: each
 // dispatched event, each done(err), and the fabric's counters; and how
 // often the script answered twice on one arrival, or after its call had
-// settled.
+// settled, and how many calls were outstanding when the budgets changed.
 type callTranscript struct {
-	Events      []string
-	Dones       []string
-	Stats       Stats
-	Twice, Late int
+	Events       []string
+	Dones        []string
+	Stats        Stats
+	Twice, Late  int
+	OpenAtRetune int
+}
+
+// callNet is a lossy network the scripted calls run over, each with a
+// 3-attempt budget of 1 s timeouts for tier "app".
+type callNet struct {
+	name string
+	link Link            // the default link
+	over map[string]Link // per-link overrides
+	// retune, when set, replaces the budgets at 7 s, while calls issued
+	// under the old ones are outstanding: two timeouts, so two timer
+	// lanes, are live at once.
+	retune map[string]RPCBudget
+}
+
+var callNets = []callNet{
+	{name: "jittered", link: Link{LatencyMS: 1, JitterMS: 4, Loss: 0.3}},
+	{name: "links with and without jitter", link: Link{LatencyMS: 1, Loss: 0.3}, over: map[string]Link{
+		"a->b": {LatencyMS: 2, Loss: 0.3},
+		"b->a": {LatencyMS: 1, JitterMS: 4, Loss: 0.3},
+	}},
+	{name: "budgets retuned mid-run", link: Link{LatencyMS: 1, Loss: 0.3},
+		retune: map[string]RPCBudget{"app": {TimeoutSeconds: 1.5, Attempts: 3, BackoffSeconds: 0.5}}},
 }
 
 // A scripted call goes through one of three paths. The reference chain and
@@ -99,25 +150,34 @@ type calleeFunc func(reply Reply)
 
 func (fn calleeFunc) Attempt(reply Reply) { fn(reply) }
 
-// scriptedCalls issues 40 staggered RPCs through call over a lossy,
-// jittery fabric with a 3-attempt budget. What the callee does on the k-th
-// arrival of call i — answer at once, answer late (possibly after the
-// attempt timed out and a newer one is live), answer twice, or stay
-// silent — depends only on (seed, i, k), never on the implementation.
-func scriptedCalls(seed int64, call scriptedCall) callTranscript {
+// scriptedCalls issues 40 staggered RPCs through call over net. What the
+// callee does on the k-th arrival of call i — answer at once, answer late
+// (possibly after the attempt timed out and a newer one is live), answer
+// twice, or stay silent — depends only on (seed, i, k), never on the
+// implementation.
+func scriptedCalls(seed int64, net callNet, call scriptedCall) callTranscript {
 	eng := sim.NewEngine(seed)
 	f := New(eng, Config{
 		Enabled: true,
-		Default: Link{LatencyMS: 1, JitterMS: 4, Loss: 0.3},
+		Default: net.link,
+		Links:   net.over,
 		RPC:     map[string]RPCBudget{"app": {TimeoutSeconds: 1, Attempts: 3, BackoffSeconds: 0.5}},
 	}, seed)
 	var tr callTranscript
+	issued := 0
+	if net.retune != nil {
+		eng.At(7, "retune", func() {
+			tr.OpenAtRetune = issued - len(tr.Dones)
+			f.SetRPCBudgets(net.retune)
+		})
+	}
 	eng.SetEventHook(func(t float64, label string) {
 		tr.Events = append(tr.Events, fmt.Sprintf("%.9f %s", t, label))
 	})
 	for i := 0; i < 40; i++ {
 		i := i
 		eng.At(float64(i)*0.37, "issue", func() {
+			issued++
 			arrivals := 0
 			settled := false
 			answer := func(reply Reply, err error) {
@@ -179,37 +239,44 @@ func requireSameSequence(t *testing.T, seed int64, what string, got, want []stri
 // fabrics and requires the same event sequence, the same done(err)
 // sequence (error text included) and the same counters. Through Start the
 // callee answers on the attempt's Reply, twice on one arrival and after
-// its call settled included. Mutants it was checked to catch: a reply
-// canceling the live attempt's timer instead of its own (a
-// "net:rpc-timeout" event goes missing), a second reply on one attempt
-// overwriting the first one's error, and a second reply being dropped.
+// its call settled included. The reference schedules only on the engine's
+// heap, so over the networks without jitter, and across a budget change
+// with calls outstanding, it also holds the fabric's fixed-delay lanes to
+// the heap. Mutants it was checked to catch: a reply canceling the live
+// attempt's timer instead of its own (a "net:rpc-timeout" event goes
+// missing), a second reply on one attempt overwriting the first one's
+// error, and a second reply being dropped.
 func TestCallMatchesReferenceClosures(t *testing.T) {
-	var retransmits, abandoned uint64
-	var twice, late int
-	for seed := int64(1); seed <= 20; seed++ {
-		want := scriptedCalls(seed, viaReference)
-		for _, via := range []struct {
-			name string
-			call scriptedCall
-		}{{"Call", viaCall}, {"Start", viaStart}} {
-			got := scriptedCalls(seed, via.call)
-			if got.Stats != want.Stats || got.Twice != want.Twice || got.Late != want.Late {
-				t.Errorf("seed %d via %s: stats %+v, %d twice, %d late; reference %+v, %d, %d",
-					seed, via.name, got.Stats, got.Twice, got.Late, want.Stats, want.Twice, want.Late)
+	for _, net := range callNets {
+		var retransmits, abandoned uint64
+		var twice, late, open int
+		for seed := int64(1); seed <= 20; seed++ {
+			want := scriptedCalls(seed, net, viaReference)
+			for _, via := range []struct {
+				name string
+				call scriptedCall
+			}{{"Call", viaCall}, {"Start", viaStart}} {
+				got := scriptedCalls(seed, net, via.call)
+				if got.Stats != want.Stats || got.Twice != want.Twice || got.Late != want.Late || got.OpenAtRetune != want.OpenAtRetune {
+					t.Errorf("%s, seed %d via %s: stats %+v, %d twice, %d late, %d open at retune; reference %+v, %d, %d, %d",
+						net.name, seed, via.name, got.Stats, got.Twice, got.Late, got.OpenAtRetune,
+						want.Stats, want.Twice, want.Late, want.OpenAtRetune)
+				}
+				requireSameSequence(t, seed, net.name+" via "+via.name+" done", got.Dones, want.Dones)
+				requireSameSequence(t, seed, net.name+" via "+via.name+" event", got.Events, want.Events)
 			}
-			requireSameSequence(t, seed, via.name+" done", got.Dones, want.Dones)
-			requireSameSequence(t, seed, via.name+" event", got.Events, want.Events)
+			if len(want.Dones) != 40 {
+				t.Fatalf("%s, seed %d: %d of 40 calls settled", net.name, seed, len(want.Dones))
+			}
+			retransmits += want.Stats.Retransmits
+			abandoned += want.Stats.Abandoned
+			twice += want.Twice
+			late += want.Late
+			open += want.OpenAtRetune
 		}
-		if len(want.Dones) != 40 {
-			t.Fatalf("seed %d: %d of 40 calls settled", seed, len(want.Dones))
+		if retransmits == 0 || abandoned == 0 || twice == 0 || late == 0 || (net.retune != nil && open == 0) {
+			t.Fatalf("%s: script exercised %d retransmits, %d abandons, %d double and %d late answers, %d calls open at the retune; it must cover each",
+				net.name, retransmits, abandoned, twice, late, open)
 		}
-		retransmits += want.Stats.Retransmits
-		abandoned += want.Stats.Abandoned
-		twice += want.Twice
-		late += want.Late
-	}
-	if retransmits == 0 || abandoned == 0 || twice == 0 || late == 0 {
-		t.Fatalf("script exercised %d retransmits, %d abandons, %d double and %d late answers; it must cover each",
-			retransmits, abandoned, twice, late)
 	}
 }
