@@ -20,7 +20,10 @@
 #                       end to end (invariant-checked; nonzero exit on violation)
 #   make experiments  - every experiment at full length (go run ./cmd/jadectl
 #                       experiment), figure CSVs into a temp dir; each
-#                       self-checks, so a failed claim exits nonzero
+#                       self-checks, so a failed claim exits nonzero, and the
+#                       report must equal testdata/experiments.golden
+#                       (`go test -run TestExperimentReportsGolden -update .`
+#                       rewrites it and the quick report's golden)
 #   make api-check    - diff the facade's exported surface against testdata/api_surface.txt
 
 GO ?= go
@@ -71,8 +74,10 @@ netsim-smoke:
 	$(GO) run ./cmd/jadectl scenario -config examples/netfault.json
 
 experiments:
-	$(GO) run ./cmd/jadectl experiment -csv $(TMP_DIR)/csv
+	$(GO) run ./cmd/jadectl experiment -csv $(TMP_DIR)/csv > $(TMP_DIR)/experiments.txt
 	rm -rf $(TMP_DIR)/csv
+	diff -u testdata/experiments.golden $(TMP_DIR)/experiments.txt
+	rm -f $(TMP_DIR)/experiments.txt
 
 api-check:
 	$(GO) test -run TestAPISurface .

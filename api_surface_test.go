@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-var updateSurface = flag.Bool("update", false, "rewrite the golden files under testdata/ (api_surface.txt, golden_digests.json) from the current source")
+var updateSurface = flag.Bool("update", false, "rewrite the golden files under testdata/ that the selected tests compare against, from the current source")
 
 // apiSurface lists every exported top-level identifier of the jade
 // facade — funcs, types, consts, vars, and methods on exported types —

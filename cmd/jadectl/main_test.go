@@ -83,8 +83,10 @@ func TestScenarioFlagDefaultsMakeTheSpec(t *testing.T) {
 	}
 }
 
-// A sweep over no seeds and an unknown experiment are usage errors; both
-// fail before any simulation runs.
+// A sweep over no seeds, an unknown experiment, a negative or non-finite
+// speedup and a non-finite duration are usage errors; all fail before any
+// simulation runs. A NaN horizon used to run forever, and a negative
+// speedup was silently replaced.
 func TestEvaluationUsageErrors(t *testing.T) {
 	for _, n := range []string{"0", "-3"} {
 		if err := cmdSweep([]string{"-seeds", n}); err == nil {
@@ -93,5 +95,15 @@ func TestEvaluationUsageErrors(t *testing.T) {
 	}
 	if err := cmdExperiment([]string{"nosuch"}); err == nil || !strings.Contains(err.Error(), "fig4") {
 		t.Errorf("experiment nosuch: err = %v, want one listing the valid names", err)
+	}
+	for _, x := range []string{"-1", "NaN", "+Inf"} {
+		if err := cmdExperiment([]string{"-speedup", x, "fig5"}); err == nil || !strings.Contains(err.Error(), "speedup") {
+			t.Errorf("experiment -speedup %s fig5: err = %v, want one naming the speedup", x, err)
+		}
+	}
+	for _, d := range []string{"NaN", "+Inf"} {
+		if err := cmdScenario([]string{"-clients", "10", "-duration", d}); err == nil || !strings.Contains(err.Error(), "duration") {
+			t.Errorf("scenario -duration %s: err = %v, want one naming the duration", d, err)
+		}
 	}
 }

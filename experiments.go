@@ -3,12 +3,12 @@ package jade
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"jade/internal/core"
 	"jade/internal/metrics"
@@ -28,25 +28,23 @@ type experiment struct {
 	report func(x *expEnv, rs []expRun) (string, error)
 }
 
-// expRun is one named scenario of an experiment and, once run, its result
-// and the wall-clock seconds it took.
+// expRun is one named scenario of an experiment and, once run, its result.
 type expRun struct {
 	name string
 	cfg  ScenarioConfig
 	res  *ScenarioResult
-	wall float64
 }
 
 // experiments is the paper's evaluation, in section order.
 var experiments = []experiment{
 	{name: "fig4", title: "Figure 4 — qualitative reconfiguration scenario",
-		report: func(x *expEnv, _ []expRun) (string, error) { return Figure4(x.Seed) }},
-	paperFigure("fig5", "Figure 5 — dynamically adjusted number of replicas", (*PaperRuns).Figure5),
-	paperFigure("fig6", "Figure 6 — behavior of the database tier", (*PaperRuns).Figure6),
-	paperFigure("fig7", "Figure 7 — behavior of the application tier", (*PaperRuns).Figure7),
-	paperFigure("fig8", "Figure 8 — response time without Jade", (*PaperRuns).Figure8),
-	paperFigure("fig9", "Figure 9 — response time with Jade", (*PaperRuns).Figure9),
-	paperFigure("summary", "Scenario summary", (*PaperRuns).Summary),
+		report: func(x *expEnv, _ []expRun) (string, error) { return figure4(x.Seed) }},
+	paperFigure("fig5", "Figure 5 — dynamically adjusted number of replicas", (*PaperRuns).figure5),
+	paperFigure("fig6", "Figure 6 — behavior of the database tier", (*PaperRuns).figure6),
+	paperFigure("fig7", "Figure 7 — behavior of the application tier", (*PaperRuns).figure7),
+	paperFigure("fig8", "Figure 8 — response time without Jade", (*PaperRuns).figure8),
+	paperFigure("fig9", "Figure 9 — response time with Jade", (*PaperRuns).figure9),
+	paperFigure("summary", "Scenario summary", (*PaperRuns).summary),
 	{"churn", "Availability under churn — self-recovery manager", churnRuns, churnReport},
 	{"netfault", "Managed recovery under network faults — loss, partitions, crashes", netFaultRuns, netFaultReport},
 	{"grayfail", "Routing policies under gray failure — slow-but-alive replicas", grayFailRuns, grayFailReport},
@@ -62,11 +60,15 @@ var experiments = []experiment{
 	{name: "ablations", title: "Ablation — recovery-log replay", report: replayReport},
 }
 
+// sectionRule frames each section's title in the report.
+const sectionRule = "================================================================"
+
 // ExperimentOptions are the settings every experiment reads.
 type ExperimentOptions struct {
 	Seed int64
 	// Speedup compresses the paper ramp of Figs. 5-9 (1 = the paper's
-	// ~50-minute run) and of the sizing ablations (at least 2).
+	// ~50-minute run, also what 0 means) and of the sizing ablations (at
+	// least 2). A negative or non-finite value is an error.
 	Speedup float64
 	// Quick shrinks the self-checking flagships for smoke runs.
 	Quick bool
@@ -92,7 +94,8 @@ func (x *expEnv) logf(format string, args ...any) {
 // RunExperiments runs the experiments named name ("all" for every one)
 // in section order, writing each section to w, and stops at the first
 // failed self-check. It returns the paper pair if a figure ran it. An
-// unknown name is an error that lists the valid ones.
+// unknown name is an error that lists the valid ones, and so is a speedup
+// that is negative or not finite; neither runs anything.
 func RunExperiments(w io.Writer, name string, opt ExperimentOptions) (*PaperRuns, error) {
 	names := []string{"all"}
 	for _, e := range experiments {
@@ -103,13 +106,18 @@ func RunExperiments(w io.Writer, name string, opt ExperimentOptions) (*PaperRuns
 	if !slices.Contains(names, name) {
 		return nil, fmt.Errorf("jade: unknown experiment %q (want one of %s)", name, strings.Join(names, ", "))
 	}
+	if opt.Speedup < 0 || math.IsNaN(opt.Speedup) || math.IsInf(opt.Speedup, 0) {
+		return nil, fmt.Errorf("jade: experiment speedup must be a finite number >= 0, got %g", opt.Speedup)
+	}
+	if opt.Speedup == 0 {
+		opt.Speedup = 1
+	}
 	tmp, err := os.MkdirTemp("", "jadectl-experiment-")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(tmp)
 	x := &expEnv{ExperimentOptions: opt, tmp: tmp}
-	const rule = "================================================================"
 	for i := range experiments {
 		e := &experiments[i]
 		if name != "all" && name != e.name {
@@ -120,7 +128,7 @@ func RunExperiments(w io.Writer, name string, opt ExperimentOptions) (*PaperRuns
 		if err != nil {
 			return x.paper, err
 		}
-		fmt.Fprintf(w, "\n%s\n%s\n%s\n%s\n", rule, e.title, rule, body)
+		fmt.Fprintf(w, "\n%s\n%s\n%s\n%s\n", sectionRule, e.title, sectionRule, body)
 	}
 	return x.paper, nil
 }
@@ -154,9 +162,7 @@ func runAll(experiment string, rs []expRun) error {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < len(rs); i = int(next.Add(1) - 1) {
-				t0 := time.Now()
 				rs[i].res, errs[i] = RunScenario(rs[i].cfg)
-				rs[i].wall = time.Since(t0).Seconds()
 				if errs[i] != nil {
 					errs[i] = fmt.Errorf("%s %q: %w", experiment, rs[i].name, errs[i])
 				}
@@ -195,14 +201,11 @@ func compressedRamp(speedup float64) RampProfile {
 	return r
 }
 
-// RunPaperScenario executes the managed and unmanaged runs. speedup
+// runPaperScenario executes the managed and unmanaged runs. speedup
 // compresses the ramp's time axis (1 reproduces the paper's ~3000 s run;
 // the client trajectory, and therefore the saturation points, are
 // unchanged).
-func RunPaperScenario(seed int64, speedup float64) (*PaperRuns, error) {
-	if speedup <= 0 {
-		speedup = 1
-	}
+func runPaperScenario(seed int64, speedup float64) (*PaperRuns, error) {
 	rs := []expRun{{name: "managed", cfg: DefaultScenario(seed, true)}, {name: "unmanaged", cfg: DefaultScenario(seed, false)}}
 	for i := range rs {
 		rs[i].cfg.Profile = compressedRamp(speedup)
@@ -218,7 +221,7 @@ func RunPaperScenario(seed int64, speedup float64) (*PaperRuns, error) {
 func paperFigure(name, title string, render func(*PaperRuns) string) experiment {
 	return experiment{name: name, title: title, report: func(x *expEnv, _ []expRun) (string, error) {
 		if x.paper == nil {
-			pr, err := RunPaperScenario(x.Seed, x.Speedup)
+			pr, err := runPaperScenario(x.Seed, x.Speedup)
 			if err != nil {
 				return "", err
 			}
@@ -241,9 +244,9 @@ func relativize(s *Series, t0 float64) *Series {
 	return out
 }
 
-// Figure5 renders the dynamically adjusted number of replicas over time
+// figure5 renders the dynamically adjusted number of replicas over time
 // for both tiers (paper Fig. 5).
-func (pr *PaperRuns) Figure5() string {
+func (pr *PaperRuns) figure5() string {
 	m := pr.Managed
 	c := &Chart{
 		Title:  "Figure 5. Dynamically adjusted number of replicas",
@@ -289,15 +292,15 @@ func (pr *PaperRuns) tierFigure(title string, managed, unmanaged TierTrace, t0m,
 	return out
 }
 
-// Figure6 renders the database tier behaviour (paper Fig. 6).
-func (pr *PaperRuns) Figure6() string {
+// figure6 renders the database tier behaviour (paper Fig. 6).
+func (pr *PaperRuns) figure6() string {
 	return pr.tierFigure("Figure 6. Behavior of the database tier",
 		pr.Managed.DB, pr.Unmanaged.DB,
 		pr.Managed.WorkloadStart, pr.Unmanaged.WorkloadStart)
 }
 
-// Figure7 renders the application tier behaviour (paper Fig. 7).
-func (pr *PaperRuns) Figure7() string {
+// figure7 renders the application tier behaviour (paper Fig. 7).
+func (pr *PaperRuns) figure7() string {
 	return pr.tierFigure("Figure 7. Behavior of the application tier",
 		pr.Managed.App, pr.Unmanaged.App,
 		pr.Managed.WorkloadStart, pr.Unmanaged.WorkloadStart)
@@ -334,20 +337,20 @@ func latencyFigure(title string, r *ScenarioResult) string {
 	return out
 }
 
-// Figure8 renders response time without Jade (paper Fig. 8).
-func (pr *PaperRuns) Figure8() string {
+// figure8 renders response time without Jade (paper Fig. 8).
+func (pr *PaperRuns) figure8() string {
 	return latencyFigure("Figure 8. Response time without Jade", pr.Unmanaged)
 }
 
-// Figure9 renders response time with Jade (paper Fig. 9).
-func (pr *PaperRuns) Figure9() string {
+// figure9 renders response time with Jade (paper Fig. 9).
+func (pr *PaperRuns) figure9() string {
 	return latencyFigure("Figure 9. Response time with Jade", pr.Managed)
 }
 
-// Summary compares the headline numbers of the two runs — the paper's
+// summary compares the headline numbers of the two runs — the paper's
 // claim is a stable managed latency (~590 ms) versus a diverging
 // unmanaged latency (~10.42 s average).
-func (pr *PaperRuns) Summary() string {
+func (pr *PaperRuns) summary() string {
 	m, u := pr.Managed.Stats.LatencySummary(), pr.Unmanaged.Stats.LatencySummary()
 	t := &TextTable{
 		Title:   "Paper scenario summary (ramp 80 -> 500 -> 80 clients)",
@@ -468,14 +471,11 @@ const figure4ADL = `<?xml version="1.0"?>
 </definition>
 `
 
-// Figure4 demonstrates the qualitative reconfiguration scenario (paper
+// figure4 demonstrates the qualitative reconfiguration scenario (paper
 // §5.1/Fig. 4): rebinding Apache1 from Tomcat1 to Tomcat2 as four
 // operations on the management layer, returning a transcript with the
-// regenerated worker.properties. It is implemented in example form in
-// examples/reconfigure; this helper runs the same steps programmatically
-// and returns the transcript.
-
-func Figure4(seed int64) (string, error) {
+// regenerated worker.properties.
+func figure4(seed int64) (string, error) {
 	var b strings.Builder
 	p := NewPlatform(PlatformOptions{Seed: seed, Nodes: 9})
 	ds := Dataset{Regions: 5, Categories: 5, Users: 20, Items: 20, BidsPerItem: 1, CommentsPerUser: 1}

@@ -1,6 +1,8 @@
 package jade
 
 import (
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -70,4 +72,49 @@ func TestRunExperimentsRejectsUnknownName(t *testing.T) {
 	if pr != nil || out.Len() != 0 {
 		t.Errorf("an unknown name ran something: paper pair %v, output %q", pr != nil, out.String())
 	}
+}
+
+// The experiment goldens: `jadectl experiment` at seed 1, full length
+// (what `make experiments` diffs against) and quick at 8x.
+var (
+	experimentsGolden      = filepath.Join("testdata", "experiments.golden")
+	experimentsQuickGolden = filepath.Join("testdata", "experiments_quick.golden")
+)
+
+// TestExperimentReportsGolden: the quick report of every experiment is
+// byte-identical whether its runs go one at a time or fan out over four
+// workers, and equals testdata/experiments_quick.golden. `go test -run
+// TestExperimentReportsGolden -update .` rewrites that file and, from one
+// more render at full length, testdata/experiments.golden.
+func TestExperimentReportsGolden(t *testing.T) {
+	prev := Parallelism()
+	defer SetParallelism(prev)
+	var outs [2]string
+	for i, workers := range []int{1, 4} {
+		SetParallelism(workers)
+		var b strings.Builder
+		if _, err := RunExperiments(&b, "all", ExperimentOptions{Seed: 1, Speedup: 8, Quick: true}); err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = b.String()
+	}
+	serial, parallel := strings.Split(outs[0], "\n"), strings.Split(outs[1], "\n")
+	for j := range min(len(serial), len(parallel)) {
+		if serial[j] != parallel[j] {
+			t.Fatalf("output depends on -parallel at line %d:\n%s\nvs\n%s", j+1, serial[j], parallel[j])
+		}
+	}
+	if len(serial) != len(parallel) {
+		t.Fatalf("output depends on -parallel: %d vs %d lines", len(serial), len(parallel))
+	}
+	if *updateSurface {
+		var full strings.Builder
+		if _, err := RunExperiments(&full, "all", ExperimentOptions{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, experimentsGolden, []byte(full.String()))
+	} else if !onGoldenArch(t) {
+		t.Skipf("the goldens were generated on another GOARCH than %s: floating-point contraction differs", runtime.GOARCH)
+	}
+	checkGolden(t, experimentsQuickGolden, []byte(outs[0]))
 }

@@ -186,3 +186,46 @@ func TestGoldenDigests(t *testing.T) {
 		t.Errorf("manifest has %d runs, matrix has %d", len(want.Runs), len(got.Runs))
 	}
 }
+
+// onGoldenArch reports whether this is the GOARCH that
+// testdata/golden_digests.json records. Every float-derived golden under
+// testdata/ was generated there, and floating-point contraction differs
+// between architectures.
+func onGoldenArch(t *testing.T) bool {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_digests.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m goldenManifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.GOARCH == runtime.GOARCH
+}
+
+// checkGolden compares got with the golden file at path and reports the
+// first line that differs; with -update it rewrites the file instead.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateSurface {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("%s line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
+}

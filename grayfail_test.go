@@ -3,7 +3,6 @@ package jade
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -81,36 +80,6 @@ func TestGrayFailureBalancedBeatsRoundRobin(t *testing.T) {
 	}
 	if rs[0].name != "round-robin" || rs[2].name != "balanced" {
 		t.Fatalf("policy order: %q ... %q", rs[0].name, rs[2].name)
-	}
-}
-
-// TestGrayFailureParallelismInvariance: every experiment's section must
-// be byte-identical whether its runs go one at a time or fan out over
-// four workers. Million-client's two wall-clock rows are the only lines
-// allowed to differ.
-func TestGrayFailureParallelismInvariance(t *testing.T) {
-	prev := Parallelism()
-	defer SetParallelism(prev)
-	var outs [2][]string
-	for i, workers := range []int{1, 4} {
-		SetParallelism(workers)
-		var b strings.Builder
-		if _, err := RunExperiments(&b, "all", ExperimentOptions{Seed: 1, Speedup: 8, Quick: true}); err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(b.String(), "\n") {
-			if !strings.HasPrefix(line, "wall time (s)") && !strings.HasPrefix(line, "clients per wall-second") {
-				outs[i] = append(outs[i], line)
-			}
-		}
-	}
-	if len(outs[0]) != len(outs[1]) {
-		t.Fatalf("output depends on -parallel: %d vs %d lines", len(outs[0]), len(outs[1]))
-	}
-	for j := range outs[0] {
-		if outs[0][j] != outs[1][j] {
-			t.Fatalf("output depends on -parallel at line %d:\n%s\nvs\n%s", j+1, outs[0][j], outs[1][j])
-		}
 	}
 }
 

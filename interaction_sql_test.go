@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -43,26 +42,5 @@ func interactionSQLGolden() []byte {
 // statements (the Sprintf path) and has not been regenerated since:
 // Interaction.Request must keep producing these bytes.
 func TestInteractionSQLGolden(t *testing.T) {
-	path := filepath.Join("testdata", "interaction_sql.golden")
-	got := interactionSQLGolden()
-	if *updateSurface {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if !bytes.Equal(gl[i], wl[i]) {
-			t.Fatalf("line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("%d lines, want %d", len(gl), len(wl))
+	checkGolden(t, filepath.Join("testdata", "interaction_sql.golden"), interactionSQLGolden())
 }

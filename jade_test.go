@@ -12,7 +12,7 @@ var cachedRuns *PaperRuns
 func fastRuns(t *testing.T) *PaperRuns {
 	t.Helper()
 	if cachedRuns == nil {
-		pr, err := RunPaperScenario(1, 5)
+		pr, err := runPaperScenario(1, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,27 +120,10 @@ func TestPaperScenarioCPURegulation(t *testing.T) {
 	}
 }
 
+// The figure CSVs `jadectl experiment -csv` writes are well formed; the
+// rendered figures are pinned by the experiment goldens.
 func TestFigureRenderersProduceOutput(t *testing.T) {
-	pr := fastRuns(t)
-	checks := []struct {
-		name, out, want string
-	}{
-		{"Figure5", pr.Figure5(), "Dynamically adjusted number of replicas"},
-		{"Figure6", pr.Figure6(), "database tier"},
-		{"Figure7", pr.Figure7(), "application tier"},
-		{"Figure8", pr.Figure8(), "without Jade"},
-		{"Figure9", pr.Figure9(), "with Jade"},
-		{"Summary", pr.Summary(), "latency improvement with Jade"},
-	}
-	for _, c := range checks {
-		if !strings.Contains(c.out, c.want) {
-			t.Errorf("%s output missing %q", c.name, c.want)
-		}
-		if len(c.out) < 100 {
-			t.Errorf("%s output suspiciously short (%d bytes)", c.name, len(c.out))
-		}
-	}
-	csvs := pr.CSVs()
+	csvs := fastRuns(t).CSVs()
 	for _, name := range []string{"figure5_replicas.csv", "figure6_db_cpu.csv",
 		"figure7_app_cpu.csv", "figure8_latency_without.csv", "figure9_latency_with.csv"} {
 		body := csvs[name]
@@ -179,7 +162,7 @@ func TestTable1Intrusivity(t *testing.T) {
 }
 
 func TestFigure4Transcript(t *testing.T) {
-	out, err := Figure4(1)
+	out, err := figure4(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,8 +117,6 @@ func millionClientReport(x *expEnv, rs []expRun) (string, error) {
 	// Events counts management, faults, ticks and the sampled stream:
 	// everything else flowed as rates.
 	row("events processed", fmt.Sprintf("%d", r.Platform.Eng.Processed()))
-	row("wall time (s)", fmt.Sprintf("%.2f", rs[0].wall))
-	row("clients per wall-second", fmt.Sprintf("%.0f", MillionClients/rs[0].wall))
 	fmt.Fprintf(&b, "\nCross-validation (paper scenario, seed %d, %gx, fluid vs discrete):\n",
 		cv.Seed, cv.Speedup)
 	fmt.Fprintf(&b, "  app CPU RMS %.4f, db CPU RMS %.4f (bound %.2f)\n",

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"jade/internal/cluster"
@@ -581,6 +582,9 @@ func fillSizing(c, def SizingConfig) SizingConfig {
 // rule sees the number the run will use; failures carry the Spec's paths.
 func (cfg *ScenarioConfig) check() error {
 	var ve ValidationError
+	if d := cfg.Profile.Duration(); math.IsNaN(d) || math.IsInf(d, 0) {
+		ve.addf("workload.profile", "duration must be finite, got %g", d)
+	}
 	ve.nonNegative("workload.think_time_seconds", cfg.ThinkTime)
 	ve.nonNegative("workload.drain_seconds", cfg.DrainSeconds)
 	switch cfg.WorkloadMode {

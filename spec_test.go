@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -130,6 +132,52 @@ func TestSpecValidateRejectsNegativeFaultTimes(t *testing.T) {
 				t.Fatalf("got %+v, want one error at %s", fields, tc.path)
 			}
 		})
+	}
+}
+
+// A NaN or infinite number used to pass every "must be >= 0" rule, and a
+// run whose horizon is NaN never ends. Each is now a FieldError at its
+// path. These rows stay out of specValidateCases: json.Marshal refuses NaN
+// and infinities, so they cannot seed FuzzParseSpec.
+func TestSpecValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		mutate func(*Spec)
+		path   string
+	}{
+		{func(s *Spec) {
+			s.Workload.Profile = ProfileSpec{Kind: "constant", Clients: 10, DurationSeconds: nan}
+		}, "workload.profile.duration_seconds"},
+		{func(s *Spec) {
+			s.Workload.Profile = ProfileSpec{Kind: "constant", Clients: 10, DurationSeconds: inf}
+		}, "workload.profile.duration_seconds"},
+		{func(s *Spec) {
+			s.Workload.Profile = ProfileSpec{Kind: "ramp", Base: 10, Peak: 20, StepPerMinute: 5, HoldAtPeakSeconds: inf}
+		}, "workload.profile.hold_at_peak_seconds"},
+		{func(s *Spec) { s.Workload.ThinkTimeSeconds = nan }, "workload.think_time_seconds"},
+		{func(s *Spec) { s.Sizing.App.InhibitSeconds = inf }, "sizing.app.inhibit_seconds"},
+		{func(s *Spec) { s.Faults.Network.Default.LatencyMS = nan }, "faults.network.default.latency_ms"},
+		{func(s *Spec) { s.Faults.Chaos = ChaosSchedule{{At: nan, Kind: ChaosCrash, Target: "tomcat1"}} }, "faults.chaos[0].at"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.path, func(t *testing.T) {
+			s := DefaultSpec(1, true)
+			tc.mutate(&s)
+			fields := AsValidationError(s.Validate())
+			if !slices.ContainsFunc(fields, func(f FieldError) bool { return f.Path == tc.path }) {
+				t.Fatalf("got %+v, want an error at %s", fields, tc.path)
+			}
+		})
+	}
+}
+
+// A profile whose horizon is not finite is refused before the run starts,
+// however the configuration was built.
+func TestRunScenarioRejectsNonFiniteHorizon(t *testing.T) {
+	cfg := DefaultScenario(1, true)
+	cfg.Profile = ConstantProfile{Clients: 10, Length: math.NaN()}
+	if _, err := RunScenario(cfg); err == nil || !strings.Contains(err.Error(), "workload.profile") {
+		t.Fatalf("RunScenario with a NaN horizon: err = %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package jade
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -115,9 +116,13 @@ func (e *ValidationError) checkAlerting(a AlertConfig) {
 	}
 }
 
-// nonNegative refuses a negative value.
+// nonNegative refuses a negative or non-finite value: a NaN passes every
+// comparison, and a NaN or infinite horizon never ends a run.
 func (e *ValidationError) nonNegative(path string, v float64) {
-	if v < 0 {
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		e.addf(path, "must be finite, got %g", v)
+	case v < 0:
 		e.addf(path, "must be >= 0, got %g", v)
 	}
 }
