@@ -67,14 +67,40 @@ type backend struct {
 	// applies every record below stopAt (writes it owes acks for), then
 	// checkpoints and disables.
 	stopAt int64 // -1 when unbounded
-	busy   bool
+	// busy: a log record is on its way to the server, and apply is its
+	// reply.
+	busy  bool
+	apply applyReply
 	// onSynced fires when a Syncing backend catches up.
 	onSynced func(error)
 	// onLeft fires when a Disabled-pending backend finishes draining.
 	onLeft func(int64)
 }
 
-// writeWait tracks one broadcast write's outstanding acknowledgements.
+// applyReply is the reply to the log record a backend was sent; busy keeps
+// one in flight per backend, so the backend embeds it.
+type applyReply struct {
+	c   *Controller
+	b   *backend
+	idx int64
+}
+
+// Reply takes the server's answer: a failure drops the backend, a success
+// acknowledges the record and sends the next.
+func (a *applyReply) Reply(err error) {
+	c, b, idx := a.c, a.b, a.idx
+	b.busy = false
+	if err != nil {
+		c.markDead(b, err)
+		return
+	}
+	b.applied = idx + 1
+	c.ack(idx, b)
+	c.pump(b)
+}
+
+// writeWait tracks one broadcast write's outstanding acknowledgements. The
+// controller recycles it (putWait) and its map with it, empty by then.
 type writeWait struct {
 	waitingOn map[string]bool
 	// stmt is the write, parsed, for the backends in waitingOn. The log
@@ -118,6 +144,12 @@ type Controller struct {
 	backends []*backend
 	pool     *selector.Pool
 	waiters  map[int64]*writeWait
+
+	// The per-statement records (see legacy.Hop), and execWrite's scratch
+	// list of the active backends.
+	requests legacy.FreeList[request]
+	waits    legacy.FreeList[writeWait]
+	actives  []*backend
 
 	reads    uint64
 	writes   uint64
@@ -426,16 +458,8 @@ func (c *Controller) pump(b *backend) {
 	} else {
 		q.TraceSpan = 0
 	}
-	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, q, netsim.ReplyFunc(func(err error) {
-		b.busy = false
-		if err != nil {
-			c.markDead(b, err)
-			return
-		}
-		b.applied = rec.Index + 1
-		c.ack(rec.Index, b)
-		c.pump(b)
-	}))
+	b.apply = applyReply{c: c, b: b, idx: rec.Index}
+	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, q, &b.apply)
 }
 
 // ack records that a backend applied the write at idx.
@@ -454,27 +478,36 @@ func (c *Controller) maybeFinishWrite(idx int64, w *writeWait) {
 		return
 	}
 	delete(c.waiters, idx)
-	if w.successes == 0 {
+	done, successes, err := w.done, w.successes, w.firstErr
+	c.putWait(w)
+	if successes == 0 {
 		c.failures++
-		err := w.firstErr
 		if err == nil {
 			err = ErrNoBackend
 		}
-		w.done.Reply(fmt.Errorf("cjdbc %s: write lost on all backends: %w", c.name, err))
+		done.Reply(fmt.Errorf("cjdbc %s: write lost on all backends: %w", c.name, err))
 		return
 	}
-	w.done.Reply(nil)
+	done.Reply(nil)
 }
 
-// activeBackends returns backends eligible for reads.
-func (c *Controller) activeBackends() []*backend {
-	var out []*backend
+// putWait puts a finished write's record back, keeping its map: every
+// acknowledgement has been deleted from it, so it is empty and pins
+// nothing.
+func (c *Controller) putWait(w *writeWait) {
+	m := w.waitingOn
+	c.waits.Put(w)
+	w.waitingOn = m
+}
+
+// appendActive appends the backends eligible for reads to dst.
+func (c *Controller) appendActive(dst []*backend) []*backend {
 	for _, b := range c.backends {
 		if b.state == Active {
-			out = append(out, b)
+			dst = append(dst, b)
 		}
 	}
-	return out
+	return dst
 }
 
 // pickReader selects an active backend through the pool. Under the
@@ -507,7 +540,8 @@ func (c *Controller) ExecSQL(q legacy.Query, done netsim.Reply) {
 		done.Reply(fmt.Errorf("%w: %s", ErrNotRunning, c.name))
 		return
 	}
-	r := &request{c: c, q: q, done: done}
+	r := c.requests.Get()
+	r.c, r.q, r.done = c, q, done
 	// Classify and parse here, once: every backend the query reaches
 	// executes the parsed form. A query that arrives prepared or parsed is
 	// taken as it is; SQL that does not parse travels as text, and the
@@ -575,17 +609,21 @@ func (r *request) JobFailed() {
 	r.finish(fmt.Errorf("cjdbc %s: controller node failed", r.c.name))
 }
 
-// finish ends the hop and answers the caller.
+// finish ends the hop, puts the record back (see legacy.Hop) and answers
+// the caller.
 func (r *request) finish(err error) {
-	r.End(r.c.Obs, r.c.Trace, r.c.opts.ProxyCost/r.c.node.Config().CPUCapacity, err)
-	r.done.Reply(err)
+	c, done := r.c, r.done
+	r.End(c.Obs, c.Trace, c.opts.ProxyCost/c.node.Config().CPUCapacity, err)
+	c.requests.Put(r)
+	done.Reply(err)
 }
 
 func (c *Controller) execWrite(q legacy.Query, done netsim.Reply) {
 	// The ack set is every backend that will apply this record: actives
 	// (client completion waits on them) — syncing and draining backends
 	// apply it through their own pumps without gating the client.
-	actives := c.activeBackends()
+	c.actives = c.appendActive(c.actives[:0])
+	actives := c.actives
 	if len(actives) == 0 {
 		c.failures++
 		done.Reply(fmt.Errorf("%w: cannot write through %s", ErrNoBackend, c.name))
@@ -597,7 +635,11 @@ func (c *Controller) execWrite(q legacy.Query, done netsim.Reply) {
 		c.Trace.EmitIn(q.TraceSpan, "sql.write", c.name,
 			trace.Fi("log-index", int(idx)), trace.Fi("acks", len(actives)))
 	}
-	w := &writeWait{waitingOn: make(map[string]bool, len(actives)), stmt: q.Stmt, done: done}
+	w := c.waits.Get()
+	if w.waitingOn == nil {
+		w.waitingOn = make(map[string]bool, len(actives))
+	}
+	w.stmt, w.done = q.Stmt, done
 	for _, b := range actives {
 		w.waitingOn[b.name] = true
 	}
@@ -690,7 +732,7 @@ func (c *Controller) Backends() []BackendInfo {
 }
 
 // ActiveCount returns the number of Active backends.
-func (c *Controller) ActiveCount() int { return len(c.activeBackends()) }
+func (c *Controller) ActiveCount() int { return len(c.appendActive(nil)) }
 
 // SnapshotFrom copies the database state of an Active backend together
 // with the recovery-log index it corresponds to. Installing this snapshot
@@ -710,7 +752,7 @@ func (c *Controller) SnapshotFrom(name string) (*sqlengine.Engine, int64, error)
 // AnyActiveSnapshot snapshots an arbitrary active backend (the lowest
 // name, for determinism).
 func (c *Controller) AnyActiveSnapshot() (*sqlengine.Engine, int64, error) {
-	actives := c.activeBackends()
+	actives := c.appendActive(nil)
 	if len(actives) == 0 {
 		return nil, 0, ErrNoBackend
 	}
@@ -743,7 +785,7 @@ func (c *Controller) CheckConsistency() ConsistencyReport {
 	}
 	var first uint64
 	seen := false
-	for _, b := range c.activeBackends() {
+	for _, b := range c.appendActive(nil) {
 		fp := b.srv.DB().Fingerprint()
 		rep.Fingerprints[b.name] = fp
 		rep.Applied[b.name] = b.applied

@@ -771,7 +771,7 @@ func TestControlLoopLifecycleAndWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sensor := NewCPUSensor(func() []*cluster.Node { return []*cluster.Node{node} }, 10, 0)
+	sensor := NewCPUSensor(func(dst []*cluster.Node) []*cluster.Node { return append(dst, node) }, 10, 0)
 	var reactions int
 	reactor := reactorFunc(func(now, v float64) { reactions++ })
 	loop, err := NewControlLoop(p, "test-loop", 1, sensor, reactor)
@@ -826,7 +826,7 @@ func TestCPUSensorSpatialAndTemporalAveraging(t *testing.T) {
 	p := NewPlatform(DefaultOptions())
 	n1, _ := p.Pool.Allocate()
 	n2, _ := p.Pool.Allocate()
-	sensor := NewCPUSensor(func() []*cluster.Node { return []*cluster.Node{n1, n2} }, 30, 0)
+	sensor := NewCPUSensor(func(dst []*cluster.Node) []*cluster.Node { return append(dst, n1, n2) }, 30, 0)
 	// n1 fully busy, n2 idle → spatial mean 0.5.
 	n1.Submit(1000, nil, nil)
 	tk := p.Eng.Every(1, "probe", func(now float64) { sensor.Sample(now) })
@@ -853,7 +853,7 @@ func TestCPUSensorSpatialAndTemporalAveraging(t *testing.T) {
 		t.Fatal("sample valid with all nodes failed")
 	}
 	// Empty node set → invalid sample.
-	empty := NewCPUSensor(func() []*cluster.Node { return nil }, 30, 0)
+	empty := NewCPUSensor(func(dst []*cluster.Node) []*cluster.Node { return dst }, 30, 0)
 	if _, ok := empty.Sample(0); ok {
 		t.Fatal("sample valid with no nodes")
 	}
@@ -862,7 +862,7 @@ func TestCPUSensorSpatialAndTemporalAveraging(t *testing.T) {
 func TestCPUSensorProbeCostIsIntrusivity(t *testing.T) {
 	p := NewPlatform(DefaultOptions())
 	node, _ := p.Pool.Allocate()
-	sensor := NewCPUSensor(func() []*cluster.Node { return []*cluster.Node{node} }, 30, 0.003)
+	sensor := NewCPUSensor(func(dst []*cluster.Node) []*cluster.Node { return append(dst, node) }, 30, 0.003)
 	tk := p.Eng.Every(1, "probe", func(now float64) { sensor.Sample(now) })
 	p.Eng.RunUntil(100)
 	tk.Stop()

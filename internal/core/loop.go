@@ -126,9 +126,10 @@ func (l *ControlLoop) tick(now float64) {
 	l.reactor.React(now, v)
 }
 
-// NodeSet provides the nodes a sensor monitors; tiers change size, so it
-// is a function.
-type NodeSet func() []*cluster.Node
+// NodeSet appends the nodes a sensor monitors to dst and returns the
+// result; tiers change size, so it is a function, and the sensor passes a
+// slice of its own so that a sample allocates nothing.
+type NodeSet func(dst []*cluster.Node) []*cluster.Node
 
 // CPUSensor is the paper's self-optimization probe: every sample it reads
 // each monitored node's CPU usage since the previous sample, averages
@@ -148,6 +149,11 @@ type CPUSensor struct {
 	Smoothed *metrics.Series
 
 	count int // samples taken; the first cpuWarmupSamples-1 are not valid
+
+	// A sample's scratch: the monitored nodes, and the readings of those
+	// up.
+	nodeBuf []*cluster.Node
+	vals    []float64
 }
 
 // cpuWarmupSamples is the minimum number of samples before a CPU sensor
@@ -169,11 +175,12 @@ func NewCPUSensor(nodes NodeSet, window float64, probeCost float64) *CPUSensor {
 
 // Sample implements Sensor.
 func (s *CPUSensor) Sample(now float64) (float64, bool) {
-	ns := s.nodes()
+	ns := s.nodes(s.nodeBuf[:0])
+	s.nodeBuf = ns
 	if len(ns) == 0 {
 		return 0, false
 	}
-	vals := make([]float64, 0, len(ns))
+	vals := s.vals[:0]
 	for _, n := range ns {
 		if n.Failed() {
 			continue
@@ -188,6 +195,7 @@ func (s *CPUSensor) Sample(now float64) (float64, bool) {
 			n.Submit(s.probe, nil, nil)
 		}
 	}
+	s.vals = vals
 	if len(vals) == 0 {
 		return 0, false
 	}

@@ -155,13 +155,18 @@ func (t *Tier) NodeOf(name string) *cluster.Node { return t.d.nodes[name] }
 
 // Nodes returns the nodes currently hosting replicas.
 func (t *Tier) Nodes() []*cluster.Node {
-	out := make([]*cluster.Node, 0, len(t.replicas))
+	return t.AppendNodes(make([]*cluster.Node, 0, len(t.replicas)))
+}
+
+// AppendNodes appends the nodes currently hosting replicas to dst, in
+// replica order; it is the tier's NodeSet.
+func (t *Tier) AppendNodes(dst []*cluster.Node) []*cluster.Node {
 	for _, name := range t.replicas {
 		if n := t.NodeOf(name); n != nil {
-			out = append(out, n)
+			dst = append(dst, n)
 		}
 	}
-	return out
+	return dst
 }
 
 // Reconfiguring reports whether an actuation is currently in flight;
@@ -583,7 +588,7 @@ type SizingManager struct {
 // NewSizingManager assembles and registers (but does not start) a
 // self-optimization manager for one tier.
 func NewSizingManager(p *Platform, name string, tier *Tier, cfg SizingConfig, shared *Inhibitor) (*SizingManager, error) {
-	sensor := NewCPUSensor(tier.Nodes, cfg.Window, p.opts.ProbeCPUCost)
+	sensor := NewCPUSensor(tier.AppendNodes, cfg.Window, p.opts.ProbeCPUCost)
 	reactor := NewThresholdReactor(p, tier, cfg.Min, cfg.Max, shared)
 	reactor.InhibitSeconds = cfg.InhibitSeconds
 	if cfg.MaxReplicas > 0 {

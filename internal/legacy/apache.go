@@ -23,6 +23,8 @@ type Apache struct {
 	// Resolved at startup from worker.properties.
 	routes []route
 	rrNext int
+
+	pages FreeList[page]
 }
 
 type route struct {
@@ -122,7 +124,8 @@ func (a *Apache) HandleHTTP(req *WebRequest, done netsim.Reply) {
 		done.Reply(fmt.Errorf("%w: apache %s is %s", ErrNotRunning, a.name, a.state))
 		return
 	}
-	p := &page{a: a, req: req, done: done, parent: req.TraceSpan}
+	p := a.pages.Get()
+	p.a, p.req, p.done, p.parent = a, req, done, req.TraceSpan
 	// The "web" span brackets local queue wait + service plus the AJP
 	// forward, which travels under it.
 	p.Begin(a.env.Eng.Now(), a.obs, a.env.Trace, p.parent, "web", a.name)
@@ -178,9 +181,12 @@ func (p *page) JobFailed() {
 	p.finish(fmt.Errorf("%w: apache %s", ErrServerFailed, p.a.name))
 }
 
-// finish ends the hop and answers the caller.
+// finish ends the hop, puts the record back (see Hop) and answers the
+// caller.
 func (p *page) finish(err error) {
+	a, done := p.a, p.done
 	p.req.TraceSpan = p.parent
-	p.End(p.a.obs, p.a.env.Trace, p.req.WebCost/p.a.node.Config().CPUCapacity, err)
-	p.done.Reply(err)
+	p.End(a.obs, a.env.Trace, p.req.WebCost/a.node.Config().CPUCapacity, err)
+	a.pages.Put(p)
+	done.Reply(err)
 }

@@ -11,12 +11,33 @@ import (
 // request arrived with, the CPU job on the tier's node and how long it took
 // there. Each tier's per-request record (an Apache page, a balancer's
 // forward, a Tomcat servlet, a C-JDBC request, a MySQL execution) embeds
-// one and is the job's owner, so a hop is a single allocation:
+// one and is the job's owner. The tier takes the record from a FreeList of
+// its own in the handler and puts it back in the record's one finish, so a
+// warm hop allocates nothing:
 //
-//	r := &record{...}
+//	r := t.records.Get()
 //	r.Begin(now, metrics, tracer, parentSpan, "kind", name)
 //	node.Run(&r.Job, cost, r)        // r.JobDone: r.Ran(now), the tier's work
-//	r.End(metrics, tracer, svc, err) // then answer the caller
+//
+//	// finish, reached exactly once:
+//	r.End(metrics, tracer, svc, err)
+//	done := r.done                   // and anything else it still needs
+//	t.records.Put(r)
+//	done.Reply(err)                  // last: the caller may reuse r at once
+//
+// finish is reached exactly once because two contracts say so. A record is
+// its job's cluster.JobOwner, and the node calls exactly one of JobDone and
+// JobFailed, once (JobFailed from inside Run when the node is already
+// down, so nothing after Run may touch the record). A record is also the
+// netsim.Reply of the call it makes to the next hop, and Fabric.Start fires
+// done exactly once, however many attempts the call makes. A refusal
+// because the tier is not running answers before taking a record.
+//
+// Two things on the path stay per request, on purpose. The fabric's call
+// records (httpCall, sqlCall, the attempts of a retry): events of a call
+// may fire after its done, so a call's record is never reused. The
+// client's WebRequest: a delivery that arrives after the call settled still
+// reads it, after the client was answered.
 type Hop struct {
 	// Job is the hop's CPU job, queued by the record with Node.Run.
 	Job cluster.Job
@@ -58,3 +79,34 @@ func (h *Hop) End(m *obs.TierMetrics, tr *trace.Tracer, svc float64, err error, 
 	}
 	m.End(h.began, err)
 }
+
+// FreeList is a stack of idle records of one type, owned by the server,
+// balancer or controller whose records they are. Get returns a zeroed
+// record, allocating one only when none is idle; Put zeroes the record and
+// keeps it. An idle record therefore pins nothing for the collector, and a
+// reused one starts idle: its Job's idx is zero, so Node.Run's "job queued
+// twice" panic still guards it. The engine runs on one goroutine, so there
+// is no lock. The zero value is an empty list.
+type FreeList[T any] struct{ idle []*T }
+
+// Get returns an idle record, or a new one.
+func (l *FreeList[T]) Get() *T {
+	n := len(l.idle)
+	if n == 0 {
+		return new(T)
+	}
+	r := l.idle[n-1]
+	l.idle[n-1] = nil
+	l.idle = l.idle[:n-1]
+	return r
+}
+
+// Put zeroes r and keeps it for the next Get. r must not be used after.
+func (l *FreeList[T]) Put(r *T) {
+	var zero T
+	*r = zero
+	l.idle = append(l.idle, r)
+}
+
+// Len returns the number of idle records.
+func (l *FreeList[T]) Len() int { return len(l.idle) }

@@ -16,8 +16,9 @@ import (
 // consistency is a real, checkable property.
 type MySQL struct {
 	process
-	confPath string
-	db       *sqlengine.Engine
+	confPath   string
+	db         *sqlengine.Engine
+	executions FreeList[execution]
 }
 
 // MySQLOptions tunes a MySQL instance.
@@ -103,7 +104,8 @@ func (m *MySQL) ExecSQL(q Query, done netsim.Reply) {
 		done.Reply(fmt.Errorf("%w: mysql %s is %s", ErrNotRunning, m.name, m.state))
 		return
 	}
-	e := &execution{m: m, q: q, done: done}
+	e := m.executions.Get()
+	e.m, e.q, e.done = m, q, done
 	e.Begin(m.env.Eng.Now(), m.obs, m.env.Trace, q.TraceSpan, "db", m.name)
 	m.node.Run(&e.Job, q.Cost, e)
 }
@@ -148,8 +150,11 @@ func (e *execution) JobFailed() {
 	e.finish(fmt.Errorf("%w: mysql %s", ErrServerFailed, e.m.name))
 }
 
-// finish ends the hop and answers the caller.
+// finish ends the hop, puts the record back (see Hop) and answers the
+// caller.
 func (e *execution) finish(err error) {
-	e.End(e.m.obs, e.m.env.Trace, e.q.Cost/e.m.node.Config().CPUCapacity, err)
-	e.done.Reply(err)
+	m, done := e.m, e.done
+	e.End(m.obs, m.env.Trace, e.q.Cost/m.node.Config().CPUCapacity, err)
+	m.executions.Put(e)
+	done.Reply(err)
 }

@@ -22,6 +22,7 @@ type Tomcat struct {
 	confPath string
 	jdbc     SQLExecutor
 	jdbcAddr string
+	servlets FreeList[servlet]
 }
 
 // TomcatOptions tunes a Tomcat instance.
@@ -129,7 +130,8 @@ func (t *Tomcat) HandleHTTP(req *WebRequest, done netsim.Reply) {
 		done.Reply(fmt.Errorf("%w: tomcat %s is %s", ErrNotRunning, t.name, t.state))
 		return
 	}
-	s := &servlet{t: t, req: req, done: done}
+	s := t.servlets.Get()
+	s.t, s.req, s.done = t, req, done
 	s.Begin(t.env.Eng.Now(), t.obs, t.env.Trace, req.TraceSpan, "app", t.name, trace.Fi("queries", len(req.Queries)))
 	t.node.Run(&s.Job, req.AppCost, s)
 }
@@ -186,8 +188,11 @@ func (s *servlet) Reply(err error) {
 	s.runQueries()
 }
 
-// finish ends the hop and answers the caller.
+// finish ends the hop, puts the record back (see Hop) and answers the
+// caller.
 func (s *servlet) finish(err error) {
-	s.End(s.t.obs, s.t.env.Trace, s.req.AppCost/s.t.node.Config().CPUCapacity, err)
-	s.done.Reply(err)
+	t, done := s.t, s.done
+	s.End(t.obs, t.env.Trace, s.req.AppCost/t.node.Config().CPUCapacity, err)
+	t.servlets.Put(s)
+	done.Reply(err)
 }

@@ -124,6 +124,7 @@ type Balancer struct {
 
 	forwarded uint64
 	dropped   uint64
+	forwards  legacy.FreeList[forward]
 
 	// Trace, when set, records membership changes and, for requests
 	// carrying a TraceSpan, a "forward" child span naming the chosen
@@ -317,7 +318,8 @@ func (b *Balancer) HandleHTTP(req *legacy.WebRequest, done netsim.Reply) {
 		done.Reply(fmt.Errorf("%w: %s", b.kind.errNotRunning, b.name))
 		return
 	}
-	f := &forward{b: b, req: req, done: done, parent: req.TraceSpan}
+	f := b.forwards.Get()
+	f.b, f.req, f.done, f.parent = b, req, done, req.TraceSpan
 	// The member's hop travels under the "forward" span.
 	f.Begin(b.eng.Now(), b.Obs, b.Trace, f.parent, "forward", b.name)
 	req.TraceSpan = f.Span
@@ -370,10 +372,10 @@ func (f *forward) JobFailed() {
 	f.finish(fmt.Errorf("%s %s: %s node failed", b.kind.label, b.name, b.kind.unit))
 }
 
-// finish ends the hop, naming the member if one was chosen, and answers
-// the caller.
+// finish ends the hop, naming the member if one was chosen, puts the
+// record back (see legacy.Hop) and answers the caller.
 func (f *forward) finish(err error) {
-	b := f.b
+	b, done := f.b, f.done
 	if f.Span != 0 {
 		f.req.TraceSpan = f.parent
 	}
@@ -383,5 +385,6 @@ func (f *forward) finish(err error) {
 	} else {
 		f.End(b.Obs, b.Trace, svc, err)
 	}
-	f.done.Reply(err)
+	b.forwards.Put(f)
+	done.Reply(err)
 }

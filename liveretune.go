@@ -51,7 +51,7 @@ func liveRetuneManagedScenario(seed int64) (ScenarioConfig, float64) {
 // windowP99 returns the 99th-percentile completed-request latency over
 // [t0, t1) of virtual time.
 func windowP99(r *ScenarioResult, t0, t1 float64) float64 {
-	vs := windowValues(r.Stats.Latency, t0, t1)
+	vs := appendWindow(nil, r.Stats.Latency, t0, t1)
 	sort.Float64s(vs)
 	return metrics.Percentile(vs, 0.99)
 }

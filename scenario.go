@@ -250,22 +250,22 @@ func DefaultSLOs() []SLObjective {
 	}
 }
 
-// windowValues returns the series values with timestamps in [t0, t1),
-// using binary search over the time-ordered points.
-func windowValues(s *metrics.Series, t0, t1 float64) []float64 {
+// appendWindow appends the series values with timestamps in [t0, t1) to
+// dst, using binary search over the time-ordered points. A probe passes a
+// slice of its own, so a window allocates nothing once the slice has grown.
+func appendWindow(dst []float64, s *metrics.Series, t0, t1 float64) []float64 {
 	if s == nil || len(s.Points) == 0 {
-		return nil
+		return dst
 	}
 	pts := s.Points
 	lo := sort.Search(len(pts), func(i int) bool { return pts[i].T >= t0 })
-	var out []float64
 	for _, p := range pts[lo:] {
 		if p.T >= t1 {
 			break
 		}
-		out = append(out, p.V)
+		dst = append(dst, p.V)
 	}
-	return out
+	return dst
 }
 
 // sortedKeys returns the map's keys in sorted order, so map-driven
@@ -707,8 +707,10 @@ func scenarioProbe(obj *SLObjective, em *Emulator, res *ScenarioResult) func(t0,
 	switch obj.Kind {
 	case obs.LatencyPercentile:
 		pct := obj.Percentile
+		var buf []float64
 		return func(t0, t1 float64) (float64, bool) {
-			vs := windowValues(em.Stats().Latency, t0, t1)
+			vs := appendWindow(buf[:0], em.Stats().Latency, t0, t1)
+			buf = vs
 			if len(vs) == 0 {
 				return 0, false
 			}
@@ -734,8 +736,10 @@ func scenarioProbe(obj *SLObjective, em *Emulator, res *ScenarioResult) func(t0,
 		case "db":
 			s = res.DB.CPUSmoothed
 		}
+		var buf []float64
 		return func(t0, t1 float64) (float64, bool) {
-			vs := windowValues(s, t0, t1)
+			vs := appendWindow(buf[:0], s, t0, t1)
+			buf = vs
 			if len(vs) == 0 {
 				return 0, false
 			}

@@ -35,8 +35,8 @@ import (
 func (r *run) management() error {
 	cfg, p, res := &r.cfg, r.p, r.res
 	if !cfg.Managed {
-		appSensor := core.NewCPUSensor(r.appTier.Nodes, cfg.AppSizing.Window, 0)
-		dbSensor := core.NewCPUSensor(r.dbTier.Nodes, cfg.DBSizing.Window, 0)
+		appSensor := core.NewCPUSensor(r.appTier.AppendNodes, cfg.AppSizing.Window, 0)
+		dbSensor := core.NewCPUSensor(r.dbTier.AppendNodes, cfg.DBSizing.Window, 0)
 		res.App.CPURaw, res.App.CPUSmoothed = appSensor.Raw, appSensor.Smoothed
 		res.DB.CPURaw, res.DB.CPUSmoothed = dbSensor.Raw, dbSensor.Smoothed
 		res.App.Replicas = metrics.NewSeries("application-servers-replicas")
