@@ -616,13 +616,15 @@ func TestSnapshotReplayReplicaAnswersIndexedReads(t *testing.T) {
 	}
 }
 
-// A read costs the controller one record, which is also the backend's
-// reply, beyond the backend's own record (measured here and subtracted).
-// Prepared, it costs nothing else: nothing is parsed and the engine
-// allocates nothing, here or in the backend. As text it costs what
-// sqlengine.Parse allocates for the statement on top (3 for this SELECT).
-// Measured 1 in cjdbc and cluster; 2 while the record bound a callback for
-// the backend, 10 before the record. Instruments on, tracing off.
+// A read costs the controller nothing beyond what the backend costs
+// (measured here and subtracted; 0 too): the controller's record, which is
+// also the backend's reply, and the backend's come from their free lists.
+// Prepared, nothing is parsed and the engine allocates nothing, here or in
+// the backend. As text it costs what sqlengine.Parse allocates for the
+// statement (3 for this SELECT). Measured 0 in cjdbc and cluster, and 0 in
+// the backend; 1 and 1 while each read allocated its records, 2 in cjdbc
+// while the record bound a callback for the backend, 10 before the record.
+// Instruments on, tracing off.
 func TestReadAllocs(t *testing.T) {
 	r := newRig(t, 2)
 	r.ctl.Obs = obs.NewTierMetrics(obs.NewRegistry(r.env.Eng.Now), "sql", "cjdbc")
@@ -658,6 +660,9 @@ func TestReadAllocs(t *testing.T) {
 		m.ExecSQL(q, netsim.ReplyFunc(done))
 		r.env.Eng.Run()
 	})
+	if backend != 0 {
+		t.Errorf("the backend allocates %v objects for a prepared read, want 0", backend)
+	}
 	for _, c := range []struct {
 		form  string
 		q     legacy.Query
@@ -670,8 +675,8 @@ func TestReadAllocs(t *testing.T) {
 			r.ctl.ExecSQL(c.q, netsim.ReplyFunc(done))
 			r.env.Eng.Run()
 		})
-		if own := got - c.parse - backend; own > 1 {
-			t.Errorf("a %s read allocates %v objects (%v parsing, %v in the backend): %v in cjdbc and cluster, want at most 1", c.form, got, c.parse, backend, own)
+		if own := got - c.parse - backend; own > 0 {
+			t.Errorf("a %s read allocates %v objects (%v parsing, %v in the backend): %v in cjdbc and cluster, want 0", c.form, got, c.parse, backend, own)
 		}
 	}
 }
