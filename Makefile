@@ -27,8 +27,8 @@
 #   make api-check    - diff the facade's exported surface against testdata/api_surface.txt
 
 GO ?= go
-TMP_DIR := $(shell mktemp -d 2>/dev/null || echo /tmp)
-TRACE_TMP := $(TMP_DIR)/jade-trace.json
+# A target that writes files makes its own temporary directory in its
+# recipe and removes it on exit, pass or fail; no other target makes one.
 
 .PHONY: all build test vet race sweep trace-smoke golden bench obs-smoke netsim-smoke experiments api-check ci
 
@@ -56,9 +56,9 @@ sweep:
 	$(GO) run ./cmd/jadectl sweep -seeds 20 -speedup 8
 
 trace-smoke:
-	$(GO) run ./cmd/jadectl scenario -clients 300 -duration 300 -managed -trace.chrome $(TRACE_TMP)
-	$(GO) run ./cmd/jadectl trace-validate $(TRACE_TMP)
-	rm -f $(TRACE_TMP)
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -x && \
+	$(GO) run ./cmd/jadectl scenario -clients 300 -duration 300 -managed -trace.chrome $$tmp/jade-trace.json && \
+	$(GO) run ./cmd/jadectl trace-validate $$tmp/jade-trace.json
 
 golden:
 	$(GO) test -run TestGoldenDigests .
@@ -67,17 +67,16 @@ bench:
 	$(GO) run ./benchmark
 
 obs-smoke:
-	$(GO) run ./cmd/jadectl scenario -clients 200 -duration 300 -managed -metrics.http 127.0.0.1:0 -metrics.dir $(TMP_DIR)/obs -metrics.scrape-check
-	rm -rf $(TMP_DIR)/obs
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -x && \
+	$(GO) run ./cmd/jadectl scenario -clients 200 -duration 300 -managed -metrics.http 127.0.0.1:0 -metrics.dir $$tmp/obs -metrics.scrape-check
 
 netsim-smoke:
 	$(GO) run ./cmd/jadectl scenario -config examples/netfault.json
 
 experiments:
-	$(GO) run ./cmd/jadectl experiment -csv $(TMP_DIR)/csv > $(TMP_DIR)/experiments.txt
-	rm -rf $(TMP_DIR)/csv
-	diff -u testdata/experiments.golden $(TMP_DIR)/experiments.txt
-	rm -f $(TMP_DIR)/experiments.txt
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -x && \
+	$(GO) run ./cmd/jadectl experiment -csv $$tmp/csv > $$tmp/experiments.txt && \
+	diff -u testdata/experiments.golden $$tmp/experiments.txt
 
 api-check:
 	$(GO) test -run TestAPISurface .

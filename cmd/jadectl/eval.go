@@ -15,13 +15,23 @@ func logf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "jadectl: "+format+"\n", args...)
 }
 
+// setParallelism applies -parallel: a worker count, or 0 for GOMAXPROCS.
+// A negative count is refused rather than read as 0.
+func setParallelism(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-parallel %d: want a worker count, or 0 for GOMAXPROCS", n)
+	}
+	jade.SetParallelism(n)
+	return nil
+}
+
 func cmdExperiment(args []string) error {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "simulation seed (runs are deterministic per seed)")
 	speedup := fs.Float64("speedup", 1, "time compression of the ramp (1 = the paper's ~50-minute run)")
 	quick := fs.Bool("quick", false, "shrink the grayfail/liveretune/alertlat/latbudget/millionclient runs for smoke tests")
 	csvDir := fs.String("csv", "", "directory to write figure CSV data into")
-	parallel := fs.Int("parallel", 0, "worker count for fanning independent runs out (0 = GOMAXPROCS; results are deterministic regardless)")
+	parallel := fs.Int("parallel", 0, "worker count for fanning independent runs out (0 = GOMAXPROCS, negative refused; results are deterministic regardless)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: jadectl experiment [flags] [NAME]")
 		fs.PrintDefaults()
@@ -37,7 +47,9 @@ func cmdExperiment(args []string) error {
 	default:
 		return fmt.Errorf("usage: jadectl experiment [flags] [NAME]")
 	}
-	jade.SetParallelism(*parallel)
+	if err := setParallelism(*parallel); err != nil {
+		return err
+	}
 	pr, err := jade.RunExperiments(os.Stdout, name, jade.ExperimentOptions{
 		Seed: *seed, Speedup: *speedup, Quick: *quick, Logf: logf,
 	})
@@ -62,7 +74,7 @@ func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	seeds := fs.Int("seeds", 20, "sweep seeds 1..N (N >= 1)")
 	speedup := fs.Float64("speedup", 1, "time compression of the ramp (1 = the paper's ~50-minute run)")
-	parallel := fs.Int("parallel", 0, "worker count for fanning seeds out (0 = GOMAXPROCS; results are deterministic regardless)")
+	parallel := fs.Int("parallel", 0, "worker count for fanning seeds out (0 = GOMAXPROCS, negative refused; results are deterministic regardless)")
 	artifactPath := fs.String("artifact", "sweep-failure.json", "where to write the replayable artifact on failure")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -70,7 +82,9 @@ func cmdSweep(args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("usage: jadectl sweep [-seeds N] [-speedup X] [-parallel N] [-artifact PATH]")
 	}
-	jade.SetParallelism(*parallel)
+	if err := setParallelism(*parallel); err != nil {
+		return err
+	}
 	// RunChaosSweep refuses fewer than one seed before running anything.
 	res, err := jade.RunChaosSweep(*seeds, *speedup, logf)
 	if err != nil {

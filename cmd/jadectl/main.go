@@ -106,8 +106,9 @@
 // exits nonzero unless the recorded violation reproduces.
 //
 // -parallel fans independent runs (sweep seeds, each experiment's runs)
-// over a worker pool; 0 uses GOMAXPROCS. Results are byte-identical
-// whatever the worker count, apart from millionclient's wall-clock rows.
+// over a worker pool; 0 uses GOMAXPROCS, and a negative count is refused.
+// Results are byte-identical whatever the worker count, apart from
+// millionclient's wall-clock rows.
 // Host cost is measured by the repository benchmark (`go run
 // ./benchmark`), not here.
 package main
@@ -240,11 +241,14 @@ func cmdDeploy(args []string) error {
 	fs := flag.NewFlagSet("deploy", flag.ExitOnError)
 	adlPath := fs.String("adl", "", "architecture description file (default: built-in three-tier)")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	nodes := fs.Int("nodes", 9, "cluster pool size")
+	nodes := fs.Int("nodes", 9, "cluster pool size (at least 1)")
 	showConfig := fs.Bool("show-config", false, "print the generated legacy configuration files")
 	export := fs.Bool("export", false, "re-export the live architecture as an ADL document")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *nodes < 1 { // the platform would replace it with its default pool
+		return fmt.Errorf("-nodes %d: want at least 1 node", *nodes)
 	}
 	def, err := loadADL(*adlPath)
 	if err != nil {

@@ -92,10 +92,11 @@ func (p *Publisher) Get(path string) ([]byte, bool) {
 //	/config        refreshable configuration (GET: jade-config/v1 snapshot;
 //	               POST: enqueue a validated patch for the next drain tick)
 type AdminServer struct {
-	pub  *Publisher
-	ln   net.Listener
-	srv  *http.Server
-	done chan struct{}
+	pub   *Publisher
+	ln    net.Listener
+	srv   *http.Server
+	done  chan struct{}
+	conns sync.WaitGroup // one per accepted connection, until it closes
 }
 
 var pageContentTypes = map[string]string{
@@ -113,6 +114,12 @@ var pageContentTypes = map[string]string{
 // maxPostBody bounds POST request bodies (config patches are small); a
 // larger body is refused with 413 and never reaches the handler.
 const maxPostBody = 1 << 20
+
+// postBodyTimeout bounds how long a POST body may take to arrive once its
+// headers have: a client that stalls its body, or sends part of it and
+// stays connected, gets 400 when it runs out instead of holding its
+// connection and handler for as long as it likes.
+var postBodyTimeout = 10 * time.Second
 
 // StartAdmin listens on addr (e.g. ":8080" or "127.0.0.1:0" for an
 // ephemeral port) and serves pub's pages. It returns once the listener
@@ -133,6 +140,9 @@ func StartAdmin(addr string, pub *Publisher) (*AdminServer, error) {
 					http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 					return
 				}
+				// net/http's own writer supports deadlines; without one the
+				// body is merely unbounded in time, so the error changes nothing.
+				_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(postBodyTimeout))
 				body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxPostBody))
 				if err != nil {
 					var tooLarge *http.MaxBytesError
@@ -158,7 +168,15 @@ func StartAdmin(addr string, pub *Publisher) (*AdminServer, error) {
 			w.Write(page)
 		})
 	}
-	a.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	a.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second,
+		ConnState: func(_ net.Conn, state http.ConnState) {
+			switch state {
+			case http.StateNew: // on the serve loop, before Serve can return
+				a.conns.Add(1)
+			case http.StateClosed, http.StateHijacked:
+				a.conns.Done()
+			}
+		}}
 	go func() {
 		a.srv.Serve(ln)
 		close(a.done)
@@ -174,13 +192,17 @@ func (a *AdminServer) Addr() string {
 	return a.ln.Addr().String()
 }
 
-// Close stops the listener and waits for the serve loop to exit.
+// Close stops the listener, closes every connection, and waits for the
+// serve loop and each connection's handler to finish: a request in flight,
+// even one whose body is stalled, ends with its connection, and no handler
+// runs (or submits a patch) after Close returns.
 func (a *AdminServer) Close() error {
 	if a == nil {
 		return nil
 	}
 	err := a.srv.Close()
 	<-a.done
+	a.conns.Wait()
 	return err
 }
 

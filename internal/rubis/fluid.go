@@ -4,13 +4,13 @@ import (
 	"math"
 	"math/rand"
 
-	"jade/internal/sqlengine"
+	"jade/internal/legacy"
 )
 
 // FluidDemand is a mix's mean per-request resource profile: the
 // calibration constants the fluid workload model feeds its queue-theoretic
-// tier stations. It extends ExpectedCosts with the query-count moments the
-// C-JDBC proxy and write-broadcast equations need.
+// tier stations: ExpectedCosts' four per-tier costs plus the query-count
+// moments the C-JDBC proxy and write-broadcast equations need.
 type FluidDemand struct {
 	// Web, App, DBRead, DBWrite are mean CPU-seconds per request at each
 	// tier (DB costs summed over the request's queries).
@@ -24,24 +24,28 @@ type FluidDemand struct {
 }
 
 // FluidDemand estimates the mix's mean per-request demand by Monte Carlo
-// over the interaction weights, exactly as ExpectedCosts does (same
-// deterministic seed discipline), additionally counting queries.
+// over the interaction weights: samples requests drawn from seed, built as
+// the emulator builds them (reads prepared, without text) into one reused
+// query slice, each query classified by legacy.Query.IsWrite. It is the
+// one calibration loop; ExpectedCosts projects it.
 func (m *Mix) FluidDemand(ds Dataset, seed int64, samples int) FluidDemand {
 	rng := rand.New(rand.NewSource(seed))
 	g := &GenContext{DS: ds, RNG: rng, Counters: NewCounters(ds)}
+	qs := make([]legacy.Query, 0, 3)
 	var d FluidDemand
 	for i := 0; i < samples; i++ {
-		it := m.Pick(rng)
-		req := it.Request(g)
+		var req legacy.WebRequest
+		m.Pick(rng).build(g, &req, qs[:0])
 		d.Web += req.WebCost
 		d.App += req.AppCost
-		for _, query := range req.Queries {
+		for j := range req.Queries {
+			q := &req.Queries[j]
 			d.QueriesPerRequest++
-			if sqlengine.IsWrite(query.SQL) {
-				d.DBWrite += query.Cost
+			if q.IsWrite() {
+				d.DBWrite += q.Cost
 				d.WriteQueriesPerRequest++
 			} else {
-				d.DBRead += query.Cost
+				d.DBRead += q.Cost
 			}
 		}
 	}

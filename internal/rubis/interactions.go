@@ -324,8 +324,8 @@ func (it *Interaction) build(g *GenContext, req *legacy.WebRequest, qs []legacy.
 
 // Request materializes an interaction into a WebRequest whose every
 // statement carries its SQL text: the form for whoever reads the
-// statements (calibration, tools, tests), not for the emulator, whose
-// requests go down the tiers without text.
+// statements as text (tools, tests, the benchmark's driver), not for the
+// emulator or the calibration, whose requests carry no text.
 func (it *Interaction) Request(g *GenContext) *legacy.WebRequest {
 	req := &legacy.WebRequest{}
 	it.build(g, req, nil)
@@ -344,23 +344,9 @@ func (it *Interaction) Request(g *GenContext) *legacy.WebRequest {
 
 // ExpectedCosts returns the weighted mean per-request CPU demand of the
 // mix at each tier: web, app, database reads, database writes. These are
-// the calibration constants DESIGN.md derives the saturation points from.
+// the calibration constants DESIGN.md derives the saturation points from;
+// they are FluidDemand's per-tier costs, from the same Monte Carlo loop.
 func (m *Mix) ExpectedCosts(ds Dataset, seed int64, samples int) (web, app, dbRead, dbWrite float64) {
-	rng := rand.New(rand.NewSource(seed))
-	g := &GenContext{DS: ds, RNG: rng, Counters: NewCounters(ds)}
-	for i := 0; i < samples; i++ {
-		it := m.Pick(rng)
-		req := it.Request(g)
-		web += req.WebCost
-		app += req.AppCost
-		for _, query := range req.Queries {
-			if sqlengine.IsWrite(query.SQL) {
-				dbWrite += query.Cost
-			} else {
-				dbRead += query.Cost
-			}
-		}
-	}
-	n := float64(samples)
-	return web / n, app / n, dbRead / n, dbWrite / n
+	d := m.FluidDemand(ds, seed, samples)
+	return d.Web, d.App, d.DBRead, d.DBWrite
 }

@@ -13,7 +13,9 @@ package rubis
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 
 	"jade/internal/sqlengine"
 )
@@ -57,65 +59,110 @@ func schemaStatements() []string {
 
 // Populate fills db with the dataset. The generated content is a pure
 // function of the rng's state, so two replicas populated from equal seeds
-// are identical.
+// are identical. The schema is SQL text; every row is built as values and
+// handed to the engine as an INSERT statement, with no text between the
+// draws and the table. A FLOAT cell holds what "%.2f" printed and the
+// engine's lexer read back (cents), so the rows, their digests and the
+// write count are those of the dump as INSERT text.
 func (d Dataset) Populate(db *sqlengine.Engine, rng *rand.Rand) error {
 	for _, stmt := range schemaStatements() {
 		if _, err := db.Exec(stmt); err != nil {
 			return fmt.Errorf("rubis: schema: %w", err)
 		}
 	}
-	exec := func(format string, args ...any) error {
-		if _, err := db.Exec(fmt.Sprintf(format, args...)); err != nil {
-			return fmt.Errorf("rubis: populate: %w", err)
-		}
-		return nil
-	}
+	regions := insertInto(db, "regions", "id", "name")
 	for i := 0; i < d.Regions; i++ {
-		if err := exec("INSERT INTO regions (id, name) VALUES (%d, 'region-%d')", i, i); err != nil {
+		if err := regions.row(int64(i), "region-"+strconv.Itoa(i)); err != nil {
 			return err
 		}
 	}
+	categories := insertInto(db, "categories", "id", "name")
 	for i := 0; i < d.Categories; i++ {
-		if err := exec("INSERT INTO categories (id, name) VALUES (%d, 'category-%d')", i, i); err != nil {
+		if err := categories.row(int64(i), "category-"+strconv.Itoa(i)); err != nil {
 			return err
 		}
 	}
+	users := insertInto(db, "users", "id", "nickname", "password", "region", "rating", "balance")
 	for i := 0; i < d.Users; i++ {
-		if err := exec(
-			"INSERT INTO users (id, nickname, password, region, rating, balance) VALUES (%d, 'user%d', 'pw%d', %d, %d, %.2f)",
-			i, i, i, rng.Intn(max(1, d.Regions)), rng.Intn(10), rng.Float64()*1000); err != nil {
+		region := rng.Intn(max(1, d.Regions))
+		rating := rng.Intn(10)
+		balance := rng.Float64() * 1000
+		id := strconv.Itoa(i)
+		if err := users.row(int64(i), "user"+id, "pw"+id, int64(region), int64(rating), cents(balance)); err != nil {
 			return err
 		}
 	}
+	items := insertInto(db, "items", "id", "name", "seller", "category", "initial_price", "max_bid", "nb_of_bids", "end_date", "buy_now")
+	bids := insertInto(db, "bids", "id", "user_id", "item_id", "bid", "date")
 	bidID, commentID := 0, 0
 	for i := 0; i < d.Items; i++ {
 		price := 1 + rng.Float64()*100
-		if err := exec(
-			"INSERT INTO items (id, name, seller, category, initial_price, max_bid, nb_of_bids, end_date, buy_now) VALUES (%d, 'item-%d', %d, %d, %.2f, %.2f, %d, %d, %.2f)",
-			i, i, rng.Intn(max(1, d.Users)), rng.Intn(max(1, d.Categories)),
-			price, price, 0, 1000000+rng.Intn(1000000), price*1.5); err != nil {
+		seller := rng.Intn(max(1, d.Users))
+		category := rng.Intn(max(1, d.Categories))
+		endDate := 1000000 + rng.Intn(1000000)
+		p := cents(price)
+		if err := items.row(int64(i), "item-"+strconv.Itoa(i), int64(seller), int64(category),
+			p, p, int64(0), int64(endDate), cents(price*1.5)); err != nil {
 			return err
 		}
 		for b := 0; b < d.BidsPerItem; b++ {
-			if err := exec(
-				"INSERT INTO bids (id, user_id, item_id, bid, date) VALUES (%d, %d, %d, %.2f, %d)",
-				bidID, rng.Intn(max(1, d.Users)), i, price+float64(b), b); err != nil {
+			user := rng.Intn(max(1, d.Users))
+			if err := bids.row(int64(bidID), int64(user), int64(i), cents(price+float64(b)), int64(b)); err != nil {
 				return err
 			}
 			bidID++
 		}
 	}
+	comments := insertInto(db, "comments", "id", "from_user", "to_user", "item_id", "rating", "comment")
 	for u := 0; u < d.Users; u++ {
 		for c := 0; c < d.CommentsPerUser; c++ {
-			if err := exec(
-				"INSERT INTO comments (id, from_user, to_user, item_id, rating, comment) VALUES (%d, %d, %d, %d, %d, 'seed comment')",
-				commentID, rng.Intn(max(1, d.Users)), u, rng.Intn(max(1, d.Items)), rng.Intn(5)); err != nil {
+			from := rng.Intn(max(1, d.Users))
+			item := rng.Intn(max(1, d.Items))
+			rating := rng.Intn(5)
+			if err := comments.row(int64(commentID), int64(from), int64(u), int64(item), int64(rating), "seed comment"); err != nil {
 				return err
 			}
 			commentID++
 		}
 	}
 	return nil
+}
+
+// inserter is one table's INSERT, refilled row after row: the engine
+// copies the values into a row of its own, so the statement's slices are
+// the inserter's to reuse.
+type inserter struct {
+	db   *sqlengine.Engine
+	stmt sqlengine.InsertStmt
+}
+
+func insertInto(db *sqlengine.Engine, table string, columns ...string) *inserter {
+	return &inserter{db: db, stmt: sqlengine.InsertStmt{Table: table, Columns: columns}}
+}
+
+// row inserts one row, its values in the order of the statement's columns.
+func (in *inserter) row(vals ...sqlengine.Value) error {
+	in.stmt.Values = append(in.stmt.Values[:0], vals...)
+	if _, err := in.db.ExecStmt(in.stmt); err != nil {
+		return fmt.Errorf("rubis: populate: %w", err)
+	}
+	return nil
+}
+
+// cents returns x as a "%.2f" literal reads back: the double nearest x
+// rounded to two decimals (a tie to the even cent, as strconv rounds
+// x's exact value). math.Round(x·100)/100 is that double whenever x·100
+// is not within its rounding error of a half cent; below 1e9 that error
+// is under 1e-7, so only a product within 1e-6 of a half cent, a larger
+// one, or Inf and NaN take the printed text.
+func cents(x float64) float64 {
+	c := x * 100
+	if math.Abs(c) < 1e9 && math.Abs(c-math.Floor(c)-0.5) > 1e-6 {
+		return math.Round(c) / 100
+	}
+	var buf [32]byte
+	v, _ := strconv.ParseFloat(string(strconv.AppendFloat(buf[:0], x, 'f', 2, 64)), 64)
+	return v
 }
 
 // InitialDatabase builds and populates a fresh database from a seed.
