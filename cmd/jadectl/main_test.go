@@ -84,9 +84,9 @@ func TestScenarioFlagDefaultsMakeTheSpec(t *testing.T) {
 }
 
 // A sweep over no seeds, an unknown experiment, a negative or non-finite
-// speedup and a non-finite duration are usage errors; all fail before any
-// simulation runs. A NaN horizon used to run forever, and a negative
-// speedup was silently replaced.
+// speedup, a negative worker count and a non-finite duration are usage
+// errors; all fail before any simulation runs. A NaN horizon used to run
+// forever, and a negative speedup or worker count was silently replaced.
 func TestEvaluationUsageErrors(t *testing.T) {
 	for _, n := range []string{"0", "-3"} {
 		if err := cmdSweep([]string{"-seeds", n}); err == nil {
@@ -101,9 +101,28 @@ func TestEvaluationUsageErrors(t *testing.T) {
 			t.Errorf("experiment -speedup %s fig5: err = %v, want one naming the speedup", x, err)
 		}
 	}
+	for _, n := range []string{"-1", "-2"} {
+		if err := cmdExperiment([]string{"-parallel", n, "fig4"}); err == nil || !strings.Contains(err.Error(), "-parallel") {
+			t.Errorf("experiment -parallel %s fig4: err = %v, want one naming -parallel", n, err)
+		}
+		if err := cmdSweep([]string{"-seeds", "1", "-speedup", "8", "-parallel", n}); err == nil || !strings.Contains(err.Error(), "-parallel") {
+			t.Errorf("sweep -parallel %s: err = %v, want one naming -parallel", n, err)
+		}
+	}
 	for _, d := range []string{"NaN", "+Inf"} {
 		if err := cmdScenario([]string{"-clients", "10", "-duration", d}); err == nil || !strings.Contains(err.Error(), "duration") {
 			t.Errorf("scenario -duration %s: err = %v, want one naming the duration", d, err)
+		}
+	}
+}
+
+// A pool of no nodes is refused before anything deploys: the platform
+// replaces a non-positive size with its default pool, so -nodes 0 used to
+// deploy on nine nodes.
+func TestDeployRefusesEmptyPool(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		if err := cmdDeploy([]string{"-nodes", n}); err == nil || !strings.Contains(err.Error(), "-nodes") {
+			t.Errorf("deploy -nodes %s: err = %v, want one naming -nodes", n, err)
 		}
 	}
 }
