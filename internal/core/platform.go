@@ -34,7 +34,8 @@ import (
 type Options struct {
 	// Seed drives all simulation randomness.
 	Seed int64
-	// Nodes is the cluster pool size.
+	// Nodes is the cluster pool size; 0 means the default, 9. A negative
+	// size makes NewPlatform panic.
 	Nodes int
 	// NodeConfig configures every pool node.
 	NodeConfig cluster.Config
@@ -112,9 +113,13 @@ type Platform struct {
 	repairDiscardHooks []func(now float64, tier, replica string, alive func() (bool, string))
 }
 
-// NewPlatform builds a platform with the standard wrapper registry.
+// NewPlatform builds a platform with the standard wrapper registry. A
+// zero opts.Nodes takes the default pool size; a negative one panics.
 func NewPlatform(opts Options) *Platform {
-	if opts.Nodes <= 0 {
+	if opts.Nodes < 0 {
+		panic(fmt.Sprintf("core: NewPlatform: Options.Nodes is %d, want 0 (the default pool) or more", opts.Nodes))
+	}
+	if opts.Nodes == 0 {
 		opts.Nodes = DefaultOptions().Nodes
 	}
 	if opts.NodeConfig.CPUCapacity == 0 {

@@ -33,11 +33,9 @@ import (
 // done exactly once, however many attempts the call makes. A refusal
 // because the tier is not running answers before taking a record.
 //
-// Two things on the path stay per request, on purpose. The fabric's call
-// records (httpCall, sqlCall, the attempts of a retry): events of a call
-// may fire after its done, so a call's record is never reused. The
-// client's WebRequest: a delivery that arrives after the call settled still
-// reads it, after the client was answered.
+// One thing on the path stays per request, on purpose: the client's
+// WebRequest, which a delivery that arrives after the call settled still
+// reads, after the client was answered.
 type Hop struct {
 	// Job is the hop's CPU job, queued by the record with Node.Run.
 	Job cluster.Job

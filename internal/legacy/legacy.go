@@ -170,6 +170,10 @@ type SQLExecutor interface {
 type Network struct {
 	listeners map[string]any
 	fabric    *netsim.Fabric
+	// httpCalls and sqlCalls are the idle records of forwards over the
+	// fabric, which hands each back once nothing of its call can read it.
+	httpCalls FreeList[httpCall]
+	sqlCalls  FreeList[sqlCall]
 }
 
 // NewNetwork returns an empty network.
@@ -193,23 +197,32 @@ func endpointName(target any) string {
 }
 
 // httpCall is one forwarded HTTP request: the fabric's call record plus
-// what each attempt hands the target.
+// what each attempt hands the target. It is a netsim.Releaser: every
+// target answers each request it is handed exactly once (the Hop
+// contract), so the fabric puts the record back on its network's list
+// once the call is settled and no event or held attempt can read it.
 type httpCall struct {
 	netsim.RPC
+	net    *Network
 	target HTTPHandler
 	req    *WebRequest
 }
 
 func (c *httpCall) Attempt(reply netsim.Reply) { c.target.HandleHTTP(c.req, reply) }
 
+func (c *httpCall) Release() { c.net.httpCalls.Put(c) }
+
 // sqlCall is one forwarded query, the same way.
 type sqlCall struct {
 	netsim.RPC
+	net    *Network
 	target SQLExecutor
 	q      Query
 }
 
 func (c *sqlCall) Attempt(reply netsim.Reply) { c.target.ExecSQL(c.q, reply) }
+
+func (c *sqlCall) Release() { c.net.sqlCalls.Put(c) }
 
 // ForwardHTTP delivers req to target on behalf of the endpoint from,
 // over the fabric when one is enabled and directly otherwise. tier names
@@ -219,7 +232,8 @@ func (n *Network) ForwardHTTP(from, tier string, target HTTPHandler, req *WebReq
 		target.HandleHTTP(req, done)
 		return
 	}
-	c := &httpCall{target: target, req: req}
+	c := n.httpCalls.Get()
+	c.net, c.target, c.req = n, target, req
 	n.fabric.Start(&c.RPC, from, endpointName(target), tier, c, done)
 }
 
@@ -230,7 +244,8 @@ func (n *Network) ForwardSQL(from, tier string, target SQLExecutor, q Query, don
 		target.ExecSQL(q, done)
 		return
 	}
-	c := &sqlCall{target: target, q: q}
+	c := n.sqlCalls.Get()
+	c.net, c.target, c.q = n, target, q
 	n.fabric.Start(&c.RPC, from, endpointName(target), tier, c, done)
 }
 

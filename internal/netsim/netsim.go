@@ -26,8 +26,19 @@
 // it answers and no other: when it answers a superseded attempt, whose
 // timer has already fired, the live attempt's timer still fires later and
 // finds the call settled. Replies and timers that find the call settled do
-// nothing, but they read the record, so an RPC is never reused. A settled
-// call schedules no further attempt.
+// nothing, but they read the record. A settled call schedules no further
+// attempt.
+//
+// So a record may be reused only once nothing of its call can read it.
+// The record counts what still can: an attempt's timer while it is
+// scheduled, a request in flight, an attempt its callee holds (from the
+// request's delivery until the callee's Reply), a reply in flight, and a
+// scheduled backoff. When the call is settled and the count is zero, the
+// fabric hands the record back, once, to a callee that implements
+// Releaser; the callee then answers each attempt delivered to it exactly
+// once. Any other record (Call's, or Start's with a callee that does not
+// implement Releaser) is never handed back, and a callee that never
+// answers only leaves its record to the collector.
 //
 // An attempt's timer is scheduled on the engine's fixed-delay lane for its
 // budget's timeout (sim.Engine.Lane), and so is a message on a link
@@ -407,6 +418,15 @@ type Callee interface {
 	Attempt(reply Reply)
 }
 
+// Releaser is a Callee that takes its call's record back: Release runs
+// once, when the call is settled and nothing of it can read the record
+// (see the package comment), typically to put the record on a free list.
+// A Releaser answers each attempt delivered to it exactly once; a second
+// answer to one attempt panics while the record is live.
+type Releaser interface {
+	Release()
+}
+
 // Reply is where an answer goes: the caller's own per-request record, so
 // answering allocates nothing. An attempt of a call is the Reply its
 // callee is handed.
@@ -444,30 +464,49 @@ func (f *Fabric) Call(from, to, tier string, attempt func(reply func(error)), do
 }
 
 // Start is Call over a record the caller owns, typically embedded in its
-// own per-call record. Events of the call may fire after done, so each
-// call takes an RPC of its own, never reused. A disabled fabric runs
-// callee.Attempt directly with done as its reply and leaves c untouched.
+// own per-call record. Events of the call may fire after done, so c stays
+// the call's until nothing of it can read c any more: the record counts
+// its pending timers, messages in flight, attempts its callee holds and
+// backoffs, and when the call is settled and the count is zero it hands c
+// back through callee's Release, if callee is a Releaser, which must then
+// answer each attempt delivered to it exactly once. Without a Releaser, c
+// is never reused. A disabled fabric runs callee.Attempt directly with
+// done as its reply, leaves c untouched and never releases it.
 func (f *Fabric) Start(c *RPC, from, to, tier string, callee Callee, done Reply) {
 	if !f.Enabled() {
 		callee.Attempt(done)
 		return
 	}
 	f.stats.RPCs++
-	*c = RPC{f: f, from: from, to: to, tier: tier, budget: f.budget(tier), callee: callee, done: done}
+	rel, _ := callee.(Releaser)
+	*c = RPC{f: f, from: from, to: to, tier: tier, budget: f.budget(tier), callee: callee, release: rel, done: done}
 	c.try(0)
 }
 
 // RPC is the record of one call: what was asked, the budget resolved when
-// it was issued, whether done has fired, and its first attempt. The zero
-// value is ready for Start.
+// it was issued, whether done has fired, how many of its events and held
+// attempts can still read it, and its first attempt. The zero value is
+// ready for Start.
 type RPC struct {
 	f              *Fabric
 	from, to, tier string
 	budget         RPCBudget
 	callee         Callee
+	release        Releaser // callee, when it takes the record back
 	done           Reply
 	settled        bool
+	refs           int
 	first          rpcAttempt
+}
+
+// drop uncounts one thing that could read the record, and hands the
+// record back when the call is settled and nothing can read it any more.
+// Nothing may touch the record after it.
+func (c *RPC) drop() {
+	c.refs--
+	if c.refs == 0 && c.settled && c.release != nil {
+		c.release.Release()
+	}
 }
 
 // rpcAttempt is one try of an RPC: its number, its own timer, and the
@@ -495,8 +534,9 @@ func (a *attemptRequest) Fire() { (*rpcAttempt)(a).deliver() }
 func (a *attemptReply) Fire()   { (*rpcAttempt)(a).replyArrived() }
 func (a *attemptBackoff) Fire() { (*rpcAttempt)(a).retry() }
 
-// try starts attempt n: the timer first, then the request message. The
-// first attempt lives in the record; a retry allocates its own.
+// try starts attempt n: the timer first, then the request message, each
+// counted while it is pending. The first attempt lives in the record; a
+// retry allocates its own, which its call's count covers too.
 func (c *RPC) try(n int) {
 	if c.settled {
 		return
@@ -512,51 +552,74 @@ func (c *RPC) try(n int) {
 	}
 	a.c, a.n = c, n
 	a.timeout = f.eng.Lane(c.budget.TimeoutSeconds).Schedule("net:rpc-timeout", (*attemptTimeout)(a))
-	f.send(c.from, c.to, c.tier, (*attemptRequest)(a))
+	c.refs++
+	if f.send(c.from, c.to, c.tier, (*attemptRequest)(a)) {
+		c.refs++
+	}
 }
 
 // settle fires done with the outcome of attempt a unless the call is
-// already settled. Only a's own timer is canceled: a late reply from a
-// superseded attempt leaves the live attempt's timer to fire as a no-op.
+// already settled. Only a's own timer is canceled, and uncounted if it was
+// still pending: a late reply from a superseded attempt leaves the live
+// attempt's timer to fire as a no-op. settle never hands the record back:
+// the reply that settled the call is uncounted after it.
 func (c *RPC) settle(a *rpcAttempt, err error) {
 	if c.settled {
 		return
 	}
 	c.settled = true
-	c.f.eng.Cancel(a.timeout)
+	if a.timeout.Pending() {
+		c.f.eng.Cancel(a.timeout)
+		c.refs--
+	}
 	c.done.Reply(err)
 }
 
+// deliver hands the attempt to the callee; the request's count passes to
+// the attempt the callee now holds.
 func (a *rpcAttempt) deliver() { a.c.callee.Attempt(a) }
 
 // Reply sends the callee's result back; the response crosses the network
 // too, and one that arrives after the call settled is discarded. The
-// first reply's error rides in the attempt record; a callee that replies
-// again gets a message of its own, so neither error overwrites the other.
+// held attempt's count passes to the response, or is dropped with it when
+// the response is lost. The first reply's error rides in the attempt
+// record; a callee that replies again, outside Releaser's contract, gets
+// an uncounted message of its own, so neither error overwrites the other.
 func (a *rpcAttempt) Reply(err error) {
 	c := a.c
-	var arrive sim.Handler
 	if a.replied {
-		arrive = sim.Func(func() { c.settle(a, err) })
-	} else {
-		a.replied, a.err = true, err
-		arrive = (*attemptReply)(a)
+		if c.release != nil {
+			panic(fmt.Sprintf("netsim: %s call %s->%s answered twice by a Releaser", c.tier, c.from, c.to))
+		}
+		c.f.send(c.to, c.from, c.f.names(c.tier).reply, sim.Func(func() { c.settle(a, err) }))
+		return
 	}
-	c.f.send(c.to, c.from, c.f.names(c.tier).reply, arrive)
+	a.replied, a.err = true, err
+	if !c.f.send(c.to, c.from, c.f.names(c.tier).reply, (*attemptReply)(a)) {
+		c.drop()
+	}
 }
 
-func (a *rpcAttempt) replyArrived() { a.c.settle(a, a.err) }
+func (a *rpcAttempt) replyArrived() {
+	c := a.c
+	c.settle(a, a.err)
+	c.drop()
+}
 
-// timedOut backs off into the next attempt, or abandons the call when the
-// budget is spent.
+// timedOut backs off into the next attempt, passing the timer's count to
+// the backoff, or abandons the call when the budget is spent.
 func (a *rpcAttempt) timedOut() {
 	c := a.c
 	if c.settled {
+		c.drop()
 		return
 	}
 	f := c.f
 	if a.n+1 < c.budget.Attempts {
-		backoff := c.budget.BackoffSeconds * float64(int(1)<<a.n)
+		// The conversion rounds the product, so no architecture fuses it
+		// with the sum into one multiply-add: the instant is the same
+		// everywhere.
+		backoff := float64(c.budget.BackoffSeconds * float64(int(1)<<a.n))
 		f.eng.Schedule(f.eng.Now()+backoff, "net:rpc-backoff", (*attemptBackoff)(a))
 		return
 	}
@@ -566,6 +629,11 @@ func (a *rpcAttempt) timedOut() {
 	f.tr.Emit("net", "net.abandon",
 		trace.F("from", c.from), trace.F("to", c.to), trace.F("tier", c.tier), trace.Fi("attempts", a.n+1))
 	c.done.Reply(fmt.Errorf("%w: %s %s->%s after %d attempts", ErrRPCTimeout, c.tier, c.from, c.to, a.n+1))
+	c.drop()
 }
 
-func (a *rpcAttempt) retry() { a.c.try(a.n + 1) }
+func (a *rpcAttempt) retry() {
+	c := a.c
+	c.try(a.n + 1)
+	c.drop()
+}

@@ -580,5 +580,7 @@ func (e *Engine) Uniform(lo, hi float64) float64 {
 	if hi <= lo {
 		return lo
 	}
-	return lo + e.rng.Float64()*(hi-lo)
+	// The conversion rounds the product, so no architecture fuses it with
+	// the sum into one multiply-add: the draw is the same everywhere.
+	return lo + float64(e.rng.Float64()*(hi-lo))
 }

@@ -263,7 +263,8 @@ func ValidateAlertsPage(doc []byte) error { return alert.ValidateAlertsPage(doc)
 // incidents.json).
 func ValidateIncidentsJSON(doc []byte) error { return alert.ValidateIncidentsJSON(doc) }
 
-// NewPlatform builds a platform with the standard wrapper registry.
+// NewPlatform builds a platform with the standard wrapper registry. A
+// zero Nodes takes the default pool size; a negative one panics.
 func NewPlatform(opts PlatformOptions) *Platform { return core.NewPlatform(opts) }
 
 // DefaultPlatformOptions mirrors the paper's 9-node testbed.

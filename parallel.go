@@ -1,6 +1,7 @@
 package jade
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 )
@@ -10,12 +11,12 @@ var parallelism atomic.Int64
 
 // SetParallelism sets the worker count used when experiments fan
 // independent simulation runs out over goroutines (every experiment's
-// runs, the chaos sweep's seeds). Values <= 0 restore the default,
-// GOMAXPROCS. `jadectl experiment -parallel N` and `jadectl sweep
-// -parallel N` route here.
+// runs, the chaos sweep's seeds). 0 restores the default, GOMAXPROCS; a
+// negative count panics. `jadectl experiment -parallel N` and `jadectl
+// sweep -parallel N` route here, after refusing a negative N.
 func SetParallelism(n int) {
 	if n < 0 {
-		n = 0
+		panic(fmt.Sprintf("jade: SetParallelism(%d): the worker count must be 0 (GOMAXPROCS) or more", n))
 	}
 	parallelism.Store(int64(n))
 }
