@@ -118,3 +118,28 @@ func TestExperimentReportsGolden(t *testing.T) {
 	}
 	checkGolden(t, experimentsQuickGolden, []byte(outs[0]))
 }
+
+// SetParallelism(0) restores GOMAXPROCS; a negative count panics with a
+// message that names it, and leaves the width as it was.
+func TestSetParallelismRejectsNegative(t *testing.T) {
+	prev := Parallelism()
+	defer SetParallelism(prev)
+	SetParallelism(3)
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "SetParallelism(-2)") {
+				t.Errorf("SetParallelism(-2) panicked with %q, want a message naming the count", msg)
+			}
+		}()
+		SetParallelism(-2)
+		t.Error("SetParallelism(-2) returned")
+	}()
+	if got := Parallelism(); got != 3 {
+		t.Errorf("after the refused count the width is %d, want 3", got)
+	}
+	SetParallelism(0)
+	if got, want := Parallelism(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("SetParallelism(0): width %d, want GOMAXPROCS %d", got, want)
+	}
+}

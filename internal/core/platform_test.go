@@ -101,6 +101,19 @@ func TestPlatformOptionDefaults(t *testing.T) {
 	p.Logf("hello %d", 42)
 }
 
+// A negative pool size is a caller's mistake, not a request for the
+// default: NewPlatform panics with a message that names the field.
+func TestNewPlatformRejectsNegativeNodes(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Options.Nodes is -1") {
+			t.Fatalf("NewPlatform(Nodes: -1) panicked with %q, want a message naming Options.Nodes", msg)
+		}
+	}()
+	NewPlatform(Options{Nodes: -1})
+	t.Fatal("NewPlatform(Nodes: -1) returned")
+}
+
 func TestDumpRegistry(t *testing.T) {
 	p := NewPlatform(DefaultOptions())
 	if _, ok := p.Dump("ghost"); ok {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"jade/internal/cluster"
 	"jade/internal/netsim"
 )
 
@@ -212,4 +213,127 @@ func TestHopRecordLifecycle(t *testing.T) {
 		}
 		checkIdle(t, "mysql", &m.executions, int(deliveries))
 	})
+}
+
+// preset fills an empty free list with n fresh records and returns them.
+func preset[T any](l *FreeList[T], n int) map[*T]bool {
+	recs := make(map[*T]bool, n)
+	for i := 0; i < n; i++ {
+		r := new(T)
+		recs[r] = true
+		l.Put(r)
+	}
+	return recs
+}
+
+// lateCheck passes requests to h and counts those delivered after their
+// call settled.
+type lateCheck struct {
+	h       HTTPHandler
+	settled map[*WebRequest]bool
+	late    int
+}
+
+func (c *lateCheck) HandleHTTP(req *WebRequest, done netsim.Reply) {
+	if c.settled[req] {
+		c.late++
+	}
+	c.h.HandleHTTP(req, done)
+}
+
+// The fabric hands each of the network's call records back exactly once,
+// zeroed, and only once nothing of its call can read it. Over a lossy,
+// jittered fabric with timeouts shorter than some round trips, dynamic
+// pages go client -> Apache -> Tomcat -> MySQL: calls retransmit, some are
+// abandoned, requests reach Apache after their call settled and are
+// answered then, and MySQL's node and then Tomcat's crash under their
+// jobs. The lists start with more preset records than are ever in flight,
+// so the run makes none of its own: a record that never comes back leaves
+// its list short, and one put back twice shows up twice. An event that
+// reached a record while it sat idle would panic on its zeroed fields, and
+// one that reached it after it was taken again would answer a request
+// twice or never.
+func TestCallRecordLifecycle(t *testing.T) {
+	env, a, tc, m := buildStack(t)
+	if _, err := m.DB().Exec("CREATE TABLE items (id INT)"); err != nil {
+		t.Fatal(err)
+	}
+	fab := netsim.New(env.Eng, netsim.Config{
+		Enabled: true,
+		Default: netsim.Link{LatencyMS: 1, JitterMS: 4, Loss: 0.1},
+		RPC: map[string]netsim.RPCBudget{
+			"front": {TimeoutSeconds: 0.02, Attempts: 3, BackoffSeconds: 0.005},
+			"app":   {TimeoutSeconds: 0.08, Attempts: 3, BackoffSeconds: 0.01},
+			"sql":   {TimeoutSeconds: 0.02, Attempts: 2, BackoffSeconds: 0.005},
+		},
+	}, 1)
+	env.Net.SetFabric(fab)
+	const records = 64
+	httpRecs := preset(&env.Net.httpCalls, records)
+	sqlRecs := preset(&env.Net.sqlCalls, records)
+
+	const requests = 200
+	front := &lateCheck{h: a, settled: make(map[*WebRequest]bool)}
+	answers := make([]int, requests)
+	failed := 0
+	for i := 0; i < requests; i++ {
+		env.Eng.After(float64(i)*0.02, "request", func() {
+			req := &WebRequest{WebCost: 0.001, AppCost: 0.004, Queries: []Query{{SQL: "SELECT * FROM items", Cost: 0.004}}}
+			env.Net.ForwardHTTP("client", "front", front, req, netsim.ReplyFunc(func(err error) {
+				answers[i]++
+				front.settled[req] = true
+				if err != nil {
+					failed++
+				}
+			}))
+		})
+	}
+	// Each node crashes the first time it is seen running jobs after its
+	// instant, while requests still arrive.
+	crashed := map[*cluster.Node]int{} // the jobs under each crash
+	last := env.Eng.Now() + requests*0.02
+	var crashBusy func(n *cluster.Node)
+	crashBusy = func(n *cluster.Node) {
+		if n.ActiveJobs() > 0 {
+			crashed[n] = n.ActiveJobs()
+			n.Fail()
+			return
+		}
+		if env.Eng.Now() < last {
+			env.Eng.After(0.0005, "crash", func() { crashBusy(n) })
+		}
+	}
+	env.Eng.After(2, "crash", func() { crashBusy(m.Node()) })
+	env.Eng.After(3, "crash", func() { crashBusy(tc.Node()) })
+	env.Eng.Run()
+
+	for i, n := range answers {
+		if n != 1 {
+			t.Fatalf("request %d answered %d times", i, n)
+		}
+	}
+	st := fab.Stats()
+	if st.Retransmits == 0 || st.Abandoned == 0 || front.late == 0 || crashed[m.Node()] == 0 || crashed[tc.Node()] == 0 || failed == requests {
+		t.Fatalf("%d retransmits, %d abandons, %d late deliveries, %d and %d jobs under MySQL's and Tomcat's crash, %d of the requests failed; the run must cover each and answer some requests",
+			st.Retransmits, st.Abandoned, front.late, crashed[m.Node()], crashed[tc.Node()], failed)
+	}
+	if st.RPCs <= 2*records {
+		t.Fatalf("%d calls over %d records per list: too few to reuse a record", st.RPCs, records)
+	}
+	checkPreset(t, "httpCalls", &env.Net.httpCalls, httpRecs)
+	checkPreset(t, "sqlCalls", &env.Net.sqlCalls, sqlRecs)
+}
+
+// checkPreset checks a list at quiescence against the records preset on
+// it: each back once and zeroed, and none made meanwhile.
+func checkPreset[T any](t *testing.T, name string, l *FreeList[T], recs map[*T]bool) {
+	t.Helper()
+	if n := checkIdle(t, name, l, len(recs)); n != len(recs) {
+		t.Errorf("%s: %d of %d records back in the list", name, n, len(recs))
+	}
+	for _, r := range l.idle {
+		if !recs[r] {
+			t.Errorf("%s: record %p was made during the run: the preset ones ran out", name, r)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"jade/internal/sim"
@@ -97,12 +98,14 @@ func (f *Fabric) referenceCall(from, to, tier string, attempt func(reply func(er
 // callTranscript is everything observable about a batch of RPCs: each
 // dispatched event, each done(err), and the fabric's counters; and how
 // often the script answered twice on one arrival, or after its call had
-// settled, and how many calls were outstanding when the budgets changed.
+// settled, how many calls had an arrival it never answered, and how many
+// calls were outstanding when the budgets changed.
 type callTranscript struct {
 	Events       []string
 	Dones        []string
 	Stats        Stats
 	Twice, Late  int
+	Silent       int
 	OpenAtRetune int
 }
 
@@ -128,9 +131,10 @@ var callNets = []callNet{
 		retune: map[string]RPCBudget{"app": {TimeoutSeconds: 1.5, Attempts: 3, BackoffSeconds: 0.5}}},
 }
 
-// A scripted call goes through one of three paths. The reference chain and
+// A scripted call goes through one of four paths. The reference chain and
 // Call hand their callee a func(error); Start hands its callee the attempt
-// itself as its Reply, so a second or late answer reaches the record.
+// itself as its Reply, so a second or late answer reaches the record, and
+// so does a recycler's call, whose records the fabric hands back.
 type scriptedCall func(f *Fabric, from, to, tier string, attempt func(Reply), done func(error))
 
 func viaReference(f *Fabric, from, to, tier string, attempt func(Reply), done func(error)) {
@@ -150,12 +154,72 @@ type calleeFunc func(reply Reply)
 
 func (fn calleeFunc) Attempt(reply Reply) { fn(reply) }
 
+// recycledCall is a caller's call record kept the way legacy's forwards
+// keep theirs: the RPC embedded, the record the callee, and a free list
+// the fabric hands it back to through Release.
+type recycledCall struct {
+	RPC
+	pool    *recycler
+	attempt func(Reply)
+}
+
+func (r *recycledCall) Attempt(reply Reply) {
+	if r.pool == nil {
+		panic("netsim test: a request was delivered to a released record")
+	}
+	r.attempt(reply)
+}
+
+func (r *recycledCall) Release() { r.pool.put(r) }
+
+// recycler is the free list of call records behind viaRecycled. It counts the
+// records it made, the calls that took an idle one, and the records
+// handed back twice or not zeroed by the time they were taken again.
+type recycler struct {
+	idle                []*recycledCall
+	isIdle              map[*recycledCall]bool
+	made, reused, twice int
+	dirty               int
+}
+
+func newRecycler() *recycler { return &recycler{isIdle: make(map[*recycledCall]bool)} }
+
+func (p *recycler) put(r *recycledCall) {
+	if p.isIdle[r] {
+		p.twice++
+		return
+	}
+	p.isIdle[r] = true
+	*r = recycledCall{}
+	p.idle = append(p.idle, r)
+}
+
+// viaRecycled is a scriptedCall through Start with a Releaser callee.
+func (p *recycler) viaRecycled(f *Fabric, from, to, tier string, attempt func(Reply), done func(error)) {
+	var r *recycledCall
+	if n := len(p.idle); n > 0 {
+		r, p.idle = p.idle[n-1], p.idle[:n-1]
+		delete(p.isIdle, r)
+		if !reflect.ValueOf(r).Elem().IsZero() {
+			p.dirty++
+		}
+		p.reused++
+	} else {
+		r = new(recycledCall)
+		p.made++
+	}
+	r.pool, r.attempt = p, attempt
+	f.Start(&r.RPC, from, to, tier, r, ReplyFunc(done))
+}
+
 // scriptedCalls issues 40 staggered RPCs through call over net. What the
 // callee does on the k-th arrival of call i — answer at once, answer late
 // (possibly after the attempt timed out and a newer one is live), answer
 // twice, or stay silent — depends only on (seed, i, k), never on the
-// implementation.
-func scriptedCalls(seed int64, net callNet, call scriptedCall) callTranscript {
+// implementation. With once, the callee keeps Releaser's contract and
+// answers each arrival at most once: the two answers of a double become
+// one, 1.6 s late.
+func scriptedCalls(seed int64, net callNet, call scriptedCall, once bool) callTranscript {
 	eng := sim.NewEngine(seed)
 	f := New(eng, Config{
 		Enabled: true,
@@ -179,7 +243,7 @@ func scriptedCalls(seed int64, net callNet, call scriptedCall) callTranscript {
 		eng.At(float64(i)*0.37, "issue", func() {
 			issued++
 			arrivals := 0
-			settled := false
+			settled, silent := false, false
 			answer := func(reply Reply, err error) {
 				if settled {
 					tr.Late++
@@ -198,14 +262,26 @@ func scriptedCalls(seed int64, net callNet, call scriptedCall) callTranscript {
 				case 2: // late: 1.7 s and 4 s outlive the attempt that asked
 					eng.After([]float64{0.2, 1.7, 4}[script.Intn(3)], "callee:late", func() { answer(reply, fail) })
 				case 3: // twice at once, each with its own result
+					if once { // once, outliving the attempt that asked
+						eng.After(1.6, "callee:again", func() { answer(reply, fail) })
+						break
+					}
 					tr.Twice++
 					answer(reply, fail)
 					answer(reply, nil)
 				case 4: // twice, the second late
+					if once {
+						eng.After(1.6, "callee:again", func() { answer(reply, nil) })
+						break
+					}
 					tr.Twice++
 					answer(reply, nil)
 					eng.After(1.6, "callee:again", func() { answer(reply, fail) })
 				case 5: // never
+					if !silent {
+						silent = true
+						tr.Silent++
+					}
 				}
 			}, func(err error) {
 				settled = true
@@ -246,24 +322,28 @@ func requireSameSequence(t *testing.T, seed int64, what string, got, want []stri
 // attempt's timer instead of its own (a "net:rpc-timeout" event goes
 // missing), a second reply on one attempt overwriting the first one's
 // error, and a second reply being dropped.
+//
+// Through a recycler, the callee is a Releaser whose records the fabric
+// hands back to a free list for the next call, and the script answers each
+// arrival at most once, late answers included; it must match the
+// reference running the same script, reuse records, hand none back twice
+// or unzeroed, and at the end hold every record whose calls were all
+// answered. Mutants it was checked to catch: releasing at settle without
+// counting, not counting the attempt a callee holds (both reach a
+// released record), and not uncounting a timer that settle cancels (no
+// record comes back).
 func TestCallMatchesReferenceClosures(t *testing.T) {
 	for _, net := range callNets {
 		var retransmits, abandoned uint64
-		var twice, late, open int
+		var twice, late, open, silent, reused int
 		for seed := int64(1); seed <= 20; seed++ {
-			want := scriptedCalls(seed, net, viaReference)
+			want := scriptedCalls(seed, net, viaReference, false)
 			for _, via := range []struct {
 				name string
 				call scriptedCall
 			}{{"Call", viaCall}, {"Start", viaStart}} {
-				got := scriptedCalls(seed, net, via.call)
-				if got.Stats != want.Stats || got.Twice != want.Twice || got.Late != want.Late || got.OpenAtRetune != want.OpenAtRetune {
-					t.Errorf("%s, seed %d via %s: stats %+v, %d twice, %d late, %d open at retune; reference %+v, %d, %d, %d",
-						net.name, seed, via.name, got.Stats, got.Twice, got.Late, got.OpenAtRetune,
-						want.Stats, want.Twice, want.Late, want.OpenAtRetune)
-				}
-				requireSameSequence(t, seed, net.name+" via "+via.name+" done", got.Dones, want.Dones)
-				requireSameSequence(t, seed, net.name+" via "+via.name+" event", got.Events, want.Events)
+				got := scriptedCalls(seed, net, via.call, false)
+				requireSameTranscript(t, seed, net.name+" via "+via.name, got, want)
 			}
 			if len(want.Dones) != 40 {
 				t.Fatalf("%s, seed %d: %d of 40 calls settled", net.name, seed, len(want.Dones))
@@ -273,10 +353,41 @@ func TestCallMatchesReferenceClosures(t *testing.T) {
 			twice += want.Twice
 			late += want.Late
 			open += want.OpenAtRetune
+
+			want = scriptedCalls(seed, net, viaReference, true)
+			rec := newRecycler()
+			got := scriptedCalls(seed, net, rec.viaRecycled, true)
+			requireSameTranscript(t, seed, net.name+" via a recycler", got, want)
+			if rec.twice != 0 || rec.dirty != 0 {
+				t.Errorf("%s, seed %d: %d records handed back twice, %d taken again unzeroed", net.name, seed, rec.twice, rec.dirty)
+			}
+			if n := len(rec.idle); n != rec.made-want.Silent {
+				t.Errorf("%s, seed %d: %d of %d records idle at the end, want all but the %d calls with an unanswered arrival",
+					net.name, seed, n, rec.made, want.Silent)
+			}
+			for _, r := range rec.idle {
+				if !reflect.ValueOf(r).Elem().IsZero() {
+					t.Errorf("%s, seed %d: idle record %p is not zeroed", net.name, seed, r)
+				}
+			}
+			late += want.Late
+			silent += want.Silent
+			reused += rec.reused
 		}
-		if retransmits == 0 || abandoned == 0 || twice == 0 || late == 0 || (net.retune != nil && open == 0) {
-			t.Fatalf("%s: script exercised %d retransmits, %d abandons, %d double and %d late answers, %d calls open at the retune; it must cover each",
-				net.name, retransmits, abandoned, twice, late, open)
+		if retransmits == 0 || abandoned == 0 || twice == 0 || late == 0 || (net.retune != nil && open == 0) || silent == 0 || reused == 0 {
+			t.Fatalf("%s: script exercised %d retransmits, %d abandons, %d double and %d late answers, %d calls open at the retune, %d with an unanswered arrival, %d reused records; it must cover each",
+				net.name, retransmits, abandoned, twice, late, open, silent, reused)
 		}
 	}
+}
+
+func requireSameTranscript(t *testing.T, seed int64, name string, got, want callTranscript) {
+	t.Helper()
+	if got.Stats != want.Stats || got.Twice != want.Twice || got.Late != want.Late || got.Silent != want.Silent || got.OpenAtRetune != want.OpenAtRetune {
+		t.Errorf("%s, seed %d: stats %+v, %d twice, %d late, %d silent, %d open at retune; reference %+v, %d, %d, %d, %d",
+			name, seed, got.Stats, got.Twice, got.Late, got.Silent, got.OpenAtRetune,
+			want.Stats, want.Twice, want.Late, want.Silent, want.OpenAtRetune)
+	}
+	requireSameSequence(t, seed, name+" done", got.Dones, want.Dones)
+	requireSameSequence(t, seed, name+" event", got.Events, want.Events)
 }
