@@ -40,9 +40,17 @@ build:
 test: build
 	$(GO) test ./...
 
+# vet's last step lists the packages whose float arithmetic must not be
+# contracted into fused multiply-adds, which arm64 emits and amd64 never
+# does: their results reach the digests. A product that must stay rounded
+# is written float64(x*y). The step fails on any fused instruction in
+# their arm64 assembly and prints its line.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/sim ./internal/netsim ./internal/obs ./internal/metrics 2>&1) || { echo "$$asm"; exit 1; }; \
+	fused=$$(echo "$$asm" | grep -E '\s(FMADD|FMSUB|FNMADD|FNMSUB)[DS]?\s'); \
+	if [ -n "$$fused" ]; then echo "fused multiply-add in the arm64 build:"; echo "$$fused"; exit 1; fi
 
 # ./benchmark's tests run without the detector: TestDecodeRuntimeProfile
 # checks that its own spin loop owns most of a CPU profile's samples, and

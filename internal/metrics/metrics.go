@@ -214,7 +214,7 @@ func (u *UtilizationMeter) SetBusy(now, fraction float64) {
 
 func (u *UtilizationMeter) advance(now float64) {
 	if now > u.lastT {
-		u.busyAccum += (now - u.lastT) * u.busy
+		u.busyAccum += float64((now - u.lastT) * u.busy)
 		u.lastT = now
 	}
 }
@@ -285,12 +285,12 @@ func Percentile(sorted []float64, p float64) float64 {
 	if p >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := p * float64(len(sorted)-1)
+	pos := float64(p * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }

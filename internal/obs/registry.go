@@ -18,7 +18,9 @@ package obs
 import (
 	"cmp"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -242,14 +244,14 @@ func (h *Histogram) quantile(p float64) float64 {
 	case p >= 1:
 		return h.at(n - 1)
 	}
-	pos := p * float64(n-1)
+	pos := float64(p * float64(n-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return h.at(lo)
 	}
 	frac := pos - float64(lo)
-	return h.at(lo)*(1-frac) + h.at(hi)*frac
+	return float64(h.at(lo)*(1-frac)) + float64(h.at(hi)*frac)
 }
 
 // at returns the sample of rank r in sort.Float64s order over all
@@ -309,7 +311,9 @@ func insertionPoint(s []float64, v float64) int {
 	return lo + sort.Search(hi-lo, func(x int) bool { return cmp.Less(v, s[lo+x]) })
 }
 
-// HistogramSnapshot is an immutable view used by exposition.
+// HistogramSnapshot is an immutable view used by exposition. A
+// registry snapshot's Bounds is the histogram's own slice: read it, never
+// write it.
 type HistogramSnapshot struct {
 	Bounds        []float64 // upper bounds; +Inf implicit as last bucket
 	Cumulative    []uint64  // cumulative counts per bound, then +Inf
@@ -319,26 +323,28 @@ type HistogramSnapshot struct {
 	P50, P95, P99 float64
 }
 
-func (h *Histogram) snapshot() HistogramSnapshot {
+// snapshotInto fills hs with the histogram's state and its cumulative
+// counts into cum, which holds one count per bucket. hs shares h.bounds,
+// which nothing writes after NewHistogram.
+func (h *Histogram) snapshotInto(hs *HistogramSnapshot, cum []uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	// NaN is held in the first bucket but counted under +Inf.
-	cum := make([]uint64, len(h.held))
 	run := -h.nans
 	for i := range h.held {
 		run += len(h.held[i].samples)
 		cum[i] = uint64(run)
 	}
 	cum[len(cum)-1] += uint64(h.nans)
-	n := int(cum[len(cum)-1])
+	n := cum[len(cum)-1]
 	mn, mx := h.min, h.max
 	if n == 0 {
 		mn, mx = 0, 0
 	}
-	return HistogramSnapshot{
-		Bounds:     append([]float64(nil), h.bounds...),
+	*hs = HistogramSnapshot{
+		Bounds:     h.bounds,
 		Cumulative: cum,
-		Count:      uint64(n),
+		Count:      n,
 		Sum:        h.sum,
 		Min:        mn,
 		Max:        mx,
@@ -364,7 +370,7 @@ type family struct {
 	name    string
 	help    string
 	typ     MetricType
-	metrics []*metric
+	metrics []*metric // sorted by sig
 }
 
 // Registry holds the platform's metrics. Registration is get-or-create:
@@ -374,9 +380,12 @@ type Registry struct {
 	now func() float64
 
 	mu       sync.Mutex
-	families map[string]*family
+	families []*family // sorted by name
+	byName   map[string]*family
 	byKey    map[string]*metric
-	order    []string // family registration order (exposition sorts anyway)
+	// What a snapshot holds: series, histogram series, and the
+	// histograms' buckets.
+	series, hists, buckets int
 }
 
 // NewRegistry builds a registry clocked by now (the sim engine's virtual
@@ -386,9 +395,9 @@ func NewRegistry(now func() float64) *Registry {
 		now = func() float64 { return 0 }
 	}
 	return &Registry{
-		now:      now,
-		families: make(map[string]*family),
-		byKey:    make(map[string]*metric),
+		now:    now,
+		byName: make(map[string]*family),
+		byKey:  make(map[string]*metric),
 	}
 }
 
@@ -446,8 +455,10 @@ func escapeLabel(v string) string {
 }
 
 // get returns the metric for name+labels, creating it with build when new.
-// It panics when the same family name is reused with a different type —
-// always a programming error.
+// A new family takes its place in name order and a new series its place
+// in signature order, so Snapshot never sorts. It panics when the same
+// family name is reused with a different type — always a programming
+// error.
 func (r *Registry) get(name, help string, typ MetricType, labels []Label, build func() *metric) *metric {
 	ls := append([]Label(nil), labels...)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
@@ -458,18 +469,25 @@ func (r *Registry) get(name, help string, typ MetricType, labels []Label, build 
 	if m, ok := r.byKey[key]; ok {
 		return m
 	}
-	f, ok := r.families[name]
+	f, ok := r.byName[name]
 	if !ok {
 		f = &family{name: name, help: help, typ: typ}
-		r.families[name] = f
-		r.order = append(r.order, name)
+		r.byName[name] = f
+		i, _ := slices.BinarySearchFunc(r.families, name, func(f *family, name string) int { return strings.Compare(f.name, name) })
+		r.families = slices.Insert(r.families, i, f)
 	} else if f.typ != typ {
 		panic("obs: metric family " + name + " registered as " + string(f.typ) + " and " + string(typ))
 	}
 	m := build()
 	m.name, m.labels, m.sig = name, ls, sig
-	f.metrics = append(f.metrics, m)
+	i, _ := slices.BinarySearchFunc(f.metrics, sig, func(m *metric, sig string) int { return strings.Compare(m.sig, sig) })
+	f.metrics = slices.Insert(f.metrics, i, m)
 	r.byKey[key] = m
+	r.series++
+	if m.hist != nil {
+		r.hists++
+		r.buckets += len(m.hist.held)
+	}
 	return m
 }
 
@@ -522,54 +540,49 @@ type Snapshot struct {
 	Families []FamilySnapshot
 }
 
-// Snapshot captures the registry. Safe to call from any goroutine; the
-// result shares nothing with live instruments.
+// Snapshot captures the registry. Safe to call from any goroutine. It
+// sorts nothing, since the registry keeps its families and series in
+// order, and it allocates the same few objects however many series there
+// are: the families, series, histogram snapshots and cumulative counts
+// each fill one flat slab. The result shares each histogram's bounds and
+// each series' labels with the registry, which never writes either after
+// registration; it shares nothing that changes. The registry lock is held
+// throughout, so a series registered meanwhile waits; instrument writes
+// do not take it.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return &Snapshot{}
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
+	defer r.mu.Unlock()
+	snap := &Snapshot{Time: r.now()}
+	if len(r.families) == 0 {
+		return snap
 	}
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		fams = append(fams, r.families[n])
-	}
-	// Copy the per-family metric slices under the lock; instrument reads
-	// happen outside it (they synchronize on their own atomics/mutexes).
-	type famView struct {
-		f  *family
-		ms []*metric
-	}
-	views := make([]famView, len(fams))
-	for i, f := range fams {
-		views[i] = famView{f: f, ms: append([]*metric(nil), f.metrics...)}
-	}
-	now := r.now()
-	r.mu.Unlock()
-
-	snap := &Snapshot{Time: now}
-	for _, v := range views {
-		fs := FamilySnapshot{Name: v.f.name, Help: v.f.help, Type: v.f.typ}
-		ms := append([]*metric(nil), v.ms...)
-		sort.Slice(ms, func(i, j int) bool { return ms[i].sig < ms[j].sig })
-		for _, m := range ms {
-			ss := SeriesSnapshot{Labels: m.labels, Sig: m.sig}
+	snap.Families = make([]FamilySnapshot, len(r.families))
+	series := make([]SeriesSnapshot, r.series)
+	hists := make([]HistogramSnapshot, r.hists)
+	cum := make([]uint64, r.buckets)
+	for i, f := range r.families {
+		n := len(f.metrics)
+		fs := series[:n:n]
+		series = series[n:]
+		for j, m := range f.metrics {
+			s := &fs[j]
+			s.Labels, s.Sig = m.labels, m.sig
 			switch {
 			case m.ctr != nil:
-				ss.Value = float64(m.ctr.Value())
+				s.Value = float64(m.ctr.Value())
 			case m.gauge != nil:
-				ss.Value = m.gauge.Value()
+				s.Value = m.gauge.Value()
 			case m.hist != nil:
-				hs := m.hist.snapshot()
-				ss.Histogram = &hs
+				b := len(m.hist.held)
+				m.hist.snapshotInto(&hists[0], cum[:b:b])
+				s.Histogram = &hists[0]
+				hists, cum = hists[1:], cum[b:]
 			}
-			fs.Series = append(fs.Series, ss)
 		}
-		snap.Families = append(snap.Families, fs)
+		snap.Families[i] = FamilySnapshot{Name: f.name, Help: f.help, Type: f.typ, Series: fs}
 	}
 	return snap
 }

@@ -333,11 +333,11 @@ func metricsScalars(raw []byte) (map[string]float64, error) {
 			Name   string `json:"name"`
 			Series []struct {
 				Labels map[string]string `json:"labels"`
-				Value  *float64          `json:"value"`
+				Value  *obs.JSONFloat    `json:"value"`
 				Hist   *struct {
-					Count uint64  `json:"count"`
-					Sum   float64 `json:"sum"`
-					P99   float64 `json:"p99"`
+					Count uint64        `json:"count"`
+					Sum   obs.JSONFloat `json:"sum"`
+					P99   obs.JSONFloat `json:"p99"`
 				} `json:"histogram"`
 			} `json:"series"`
 		} `json:"families"`
@@ -366,11 +366,11 @@ func metricsScalars(raw []byte) (map[string]float64, error) {
 			}
 			switch {
 			case s.Value != nil:
-				out[sig] = *s.Value
+				out[sig] = float64(*s.Value)
 			case s.Hist != nil:
 				out[sig+"_count"] = float64(s.Hist.Count)
-				out[sig+"_sum"] = s.Hist.Sum
-				out[sig+"_p99"] = s.Hist.P99
+				out[sig+"_sum"] = float64(s.Hist.Sum)
+				out[sig+"_p99"] = float64(s.Hist.P99)
 			}
 		}
 	}
@@ -415,8 +415,15 @@ func (d *RunDiff) diffMetrics(opt RunDiffOptions) {
 			differing++
 			continue
 		}
-		denom := math.Max(math.Max(math.Abs(va), math.Abs(vb)), 1e-9)
-		rel := math.Abs(vb-va) / denom
+		rel := 0.0
+		switch {
+		case va == vb || math.IsNaN(va) && math.IsNaN(vb):
+		case math.IsNaN(va) || math.IsNaN(vb) || math.IsInf(va, 0) || math.IsInf(vb, 0):
+			rel = math.Inf(1) // no tolerance bridges a non-finite value
+		default:
+			denom := math.Max(math.Max(math.Abs(va), math.Abs(vb)), 1e-9)
+			rel = math.Abs(vb-va) / denom
+		}
 		if rel > opt.RelTol {
 			differing++
 			if rel > worst {
