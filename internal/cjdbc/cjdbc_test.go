@@ -399,6 +399,31 @@ func TestJoinValidation(t *testing.T) {
 	if err := r.ctl.JoinAt("b2", m2, -1, nil); err == nil {
 		t.Fatal("negative join index accepted")
 	}
+	// A name rejoins once its backend died, and once its leave finished,
+	// but not while it drains.
+	r.join("b2", m2)
+	if err := r.ctl.MarkFailed("b2", nil); err != nil {
+		t.Fatal(err)
+	}
+	r.join("b2", m2)
+	r.mustExec("CREATE TABLE t (a INT)")
+	r.ctl.ExecSQL(legacy.Query{SQL: "INSERT INTO t (a) VALUES (1)", Cost: 0.5}, netsim.ReplyFunc(func(error) {}))
+	r.env.Eng.RunUntil(r.env.Eng.Now() + 0.01) // mid-apply
+	left := false
+	if err := r.ctl.Leave("b2", func(int64) { left = true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ctl.Join("b2", m2, nil); !errors.Is(err, ErrBackendExists) || left {
+		t.Fatalf("join while draining: %v (left %v)", err, left)
+	}
+	r.env.Eng.Run()
+	if !left {
+		t.Fatal("leave never finished")
+	}
+	r.join("b2", m2)
+	if r.ctl.ActiveCount() != 2 || m2.DB().RowCount("t") != 1 {
+		t.Fatalf("%d active, %d rows on the rejoined backend; want 2 and 1", r.ctl.ActiveCount(), m2.DB().RowCount("t"))
+	}
 }
 
 func TestLeaveValidation(t *testing.T) {
@@ -496,7 +521,7 @@ func TestRoundRobinReadPolicy(t *testing.T) {
 
 func TestRecoveryLogAccessors(t *testing.T) {
 	l := NewRecoveryLog()
-	if l.Len() != 0 || len(l.From(0)) != 0 {
+	if l.Len() != 0 {
 		t.Fatal("fresh log not empty")
 	}
 	if _, ok := l.At(0); ok {
@@ -507,14 +532,8 @@ func TestRecoveryLogAccessors(t *testing.T) {
 		t.Fatalf("first append: idx=%d len=%d", idx, l.Len())
 	}
 	l.Append(legacy.Query{SQL: "INSERT INTO t (a) VALUES (2)"})
-	if got := l.From(1); len(got) != 1 || got[0].Index != 1 {
-		t.Fatalf("From(1) = %+v", got)
-	}
-	if got := l.From(-5); len(got) != 2 {
-		t.Fatalf("From(-5) = %d records", len(got))
-	}
-	if got := l.From(99); got != nil {
-		t.Fatalf("From(99) = %+v", got)
+	if rec, ok := l.At(1); !ok || rec.Index != 1 {
+		t.Fatalf("At(1) = %+v, %v", rec, ok)
 	}
 	l.SetCheckpoint("b", 1)
 	if idx, ok := l.Checkpoint("b"); !ok || idx != 1 {
@@ -710,8 +729,8 @@ func TestRejectedReadKeepsBackends(t *testing.T) {
 	}
 	r.mustExec("SELECT * FROM t")
 	// A backend that is down is still dropped, and the read retried.
-	r.ctl.lookup("b1").srv.Node().Fail()
-	r.ctl.lookup("b2").srv.Node().Fail()
+	r.ctl.p.lookup("b1").srv.Node().Fail()
+	r.ctl.p.lookup("b2").srv.Node().Fail()
 	if err := r.exec("SELECT * FROM t"); err == nil || r.ctl.ActiveCount() != 0 {
 		t.Fatalf("read through two dead backends: %v, %d active", err, r.ctl.ActiveCount())
 	}

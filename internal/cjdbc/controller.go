@@ -42,74 +42,17 @@ const (
 )
 
 func (s BackendState) String() string {
-	switch s {
-	case Syncing:
-		return "SYNCING"
-	case Active:
-		return "ACTIVE"
-	case Disabled:
-		return "DISABLED"
-	case Dead:
-		return "DEAD"
+	if s < 0 || int(s) >= len(stateNames) {
+		return "?"
 	}
-	return "?"
+	return stateNames[s]
 }
 
-// backend tracks one MySQL replica inside the controller.
-type backend struct {
-	name  string
-	srv   *legacy.MySQL
-	state BackendState
-	// applied is the next log index this backend needs: every record
-	// with Index < applied has been executed on it.
-	applied int64
-	// stopAt bounds the pump for a backend leaving cleanly: it still
-	// applies every record below stopAt (writes it owes acks for), then
-	// checkpoints and disables.
-	stopAt int64 // -1 when unbounded
-	// busy: a log record is on its way to the server, and apply is its
-	// reply.
-	busy  bool
-	apply applyReply
-	// onSynced fires when a Syncing backend catches up.
-	onSynced func(error)
-	// onLeft fires when a Disabled-pending backend finishes draining.
-	onLeft func(int64)
-}
+var stateNames = [...]string{Syncing: "SYNCING", Active: "ACTIVE", Disabled: "DISABLED", Dead: "DEAD"}
 
-// applyReply is the reply to the log record a backend was sent; busy keeps
-// one in flight per backend, so the backend embeds it.
-type applyReply struct {
-	c   *Controller
-	b   *backend
-	idx int64
-}
-
-// Reply takes the server's answer: a failure drops the backend, a success
-// acknowledges the record and sends the next.
-func (a *applyReply) Reply(err error) {
-	c, b, idx := a.c, a.b, a.idx
-	b.busy = false
-	if err != nil {
-		c.markDead(b, err)
-		return
-	}
-	b.applied = idx + 1
-	c.ack(idx, b)
-	c.pump(b)
-}
-
-// writeWait tracks one broadcast write's outstanding acknowledgements. The
-// controller recycles it (putWait) and its map with it, empty by then.
-type writeWait struct {
-	waitingOn map[string]bool
-	// stmt is the write, parsed, for the backends in waitingOn. The log
-	// keeps only the string, and replay on a stale replica re-parses it.
-	stmt      sqlengine.Statement
-	successes int
-	done      netsim.Reply // the request that wrote
-	firstErr  error
-}
+// backend is a MySQL replica as the protocol drives it; a write is the
+// request that wrote.
+type backend = member[*legacy.MySQL, *request]
 
 // Options tunes the controller.
 type Options struct {
@@ -140,16 +83,11 @@ type Controller struct {
 	addr    string
 	running bool
 
-	log      *RecoveryLog
-	backends []*backend
-	pool     *selector.Pool
-	waiters  map[int64]*writeWait
+	log  *RecoveryLog
+	p    protocol[*legacy.MySQL, *request] // §4.1's write protocol
+	pool *selector.Pool
 
-	// The per-statement records (see legacy.Hop), and execWrite's scratch
-	// list of the active backends.
-	requests legacy.FreeList[request]
-	waits    legacy.FreeList[writeWait]
-	actives  []*backend
+	requests legacy.FreeList[request] // the per-statement records (see legacy.Hop)
 
 	reads    uint64
 	writes   uint64
@@ -168,16 +106,9 @@ type Controller struct {
 func New(eng *sim.Engine, net *legacy.Network, node *cluster.Node, name string, opts Options) *Controller {
 	ropts := opts.Routing
 	ropts.Now = eng.Now
-	return &Controller{
-		eng:     eng,
-		net:     net,
-		node:    node,
-		name:    name,
-		opts:    opts,
-		log:     NewRecoveryLog(),
-		pool:    selector.New(ropts),
-		waiters: make(map[int64]*writeWait),
-	}
+	c := &Controller{eng: eng, net: net, node: node, name: name, opts: opts, log: NewRecoveryLog(), pool: selector.New(ropts)}
+	c.p.fx = c
+	return c
 }
 
 // Name returns the controller's name.
@@ -253,15 +184,6 @@ func (c *Controller) Stop() {
 	c.node.FreeMemory(c.opts.MemoryMB)
 }
 
-func (c *Controller) lookup(name string) *backend {
-	for _, b := range c.backends {
-		if b.name == name {
-			return b
-		}
-	}
-	return nil
-}
-
 // Join registers a MySQL replica under name and synchronizes it. A
 // backend with a recorded checkpoint resumes replay from it; a brand-new
 // backend replays from index 0 and must have been loaded with the virtual
@@ -269,22 +191,16 @@ func (c *Controller) lookup(name string) *backend {
 // Installation Service in the core package). done fires when the backend
 // becomes Active.
 func (c *Controller) Join(name string, srv *legacy.MySQL, done func(error)) error {
-	start, ok := c.log.Checkpoint(name)
-	if !ok {
-		start = 0
-	}
+	start, _ := c.log.Checkpoint(name) // 0 when there is none
 	return c.JoinAt(name, srv, start, done)
 }
 
 // JoinAt registers a replica whose state corresponds to the given recovery
 // log index (it has executed every write below startIndex).
 func (c *Controller) JoinAt(name string, srv *legacy.MySQL, startIndex int64, done func(error)) error {
-	// A backend still registered is either serving (Active/Syncing) or
-	// draining towards its checkpoint (Disabled but not yet dropped);
-	// both refuse a concurrent rejoin — only a Dead entry is replaced.
-	// A cleanly removed backend is no longer registered and rejoins via
-	// its recovery-log checkpoint.
-	if b := c.lookup(name); b != nil && b.state != Dead {
+	// A registered backend is serving, syncing or draining; a dead or
+	// departed one is no longer registered, and may rejoin.
+	if c.p.lookup(name) != nil {
 		return fmt.Errorf("%w: %s", ErrBackendExists, name)
 	}
 	if srv.State() != legacy.Running {
@@ -293,62 +209,24 @@ func (c *Controller) JoinAt(name string, srv *legacy.MySQL, startIndex int64, do
 	if startIndex < 0 || startIndex > c.log.Len() {
 		return fmt.Errorf("cjdbc: join index %d outside log [0,%d]", startIndex, c.log.Len())
 	}
-	// Re-registration replaces a Dead/Disabled entry.
-	if old := c.lookup(name); old != nil {
-		c.drop(old)
-	}
-	b := &backend{name: name, srv: srv, state: Syncing, applied: startIndex, stopAt: -1, onSynced: done}
-	c.backends = append(c.backends, b)
 	c.log.DropCheckpoint(name)
-	c.Trace.Emit("membership.join", c.name,
-		trace.F("backend", name), trace.Fi("log-index", int(startIndex)), trace.Fi("backends", len(c.backends)))
-	c.pump(b)
+	c.p.join(name, startIndex, done, srv)
 	return nil
-}
-
-func (c *Controller) drop(b *backend) {
-	for i, x := range c.backends {
-		if x == b {
-			c.backends = append(c.backends[:i], c.backends[i+1:]...)
-			return
-		}
-	}
 }
 
 // Leave cleanly disables an Active backend. It finishes applying every
 // write already logged, then records its checkpoint index in the recovery
 // log and stops. done (optional) receives the checkpoint index.
 func (c *Controller) Leave(name string, done func(checkpoint int64)) error {
-	b := c.lookup(name)
+	b := c.p.lookup(name)
 	if b == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownBackend, name)
 	}
 	if b.state != Active {
 		return fmt.Errorf("%w: %s is %s", ErrNotActive, name, b.state)
 	}
-	b.stopAt = c.log.Len()
-	b.onLeft = done
-	if b.applied >= b.stopAt && !b.busy {
-		c.finishLeave(b)
-		return nil
-	}
-	// Mark as draining: no longer eligible for reads, still acking writes.
-	b.state = Disabled
-	c.pool.Discard(b.name)
+	c.p.leave(b, done)
 	return nil
-}
-
-func (c *Controller) finishLeave(b *backend) {
-	b.state = Disabled
-	c.pool.Discard(b.name)
-	c.log.SetCheckpoint(b.name, b.applied)
-	c.drop(b)
-	c.Trace.Emit("membership.leave", c.name,
-		trace.F("backend", b.name), trace.Fi("checkpoint", int(b.applied)), trace.Fi("backends", len(c.backends)))
-	if b.onLeft != nil {
-		b.onLeft(b.applied)
-		b.onLeft = nil
-	}
 }
 
 // MarkFailed drops a backend administratively (e.g. the self-recovery
@@ -356,158 +234,65 @@ func (c *Controller) finishLeave(b *backend) {
 // backend's outstanding write acknowledgements fail over to the
 // survivors.
 func (c *Controller) MarkFailed(name string, cause error) error {
-	b := c.lookup(name)
+	b := c.p.lookup(name)
 	if b == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownBackend, name)
 	}
 	if cause == nil {
 		cause = ErrBackendDown
 	}
-	c.markDead(b, cause)
+	c.p.fail(b, cause)
 	return nil
 }
 
-// markDead drops a backend after an execution failure and fails its
-// outstanding write acknowledgements.
-func (c *Controller) markDead(b *backend, cause error) {
-	if b.state == Dead {
-		return
-	}
-	b.state = Dead
-	// Evict from the read pool first so retries (and any sticky affinity
-	// downstream) can never route back to the dead backend.
-	c.pool.Discard(b.name)
-	c.drop(b)
-	c.Trace.Emit("membership.dead", c.name,
-		trace.F("backend", b.name), trace.F("cause", cause.Error()), trace.Fi("backends", len(c.backends)))
-	// Fail outstanding acknowledgements in log order: their completion
-	// callbacks re-enter the simulation, so iteration order must be
-	// deterministic.
-	idxs := make([]int64, 0, len(c.waiters))
-	for idx := range c.waiters {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		w := c.waiters[idx]
-		if w.waitingOn[b.name] {
-			delete(w.waitingOn, b.name)
-			if w.firstErr == nil {
-				w.firstErr = cause
-			}
-			c.maybeFinishWrite(idx, w)
-		}
-	}
-	if b.onSynced != nil {
-		b.onSynced(fmt.Errorf("cjdbc: backend %s died during sync: %w", b.name, cause))
-		b.onSynced = nil
-	}
-	if b.onLeft != nil {
-		// A draining backend that dies still yields its last index.
-		c.log.SetCheckpoint(b.name, b.applied)
-		b.onLeft(b.applied)
-		b.onLeft = nil
-	}
-}
-
-// pump drives a backend's apply loop: execute the next owed log record,
-// then reconsider state transitions.
-func (c *Controller) pump(b *backend) {
-	if b.busy || b.state == Dead {
-		return
-	}
-	limit := c.log.Len()
-	if b.stopAt >= 0 && b.stopAt < limit {
-		limit = b.stopAt
-	}
-	if b.applied >= limit {
-		// Caught up.
-		switch {
-		case b.state == Syncing:
-			b.state = Active
-			if err := c.pool.Add(b.name, 1); err != nil {
-				// Unreachable if state bookkeeping is right (the pool holds
-				// exactly the Active backends), but never let it wedge a sync.
-				c.pool.Discard(b.name)
-				_ = c.pool.Add(b.name, 1)
-			}
-			c.Trace.Emit("membership.active", c.name,
-				trace.F("backend", b.name), trace.Fi("applied", int(b.applied)))
-			if b.onSynced != nil {
-				fn := b.onSynced
-				b.onSynced = nil
-				fn(nil)
-			}
-		case b.stopAt >= 0 && b.applied >= b.stopAt:
-			c.finishLeave(b)
-		}
-		return
-	}
-	rec, ok := c.log.At(b.applied)
-	if !ok {
-		return
-	}
-	b.busy = true
-	// Only applies the client is still waiting on keep the query's trace
-	// span: a syncing or draining backend replays the log after the write
-	// already completed, and a child span closing after its parent would
-	// break span-tree well-formedness (and misattribute latency).
+// send forwards b's next log record. Only an apply a client waits on
+// keeps the write's parsed statement (the log keeps the string) and its
+// trace span: a syncing or draining backend replays the record after the
+// write completed, and a child span closing after its parent would break
+// span-tree well-formedness (and misattribute latency).
+func (c *Controller) send(b *backend, w *request) {
+	rec, _ := c.log.At(b.applied)
 	q := rec.Query
-	if w, ok := c.waiters[rec.Index]; ok && w.waitingOn[b.name] {
-		q.Stmt = w.stmt
+	if w != nil {
+		q.Stmt = w.q.Stmt
 	} else {
 		q.TraceSpan = 0
 	}
-	b.apply = applyReply{c: c, b: b, idx: rec.Index}
-	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, q, &b.apply)
+	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, q, b)
 }
 
-// ack records that a backend applied the write at idx.
-func (c *Controller) ack(idx int64, b *backend) {
-	w, ok := c.waiters[idx]
-	if !ok || !w.waitingOn[b.name] {
-		return
-	}
-	delete(w.waitingOn, b.name)
-	w.successes++
-	c.maybeFinishWrite(idx, w)
-}
-
-func (c *Controller) maybeFinishWrite(idx int64, w *writeWait) {
-	if len(w.waitingOn) > 0 {
-		return
-	}
-	delete(c.waiters, idx)
-	done, successes, err := w.done, w.successes, w.firstErr
-	c.putWait(w)
-	if successes == 0 {
+func (c *Controller) answer(w *request, cause error) {
+	if cause != nil {
 		c.failures++
-		if err == nil {
-			err = ErrNoBackend
-		}
-		done.Reply(fmt.Errorf("cjdbc %s: write lost on all backends: %w", c.name, err))
-		return
+		cause = fmt.Errorf("cjdbc %s: write lost on all backends: %w", c.name, cause)
 	}
-	done.Reply(nil)
+	w.finish(cause)
 }
 
-// putWait puts a finished write's record back, keeping its map: every
-// acknowledgement has been deleted from it, so it is empty and pins
-// nothing.
-func (c *Controller) putWait(w *writeWait) {
-	m := w.waitingOn
-	c.waits.Put(w)
-	w.waitingOn = m
+func (c *Controller) activate(b *backend) {
+	if err := c.pool.Add(b.name, 1); err != nil {
+		// Unreachable if state bookkeeping is right (the pool holds
+		// exactly the Active backends), but never let it wedge a sync.
+		c.pool.Discard(b.name)
+		_ = c.pool.Add(b.name, 1)
+	}
+	c.Trace.Emit("membership.active", c.name, trace.F("backend", b.name), trace.Fi("applied", int(b.applied)))
 }
 
-// appendActive appends the backends eligible for reads to dst.
-func (c *Controller) appendActive(dst []*backend) []*backend {
-	for _, b := range c.backends {
-		if b.state == Active {
-			dst = append(dst, b)
-		}
-	}
-	return dst
+func (c *Controller) evict(b *backend) { c.pool.Discard(b.name) }
+
+func (c *Controller) checkpoint(b *backend) { c.log.SetCheckpoint(b.name, b.applied) }
+
+func (c *Controller) joined(b *backend) {
+	c.Trace.Emit("membership.join", c.name, trace.F("backend", b.name), trace.Fi("log-index", int(b.applied)), trace.Fi("backends", len(c.p.members)))
+}
+
+func (c *Controller) left(b *backend) {
+	c.Trace.Emit("membership.leave", c.name, trace.F("backend", b.name), trace.Fi("checkpoint", int(b.applied)), trace.Fi("backends", len(c.p.members)))
+}
+
+func (c *Controller) died(b *backend, cause error) {
+	c.Trace.Emit("membership.dead", c.name, trace.F("backend", b.name), trace.F("cause", cause.Error()), trace.Fi("backends", len(c.p.members)))
 }
 
 // pickReader selects an active backend through the pool. Under the
@@ -523,7 +308,7 @@ func (c *Controller) pickReader(q *legacy.Query) *backend {
 	if !ok {
 		return nil
 	}
-	b := c.lookup(name)
+	b := c.p.lookup(name)
 	if b == nil || b.state != Active {
 		return nil
 	}
@@ -596,10 +381,10 @@ func (r *request) JobDone() {
 	c := r.c
 	r.Ran(c.eng.Now())
 	if r.write {
-		c.execWrite(r.q, r)
+		c.execWrite(r)
 		return
 	}
-	r.attempts = len(c.backends) + 1
+	r.attempts = len(c.p.members) + 1
 	r.read()
 }
 
@@ -618,36 +403,23 @@ func (r *request) finish(err error) {
 	done.Reply(err)
 }
 
-func (c *Controller) execWrite(q legacy.Query, done netsim.Reply) {
-	// The ack set is every backend that will apply this record: actives
-	// (client completion waits on them) — syncing and draining backends
-	// apply it through their own pumps without gating the client.
-	c.actives = c.appendActive(c.actives[:0])
-	actives := c.actives
-	if len(actives) == 0 {
+func (c *Controller) execWrite(r *request) {
+	// The write waits on every Active backend's acknowledgement; syncing
+	// and draining backends apply it through their own pumps without
+	// gating the client.
+	acks := c.ActiveCount()
+	if acks == 0 {
 		c.failures++
-		done.Reply(fmt.Errorf("%w: cannot write through %s", ErrNoBackend, c.name))
+		r.finish(fmt.Errorf("%w: cannot write through %s", ErrNoBackend, c.name))
 		return
 	}
-	idx := c.log.Append(q)
+	idx := c.log.Append(r.q)
 	c.writes++
-	if q.TraceSpan != 0 {
-		c.Trace.EmitIn(q.TraceSpan, "sql.write", c.name,
-			trace.Fi("log-index", int(idx)), trace.Fi("acks", len(actives)))
+	if r.q.TraceSpan != 0 {
+		c.Trace.EmitIn(r.q.TraceSpan, "sql.write", c.name,
+			trace.Fi("log-index", int(idx)), trace.Fi("acks", acks))
 	}
-	w := c.waits.Get()
-	if w.waitingOn == nil {
-		w.waitingOn = make(map[string]bool, len(actives))
-	}
-	w.stmt, w.done = q.Stmt, done
-	for _, b := range actives {
-		w.waitingOn[b.name] = true
-	}
-	c.waiters[idx] = w
-	// Wake every backend that may now have work (actives and syncers).
-	for _, b := range c.backends {
-		c.pump(b)
-	}
+	c.p.write(r)
 }
 
 // read sends the statement to one active backend chosen by policy.
@@ -667,28 +439,23 @@ func (r *request) read() {
 	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, r.q, r)
 }
 
-// Reply takes the answer to the statement: the broadcast's for a write,
-// which is the caller's; the backend's for a read. A backend that failed
+// Reply takes the backend's answer to a read. A backend that failed
 // (its server or its node is down, the call did not get through) is
 // marked dead and the read goes to another while attempts remain; a
 // backend that answered that the statement is wrong stays, and its answer
 // is the caller's.
 func (r *request) Reply(err error) {
-	if r.write {
-		r.finish(err)
-		return
-	}
 	c, b := r.c, r.backend
 	failed := false
 	if err != nil {
 		var rejected *legacy.StatementError
 		failed = !errors.As(err, &rejected)
 	}
-	// Release feeds the latency/failure reservoirs before markDead
+	// Release feeds the latency/failure reservoirs before the failure
 	// evicts the entry, so the failure is recorded against the backend.
 	c.pool.Release(b.name, c.eng.Now()-r.sent, failed)
 	if failed {
-		c.markDead(b, err)
+		c.p.fail(b, err)
 		if r.attempts > 1 {
 			r.attempts--
 			r.read()
@@ -717,8 +484,8 @@ type BackendInfo struct {
 
 // Backends returns status for all registered backends, sorted by name.
 func (c *Controller) Backends() []BackendInfo {
-	out := make([]BackendInfo, 0, len(c.backends))
-	for _, b := range c.backends {
+	out := make([]BackendInfo, 0, len(c.p.members))
+	for _, b := range c.p.members {
 		out = append(out, BackendInfo{
 			Name:        b.name,
 			State:       b.state,
@@ -732,14 +499,22 @@ func (c *Controller) Backends() []BackendInfo {
 }
 
 // ActiveCount returns the number of Active backends.
-func (c *Controller) ActiveCount() int { return len(c.appendActive(nil)) }
+func (c *Controller) ActiveCount() int {
+	n := 0
+	for _, b := range c.p.members {
+		if b.state == Active {
+			n++
+		}
+	}
+	return n
+}
 
 // SnapshotFrom copies the database state of an Active backend together
 // with the recovery-log index it corresponds to. Installing this snapshot
 // on a fresh replica and calling JoinAt with the returned index brings it
 // into the cluster consistently.
 func (c *Controller) SnapshotFrom(name string) (*sqlengine.Engine, int64, error) {
-	b := c.lookup(name)
+	b := c.p.lookup(name)
 	if b == nil {
 		return nil, 0, fmt.Errorf("%w: %s", ErrUnknownBackend, name)
 	}
@@ -752,15 +527,14 @@ func (c *Controller) SnapshotFrom(name string) (*sqlengine.Engine, int64, error)
 // AnyActiveSnapshot snapshots an arbitrary active backend (the lowest
 // name, for determinism).
 func (c *Controller) AnyActiveSnapshot() (*sqlengine.Engine, int64, error) {
-	actives := c.appendActive(nil)
-	if len(actives) == 0 {
-		return nil, 0, ErrNoBackend
-	}
-	best := actives[0]
-	for _, b := range actives[1:] {
-		if b.name < best.name {
+	var best *backend
+	for _, b := range c.p.members {
+		if b.state == Active && (best == nil || b.name < best.name) {
 			best = b
 		}
+	}
+	if best == nil {
+		return nil, 0, ErrNoBackend
 	}
 	return c.SnapshotFrom(best.name)
 }
@@ -784,17 +558,18 @@ func (c *Controller) CheckConsistency() ConsistencyReport {
 		Applied:      map[string]int64{},
 	}
 	var first uint64
-	seen := false
-	for _, b := range c.appendActive(nil) {
+	for _, b := range c.p.members {
+		if b.state != Active {
+			continue
+		}
 		fp := b.srv.DB().Fingerprint()
-		rep.Fingerprints[b.name] = fp
-		rep.Applied[b.name] = b.applied
-		if !seen {
+		if len(rep.Fingerprints) == 0 {
 			first = fp
-			seen = true
 		} else if fp != first {
 			rep.Consistent = false
 		}
+		rep.Fingerprints[b.name] = fp
+		rep.Applied[b.name] = b.applied
 	}
 	return rep
 }

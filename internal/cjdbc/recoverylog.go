@@ -11,9 +11,7 @@
 // the last write it executed before being disabled.
 package cjdbc
 
-import (
-	"jade/internal/legacy"
-)
+import "jade/internal/legacy"
 
 // LogRecord is one indexed write request in the recovery log.
 type LogRecord struct {
@@ -53,17 +51,6 @@ func (l *RecoveryLog) Append(q legacy.Query) int64 {
 // Len returns the number of logged writes (also the index the next write
 // will get).
 func (l *RecoveryLog) Len() int64 { return int64(len(l.records)) }
-
-// From returns the records with Index >= from, in order.
-func (l *RecoveryLog) From(from int64) []LogRecord {
-	if from < 0 {
-		from = 0
-	}
-	if from >= int64(len(l.records)) {
-		return nil
-	}
-	return l.records[from:]
-}
 
 // At returns the record at index.
 func (l *RecoveryLog) At(index int64) (LogRecord, bool) {
