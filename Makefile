@@ -48,7 +48,7 @@ test: build
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
-	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/sim ./internal/netsim ./internal/obs ./internal/metrics 2>&1) || { echo "$$asm"; exit 1; }; \
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/sim ./internal/netsim ./internal/obs ./internal/metrics ./internal/cluster ./internal/selector 2>&1) || { echo "$$asm"; exit 1; }; \
 	fused=$$(echo "$$asm" | grep -E '\s(FMADD|FMSUB|FNMADD|FNMSUB)[DS]?\s'); \
 	if [ -n "$$fused" ]; then echo "fused multiply-add in the arm64 build:"; echo "$$fused"; exit 1; fi
 

@@ -171,9 +171,9 @@ func (n *Node) effectiveCapacity() float64 {
 	c := n.cfg.CPUCapacity
 	if n.cfg.ThrashThreshold > 0 && len(n.jobs) > n.cfg.ThrashThreshold {
 		over := float64(len(n.jobs) - n.cfg.ThrashThreshold)
-		c = c / (1 + n.cfg.ThrashFactor*over)
+		c = c / (1 + float64(n.cfg.ThrashFactor*over))
 	}
-	return c * (1 - n.bgLoad)
+	return float64(c * (1 - n.bgLoad))
 }
 
 // advance applies elapsed processor-sharing progress to all active jobs
@@ -190,7 +190,7 @@ func (n *Node) advance(skip *Job) float64 {
 	rate := n.effectiveCapacity() / float64(len(n.jobs))
 	for _, j := range n.jobs {
 		if dt > 0 {
-			j.remaining -= dt * rate
+			j.remaining -= float64(dt * rate)
 		}
 		if j.remaining < minRem && j != skip {
 			minRem = j.remaining
@@ -259,7 +259,7 @@ func (n *Node) onCompletion() {
 	live := n.jobs[:0]
 	for _, j := range n.jobs {
 		if dt > 0 {
-			j.remaining -= dt * rate
+			j.remaining -= float64(dt * rate)
 		}
 		if j.remaining <= eps {
 			j.idx = 0
@@ -400,7 +400,7 @@ func (n *Node) GrantedShares() float64 {
 	if n.failed {
 		return 0
 	}
-	g := n.bgLoad * n.cfg.CPUCapacity
+	g := float64(n.bgLoad * n.cfg.CPUCapacity)
 	if len(n.jobs) > 0 {
 		g += n.effectiveCapacity()
 	}

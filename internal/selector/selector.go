@@ -168,7 +168,7 @@ const (
 // the decayed mean latency in seconds (weighted latencyWeight). Lower is
 // better. Pure: scoring never mutates the backend.
 func (b *Backend) Score(now float64) float64 {
-	s := float64(b.inflight) + failureWeight*b.fail.valueAt(now)
+	s := float64(b.inflight) + float64(failureWeight*b.fail.valueAt(now))
 	if n := b.latN.valueAt(now); n > 1e-9 {
 		s += latencyWeight * b.lat.valueAt(now) / n
 	}
