@@ -376,10 +376,7 @@ func TestConfigRulesBothDoors(t *testing.T) {
 	cfg := DefaultSpec(1, true).compile().withDefaults()
 	rt := newConfigRuntime(refresh.NewHub(nil), initialLive(&cfg))
 	paths := func(err error) []string {
-		var out []string
-		for _, fe := range AsValidationError(err) {
-			out = append(out, fe.Path)
-		}
+		out := fieldPaths(err)
 		sort.Strings(out)
 		return out
 	}
