@@ -106,8 +106,8 @@ func ExampleRunSpec() {
 	spec.Workload.Profile = jade.ProfileSpec{Kind: "constant", Clients: 40, DurationSeconds: 240}
 	spec.Checks.Invariants = true
 	spec.Faults.Network.Enabled = true
-	spec.Faults.Partition = []jade.PartitionSpec{
-		{At: 60, DurationSeconds: 30, A: []string{"tomcat1"}, B: []string{jade.ManagementEndpoint}},
+	spec.Faults.Chaos = jade.ChaosSchedule{
+		{At: 60, Kind: jade.ChaosPartition, Duration: 30, A: []string{"tomcat1"}, B: []string{jade.ManagementEndpoint}},
 	}
 	r, err := jade.RunSpec(spec)
 	if err != nil {

@@ -23,8 +23,7 @@ func main() {
 	cfg := jade.DefaultScenario(*seed, true)
 	cfg.Recovery = true
 	cfg.Profile = jade.ConstantProfile{Clients: *clients, Length: 400}
-	cfg.FailComponent = "tomcat1"
-	cfg.FailAt = 100
+	cfg.Chaos = jade.ChaosSchedule{{At: 100, Kind: jade.ChaosCrash, Target: "tomcat1"}}
 	cfg.Logf = func(format string, args ...any) {
 		fmt.Printf("  jade: "+format+"\n", args...)
 	}

@@ -62,7 +62,7 @@ func goldenMatrix(t *testing.T) []goldenCase {
 	recovery := DefaultScenario(1, true)
 	recovery.Recovery = true
 	recovery.Profile = ConstantProfile{Clients: 120, Length: 240}
-	recovery.FailAt, recovery.FailComponent = 60, "tomcat1"
+	recovery.Chaos = ChaosSchedule{{At: 60, Kind: ChaosCrash, Target: "tomcat1"}}
 	churn := DefaultScenario(1, true)
 	churn.Recovery = true
 	churn.Profile = ConstantProfile{Clients: 120, Length: 300}

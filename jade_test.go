@@ -283,8 +283,7 @@ func TestRecoveryScenario(t *testing.T) {
 	cfg := DefaultScenario(3, true)
 	cfg.Recovery = true
 	cfg.Profile = ConstantProfile{Clients: 60, Length: 400}
-	cfg.FailComponent = "tomcat1"
-	cfg.FailAt = 100
+	cfg.Chaos = ChaosSchedule{{At: 100, Kind: ChaosCrash, Target: "tomcat1"}}
 	r, err := RunScenario(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func netFaultRuns(x *expEnv) ([]expRun, error) {
 		{"loss 0.5%", func(s *Spec) { s.Faults.Network.Default.Loss = 0.005 }},
 		{"loss 2%", func(s *Spec) { s.Faults.Network.Default.Loss = 0.02 }},
 		{"partition 30s (heartbeats)", func(s *Spec) {
-			s.Faults.Partition = []PartitionSpec{{At: 60, DurationSeconds: 30, A: []string{"tomcat1"}, B: []string{ManagementEndpoint}}}
+			s.Faults.Chaos = ChaosSchedule{{At: 60, Kind: ChaosPartition, Duration: 30, A: []string{"tomcat1"}, B: []string{ManagementEndpoint}}}
 		}},
 		{"crash replica at 60s", func(s *Spec) {
 			s.Faults.Chaos = ChaosSchedule{{At: 60, Kind: ChaosCrash, Target: "tomcat1"}}

@@ -42,8 +42,10 @@ func FuzzParseSpec(f *testing.F) {
 	s.Recovery = true
 	s.Faults.Network.Enabled = true
 	s.Faults.Network.Default = LinkConfig{LatencyMS: 0.5, JitterMS: 0.1, Loss: 0.001}
-	s.Faults.Partition = []PartitionSpec{{At: 30, DurationSeconds: 10, A: []string{"tomcat1"}, B: []string{ManagementEndpoint}}}
-	s.Faults.Chaos = ChaosSchedule{{At: 5, Kind: ChaosCrash, Target: "tomcat1"}}
+	s.Faults.Chaos = ChaosSchedule{
+		{At: 5, Kind: ChaosCrash, Target: "tomcat1"},
+		{At: 30, Kind: ChaosPartition, Duration: 10, A: []string{"tomcat1"}, B: []string{ManagementEndpoint}},
+	}
 	add(s)
 	for _, seed := range []string{
 		`{}`,
