@@ -127,13 +127,7 @@ func TestHealthzReportsDegraded(t *testing.T) {
 		cfg := DefaultScenario(21, true)
 		cfg.Profile = ConstantProfile{Clients: 40, Length: 120}
 		if impossible {
-			slos := DefaultSLOs()
-			for i := range slos {
-				if slos[i].Name == "client-latency-p95" {
-					slos[i].Max = 0.0001 // no run can meet 0.1 ms p95
-				}
-			}
-			cfg.SLOs = slos
+			cfg.SLOTargets = map[string]float64{"client-latency-p95": 0.0001} // no run can meet 0.1 ms p95
 		}
 		cfg.HTTPAddr = "127.0.0.1:0"
 		r, err := RunScenario(cfg)

@@ -207,7 +207,7 @@ func initialLive(cfg *ScenarioConfig) liveState {
 	if cfg.Net.Enabled {
 		rpc = cfg.Net.RPC
 	}
-	slo := obs.NewSLOEngine(nil, cfg.SLOInterval, cfg.SLOs)
+	slo := obs.NewSLOEngine(nil, sloInterval, DefaultSLOs())
 	retarget(slo, cfg.SLOTargets)
 	return liveState{
 		app:        cfg.AppSizing,
