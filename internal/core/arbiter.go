@@ -89,33 +89,6 @@ func (a *Arbiter) record(t float64, requester string, prio int, granted bool, re
 		trace.F("verdict", verdict), trace.Fi("priority", prio), trace.F("reason", reason))
 }
 
-// gate abstracts "may I reconfigure now?" so reactors work with either
-// the paper's shared Inhibitor or the arbitration manager.
-type gate interface {
-	tryAcquire(now float64, requester string, priority int) bool
-}
-
-// inhibitorGate adapts Inhibitor (no priorities, first come first served).
-type inhibitorGate struct {
-	i       *Inhibitor
-	seconds float64
-}
-
-func (g inhibitorGate) tryAcquire(now float64, _ string, _ int) bool {
-	if g.i.Inhibited(now) {
-		return false
-	}
-	g.i.Trigger(now, g.seconds)
-	return true
-}
-
-// arbiterGate adapts Arbiter.
-type arbiterGate struct{ a *Arbiter }
-
-func (g arbiterGate) tryAcquire(now float64, requester string, priority int) bool {
-	return g.a.Request(now, requester, priority)
-}
-
 // AdaptiveTuner implements the other piece of the paper's future work:
 // "improving the self-optimizing algorithm by setting incrementally and
 // dynamically its parameters." It is itself a control loop: it observes

@@ -468,11 +468,18 @@ func thresholdDistance(v, min, max float64) float64 {
 	return math.Min(max-v, v-min)
 }
 
-func (r *ThresholdReactor) gate() gate {
+// acquire asks whether the reactor may reconfigure now: the Arbiter
+// decides when one is set; otherwise the shared Inhibitor admits the
+// first comer outside its quiet window and opens a new one.
+func (r *ThresholdReactor) acquire(now float64) bool {
 	if r.Arbiter != nil {
-		return arbiterGate{r.Arbiter}
+		return r.Arbiter.Request(now, r.tier.TierName(), r.Priority)
 	}
-	return inhibitorGate{i: r.Inhibit, seconds: r.InhibitSeconds}
+	if r.Inhibit.Inhibited(now) {
+		return false
+	}
+	r.Inhibit.Trigger(now, r.InhibitSeconds)
+	return true
 }
 
 // NewThresholdReactor builds the reactor with the paper's one-minute
@@ -505,12 +512,12 @@ func (r *ThresholdReactor) React(now float64, v float64) {
 	}
 }
 
-// resize acts on one threshold crossing, the gate permitting: it opens the
+// resize acts on one threshold crossing, acquire permitting: it opens the
 // decision span (the actuation nests under it via the ambient cause), runs
 // the actuation and tallies a success.
 func (r *ThresholdReactor) resize(now float64, direction string, v float64, rel string, threshold float64,
 	act func(func(error)), tally *uint64, ctr *obs.Counter) {
-	if !r.gate().tryAcquire(now, r.tier.TierName(), r.Priority) {
+	if !r.acquire(now) {
 		return
 	}
 	fields := []trace.Field{

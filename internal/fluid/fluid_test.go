@@ -28,9 +28,11 @@ func station(name string, d float64, members []*cluster.Node) *Station {
 }
 
 func run(eng *sim.Engine, net *Network, seconds float64) {
-	b := sim.NewTickBarrier(eng, 1.0, "fluid")
-	b.Register("net", net.Tick)
-	b.Start()
+	last := eng.Now()
+	eng.Every(1.0, "fluid", func(now float64) {
+		net.Tick(now, now-last)
+		last = now
+	})
 	eng.RunUntil(eng.Now() + seconds)
 }
 

@@ -561,3 +561,31 @@ func BenchmarkEngineCancelHeavy(b *testing.B) {
 		e.Run()
 	}
 }
+
+// TestCompactionBoundsQueueUnderCancelHeavyLoad is the regression test
+// for the lazy-cancel compaction trigger: under a sustained
+// cancel-and-reschedule workload with a large population of far-future
+// events, the raw queue (live + parked canceled) must stay bounded by
+// the majority rule rather than growing with the number of cancels.
+func TestCompactionBoundsQueueUnderCancelHeavyLoad(t *testing.T) {
+	e := NewEngine(42)
+	// Live population: 1000 far-future events that never fire.
+	for i := 0; i < 1000; i++ {
+		e.At(1e6+float64(i), "far", func() {})
+	}
+	// Cancel-heavy churn: 50k reschedules of a near-future event.
+	var h Handle
+	for i := 0; i < 50000; i++ {
+		e.Cancel(h)
+		h = e.At(float64(i)+1, "resched", func() {})
+		// The queue may exceed the bound only until the *next* cancel
+		// trips the majority rule, so allow one pending cancel of slack.
+		limit := 2*(1000+1) + compactMinCancels + 1
+		if raw := e.PendingRaw(); raw > limit {
+			t.Fatalf("PendingRaw %d exceeds bound %d after %d cancels", raw, limit, i+1)
+		}
+	}
+	if live := e.Pending(); live != 1000+1 {
+		t.Fatalf("Pending %d, want 1001", live)
+	}
+}
