@@ -170,7 +170,9 @@ func (ac *accum) add(tier, component string, sec float64) {
 	s := *ac
 	for i := range s {
 		if s[i].Tier == tier && s[i].Component == component {
-			s[i].Seconds += sec
+			// sec is mostly a product; converting it keeps it rounded,
+			// so arm64 cannot fuse the product into this sum.
+			s[i].Seconds += float64(sec)
 			return
 		}
 	}
