@@ -58,7 +58,7 @@ func seriesRMS(a, b *Series, t0, t1, step float64) float64 {
 	n := 0
 	for t := t0; t < t1; t += step {
 		d := a.At(t) - b.At(t)
-		sum += d * d
+		sum += float64(d * d)
 		n++
 	}
 	if n == 0 {

@@ -131,8 +131,8 @@ func (r *AnomalyRule) update(x float64) {
 		r.mean = x
 	} else {
 		d := x - r.mean
-		r.mean += alpha * d
-		r.variance = (1 - alpha) * (r.variance + alpha*d*d)
+		r.mean += float64(alpha * d)
+		r.variance = (1 - alpha) * (r.variance + float64(alpha*d*d))
 	}
 	r.n++
 }
@@ -232,7 +232,7 @@ func (r *SkewRule) Evaluate(now float64) []Finding {
 			}
 			reasons = append(reasons, fmt.Sprintf("%d in flight vs pool median %.0f", s.InFlight, medFlight))
 		}
-		if s.Failures >= 3+r.cfg.SkewFactor*medFail {
+		if s.Failures >= 3+float64(r.cfg.SkewFactor*medFail) {
 			fr := s.Failures / math.Max(medFail, 1)
 			if fr > ratio {
 				ratio = fr

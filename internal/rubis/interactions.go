@@ -181,7 +181,7 @@ func Interactions() []Interaction {
 				user := g.RNG.Intn(max(1, g.DS.Users))
 				id := g.Counters.nextBid
 				g.Counters.nextBid++
-				amount := 1 + g.RNG.Float64()*200
+				amount := 1 + float64(g.RNG.Float64()*200)
 				return append(qs,
 					rd(0.025, selItem, item),
 					wr(0.008, "INSERT INTO bids (id, user_id, item_id, bid, date) VALUES (%d, %d, %d, %.2f, %d)",
@@ -219,7 +219,7 @@ func Interactions() []Interaction {
 				g.Counters.nextItem++
 				seller := g.RNG.Intn(max(1, g.DS.Users))
 				cat := g.RNG.Intn(max(1, g.DS.Categories))
-				price := 1 + g.RNG.Float64()*100
+				price := 1 + float64(g.RNG.Float64()*100)
 				return append(qs,
 					wr(0.010, "INSERT INTO items (id, name, seller, category, initial_price, max_bid, nb_of_bids, end_date, buy_now) VALUES (%d, 'new-item-%d', %d, %d, %.2f, %.2f, 0, 2000000, %.2f)",
 						id, id, seller, cat, price, price, price*1.5))

@@ -96,7 +96,7 @@ func (d Dataset) Populate(db *sqlengine.Engine, rng *rand.Rand) error {
 	bids := insertInto(db, "bids", "id", "user_id", "item_id", "bid", "date")
 	bidID, commentID := 0, 0
 	for i := 0; i < d.Items; i++ {
-		price := 1 + rng.Float64()*100
+		price := 1 + float64(rng.Float64()*100)
 		seller := rng.Intn(max(1, d.Users))
 		category := rng.Intn(max(1, d.Categories))
 		endDate := 1000000 + rng.Intn(1000000)
@@ -156,7 +156,7 @@ func (in *inserter) row(vals ...sqlengine.Value) error {
 // is under 1e-7, so only a product within 1e-6 of a half cent, a larger
 // one, or Inf and NaN take the printed text.
 func cents(x float64) float64 {
-	c := x * 100
+	c := float64(x * 100)
 	if math.Abs(c) < 1e9 && math.Abs(c-math.Floor(c)-0.5) > 1e-6 {
 		return math.Round(c) / 100
 	}

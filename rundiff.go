@@ -177,7 +177,7 @@ func (d *RunDiff) diffBudgets(opt RunDiffOptions) {
 		for _, p := range r.Profiles {
 			reqs += float64(p.Requests)
 			for _, c := range p.Components {
-				m[c.Tier+"/"+c.Component] += float64(p.Requests) * c.MeanSec
+				m[c.Tier+"/"+c.Component] += float64(float64(p.Requests) * c.MeanSec)
 			}
 		}
 		if reqs > 0 {

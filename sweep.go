@@ -85,7 +85,7 @@ func ChaosSweepScenario(speedup float64) ScenarioConfig {
 // the peak. Fractions of the profile duration keep the schedule
 // meaningful under time compression.
 func DefaultCrashSchedule(profileSeconds float64) ChaosSchedule {
-	at := func(f float64) float64 { return profileSeconds * f }
+	at := func(f float64) float64 { return float64(profileSeconds * f) }
 	return ChaosSchedule{
 		{At: at(0.20), Kind: ChaosCrash, Target: "tomcat1"},
 		{At: at(0.20) + 60, Kind: ChaosReboot, Target: "tomcat1"},
