@@ -137,9 +137,10 @@ type ScenarioConfig struct {
 	// simulation schedule is unchanged, but the result carries no trace
 	// (violation artifacts lose their event tail).
 	TraceOff bool
-	// MetricsDir, when set, writes a metrics snapshot in Prometheus text
-	// and JSON format (metrics-t<time>.prom/.json) every MetricsInterval
-	// virtual seconds, plus a final snapshot at run end.
+	// MetricsDir, when set, appends a JSON metrics snapshot to
+	// metrics.jsonl every MetricsInterval virtual seconds, plus a final
+	// snapshot at run end, and writes the final one in Prometheus text
+	// and JSON format as metrics-t<time>.prom/.json.
 	MetricsDir string
 	// MetricsInterval is the snapshot period in virtual seconds (60 by
 	// default). The snapshot ticker runs in every scenario regardless of
@@ -585,8 +586,13 @@ func (cfg *ScenarioConfig) check() error {
 	for i, ev := range cfg.Chaos {
 		path := fmt.Sprintf("faults.chaos[%d]", i)
 		ve.nonNegative(path+".at", ev.At)
+		ve.nonNegative(path+".duration", ev.Duration)
 		switch ev.Kind {
-		case ChaosCrash, ChaosReboot, ChaosSlow, ChaosHeal, ChaosConfig:
+		case ChaosCrash, ChaosReboot, ChaosSlow, ChaosConfig:
+		case ChaosHeal:
+			if !cfg.Net.Enabled {
+				ve.addf(path, "heal requires faults.network.enabled")
+			}
 		case ChaosPartition:
 			if !cfg.Net.Enabled {
 				ve.addf(path, "partition requires faults.network.enabled")
@@ -600,11 +606,11 @@ func (cfg *ScenarioConfig) check() error {
 			}
 		}
 	}
-	// Snapshot files are named by the rounded second, so two snapshots
-	// under a second apart would share a file and one would be lost.
+	// Every snapshot is one line of the metrics history, so the interval
+	// bounds its growth at one line per simulated second.
 	ve.nonNegative("telemetry.metrics_interval_seconds", cfg.MetricsInterval)
 	if cfg.MetricsDir != "" && cfg.MetricsInterval >= 0 && cfg.MetricsInterval < 1 {
-		ve.addf("telemetry.metrics_interval_seconds", "must be >= 1 with telemetry.metrics_dir (snapshot files are named by the second), got %g", cfg.MetricsInterval)
+		ve.addf("telemetry.metrics_interval_seconds", "must be >= 1 with telemetry.metrics_dir (one history line per simulated second at most), got %g", cfg.MetricsInterval)
 	}
 	if cfg.Recovery && !cfg.Managed {
 		ve.addf("recovery", "requires managed")

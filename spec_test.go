@@ -85,6 +85,16 @@ var specValidateCases = []struct {
 	{"chaos partition without network", func(s *Spec) {
 		s.Faults.Chaos = ChaosSchedule{{At: 1, Kind: ChaosPartition, A: []string{"node1"}}}
 	}, false},
+	{"negative chaos duration", func(s *Spec) {
+		s.Faults.Chaos = ChaosSchedule{{At: 1, Kind: ChaosSlow, Target: "tomcat1", Duration: -5}}
+	}, false},
+	{"heal without network", func(s *Spec) {
+		s.Faults.Chaos = ChaosSchedule{{At: 1, Kind: ChaosHeal}}
+	}, false},
+	{"heal with network", func(s *Spec) {
+		s.Faults.Network.Enabled = true
+		s.Faults.Chaos = ChaosSchedule{{At: 1, Kind: ChaosHeal}}
+	}, true},
 	{"unknown chaos kind", func(s *Spec) {
 		s.Faults.Chaos = ChaosSchedule{{At: 1, Kind: "meteor", Target: "tomcat1"}}
 	}, false},
@@ -174,6 +184,12 @@ func TestSpecValidateRejectsNegativeFaultTimes(t *testing.T) {
 		{func(s *Spec) {
 			s.Faults.Chaos = ChaosSchedule{{At: 10, Kind: ChaosCrash, Target: "mysql1"}, {At: -1, Kind: ChaosCrash, Target: "tomcat1"}}
 		}, "faults.chaos[1].at"},
+		{func(s *Spec) {
+			s.Faults.Chaos = ChaosSchedule{{At: 10, Kind: ChaosSlow, Target: "tomcat1", Duration: -5}}
+		}, "faults.chaos[0].duration"},
+		{func(s *Spec) {
+			s.Faults.Chaos = ChaosSchedule{{At: 10, Kind: ChaosPartition, A: []string{"tomcat1"}, Duration: -1}}
+		}, "faults.chaos[0].duration"},
 		{func(s *Spec) { s.Faults.Network.Default.LatencyMS = -1 }, "faults.network.default.latency_ms"},
 		{func(s *Spec) { s.Faults.Network.Default.JitterMS = -1 }, "faults.network.default.jitter_ms"},
 		{func(s *Spec) {
