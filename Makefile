@@ -15,7 +15,8 @@
 #   make bench        - the repository benchmark (go run ./benchmark), the only
 #                       performance entry point
 #   make obs-smoke    - scrape a live run's admin endpoint and validate the exposition,
-#                       which must equal the newest snapshot files on disk
+#                       which must equal the newest snapshot files on disk and the
+#                       last line of metrics.jsonl, whose every line must validate
 #   make netsim-smoke - run the partition scenario from examples/netfault.json
 #                       end to end (invariant-checked; nonzero exit on violation)
 #   make experiments  - every experiment at full length (go run ./cmd/jadectl
@@ -49,7 +50,7 @@ test: build
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
-	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/sim ./internal/netsim ./internal/obs ./internal/obs/attrib ./internal/metrics ./internal/cluster ./internal/selector ./internal/fluid 2>&1) || { echo "$$asm"; exit 1; }; \
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S . ./internal/sim ./internal/netsim ./internal/obs ./internal/obs/alert ./internal/obs/attrib ./internal/metrics ./internal/cluster ./internal/selector ./internal/fluid ./internal/rubis 2>&1) || { echo "$$asm"; exit 1; }; \
 	fused=$$(echo "$$asm" | grep -E '\s(FMADD|FMSUB|FNMADD|FNMSUB)[DS]?\s'); \
 	if [ -n "$$fused" ]; then echo "fused multiply-add in the arm64 build:"; echo "$$fused"; exit 1; fi
 

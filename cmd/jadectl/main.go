@@ -67,8 +67,9 @@
 // events and spans one JSON object per line. trace-validate checks an
 // exported Chrome trace against the trace-event schema.
 //
-// -metrics.dir writes periodic metrics snapshots (Prometheus text +
-// JSON) plus the run's alert stream (alerts.jsonl) and incident reports
+// -metrics.dir writes the run's metrics history (metrics.jsonl, one JSON
+// snapshot a line), its final snapshot (Prometheus text + JSON), the
+// run's alert stream (alerts.jsonl) and incident reports
 // (incidents.json), the SLO compliance report (slo_report.json), the
 // per-tier latency budget (latency_budget.json) and the fluid-engine
 // internals (fluid.json). -metrics.http serves the live admin endpoint
@@ -115,6 +116,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -356,7 +358,7 @@ func parseScenario(fs *flag.FlagSet, args []string) (*scenarioArgs, error) {
 	fs.Float64Var(&s.Faults.Network.Default.JitterMS, "net.jitter", 0, "default link jitter (milliseconds)")
 	fs.Float64Var(&s.Faults.Network.Default.Loss, "net.loss", 0, "default link loss probability, in [0,1)")
 	fs.IntVar(&s.Telemetry.TraceRequests, "trace.requests", 0, "open a causal span for every N-th client request (0 = default 25 when tracing)")
-	fs.StringVar(&s.Telemetry.MetricsDir, "metrics.dir", "", "write periodic metrics snapshots (Prometheus text + JSON) into this directory")
+	fs.StringVar(&s.Telemetry.MetricsDir, "metrics.dir", "", "write the metrics history (metrics.jsonl), the final snapshot (Prometheus text + JSON) and the run artifacts into this directory")
 	fs.Float64Var(&s.Telemetry.MetricsIntervalSeconds, "metrics.interval", 60, "snapshot period in simulated seconds")
 	fs.StringVar(&s.Telemetry.HTTPAddr, "metrics.http", "", "serve the live admin endpoint on this address (e.g. :8080 or 127.0.0.1:0)")
 	fs.BoolVar(&s.Alerting.Off, "alert.off", false, "disable alerting-rule evaluation")
@@ -502,7 +504,9 @@ func describeProfile(ps jade.ProfileSpec) string {
 // scrapeAdmin fetches the run's own admin endpoint and validates every
 // exposition format plus the SLO report — the CI smoke check. With a
 // metrics directory, /metrics and /metrics.json must also equal the
-// newest snapshot files, byte for byte.
+// newest snapshot files, byte for byte, and the metrics history must
+// validate line by line, its times never decreasing, and end with
+// /metrics.json.
 func scrapeAdmin(r *jade.ScenarioResult, metricsDir string) error {
 	get := func(path string) ([]byte, error) {
 		resp, err := http.Get("http://" + r.AdminAddr + path)
@@ -554,6 +558,14 @@ func scrapeAdmin(r *jade.ScenarioResult, metricsDir string) error {
 				return fmt.Errorf("scrape-check: %s differs from %s", page.path, newest)
 			}
 		}
+		last, lines, err := checkHistory(filepath.Join(metricsDir, "metrics.jsonl"))
+		if err != nil {
+			return fmt.Errorf("scrape-check: %w", err)
+		}
+		if !bytes.Equal(last, js) {
+			return fmt.Errorf("scrape-check: /metrics.json differs from the last line of metrics.jsonl")
+		}
+		fmt.Printf("scrape-check: %d snapshots (metrics.jsonl)\n", lines)
 	}
 	comp, err := get("/components")
 	if err != nil {
@@ -600,6 +612,38 @@ func scrapeAdmin(r *jade.ScenarioResult, metricsDir string) error {
 	fmt.Printf("scrape-check: %d samples (/metrics), %d series (/metrics.json), %d components, %d SLO intervals — ok\n",
 		n, series, nodes, evaluated)
 	return nil
+}
+
+// checkHistory validates every line of a metrics history as a metrics
+// JSON page and checks that their times never decrease. It returns the
+// last line, with its newline, and the number of lines.
+func checkHistory(path string) ([]byte, int, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(data) == 0 || data[len(data)-1] != '\n' {
+		return nil, 0, fmt.Errorf("%s: empty or not newline-terminated", path)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	lines = lines[:len(lines)-1] // SplitAfter's empty tail
+	var prev float64
+	for i, line := range lines {
+		if _, err := jade.ValidateMetricsJSON(line); err != nil {
+			return nil, 0, fmt.Errorf("%s line %d: %w", path, i+1, err)
+		}
+		var page struct {
+			Time float64 `json:"time"`
+		}
+		if err := json.Unmarshal(line, &page); err != nil {
+			return nil, 0, fmt.Errorf("%s line %d: %w", path, i+1, err)
+		}
+		if i > 0 && page.Time < prev {
+			return nil, 0, fmt.Errorf("%s line %d: time %g after %g", path, i+1, page.Time, prev)
+		}
+		prev = page.Time
+	}
+	return lines[len(lines)-1], len(lines), nil
 }
 
 // writeTraces exports the run's telemetry bus in the requested formats.

@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -123,6 +125,38 @@ func TestDeployRefusesEmptyPool(t *testing.T) {
 	for _, n := range []string{"0", "-1"} {
 		if err := cmdDeploy([]string{"-nodes", n}); err == nil || !strings.Contains(err.Error(), "-nodes") {
 			t.Errorf("deploy -nodes %s: err = %v, want one naming -nodes", n, err)
+		}
+	}
+}
+
+// The scrape check's history check passes a well-formed history and
+// refuses a line that is not a metrics page, a time that goes back, and
+// a history that does not end with a newline.
+func TestCheckHistory(t *testing.T) {
+	page := func(time string) string {
+		return `{"schema":"jade-metrics/v1","time":` + time + `,"families":[{"name":"jade_up","help":"","type":"gauge","series":[{"value":1}]}]}` + "\n"
+	}
+	for _, c := range []struct {
+		name, history string
+		ok            bool
+	}{
+		{"well formed", page("0") + page("10") + page("10"), true},
+		{"time goes back", page("10") + page("9.5"), false},
+		{"not a metrics page", page("0") + `{"schema":"other"}` + "\n", false},
+		{"no final newline", strings.TrimSuffix(page("0"), "\n"), false},
+		{"empty", "", false},
+	} {
+		path := filepath.Join(t.TempDir(), "metrics.jsonl")
+		if err := os.WriteFile(path, []byte(c.history), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		last, n, err := checkHistory(path)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v", c.name, err)
+			continue
+		}
+		if c.ok && (n != 3 || string(last) != page("10")) {
+			t.Errorf("%s: %d lines, last %q", c.name, n, last)
 		}
 	}
 }

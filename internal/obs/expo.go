@@ -195,22 +195,22 @@ func appendBucket(b []byte, name, sig string, le, v float64) []byte {
 	return append(b, '\n')
 }
 
-// MetricsJSON renders a snapshot as an indented JSON document with schema
-// MetricsJSONSchema, byte for byte what encoding/json's MarshalIndent
-// (two-space indent) wrote for it: HTML-safe strings, label keys sorted,
-// no families as null and a family without series as []. A non-finite
-// value, which JSON has no number for, is written as the string the text
-// page spells it with: "+Inf", "-Inf" or "NaN". Families and series come
-// in the snapshot's order: a registry's is by name and by signature. The
-// document is appended to one buffer sized up front, with no reflection
-// and no maps.
+// MetricsJSON renders a snapshot as a one-line JSON document with schema
+// MetricsJSONSchema, ended by a newline: byte for byte what
+// encoding/json's Marshal wrote for it, so a run's history holds one page
+// a line. Strings are HTML-safe, label keys sorted, no families is null
+// and a family without series is []. A non-finite value, which JSON has
+// no number for, is written as the string the text page spells it with:
+// "+Inf", "-Inf" or "NaN". Families and series come in the snapshot's
+// order: a registry's is by name and by signature. The document is
+// appended to one buffer sized up front, with no reflection and no maps.
 func MetricsJSON(s *Snapshot) []byte {
 	b := make([]byte, 0, metricsJSONSize(s))
-	b = append(b, "{\n  \"schema\": "...)
+	b = append(b, `{"schema":`...)
 	b = appendJSONString(b, MetricsJSONSchema)
-	b = append(b, ",\n  \"time\": "...)
+	b = append(b, `,"time":`...)
 	b = appendJSONFloat(b, s.Time)
-	b = append(b, ",\n  \"families\": "...)
+	b = append(b, `,"families":`...)
 	if len(s.Families) == 0 {
 		b = append(b, "null"...)
 	} else {
@@ -221,99 +221,59 @@ func MetricsJSON(s *Snapshot) []byte {
 			}
 			b = appendJSONFamily(b, &s.Families[i])
 		}
-		b = appendClose(b, ']', 1, len(s.Families))
+		b = append(b, ']')
 	}
-	return append(b, "\n}\n"...)
-}
-
-// indent is a newline and the deepest indentation a metrics document
-// needs: a histogram's bound or count, seven levels of two spaces.
-const indent = "\n              "
-
-// appendIndent starts a new line at the given depth.
-func appendIndent(b []byte, depth int) []byte {
-	return append(b, indent[:jsonLine(depth)]...)
-}
-
-// appendClose closes an array or object at the given depth that held n
-// elements: MarshalIndent keeps an empty one on the opening line.
-func appendClose(b []byte, c byte, depth, n int) []byte {
-	if n > 0 {
-		b = appendIndent(b, depth)
-	}
-	return append(b, c)
-}
-
-// appendJSONKey starts a new line at depth with "key": .
-func appendJSONKey(b []byte, depth int, key string) []byte {
-	b = appendIndent(b, depth)
-	b = append(b, '"')
-	b = append(b, key...)
-	return append(b, `": `...)
+	return append(b, "}\n"...)
 }
 
 func appendJSONFamily(b []byte, f *FamilySnapshot) []byte {
-	b = appendIndent(b, 2)
-	b = append(b, '{')
-	b = appendJSONKey(b, 3, "name")
+	b = append(b, `{"name":`...)
 	b = appendJSONString(b, f.Name)
-	b = append(b, ',')
-	b = appendJSONKey(b, 3, "help")
+	b = append(b, `,"help":`...)
 	b = appendJSONString(b, f.Help)
-	b = append(b, ',')
-	b = appendJSONKey(b, 3, "type")
+	b = append(b, `,"type":`...)
 	b = appendJSONString(b, string(f.Type))
-	b = append(b, ',')
-	b = appendJSONKey(b, 3, "series")
-	b = append(b, '[')
+	b = append(b, `,"series":[`...)
 	for i := range f.Series {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = appendJSONSeries(b, &f.Series[i])
 	}
-	b = appendClose(b, ']', 3, len(f.Series))
-	return appendClose(b, '}', 2, 1)
+	return append(b, "]}"...)
 }
 
 func appendJSONSeries(b []byte, m *SeriesSnapshot) []byte {
-	b = appendIndent(b, 4)
 	b = append(b, '{')
 	if len(m.Labels) > 0 {
-		b = appendJSONKey(b, 5, "labels")
+		b = append(b, `"labels":`...)
 		b = appendJSONLabels(b, m.Labels)
 		b = append(b, ',')
 	}
 	h := m.Histogram
 	if h == nil {
-		b = appendJSONKey(b, 5, "value")
+		b = append(b, `"value":`...)
 		b = appendJSONFloat(b, m.Value)
-		return appendClose(b, '}', 4, 1)
+		return append(b, '}')
 	}
-	b = appendJSONKey(b, 5, "histogram")
-	b = append(b, '{')
-	b = appendJSONKey(b, 6, "bounds")
+	b = append(b, `"histogram":{"bounds":`...)
 	b = appendJSONArray(b, h.Bounds, appendJSONFloat)
-	b = append(b, ',')
-	b = appendJSONKey(b, 6, "cumulative")
+	b = append(b, `,"cumulative":`...)
 	b = appendJSONArray(b, h.Cumulative, appendUint)
-	b = append(b, ',')
-	b = appendJSONKey(b, 6, "count")
+	b = append(b, `,"count":`...)
 	b = appendUint(b, h.Count)
 	for _, kv := range [...]struct {
 		key string
 		v   float64
-	}{{"sum", h.Sum}, {"min", h.Min}, {"max", h.Max}, {"p50", h.P50}, {"p95", h.P95}, {"p99", h.P99}} {
-		b = append(b, ',')
-		b = appendJSONKey(b, 6, kv.key)
+	}{{`,"sum":`, h.Sum}, {`,"min":`, h.Min}, {`,"max":`, h.Max}, {`,"p50":`, h.P50}, {`,"p95":`, h.P95}, {`,"p99":`, h.P99}} {
+		b = append(b, kv.key...)
 		b = appendJSONFloat(b, kv.v)
 	}
-	b = appendClose(b, '}', 5, 1)
-	return appendClose(b, '}', 4, 1)
+	return append(b, "}}"...)
 }
 
-// appendJSONArray appends a histogram's array, one number a line: null
-// for a nil slice, as encoding/json writes it.
+// appendJSONArray appends a histogram's array: null for a nil slice, as
+// encoding/json writes it.
 func appendJSONArray[T any](b []byte, vs []T, spell func([]byte, T) []byte) []byte {
 	if vs == nil {
 		return append(b, "null"...)
@@ -323,10 +283,9 @@ func appendJSONArray[T any](b []byte, vs []T, spell func([]byte, T) []byte) []by
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendIndent(b, 7)
 		b = spell(b, v)
 	}
-	return appendClose(b, ']', 6, len(vs))
+	return append(b, ']')
 }
 
 func appendUint(b []byte, v uint64) []byte { return strconv.AppendUint(b, v, 10) }
@@ -350,12 +309,11 @@ func appendJSONLabels(b []byte, ls []Label) []byte {
 			b = append(b, ',')
 		}
 		n++
-		b = appendIndent(b, 6)
 		b = appendJSONString(b, l.Key)
-		b = append(b, ": "...)
+		b = append(b, ':')
 		b = appendJSONString(b, l.Value)
 	}
-	return appendClose(b, '}', 5, n)
+	return append(b, '}')
 }
 
 func compareLabelKeys(a, b Label) int { return strings.Compare(a.Key, b.Key) }
@@ -479,35 +437,30 @@ func jsonStringLen(s string) int {
 // label keys given twice.
 func metricsJSONSize(s *Snapshot) int {
 	bounds := boundsLen{json: true}
-	// {, the three keys, and }
-	n := len("{") + 3*jsonLine(1) + len(`"schema": ,"time": ,"families": null`) +
-		jsonStringLen(MetricsJSONSchema) + maxJSONFloatLen + jsonLine(0) + len("}\n")
+	n := len(`{"schema":,"time":,"families":null}`+"\n") + jsonStringLen(MetricsJSONSchema) + maxJSONFloatLen
 	if len(s.Families) > 0 {
-		n += len("[]") - len("null") + jsonLine(1) + len(s.Families) - 1
+		n += len("[]") - len("null") + len(s.Families) - 1
 	}
 	for _, f := range s.Families {
-		// {, the four keys, and }
-		n += 2*jsonLine(2) + len("{}") + 4*jsonLine(3) + len(`"name": ,"help": ,"type": ,"series": []`) +
+		n += len(`{"name":,"help":,"type":,"series":[]}`) +
 			jsonStringLen(f.Name) + jsonStringLen(f.Help) + jsonStringLen(string(f.Type))
 		if len(f.Series) > 0 {
-			n += jsonLine(3) + len(f.Series) - 1
+			n += len(f.Series) - 1
 		}
 		for _, m := range f.Series {
-			n += 2*jsonLine(4) + len("{}")
+			n += len("{}")
 			if len(m.Labels) > 0 {
-				n += 2*jsonLine(5) + len(`"labels": {},`) + len(m.Labels) - 1
+				n += len(`"labels":{},`) + len(m.Labels) - 1
 				for _, l := range m.Labels {
-					n += jsonLine(6) + jsonStringLen(l.Key) + len(": ") + jsonStringLen(l.Value)
+					n += jsonStringLen(l.Key) + len(":") + jsonStringLen(l.Value)
 				}
 			}
 			h := m.Histogram
 			if h == nil {
-				n += jsonLine(5) + len(`"value": `) + maxJSONFloatLen
+				n += len(`"value":`) + maxJSONFloatLen
 				continue
 			}
-			// "histogram": {, its nine keys, and }
-			n += 2*jsonLine(5) + len(`"histogram": {}`) + 9*jsonLine(6) +
-				len(`"bounds": ,"cumulative": ,"count": ,"sum": ,"min": ,"max": ,"p50": ,"p95": ,"p99": `) +
+			n += len(`"histogram":{"bounds":,"cumulative":,"count":,"sum":,"min":,"max":,"p50":,"p95":,"p99":}`) +
 				uintLen(h.Count) + 6*maxJSONFloatLen
 			n += jsonArrayLen(len(h.Bounds), h.Bounds == nil) + bounds.of(h.Bounds)
 			n += jsonArrayLen(len(h.Cumulative), h.Cumulative == nil)
@@ -519,11 +472,8 @@ func metricsJSONSize(s *Snapshot) int {
 	return n
 }
 
-// jsonLine is the newline and indentation that start a line at depth d.
-func jsonLine(d int) int { return 1 + 2*d }
-
 // jsonArrayLen is the bytes of a histogram's array of n numbers, less
-// the numbers: null, [], or one number a line.
+// the numbers: null, [], or the brackets and commas.
 func jsonArrayLen(n int, null bool) int {
 	switch {
 	case null:
@@ -531,7 +481,7 @@ func jsonArrayLen(n int, null bool) int {
 	case n == 0:
 		return len("[]")
 	}
-	return len("[]") + n*jsonLine(7) + n - 1 + jsonLine(6)
+	return len("[]") + n - 1
 }
 
 // uintLen is the number of decimal digits of v.

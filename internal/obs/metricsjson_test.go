@@ -14,7 +14,7 @@ import (
 
 // referenceMetricsJSON is the renderer MetricsJSON replaced: the
 // document built from maps and tagged structs and written by
-// encoding/json's MarshalIndent. It is the oracle the appender must match
+// encoding/json's Marshal. It is the oracle the appender must match
 // byte for byte. encoding/json refuses non-finite floats, so refNum hands
 // it those as the strings MetricsJSON writes; every finite float is still
 // a float64 that encoding/json spells.
@@ -83,7 +83,7 @@ func referenceMetricsJSON(s *Snapshot) []byte {
 		}
 		doc.Families = append(doc.Families, jf)
 	}
-	out, err := json.MarshalIndent(doc, "", "  ")
+	out, err := json.Marshal(doc)
 	if err != nil {
 		panic(err)
 	}
@@ -286,7 +286,7 @@ func TestMetricsJSONNonFinite(t *testing.T) {
 	h.Observe(math.NaN())
 	s := r.Snapshot()
 	doc := MetricsJSON(s)
-	for _, want := range []string{`"value": "+Inf"`, `"value": "-Inf"`, `"sum": "NaN"`} {
+	for _, want := range []string{`"value":"+Inf"`, `"value":"-Inf"`, `"sum":"NaN"`} {
 		if !bytes.Contains(doc, []byte(want)) {
 			t.Errorf("page lacks %s:\n%s", want, doc)
 		}
@@ -439,7 +439,7 @@ func TestSnapshotMatchesSortingSnapshot(t *testing.T) {
 			t.Fatalf("seed %d: registration order changed the page", seed)
 		}
 	}
-	if !strings.Contains(string(first), `"name": "jade_a_seconds"`) {
+	if !strings.Contains(string(first), `"name":"jade_a_seconds"`) {
 		t.Fatalf("page lacks the histogram family:\n%s", first)
 	}
 }

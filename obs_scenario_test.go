@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -55,14 +56,38 @@ func sameSnapshots(t *testing.T, a, b map[string][]byte) {
 		if !ok {
 			t.Fatalf("snapshot %s missing from second run", name)
 		}
+		if name == metricsHistory {
+			la, lb := historyLines(t, data), historyLines(t, other)
+			if len(la) != len(lb) {
+				t.Fatalf("%s holds %d lines vs %d", name, len(la), len(lb))
+			}
+			for i := range la {
+				if !bytes.Equal(la[i], lb[i]) {
+					t.Fatalf("%s line %d differs between runs", name, i+1)
+				}
+			}
+			continue
+		}
 		if !bytes.Equal(data, other) {
 			t.Fatalf("snapshot %s differs between runs", name)
 		}
 	}
 }
 
+// historyLines splits a metrics history into its pages, each with its
+// newline; the history must end with one.
+func historyLines(t *testing.T, data []byte) [][]byte {
+	t.Helper()
+	if len(data) == 0 || data[len(data)-1] != '\n' {
+		t.Fatalf("metrics history does not end with a newline (%d bytes)", len(data))
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	return lines[:len(lines)-1] // SplitAfter's empty tail
+}
+
 // TestMetricsSnapshotDeterminism: two same-seed runs write byte-identical
-// snapshot files, and every file validates against its exposition format.
+// snapshot files, their metrics histories line for line, and every file
+// and history line validates against its exposition format.
 func TestMetricsSnapshotDeterminism(t *testing.T) {
 	run := func() map[string][]byte {
 		dir := t.TempDir()
@@ -108,6 +133,12 @@ func TestMetricsSnapshotDeterminism(t *testing.T) {
 		case name == "config.json":
 			if _, err := ParseConfigSnapshot(data); err != nil {
 				t.Fatalf("%s: %v", name, err)
+			}
+		case name == metricsHistory:
+			for i, line := range historyLines(t, data) {
+				if _, err := ValidateMetricsJSON(line); err != nil {
+					t.Fatalf("%s line %d: %v", name, i+1, err)
+				}
 			}
 		case strings.HasSuffix(name, ".prom"):
 			if _, err := ValidatePrometheusText(data); err != nil {
@@ -304,10 +335,12 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 	}
 }
 
-// TestFinalSnapshotOverwritesLastTick: when the run ends less than a
-// rounded second after the last snapshot tick, both snapshots share a
-// metrics-tNNNNNNNN name, and the file must hold the final one.
-func TestFinalSnapshotOverwritesLastTick(t *testing.T) {
+// TestMetricsHistoryKeepsEverySnapshot: when the run ends less than a
+// rounded second after the last snapshot tick, both snapshots round to
+// one metrics-tNNNNNNNN name. The history must hold both, and the only
+// snapshot files must be the final snapshot's, its .json page the
+// history's last line.
+func TestMetricsHistoryKeepsEverySnapshot(t *testing.T) {
 	cfg := shortObsScenario(6)
 	probe, err := RunScenario(cfg)
 	if err != nil {
@@ -325,25 +358,39 @@ func TestFinalSnapshotOverwritesLastTick(t *testing.T) {
 	if _, err := RunScenario(cfg); err != nil {
 		t.Fatal(err)
 	}
-	names, err := filepath.Glob(filepath.Join(cfg.MetricsDir, "metrics-t*.json"))
-	if err != nil {
-		t.Fatal(err)
+	snaps := readSnapshots(t, cfg.MetricsDir)
+	lines := historyLines(t, snaps[metricsHistory])
+	if len(lines) != 6 {
+		t.Fatalf("%s holds %d lines for six snapshots", metricsHistory, len(lines))
 	}
-	if len(names) != 5 {
-		t.Fatalf("%d snapshot names for six snapshots, want 5 (the last two share one): %v", len(names), names)
+	times := make([]float64, len(lines))
+	for i, line := range lines {
+		var doc struct {
+			Time float64 `json:"time"`
+		}
+		if err := json.Unmarshal(line, &doc); err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		times[i] = doc.Time
+		if i > 0 && times[i] <= times[i-1] {
+			t.Fatalf("line %d at t=%v follows t=%v", i+1, times[i], times[i-1])
+		}
 	}
-	last := filepath.Join(cfg.MetricsDir, fmt.Sprintf("metrics-t%08d.json", int64(math.Round(horizon))))
-	data, err := os.ReadFile(last)
-	if err != nil {
-		t.Fatal(err)
+	if times[5] != horizon || math.Round(times[4]) != math.Round(horizon) {
+		t.Fatalf("the last two lines at t=%v and t=%v, want the final one at t=%v and a tick in its second", times[4], times[5], horizon)
 	}
-	var doc struct {
-		Time float64 `json:"time"`
+	base := fmt.Sprintf("metrics-t%08d", int64(math.Round(horizon)))
+	var names []string
+	for name := range snaps {
+		if strings.HasPrefix(name, "metrics-t") {
+			names = append(names, name)
+		}
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
+	slices.Sort(names)
+	if want := []string{base + ".json", base + ".prom"}; !slices.Equal(names, want) {
+		t.Fatalf("snapshot files %v, want %v", names, want)
 	}
-	if doc.Time != horizon {
-		t.Fatalf("%s holds the snapshot at t=%v, want the final one at t=%v", filepath.Base(last), doc.Time, horizon)
+	if !bytes.Equal(snaps[base+".json"], lines[5]) {
+		t.Fatalf("%s.json is not the history's last line", base)
 	}
 }

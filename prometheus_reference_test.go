@@ -78,7 +78,8 @@ func referenceWriteSample(b *bytes.Buffer, name, sig, extraKey, extraVal string,
 
 // TestPrometheusTextMatchesReference renders every metrics snapshot of
 // the golden paper-managed run with both renderers. TestGoldenDigests
-// hashes only the run's final page; this checks each one.
+// hashes only the run's final page; this checks each one, which the run
+// renders for /metrics because an admin server is up.
 func TestPrometheusTextMatchesReference(t *testing.T) {
 	var cfg ScenarioConfig
 	for _, m := range goldenMatrix(t) {
@@ -87,6 +88,7 @@ func TestPrometheusTextMatchesReference(t *testing.T) {
 		}
 	}
 	cfg.MetricsDir = t.TempDir()
+	cfg.HTTPAddr = "127.0.0.1:0"
 	render := prometheusText
 	t.Cleanup(func() { prometheusText = render })
 	pages := 0
@@ -98,9 +100,11 @@ func TestPrometheusTextMatchesReference(t *testing.T) {
 		pages++
 		return got
 	}
-	if _, err := RunScenario(cfg); err != nil {
+	res, err := RunScenario(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	res.Admin.Close()
 	if pages < 5 {
 		t.Fatalf("the run rendered %d pages", pages)
 	}

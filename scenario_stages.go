@@ -597,7 +597,8 @@ func (r *run) liveConfig() error {
 	return nil
 }
 
-// prometheusText renders every metrics snapshot of a run. It is
+// prometheusText renders a run's text pages: every snapshot's with an
+// admin server, otherwise only the newest one's, for its file. It is
 // obs.PrometheusText; a test wraps it to check each page against the
 // reference renderer.
 var prometheusText = obs.PrometheusText
@@ -628,8 +629,10 @@ func (r *run) publishing() error {
 			cfg.AdminReady(admin.Addr())
 		}
 	}
-	if res.Admin != nil || cfg.MetricsDir != "" {
+	if res.Admin != nil {
 		r.out = startArtifactWriter(cfg.MetricsDir, r.pub)
+	} else if cfg.MetricsDir != "" {
+		r.out = startArtifactWriter(cfg.MetricsDir, nil)
 	}
 	// Trace-plane loss counters: silent span/event drops would undermine
 	// any attribution built on spans, so they are first-class metrics.
@@ -646,7 +649,7 @@ func (r *run) publishing() error {
 		if r.out == nil {
 			return // nobody watching: skip the snapshot, keep the schedule
 		}
-		r.out.snapshot(reg.Snapshot(), fmt.Sprintf("metrics-t%08d", int64(math.Round(now))))
+		r.out.snapshot(reg.Snapshot())
 		if res.Admin != nil {
 			// Only the admin server reads these pages.
 			r.pub.Set("/components", componentsPage(now, r.dep, p))
@@ -686,21 +689,28 @@ func (r *run) publishing() error {
 // artifactWriter is a run's one writer goroutine. The simulation
 // goroutine hands it only immutable registry snapshots and rendered
 // bytes, through a small bounded queue (a full queue blocks the sender,
-// which bounds memory). The writer renders each snapshot's two
-// expositions, publishes them as /metrics and /metrics.json, and writes
-// every artifact into dir (with one) in submission order: a final
-// snapshot that rounds to the last tick's file name still overwrites it
-// last, and the first failed write is still the first one submitted.
+// which bounds memory). The writer renders each snapshot's JSON page and
+// appends it as one line to the run's metrics history, metricsHistory in
+// dir (with one), and with an admin server publishes it and the text page
+// as /metrics.json and /metrics. Other artifacts become files of their
+// own. Both go in submission order, so the first failed write is the first
+// one submitted. When the queue closes, the writer writes the newest
+// snapshot's two pages as metrics-tNNNNNNNN.prom and .json, named by its
+// rounded second.
 type artifactWriter struct {
 	dir  string
-	pub  *obs.Publisher
+	pub  *obs.Publisher // nil without an admin server: nobody reads the pages
 	jobs chan artifactJob
 	done chan struct{}
 	err  error // the first failed write; read only after done closes
 }
 
-// artifactJob is one submission: a metrics snapshot written as
-// name.prom and name.json, or, without one, the file name and its bytes.
+// metricsHistory is the file that holds every metrics snapshot of a run,
+// one jade-metrics/v1 page a line, oldest first.
+const metricsHistory = "metrics.jsonl"
+
+// artifactJob is one submission: a metrics snapshot or, without one, a
+// file name and its bytes.
 type artifactJob struct {
 	snap *obs.Snapshot
 	name string
@@ -708,12 +718,11 @@ type artifactJob struct {
 }
 
 // artifactQueue is the writer's queue length. At planes_on's size a
-// snapshot takes the writer about 0.1 ms of CPU to render both pages and
-// about 1 ms to create and write its two files, most of it opening them
-// (CPU profiles of planes_on on a 2-core Xeon), less than the simulation
-// needs between two ticks, so the queue only absorbs a slow write; at the
-// end of the run RunScenario waits for the writer anyway. A short queue
-// holds few snapshots.
+// snapshot takes the writer under 0.1 ms of CPU to render its page (the
+// benchmark's obs.driver_expo_ms on a 2-core Xeon) and one write to
+// append it, far less than the simulation needs between two ticks, so
+// the queue only absorbs a slow write; at the end of the run RunScenario
+// waits for the writer anyway. A short queue holds few snapshots.
 const artifactQueue = 4
 
 func startArtifactWriter(dir string, pub *obs.Publisher) *artifactWriter {
@@ -724,35 +733,63 @@ func startArtifactWriter(dir string, pub *obs.Publisher) *artifactWriter {
 
 func (w *artifactWriter) loop() {
 	defer close(w.done)
+	var history *os.File
+	if w.dir != "" {
+		f, err := os.Create(filepath.Join(w.dir, metricsHistory))
+		w.record(err)
+		history = f
+	}
+	var last *obs.Snapshot
+	var js, prom []byte
 	for j := range w.jobs {
 		if j.snap == nil {
 			w.writeFile(j.name, j.data)
 			continue
 		}
-		prom := prometheusText(j.snap)
-		js := obs.MetricsJSON(j.snap)
-		w.pub.Set("/metrics", prom)
-		w.pub.Set("/metrics.json", js)
-		w.writeFile(j.name+".prom", prom)
-		w.writeFile(j.name+".json", js)
+		last, js, prom = j.snap, obs.MetricsJSON(j.snap), nil
+		if history != nil {
+			_, err := history.Write(js)
+			w.record(err)
+		}
+		if w.pub != nil {
+			prom = prometheusText(j.snap)
+			w.pub.Set("/metrics", prom)
+			w.pub.Set("/metrics.json", js)
+		}
 	}
-}
-
-// writeFile writes one artifact into dir (a no-op without one). The
-// writer carries on after a failed write; close reports the first.
-func (w *artifactWriter) writeFile(name string, data []byte) {
-	if w.dir == "" {
+	if history != nil {
+		w.record(history.Close())
+	}
+	if w.dir == "" || last == nil {
 		return
 	}
-	if err := os.WriteFile(filepath.Join(w.dir, name), data, 0o644); err != nil && w.err == nil {
+	if prom == nil {
+		prom = prometheusText(last)
+	}
+	name := fmt.Sprintf("metrics-t%08d", int64(math.Round(last.Time)))
+	w.writeFile(name+".prom", prom)
+	w.writeFile(name+".json", js)
+}
+
+// record keeps the first failed write; the writer carries on after one,
+// and close reports it.
+func (w *artifactWriter) record(err error) {
+	if err != nil && w.err == nil {
 		w.err = err
 	}
 }
 
+// writeFile writes one artifact into dir (a no-op without one).
+func (w *artifactWriter) writeFile(name string, data []byte) {
+	if w.dir != "" {
+		w.record(os.WriteFile(filepath.Join(w.dir, name), data, 0o644))
+	}
+}
+
 // snapshot queues a metrics snapshot to be rendered, published and
-// written as base.prom and base.json.
-func (w *artifactWriter) snapshot(snap *obs.Snapshot, base string) {
-	w.jobs <- artifactJob{snap: snap, name: base}
+// written.
+func (w *artifactWriter) snapshot(snap *obs.Snapshot) {
+	w.jobs <- artifactJob{snap: snap}
 }
 
 // write queues one rendered artifact. The caller must not mutate data
@@ -761,7 +798,8 @@ func (w *artifactWriter) write(name string, data []byte) {
 	w.jobs <- artifactJob{name: name, data: data}
 }
 
-// close waits for every queued job and returns the first failed write.
+// close waits for every queued job and the final pages, and returns the
+// first failed write.
 func (w *artifactWriter) close() error {
 	close(w.jobs)
 	<-w.done
@@ -899,11 +937,9 @@ func (r *run) chaosEvent(ev invariant.Event, crashed map[string]*cluster.Node) {
 				fabric.Heal(id)
 			})
 		}
-	case invariant.Heal:
-		if fabric.Enabled() {
-			p.Logf("chaos: healing all partitions")
-			fabric.HealAll()
-		}
+	case invariant.Heal: // check accepts one only with the fabric
+		p.Logf("chaos: healing all partitions")
+		fabric.HealAll()
 	case invariant.Config:
 		r.applyPatch("chaos", refresh.SourceChaos, ev.Patch)
 	default: // check accepts an unknown kind only with a ChaosHandler
