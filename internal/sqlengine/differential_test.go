@@ -268,7 +268,7 @@ func TestDifferentialUnknownOperator(t *testing.T) {
 		what := fmt.Sprintf("WHERE %v", where)
 		db.apply(t, "SELECT "+what, SelectStmt{Table: "t", Where: where, Limit: -1})
 		db.apply(t, "SELECT LIMIT 0 "+what, SelectStmt{Table: "t", Where: where, Limit: 0})
-		db.apply(t, "UPDATE "+what, UpdateStmt{Table: "t", Set: map[string]Value{"k": int64(7)}, Where: where})
+		db.apply(t, "UPDATE "+what, UpdateStmt{Table: "t", Set: []Assignment{{"k", int64(7)}}, Where: where})
 	}
 }
 

@@ -158,7 +158,7 @@ func (e *Engine) exec(stmt Statement, args []int64, rows bool) (Result, error) {
 	case CreateStmt:
 		return e.execCreate(s)
 	case InsertStmt:
-		return e.execInsert(s)
+		return e.execInsert(s, args)
 	case SelectStmt:
 		return e.execSelect(s, args, rows)
 	case UpdateStmt:
@@ -208,7 +208,16 @@ func coerce(v Value, t ColType) (Value, error) {
 	return nil, fmt.Errorf("%w: %v (%T) is not %s", ErrTypeMismatch, v, v, t)
 }
 
-func (e *Engine) execInsert(s InsertStmt) (Result, error) {
+// argument returns the literal v stands for: the argument in place of a
+// placeholder, else v itself.
+func argument(v Value, args []int64) Value {
+	if i, ok := v.(param); ok {
+		return args[i]
+	}
+	return v
+}
+
+func (e *Engine) execInsert(s InsertStmt, args []int64) (Result, error) {
 	t, ok := e.tables[s.Table]
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
@@ -219,7 +228,7 @@ func (e *Engine) execInsert(s InsertStmt) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		v, err := coerce(s.Values[i], t.Columns[ci].Type)
+		v, err := coerce(argument(s.Values[i], args), t.Columns[ci].Type)
 		if err != nil {
 			return Result{}, fmt.Errorf("column %s: %w", cn, err)
 		}
@@ -594,25 +603,22 @@ func (e *Engine) execUpdate(s UpdateStmt, args []int64) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	// Validate assignments before mutating anything.
+	// Validate assignments before mutating anything, in the order of Set
+	// (column order, as Parse builds it): the first bad one is the error.
 	type setOp struct {
 		ci int
 		v  Value
 	}
-	cols := make([]string, 0, len(s.Set))
-	for cn := range s.Set {
-		cols = append(cols, cn)
-	}
-	slices.Sort(cols)
-	ops := make([]setOp, 0, len(cols))
-	for _, cn := range cols {
-		ci, err := t.colIndex(cn)
+	var opBuf [8]setOp
+	ops := opBuf[:0]
+	for _, a := range s.Set {
+		ci, err := t.colIndex(a.Column)
 		if err != nil {
 			return Result{}, err
 		}
-		v, err := coerce(s.Set[cn], t.Columns[ci].Type)
+		v, err := coerce(argument(a.Val, args), t.Columns[ci].Type)
 		if err != nil {
-			return Result{}, fmt.Errorf("column %s: %w", cn, err)
+			return Result{}, fmt.Errorf("column %s: %w", a.Column, err)
 		}
 		ops = append(ops, setOp{ci: ci, v: v})
 	}

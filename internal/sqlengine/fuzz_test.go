@@ -10,7 +10,8 @@ import (
 )
 
 // FuzzParse feeds arbitrary bytes to the parser: it must not panic, IsWrite
-// must agree with it, and whatever it accepts must execute against a
+// must agree with it, Format must render whatever it accepts as text that
+// parses back to the same statement, and whatever it accepts must execute against a
 // populated RUBiS database without panicking (errors are fine) and leave
 // the maintained fingerprint equal to one rebuilt from the rows, unmoved
 // if the statement is a SELECT. The committed corpus is under
@@ -35,6 +36,13 @@ func FuzzParse(f *testing.F) {
 		if _, read := stmt.(sqlengine.SelectStmt); sqlengine.IsWrite(sql) == read {
 			t.Fatalf("IsWrite(%q) = %v for a %T", sql, !read, stmt)
 		}
+		text, err := sqlengine.Format(stmt)
+		if err != nil {
+			t.Fatalf("Format of %q: %v", sql, err)
+		}
+		if back, err := sqlengine.Parse(text); err != nil || !reflect.DeepEqual(back, stmt) {
+			t.Fatalf("%q formats as %q, which reads back as %#v, %v; want %#v", sql, text, back, err, stmt)
+		}
 		db := base.Snapshot()
 		for i := 0; i < 2; i++ { // the second run meets the indexes the first one built
 			_, _ = db.ExecStmt(stmt)
@@ -50,11 +58,12 @@ func FuzzParse(f *testing.F) {
 
 // FuzzPrepare feeds arbitrary templates and arguments to Prepare. A
 // template it accepts, given as many arguments as it has placeholders,
-// must render text that parses, classify as IsWrite classifies that text,
-// and execute on a populated RUBiS database exactly as the parsed text
-// does: same result or same error, same count, same state afterwards,
-// twice over (the second run meets the indexes the first one built). Any
-// other number of arguments is an error at every entry, never a panic.
+// must render text that parses, bind to the statement that text parses
+// to, classify as IsWrite classifies that text, and execute on a populated
+// RUBiS database exactly as the parsed text does: same result or same
+// error, same count, same state afterwards, twice over (the second run
+// meets the indexes the first one built). Any other number of arguments is
+// an error at every entry, never a panic.
 // The committed corpus is under testdata/fuzz/FuzzPrepare.
 func FuzzPrepare(f *testing.F) {
 	base, err := rubis.DefaultDataset().InitialDatabase(1)
@@ -64,6 +73,8 @@ func FuzzPrepare(f *testing.F) {
 	f.Add("SELECT * FROM items WHERE id = ?", int64(7), int64(0), uint8(1))
 	f.Add("SELECT id, name FROM categories", int64(0), int64(0), uint8(0))
 	f.Add("UPDATE items SET nb_of_bids = 3 WHERE seller = ? AND category != ?", int64(2), int64(-1), uint8(2))
+	f.Add("INSERT INTO bids (id, user_id, item_id, bid, date) VALUES (?, ?, 3, 1.5, ?)", int64(9000), int64(4), uint8(3))
+	f.Add("UPDATE items SET max_bid = ?, nb_of_bids = ? WHERE id = ?", int64(12), int64(-2), uint8(3))
 	f.Fuzz(func(t *testing.T, template string, a, b int64, n uint8) {
 		p, err := sqlengine.Prepare(template)
 		if err != nil {
@@ -75,11 +86,16 @@ func FuzzPrepare(f *testing.F) {
 		}
 		text, err := p.Text(args...)
 		db, viaText := base.Snapshot(), base.Snapshot()
+		vals := make([]sqlengine.Value, len(args))
+		for i, a := range args {
+			vals[i] = a
+		}
+		bound, berr := p.Bind(vals...)
 		if len(args) != p.NumArgs() {
 			_, xerr := db.ExecPrepared(p, args...)
 			_, cerr := db.CountPrepared(p, args...)
-			if err == nil || xerr == nil || cerr == nil || db.Fingerprint() != base.Fingerprint() {
-				t.Fatalf("%q takes %d arguments and was given %d: %v, %v, %v", template, p.NumArgs(), len(args), err, xerr, cerr)
+			if err == nil || xerr == nil || cerr == nil || berr == nil || db.Fingerprint() != base.Fingerprint() {
+				t.Fatalf("%q takes %d arguments and was given %d: %v, %v, %v, %v", template, p.NumArgs(), len(args), err, xerr, cerr, berr)
 			}
 			return
 		}
@@ -89,6 +105,9 @@ func FuzzPrepare(f *testing.F) {
 		stmt, err := sqlengine.Parse(text)
 		if err != nil {
 			t.Fatalf("%q with %v renders %q, which does not parse: %v", template, args, text, err)
+		}
+		if berr != nil || !reflect.DeepEqual(bound, stmt) {
+			t.Fatalf("%q with %v binds to %#v, %v; its text %q parses to %#v", template, args, bound, berr, text, stmt)
 		}
 		if p.IsWrite() != sqlengine.IsWrite(text) {
 			t.Fatalf("%q: IsWrite %v, its text %q %v", template, p.IsWrite(), text, !p.IsWrite())

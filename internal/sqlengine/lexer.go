@@ -5,10 +5,12 @@
 // a row or a table, so a row's position in its table never changes.
 //
 // The engine exists because the paper's C-JDBC layer keeps database
-// replicas consistent by *logging write-request strings* and replaying
-// them on a stale replica before activation (§4.1). Testing that protocol
-// honestly requires real statement execution and state comparison, which
-// Snapshot and Fingerprint provide.
+// replicas consistent by *logging write requests* and replaying them on a
+// stale replica before activation (§4.1). Testing that protocol honestly
+// requires real statement execution and state comparison, which Snapshot
+// and Fingerprint provide. A statement arrives as text (Parse), as a
+// template with its arguments (Prepare, Bind) or built by its caller, and
+// Format renders any of them as text that parses back to it.
 package sqlengine
 
 import (

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -64,8 +65,14 @@ type SelectStmt struct {
 // UpdateStmt is UPDATE t SET c=v,... [WHERE].
 type UpdateStmt struct {
 	Table string
-	Set   map[string]Value
+	Set   []Assignment // in column order, one per column, as Parse builds it
 	Where []Cond
+}
+
+// Assignment is one "column = literal" of an UPDATE's SET list.
+type Assignment struct {
+	Column string
+	Val    Value
 }
 
 func (CreateStmt) isStmt() {}
@@ -189,6 +196,17 @@ func (p *parser) literal() (Value, error) {
 	return nil, fmt.Errorf("expected literal, got %q", t.text)
 }
 
+// value reads the literal of an INSERT's VALUES, a SET assignment or a
+// WHERE condition; in a template (Prepare) it may be a placeholder.
+func (p *parser) value() (Value, error) {
+	if p.cur().kind != tokParam {
+		return p.literal()
+	}
+	v := param(len(p.params))
+	p.params = append(p.params, p.advance().pos)
+	return v, nil
+}
+
 func (p *parser) statement() (Statement, error) {
 	t := p.cur()
 	if t.kind != tokIdent {
@@ -299,7 +317,7 @@ func (p *parser) insertStmt() (Statement, error) {
 	}
 	vals := make([]Value, 0, len(cols))
 	for {
-		v, err := p.literal()
+		v, err := p.value()
 		if err != nil {
 			return nil, err
 		}
@@ -402,7 +420,7 @@ func (p *parser) updateStmt() (Statement, error) {
 	if err := p.keyword("SET"); err != nil {
 		return nil, err
 	}
-	set := map[string]Value{}
+	var set []Assignment
 	for {
 		c, err := p.ident()
 		if err != nil {
@@ -411,11 +429,17 @@ func (p *parser) updateStmt() (Statement, error) {
 		if err := p.symbol("="); err != nil {
 			return nil, err
 		}
-		v, err := p.literal()
+		v, err := p.value()
 		if err != nil {
 			return nil, err
 		}
-		set[c] = v
+		// Sorted by column; a column assigned twice keeps its last value.
+		i, found := slices.BinarySearchFunc(set, c, func(a Assignment, c string) int { return strings.Compare(a.Column, c) })
+		if found {
+			set[i].Val = v
+		} else {
+			set = slices.Insert(set, i, Assignment{Column: c, Val: v})
+		}
 		if p.cur().text == "," {
 			p.advance()
 			continue
@@ -453,11 +477,8 @@ func (p *parser) optionalWhere() ([]Cond, error) {
 			return nil, fmt.Errorf("unsupported operator %q", op)
 		}
 		p.advance()
-		var v Value
-		if p.cur().kind == tokParam {
-			v = param(len(p.params))
-			p.params = append(p.params, p.advance().pos)
-		} else if v, err = p.literal(); err != nil {
+		v, err := p.value()
+		if err != nil {
 			return nil, err
 		}
 		conds = append(conds, Cond{Column: col, Op: op, Val: v})

@@ -6,23 +6,26 @@ import (
 )
 
 // Prepared is a statement parsed once from a template and executed many
-// times with integer arguments, as a JDBC prepared statement is: each "?"
-// in the template stands for the literal of one WHERE condition. It is
-// immutable. Executing it neither lexes nor parses nor builds a statement:
-// the arguments are substituted where the engine binds the conditions to
-// the table (Table.bind). Text renders the SQL the template stands for,
-// for whatever reads statements as strings.
+// times with its arguments, as a JDBC prepared statement is: each "?" in
+// the template stands for one literal of the VALUES list, of a SET
+// assignment or of a WHERE condition. It is immutable. Executing it with
+// integer arguments neither lexes nor parses nor builds a statement: the
+// arguments are substituted where the engine reads the literals (Table.bind
+// for a condition, argument for a value). Bind builds the statement for
+// arguments of any type, for a caller that keeps it; Text renders the SQL
+// the template stands for, for whatever reads statements as strings.
 type Prepared struct {
 	stmt  Statement // the template's statement; a placeholder is a param literal
 	parts []string  // the template cut at its placeholders: parts[0] ? parts[1] ? ...
 }
 
-// param is the literal of a condition written "?": the ordinal of the
-// argument that takes its place.
+// param is a literal written "?": the ordinal of the argument that takes
+// its place.
 type param int
 
-// Prepare parses a template: any statement Parse accepts, in which the
-// literal of a WHERE condition may be written "?".
+// Prepare parses a template: any statement Parse accepts, in which a
+// literal of the VALUES list, of a SET assignment or of a WHERE condition
+// may be written "?".
 func Prepare(template string) (*Prepared, error) {
 	p := parser{lex: lexer{src: template, params: true}}
 	stmt, err := p.parse()
@@ -72,6 +75,52 @@ func (p *Prepared) Text(args ...int64) (string, error) {
 		b = append(strconv.AppendInt(b, a, 10), p.parts[i+1]...)
 	}
 	return string(b), nil
+}
+
+// Bind returns the statement p stands for with args in place of its
+// placeholders, as Parse returns it for the text the arguments render to
+// (an int64 argument for an INT literal, a float64 for a FLOAT one, a
+// string for a quoted one, nil for NULL). The statement shares p's table
+// name, its column lists and every list without a placeholder; a list that
+// holds one is a fresh copy, so the statement is the caller's to keep.
+func (p *Prepared) Bind(args ...Value) (Statement, error) {
+	if len(args) != p.NumArgs() {
+		return nil, fmt.Errorf("sql: %d arguments for %d placeholders (in %q)", len(args), p.NumArgs(), truncate(p.parts[0]))
+	}
+	if len(args) == 0 {
+		return p.stmt, nil
+	}
+	switch s := p.stmt.(type) {
+	case InsertStmt:
+		s.Values = bindList(s.Values, args, func(v *Value) *Value { return v })
+		return s, nil
+	case UpdateStmt:
+		s.Set = bindList(s.Set, args, func(a *Assignment) *Value { return &a.Val })
+		s.Where = bindList(s.Where, args, func(c *Cond) *Value { return &c.Val })
+		return s, nil
+	case SelectStmt:
+		s.Where = bindList(s.Where, args, func(c *Cond) *Value { return &c.Val })
+		return s, nil
+	}
+	return p.stmt, nil
+}
+
+// bindList returns list, or a copy of it with each placeholder literal
+// (lit picks an element's literal) replaced by its argument.
+func bindList[E any](list []E, args []Value, lit func(*E) *Value) []E {
+	var out []E
+	for i := range list {
+		if k, ok := (*lit(&list[i])).(param); ok {
+			if out == nil {
+				out = append([]E(nil), list...)
+			}
+			*lit(&out[i]) = args[k]
+		}
+	}
+	if out == nil {
+		return list
+	}
+	return out
 }
 
 // ExecPrepared executes p with args and returns the result, as ExecStmt

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -148,9 +149,8 @@ func TestPrepareTemplates(t *testing.T) {
 		"SELECT * FROM t WHERE a ? 5",
 		"SELECT * FROM t LIMIT ?",
 		"SELECT ? FROM t",
-		"INSERT INTO t (a) VALUES (?)",
-		"UPDATE t SET a = ? WHERE a = 1",
 		"CREATE TABLE t (a VARCHAR(?))",
+		"INSERT INTO t (a) VALUES (? ?)",
 		"SELECT * FROM t WHERE a = -?",
 	} {
 		if p, err := Prepare(bad); err == nil {
@@ -171,7 +171,8 @@ func TestPrepareTemplates(t *testing.T) {
 	if text, err := p.Text(-3, 1<<40); err != nil || text != "SELECT * FROM t WHERE s = 'what?' AND a >= -3 AND b<>1099511627776;" {
 		t.Fatalf("Text = %q, %v", text, err)
 	}
-	for _, w := range []string{"INSERT INTO t (a) VALUES (1)", "UPDATE t SET a = 1 WHERE a = ?", "CREATE TABLE u (a INT)"} {
+	for _, w := range []string{"INSERT INTO t (a) VALUES (1)", "UPDATE t SET a = 1 WHERE a = ?", "CREATE TABLE u (a INT)",
+		"INSERT INTO t (a, b) VALUES (?, 'x')", "UPDATE t SET b = ?, a = ? WHERE a = ?"} {
 		if p, err := Prepare(w); err != nil || !p.IsWrite() {
 			t.Errorf("Prepare(%q): %v, IsWrite %v", w, err, p != nil && p.IsWrite())
 		}
@@ -237,5 +238,55 @@ func TestPreparedReadAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("counting a prepared read allocates %v objects, want 0", got)
+	}
+}
+
+// Bind builds the statement the template's text parses to, for arguments
+// of every literal type, sharing what no placeholder touches and leaving
+// the template as it was.
+func TestBind(t *testing.T) {
+	for _, c := range []struct {
+		template string
+		args     []Value
+		text     string
+	}{
+		{"INSERT INTO t (a, b, c, d) VALUES (?, 'x', ?, ?)", []Value{int64(-3), 2.5, nil}, "INSERT INTO t (a, b, c, d) VALUES (-3, 'x', 2.5, NULL)"},
+		{"UPDATE t SET b = ?, a = ? WHERE c = 7 AND a = ?", []Value{"it's", int64(1), int64(2)}, "UPDATE t SET b = 'it''s', a = 1 WHERE c = 7 AND a = 2"},
+		{"UPDATE t SET a = 0 WHERE a = ?", []Value{int64(9)}, "UPDATE t SET a = 0 WHERE a = 9"},
+		{"SELECT * FROM t WHERE a = ? AND b < ?", []Value{int64(1), 0.25}, "SELECT * FROM t WHERE a = 1 AND b < 0.25"},
+		{"CREATE TABLE t (a INT)", nil, "CREATE TABLE t (a INT)"},
+	} {
+		p, err := Prepare(c.template)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fmt.Sprintf("%#v", p.stmt)
+		got, err := p.Bind(c.args...)
+		if err != nil {
+			t.Fatalf("%q: %v", c.template, err)
+		}
+		want, err := Parse(c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%q bound to %v:\n got %#v\nwant %#v", c.template, c.args, got, want)
+		}
+		if after := fmt.Sprintf("%#v", p.stmt); after != before {
+			t.Errorf("%q: Bind changed the template: %s", c.template, after)
+		}
+		if _, err := p.Bind(append(c.args, int64(0))...); err == nil {
+			t.Errorf("%q: Bind took one argument too many", c.template)
+		}
+	}
+	p, err := Prepare("UPDATE t SET a = 0 WHERE a = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, _ := p.Bind(int64(1))
+	s2, _ := p.Bind(int64(2))
+	u1, u2 := s1.(UpdateStmt), s2.(UpdateStmt)
+	if &u1.Set[0] != &u2.Set[0] || &u1.Where[0] == &u2.Where[0] {
+		t.Error("Bind copied the SET list without a placeholder, or shared the WHERE list with one")
 	}
 }

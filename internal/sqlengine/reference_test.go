@@ -275,8 +275,12 @@ func (r *refEngine) update(s UpdateStmt) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	names := make([]string, 0, len(s.Set))
-	for cn := range s.Set {
+	assigned := map[string]Value{} // a column assigned twice keeps its last value
+	for _, a := range s.Set {
+		assigned[a.Column] = a.Val
+	}
+	names := make([]string, 0, len(assigned))
+	for cn := range assigned {
 		names = append(names, cn)
 	}
 	sort.Strings(names) // the first bad assignment, in name order, is the error
@@ -286,7 +290,7 @@ func (r *refEngine) update(s UpdateStmt) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		if set[ci], err = refCoerce(s.Set[cn], t.cols[ci].Type); err != nil {
+		if set[ci], err = refCoerce(assigned[cn], t.cols[ci].Type); err != nil {
 			return Result{}, err
 		}
 	}
