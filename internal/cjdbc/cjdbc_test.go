@@ -557,11 +557,10 @@ func TestStateStrings(t *testing.T) {
 }
 
 // A replica built the §4.1 way — snapshot of a live backend, then replay of
-// the recovery log's strings — ends in the live backend's state and gives
-// the same answers to the reads the engine serves from an index, although
-// the live one executed statements the controller parsed and kept its
-// indexes, and the new one parsed every logged string itself and built
-// its own.
+// the recovery log — ends in the live backend's state and gives the same
+// answers to the reads the engine serves from an index, although the live
+// one kept its indexes and the new one built its own. Each record holds
+// the statement its text parses to, and replay runs it as logged.
 func TestSnapshotReplayReplicaAnswersIndexedReads(t *testing.T) {
 	r := newRig(t, 5)
 	m1 := r.mysql("mysql1")
@@ -599,8 +598,9 @@ func TestSnapshotReplayReplicaAnswersIndexedReads(t *testing.T) {
 	r.mustExec(reads[0])
 	bid(3)
 	for i := int64(0); i < r.ctl.log.Len(); i++ {
-		if rec, _ := r.ctl.log.At(i); rec.Query.Stmt != nil || rec.Query.SQL == "" {
-			t.Fatalf("log record %d holds more than the string: %+v", i, rec.Query)
+		rec, _ := r.ctl.log.At(i)
+		if stmt, err := sqlengine.Parse(rec.Query.SQL); err != nil || !reflect.DeepEqual(stmt, rec.Query.Stmt) {
+			t.Fatalf("log record %d does not hold the statement its text parses to: %+v", i, rec.Query)
 		}
 	}
 
@@ -739,9 +739,10 @@ func TestRejectedReadKeepsBackends(t *testing.T) {
 // A query that arrives parsed or prepared is classified by what it is, not
 // by its text: an INSERT with no text used to be routed as a read (the
 // empty string is no write), parsed again from nothing, and to take every
-// backend down. It is a write, and a write that cannot be logged is refused
-// before it touches anything; a prepared write renders its text and is
-// logged as text.
+// backend down. It is a write, logged as the statement it is, and its
+// record renders its text; a write with no statement (its text does not
+// parse) is refused before it touches anything, and a prepared write is
+// logged as the statement it binds to.
 func TestSuppliedStatementIsClassifiedAsItIs(t *testing.T) {
 	r := newRig(t, 4)
 	m1, m2 := r.mysql("mysql1"), r.mysql("mysql2")
@@ -760,15 +761,19 @@ func TestSuppliedStatementIsClassifiedAsItIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(legacy.Query{Stmt: insert, Cost: 0.001}); err == nil {
-		t.Fatal("a write with no text was accepted")
+	if err := run(legacy.Query{SQL: "INSERT INTO t VALUES (1)", Cost: 0.001}); err == nil {
+		t.Fatal("a write that does not parse was accepted")
 	}
 	if r.ctl.ActiveCount() != 2 || r.ctl.Log().Len() != 2 || m1.DB().RowCount("t") != 1 {
 		t.Fatalf("after the refused write: %d active, %d logged, %d rows", r.ctl.ActiveCount(), r.ctl.Log().Len(), m1.DB().RowCount("t"))
 	}
-	// With its text it is the write it says it is, whatever the text says.
-	if err := run(legacy.Query{SQL: "INSERT INTO t (a) VALUES (1)", Stmt: insert, Cost: 0.001}); err != nil {
+	if err := run(legacy.Query{Stmt: insert, Cost: 0.001}); err != nil {
 		t.Fatal(err)
+	}
+	if rec, _ := r.ctl.Log().At(2); rec.Query.Stmt == nil {
+		t.Fatalf("logged %+v", rec.Query)
+	} else if text, err := rec.Query.Text(); text != "INSERT INTO t (a) VALUES (1)" || err != nil {
+		t.Fatalf("the record renders %q, %v", text, err)
 	}
 	// A supplied SELECT is executed as supplied, not parsed again.
 	sel, err := sqlengine.Parse("SELECT * FROM t WHERE a = 7")
@@ -786,7 +791,11 @@ func TestSuppliedStatementIsClassifiedAsItIs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, _ := r.ctl.Log().At(3)
-	if rec.Query.SQL != "UPDATE t SET a = 8 WHERE a = 7" || rec.Query.Prepared != nil || rec.Query.Stmt != nil {
+	want, err := sqlengine.Parse("UPDATE t SET a = 8 WHERE a = 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.Query.Stmt, want) || rec.Query.Prepared != nil {
 		t.Fatalf("logged %+v", rec.Query)
 	}
 	if r.ctl.Reads() != 1 || r.ctl.Writes() != 4 || r.ctl.ActiveCount() != 2 {

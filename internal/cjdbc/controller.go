@@ -245,17 +245,15 @@ func (c *Controller) MarkFailed(name string, cause error) error {
 	return nil
 }
 
-// send forwards b's next log record. Only an apply a client waits on
-// keeps the write's parsed statement (the log keeps the string) and its
-// trace span: a syncing or draining backend replays the record after the
-// write completed, and a child span closing after its parent would break
+// send forwards b's next log record, its statement as logged: nothing is
+// parsed again. Only an apply a client waits on keeps the write's trace
+// span: a syncing or draining backend replays the record after the write
+// completed, and a child span closing after its parent would break
 // span-tree well-formedness (and misattribute latency).
 func (c *Controller) send(b *backend, w *request) {
 	rec, _ := c.log.At(b.applied)
 	q := rec.Query
-	if w != nil {
-		q.Stmt = w.q.Stmt
-	} else {
+	if w == nil {
 		q.TraceSpan = 0
 	}
 	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, q, b)
@@ -317,7 +315,9 @@ func (c *Controller) pickReader(q *legacy.Query) *backend {
 
 // ExecSQL implements the virtual database: writes are logged and
 // broadcast to every backend currently applying the log; reads go to one
-// active backend chosen by policy, with one retry on backend failure.
+// active backend chosen by policy, with one retry on backend failure. A
+// query is parsed here only if it arrives as text alone: a servlet's write
+// arrives built, and is logged and broadcast as it came.
 func (c *Controller) ExecSQL(q legacy.Query, done netsim.Reply) {
 	if !c.running {
 		c.Obs.Drop()
@@ -325,28 +325,25 @@ func (c *Controller) ExecSQL(q legacy.Query, done netsim.Reply) {
 		done.Reply(fmt.Errorf("%w: %s", ErrNotRunning, c.name))
 		return
 	}
+	// Classify here, and parse only what arrives as text alone, once:
+	// every backend the query reaches and the recovery log take the
+	// statement. A query that arrives prepared or built is taken as it is,
+	// a prepared write bound to the statement it stands for. A read that
+	// does not parse travels as text, and the backend that receives it
+	// reports the error; a write without a statement cannot be logged.
+	write := q.IsWrite()
+	if write || q.Prepared == nil {
+		var err error
+		if q.Stmt, err = q.Statement(); write && err != nil {
+			c.Obs.Drop()
+			c.failures++
+			done.Reply(fmt.Errorf("cjdbc %s: a write without a statement cannot be logged: %w", c.name, err))
+			return
+		}
+		q.Prepared = nil
+	}
 	r := c.requests.Get()
-	r.c, r.q, r.done = c, q, done
-	// Classify and parse here, once: every backend the query reaches
-	// executes the parsed form. A query that arrives prepared or parsed is
-	// taken as it is; SQL that does not parse travels as text, and the
-	// backend that receives it reports the error.
-	r.write = q.IsWrite()
-	if r.write && q.Prepared != nil {
-		// A write goes the text path whatever form it arrived in: the
-		// recovery log is a log of strings, and replay parses them (§4.1).
-		r.q.SQL, _ = q.Text()
-		r.q.Prepared = nil
-	}
-	if r.write && r.q.SQL == "" {
-		c.Obs.Drop()
-		c.failures++
-		done.Reply(fmt.Errorf("cjdbc %s: a write without its SQL text cannot be logged", c.name))
-		return
-	}
-	if r.q.Prepared == nil && r.q.Stmt == nil {
-		r.q.Stmt, _ = sqlengine.Parse(r.q.SQL)
-	}
+	r.c, r.q, r.done, r.write = c, q, done, write
 	if r.write {
 		// A write's completion waits on the RAIDb-1 broadcast: time not
 		// covered by this record's own applies is queueing for db-tier

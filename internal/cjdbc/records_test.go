@@ -224,10 +224,11 @@ func TestRequestRecordLifecycle(t *testing.T) {
 // request is recycled, the pending list reuses its backing array, and each
 // backend's apply reply is its own, as are the backends' own records. What it pays is measured here and subtracted:
 // sqlengine.Parse of its text, the recovery log's append and each
-// backend's engine executing it (6, 0 and 1 each for this INSERT).
-// Measured 8 objects per write, 0 of them the controller's own; 18, 10 of
-// them those records, while the controller and the backends allocated a
-// set per write. Instruments on, tracing off.
+// backend's engine executing it (6, 0 and 1 each for this INSERT). A write
+// that arrives built is not parsed: measured 2 objects per write, the two
+// engines' rows, against 8 as text, 0 of either the controller's own; 18,
+// 10 of them those records, while the controller and the backends
+// allocated a set per write. Instruments on, tracing off.
 func TestWriteAllocs(t *testing.T) {
 	r := newRig(t, 3)
 	r.ctl.Obs = obs.NewTierMetrics(obs.NewRegistry(r.env.Eng.Now), "sql", "cjdbc")
@@ -269,14 +270,23 @@ func TestWriteAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := testing.AllocsPerRun(runs, func() {
-		r.ctl.ExecSQL(q, netsim.ReplyFunc(done))
-		r.env.Eng.Run()
-	})
-	if own := got - parse - appendLog - engine; own > 0 {
-		t.Errorf("a write allocates %v objects (%v parsing, %v logging, %v in the two engines): %v in cjdbc, legacy and cluster, want 0", got, parse, appendLog, engine, own)
+	for _, c := range []struct {
+		form  string
+		q     legacy.Query
+		parse float64
+	}{
+		{"text", q, parse},
+		{"built", legacy.Query{Stmt: stmt, Cost: 0.001}, 0},
+	} {
+		got := testing.AllocsPerRun(runs, func() {
+			r.ctl.ExecSQL(c.q, netsim.ReplyFunc(done))
+			r.env.Eng.Run()
+		})
+		if own := got - c.parse - appendLog - engine; own > 0 {
+			t.Errorf("a %s write allocates %v objects (%v parsing, %v logging, %v in the two engines): %v in cjdbc, legacy and cluster, want 0", c.form, got, c.parse, appendLog, engine, own)
+		}
 	}
-	if m1.DB().RowCount("t") != runs+1 || m2.DB().RowCount("t") != runs+1 {
-		t.Fatalf("backends hold %d and %d rows, want %d each", m1.DB().RowCount("t"), m2.DB().RowCount("t"), runs+1)
+	if m1.DB().RowCount("t") != 2*(runs+1) || m2.DB().RowCount("t") != 2*(runs+1) {
+		t.Fatalf("backends hold %d and %d rows, want %d each", m1.DB().RowCount("t"), m2.DB().RowCount("t"), 2*(runs+1))
 	}
 }

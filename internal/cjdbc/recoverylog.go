@@ -5,10 +5,12 @@
 // a single total order.
 //
 // Its distinguishing feature for this paper is the *recovery log* (§4.1):
-// every write request is logged and indexed as a string, so that a newly
-// allocated replica can be brought up to date by replaying exactly the
-// writes it missed, and a removed replica is remembered by the index of
-// the last write it executed before being disabled.
+// every write request is logged and indexed, so that a newly allocated
+// replica can be brought up to date by replaying exactly the writes it
+// missed, and a removed replica is remembered by the index of the last
+// write it executed before being disabled. A record keeps the request's
+// executable statement, shared with the request that wrote it; replay runs
+// it without parsing, and the record renders its SQL text on demand.
 package cjdbc
 
 import "jade/internal/legacy"
@@ -18,8 +20,9 @@ type LogRecord struct {
 	// Index is the position of this write in the global write order;
 	// the first write has index 0.
 	Index int64
-	// Query is the logged write request (SQL string + its CPU cost,
-	// reused when the record is replayed on a stale replica).
+	// Query is the logged write request: its statement (Stmt; SQL too
+	// if it came as text) and its CPU cost, reused when the record is
+	// replayed on a stale replica. Query.Text renders its SQL.
 	Query legacy.Query
 }
 
@@ -38,11 +41,12 @@ func NewRecoveryLog() *RecoveryLog {
 	return &RecoveryLog{checkpoints: make(map[string]int64)}
 }
 
-// Append logs a write request and returns its index. The log holds the
-// request as a string (§4.1): the parsed form is dropped, and a replica
-// that replays the record parses it again.
+// Append logs a write request and returns its index. The record holds the
+// request as it executes, its statement in q.Stmt, which the controller
+// has built from whatever form the request came in; a replica that replays
+// the record runs that statement, and nothing in the record is copied: a
+// statement is immutable once built.
 func (l *RecoveryLog) Append(q legacy.Query) int64 {
-	q.Stmt = nil
 	idx := int64(len(l.records))
 	l.records = append(l.records, LogRecord{Index: idx, Query: q})
 	return idx

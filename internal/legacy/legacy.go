@@ -64,14 +64,18 @@ func (s State) String() string {
 // Query is one SQL request flowing from the application tier to the
 // database tier, with its CPU service demand on a database node. The
 // statement travels in one of three forms, the first one set winning:
-// Prepared with Arg (a servlet's read, which needs no text), Stmt (text
-// C-JDBC has parsed), or SQL alone.
+// Prepared with Arg (a servlet's read, which needs no text), Stmt (a
+// servlet's write, built without text, or text C-JDBC has parsed), or SQL
+// alone.
 type Query struct {
+	// SQL is the statement's text, if it came as text; when Stmt is set
+	// too, it is Stmt's text.
 	SQL  string
 	Cost float64 // CPU-seconds on a database node
-	// Stmt, when non-nil, is SQL already parsed: C-JDBC parses a statement
-	// once and hands the result to every backend it sends the query to. A
-	// server given neither Stmt nor Prepared parses SQL itself.
+	// Stmt, when non-nil, is the statement itself: a write the servlet
+	// built, or SQL C-JDBC parsed once for every backend it sends the query
+	// to and for its recovery log. A server given neither Stmt nor
+	// Prepared parses SQL itself.
 	Stmt sqlengine.Statement
 	// Prepared, when non-nil, is the statement as a template prepared once
 	// per process, and Arg the argument of its placeholder if it has one
@@ -92,12 +96,29 @@ func (q *Query) args() []int64 {
 }
 
 // Text returns the statement as SQL text: the prepared statement rendered
-// with its argument, or else SQL.
+// with its argument, else SQL, else Stmt rendered by sqlengine.Format.
 func (q *Query) Text() (string, error) {
-	if q.Prepared != nil {
+	switch {
+	case q.Prepared != nil:
 		return q.Prepared.Text(q.args()...)
+	case q.SQL == "" && q.Stmt != nil:
+		return sqlengine.Format(q.Stmt)
 	}
 	return q.SQL, nil
+}
+
+// Statement returns the statement q stands for: the prepared statement
+// bound to its argument, else Stmt, else SQL parsed.
+func (q *Query) Statement() (sqlengine.Statement, error) {
+	switch {
+	case q.Prepared != nil && q.Prepared.NumArgs() == 0:
+		return q.Prepared.Bind()
+	case q.Prepared != nil:
+		return q.Prepared.Bind(q.Arg)
+	case q.Stmt != nil:
+		return q.Stmt, nil
+	}
+	return sqlengine.Parse(q.SQL)
 }
 
 // IsWrite reports whether the statement mutates database state, from the
@@ -120,14 +141,11 @@ func (q *Query) run(db *sqlengine.Engine) error {
 		_, err := db.CountPrepared(q.Prepared, q.args()...)
 		return err
 	}
-	stmt := q.Stmt
-	if stmt == nil {
-		var err error
-		if stmt, err = sqlengine.Parse(q.SQL); err != nil {
-			return err
-		}
+	stmt, err := q.Statement()
+	if err != nil {
+		return err
 	}
-	_, err := db.Count(stmt)
+	_, err = db.Count(stmt)
 	return err
 }
 

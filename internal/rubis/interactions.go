@@ -3,6 +3,9 @@ package rubis
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 
 	"jade/internal/legacy"
 	"jade/internal/sqlengine"
@@ -16,6 +19,8 @@ type GenContext struct {
 	DS       Dataset
 	RNG      *rand.Rand
 	Counters *Counters
+
+	text bool // writes render their SQL text instead of their statement (Request)
 }
 
 // Counters allocates unique IDs for write interactions.
@@ -51,8 +56,8 @@ type Interaction struct {
 	WebCost, AppCost float64
 	// Queries appends the interaction's statements to qs and returns it
 	// (nil for pure-HTML pages): reads as prepared statements with their
-	// argument, which carry no text until something asks for it (Request
-	// does; the emulator does not), writes as SQL text.
+	// argument, writes as built statements; neither carries text until
+	// something asks for it (Request does; the emulator does not).
 	Queries func(g *GenContext, qs []legacy.Query) []legacy.Query
 
 	idx int // position in the Mix that holds it
@@ -89,11 +94,118 @@ func rd(cost float64, p *sqlengine.Prepared, arg int) legacy.Query {
 	return legacy.Query{Prepared: p, Arg: int64(arg), Cost: cost}
 }
 
-// wr is a costed write. A write stays text from the start: the recovery
-// log is a log of strings that replay parses again (paper §4.1), and %.2f
-// makes the text the definition of a bid's value.
-func wr(cost float64, format string, args ...any) legacy.Query {
-	return legacy.Query{SQL: fmt.Sprintf(format, args...), Cost: cost}
+// The writes of the 26 interactions, each defined once by its text (see
+// write), prepared once per process.
+var (
+	insBuyNow     = mustWrite("INSERT INTO buy_now (id, buyer_id, item_id, qty, date) VALUES (%d, %d, %d, 1, %d)")
+	closeItem     = mustWrite("UPDATE items SET end_date = 0 WHERE id = %d")
+	insBid        = mustWrite("INSERT INTO bids (id, user_id, item_id, bid, date) VALUES (%d, %d, %d, %.2f, %d)")
+	setMaxBid     = mustWrite("UPDATE items SET max_bid = %.2f, nb_of_bids = %d WHERE id = %d")
+	insComment    = mustWrite("INSERT INTO comments (id, from_user, to_user, item_id, rating, comment) VALUES (%d, %d, %d, %d, %d, 'emulated comment')")
+	setUserRating = mustWrite("UPDATE users SET rating = %d WHERE id = %d")
+	insItem       = mustWrite("INSERT INTO items (id, name, seller, category, initial_price, max_bid, nb_of_bids, end_date, buy_now) VALUES (%d, 'new-item-%d', %d, %d, %.2f, %.2f, 0, 2000000, %.2f)")
+	insUser       = mustWrite("INSERT INTO users (id, nickname, password, region, rating, balance) VALUES (%d, 'newuser%d', 'pw', %d, 0, 0.0)")
+)
+
+// write is one write statement of the mix, defined once by its SQL text as
+// fmt formats it: each verb stands for one drawn value, %d for an INT
+// literal, %.2f for a FLOAT one and %d inside a quoted literal
+// ('newuser%d') for a TEXT one. The statement is the format prepared once,
+// each verb's literal a placeholder, and bound to the values of one write:
+// an int as itself, a float as cents of it (the double its %.2f text reads
+// back as), a quoted literal as its text with the number in place. So the
+// text Request renders and the statement the emulator runs come from the
+// same format and the same draws, and a write is built without text.
+type write struct {
+	format string
+	stmt   *sqlengine.Prepared
+	slots  []slot // one per verb, in order
+}
+
+// slot is what a verb's value becomes: kind 'd' an int64, 'f' cents of a
+// float64, 's' the text prefix, the number, suffix.
+type slot struct {
+	kind           byte
+	prefix, suffix string
+}
+
+func mustWrite(format string) *write {
+	w := &write{format: format}
+	var template strings.Builder
+	for i := 0; i < len(format); i++ {
+		switch rest := format[i:]; {
+		case rest[0] == '\'':
+			n := strings.IndexByte(rest[1:], '\'') + 2 // the quoted literal, quotes included
+			lit := rest[1 : n-1]
+			if k := strings.Index(lit, "%d"); k >= 0 {
+				w.slots = append(w.slots, slot{kind: 's', prefix: lit[:k], suffix: lit[k+2:]})
+				template.WriteByte('?')
+			} else {
+				template.WriteString(rest[:n])
+			}
+			i += n - 1
+		case strings.HasPrefix(rest, "%d"):
+			w.slots = append(w.slots, slot{kind: 'd'})
+			template.WriteByte('?')
+			i++
+		case strings.HasPrefix(rest, "%.2f"):
+			w.slots = append(w.slots, slot{kind: 'f'})
+			template.WriteByte('?')
+			i += 3
+		default:
+			template.WriteByte(rest[0])
+		}
+	}
+	w.stmt = mustPrepare(template.String())
+	if w.stmt.NumArgs() != len(w.slots) || !w.stmt.IsWrite() || strings.Count(format, "%") != len(w.slots) {
+		panic(fmt.Sprintf("rubis: %q is not a write with one value per verb", format))
+	}
+	return w
+}
+
+// wr is a costed write with its values, one per verb of w in order: an
+// int for %d, a float64 for %.2f. The emulator's write is the statement,
+// bound without printing or parsing anything; Request's is the text.
+func wr(g *GenContext, cost float64, w *write, args ...any) legacy.Query {
+	if g.text {
+		return legacy.Query{SQL: w.text(args), Cost: cost}
+	}
+	var buf [9]sqlengine.Value
+	vals := buf[:len(w.slots)]
+	for i, s := range w.slots {
+		if j := slices.Index(args[:i], args[i]); j >= 0 && w.slots[j].kind == s.kind {
+			vals[i] = vals[j] // one boxed value for a draw the write repeats (an id, a price)
+			continue
+		}
+		switch s.kind {
+		case 'd':
+			vals[i] = int64(args[i].(int))
+		case 'f':
+			vals[i] = cents(args[i].(float64))
+		case 's':
+			vals[i] = s.prefix + strconv.Itoa(args[i].(int)) + s.suffix
+		}
+	}
+	stmt, err := w.stmt.Bind(vals...)
+	if err != nil {
+		panic(fmt.Sprintf("rubis: %q: %v", w.format, err)) // a call with too few values: a bug in the table below
+	}
+	return legacy.Query{Stmt: stmt, Cost: cost}
+}
+
+// text renders the write's SQL, its values copied so that wr's stay on
+// the caller's stack.
+func (w *write) text(args []any) string {
+	vals := make([]any, len(args))
+	for i, a := range args {
+		switch a := a.(type) {
+		case int:
+			vals[i] = a
+		case float64:
+			vals[i] = a
+		}
+	}
+	return fmt.Sprintf(w.format, vals...)
 }
 
 // webCost is the flat web-tier CPU cost per interaction.
@@ -163,9 +275,8 @@ func Interactions() []Interaction {
 				g.Counters.nextBuyNow++
 				return append(qs,
 					rd(0.015, selItem, item),
-					wr(0.008, "INSERT INTO buy_now (id, buyer_id, item_id, qty, date) VALUES (%d, %d, %d, 1, %d)",
-						id, buyer, item, id),
-					wr(0.006, "UPDATE items SET end_date = 0 WHERE id = %d", item))
+					wr(g, 0.008, insBuyNow, id, buyer, item, id),
+					wr(g, 0.006, closeItem, item))
 			}},
 		{Name: "PutBidAuth", Weight: 0.025, WebCost: webCost, AppCost: 0.006},
 		{Name: "PutBid", Weight: 0.025, WebCost: webCost, AppCost: 0.014,
@@ -184,10 +295,8 @@ func Interactions() []Interaction {
 				amount := 1 + float64(g.RNG.Float64()*200)
 				return append(qs,
 					rd(0.025, selItem, item),
-					wr(0.008, "INSERT INTO bids (id, user_id, item_id, bid, date) VALUES (%d, %d, %d, %.2f, %d)",
-						id, user, item, amount, id),
-					wr(0.006, "UPDATE items SET max_bid = %.2f, nb_of_bids = %d WHERE id = %d",
-						amount, id, item))
+					wr(g, 0.008, insBid, id, user, item, amount, id),
+					wr(g, 0.006, setMaxBid, amount, id, item))
 			}},
 		{Name: "PutCommentAuth", Weight: 0.01, WebCost: webCost, AppCost: 0.006},
 		{Name: "PutComment", Weight: 0.01, WebCost: webCost, AppCost: 0.014,
@@ -203,9 +312,8 @@ func Interactions() []Interaction {
 				id := g.Counters.nextComment
 				g.Counters.nextComment++
 				return append(qs,
-					wr(0.008, "INSERT INTO comments (id, from_user, to_user, item_id, rating, comment) VALUES (%d, %d, %d, %d, %d, 'emulated comment')",
-						id, from, to, item, g.RNG.Intn(5)),
-					wr(0.006, "UPDATE users SET rating = %d WHERE id = %d", g.RNG.Intn(10), to))
+					wr(g, 0.008, insComment, id, from, to, item, g.RNG.Intn(5)),
+					wr(g, 0.006, setUserRating, g.RNG.Intn(10), to))
 			}},
 		{Name: "Sell", Weight: 0.01, WebCost: webCost, AppCost: 0.006},
 		{Name: "SelectCategoryToSellItem", Weight: 0.01, WebCost: webCost, AppCost: 0.012,
@@ -221,8 +329,7 @@ func Interactions() []Interaction {
 				cat := g.RNG.Intn(max(1, g.DS.Categories))
 				price := 1 + float64(g.RNG.Float64()*100)
 				return append(qs,
-					wr(0.010, "INSERT INTO items (id, name, seller, category, initial_price, max_bid, nb_of_bids, end_date, buy_now) VALUES (%d, 'new-item-%d', %d, %d, %.2f, %.2f, 0, 2000000, %.2f)",
-						id, id, seller, cat, price, price, price*1.5))
+					wr(g, 0.010, insItem, id, id, seller, cat, price, price, price*1.5))
 			}},
 		{Name: "Register", Weight: 0.01, WebCost: webCost, AppCost: 0.006},
 		{Name: "RegisterUser", Weight: 0.01, Write: true, WebCost: webCost, AppCost: 0.016,
@@ -231,8 +338,7 @@ func Interactions() []Interaction {
 				g.Counters.nextUser++
 				region := g.RNG.Intn(max(1, g.DS.Regions))
 				return append(qs,
-					wr(0.010, "INSERT INTO users (id, nickname, password, region, rating, balance) VALUES (%d, 'newuser%d', 'pw', %d, 0, 0.0)",
-						id, id, region))
+					wr(g, 0.010, insUser, id, id, region))
 			}},
 		{Name: "AboutMe", Weight: 0.03, WebCost: webCost, AppCost: 0.020,
 			Queries: func(g *GenContext, qs []legacy.Query) []legacy.Query {
@@ -328,7 +434,9 @@ func (it *Interaction) build(g *GenContext, req *legacy.WebRequest, qs []legacy.
 // emulator or the calibration, whose requests carry no text.
 func (it *Interaction) Request(g *GenContext) *legacy.WebRequest {
 	req := &legacy.WebRequest{}
+	g.text = true
 	it.build(g, req, nil)
+	g.text = false
 	for i := range req.Queries {
 		q := &req.Queries[i]
 		if q.SQL != "" {
