@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -158,5 +159,40 @@ func TestCheckHistory(t *testing.T) {
 		if c.ok && (n != 3 || string(last) != page("10")) {
 			t.Errorf("%s: %d lines, last %q", c.name, n, last)
 		}
+	}
+}
+
+// The scrape check reads the run's own final pair, named from the time of
+// its history's last line: a longer, earlier run's metrics-t00002620 pair in
+// the same directory sorts last and is not read. A final pair that does
+// not hold the served pages, or is missing, fails the check.
+func TestCheckMetricsDirReadsTheRunsOwnPair(t *testing.T) {
+	page := func(time string, v int) string {
+		return fmt.Sprintf(`{"schema":"jade-metrics/v1","time":%s,"families":[{"name":"jade_v","help":"","type":"gauge","series":[{"value":%d}]}]}`+"\n", time, v)
+	}
+	prom := func(v int) string { return fmt.Sprintf("# TYPE jade_v gauge\njade_v %d\n", v) }
+	dir := t.TempDir()
+	write := func(name, data string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("metrics-t00002620.json", page("2620", 9)) // the longer run's
+	write("metrics-t00002620.prom", prom(9))
+	write("metrics.jsonl", page("0", 1)+page("41.6", 2))
+	write("metrics-t00000042.json", page("41.6", 2))
+	write("metrics-t00000042.prom", prom(2))
+	if n, err := checkMetricsDir(dir, []byte(prom(2)), []byte(page("41.6", 2))); err != nil || n != 2 {
+		t.Fatalf("the run's own pages: %d lines, %v", n, err)
+	}
+	if _, err := checkMetricsDir(dir, []byte(prom(9)), []byte(page("41.6", 2))); err == nil {
+		t.Fatal("the longer run's /metrics passed")
+	}
+	if err := os.Remove(filepath.Join(dir, "metrics-t00000042.prom")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkMetricsDir(dir, []byte(prom(2)), []byte(page("41.6", 2))); err == nil {
+		t.Fatal("a missing final pair passed")
 	}
 }

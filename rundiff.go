@@ -311,10 +311,16 @@ func (d *RunDiff) diffSLO(opt RunDiffOptions) {
 	}
 }
 
-// latestSnapshot returns the lexicographically last metrics-t*.json in
-// dir — snapshot names embed zero-padded virtual time, so this is the
-// final snapshot.
+// latestSnapshot returns the run's final metrics page: the last line of
+// its history (metricsHistory), which ends with the page the final
+// metrics-t*.json holds. Only a directory without a history falls back to
+// the lexicographically last metrics-t*.json (names embed zero-padded
+// virtual time): where an earlier, longer run left its final pair in the
+// same directory, the name sort picks that run's page.
 func latestSnapshot(dir string) []byte {
+	if hist := bytes.TrimSuffix(readIfExists(filepath.Join(dir, metricsHistory)), []byte("\n")); len(hist) > 0 {
+		return append(hist[bytes.LastIndexByte(hist, '\n')+1:], '\n')
+	}
 	matches, err := filepath.Glob(filepath.Join(dir, "metrics-t*.json"))
 	if err != nil || len(matches) == 0 {
 		return nil
