@@ -38,7 +38,8 @@ func resizeSequence(s *Series) []string {
 	var out []string
 	started := false
 	var prev float64
-	for _, p := range s.Points {
+	for i := 0; i < s.Len(); i++ {
+		p := s.Point(i)
 		if !started {
 			prev, started = p.V, true
 			continue

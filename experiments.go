@@ -235,7 +235,8 @@ func paperFigure(name, title string, render func(*PaperRuns) string) experiment 
 // paper's figures.
 func relativize(s *Series, t0 float64) *Series {
 	out := metrics.NewSeries(s.Name)
-	for _, p := range s.Points {
+	for i := 0; i < s.Len(); i++ {
+		p := s.Point(i)
 		if p.T < t0 {
 			continue
 		}
@@ -309,14 +310,16 @@ func (pr *PaperRuns) figure7() string {
 // latencyFigure renders client latency and the workload profile.
 func latencyFigure(title string, r *ScenarioResult) string {
 	lat := metrics.NewSeries("latency (ms)")
-	for _, p := range r.Stats.Latency.Points {
+	for i := 0; i < r.Stats.Latency.Len(); i++ {
+		p := r.Stats.Latency.Point(i)
 		if p.T < r.WorkloadStart {
 			continue
 		}
 		lat.Add(p.T-r.WorkloadStart, p.V*1000)
 	}
 	wl := metrics.NewSeries("workload (# clients x100 ms)")
-	for _, p := range r.Stats.Workload.Points {
+	for i := 0; i < r.Stats.Workload.Len(); i++ {
+		p := r.Stats.Workload.Point(i)
 		if p.T < r.WorkloadStart {
 			continue
 		}

@@ -57,11 +57,12 @@ func TestFabricRampWithMetricsAllocsPerRequest(t *testing.T) {
 }
 
 // A bidding-mix ramp, fabric and tracing off, costs at most 3.75 heap
-// objects per completed request (measured 3.49 at seed 1). About one
-// request in five issues writes: each is built as a statement from the
-// values its interaction drew, logged and replayed as it was built. While
-// every write was printed with fmt.Sprintf, parsed again at the C-JDBC
-// controller and logged as its text, the same run cost 4.98.
+// objects and 644 bytes per completed request (measured 3.50 and 585 at
+// seed 1). About one request in five issues writes: each is built as a
+// statement from the values its interaction drew, logged and replayed as
+// it was built. While every write was printed with fmt.Sprintf, parsed
+// again at the C-JDBC controller and logged as its text, the same run cost
+// 4.98 objects.
 func TestBiddingRampAllocsPerRequest(t *testing.T) {
 	cfg := DefaultScenario(1, true)
 	cfg.Profile = RampProfile{Base: 80, Peak: 300, StepPerMinute: 40, HoldAtPeak: 60}
@@ -81,5 +82,11 @@ func TestBiddingRampAllocsPerRequest(t *testing.T) {
 	per := float64(m1.Mallocs-m0.Mallocs) / float64(r.Stats.Completed)
 	if per > 3.75 {
 		t.Errorf("%.3f heap objects per completed request, want at most 3.75", per)
+	}
+	// Bytes catch a run store that regrows by append, copying everything
+	// it holds at each step: 585 measured with the stores in chunks (593
+	// under -race), 821 when they were slices.
+	if b := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(r.Stats.Completed); b > 644 {
+		t.Errorf("%.0f bytes per completed request, want at most 644", b)
 	}
 }

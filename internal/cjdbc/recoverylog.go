@@ -13,7 +13,10 @@
 // it without parsing, and the record renders its SQL text on demand.
 package cjdbc
 
-import "jade/internal/legacy"
+import (
+	"jade/internal/chunk"
+	"jade/internal/legacy"
+)
 
 // LogRecord is one indexed write request in the recovery log.
 type LogRecord struct {
@@ -28,9 +31,11 @@ type LogRecord struct {
 
 // RecoveryLog is the append-only indexed store of write requests. The
 // paper implements it as "a particular database whose purpose is to keep
-// track of all the requests that affect the state of the database".
+// track of all the requests that affect the state of the database". Its
+// records live in fixed chunks: the log grows with the run, and growing
+// never copies the records already logged.
 type RecoveryLog struct {
-	records []LogRecord
+	records chunk.List[LogRecord]
 	// checkpoints remembers, per disabled backend, the index *after* the
 	// last write it executed — i.e. the position replay must resume from.
 	checkpoints map[string]int64
@@ -47,21 +52,21 @@ func NewRecoveryLog() *RecoveryLog {
 // the record runs that statement, and nothing in the record is copied: a
 // statement is immutable once built.
 func (l *RecoveryLog) Append(q legacy.Query) int64 {
-	idx := int64(len(l.records))
-	l.records = append(l.records, LogRecord{Index: idx, Query: q})
+	idx := int64(l.records.Len())
+	l.records.Append(LogRecord{Index: idx, Query: q})
 	return idx
 }
 
 // Len returns the number of logged writes (also the index the next write
 // will get).
-func (l *RecoveryLog) Len() int64 { return int64(len(l.records)) }
+func (l *RecoveryLog) Len() int64 { return int64(l.records.Len()) }
 
 // At returns the record at index.
 func (l *RecoveryLog) At(index int64) (LogRecord, bool) {
-	if index < 0 || index >= int64(len(l.records)) {
+	if index < 0 || index >= l.Len() {
 		return LogRecord{}, false
 	}
-	return l.records[index], true
+	return *l.records.At(int(index)), true
 }
 
 // SetCheckpoint records that a disabled backend has executed every write

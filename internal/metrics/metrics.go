@@ -13,6 +13,8 @@ import (
 	"math"
 	"sort"
 	"strconv"
+
+	"jade/internal/chunk"
 )
 
 // Point is one (time, value) sample.
@@ -21,10 +23,12 @@ type Point struct {
 	V float64
 }
 
-// Series is an append-only time series.
+// Series is an append-only time series. Its points live in fixed
+// chunks, so a series that records every request of a run allocates
+// about its final size once and never copies what it holds.
 type Series struct {
-	Name   string
-	Points []Point
+	Name string
+	pts  chunk.List[Point]
 }
 
 // NewSeries returns an empty named series.
@@ -33,28 +37,36 @@ func NewSeries(name string) *Series { return &Series{Name: name} }
 // Add appends a sample. Samples must arrive in non-decreasing time order;
 // out-of-order samples panic, since they indicate a simulation bug.
 func (s *Series) Add(t, v float64) {
-	if n := len(s.Points); n > 0 && t < s.Points[n-1].T {
-		panic(fmt.Sprintf("metrics: series %q sample at %.6f after %.6f", s.Name, t, s.Points[n-1].T))
+	if n := s.pts.Len(); n > 0 {
+		if last := s.pts.At(n - 1).T; t < last {
+			panic(fmt.Sprintf("metrics: series %q sample at %.6f after %.6f", s.Name, t, last))
+		}
 	}
-	s.Points = append(s.Points, Point{T: t, V: v})
+	s.pts.Append(Point{T: t, V: v})
 }
 
 // Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Points) }
+func (s *Series) Len() int { return s.pts.Len() }
+
+// Point returns sample i, in time order.
+func (s *Series) Point(i int) Point { return *s.pts.At(i) }
+
+// AppendPoints appends every sample to dst, in time order, and returns it.
+func (s *Series) AppendPoints(dst []Point) []Point { return s.pts.AppendTo(dst, 0, s.pts.Len()) }
 
 // Last returns the most recent sample, or a zero Point if empty.
 func (s *Series) Last() Point {
-	if len(s.Points) == 0 {
+	if s.pts.Len() == 0 {
 		return Point{}
 	}
-	return s.Points[len(s.Points)-1]
+	return s.Point(s.pts.Len() - 1)
 }
 
 // MeanBetween returns the mean of samples with t0 <= T <= t1.
 func (s *Series) MeanBetween(t0, t1 float64) float64 {
 	sum, n := 0.0, 0
-	for _, p := range s.Points {
-		if p.T >= t0 && p.T <= t1 {
+	for i := 0; i < s.pts.Len(); i++ {
+		if p := s.pts.At(i); p.T >= t0 && p.T <= t1 {
 			sum += p.V
 			n++
 		}
@@ -68,9 +80,9 @@ func (s *Series) MeanBetween(t0, t1 float64) float64 {
 // Max returns the maximum value, or 0 if empty.
 func (s *Series) Max() float64 {
 	m := math.Inf(-1)
-	for _, p := range s.Points {
-		if p.V > m {
-			m = p.V
+	for i := 0; i < s.pts.Len(); i++ {
+		if v := s.pts.At(i).V; v > m {
+			m = v
 		}
 	}
 	if math.IsInf(m, -1) {
@@ -82,11 +94,11 @@ func (s *Series) Max() float64 {
 // At returns the value in effect at time t: the last sample with T <= t.
 // It returns 0 before the first sample.
 func (s *Series) At(t float64) float64 {
-	i := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T > t })
+	i := sort.Search(s.pts.Len(), func(i int) bool { return s.pts.At(i).T > t })
 	if i == 0 {
 		return 0
 	}
-	return s.Points[i-1].V
+	return s.pts.At(i - 1).V
 }
 
 // CSV renders the series as "t,v" lines with a header. Points are
@@ -94,11 +106,12 @@ func (s *Series) At(t float64) float64 {
 // per-point fmt calls; the output is byte-identical to the old
 // "%.3f,%.6f" formatting.
 func (s *Series) CSV() string {
-	buf := make([]byte, 0, 6+len(s.Name)+22*len(s.Points))
+	buf := make([]byte, 0, 6+len(s.Name)+22*s.pts.Len())
 	buf = append(buf, "time,"...)
 	buf = append(buf, s.Name...)
 	buf = append(buf, '\n')
-	for _, p := range s.Points {
+	for i := 0; i < s.pts.Len(); i++ {
+		p := s.pts.At(i)
 		buf = strconv.AppendFloat(buf, p.T, 'f', 3, 64)
 		buf = append(buf, ',')
 		buf = strconv.AppendFloat(buf, p.V, 'f', 6, 64)

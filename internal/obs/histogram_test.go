@@ -4,9 +4,11 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
+	"jade/internal/chunk"
 	"jade/internal/metrics"
 )
 
@@ -58,10 +60,11 @@ func ordered(t *testing.T, h *Histogram, where string) []float64 {
 	for i := range h.held {
 		b := &h.held[i]
 		h.scratch = b.order(h.scratch)
-		if b.ordered != len(b.samples) {
-			t.Fatalf("%s: bucket %d ordered %d of %d", where, i, b.ordered, len(b.samples))
+		n := b.samples.Len()
+		if b.ordered != n {
+			t.Fatalf("%s: bucket %d ordered %d of %d", where, i, b.ordered, n)
 		}
-		all = append(all, b.samples...)
+		all = b.samples.AppendTo(all, 0, n)
 	}
 	return all
 }
@@ -234,26 +237,27 @@ func TestSnapshotWithoutNewSamplesDoesNotSort(t *testing.T) {
 	h.snapshot()
 	inf := &h.held[len(h.held)-1]   // 66..1000: p50, p95 and p99 all fall here
 	below := &h.held[len(h.held)-2] // 33..65, observed in descending order
-	if inf.ordered != 935 || below.ordered != 0 || below.samples[0] != 65 {
+	if inf.ordered != 935 || below.ordered != 0 || *below.samples.At(0) != 65 {
 		t.Fatalf("snapshot ordered buckets it does not read: +Inf %d of %d, below %d of %d (first %v)",
-			inf.ordered, len(inf.samples), below.ordered, len(below.samples), below.samples[0])
+			inf.ordered, inf.samples.Len(), below.ordered, below.samples.Len(), *below.samples.At(0))
 	}
 	if allocs := testing.AllocsPerRun(100, func() { h.snapshot() }); allocs != 1 {
 		t.Fatalf("snapshot with no new samples allocates %v objects, want 1 (Cumulative)", allocs)
 	}
 	// Disorder the prefix behind the histogram's back. A read that trusts
 	// the prefix leaves the pair as it is; a full sort would repair it.
-	inf.samples[10], inf.samples[11] = inf.samples[11], inf.samples[10]
+	s := func(i int) float64 { return *inf.samples.At(i) }
+	*inf.samples.At(10), *inf.samples.At(11) = s(11), s(10)
 	h.snapshot()
 	h.Observe(500.5)
 	h.Observe(2000)
 	h.snapshot()
-	if inf.samples[10] != 77 || inf.samples[11] != 76 {
-		t.Fatalf("a read re-sorted the ordered prefix: samples[10:12] = %v", inf.samples[10:12])
+	if s(10) != 77 || s(11) != 76 {
+		t.Fatalf("a read re-sorted the ordered prefix: samples[10:12] = %v %v", s(10), s(11))
 	}
-	if inf.ordered != 937 || inf.samples[435] != 500.5 || inf.samples[436] != 501 || inf.samples[936] != 2000 {
-		t.Fatalf("tail not merged in place: ordered %d, samples[435:437] = %v, last %v",
-			inf.ordered, inf.samples[435:437], inf.samples[936])
+	if inf.ordered != 937 || s(435) != 500.5 || s(436) != 501 || s(936) != 2000 {
+		t.Fatalf("tail not merged in place: ordered %d, samples[435:437] = %v %v, last %v",
+			inf.ordered, s(435), s(436), s(936))
 	}
 }
 
@@ -270,9 +274,9 @@ func BenchmarkHistogramScrape(b *testing.B) {
 		h.Observe(rng.ExpFloat64() * 0.05)
 	}
 	h.snapshot()
-	held := make([]int, len(h.held))
+	held := make([][]float64, len(h.held))
 	for i := range h.held {
-		held[i] = len(h.held[i].samples)
+		held[i] = h.held[i].samples.AppendTo(nil, 0, h.held[i].samples.Len())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -281,12 +285,19 @@ func BenchmarkHistogramScrape(b *testing.B) {
 			h.Observe(rng.ExpFloat64() * 0.05)
 		}
 		scrapeSink = h.snapshot()
-		// Drop each bucket's largest samples so every iteration scrapes
-		// the same n in the same buckets.
+		// Put back the n ordered samples, and collect what that leaves,
+		// untimed, so every iteration scrapes the same n in the same
+		// buckets.
+		b.StopTimer()
 		for i := range h.held {
-			b := &h.held[i]
-			b.samples = b.samples[:held[i]]
-			b.ordered = min(b.ordered, held[i])
+			bk := &h.held[i]
+			bk.samples = chunk.List[float64]{}
+			for _, v := range held[i] {
+				bk.samples.Append(v)
+			}
+			bk.ordered = len(held[i])
 		}
+		runtime.GC()
+		b.StartTimer()
 	}
 }

@@ -23,6 +23,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"jade/internal/chunk"
 )
 
 // Label is one metric dimension. Labels are ordered by key in exposition.
@@ -130,19 +132,21 @@ func DefaultBuckets() []float64 {
 //
 // Invariant, per bucket: samples[:ordered] is ascending in sort.Float64s
 // order (NaN first) and samples[ordered:] is the tail observed since, in
-// arrival order. Observe only appends; order sorts the tail alone and
-// merges it into the prefix from the back. A read after k new samples in
-// a bucket costs O(k log k) comparisons to sort them and O(log d) to place
-// each one d samples from the prefix's end, plus moving the prefix above
-// the tail's minimum; nothing in the buckets it does not read, and nothing
-// when k = 0. No sample is dropped or approximated; bounding retention is
-// a separate decision (ROADMAP).
+// arrival order. Observe only appends, into fixed chunks that are never
+// copied to grow; order copies the tail into scratch, sorts it there and
+// merges it into the prefix from the back, moving prefix runs a chunk
+// segment at a time. A read after k new samples in a bucket costs
+// O(k log k) comparisons to sort them and O(log d) to place each one d
+// samples from the prefix's end, plus moving the prefix above the tail's
+// minimum; nothing in the buckets it does not read, and nothing when
+// k = 0. No sample is dropped or approximated; bounding retention is a
+// separate decision (ROADMAP).
 type Histogram struct {
 	mu      sync.Mutex
 	bounds  []float64 // ascending upper bounds; +Inf implicit
 	held    []bucket  // the samples, one bucket per bound, then +Inf
 	nans    int       // NaN samples, held in the first bucket
-	scratch []float64 // reused by order: the sorted tail while it is merged
+	scratch []float64 // reused by order: the tail while it is sorted and merged
 	sum     float64
 	min     float64
 	max     float64
@@ -151,7 +155,7 @@ type Histogram struct {
 // bucket holds one bucket's raw samples: an ascending prefix and the
 // tail observed since it was last ordered.
 type bucket struct {
-	samples []float64
+	samples chunk.List[float64]
 	ordered int
 }
 
@@ -180,7 +184,7 @@ func (h *Histogram) Observe(v float64) {
 		i = 0 // NaN: where sort.Float64s ranks it
 		h.nans++
 	}
-	h.held[i].samples = append(h.held[i].samples, v)
+	h.held[i].samples.Append(v)
 	h.sum += v
 	if v < h.min {
 		h.min = v
@@ -205,7 +209,7 @@ func (h *Histogram) Count() uint64 {
 func (h *Histogram) count() int {
 	n := 0
 	for i := range h.held {
-		n += len(h.held[i].samples)
+		n += h.held[i].samples.Len()
 	}
 	return n
 }
@@ -259,11 +263,11 @@ func (h *Histogram) quantile(p float64) float64 {
 func (h *Histogram) at(r int) float64 {
 	for i := range h.held {
 		b := &h.held[i]
-		if r < len(b.samples) {
+		if r < b.samples.Len() {
 			h.scratch = b.order(h.scratch)
-			return b.samples[r]
+			return *b.samples.At(r)
 		}
-		r -= len(b.samples)
+		r -= b.samples.Len()
 	}
 	panic("obs: histogram rank out of range")
 }
@@ -271,24 +275,29 @@ func (h *Histogram) at(r int) float64 {
 // order restores the bucket's ascending order after appends, using
 // scratch as merge space, and returns scratch for reuse.
 func (b *bucket) order(scratch []float64) []float64 {
-	n := len(b.samples)
+	s := &b.samples
+	n := s.Len()
 	if b.ordered == n {
 		return scratch
 	}
-	tail := b.samples[b.ordered:]
-	sort.Float64s(tail)
-	// A tail that starts at or above the prefix maximum is already in place.
-	if b.ordered > 0 && cmp.Less(tail[0], b.samples[b.ordered-1]) {
-		scratch = append(scratch[:0], tail...)
+	scratch = s.AppendTo(scratch[:0], b.ordered, n)
+	sort.Float64s(scratch)
+	if b.ordered == 0 || !cmp.Less(scratch[0], *s.At(b.ordered - 1)) {
+		// A tail that starts at or above the prefix maximum goes back in
+		// its place as it is.
+		for i := b.ordered; i < n; {
+			i += copy(s.Segment(i), scratch[i-b.ordered:])
+		}
+	} else {
 		// Largest tail sample first: the prefix run above it (samples[p:i])
 		// moves up past the j+1 tail samples still to be placed at or below
 		// it. Once the tail is placed, the rest of the prefix is in place.
 		i := b.ordered
 		for j := len(scratch) - 1; j >= 0; j-- {
 			v := scratch[j]
-			p := insertionPoint(b.samples[:i], v)
-			copy(b.samples[p+j+1:], b.samples[p:i])
-			b.samples[p+j] = v
+			p := insertionPoint(s, i, v)
+			s.Move(p+j+1, p, i-p)
+			*s.At(p + j) = v
 			i = p
 		}
 	}
@@ -296,19 +305,19 @@ func (b *bucket) order(scratch []float64) []float64 {
 	return scratch
 }
 
-// insertionPoint returns the first index of the ascending s whose sample
-// v sorts before (len(s) if none). It gallops down from the end, since
+// insertionPoint returns the first index of the ascending s[:n] whose
+// sample v sorts before (n if none). It gallops down from the end, since
 // each tail sample lands at or below the one placed before it, and then
 // binary-searches the last step: O(log d) comparisons for a landing point
 // d samples from the end.
-func insertionPoint(s []float64, v float64) int {
-	hi, step := len(s), 1
-	for hi-step >= 0 && cmp.Less(v, s[hi-step]) {
+func insertionPoint(s *chunk.List[float64], n int, v float64) int {
+	hi, step := n, 1
+	for hi-step >= 0 && cmp.Less(v, *s.At(hi - step)) {
 		hi -= step
 		step *= 2
 	}
 	lo := max(hi-step+1, 0)
-	return lo + sort.Search(hi-lo, func(x int) bool { return cmp.Less(v, s[lo+x]) })
+	return lo + sort.Search(hi-lo, func(x int) bool { return cmp.Less(v, *s.At(lo + x)) })
 }
 
 // HistogramSnapshot is an immutable view used by exposition. A
@@ -332,7 +341,7 @@ func (h *Histogram) snapshotInto(hs *HistogramSnapshot, cum []uint64) {
 	// NaN is held in the first bucket but counted under +Inf.
 	run := -h.nans
 	for i := range h.held {
-		run += len(h.held[i].samples)
+		run += h.held[i].samples.Len()
 		cum[i] = uint64(run)
 	}
 	cum[len(cum)-1] += uint64(h.nans)

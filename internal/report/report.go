@@ -6,6 +6,7 @@ package report
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"jade/internal/metrics"
@@ -27,11 +28,12 @@ type Chart struct {
 	HLines []HLine
 }
 
-// ChartSeries is one plotted series.
+// ChartSeries is one plotted series. Render collects its points; a nil
+// Series is drawn as a series without data.
 type ChartSeries struct {
 	Name   string
 	Glyph  byte
-	Points []metrics.Point
+	Series *metrics.Series
 }
 
 // HLine is a horizontal reference line.
@@ -43,7 +45,7 @@ type HLine struct {
 
 // FromSeries converts a metrics series to a chart series.
 func FromSeries(s *metrics.Series, glyph byte) ChartSeries {
-	return ChartSeries{Name: s.Name, Glyph: glyph, Points: s.Points}
+	return ChartSeries{Name: s.Name, Glyph: glyph, Series: s}
 }
 
 // Render draws the chart.
@@ -57,8 +59,10 @@ func (c *Chart) Render() string {
 	}
 	tMin, tMax := math.Inf(1), math.Inf(-1)
 	yMax := c.YMax
-	for _, s := range c.Series {
-		for _, p := range finitePoints(s.Points) {
+	points := make([][]metrics.Point, len(c.Series))
+	for i, s := range c.Series {
+		points[i] = finitePoints(s.Series)
+		for _, p := range points[i] {
 			tMin = math.Min(tMin, p.T)
 			tMax = math.Max(tMax, p.T)
 			if c.YMax == 0 && p.V > yMax {
@@ -111,8 +115,8 @@ func (c *Chart) Render() string {
 			grid[r][x] = g
 		}
 	}
-	for _, s := range c.Series {
-		pts := finitePoints(s.Points)
+	for i, s := range c.Series {
+		pts := points[i]
 		if len(pts) == 0 {
 			continue
 		}
@@ -156,8 +160,8 @@ func (c *Chart) Render() string {
 	fmt.Fprintf(&b, "%10s %-12.4g%s%12.4g\n", "", tMin,
 		strings.Repeat(" ", maxInt(1, width-24)), tMax)
 	var legend []string
-	for _, s := range c.Series {
-		if len(finitePoints(s.Points)) == 0 {
+	for i, s := range c.Series {
+		if len(points[i]) == 0 {
 			legend = append(legend, fmt.Sprintf("! %s (no data)", s.Name))
 			continue
 		}
@@ -180,26 +184,14 @@ func (c *Chart) Render() string {
 	return b.String()
 }
 
-// finitePoints drops NaN/Inf samples; a series with no finite point at
-// all is left off the plot and flagged with '!' in the legend.
-func finitePoints(pts []metrics.Point) []metrics.Point {
-	clean := true
-	for _, p := range pts {
-		if !isFinite(p.T) || !isFinite(p.V) {
-			clean = false
-			break
-		}
+// finitePoints collects the series' samples without NaN/Inf ones; a
+// series with no finite point at all is left off the plot and flagged
+// with '!' in the legend.
+func finitePoints(s *metrics.Series) []metrics.Point {
+	if s == nil {
+		return nil
 	}
-	if clean {
-		return pts
-	}
-	f := make([]metrics.Point, 0, len(pts))
-	for _, p := range pts {
-		if isFinite(p.T) && isFinite(p.V) {
-			f = append(f, p)
-		}
-	}
-	return f
+	return slices.DeleteFunc(s.AppendPoints(nil), func(p metrics.Point) bool { return !isFinite(p.T) || !isFinite(p.V) })
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -281,8 +273,8 @@ func CSV(step float64, series ...*metrics.Series) string {
 		if s.Len() == 0 {
 			continue
 		}
-		tMin = math.Min(tMin, s.Points[0].T)
-		tMax = math.Max(tMax, s.Points[s.Len()-1].T)
+		tMin = math.Min(tMin, s.Point(0).T)
+		tMax = math.Max(tMax, s.Last().T)
 	}
 	if math.IsInf(tMin, 1) {
 		return ""

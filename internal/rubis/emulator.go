@@ -145,9 +145,9 @@ func (s *Stats) InteractionNames() []string {
 
 // LatencySummary summarizes completed-request latencies (seconds).
 func (s *Stats) LatencySummary() metrics.Summary {
-	vs := make([]float64, len(s.Latency.Points))
-	for i, p := range s.Latency.Points {
-		vs[i] = p.V
+	vs := make([]float64, s.Latency.Len())
+	for i := range vs {
+		vs[i] = s.Latency.Point(i).V
 	}
 	return metrics.Summarize(vs)
 }

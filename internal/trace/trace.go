@@ -25,6 +25,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"jade/internal/chunk"
 )
 
 // ID identifies an event or span. The zero ID means "none"; IDs are
@@ -151,14 +153,16 @@ type Tracer struct {
 	mu     sync.Mutex
 	now    func() float64
 	nextID uint64
-	events []Event // ring of capEvents entries once full
-	head   int     // index of the oldest event when the ring is full
+	// events and spans live in fixed chunks, so filling them never
+	// copies what they hold. events is a ring of capEv entries once full.
+	events chunk.List[Event]
+	head   int // index of the oldest event when the ring is full
 	capEv  int
 	// spans is in creation order, hence in ID order. Each span's Fields
 	// is carved from slab, with room reserved for End's fields; copies
 	// handed out are capped at their length, so a reader's append never
 	// reaches storage the tracer will write.
-	spans   []Span
+	spans   chunk.List[Span]
 	slab    []Field // the current chunk; its unused capacity is free
 	capSp   int
 	dropped uint64 // spans refused because the store was full
@@ -220,11 +224,11 @@ func (t *Tracer) id() ID {
 }
 
 func (t *Tracer) pushEvent(ev Event) {
-	if len(t.events) < t.capEv {
-		t.events = append(t.events, ev)
+	if t.events.Len() < t.capEv {
+		t.events.Append(ev)
 		return
 	}
-	t.events[t.head] = ev
+	*t.events.At(t.head) = ev
 	t.head = (t.head + 1) % t.capEv
 	t.evicted++
 }
@@ -269,14 +273,14 @@ func (t *Tracer) Begin(parent ID, kind, name string, fields ...Field) ID {
 	if parent == 0 {
 		parent = t.cause
 	}
-	if len(t.spans) >= t.capSp {
+	if t.spans.Len() >= t.capSp {
 		t.dropped++
 		return 0
 	}
 	id := t.id()
 	now := t.now()
 	own := append(t.carve(len(fields)+endFields), fields...)
-	t.spans = append(t.spans, Span{ID: id, Parent: parent, Kind: kind, Name: name, Start: now, End: now, Open: true, Fields: own})
+	t.spans.Append(Span{ID: id, Parent: parent, Kind: kind, Name: name, Start: now, End: now, Open: true, Fields: own})
 	return id
 }
 
@@ -300,10 +304,13 @@ func (t *Tracer) End(id ID, fields ...Field) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	i, ok := t.spanIdx(id)
-	if !ok || !t.spans[i].Open {
+	if !ok {
 		return
 	}
-	s := &t.spans[i]
+	s := t.spans.At(i)
+	if !s.Open {
+		return
+	}
 	s.Open = false
 	s.End = t.now()
 	s.Fields = append(s.Fields, fields...) // past the reserved room, a new array
@@ -312,16 +319,16 @@ func (t *Tracer) End(id ID, fields ...Field) {
 // spanIdx finds a retained span by ID. Spans are stored in ID order, so
 // it is a binary search.
 func (t *Tracer) spanIdx(id ID) (int, bool) {
-	lo, hi := 0, len(t.spans)
+	lo, hi := 0, t.spans.Len()
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if t.spans[m].ID < id {
+		if t.spans.At(m).ID < id {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(t.spans) && t.spans[lo].ID == id
+	return lo, lo < t.spans.Len() && t.spans.At(lo).ID == id
 }
 
 // WithCause runs fn with the ambient causal parent set to id, restoring
@@ -389,12 +396,9 @@ func (t *Tracer) Events() []Event {
 }
 
 func (t *Tracer) eventsLocked() []Event {
-	out := make([]Event, 0, len(t.events))
-	if len(t.events) < t.capEv {
-		return append(out, t.events...)
-	}
-	out = append(out, t.events[t.head:]...)
-	return append(out, t.events[:t.head]...)
+	n := t.events.Len()
+	out := t.events.AppendTo(make([]Event, 0, n), t.head, n)
+	return t.events.AppendTo(out, 0, t.head)
 }
 
 // ByKind returns retained events of one kind, in time order.
@@ -415,7 +419,7 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := append([]Span(nil), t.spans...)
+	out := t.spans.AppendTo(nil, 0, t.spans.Len())
 	for i := range out {
 		out[i].Fields = capped(out[i].Fields)
 	}
@@ -436,7 +440,7 @@ func (t *Tracer) SpanByID(id ID) (Span, bool) {
 	if !ok {
 		return Span{}, false
 	}
-	s := t.spans[i]
+	s := *t.spans.At(i)
 	s.Fields = capped(s.Fields)
 	return s, true
 }
@@ -458,7 +462,7 @@ func (t *Tracer) SpanTree() []*SpanNode {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := len(t.spans)
+	n := t.spans.Len()
 	if n == 0 {
 		return nil
 	}
@@ -468,8 +472,8 @@ func (t *Tracer) SpanTree() []*SpanNode {
 	scratch := make([]int32, 2*n)
 	parent, kids := scratch[:n], scratch[n:]
 	roots := 0
-	for i := range t.spans {
-		s := &t.spans[i]
+	for i := 0; i < n; i++ {
+		s := t.spans.At(i)
 		nodes[i].Span = *s
 		nodes[i].Span.Fields = capped(s.Fields)
 		parent[i] = -1
@@ -516,7 +520,7 @@ func (t *Tracer) Stat() Stats {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return Stats{Events: len(t.events), Spans: len(t.spans), EventsEvicted: t.evicted, SpansDropped: t.dropped}
+	return Stats{Events: t.events.Len(), Spans: t.spans.Len(), EventsEvicted: t.evicted, SpansDropped: t.dropped}
 }
 
 // Tail formats the last n events as human-readable lines, newest last —

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -116,6 +118,76 @@ func TestRingEviction(t *testing.T) {
 	}
 	if err := tr.WellFormed(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sliceRing is the event ring as a plain slice, the way the tracer kept
+// it before its store lived in chunks: append until full, then overwrite
+// the oldest.
+type sliceRing struct {
+	events []float64
+	head   int
+}
+
+func (r *sliceRing) push(v float64, capacity int) {
+	if len(r.events) < capacity {
+		r.events = append(r.events, v)
+		return
+	}
+	r.events[r.head] = v
+	r.head = (r.head + 1) % capacity
+}
+
+func (r *sliceRing) ordered() []float64 {
+	return append(append([]float64(nil), r.events[r.head:]...), r.events[:r.head]...)
+}
+
+// TestRingMatchesSliceRing holds the chunked event ring and span store to
+// plain slices over capacities and lengths on both sides of every chunk
+// boundary: the events come back in the order a slice ring gives
+// (TestRingEviction's order), and every span is found by ID and closed in
+// place however many were begun after it.
+func TestRingMatchesSliceRing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		capacity := 1 + rng.Intn(300)
+		if trial < 140 {
+			capacity = 1 + trial // every capacity through two full chunks
+		}
+		n := rng.Intn(3*capacity + 2)
+		now := 0.0
+		tr := New(clock(&now), capacity, capacity)
+		var ref sliceRing
+		var ids []ID
+		for i := 0; i < n; i++ {
+			now = float64(i)
+			tr.Emit("k", "e")
+			ref.push(now, capacity)
+			if id := tr.Begin(0, "s", "x"); id != 0 {
+				ids = append(ids, id)
+			}
+		}
+		var got []float64
+		for _, ev := range tr.Events() {
+			got = append(got, ev.T)
+		}
+		if want := ref.ordered(); !slices.Equal(got, want) {
+			t.Fatalf("capacity %d, %d events: ring holds %v, a slice ring %v", capacity, n, got, want)
+		}
+		if st := tr.Stat(); st.Events != len(ref.events) || st.EventsEvicted != uint64(n-len(ref.events)) ||
+			st.Spans != len(ids) || st.SpansDropped != uint64(n-len(ids)) {
+			t.Fatalf("capacity %d, %d events: stats %+v", capacity, n, st)
+		}
+		for k, id := range ids {
+			now = float64(n + k)
+			tr.End(id, Fi("k", k))
+		}
+		for k, id := range ids {
+			s, ok := tr.SpanByID(id)
+			if !ok || s.Open || s.End != float64(n+k) || len(s.Fields) != 1 {
+				t.Fatalf("capacity %d: span %d is %+v, %v", capacity, id, s, ok)
+			}
+		}
 	}
 }
 

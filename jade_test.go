@@ -65,7 +65,7 @@ func TestPaperScenarioReplicaTrajectory(t *testing.T) {
 	// The db tier saturates first: its first grow precedes the app
 	// tier's (paper: db at 180 clients, app at 420).
 	firstGrow := func(s *Series) float64 {
-		for _, p := range s.Points {
+		for _, p := range s.AppendPoints(nil) {
 			if p.V >= 2 {
 				return p.T
 			}
@@ -102,7 +102,7 @@ func TestPaperScenarioCPURegulation(t *testing.T) {
 	// With Jade the post-warmup moving average respects the max
 	// threshold most of the time; transient overshoot is bounded.
 	over := 0
-	for _, p := range pr.Managed.DB.CPUSmoothed.Points {
+	for _, p := range pr.Managed.DB.CPUSmoothed.AppendPoints(nil) {
 		if p.V > 0.95 {
 			over++
 		}
@@ -294,7 +294,7 @@ func TestRecoveryScenario(t *testing.T) {
 	// Service continues after the repair: requests complete in the
 	// second half of the run.
 	late := 0
-	for _, p := range r.Stats.Latency.Points {
+	for _, p := range r.Stats.Latency.AppendPoints(nil) {
 		if p.T > r.WorkloadStart+250 {
 			late++
 		}

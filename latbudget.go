@@ -63,12 +63,12 @@ func LatBudgetScenario(seed int64, variant string, quick bool) ScenarioConfig {
 // firstReplicaChange returns the virtual time a replica-count series
 // first moves off its initial value, or -1 if it never does.
 func firstReplicaChange(s *Series) float64 {
-	if s == nil || len(s.Points) == 0 {
+	if s == nil || s.Len() == 0 {
 		return -1
 	}
-	v0 := s.Points[0].V
-	for _, p := range s.Points {
-		if p.V != v0 {
+	v0 := s.Point(0).V
+	for i := 1; i < s.Len(); i++ {
+		if p := s.Point(i); p.V != v0 {
 			return p.T
 		}
 	}

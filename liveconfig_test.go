@@ -169,7 +169,7 @@ func TestNoopRefreshTrajectoryNeutral(t *testing.T) {
 	if plain.Reconfigurations != patched.Reconfigurations {
 		t.Fatalf("reconfigurations differ: %d vs %d", plain.Reconfigurations, patched.Reconfigurations)
 	}
-	a, b := plain.Stats.Latency.Points, patched.Stats.Latency.Points
+	a, b := plain.Stats.Latency.AppendPoints(nil), patched.Stats.Latency.AppendPoints(nil)
 	if len(a) != len(b) {
 		t.Fatalf("latency series lengths differ: %d vs %d", len(a), len(b))
 	}

@@ -246,12 +246,12 @@ func DefaultSLOs() []SLObjective {
 // dst, using binary search over the time-ordered points. A probe passes a
 // slice of its own, so a window allocates nothing once the slice has grown.
 func appendWindow(dst []float64, s *metrics.Series, t0, t1 float64) []float64 {
-	if s == nil || len(s.Points) == 0 {
+	if s == nil {
 		return dst
 	}
-	pts := s.Points
-	lo := sort.Search(len(pts), func(i int) bool { return pts[i].T >= t0 })
-	for _, p := range pts[lo:] {
+	n := s.Len()
+	for i := sort.Search(n, func(i int) bool { return s.Point(i).T >= t0 }); i < n; i++ {
+		p := s.Point(i)
 		if p.T >= t1 {
 			break
 		}

@@ -74,11 +74,11 @@ func TestRelativizeShiftsAndFilters(t *testing.T) {
 	if out.Len() != 2 {
 		t.Fatalf("len = %d, want samples at/after t0 only", out.Len())
 	}
-	if out.Points[0].T != 0 || out.Points[0].V != 2 {
-		t.Fatalf("first point = %+v", out.Points[0])
+	if out.Point(0).T != 0 || out.Point(0).V != 2 {
+		t.Fatalf("first point = %+v", out.Point(0))
 	}
-	if out.Points[1].T != 10 || out.Points[1].V != 3 {
-		t.Fatalf("second point = %+v", out.Points[1])
+	if out.Point(1).T != 10 || out.Point(1).V != 3 {
+		t.Fatalf("second point = %+v", out.Point(1))
 	}
 }
 
