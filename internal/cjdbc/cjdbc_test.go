@@ -736,6 +736,50 @@ func TestRejectedReadKeepsBackends(t *testing.T) {
 	}
 }
 
+// TestRefusedWriteKeepsBackends is the write-side twin of
+// TestRejectedReadKeepsBackends: a write every backend refuses (a text
+// value into an INT column) is answered with the servers' refusal and
+// takes no backend down; its record stays in the log, and a replica that
+// joins later replays past it.
+func TestRefusedWriteKeepsBackends(t *testing.T) {
+	r := newRig(t, 5)
+	r.join("b1", r.mysql("mysql1"))
+	r.join("b2", r.mysql("mysql2"))
+	r.mustExec("CREATE TABLE t (a INT)")
+	r.mustExec("INSERT INTO t (a) VALUES (7)")
+	err := r.exec("INSERT INTO t (a) VALUES ('text')")
+	var rejected *legacy.StatementError
+	if !errors.As(err, &rejected) {
+		t.Fatalf("refused write answered %v, want the server's refusal", err)
+	}
+	if r.ctl.ActiveCount() != 2 {
+		t.Fatalf("the refused write left %d active backends, want 2", r.ctl.ActiveCount())
+	}
+	for _, b := range r.ctl.Backends() {
+		if b.Applied != 3 {
+			t.Fatalf("after the refused write %s has applied %d records, want 3", b.Name, b.Applied)
+		}
+	}
+	if r.ctl.Log().Len() != 3 || r.ctl.Failures() != 1 || r.ctl.Writes() != 3 {
+		t.Fatalf("%d logged, %d failures, %d writes", r.ctl.Log().Len(), r.ctl.Failures(), r.ctl.Writes())
+	}
+	r.mustExec("SELECT * FROM t")
+	m3 := r.mysql("mysql3")
+	r.join("b3", m3)
+	want := r.ctl.p.lookup("b1").srv.DB().Fingerprint()
+	if r.ctl.ActiveCount() != 3 {
+		t.Fatalf("%d active backends after the join, want 3", r.ctl.ActiveCount())
+	}
+	for _, b := range r.ctl.Backends() {
+		if b.State != Active || b.Applied != 3 || b.Fingerprint != want {
+			t.Fatalf("%s is %s at %d with fingerprint %x, want ACTIVE at 3 with %x", b.Name, b.State, b.Applied, b.Fingerprint, want)
+		}
+	}
+	if m3.DB().RowCount("t") != 1 {
+		t.Fatalf("the replayed replica holds %d rows, want 1", m3.DB().RowCount("t"))
+	}
+}
+
 // A query that arrives parsed or prepared is classified by what it is, not
 // by its text: an INSERT with no text used to be routed as a read (the
 // empty string is no write), parsed again from nothing, and to take every

@@ -260,11 +260,24 @@ func (c *Controller) send(b *backend, w *request) {
 }
 
 func (c *Controller) answer(w *request, cause error) {
-	if cause != nil {
+	switch {
+	case cause == nil:
+	case refused(cause):
+		c.failures++
+		cause = fmt.Errorf("cjdbc %s: write refused: %w", c.name, cause)
+	default:
 		c.failures++
 		cause = fmt.Errorf("cjdbc %s: write lost on all backends: %w", c.name, cause)
 	}
 	w.finish(cause)
+}
+
+// refused reports whether err is a running server's answer that it cannot
+// execute the statement (legacy.StatementError), which is the statement's
+// fault: the backend that gave it stays.
+func refused(err error) bool {
+	var se *legacy.StatementError
+	return errors.As(err, &se)
 }
 
 func (c *Controller) activate(b *backend) {
@@ -443,11 +456,7 @@ func (r *request) read() {
 // is the caller's.
 func (r *request) Reply(err error) {
 	c, b := r.c, r.backend
-	failed := false
-	if err != nil {
-		var rejected *legacy.StatementError
-		failed = !errors.As(err, &rejected)
-	}
+	failed := err != nil && !refused(err)
 	// Release feeds the latency/failure reservoirs before the failure
 	// evicts the entry, so the failure is recorded against the backend.
 	c.pool.Release(b.name, c.eng.Now()-r.sent, failed)

@@ -144,24 +144,28 @@ func (p *protocol[B, W]) pump(m *member[B, W]) {
 	}
 }
 
-// reply: an error kills m; success acknowledges the write if m owed it,
+// reply: a failure kills m. Success, or the server refusing the
+// statement (the statement's fault, not m's: every replica refuses it
+// alike), moves m past the record and settles the write if m owed it,
 // then sends m its next record.
 func (p *protocol[B, W]) reply(m *member[B, W], err error) {
 	m.busy = false
-	if err != nil {
+	if err != nil && !refused(err) {
 		p.fail(m, err)
 		return
 	}
 	idx, owed := m.applied, m.owes(m.applied)
 	m.applied++
 	if owed {
-		p.settle(idx, nil)
+		p.settle(idx, err)
 	}
 	p.pump(m)
 }
 
 // settle counts an acknowledgement of the write at idx (cause nil), or a
-// death that cost it one, and answers the write once no member owes it.
+// refusal or a death that cost it one, and answers the write once no
+// member owes it: with no error if some member applied it, else with the
+// first cause.
 func (p *protocol[B, W]) settle(idx int64, cause error) {
 	k, ok := p.find(idx)
 	if !ok { // answered already, by a death inside an earlier answer
