@@ -114,6 +114,7 @@ func (a *Analysis) Window(from, to float64) *Analysis {
 // that failed are counted but not attributed.
 func Analyze(roots []*trace.SpanNode) *Analysis {
 	a := &Analysis{Breakdowns: make([]Breakdown, 0, len(roots))}
+	ac := make(accum, 0, 16) // reused by every root
 	for _, r := range roots {
 		if r.Span.Kind != "request" {
 			continue
@@ -126,8 +127,7 @@ func Analyze(roots []*trace.SpanNode) *Analysis {
 			a.Errors++
 			continue
 		}
-		b := decompose(r)
-		a.Breakdowns = append(a.Breakdowns, b)
+		a.Breakdowns = append(a.Breakdowns, decompose(r, &ac))
 	}
 	return a
 }
@@ -179,25 +179,26 @@ func (ac *accum) add(tier, component string, sec float64) {
 	*ac = append(s, Part{Tier: tier, Component: component, Seconds: sec})
 }
 
-func decompose(root *trace.SpanNode) Breakdown {
-	ac := make(accum, 0, 16)
-	walk(root, root.Span.Start, root.Span.End, 1, &ac)
-	b := Breakdown{
-		Interaction: root.Span.Name,
-		Start:       root.Span.Start,
-		Total:       root.Span.End - root.Span.Start,
-		Parts:       ac,
-	}
+// decompose attributes one root, collecting its parts in ac (emptied
+// first); the breakdown's Parts is a slice of their own length.
+func decompose(root *trace.SpanNode, ac *accum) Breakdown {
+	*ac = (*ac)[:0]
+	walk(root, root.Span.Start, root.Span.End, 1, ac)
 	// Few parts, nearly sorted already: a closure-free insertion sort
 	// avoids sort.Slice's func-value indirection in this hot path.
-	ps := b.Parts
+	ps := *ac
 	for i := 1; i < len(ps); i++ {
 		for j := i; j > 0 && (ps[j].Tier < ps[j-1].Tier ||
 			(ps[j].Tier == ps[j-1].Tier && ps[j].Component < ps[j-1].Component)); j-- {
 			ps[j], ps[j-1] = ps[j-1], ps[j]
 		}
 	}
-	return b
+	return Breakdown{
+		Interaction: root.Span.Name,
+		Start:       root.Span.Start,
+		Total:       root.Span.End - root.Span.Start,
+		Parts:       append(make([]Part, 0, len(ps)), ps...),
+	}
 }
 
 // clampedLen returns a span's length clamped to a window.
