@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"jade/internal/adl"
@@ -41,12 +42,19 @@ func (d *Deployment) MustComponent(name string) *fractal.Component {
 
 // ComponentNames returns deployed component names, sorted.
 func (d *Deployment) ComponentNames() []string {
-	out := make([]string, 0, len(d.comps))
+	return d.AppendComponentNames(make([]string, 0, len(d.comps)))
+}
+
+// AppendComponentNames appends the deployed component names, sorted, to
+// dst and returns it, so that a caller asking every tick can reuse one
+// buffer.
+func (d *Deployment) AppendComponentNames(dst []string) []string {
+	start := len(dst)
 	for n := range d.comps {
-		out = append(out, n)
+		dst = append(dst, n)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // NodeOf returns the node hosting a component.

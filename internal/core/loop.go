@@ -5,6 +5,7 @@ import (
 
 	"jade/internal/cluster"
 	"jade/internal/fractal"
+	"jade/internal/legacy"
 	"jade/internal/metrics"
 	"jade/internal/obs"
 	"jade/internal/sim"
@@ -154,7 +155,21 @@ type CPUSensor struct {
 	// up.
 	nodeBuf []*cluster.Node
 	vals    []float64
+	// probes are the idle probe jobs; a node still running the previous
+	// sample's probe gets a second one.
+	probes legacy.FreeList[probe]
 }
+
+// probe is the CPU job one sample queues on one monitored node; it goes
+// back to its sensor's free list when the node is done with it.
+type probe struct {
+	cluster.Job
+	s *CPUSensor
+}
+
+func (p *probe) JobDone() { p.s.probes.Put(p) }
+
+func (p *probe) JobFailed() { p.s.probes.Put(p) }
 
 // cpuWarmupSamples is the minimum number of samples before a CPU sensor
 // reports valid data.
@@ -192,7 +207,9 @@ func (s *CPUSensor) Sample(now float64) (float64, bool) {
 		}
 		vals = append(vals, r.Read())
 		if s.probe > 0 {
-			n.Submit(s.probe, nil, nil)
+			p := s.probes.Get()
+			p.s = s
+			n.Run(&p.Job, s.probe, p)
 		}
 	}
 	s.vals = vals

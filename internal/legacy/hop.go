@@ -33,9 +33,9 @@ import (
 // done exactly once, however many attempts the call makes. A refusal
 // because the tier is not running answers before taking a record.
 //
-// One thing on the path stays per request, on purpose: the client's
-// WebRequest, which a delivery that arrives after the call settled still
-// reads, after the client was answered.
+// The client's WebRequest is recycled too, by the client, but only once no
+// fabric call carries it (WebRequest.Held): a delivery that arrives after
+// its call settled still reads it, after the client was answered.
 type Hop struct {
 	// Job is the hop's CPU job, queued by the record with Node.Run.
 	Job cluster.Job

@@ -195,13 +195,27 @@ func TestHopRecordLifecycle(t *testing.T) {
 		const calls = 20
 		issued, settled := 0, 0
 		target := &counting{h: tc, settled: func() bool { return settled == issued }}
+		var reqs []*WebRequest
 		for i := 0; i < calls; i++ {
 			env.Eng.After(float64(i), "call", func() {
 				issued++
-				env.Net.ForwardHTTP("web", "app", target, dynamic(), netsim.ReplyFunc(func(error) { settled++ }))
+				req := dynamic()
+				reqs = append(reqs, req)
+				env.Net.ForwardHTTP("web", "app", target, req, netsim.ReplyFunc(func(error) {
+					settled++
+					if !req.Held() {
+						t.Error("a request was free while the fabric still had its call")
+					}
+				}))
 			})
 		}
 		env.Eng.Run()
+		// Every call was handed back, so no request is held any more.
+		for i, req := range reqs {
+			if req.held != 0 {
+				t.Errorf("request %d is held by %d calls at quiescence", i, req.held)
+			}
+		}
 		deliveries := tc.Served() + tc.Errors()
 		if settled != calls || target.late == 0 || target.inFlight != 0 {
 			t.Fatalf("%d of %d calls settled, %d of %d deliveries after their call settled, %d still in flight", settled, calls, target.late, deliveries, target.inFlight)

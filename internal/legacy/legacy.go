@@ -166,7 +166,16 @@ type WebRequest struct {
 	// the next hop, yielding a causal L4/PLB -> Tomcat -> C-JDBC -> MySQL
 	// tree.
 	TraceSpan trace.ID
+
+	held int // fabric calls that carry the request and were not handed back
 }
+
+// Held reports whether a fabric call still carries the request. Every tier
+// answers only after it is done with a request, so a request that is not
+// held is its sender's alone once the sender is answered. Over the fabric
+// a call that timed out answers its caller while the callee may still read
+// and write the request, until the fabric hands the call back.
+func (r *WebRequest) Held() bool { return r.held > 0 }
 
 // HTTPHandler is anything that can serve a WebRequest: a Tomcat instance,
 // a PLB or L4 balancer, or an Apache server.
@@ -219,6 +228,7 @@ func endpointName(target any) string {
 // target answers each request it is handed exactly once (the Hop
 // contract), so the fabric puts the record back on its network's list
 // once the call is settled and no event or held attempt can read it.
+// From ForwardHTTP to Release it counts in its request's held.
 type httpCall struct {
 	netsim.RPC
 	net    *Network
@@ -228,7 +238,10 @@ type httpCall struct {
 
 func (c *httpCall) Attempt(reply netsim.Reply) { c.target.HandleHTTP(c.req, reply) }
 
-func (c *httpCall) Release() { c.net.httpCalls.Put(c) }
+func (c *httpCall) Release() {
+	c.req.held--
+	c.net.httpCalls.Put(c)
+}
 
 // sqlCall is one forwarded query, the same way.
 type sqlCall struct {
@@ -252,6 +265,7 @@ func (n *Network) ForwardHTTP(from, tier string, target HTTPHandler, req *WebReq
 	}
 	c := n.httpCalls.Get()
 	c.net, c.target, c.req = n, target, req
+	req.held++
 	n.fabric.Start(&c.RPC, from, endpointName(target), tier, c, done)
 }
 

@@ -165,10 +165,15 @@ type SkewRule struct {
 	stats  func() []BackendStat
 	floor  float64 // minimum latency gap (seconds) worth flagging
 	consec map[string]int
+
+	// An evaluation's scratch: each backend's peers' readings, and the
+	// sorted copy a median takes.
+	lats, fails, flights, sorted []float64
 }
 
 // NewSkewRule builds a pool-skew rule; stats must return the pool's
-// backends in deterministic (registration) order.
+// backends in deterministic (registration) order. The rule reads the slice
+// only during Evaluate, so stats may reuse it from one call to the next.
 func NewSkewRule(cfg Config, name, tier string, floor float64, stats func() []BackendStat) *SkewRule {
 	return &SkewRule{name: name, tier: tier, cfg: cfg.WithDefaults(),
 		stats: stats, floor: floor, consec: make(map[string]int)}
@@ -181,8 +186,10 @@ func (r *SkewRule) Name() string { return r.name }
 // skew thresholds change.
 func (r *SkewRule) Retune(cfg Config) { r.cfg = cfg.WithDefaults() }
 
-func median(vals []float64) float64 {
-	s := append([]float64(nil), vals...)
+// median returns the median of vals, sorting a copy in the rule's scratch.
+func (r *SkewRule) median(vals []float64) float64 {
+	s := append(r.sorted[:0], vals...)
+	r.sorted = s
 	sort.Float64s(s)
 	n := len(s)
 	if n%2 == 1 {
@@ -209,7 +216,7 @@ func (r *SkewRule) Evaluate(now float64) []Finding {
 	var findings []Finding
 	hot := make(map[string]bool, len(stats))
 	for i, s := range stats {
-		var lats, fails, flights []float64
+		lats, fails, flights := r.lats[:0], r.fails[:0], r.flights[:0]
 		for j, o := range stats {
 			if j == i {
 				continue
@@ -218,7 +225,8 @@ func (r *SkewRule) Evaluate(now float64) []Finding {
 			fails = append(fails, o.Failures)
 			flights = append(flights, float64(o.InFlight))
 		}
-		medLat, medFail, medFlight := median(lats), median(fails), median(flights)
+		r.lats, r.fails, r.flights = lats, fails, flights
+		medLat, medFail, medFlight := r.median(lats), r.median(fails), r.median(flights)
 		var reasons []string
 		var ratio float64
 		if s.LatencySamples >= 0.5 && s.MeanLatency >= r.cfg.SkewFactor*medLat && s.MeanLatency-medLat >= r.floor {

@@ -237,20 +237,33 @@ type client struct {
 
 	issueFn func() // c.issue
 
-	// The request in flight: when it left, its interaction and, when it is
-	// sampled for tracing, its root span.
+	// The request in flight: its record, when it left, its interaction
+	// and, when it is sampled for tracing, its root span.
+	req  *issued
 	sent float64
 	it   *Interaction
 	span trace.ID
 }
 
 // issued is one request as it leaves the emulator: the request and the
-// room for its statements, in one allocation. It is per request, not per
-// client: over the fabric a timed-out call answers the client while the
-// callee may still hold the request.
+// room for its statements, in one allocation. A client rebuilds its one
+// record for every request, since it has at most one in flight and no
+// tier reads a request after answering it; only over the fabric may a
+// timed-out call answer the client while a callee still holds the request,
+// and then (WebRequest.Held) the client takes a new record and leaves the
+// held one to the collector.
 type issued struct {
 	legacy.WebRequest
 	queries [3]legacy.Query
+}
+
+// rebuild makes r the interaction's next request, drawn from g. It zeroes
+// r first, since build leaves alone what an interaction does not set (the
+// statements of a page that has none), so nothing of r's last request
+// survives: not its statements, its span or a statement in an unused slot.
+func (r *issued) rebuild(it *Interaction, g *GenContext) {
+	*r = issued{}
+	it.build(g, &r.WebRequest, r.queries[:0])
 }
 
 // NewEmulator creates an emulator (not yet started).
@@ -381,8 +394,11 @@ func (c *client) issue() {
 	} else {
 		it = em.mix.Pick(rng)
 	}
-	req := &issued{}
-	it.build(&em.gen, &req.WebRequest, req.queries[:0])
+	if c.req == nil || c.req.Held() { // a held record is left to the collector
+		c.req = new(issued)
+	}
+	req := c.req
+	req.rebuild(it, &em.gen)
 	req.SessionKey = c.key
 	c.sent, c.it, c.span = em.eng.Now(), it, 0
 	em.issued++

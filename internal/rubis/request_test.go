@@ -4,8 +4,11 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"jade/internal/cluster"
+	"jade/internal/config"
 	"jade/internal/legacy"
 	"jade/internal/netsim"
 	"jade/internal/obs"
@@ -237,14 +240,15 @@ func emulatorAllocsPerRequest(t *testing.T, tr func(*sim.Engine) *trace.Tracer) 
 	return allocs / requests
 }
 
-// What a cycle may cost: the request and the room for its statements, one
-// object, against an instant front (measured 1.02: the population ticker
-// and the growth of the latency series are the rest; 7.5 with a context, a
-// request, a statement slice, SQL text, a session key and two closures per
-// cycle). Reads carry no text. Instruments on, tracing off.
+// What a cycle may cost: nothing, against an instant front, since each
+// client rebuilds its one request record (measured 0.0015: the population
+// ticker and the growth of the latency series; 1.00 more while each
+// request allocated its record, and 7.5 with a context, a request, a
+// statement slice, SQL text, a session key and two closures per cycle).
+// Reads carry no text. Instruments on, tracing off.
 func TestEmulatorAllocsPerRequest(t *testing.T) {
-	if per := emulatorAllocsPerRequest(t, nil); per > 2 {
-		t.Errorf("the emulator allocates %.2f objects per request, want at most 2", per)
+	if per := emulatorAllocsPerRequest(t, nil); per > 0.05 {
+		t.Errorf("the emulator allocates %.3f objects per request, want at most 0.05", per)
 	}
 }
 
@@ -258,5 +262,218 @@ func TestTracedRequestAllocs(t *testing.T) {
 	})
 	if traced-untraced > 0.01 {
 		t.Errorf("a traced request allocates %.3f objects, an untraced one %.3f", traced, untraced)
+	}
+}
+
+// A client rebuilds its one record for every request, so a rebuild must
+// leave nothing of the record's last request behind. Every interaction of
+// both mixes, rebuilt into a record that every other interaction of its mix
+// has dirtied (statements, session key, span), deep-equals the same
+// interaction built into a zero record, unused statement slots included;
+// both builds start from the same generator state and leave it the same.
+func TestRebuildOverwrites(t *testing.T) {
+	ds := DefaultDataset()
+	gen := func(seed int64) *GenContext {
+		return &GenContext{DS: ds, RNG: rand.New(rand.NewSource(seed)), Counters: NewCounters(ds)}
+	}
+	for _, mix := range []*Mix{BiddingMix(), BrowsingMix()} {
+		its := mix.Interactions
+		for i := range its {
+			for j := range its {
+				if j == i {
+					continue
+				}
+				var dirty issued
+				dirty.rebuild(&its[j], gen(int64(j)))
+				dirty.SessionKey, dirty.TraceSpan, dirty.Static = "c7", 42, true
+				seed := int64(100*i + j)
+				g, want := gen(seed), gen(seed)
+				dirty.rebuild(&its[i], g)
+				var clean issued
+				its[i].build(want, &clean.WebRequest, clean.queries[:0])
+				if !reflect.DeepEqual(dirty, clean) {
+					t.Fatalf("%s: %s rebuilt over %s\n%+v\nwant\n%+v", mix.Name, its[i].Name, its[j].Name, dirty, clean)
+				}
+				if *g.Counters != *want.Counters || g.RNG.Int63() != want.RNG.Int63() {
+					t.Fatalf("%s: %s rebuilt over %s leaves the generator elsewhere than a clean build", mix.Name, its[i].Name, its[j].Name)
+				}
+			}
+		}
+	}
+}
+
+// heldWatch sees every request twice: as its client issues it, in front of
+// the fabric, and as the fabric delivers it to the Apache behind, until the
+// Apache answers. It remembers the request each record was issued as, so
+// that it can check that a record still held, by a fabric call or by the
+// tiers, keeps it.
+type heldWatch struct {
+	t       *testing.T
+	front   legacy.HTTPHandler // the fabric's side of the front call
+	apache  *legacy.Apache
+	last    map[string]*legacy.WebRequest // by session key: the client's last record
+	atTiers map[*legacy.WebRequest]int    // deliveries the Apache has not answered
+	watched map[*legacy.WebRequest]legacy.WebRequest
+	queries map[*legacy.WebRequest][]legacy.Query
+	all     map[*legacy.WebRequest]bool
+	// issues that found the client's last record held, and the ones that
+	// reused it
+	fresh, reused int
+}
+
+// HandleHTTP is the client's side: the record has just been built.
+func (w *heldWatch) HandleHTTP(req *legacy.WebRequest, done netsim.Reply) {
+	if prev, ok := w.watched[req]; ok && w.atTiers[req] > 0 {
+		w.t.Fatalf("%s reused its record for %s while the tiers still held %s", req.SessionKey, req.Interaction, prev.Interaction)
+	}
+	w.check()
+	if prev := w.last[req.SessionKey]; prev != nil {
+		switch {
+		case prev == req:
+			w.reused++
+		case prev.Held():
+			w.fresh++
+		default:
+			w.t.Errorf("client %s took a new record while its last one was free", req.SessionKey)
+		}
+	}
+	w.last[req.SessionKey] = req
+	w.all[req] = true
+	w.watched[req] = *req
+	w.queries[req] = append([]legacy.Query(nil), req.Queries...)
+	w.front.HandleHTTP(req, done)
+}
+
+// tierSide is the fabric's target: the Apache, counting what it holds.
+type tierSide struct{ w *heldWatch }
+
+func (s tierSide) Node() *cluster.Node { return s.w.apache.Node() }
+
+func (s tierSide) HandleHTTP(req *legacy.WebRequest, done netsim.Reply) {
+	w := s.w
+	w.atTiers[req]++
+	w.apache.HandleHTTP(req, netsim.ReplyFunc(func(err error) {
+		w.atTiers[req]--
+		done.Reply(err)
+	}))
+}
+
+// check compares every watched record that a call or a tier still holds
+// with the request it was issued as, and forgets those nothing holds any
+// more.
+func (w *heldWatch) check() {
+	for req, was := range w.watched {
+		if !req.Held() && w.atTiers[req] == 0 {
+			delete(w.watched, req)
+			delete(w.queries, req)
+			continue
+		}
+		if req.Interaction != was.Interaction || req.SessionKey != was.SessionKey || !sameQueries(req.Queries, w.queries[req]) {
+			w.t.Fatalf("a held record changed from %s of %s to %s of %s", was.Interaction, was.SessionKey, req.Interaction, req.SessionKey)
+		}
+	}
+}
+
+// sameQueries reports whether a and b hold the same statements: the same
+// templates and arguments, the same built statements.
+func sameQueries(a, b []legacy.Query) bool {
+	return slices.EqualFunc(a, b, func(x, y legacy.Query) bool {
+		return x.SQL == y.SQL && x.Cost == y.Cost && x.Prepared == y.Prepared && x.Arg == y.Arg &&
+			x.TraceSpan == y.TraceSpan && reflect.DeepEqual(x.Stmt, y.Stmt)
+	})
+}
+
+// A client never reuses a record a fabric call still carries. The clients
+// reach an Apache -> Tomcat -> MySQL stack over the fabric, and their
+// front calls give up after 30 ms, sooner than the stack serves most
+// dynamic pages: the client is answered and may issue again while Apache
+// or Tomcat still holds its last request. That issue gets a new record,
+// the held one keeps its request until the fabric hands back its last
+// call, and at quiescence no record is held.
+func TestHeldRequestIsNotReused(t *testing.T) {
+	eng := sim.NewEngine(5)
+	env := &legacy.Env{Eng: eng, Net: legacy.NewNetwork(), FS: config.NewMemFS()}
+	pool := cluster.NewPool(eng, "node", 3, cluster.DefaultConfig())
+	node := func() *cluster.Node {
+		n, err := pool.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	write := func(path, text string) {
+		if err := env.FS.WriteFile(path, []byte(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds := DefaultDataset()
+	db, err := ds.InitialDatabase(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := legacy.NewMySQL(env, "mysql1", node(), legacy.DefaultMySQLOptions())
+	cnf := config.NewMyCnf()
+	cnf.SetInt("mysqld", "port", 3306)
+	write(m.ConfPath(), cnf.Render())
+	if err := m.LoadSnapshot(db); err != nil {
+		t.Fatal(err)
+	}
+	tc := legacy.NewTomcat(env, "tomcat1", node(), legacy.DefaultTomcatOptions())
+	sx := config.NewServerXML(tc.Name())
+	sx.SetConnector("ajp13", 8009, "")
+	sx.SetJDBC("rubis", "com.mysql.jdbc.Driver", "jdbc:mysql://"+m.Node().Name()+":3306/rubis")
+	text, err := sx.Render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(tc.ConfPath(), text)
+	a := legacy.NewApache(env, "apache1", node(), legacy.DefaultApacheOptions())
+	hc := config.NewHTTPDConf()
+	hc.Set("Listen", "80")
+	write(a.ConfPath(), hc.Render())
+	wp := config.NewWorkerProperties()
+	wp.SetWorker(config.Worker{Name: "tomcat1", Host: tc.Node().Name(), Port: 8009})
+	write(a.WorkersPath(), wp.Render())
+	for _, start := range []func(func(error)){m.Start, tc.Start, a.Start} {
+		var startErr error
+		start(func(err error) { startErr = err })
+		eng.Run()
+		if startErr != nil {
+			t.Fatal(startErr)
+		}
+	}
+
+	env.Net.SetFabric(netsim.New(eng, netsim.Config{
+		Enabled: true,
+		Default: netsim.Link{LatencyMS: 1, JitterMS: 2},
+		RPC: map[string]netsim.RPCBudget{
+			"front": {TimeoutSeconds: 0.03, Attempts: 1},
+			"app":   {TimeoutSeconds: 10, Attempts: 1},
+			"sql":   {TimeoutSeconds: 10, Attempts: 1},
+		},
+	}, 5))
+	w := &heldWatch{t: t, apache: a, last: map[string]*legacy.WebRequest{}, atTiers: map[*legacy.WebRequest]int{},
+		watched: map[*legacy.WebRequest]legacy.WebRequest{}, queries: map[*legacy.WebRequest][]legacy.Query{}, all: map[*legacy.WebRequest]bool{}}
+	w.front = env.Net.RemoteHTTP(netsim.ClientEndpoint, "front", tierSide{w})
+	em := NewEmulator(eng, w, BrowsingMix(), ConstantProfile{Clients: 10, Length: 20}, ds)
+	em.ThinkTime = 0.5
+	if err := em.Start(); err != nil {
+		t.Fatal(err)
+	}
+	checks := eng.Every(0.001, "check", func(float64) { w.check() })
+	eng.RunUntil(eng.Now() + 20)
+	checks.Stop()
+	eng.Run()
+	w.check()
+
+	st := em.Stats()
+	if w.fresh == 0 || w.reused == 0 || st.Failed == 0 || st.Completed == 0 {
+		t.Fatalf("%d issues found the last record held, %d reused it; %d requests failed, %d completed: the run must time out front calls and answer others",
+			w.fresh, w.reused, st.Failed, st.Completed)
+	}
+	for req := range w.all {
+		if req.Held() || w.atTiers[req] != 0 {
+			t.Errorf("a record of %s is still held at quiescence", req.SessionKey)
+		}
 	}
 }

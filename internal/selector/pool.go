@@ -2,6 +2,7 @@ package selector
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -387,11 +388,15 @@ type Status struct {
 // order. Reading scores is pure and the clock is the cached one, so a
 // concurrent scraper can never perturb a deterministic run (or race the
 // engine's clock).
-func (p *Pool) Snapshot() []Status {
+func (p *Pool) Snapshot() []Status { return p.AppendSnapshot(nil) }
+
+// AppendSnapshot appends Snapshot's view to dst and returns it, so that a
+// caller reading every tick can reuse one buffer.
+func (p *Pool) AppendSnapshot(dst []Status) []Status {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.lastNow
-	out := make([]Status, 0, len(p.entries))
+	out := slices.Grow(dst, len(p.entries))
 	for _, b := range p.entries {
 		st := Status{
 			Name:     b.name,

@@ -252,11 +252,13 @@ func (r *run) accounting() error {
 	var cpuSum, memSum, nodeSeconds float64
 	var sampleCount int
 	readers := make(map[*Node]*cluster.UtilizationReader)
+	var names []string // a tick's scratch
 	peak := p.Pool.AllocatedCount()
 	p.Eng.Every(1, "node-accounting", func(now float64) {
 		var cpu, mem float64
 		var n int
-		for _, name := range dep.ComponentNames() {
+		names = dep.AppendComponentNames(names[:0])
+		for _, name := range names {
 			node, err := dep.NodeOf(name)
 			if err != nil || node.Failed() {
 				continue
@@ -486,13 +488,15 @@ func (r *run) addAlertRules(aeng *alert.Engine) {
 	aeng.AddRule(alert.NewRateRule(acfg, "anomaly:client-abandon-rate", "client", "client", true, 0.02,
 		sinceLast(scenarioProbe(&abandon, em, r.res))))
 	poolStats := func(pool func() *selector.Pool) func() []alert.BackendStat {
+		var snap []selector.Status // an alert tick's scratch, and its answer
+		var out []alert.BackendStat
 		return func() []alert.BackendStat {
 			pl := pool()
 			if pl == nil {
 				return nil
 			}
-			snap := pl.Snapshot()
-			out := make([]alert.BackendStat, 0, len(snap))
+			snap = pl.AppendSnapshot(snap[:0])
+			out = out[:0]
 			for _, s := range snap {
 				out = append(out, alert.BackendStat{
 					Name: s.Name, MeanLatency: s.MeanLatency,
