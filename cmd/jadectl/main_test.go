@@ -196,3 +196,21 @@ func TestCheckMetricsDirReadsTheRunsOwnPair(t *testing.T) {
 		t.Fatal("a missing final pair passed")
 	}
 }
+
+// A replay that hits a violation other than the recorded one exits
+// nonzero: the recorded failure did not reproduce.
+func TestReplayDifferentViolationFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "artifact.json")
+	art := `{"seed": 1, "schedule": [], "violation": {"checker": "cjdbc-consistency:cjdbc1", "detail": "x", "time": 1, "event": "tick"}, "shrunk_from": 0}`
+	if err := os.WriteFile(path, []byte(art), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer func(run func(*jade.SweepArtifact, float64) (*jade.SweepOutcome, bool, error)) { replayArtifact = run }(replayArtifact)
+	replayArtifact = func(*jade.SweepArtifact, float64) (*jade.SweepOutcome, bool, error) {
+		v := &jade.InvariantViolation{Checker: "balancer-agreement:plb1/app-tier", Detail: "y", Time: 2, Event: "tick"}
+		return &jade.SweepOutcome{Violation: v}, false, nil
+	}
+	if err := cmdReplay([]string{path}); err == nil || !strings.Contains(err.Error(), "different violation") {
+		t.Fatalf("replay of a different violation: err = %v, want a different-violation error", err)
+	}
+}
