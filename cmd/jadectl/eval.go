@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -95,33 +96,25 @@ func cmdSweep(args []string) error {
 			res.Passed, len(res.Seeds), res.Runs, res.Checks)
 		return nil
 	}
-	data, err := res.Failure.Encode()
+	f := res.Failure
+	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
 	}
 	if err := os.WriteFile(*artifactPath, data, 0o644); err != nil {
 		return err
 	}
+	chaos := f.Spec.Faults.Chaos
 	fmt.Printf("sweep: seed %d VIOLATED %s\n  %s\n  schedule (%d events, shrunk from %d): %s\n  artifact: %s\n",
-		res.Failure.Seed, res.Failure.Violation.Checker, res.Failure.Violation.Detail,
-		len(res.Failure.Schedule), res.Failure.ShrunkFrom, res.Failure.Schedule, *artifactPath)
+		f.Spec.Seed, f.Violation.Checker, f.Violation.Detail, len(chaos), f.ShrunkFrom, chaos, *artifactPath)
 	return fmt.Errorf("invariant violated (replay with jadectl replay %s)", *artifactPath)
 }
 
-// replayArtifact is the run cmdReplay judges; tests stand in a run of
-// their own.
-var replayArtifact = jade.ReplayArtifact
-
 func cmdReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	speedup := fs.Float64("speedup", 1, "time compression of the ramp (1 = the paper's ~50-minute run)")
-	if err := fs.Parse(args); err != nil {
-		return err
+	if len(args) != 1 || strings.HasPrefix(args[0], "-") {
+		return fmt.Errorf("usage: jadectl replay FILE")
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: jadectl replay [-speedup X] FILE")
-	}
-	data, err := os.ReadFile(fs.Arg(0))
+	data, err := os.ReadFile(args[0])
 	if err != nil {
 		return err
 	}
@@ -129,8 +122,8 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replay: seed %d, schedule: %s\n", a.Seed, a.Schedule)
-	out, reproduced, err := replayArtifact(a, *speedup)
+	fmt.Printf("replay: seed %d, schedule: %s\n", a.Spec.Seed, a.Spec.Faults.Chaos)
+	out, reproduced, err := jade.ReplayArtifact(a)
 	if err != nil {
 		return err
 	}

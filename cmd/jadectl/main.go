@@ -26,7 +26,7 @@
 //	jadectl diff [-tol X] [-slo-tol X] RUN_DIR_A RUN_DIR_B
 //	jadectl experiment [-seed N] [-speedup X] [-quick] [-csv DIR] [-parallel N] [NAME]
 //	jadectl sweep [-seeds N] [-speedup X] [-parallel N] [-artifact PATH]
-//	jadectl replay [-speedup X] FILE
+//	jadectl replay FILE
 //
 // Without -adl, the built-in three-tier RUBiS architecture is used.
 //
@@ -102,9 +102,9 @@
 // flagships for smoke runs; -csv writes the figure data of Figs. 5-9.
 //
 // sweep runs the invariant-checked chaos sweep (the Fig. 5 scenario under
-// a crash/reboot/slow schedule) over seeds 1..N, writing a replayable
-// artifact on the first violation; replay re-runs such an artifact and
-// exits nonzero unless the recorded violation reproduces.
+// a crash/reboot/slow schedule) over seeds 1..N, writing the first
+// violation and its run's whole Spec as an artifact; replay runs that Spec
+// and exits nonzero unless the recorded checker and detail reproduce.
 //
 // -parallel fans independent runs (sweep seeds, each experiment's runs)
 // over a worker pool; 0 uses GOMAXPROCS, and a negative count is refused.
@@ -191,7 +191,7 @@ func usage() {
   jadectl diff [-tol X] [-slo-tol X] RUN_DIR_A RUN_DIR_B
   jadectl experiment [-seed N] [-speedup X] [-quick] [-csv DIR] [-parallel N] [NAME]
   jadectl sweep [-seeds N] [-speedup X] [-parallel N] [-artifact PATH]
-  jadectl replay [-speedup X] FILE`)
+  jadectl replay FILE`)
 }
 
 func loadADL(path string) (*jade.ADLDefinition, error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -197,20 +198,90 @@ func TestCheckMetricsDirReadsTheRunsOwnPair(t *testing.T) {
 	}
 }
 
-// A replay that hits a violation other than the recorded one exits
-// nonzero: the recorded failure did not reproduce.
-func TestReplayDifferentViolationFails(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "artifact.json")
-	art := `{"seed": 1, "schedule": [], "violation": {"checker": "cjdbc-consistency:cjdbc1", "detail": "x", "time": 1, "event": "tick"}, "shrunk_from": 0}`
-	if err := os.WriteFile(path, []byte(art), 0o644); err != nil {
+// committedFailure is the repository's committed sweep artifact: the
+// fabric-on ×8 seed-1 run, which fails balancer-agreement.
+const committedFailure = "../../testdata/replay/fabric-x8-seed1.json"
+
+// stdout runs fn and returns what it printed on standard output.
+func stdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer func(run func(*jade.SweepArtifact, float64) (*jade.SweepOutcome, bool, error)) { replayArtifact = run }(replayArtifact)
-	replayArtifact = func(*jade.SweepArtifact, float64) (*jade.SweepOutcome, bool, error) {
-		v := &jade.InvariantViolation{Checker: "balancer-agreement:plb1/app-tier", Detail: "y", Time: 2, Event: "tick"}
-		return &jade.SweepOutcome{Violation: v}, false, nil
+	defer func(saved *os.File) { os.Stdout = saved }(os.Stdout)
+	os.Stdout = w
+	err = fn()
+	w.Close()
+	out, _ := io.ReadAll(r)
+	return string(out), err
+}
+
+// replay takes the artifact and nothing else: the committed failure
+// reproduces with its checker and detail, and a flag is refused.
+func TestReplayReproducesCommittedFailure(t *testing.T) {
+	out, err := stdout(t, func() error { return cmdReplay([]string{committedFailure}) })
+	if err != nil {
+		t.Fatalf("replay: %v\n%s", err, out)
 	}
-	if err := cmdReplay([]string{path}); err == nil || !strings.Contains(err.Error(), "different violation") {
-		t.Fatalf("replay of a different violation: err = %v, want a different-violation error", err)
+	want := "replay: REPRODUCED balancer-agreement:cjdbc1/database-backends\n  started replica mysql1 of tier database-backends missing from balancer\n"
+	if !strings.HasSuffix(out, want) {
+		t.Fatalf("replay printed\n%s\nwant it to end with\n%s", out, want)
+	}
+	for _, args := range [][]string{{"-speedup", "8", committedFailure}, {"-speedup=8"}, {}, {committedFailure, committedFailure}} {
+		if err := cmdReplay(args); err == nil || !strings.Contains(err.Error(), "usage: jadectl replay FILE") {
+			t.Errorf("replay %q: err = %v, want the usage", args, err)
+		}
+	}
+}
+
+// The artifact's spec value is a run file: `scenario -config` runs it and
+// exits nonzero on the same violation.
+func TestCommittedFailureSpecRunsAsConfig(t *testing.T) {
+	data, err := os.ReadFile(committedFailure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a struct {
+		Spec json.RawMessage `json:"spec"`
+	}
+	if err := json.Unmarshal(data, &a); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, a.Spec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = stdout(t, func() error { return cmdScenario([]string{"-config", path}) })
+	want := `invariant "balancer-agreement:cjdbc1/database-backends" violated at t=232.0 (tick): started replica mysql1 of tier database-backends missing from balancer`
+	if err == nil || err.Error() != want {
+		t.Fatalf("scenario -config: err = %v, want %s", err, want)
+	}
+}
+
+// A replay that hits a violation other than the recorded one exits
+// nonzero, whether the checker or only the detail differs: the recorded
+// failure did not reproduce.
+func TestReplayDifferentViolationFails(t *testing.T) {
+	data, err := os.ReadFile(committedFailure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]string{
+		{`"checker": "balancer-agreement:cjdbc1/database-backends"`, `"checker": "cjdbc-consistency:cjdbc1"`},
+		{`"detail": "started replica mysql1`, `"detail": "started replica mysql2`},
+	} {
+		edited := strings.Replace(string(data), c[0], c[1], 1)
+		if edited == string(data) {
+			t.Fatalf("%s has no %s", committedFailure, c[0])
+		}
+		path := filepath.Join(t.TempDir(), "artifact.json")
+		if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := stdout(t, func() error { return cmdReplay([]string{path}) })
+		if err == nil || !strings.Contains(err.Error(), "different violation") {
+			t.Errorf("recorded %s: err = %v, want a different-violation error", c[1], err)
+		}
 	}
 }

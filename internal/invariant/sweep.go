@@ -114,31 +114,17 @@ type Outcome struct {
 // the root package, which imports this one.
 type Runner func(seed int64, schedule Schedule) (*Outcome, error)
 
-// Artifact is a replayable record of a failing run: feed it back through
-// Replay (or `jadectl replay`) to reproduce the violation exactly.
+// Artifact is a failing run as the sweep found it; the root package
+// writes it out, with the run's configuration, as a replayable file.
 type Artifact struct {
 	// Seed reproduces the run's randomness.
-	Seed int64 `json:"seed"`
+	Seed int64
 	// Schedule is the (shrunk) failure schedule.
-	Schedule Schedule `json:"schedule"`
+	Schedule Schedule
 	// Violation is the invariant failure the run hit.
-	Violation *Violation `json:"violation"`
+	Violation *Violation
 	// ShrunkFrom is the event count of the original failing schedule.
-	ShrunkFrom int `json:"shrunk_from"`
-}
-
-// Encode renders the artifact as indented JSON.
-func (a *Artifact) Encode() ([]byte, error) {
-	return json.MarshalIndent(a, "", "  ")
-}
-
-// ParseArtifact decodes an artifact produced by Encode.
-func ParseArtifact(data []byte) (*Artifact, error) {
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("invariant: parsing artifact: %w", err)
-	}
-	return &a, nil
+	ShrunkFrom int
 }
 
 // SweepConfig parameterizes a chaos sweep.
@@ -146,13 +132,13 @@ type SweepConfig struct {
 	// Run executes one scenario run.
 	Run Runner
 	// Parallel is the number of worker goroutines fanning seeds out
-	// (values below 2 run serially). The Runner must be safe for
-	// concurrent use when Parallel > 1 — every run must build its own
-	// engine and platform, which the scenario harness already does.
-	// Aggregation is deterministic: the reported failure is always the
-	// lowest failing seed regardless of goroutine completion order, and
-	// Passed/Checks/Failure match a serial sweep exactly. Only Runs may
-	// differ on a failing sweep, because in-flight later seeds finish
+	// (values below 2: one). The Runner must be safe for concurrent use
+	// when Parallel > 1 — every run must build its own engine and
+	// platform, which the scenario harness already does. Aggregation is
+	// deterministic: the reported failure is always the lowest failing
+	// seed regardless of goroutine completion order, and
+	// Passed/Checks/Failure are the same at any worker count. Only Runs
+	// may differ on a failing sweep, because in-flight later seeds finish
 	// instead of never starting.
 	Parallel int
 	// Logf receives progress lines (optional).
@@ -165,13 +151,12 @@ type SweepResult struct {
 	Seeds []int64
 	// Passed counts seeds that completed with no violation.
 	Passed int
-	// Failure is the replayable artifact of the first failing seed, or
-	// nil when every seed passed.
+	// Failure is the first failing seed's shrunk failure, or nil when
+	// every seed passed.
 	Failure *Artifact
-	// Runs counts scenario executions, including shrink reruns. A
-	// parallel sweep that hits a violation may count more runs than a
-	// serial one: seeds already in flight when the failure surfaces run
-	// to completion.
+	// Runs counts scenario executions, including shrink reruns. A sweep
+	// with more workers that hits a violation may count more runs: seeds
+	// already in flight when the failure surfaces run to completion.
 	Runs int
 	// Checks totals checker evaluations across the sweep.
 	Checks uint64
@@ -180,12 +165,13 @@ type SweepResult struct {
 // Sweep runs the scenario across every seed under the schedule, stopping
 // at the first seed that violates an invariant. The failing schedule is
 // greedily shrunk — events are dropped while the same checker still
-// fails — and returned as a replayable artifact. A scenario error (as
+// fails — and returned as the result's Failure. A scenario error (as
 // opposed to an invariant violation) aborts the sweep.
 //
-// With cfg.Parallel > 1 the seeds fan out over a worker pool; the result
-// is deterministic (see SweepConfig.Parallel) and shrinking replays stay
-// single-threaded, so the artifact is byte-identical to a serial sweep's.
+// cfg.Parallel workers (at least one) claim seed indexes in ascending
+// order and stop claiming past the lowest index known to have failed, so
+// a low failing seed cuts the sweep short. Aggregation walks the results
+// in seed order, so the outcome does not depend on completion order.
 func Sweep(cfg SweepConfig, seeds []int64, schedule Schedule) (*SweepResult, error) {
 	if cfg.Run == nil {
 		return nil, fmt.Errorf("invariant: SweepConfig.Run is required")
@@ -196,69 +182,12 @@ func Sweep(cfg SweepConfig, seeds []int64, schedule Schedule) (*SweepResult, err
 	}
 	res := &SweepResult{Seeds: append([]int64(nil), seeds...)}
 	sched := schedule.Sorted()
-	if cfg.Parallel > 1 && len(seeds) > 1 {
-		return sweepParallel(cfg, res, seeds, sched, logf)
-	}
-	for _, seed := range seeds {
-		out, err := cfg.Run(seed, sched)
-		res.Runs++
-		if err != nil {
-			return res, fmt.Errorf("invariant: seed %d: %w", seed, err)
-		}
-		res.Checks += out.Checks
-		if out.Violation == nil {
-			res.Passed++
-			logf("sweep: seed %d ok (%d checks)", seed, out.Checks)
-			continue
-		}
-		return sweepFail(cfg, res, seed, sched, out.Violation, logf)
-	}
-	return res, nil
-}
-
-// shrinkBudget caps the number of extra runs the shrinker may spend.
-const shrinkBudget = 64
-
-// sweepFail builds the replayable artifact for a violating seed, with its
-// schedule shrunk. Shrinking is always
-// single-threaded so its run sequence — and therefore the artifact — is
-// identical however the failing seed was found.
-func sweepFail(cfg SweepConfig, res *SweepResult, seed int64, sched Schedule, v *Violation, logf func(string, ...any)) (*SweepResult, error) {
-	logf("sweep: seed %d FAILED: %v", seed, v)
-	art := &Artifact{
-		Seed:       seed,
-		Schedule:   sched,
-		Violation:  v,
-		ShrunkFrom: len(sched),
-	}
-	shrunk, sv, runs := shrink(cfg.Run, seed, sched, v.Checker, shrinkBudget)
-	res.Runs += runs
-	art.Schedule = shrunk
-	if sv != nil {
-		art.Violation = sv
-	}
-	logf("sweep: shrunk schedule from %d to %d events in %d runs", len(sched), len(shrunk), runs)
-	res.Failure = art
-	return res, nil
-}
-
-// sweepParallel fans the seeds out over cfg.Parallel workers. Workers
-// claim seed indexes in ascending order from a shared counter and stop
-// claiming past the lowest index known to have failed, so a low failing
-// seed cuts the sweep short just like the serial loop. Aggregation walks
-// the per-index results in seed order, which makes the outcome — passed
-// count, check totals, reported failure — independent of goroutine
-// completion order.
-func sweepParallel(cfg SweepConfig, res *SweepResult, seeds []int64, sched Schedule, logf func(string, ...any)) (*SweepResult, error) {
 	type slot struct {
 		out *Outcome
 		err error
 	}
 	results := make([]slot, len(seeds))
-	workers := cfg.Parallel
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
+	workers := min(max(cfg.Parallel, 1), len(seeds))
 	var (
 		next atomic.Int64 // next unclaimed seed index
 		stop atomic.Int64 // lowest index that errored or violated
@@ -296,7 +225,7 @@ func sweepParallel(cfg SweepConfig, res *SweepResult, seeds []int64, sched Sched
 	res.Runs = int(runs.Load())
 	first := int(stop.Load())
 	// Every index below the first failure ran and passed; count them in
-	// seed order so logs and totals match the serial sweep.
+	// seed order.
 	for i := 0; i < first && i < len(seeds); i++ {
 		res.Checks += results[i].out.Checks
 		res.Passed++
@@ -310,8 +239,22 @@ func sweepParallel(cfg SweepConfig, res *SweepResult, seeds []int64, sched Sched
 		return res, fmt.Errorf("invariant: seed %d: %w", seeds[first], s.err)
 	}
 	res.Checks += s.out.Checks
-	return sweepFail(cfg, res, seeds[first], sched, s.out.Violation, logf)
+	seed, v := seeds[first], s.out.Violation
+	logf("sweep: seed %d FAILED: %v", seed, v)
+	// Shrinking runs here, on one goroutine, so its run sequence — and
+	// therefore the failure — is the same however the seed was found.
+	shrunk, sv, reruns := shrink(cfg.Run, seed, sched, v.Checker, shrinkBudget)
+	res.Runs += reruns
+	if sv != nil {
+		v = sv
+	}
+	logf("sweep: shrunk schedule from %d to %d events in %d runs", len(sched), len(shrunk), reruns)
+	res.Failure = &Artifact{Seed: seed, Schedule: shrunk, Violation: v, ShrunkFrom: len(sched)}
+	return res, nil
 }
+
+// shrinkBudget caps the number of extra runs the shrinker may spend.
+const shrinkBudget = 64
 
 // shrink greedily removes schedule events while a run at the same seed
 // still violates the same checker, iterating to a fixpoint or until the
@@ -347,11 +290,4 @@ func shrink(run Runner, seed int64, sched Schedule, checker string, budget int) 
 		}
 	}
 	return cur, lastV, runs
-}
-
-// Replay re-runs an artifact's seed and schedule and reports the outcome.
-// The replay reproduces the recorded violation when the outcome's
-// violation matches the artifact's checker.
-func Replay(run Runner, a *Artifact) (*Outcome, error) {
-	return run(a.Seed, a.Schedule)
 }

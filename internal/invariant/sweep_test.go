@@ -1,8 +1,8 @@
 package invariant
 
 import (
-	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -66,7 +66,7 @@ func TestSweepFindsAndShrinks(t *testing.T) {
 	}
 	a := res.Failure
 	if a == nil {
-		t.Fatal("no failure artifact")
+		t.Fatal("no failure")
 	}
 	if a.Seed != 2 {
 		t.Fatalf("failing seed = %d, want 2", a.Seed)
@@ -84,7 +84,7 @@ func TestSweepFindsAndShrinks(t *testing.T) {
 		}
 	}
 	if a.Violation == nil || a.Violation.Checker != "chk" {
-		t.Fatalf("artifact violation = %+v", a.Violation)
+		t.Fatalf("failure violation = %+v", a.Violation)
 	}
 }
 
@@ -109,36 +109,6 @@ func TestShrinkBudget(t *testing.T) {
 	}
 }
 
-func TestArtifactRoundTripAndReplay(t *testing.T) {
-	runs := 0
-	run := syntheticRunner(1, &runs)
-	res, err := Sweep(SweepConfig{Run: run}, []int64{7}, fullSchedule())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := res.Failure.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseArtifact(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Seed != res.Failure.Seed || len(parsed.Schedule) != len(res.Failure.Schedule) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", parsed, res.Failure)
-	}
-	out, err := Replay(run, parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Violation == nil || out.Violation.Checker != res.Failure.Violation.Checker {
-		t.Fatalf("replay outcome %+v does not reproduce %+v", out.Violation, res.Failure.Violation)
-	}
-	if _, err := ParseArtifact([]byte("{")); err == nil {
-		t.Fatal("ParseArtifact accepted malformed JSON")
-	}
-}
-
 func TestScheduleSorted(t *testing.T) {
 	s := fullSchedule().Sorted()
 	for i := 1; i < len(s); i++ {
@@ -153,7 +123,7 @@ func TestScheduleSorted(t *testing.T) {
 
 // raceRunner is a concurrency-safe Runner for the parallel-sweep tests:
 // every seed >= minSeed violates (with a seed-specific violation, so a
-// wrong aggregation picks a visibly different artifact), and low seeds
+// wrong aggregation picks a visibly different failure), and low seeds
 // run slower than high ones, so under parallel execution a high
 // violating seed always completes before the lowest one.
 func raceRunner(minSeed int64, runs *atomic.Int64) Runner {
@@ -183,7 +153,7 @@ func raceRunner(minSeed int64, runs *atomic.Int64) Runner {
 }
 
 // The parallel sweep must report the identical lowest failing seed — and
-// a byte-identical shrunk artifact — as the serial sweep, even though
+// an identical shrunk failure — as the serial sweep, even though
 // higher violating seeds finish first. Run with -race this also
 // exercises the worker pool for data races.
 func TestParallelSweepMatchesSerial(t *testing.T) {
@@ -212,16 +182,8 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	if par.Checks != serial.Checks {
 		t.Fatalf("Checks: serial=%d parallel=%d", serial.Checks, par.Checks)
 	}
-	sb, err := serial.Failure.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := par.Failure.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sb, pb) {
-		t.Fatalf("artifacts differ:\nserial:\n%s\nparallel:\n%s", sb, pb)
+	if !reflect.DeepEqual(serial.Failure, par.Failure) {
+		t.Fatalf("failures differ:\nserial:   %+v\nparallel: %+v", serial.Failure, par.Failure)
 	}
 }
 

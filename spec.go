@@ -429,16 +429,21 @@ func RunSpec(s Spec) (*ScenarioResult, error) {
 // ParseSpec decodes a JSON run spec, rejecting unknown fields so config
 // typos surface as errors instead of silently-defaulted knobs.
 func ParseSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("jade: parsing run spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}
 	return s, nil
+}
+
+// decodeStrict decodes JSON into v, refusing unknown fields.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // LoadSpec reads a JSON run spec from disk (jadectl scenario -config).

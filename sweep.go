@@ -19,13 +19,30 @@ type (
 	ChaosEvent = invariant.Event
 	// ChaosSchedule is a declarative failure schedule.
 	ChaosSchedule = invariant.Schedule
-	// SweepArtifact is a replayable record of a failing seed+schedule.
-	SweepArtifact = invariant.Artifact
 	// SweepOutcome is what one run reports to the sweep.
 	SweepOutcome = invariant.Outcome
-	// SweepResult summarizes a chaos sweep.
-	SweepResult = invariant.SweepResult
 )
+
+// SweepArtifact is a failing run as the file `jadectl sweep` writes (its
+// JSON encoding). Spec is the whole run: the failing seed, every switch
+// of the sweep's base run, checks.invariants on and the shrunk schedule
+// as faults.chaos; `jadectl scenario -config` runs it as it is.
+type SweepArtifact struct {
+	Spec Spec `json:"spec"`
+	// Violation is the invariant failure the run hit.
+	Violation *InvariantViolation `json:"violation"`
+	// ShrunkFrom is the event count of the schedule before shrinking.
+	ShrunkFrom int `json:"shrunk_from"`
+}
+
+// SweepResult summarizes a chaos sweep as invariant.SweepResult does,
+// with the failure, if any, as an artifact.
+type SweepResult struct {
+	Seeds        []int64
+	Passed, Runs int
+	Checks       uint64
+	Failure      *SweepArtifact
+}
 
 // Chaos event kinds.
 const (
@@ -44,39 +61,62 @@ const (
 )
 
 // ParseSweepArtifact decodes an artifact written by `jadectl sweep`.
+// It refuses unknown fields, an artifact without a violation, and a spec
+// that ParseSpec would refuse; a spec's field errors carry the "spec."
+// prefix of their path in the file.
 func ParseSweepArtifact(data []byte) (*SweepArtifact, error) {
-	return invariant.ParseArtifact(data)
-}
-
-// SweepRunner adapts RunScenario to the chaos sweep: each run copies the
-// base configuration, substitutes the seed and schedule, and forces the
-// invariant harness on.
-func SweepRunner(base ScenarioConfig) invariant.Runner {
-	return func(seed int64, schedule invariant.Schedule) (*invariant.Outcome, error) {
-		cfg := base
-		cfg.Seed = seed
-		cfg.Invariants = true
-		cfg.Chaos = schedule
-		r, err := RunScenario(cfg)
-		if err != nil {
-			return nil, err
+	var a SweepArtifact
+	if err := decodeStrict(data, &a); err != nil {
+		return nil, fmt.Errorf("jade: parsing sweep artifact: %w", err)
+	}
+	if a.Violation == nil {
+		return nil, fmt.Errorf("jade: parsing sweep artifact: no violation")
+	}
+	if err := a.Spec.Validate(); err != nil {
+		var ve ValidationError
+		for _, fe := range AsValidationError(err) {
+			ve.addf(joinPath("spec", fe.Path), "%s", fe.Msg)
 		}
-		return &invariant.Outcome{Violation: r.InvariantViolation, Checks: r.InvariantChecks}, nil
+		return nil, ve.or()
 	}
+	return &a, nil
 }
 
-// ChaosSweepScenario is the sweep's base configuration: the Fig. 5
-// scenario (managed, with recovery and arbitration) under a
-// time-compressed ramp so a multi-seed sweep stays cheap. Pass speedup 1
-// for the paper's full ~50-minute ramp.
+// sweepSpec is the sweep's base run: the Fig. 5 scenario (managed, with
+// recovery and arbitration) on the paper's ramp compressed speedup times
+// (speedup 1 or less: the paper's full ~50-minute ramp), so a multi-seed
+// sweep stays cheap.
+func sweepSpec(speedup float64) Spec {
+	s := DefaultSpec(1, true)
+	s.Recovery = true
+	s.Sizing.Arbitrate = true
+	r := compressedRamp(max(speedup, 1))
+	s.Workload.Profile = ProfileSpec{Kind: "ramp", StepPerMinute: r.StepPerMinute, HoldAtPeakSeconds: r.HoldAtPeak}
+	return s
+}
+
+// ChaosSweepScenario is the sweep's base run (see sweepSpec) compiled to
+// a ScenarioConfig. Pass speedup 1 for the paper's full ~50-minute ramp.
 func ChaosSweepScenario(speedup float64) ScenarioConfig {
-	cfg := DefaultScenario(1, true)
-	cfg.Recovery = true
-	cfg.Arbitrate = true
-	if speedup > 1 {
-		cfg.Profile = compressedRamp(speedup)
+	return sweepSpec(speedup).compile()
+}
+
+// sweepRun is the run the sweep makes of base for one seed and schedule:
+// invariants on, the schedule as its chaos.
+func sweepRun(base Spec, seed int64, schedule ChaosSchedule) Spec {
+	base.Seed = seed
+	base.Checks.Invariants = true
+	base.Faults.Chaos = schedule
+	return base
+}
+
+// runOutcome runs a spec and reports what the sweep reads of it.
+func runOutcome(s Spec) (*SweepOutcome, error) {
+	r, err := RunSpec(s)
+	if err != nil {
+		return nil, err
 	}
-	return cfg
+	return &SweepOutcome{Violation: r.InvariantViolation, Checks: r.InvariantChecks}, nil
 }
 
 // DefaultCrashSchedule is the sweep's failure schedule, scaled to the
@@ -102,26 +142,46 @@ func DefaultCrashSchedule(profileSeconds float64) ChaosSchedule {
 // always the lowest failing seed and shrinking replays stay
 // single-threaded.
 func RunChaosSweep(seedCount int, speedup float64, logf func(string, ...any)) (*SweepResult, error) {
+	base := sweepSpec(speedup)
+	profile, _ := base.Workload.Profile.Profile()
+	return sweep(base, seedCount, DefaultCrashSchedule(profile.Duration()), logf)
+}
+
+// sweep runs base over seeds 1..seedCount under schedule, each run a
+// validated Spec with invariants on, and turns the first failure into an
+// artifact.
+func sweep(base Spec, seedCount int, schedule ChaosSchedule, logf func(string, ...any)) (*SweepResult, error) {
 	if seedCount <= 0 {
 		return nil, fmt.Errorf("jade: sweep needs at least one seed")
 	}
-	base := ChaosSweepScenario(speedup)
+	if err := base.Validate(); err != nil {
+		return nil, err
+	}
 	seeds := make([]int64, seedCount)
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
 	}
-	sched := DefaultCrashSchedule(base.Profile.Duration())
-	return invariant.Sweep(invariant.SweepConfig{Run: SweepRunner(base), Parallel: Parallelism(), Logf: logf}, seeds, sched)
+	run := func(seed int64, schedule invariant.Schedule) (*invariant.Outcome, error) {
+		return runOutcome(sweepRun(base, seed, schedule))
+	}
+	res, err := invariant.Sweep(invariant.SweepConfig{Run: run, Parallel: Parallelism(), Logf: logf}, seeds, schedule)
+	if err != nil {
+		return nil, err
+	}
+	out := &SweepResult{Seeds: res.Seeds, Passed: res.Passed, Runs: res.Runs, Checks: res.Checks}
+	if f := res.Failure; f != nil {
+		out.Failure = &SweepArtifact{Spec: sweepRun(base, f.Seed, f.Schedule), Violation: f.Violation, ShrunkFrom: f.ShrunkFrom}
+	}
+	return out, nil
 }
 
-// ReplayArtifact re-runs a failing seed/schedule artifact against the
-// same base scenario the sweep used and reports whether the recorded
-// violation reproduces.
-func ReplayArtifact(a *SweepArtifact, speedup float64) (*SweepOutcome, bool, error) {
-	out, err := invariant.Replay(SweepRunner(ChaosSweepScenario(speedup)), a)
+// ReplayArtifact runs an artifact's Spec and reports whether the recorded
+// violation reproduces: the same checker with the same detail.
+func ReplayArtifact(a *SweepArtifact) (*SweepOutcome, bool, error) {
+	out, err := runOutcome(a.Spec)
 	if err != nil {
 		return nil, false, err
 	}
-	reproduced := out.Violation != nil && a.Violation != nil && out.Violation.Checker == a.Violation.Checker
-	return out, reproduced, nil
+	v, want := out.Violation, a.Violation
+	return out, v != nil && want != nil && v.Checker == want.Checker && v.Detail == want.Detail, nil
 }
