@@ -144,7 +144,7 @@ const DefaultSpanCapacity = 65536
 // more, so a hop's span is recorded without growing its fields.
 const endFields = 4
 
-// fieldChunk is the size, in fields, of one slab of span-field storage.
+// fieldChunk is the size, in fields, of one slab of field storage.
 const fieldChunk = 1024
 
 // Tracer is the telemetry bus. Construct with New; methods are
@@ -164,6 +164,7 @@ type Tracer struct {
 	// reaches storage the tracer will write.
 	spans   chunk.List[Span]
 	slab    []Field // the current chunk; its unused capacity is free
+	evSlab  []Field // events' fields: no span pins an evicted event's
 	capSp   int
 	dropped uint64 // spans refused because the store was full
 	evicted uint64 // events evicted from the ring
@@ -234,7 +235,7 @@ func (t *Tracer) pushEvent(ev Event) {
 }
 
 // Emit records an instantaneous event under the ambient cause (if any)
-// and returns its ID.
+// and returns its ID. The fields are copied, as Begin copies them.
 func (t *Tracer) Emit(kind, name string, fields ...Field) ID {
 	if t == nil || t.disabled.Load() {
 		return 0
@@ -256,7 +257,8 @@ func (t *Tracer) EmitIn(span ID, kind, name string, fields ...Field) ID {
 
 func (t *Tracer) emitLocked(span ID, kind, name string, fields []Field) ID {
 	id := t.id()
-	t.pushEvent(Event{ID: id, Span: span, T: t.now(), Kind: kind, Name: name, Fields: fields})
+	own := append(carve(&t.evSlab, len(fields)), fields...)
+	t.pushEvent(Event{ID: id, Span: span, T: t.now(), Kind: kind, Name: name, Fields: own})
 	return id
 }
 
@@ -279,20 +281,20 @@ func (t *Tracer) Begin(parent ID, kind, name string, fields ...Field) ID {
 	}
 	id := t.id()
 	now := t.now()
-	own := append(t.carve(len(fields)+endFields), fields...)
+	own := append(carve(&t.slab, len(fields)+endFields), fields...)
 	t.spans.Append(Span{ID: id, Parent: parent, Kind: kind, Name: name, Start: now, End: now, Open: true, Fields: own})
 	return id
 }
 
 // carve returns an empty slice with room for n fields, cut from the
 // current slab or from a new one when it has too little left.
-func (t *Tracer) carve(n int) []Field {
-	if cap(t.slab)-len(t.slab) < n {
-		t.slab = make([]Field, 0, max(fieldChunk, n))
+func carve(slab *[]Field, n int) []Field {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]Field, 0, max(fieldChunk, n))
 	}
-	off := len(t.slab)
-	t.slab = t.slab[:off+n]
-	return t.slab[off : off : off+n]
+	off := len(*slab)
+	*slab = (*slab)[:off+n]
+	return (*slab)[off : off : off+n]
 }
 
 // End closes a span, appending copies of any final fields. Ending an

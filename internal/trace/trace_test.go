@@ -370,6 +370,30 @@ func TestDisabledTracerAllocs(t *testing.T) {
 	}
 }
 
+// Emit copies its fields: a caller's slice may be reused, or live on the
+// stack, and once the ring and the event slab are warm an event with one
+// field costs nothing (a control loop emits one per sample).
+func TestEmitCopiesFields(t *testing.T) {
+	now := 0.0
+	tr := New(clock(&now), 64, 0)
+	fields := []Field{Ff("value", 1)}
+	tr.Emit("loop.sample", "app", fields...)
+	tr.EmitIn(0, "loop.sample", "db", fields...)
+	fields[0] = Ff("value", 2)
+	for _, ev := range tr.Events() {
+		if v, _ := ev.Fields[0].Float(); v != 1 || cap(ev.Fields) != 1 {
+			t.Fatalf("%s event: value %v, cap %d; want the value emitted, in a slice of its own length", ev.Name, v, cap(ev.Fields))
+		}
+	}
+	for i := 0; i < 128; i++ {
+		tr.Emit("loop.sample", "app", Ff("value", float64(i)))
+	}
+	v := 0.5
+	if n := testing.AllocsPerRun(1000, func() { tr.Emit("loop.sample", "app", Ff("value", v)) }); n != 0 {
+		t.Fatalf("Emit with one field: %v allocs/op, want 0", n)
+	}
+}
+
 // hop records one span shaped like a request hop: one field at Begin,
 // busy, svc, outcome and the balancer's member at End.
 func hop(tr *Tracer, parent ID) ID {
