@@ -154,9 +154,6 @@ func sweep(base Spec, seedCount int, schedule ChaosSchedule, logf func(string, .
 	if seedCount <= 0 {
 		return nil, fmt.Errorf("jade: sweep needs at least one seed")
 	}
-	if err := base.Validate(); err != nil {
-		return nil, err
-	}
 	seeds := make([]int64, seedCount)
 	for i := range seeds {
 		seeds[i] = int64(i + 1)

@@ -69,9 +69,9 @@ var parseSweepArtifactRefusals = []struct {
 	{"bad spec", `"step_per_minute": 168`, `"step_per_minute": -168`, "spec.workload.profile.step_per_minute: must be >= 0"},
 }
 
-// The parser refuses unknown fields at any depth, a missing violation and
-// a spec that ParseSpec refuses, naming the spec's fields by their path in
-// the file.
+// The parser refuses malformed JSON, unknown fields at any depth, a
+// missing violation and a spec that ParseSpec refuses, naming the spec's
+// fields by their path in the file.
 func TestParseSweepArtifactRefuses(t *testing.T) {
 	committed, err := os.ReadFile(fabricArtifactPath)
 	if err != nil {
@@ -93,6 +93,9 @@ func TestParseSweepArtifactRefuses(t *testing.T) {
 		if _, err := ParseSweepArtifact([]byte(data)); err == nil || !strings.Contains(err.Error(), "no violation") {
 			t.Errorf("%s: err = %v, want no violation", data, err)
 		}
+	}
+	if _, err := ParseSweepArtifact([]byte("{")); err == nil {
+		t.Error("malformed JSON accepted")
 	}
 	if _, err := ParseSweepArtifact([]byte(`{"spec": {"recovery": true}, "violation": {}}`)); err == nil || !strings.Contains(err.Error(), "spec.recovery: requires managed") {
 		t.Errorf("recovery without managed: err = %v, want spec.recovery refused", err)
