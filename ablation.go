@@ -12,9 +12,7 @@ import (
 // ablationRun is one variant of a sizing ablation: the managed paper
 // ramp at `jadectl experiment`'s speed-up, at least 2x.
 func ablationRun(x *expEnv, name string) expRun {
-	cfg := DefaultScenario(x.Seed, true)
-	cfg.Profile = compressedRamp(max(x.Speedup, 2))
-	return expRun{name: name, cfg: cfg}
+	return expRun{name: name, spec: paperSpec(x.Seed, true, max(x.Speedup, 2))}
 }
 
 // ablationReport tabulates one row per variant under the given title.
@@ -49,7 +47,7 @@ func smoothingRuns(x *expEnv) ([]expRun, error) {
 		{"paper windows (60/90 s)", 60, 90},
 	} {
 		r := ablationRun(x, v.name)
-		r.cfg.AppSizing.Window, r.cfg.DBSizing.Window = v.app, v.db
+		r.spec.Sizing.App.Window, r.spec.Sizing.DB.Window = v.app, v.db
 		rs = append(rs, r)
 	}
 	return rs, nil
@@ -68,7 +66,7 @@ func inhibitionRuns(x *expEnv) ([]expRun, error) {
 		{"paper inhibition (60 s)", 60},
 	} {
 		r := ablationRun(x, v.name)
-		r.cfg.AppSizing.InhibitSeconds, r.cfg.DBSizing.InhibitSeconds = v.inhibit, v.inhibit
+		r.spec.Sizing.App.InhibitSeconds, r.spec.Sizing.DB.InhibitSeconds = v.inhibit, v.inhibit
 		rs = append(rs, r)
 	}
 	return rs, nil
@@ -87,15 +85,15 @@ func thresholdRuns(x *expEnv) ([]expRun, error) {
 		{0.10, 0.95},
 	} {
 		r := ablationRun(x, fmt.Sprintf("min=%.2f max=%.2f", pr.min, pr.max))
-		r.cfg.AppSizing.Min, r.cfg.AppSizing.Max = pr.min, pr.max
-		r.cfg.DBSizing.Min, r.cfg.DBSizing.Max = pr.min, pr.max
+		r.spec.Sizing.App.Min, r.spec.Sizing.App.Max = pr.min, pr.max
+		r.spec.Sizing.DB.Min, r.spec.Sizing.DB.Max = pr.min, pr.max
 		rs = append(rs, r)
 	}
 	return rs, nil
 }
 
 // twoBackendADL deploys two initial MySQL backends (for the balancer
-// policy ablation) with an explicit read policy.
+// policy ablation).
 const twoBackendADL = `<?xml version="1.0"?>
 <definition name="rubis-j2ee">
   <component name="plb1" wrapper="plb"/>
@@ -103,9 +101,7 @@ const twoBackendADL = `<?xml version="1.0"?>
     <component name="tomcat1" wrapper="tomcat"/>
   </composite>
   <composite name="db-tier">
-    <component name="cjdbc1" wrapper="cjdbc">
-      <attribute name="read-policy" value="%s"/>
-    </component>
+    <component name="cjdbc1" wrapper="cjdbc"/>
     <component name="mysql1" wrapper="mysql"><attribute name="dump" value="rubis"/></component>
     <component name="mysql2" wrapper="mysql"><attribute name="dump" value="rubis"/></component>
   </composite>
@@ -123,11 +119,12 @@ const twoBackendADL = `<?xml version="1.0"?>
 func balancerPolicyRuns(x *expEnv) ([]expRun, error) {
 	var rs []expRun
 	for _, policy := range []string{"least-pending", "round-robin"} {
-		cfg := DefaultScenario(x.Seed, false)
-		cfg.ADL = fmt.Sprintf(twoBackendADL, policy)
-		cfg.Mix = BrowsingMix()
-		cfg.Profile = ConstantProfile{Clients: 420, Length: 400}
-		rs = append(rs, expRun{name: policy, cfg: cfg})
+		s := DefaultSpec(x.Seed, false)
+		s.ADL = twoBackendADL
+		s.Routing.DB = policy
+		s.Workload.Mix = "browsing"
+		s.Workload.Profile = ProfileSpec{Kind: "constant", Clients: 420, DurationSeconds: 400}
+		rs = append(rs, expRun{name: policy, spec: s})
 	}
 	return rs, nil
 }

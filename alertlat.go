@@ -2,12 +2,11 @@ package jade
 
 import "fmt"
 
-// AlertLatencyScenario returns the alert-latency experiment's
-// configuration for one fault mode. Both modes start from the PR-6
-// gray-failure scenario (round-robin, so nothing routes around the
-// fault) with the simulated network enabled and the φ detector armed in
-// monitor-only mode — detector and alert plane watch the same run
-// side by side, and neither repairs anything.
+// alertLatSpec is the alert-latency experiment's run for one fault
+// mode. Both modes start from the gray-failure run (round-robin, so
+// nothing routes around the fault) with the simulated network enabled
+// and the φ detector armed in monitor-only mode — detector and alert
+// plane watch the same run side by side, and neither repairs anything.
 //
 //   - "gray":  the original schedule — tomcat2 crawls at ~1/16 speed and
 //     mysql2 is moderately slowed, but heartbeats stay CPU-free, so φ
@@ -15,18 +14,18 @@ import "fmt"
 //   - "crash": tomcat2's node dies outright at the same instant, the
 //     case classic failure detection was built for — both φ and the
 //     alert plane must fire.
-func AlertLatencyScenario(seed int64, fault string, quick bool) ScenarioConfig {
-	cfg := GrayFailureScenario(seed, "round-robin", quick)
-	cfg.Net.Enabled = true
-	cfg.Monitor = true
+func alertLatSpec(seed int64, fault string, quick bool) Spec {
+	s := grayFailSpec(seed, "round-robin", quick)
+	s.Faults.Network.Enabled = true
+	s.Alerting.MonitorReplicas = true
 	if fault == "crash" {
-		cfg.Chaos = ChaosSchedule{{At: alertLatFaultAt, Kind: ChaosCrash, Target: "tomcat2"}}
+		s.Faults.Chaos = ChaosSchedule{{At: alertLatFaultAt, Kind: ChaosCrash, Target: "tomcat2"}}
 	}
-	return cfg
+	return s
 }
 
 // alertLatFaultAt is when (relative to workload start) both fault modes
-// strike — the gray schedule in GrayFailureScenario uses the same
+// strike — the gray schedule in grayFailSpec uses the same
 // instant.
 const alertLatFaultAt = 20.0
 
@@ -40,8 +39,8 @@ const alertLatPageBound = 120.0
 // alertLatRuns runs the gray and the crash fault mode side by side.
 func alertLatRuns(x *expEnv) ([]expRun, error) {
 	return []expRun{
-		{name: "gray", cfg: AlertLatencyScenario(x.Seed, "gray", x.Quick)},
-		{name: "crash", cfg: AlertLatencyScenario(x.Seed, "crash", x.Quick)},
+		{name: "gray", spec: alertLatSpec(x.Seed, "gray", x.Quick)},
+		{name: "crash", spec: alertLatSpec(x.Seed, "crash", x.Quick)},
 	}, nil
 }
 

@@ -37,7 +37,7 @@ func TestAlertLatencyExperiment(t *testing.T) {
 // the run. The balancer-agreement grace is the time self-recovery has to
 // repair; without self-recovery it must not fire.
 func TestCrashWithoutRepairLoopIsNoViolation(t *testing.T) {
-	r, err := RunScenario(AlertLatencyScenario(1, "crash", false))
+	r, err := RunSpec(alertLatSpec(1, "crash", false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestAlertArtifactDeterminismSweep(t *testing.T) {
 			t.Parallel()
 			var jsonl, incidents [2][]byte
 			for i := 0; i < 2; i++ {
-				r, err := RunScenario(AlertLatencyScenario(seed, "gray", true))
+				r, err := RunSpec(alertLatSpec(seed, "gray", true))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,9 +95,9 @@ func TestAlertArtifactDeterminismSweep(t *testing.T) {
 // an empty alert page, not a different simulation.
 func TestAlertingDisabledSameTrajectory(t *testing.T) {
 	run := func(disabled bool) *ScenarioResult {
-		cfg := GrayFailureScenario(5, "round-robin", true)
-		cfg.Alerting.Disabled = disabled
-		r, err := RunScenario(cfg)
+		s := grayFailSpec(5, "round-robin", true)
+		s.Alerting.Off = disabled
+		r, err := RunSpec(s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,9 +86,8 @@ func FluidCrossValidation(seed int64, speedup float64) (*CrossValidation, error)
 func crossValRuns(seed int64, speedup float64) []expRun {
 	rs := []expRun{{name: WorkloadFluid}, {name: WorkloadDiscrete}}
 	for i := range rs {
-		rs[i].cfg = DefaultScenario(seed, true)
-		rs[i].cfg.WorkloadMode = rs[i].name
-		rs[i].cfg.Profile = compressedRamp(speedup)
+		rs[i].spec = paperSpec(seed, true, speedup)
+		rs[i].spec.Workload.Mode = rs[i].name
 	}
 	return rs
 }

@@ -33,12 +33,11 @@ func TestFabricGridFirstViolations(t *testing.T) {
 			for _, fabric := range []bool{true, false} {
 				t.Run(fmt.Sprintf("x%d/seed%d/fabric=%v", speedup, seed, fabric), func(t *testing.T) {
 					t.Parallel()
-					cfg := DefaultScenario(int64(seed), true)
-					cfg.Profile = compressedRamp(float64(speedup))
-					cfg.Invariants = true
-					cfg.TraceOff = true
-					cfg.Net.Enabled = fabric
-					r, err := RunScenario(cfg)
+					s := paperSpec(int64(seed), true, float64(speedup))
+					s.Checks.Invariants = true
+					s.Telemetry.TraceOff = true
+					s.Faults.Network.Enabled = fabric
+					r, err := RunSpec(s)
 					if err != nil {
 						t.Fatal(err)
 					}

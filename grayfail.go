@@ -34,37 +34,35 @@ const GrayFailureADL = `<?xml version="1.0"?>
 </definition>
 `
 
-// GrayFailureScenario returns the shared configuration of the
-// gray-failure experiment for one routing policy: an unmanaged,
-// invariant-checked constant-load run over GrayFailureADL where chaos
-// degrades (but never kills) one replica per tier. tomcat2 is slowed
-// severely (fifteen stacked CPU hogs leave it ~1/16 speed) and mysql2
-// moderately (writes broadcast to every backend, so a crawling replica
-// would stall both policies equally); heartbeats stay CPU-free, so no
-// failure detector would ever suspect either replica — the definition of
-// a gray failure. Only the routing policy distinguishes variants.
-func GrayFailureScenario(seed int64, policy string, quick bool) ScenarioConfig {
-	cfg := DefaultScenario(seed, false)
+// grayFailSpec is the gray-failure experiment's run for one routing
+// policy: an unmanaged, invariant-checked constant-load run over
+// GrayFailureADL where chaos degrades (but never kills) one replica per
+// tier. tomcat2 is slowed severely (fifteen stacked CPU hogs leave it
+// ~1/16 speed) and mysql2 moderately (writes broadcast to every backend,
+// so a crawling replica would stall both policies equally); heartbeats
+// stay CPU-free, so no failure detector would ever suspect either replica
+// — the definition of a gray failure. Only the routing policy
+// distinguishes variants.
+func grayFailSpec(seed int64, policy string, quick bool) Spec {
+	s := DefaultSpec(seed, false)
 	clients, length := 60, 240.0
 	if quick {
 		clients, length = 40, 120.0
 	}
-	cfg.Profile = ConstantProfile{Clients: clients, Length: length}
-	cfg.ADL = GrayFailureADL
-	cfg.AppReplicas = []string{"tomcat1", "tomcat2", "tomcat3"}
-	cfg.DBReplicas = []string{"mysql1", "mysql2"}
-	cfg.Invariants = true
-	cfg.DrainSeconds = 30
-	cfg.Routing = RoutingConfig{App: policy, DB: policy}
+	s.ADL = GrayFailureADL
+	s.Workload.Profile = ProfileSpec{Kind: "constant", Clients: clients, DurationSeconds: length}
+	s.Workload.DrainSeconds = 30
+	s.Checks.Invariants = true
+	s.Routing = RoutingSpec{App: policy, DB: policy}
 	slowAt := 20.0
-	cfg.Chaos = ChaosSchedule{
+	s.Faults.Chaos = ChaosSchedule{
 		{At: slowAt, Kind: ChaosSlow, Target: "mysql2", Duration: length - slowAt},
 	}
 	for i := 0; i < 15; i++ {
-		cfg.Chaos = append(cfg.Chaos,
+		s.Faults.Chaos = append(s.Faults.Chaos,
 			ChaosEvent{At: slowAt, Kind: ChaosSlow, Target: "tomcat2", Duration: length - slowAt})
 	}
-	return cfg
+	return s
 }
 
 // grayFailRuns runs the gray-failure scenario once per routing policy.
@@ -75,7 +73,7 @@ func GrayFailureScenario(seed int64, policy string, quick bool) ScenarioConfig {
 func grayFailRuns(x *expEnv) ([]expRun, error) {
 	var rs []expRun
 	for _, policy := range []string{"round-robin", "least-pending", "balanced"} {
-		rs = append(rs, expRun{name: policy, cfg: GrayFailureScenario(x.Seed, policy, x.Quick)})
+		rs = append(rs, expRun{name: policy, spec: grayFailSpec(x.Seed, policy, x.Quick)})
 	}
 	return rs, nil
 }

@@ -88,7 +88,7 @@ func TestGrayFailureBalancedBeatsRoundRobin(t *testing.T) {
 // observers, proving (under -race) that introspection never perturbs or
 // races the simulation, which is the pools' sole mutator.
 func TestRoutingPoolConcurrentObservers(t *testing.T) {
-	cfg := GrayFailureScenario(3, "balanced", true)
+	cfg := grayFailSpec(3, "balanced", true).compile()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	cfg.Chaos = append(cfg.Chaos, ChaosEvent{At: 5, Kind: "observe-pools"})

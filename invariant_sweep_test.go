@@ -116,9 +116,7 @@ func TestBrokenActuatorCaughtShrunkAndReplayed(t *testing.T) {
 // fabricFailureSpec is TestFabricGridFirstViolations' ×8 seed-1 run with
 // the fabric on, as a Spec.
 func fabricFailureSpec() Spec {
-	s := DefaultSpec(1, true)
-	r := compressedRamp(8)
-	s.Workload.Profile = ProfileSpec{Kind: "ramp", StepPerMinute: r.StepPerMinute, HoldAtPeakSeconds: r.HoldAtPeak}
+	s := paperSpec(1, true, 8)
 	s.Faults.Network.Enabled = true
 	s.Telemetry.TraceOff = true
 	return s

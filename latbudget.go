@@ -13,51 +13,47 @@ import (
 // variant's CPU hogs land on tomcat1.
 const latBudgetSlowAt = 30.0
 
-// LatBudgetScenario returns the latency-budget experiment's
-// configuration for one variant: the managed paper ramp with causal
-// request tracing dense enough for per-tier budget percentiles.
+// latBudgetSpec is the latency-budget experiment's run for one variant:
+// the managed paper ramp with causal request tracing dense enough for
+// per-tier budget percentiles.
 //
 //   - "baseline" and "replay" are byte-identical configurations — the
 //     same-seed determinism pair whose artifacts must diff clean.
 //   - "slowapp" additionally parks three CPU hogs on tomcat1 from
 //     t+30 s to the end of the ramp, a gray slowdown the budget report
 //     must localize as app-tier queueing.
-func LatBudgetScenario(seed int64, variant string, quick bool) ScenarioConfig {
-	cfg := DefaultScenario(seed, true)
+func latBudgetSpec(seed int64, variant string, quick bool) Spec {
+	s := DefaultSpec(seed, true)
 	// 3x is the steepest compression of the paper ramp the default
 	// sizing loops still keep up with (60 s inhibition windows); beyond
 	// that the db tier collapses and every budget is just db queueing.
 	// quick keeps the 3x slope but stops the climb at 300 clients.
-	cfg.TraceRequests = 8
+	s.Telemetry.TraceRequests = 8
 	peak := 500
 	if quick {
 		peak = 300
-		cfg.TraceRequests = 4
+		s.Telemetry.TraceRequests = 4
 	}
-	cfg.Profile = RampProfile{
-		Base:          80,
-		Peak:          peak,
-		StepPerMinute: 63,
-		HoldAtPeak:    40,
-	}
+	s.Workload.Profile = ProfileSpec{Kind: "ramp", Base: 80, Peak: peak, StepPerMinute: 63, HoldAtPeakSeconds: 40}
 	// The app tier is pinned to one replica: left free, the app sizing
 	// loop reacts to the slowapp hogs by growing tomcat2 early and the
 	// "fault" run comes out *faster* than the baseline — self-repair
 	// masking the very regression the diff must localize. Pinning models
 	// the capacity-capped deployment where attribution has to carry the
 	// diagnosis; the db loop keeps the resize/blame-shift story.
-	cfg.MaxAppReplicas = 1
+	s.Sizing.MaxAppReplicas = 1
 	if variant == "slowapp" {
 		// Fifteen stacked hogs leave tomcat1 at ~1/16 speed.
-		length := cfg.Profile.Duration()
+		profile, _ := s.Workload.Profile.Profile()
+		length := profile.Duration()
 		for i := 0; i < 15; i++ {
-			cfg.Chaos = append(cfg.Chaos, ChaosEvent{
+			s.Faults.Chaos = append(s.Faults.Chaos, ChaosEvent{
 				At: latBudgetSlowAt, Kind: ChaosSlow, Target: "tomcat1",
 				Duration: length - latBudgetSlowAt,
 			})
 		}
 	}
-	return cfg
+	return s
 }
 
 // firstReplicaChange returns the virtual time a replica-count series
@@ -82,9 +78,9 @@ func firstReplicaChange(s *Series) float64 {
 func latBudgetRuns(x *expEnv) ([]expRun, error) {
 	var rs []expRun
 	for _, name := range []string{"baseline", "replay", "slowapp"} {
-		cfg := LatBudgetScenario(x.Seed, name, x.Quick)
-		cfg.MetricsDir = filepath.Join(x.tmp, "latbudget-"+name)
-		rs = append(rs, expRun{name: name, cfg: cfg})
+		s := latBudgetSpec(x.Seed, name, x.Quick)
+		s.Telemetry.MetricsDir = filepath.Join(x.tmp, "latbudget-"+name)
+		rs = append(rs, expRun{name: name, spec: s})
 	}
 	return rs, nil
 }
@@ -148,7 +144,7 @@ func latBudgetReport(x *expEnv, rs []expRun) (string, error) {
 	}
 
 	// Same-seed determinism: byte-identical budget artifacts, clean diff.
-	baseDir, replayDir, slowDir := rs[0].cfg.MetricsDir, rs[1].cfg.MetricsDir, rs[2].cfg.MetricsDir
+	baseDir, replayDir, slowDir := rs[0].spec.Telemetry.MetricsDir, rs[1].spec.Telemetry.MetricsDir, rs[2].spec.Telemetry.MetricsDir
 	budgetA, errA := os.ReadFile(filepath.Join(baseDir, "latency_budget.json"))
 	budgetB, errB := os.ReadFile(filepath.Join(replayDir, "latency_budget.json"))
 	if errA != nil || errB != nil {

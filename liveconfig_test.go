@@ -86,17 +86,17 @@ func TestConfigPatchValidationErrors(t *testing.T) {
 	}
 }
 
-// liveConfigSweepScenario is a short managed run whose operator schedule
+// liveConfigSweepSpec is a short managed run whose operator schedule
 // exercises every refreshable group mid-run.
-func liveConfigSweepScenario(seed int64) ScenarioConfig {
-	cfg := DefaultScenario(seed, true)
-	cfg.Profile = ConstantProfile{Clients: 40, Length: 90}
-	cfg.Operator = OperatorSchedule{
+func liveConfigSweepSpec(seed int64) Spec {
+	s := DefaultSpec(seed, true)
+	s.Workload.Profile = ProfileSpec{Kind: "constant", Clients: 40, DurationSeconds: 90}
+	s.Operator = OperatorSchedule{
 		{At: 20, Patch: json.RawMessage(`{"sizing":{"app":{"min":0.30,"max":0.70}},"checks":{"slo_targets":{"client-latency-p95":1.5}}}`)},
 		{At: 35, Patch: json.RawMessage(`{"routing":{"policy":"balanced","half_life_seconds":20}}`)},
 		{At: 50, Patch: json.RawMessage(`{"alerting":{"page_burn":20,"warn_burn":8},"faults":{"network":{"rpc":{"app":{"timeout_seconds":2,"attempts":2,"backoff_seconds":0.2}}}}}`)},
 	}
-	return cfg
+	return s
 }
 
 // TestConfigDeterminismSweep: 20 seeds, each run twice with mid-run
@@ -111,7 +111,7 @@ func TestConfigDeterminismSweep(t *testing.T) {
 	rs := make([]expRun, 2*seeds)
 	for i := range rs {
 		seed := int64(100 + i/2)
-		rs[i] = expRun{name: fmt.Sprintf("seed %d", seed), cfg: liveConfigSweepScenario(seed)}
+		rs[i] = expRun{name: fmt.Sprintf("seed %d", seed), spec: liveConfigSweepSpec(seed)}
 	}
 	if err := runAll("config sweep", rs); err != nil {
 		t.Fatal(err)

@@ -14,38 +14,38 @@ import (
 // least halve the post-swap tail latency.
 const liveRetuneMinImprovement = 2.0
 
-// LiveRetuneScenario returns the gray-failure run used by the live-
-// retune experiment: round-robin routing everywhere, with an operator
-// config patch at swapAt (virtual seconds after workload start) that
-// swaps every tier's selector to "balanced" — the same change an
-// operator would POST to /config on a live deployment. retune=false
-// omits the patch, yielding the control run.
-func LiveRetuneScenario(seed int64, quick, retune bool) (cfg ScenarioConfig, swapAt, settle float64) {
-	cfg = GrayFailureScenario(seed, "round-robin", quick)
+// liveRetuneSpec is the gray-failure run of the live-retune experiment:
+// round-robin routing everywhere, with an operator config patch at swapAt
+// (virtual seconds after workload start) that swaps every tier's selector
+// to "balanced" — the same change an operator would POST to /config on a
+// live deployment. retune=false omits the patch, yielding the control
+// run.
+func liveRetuneSpec(seed int64, quick, retune bool) (s Spec, swapAt, settle float64) {
+	s = grayFailSpec(seed, "round-robin", quick)
 	swapAt, settle = 120, 30
 	if quick {
 		swapAt, settle = 60, 20
 	}
 	if retune {
-		cfg.Operator = OperatorSchedule{
+		s.Operator = OperatorSchedule{
 			{At: swapAt, Patch: json.RawMessage(`{"routing":{"policy":"balanced"}}`)},
 		}
 	}
-	return cfg, swapAt, settle
+	return s, swapAt, settle
 }
 
-// liveRetuneManagedScenario is the threshold-retune run: a compressed
-// managed ramp where an operator patch mid-ramp tightens the app tier's
-// CPU thresholds — the knobs of the paper's self-optimization loop —
-// without restarting the control loop.
-func liveRetuneManagedScenario(seed int64) (ScenarioConfig, float64) {
-	cfg := DefaultScenario(seed, true)
-	cfg.Profile = RampProfile{Base: 40, Peak: 200, StepPerMinute: 150, HoldAtPeak: 60}
+// liveRetuneManagedSpec is the threshold-retune run: a compressed managed
+// ramp where an operator patch mid-ramp tightens the app tier's CPU
+// thresholds — the knobs of the paper's self-optimization loop — without
+// restarting the control loop.
+func liveRetuneManagedSpec(seed int64) (Spec, float64) {
+	s := DefaultSpec(seed, true)
+	s.Workload.Profile = ProfileSpec{Kind: "ramp", Base: 40, Peak: 200, StepPerMinute: 150, HoldAtPeakSeconds: 60}
 	retuneAt := 90.0
-	cfg.Operator = OperatorSchedule{
+	s.Operator = OperatorSchedule{
 		{At: retuneAt, Patch: json.RawMessage(`{"sizing":{"app":{"min":0.30,"max":0.60}}}`)},
 	}
-	return cfg, retuneAt
+	return s, retuneAt
 }
 
 // windowP99 returns the 99th-percentile completed-request latency over
@@ -91,15 +91,15 @@ func appliedOperatorChanges(r *ScenarioResult) int {
 // restarts. The runs are the control that never retunes, the retuned
 // run, its same-seed replay, and the managed threshold-retune ramp.
 func liveRetuneRuns(x *expEnv) ([]expRun, error) {
-	control, _, _ := LiveRetuneScenario(x.Seed, x.Quick, false)
-	retuned, _, _ := LiveRetuneScenario(x.Seed, x.Quick, true)
-	replay, _, _ := LiveRetuneScenario(x.Seed, x.Quick, true)
-	managed, _ := liveRetuneManagedScenario(x.Seed + 1)
+	control, _, _ := liveRetuneSpec(x.Seed, x.Quick, false)
+	retuned, _, _ := liveRetuneSpec(x.Seed, x.Quick, true)
+	replay, _, _ := liveRetuneSpec(x.Seed, x.Quick, true)
+	managed, _ := liveRetuneManagedSpec(x.Seed + 1)
 	return []expRun{
-		{name: "control", cfg: control},
-		{name: "retuned", cfg: retuned},
-		{name: "replay", cfg: replay},
-		{name: "managed", cfg: managed},
+		{name: "control", spec: control},
+		{name: "retuned", spec: retuned},
+		{name: "replay", spec: replay},
+		{name: "managed", spec: managed},
 	}, nil
 }
 
@@ -114,10 +114,10 @@ func liveRetuneRuns(x *expEnv) ([]expRun, error) {
 //     live reactor observably adopts (trace carries the config span).
 func liveRetuneReport(x *expEnv, rs []expRun) (string, error) {
 	control, retuned, replay, managed := rs[0].res, rs[1].res, rs[2].res, rs[3].res
-	_, swapAt, settle := LiveRetuneScenario(x.Seed, x.Quick, true)
-	_, retuneAt := liveRetuneManagedScenario(x.Seed + 1)
+	_, swapAt, settle := liveRetuneSpec(x.Seed, x.Quick, true)
+	_, retuneAt := liveRetuneManagedSpec(x.Seed + 1)
 
-	length := rs[0].cfg.Profile.Duration()
+	length := control.Config.Profile.Duration()
 	t0 := retuned.WorkloadStart + swapAt + settle
 	t1 := retuned.WorkloadStart + length
 	controlP99, retunedP99 := windowP99(control, t0, t1), windowP99(retuned, t0, t1)

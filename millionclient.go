@@ -16,46 +16,52 @@ const millionCrossValRMS = 0.05
 // millionCrossValSpeedup is the cross-validation's ramp compression.
 const millionCrossValSpeedup = 4
 
-// MillionClientScenario configures the flagship run: a RUBiS ramp to
-// one million clients on datacenter-class nodes (1024 abstract
-// CPU-units each), with both sizing loops active and the workload
-// carried by the fluid engine except for a small sampled discrete
-// stream (about 200 clients) that keeps latency percentiles, SLOs and
-// alerting live. quick compresses the ramp for CI smoke runs.
-func MillionClientScenario(seed int64, quick bool) ScenarioConfig {
-	cfg := DefaultScenario(seed, true)
-	cfg.WorkloadMode = WorkloadFluid
-	cfg.NodeCPU = 1024
-	cfg.Nodes = 20
-	cfg.MaxAppReplicas = 6
-	cfg.MaxDBReplicas = 12
+// millionClientSpec is the flagship run: a RUBiS ramp to one million
+// clients on datacenter-class nodes (1024 abstract CPU-units each), with
+// both sizing loops active and the workload carried by the fluid engine
+// except for a small sampled discrete stream (about 200 clients) that
+// keeps latency percentiles, SLOs and alerting live. quick compresses the
+// ramp for CI smoke runs.
+func millionClientSpec(seed int64, quick bool) Spec {
+	s := DefaultSpec(seed, true)
+	s.Workload.Mode = WorkloadFluid
+	s.Sizing.NodeCPU = 1024
+	s.Sizing.Nodes = 20
+	s.Sizing.MaxAppReplicas = 6
+	s.Sizing.MaxDBReplicas = 12
 	// Datacenter nodes queue in memory rather than swap-collapsing, so
 	// the 2001 testbed's thrashing regime is off here; it would turn any
 	// transient backlog into an unrecoverable death spiral at this scale.
-	cfg.ThrashThreshold = 0
-	cfg.ThrashFactor = 0
+	s.Sizing.ThrashThreshold = 0
+	s.Sizing.ThrashFactor = 0
 	// The paper's 60 s inhibition is tuned to a 9-node testbed growing
 	// one replica per tier; reaching million-client capacity takes ~8
 	// grows, so the quiet window shrinks to keep actuation ahead of a
 	// ramp that adds ~100k clients per virtual minute.
-	cfg.AppSizing.InhibitSeconds = 20
-	cfg.DBSizing.InhibitSeconds = 20
-	cfg.FluidSampleRate = 0.0002
-	cfg.FluidMinSampled = 8
+	s.Sizing.App.InhibitSeconds = 20
+	s.Sizing.DB.InhibitSeconds = 20
+	s.Workload.FluidSampleRate = 0.0002
+	s.Workload.FluidMinSampled = 8
 	if quick {
-		cfg.Profile = RampProfile{Base: 100_000, Peak: MillionClients, StepPerMinute: 200_000, HoldAtPeak: 120}
-		cfg.FluidSampleRate = 0.0001
+		s.Workload.Profile = ProfileSpec{Kind: "ramp", Base: 100_000, Peak: MillionClients, StepPerMinute: 200_000, HoldAtPeakSeconds: 120}
+		s.Workload.FluidSampleRate = 0.0001
 	} else {
-		cfg.Profile = RampProfile{Base: 100_000, Peak: MillionClients, StepPerMinute: 90_000, HoldAtPeak: 240}
+		s.Workload.Profile = ProfileSpec{Kind: "ramp", Base: 100_000, Peak: MillionClients, StepPerMinute: 90_000, HoldAtPeakSeconds: 240}
 	}
-	return cfg
+	return s
+}
+
+// MillionClientScenario is the flagship run (see millionClientSpec)
+// compiled to a ScenarioConfig.
+func MillionClientScenario(seed int64, quick bool) ScenarioConfig {
+	return millionClientSpec(seed, quick).compile()
 }
 
 // millionClientRuns is the flagship million-client run plus the
 // paper-scale fluid-vs-discrete cross-validation that anchors the fluid
 // engine's accuracy.
 func millionClientRuns(x *expEnv) ([]expRun, error) {
-	return append([]expRun{{name: "million", cfg: MillionClientScenario(x.Seed, x.Quick)}},
+	return append([]expRun{{name: "million", spec: millionClientSpec(x.Seed, x.Quick)}},
 		crossValRuns(x.Seed, millionCrossValSpeedup)...), nil
 }
 
@@ -75,7 +81,8 @@ func millionClientReport(x *expEnv, rs []expRun) (string, error) {
 			renderSeq(cv.AppFluid), renderSeq(cv.AppDiscrete), renderSeq(cv.DBFluid), renderSeq(cv.DBDiscrete))
 	}
 
-	cfg, r := rs[0].cfg, rs[0].res
+	r := rs[0].res
+	cfg := r.Config
 	if r.Fluid == nil {
 		return "", fmt.Errorf("millionclient: run carried no fluid report")
 	}

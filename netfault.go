@@ -39,11 +39,7 @@ func netFaultRuns(x *expEnv) ([]expRun, error) {
 	} {
 		s := netFaultBase(x.Seed)
 		v.mutate(&s)
-		cfg, err := s.Flatten()
-		if err != nil {
-			return nil, fmt.Errorf("netfault %q: %w", v.name, err)
-		}
-		rs = append(rs, expRun{name: v.name, cfg: cfg})
+		rs = append(rs, expRun{name: v.name, spec: s})
 	}
 	return rs, nil
 }

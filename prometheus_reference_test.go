@@ -81,14 +81,14 @@ func referenceWriteSample(b *bytes.Buffer, name, sig, extraKey, extraVal string,
 // hashes only the run's final page; this checks each one, which the run
 // renders for /metrics because an admin server is up.
 func TestPrometheusTextMatchesReference(t *testing.T) {
-	var cfg ScenarioConfig
+	var spec Spec
 	for _, m := range goldenMatrix(t) {
 		if m.name == "paper-managed" {
-			cfg = m.cfg
+			spec = m.spec
 		}
 	}
-	cfg.MetricsDir = t.TempDir()
-	cfg.HTTPAddr = "127.0.0.1:0"
+	spec.Telemetry.MetricsDir = t.TempDir()
+	spec.Telemetry.HTTPAddr = "127.0.0.1:0"
 	render := prometheusText
 	t.Cleanup(func() { prometheusText = render })
 	pages := 0
@@ -100,7 +100,7 @@ func TestPrometheusTextMatchesReference(t *testing.T) {
 		pages++
 		return got
 	}
-	res, err := RunScenario(cfg)
+	res, err := RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

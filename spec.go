@@ -10,12 +10,13 @@ import (
 	"jade/internal/netsim"
 )
 
-// Spec is the grouped scenario configuration: the same knobs as the flat
-// ScenarioConfig, organized by concern (Workload, Faults, Sizing,
-// Checks, Telemetry) with JSON round-tripping, defaults-on-zero
-// semantics and a Validate method. New code and config files should use
-// Spec; ScenarioConfig remains supported as the flattened form Spec
-// compiles down to (see Flatten).
+// Spec is the run: the scenario configuration grouped by concern
+// (Workload, Faults, Sizing, Checks, Telemetry) with JSON round-tripping,
+// defaults-on-zero semantics and a Validate method. Every run the library
+// makes itself (the experiments, the sweep, the golden matrix) and every
+// config file is a Spec. ScenarioConfig is the flat form a Spec compiles
+// to (see Flatten); the repository benchmark builds it directly, and no
+// other caller should.
 type Spec struct {
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64 `json:"seed,omitempty"`
@@ -23,6 +24,10 @@ type Spec struct {
 	// additionally arms the self-recovery manager.
 	Managed  bool `json:"managed,omitempty"`
 	Recovery bool `json:"recovery,omitempty"`
+	// ADL is the architecture to deploy, as ADL text (ThreeTierADL when
+	// empty). It must bind plb1.workers and cjdbc1.backends: the servers
+	// bound there, in binding order, are the tiers' initial replicas.
+	ADL string `json:"adl,omitempty"`
 
 	Workload  WorkloadSpec  `json:"workload"`
 	Faults    FaultsSpec    `json:"faults"`
@@ -306,7 +311,7 @@ func (s Spec) Validate() error {
 		ve.addf("workload.mix", "unknown mix %q (want bidding or browsing)", s.Workload.Mix)
 	}
 	cfg := s.compile().withDefaults()
-	if err := cfg.check(); err != nil {
+	if _, err := cfg.check(); err != nil {
 		ve.Fields = append(ve.Fields, AsValidationError(err)...)
 	} else {
 		ve.checkScripted(s, initialLive(&cfg))
@@ -376,6 +381,7 @@ func (s Spec) compile() ScenarioConfig {
 		Seed:            s.Seed,
 		Managed:         s.Managed,
 		Recovery:        s.Recovery,
+		ADL:             s.ADL,
 		Profile:         profile,
 		Mix:             mix,
 		ThinkTime:       s.Workload.ThinkTimeSeconds,
