@@ -88,9 +88,10 @@ func TestScenarioFlagDefaultsMakeTheSpec(t *testing.T) {
 }
 
 // A sweep over no seeds, an unknown experiment, a negative or non-finite
-// speedup, a negative worker count and a non-finite duration are usage
-// errors; all fail before any simulation runs. A NaN horizon used to run
-// forever, and a negative speedup or worker count was silently replaced.
+// speedup (on experiment and sweep alike), a negative worker count and a
+// non-finite duration are usage errors; all fail before any simulation
+// runs. A NaN horizon used to run forever, and a negative speedup or
+// worker count was silently replaced.
 func TestEvaluationUsageErrors(t *testing.T) {
 	for _, n := range []string{"0", "-3"} {
 		if err := cmdSweep([]string{"-seeds", n}); err == nil {
@@ -100,9 +101,12 @@ func TestEvaluationUsageErrors(t *testing.T) {
 	if err := cmdExperiment([]string{"nosuch"}); err == nil || !strings.Contains(err.Error(), "fig4") {
 		t.Errorf("experiment nosuch: err = %v, want one listing the valid names", err)
 	}
-	for _, x := range []string{"-1", "NaN", "+Inf"} {
+	for _, x := range []string{"-1", "-2", "NaN", "+Inf"} {
 		if err := cmdExperiment([]string{"-speedup", x, "fig5"}); err == nil || !strings.Contains(err.Error(), "speedup") {
 			t.Errorf("experiment -speedup %s fig5: err = %v, want one naming the speedup", x, err)
+		}
+		if err := cmdSweep([]string{"-seeds", "1", "-speedup", x}); err == nil || !strings.Contains(err.Error(), "speedup") {
+			t.Errorf("sweep -speedup %s: err = %v, want one naming the speedup", x, err)
 		}
 	}
 	for _, n := range []string{"-1", "-2"} {

@@ -1,6 +1,8 @@
 package jade
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -141,5 +143,57 @@ func TestSetParallelismRejectsNegative(t *testing.T) {
 	SetParallelism(0)
 	if got, want := Parallelism(), runtime.GOMAXPROCS(0); got != want {
 		t.Errorf("SetParallelism(0): width %d, want GOMAXPROCS %d", got, want)
+	}
+}
+
+// Every Spec the library runs passes Spec.Validate, the target rule and
+// the adl rules included: each experiment's runs at full length and
+// quick, the paper pair, the committed example Specs and replay
+// artifacts, and the golden matrix.
+func TestEveryRunSpecValidates(t *testing.T) {
+	check := func(name string, s Spec) {
+		t.Helper()
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for _, quick := range []bool{false, true} {
+		x := testEnv(t, ExperimentOptions{Seed: 1, Speedup: 8, Quick: quick})
+		for _, e := range experiments {
+			if e.runs == nil {
+				continue
+			}
+			rs, err := e.runs(x)
+			if err != nil {
+				t.Fatalf("%s: %v", e.title, err)
+			}
+			for _, r := range rs {
+				check(fmt.Sprintf("%s %q (quick %v)", e.name, r.name, quick), r.spec)
+			}
+		}
+	}
+	check("paper managed", paperSpec(1, true, 1))
+	check("paper unmanaged", paperSpec(1, false, 1))
+	examples, _ := filepath.Glob("examples/*.json")
+	for _, path := range examples {
+		if _, err := LoadSpec(path); err != nil {
+			t.Error(err)
+		}
+	}
+	artifacts, _ := filepath.Glob("testdata/replay/*.json")
+	for _, path := range artifacts {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseSweepArtifact(data); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+	if len(examples) == 0 || len(artifacts) == 0 {
+		t.Fatalf("%d example Specs and %d replay artifacts, want some of each", len(examples), len(artifacts))
+	}
+	for _, m := range goldenMatrix(t) {
+		check("golden "+m.name, m.spec)
 	}
 }

@@ -30,6 +30,9 @@ import (
 	"jade/internal/trace"
 )
 
+// NodePrefix names the pool's nodes: node1 up to the pool size.
+const NodePrefix = "node"
+
 // Options configures a Jade platform.
 type Options struct {
 	// Seed drives all simulation randomness.
@@ -136,7 +139,7 @@ func NewPlatform(opts Options) *Platform {
 		Eng:       eng,
 		Net:       legacy.NewNetwork(),
 		FS:        config.NewMemFS(),
-		Pool:      cluster.NewPool(eng, "node", opts.Nodes, opts.NodeConfig),
+		Pool:      cluster.NewPool(eng, NodePrefix, opts.Nodes, opts.NodeConfig),
 		opts:      opts,
 		registry:  make(map[string]WrapperFactory),
 		dumps:     make(map[string]*sqlengine.Engine),

@@ -80,15 +80,22 @@ type tierKind struct {
 	evict func(t *Tier, name string)
 }
 
+// The names a tier gives the replicas it creates: the prefix and a
+// counter from 1.
+const (
+	AppReplicaPrefix = "tomcat-r"
+	DBReplicaPrefix  = "mysql-r"
+)
+
 var (
-	appKind = &tierKind{name: "application-servers", pkg: "tomcat", prefix: "tomcat-r",
+	appKind = &tierKind{name: "application-servers", pkg: "tomcat", prefix: AppReplicaPrefix,
 		members: "workers", serves: "http", uses: "jdbc", joined: "joined-balancer", left: "left-balancer",
 		prepare: func(t *Tier, _ *actuation) (func(*fractal.Component, func(error)), error) {
 			return func(comp *fractal.Component, next func(error)) {
 				next(comp.Bind(t.kind.uses, t.upstream.MustInterface(t.kind.uses)))
 			}, nil
 		}}
-	dbKind = &tierKind{name: "database-backends", pkg: "mysql", prefix: "mysql-r",
+	dbKind = &tierKind{name: "database-backends", pkg: "mysql", prefix: DBReplicaPrefix,
 		members: "backends", serves: "sql", joined: "joined-backend", left: "left-backend",
 		prepare: dbPrepare, join: dbJoin, leave: dbLeave,
 		evict: func(t *Tier, name string) {

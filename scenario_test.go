@@ -2,6 +2,7 @@ package jade
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,16 +83,22 @@ func TestRelativizeShiftsAndFilters(t *testing.T) {
 	}
 }
 
+// A malformed ADL, and one that does not bind both plb1.workers and
+// cjdbc1.backends, is refused at adl by Spec.Validate and by RunScenario.
 func TestScenarioRejectsBadADL(t *testing.T) {
-	cfg := DefaultScenario(1, false)
-	cfg.Profile = ConstantProfile{Clients: 5, Length: 30}
-	cfg.ADL = "<definition><unclosed></definition>"
-	if _, err := RunScenario(cfg); err == nil {
-		t.Fatal("malformed ADL accepted")
-	}
-	cfg.ADL = `<definition name="x"><component name="a" wrapper="oracle"/></definition>`
-	if _, err := RunScenario(cfg); err == nil {
-		t.Fatal("unknown wrapper accepted")
+	for _, adl := range []string{
+		"<definition><unclosed></definition>",
+		`<definition name="x"><component name="a" wrapper="oracle"/></definition>`,
+		FiveTierADL,
+	} {
+		s := DefaultSpec(1, false)
+		s.ADL = adl
+		if got := fieldPaths(s.Validate()); !slices.Equal(got, []string{"adl"}) {
+			t.Errorf("Spec.Validate refused %.40q at %v, want adl", adl, got)
+		}
+		if got := runRefusal(t, s); !slices.Equal(got, []string{"adl"}) {
+			t.Errorf("RunScenario refused %.40q at %v, want adl", adl, got)
+		}
 	}
 }
 

@@ -103,6 +103,22 @@ var specValidateCases = []struct {
 	{"sub-second snapshots into a metrics dir", func(s *Spec) {
 		s.Telemetry.MetricsDir, s.Telemetry.MetricsIntervalSeconds = "out", 0.5
 	}, false},
+	{"chaos target a pool node", func(s *Spec) {
+		s.Faults.Chaos = ChaosSchedule{{At: 1, Kind: ChaosReboot, Target: "node9"}}
+	}, true},
+	{"chaos target past the pool", func(s *Spec) {
+		s.Faults.Chaos = ChaosSchedule{{At: 1, Kind: ChaosReboot, Target: "node10"}}
+	}, false},
+	{"chaos target a replica a tier creates", func(s *Spec) {
+		s.Faults.Chaos = ChaosSchedule{{At: 1, Kind: ChaosSlow, Target: "mysql-r2"}}
+	}, true},
+	{"chaos target a created replica unmanaged", func(s *Spec) {
+		s.Managed = false
+		s.Faults.Chaos = ChaosSchedule{{At: 1, Kind: ChaosSlow, Target: "mysql-r2"}}
+	}, false},
+	{"gray-failure adl", func(s *Spec) { s.ADL = GrayFailureADL }, true},
+	{"malformed adl", func(s *Spec) { s.ADL = "<definition><unclosed></definition>" }, false},
+	{"adl without the tier bindings", func(s *Spec) { s.ADL = FiveTierADL }, false},
 }
 
 // specOnly reports whether a path names a rule that compile cannot carry
@@ -540,5 +556,44 @@ func TestSpecChecksScriptedPatches(t *testing.T) {
 	wantRejected := []string{string(s.Operator[3].Patch), string(s.Operator[0].Patch), string(s.Operator[4].Patch), string(s.Operator[5].Patch)}
 	if strings.Join(rejected, " ") != strings.Join(wantRejected, " ") {
 		t.Fatalf("the run refused %v, Validate %v", rejected, wantRejected)
+	}
+}
+
+// A chaos event whose target names nothing the run could resolve is
+// refused at its target, by Spec.Validate and RunScenario alike; it used
+// to be skipped at fire time without a word.
+func TestChaosTargetMustNameSomething(t *testing.T) {
+	s := DefaultSpec(1, true)
+	s.Faults.Chaos = ChaosSchedule{{At: 1, Kind: ChaosCrash, Target: "tomcat1"}, {At: 2, Kind: ChaosCrash, Target: "tomcatl"}}
+	err := s.Validate()
+	if got := fieldPaths(err); !slices.Equal(got, []string{"faults.chaos[1].target"}) {
+		t.Fatalf("refused at %v (%v), want faults.chaos[1].target", got, err)
+	}
+	if !strings.Contains(err.Error(), `"tomcatl"`) {
+		t.Fatalf("error %q does not name the target", err)
+	}
+	if got := runRefusal(t, s); !slices.Equal(got, []string{"faults.chaos[1].target"}) {
+		t.Fatalf("RunScenario refused at %v", got)
+	}
+}
+
+// The tiers' initial replicas are the servers bound to plb1.workers and
+// to cjdbc1.backends, in binding order.
+func TestADLDerivesTierReplicas(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		adl     string
+		app, db []string
+	}{
+		{"three-tier", ThreeTierADL, []string{"tomcat1"}, []string{"mysql1"}},
+		{"gray-failure", GrayFailureADL, []string{"tomcat1", "tomcat2", "tomcat3"}, []string{"mysql1", "mysql2"}},
+	} {
+		a, err := parseArchitecture(tc.adl)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(a.app, tc.app) || !slices.Equal(a.db, tc.db) {
+			t.Errorf("%s: app %q db %q, want %q and %q", tc.name, a.app, a.db, tc.app, tc.db)
+		}
 	}
 }
