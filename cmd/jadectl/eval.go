@@ -106,7 +106,7 @@ func cmdSweep(args []string) error {
 	}
 	chaos := f.Spec.Faults.Chaos
 	fmt.Printf("sweep: seed %d VIOLATED %s\n  %s\n  schedule (%d events, shrunk from %d): %s\n  artifact: %s\n",
-		f.Spec.Seed, f.Violation.Checker, f.Violation.Detail, len(chaos), f.ShrunkFrom, chaos, *artifactPath)
+		f.Spec.Seed, f.Violation.Checker, f.Violation.Detail, len(chaos), f.ShrunkFrom, describe(chaos), *artifactPath)
 	return fmt.Errorf("invariant violated (replay with jadectl replay %s)", *artifactPath)
 }
 
@@ -122,17 +122,40 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replay: seed %d, schedule: %s\n", a.Spec.Seed, a.Spec.Faults.Chaos)
-	out, reproduced, err := jade.ReplayArtifact(a)
+	fmt.Printf("replay: seed %d, schedule: %s\n", a.Spec.Seed, describe(a.Spec.Faults.Chaos))
+	r, reproduced, err := jade.ReplayArtifact(a)
 	if err != nil {
 		return err
 	}
+	v := r.InvariantViolation
 	if reproduced {
-		fmt.Printf("replay: REPRODUCED %s\n  %s\n", out.Violation.Checker, out.Violation.Detail)
+		fmt.Printf("replay: REPRODUCED %s\n  %s\n", v.Checker, v.Detail)
 		return nil
 	}
-	if out.Violation != nil {
-		return fmt.Errorf("replay hit a different violation: %v", out.Violation)
+	if v != nil {
+		return fmt.Errorf("replay hit a different violation: %v", v)
 	}
-	return fmt.Errorf("replay did not reproduce the violation (%d checks passed)", out.Checks)
+	return fmt.Errorf("replay did not reproduce the violation (%d checks passed)", r.InvariantChecks)
+}
+
+// describe renders a chaos schedule on one line, its events in order.
+func describe(s jade.ChaosSchedule) string {
+	if len(s) == 0 {
+		return "(empty schedule)"
+	}
+	events := make([]string, len(s))
+	for i, e := range s {
+		switch e.Kind {
+		case jade.ChaosConfig:
+			events[i] = fmt.Sprintf("config %s at t=%.0f", e.Patch, e.At)
+			continue
+		case jade.ChaosPartition:
+			e.Target = fmt.Sprintf("%v|%v", e.A, e.B)
+		}
+		events[i] = fmt.Sprintf("%s %s at t=%.0f", e.Kind, e.Target, e.At)
+		if e.Duration > 0 {
+			events[i] += fmt.Sprintf(" for %.0f s", e.Duration)
+		}
+	}
+	return strings.Join(events, "; ")
 }

@@ -87,11 +87,13 @@ func TestScenarioFlagDefaultsMakeTheSpec(t *testing.T) {
 	}
 }
 
-// A sweep over no seeds, an unknown experiment, a negative or non-finite
-// speedup (on experiment and sweep alike), a negative worker count and a
-// non-finite duration are usage errors; all fail before any simulation
-// runs. A NaN horizon used to run forever, and a negative speedup or
-// worker count was silently replaced.
+// A sweep over no seeds, an unknown experiment, a speedup that is
+// negative, non-finite or above the cap (on experiment and sweep alike) or
+// below 1/21 (on experiment, which takes it as given), a negative worker
+// count and a non-finite duration are usage errors; all fail before any
+// simulation runs. A NaN horizon used to run forever, a negative speedup
+// or worker count was silently replaced, 1e300 overflowed the ramp's step
+// and 0.04 truncated it to 0, which read as the paper's 21.
 func TestEvaluationUsageErrors(t *testing.T) {
 	for _, n := range []string{"0", "-3"} {
 		if err := cmdSweep([]string{"-seeds", n}); err == nil {
@@ -101,12 +103,15 @@ func TestEvaluationUsageErrors(t *testing.T) {
 	if err := cmdExperiment([]string{"nosuch"}); err == nil || !strings.Contains(err.Error(), "fig4") {
 		t.Errorf("experiment nosuch: err = %v, want one listing the valid names", err)
 	}
-	for _, x := range []string{"-1", "-2", "NaN", "+Inf"} {
-		if err := cmdExperiment([]string{"-speedup", x, "fig5"}); err == nil || !strings.Contains(err.Error(), "speedup") {
-			t.Errorf("experiment -speedup %s fig5: err = %v, want one naming the speedup", x, err)
+	for _, x := range []string{"-1", "-2", "NaN", "+Inf", "1e300", "0.04"} {
+		if err := cmdExperiment([]string{"-speedup", x, "fig5"}); err == nil || !strings.Contains(err.Error(), "speedup") || !strings.Contains(err.Error(), "1/21 to 1200") {
+			t.Errorf("experiment -speedup %s fig5: err = %v, want one naming the speedup and the range", x, err)
 		}
-		if err := cmdSweep([]string{"-seeds", "1", "-speedup", x}); err == nil || !strings.Contains(err.Error(), "speedup") {
-			t.Errorf("sweep -speedup %s: err = %v, want one naming the speedup", x, err)
+		if x == "0.04" {
+			continue // the sweep reads a speedup of 1 or less as 1
+		}
+		if err := cmdSweep([]string{"-seeds", "1", "-speedup", x}); err == nil || !strings.Contains(err.Error(), "speedup") || !strings.Contains(err.Error(), "0 to 1200") {
+			t.Errorf("sweep -speedup %s: err = %v, want one naming the speedup and the range", x, err)
 		}
 	}
 	for _, n := range []string{"-1", "-2"} {
@@ -287,5 +292,24 @@ func TestReplayDifferentViolationFails(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "different violation") {
 			t.Errorf("recorded %s: err = %v, want a different-violation error", c[1], err)
 		}
+	}
+}
+
+// describe renders a schedule as the sweep and replay print it: each
+// event's kind, target (a partition's two endpoint groups) and time, a
+// duration when it has one, a config event's patch.
+func TestDescribeSchedule(t *testing.T) {
+	if got := describe(nil); got != "(empty schedule)" {
+		t.Errorf("describe(nil) = %q", got)
+	}
+	s := jade.ChaosSchedule{
+		{At: 100, Kind: jade.ChaosCrash, Target: "tomcat1"},
+		{At: 300, Kind: jade.ChaosSlow, Target: "cjdbc1", Duration: 45},
+		{At: 60, Kind: jade.ChaosPartition, A: []string{"tomcat1"}, B: []string{"jade"}, Duration: 30},
+		{At: 5, Kind: jade.ChaosConfig, Patch: []byte(`{"x":1}`)},
+	}
+	want := `crash tomcat1 at t=100; slow cjdbc1 at t=300 for 45 s; partition [tomcat1]|[jade] at t=60 for 30 s; config {"x":1} at t=5`
+	if got := describe(s); got != want {
+		t.Errorf("describe =\n%s\nwant\n%s", got, want)
 	}
 }

@@ -3,12 +3,9 @@ package jade
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"jade/internal/core"
 	"jade/internal/metrics"
@@ -68,7 +65,8 @@ type ExperimentOptions struct {
 	Seed int64
 	// Speedup compresses the paper ramp of Figs. 5-9 (1 = the paper's
 	// ~50-minute run, also what 0 means) and of the sizing ablations (at
-	// least 2). A negative or non-finite value is an error.
+	// least 2). A value outside 1/21 to 1200, other than 0, is an
+	// error.
 	Speedup float64
 	// Quick shrinks the self-checking flagships for smoke runs.
 	Quick bool
@@ -95,7 +93,7 @@ func (x *expEnv) logf(format string, args ...any) {
 // in section order, writing each section to w, and stops at the first
 // failed self-check. It returns the paper pair if a figure ran it. An
 // unknown name is an error that lists the valid ones, and so is a speedup
-// that is negative or not finite; neither runs anything.
+// that checkSpeedup refuses; neither runs anything.
 func RunExperiments(w io.Writer, name string, opt ExperimentOptions) (*PaperRuns, error) {
 	names := []string{"all"}
 	for _, e := range experiments {
@@ -106,7 +104,7 @@ func RunExperiments(w io.Writer, name string, opt ExperimentOptions) (*PaperRuns
 	if !slices.Contains(names, name) {
 		return nil, fmt.Errorf("jade: unknown experiment %q (want one of %s)", name, strings.Join(names, ", "))
 	}
-	if err := checkSpeedup(opt.Speedup); err != nil {
+	if err := checkSpeedup(opt.Speedup, minSpeedup); err != nil {
 		return nil, err
 	}
 	if opt.Speedup == 0 {
@@ -150,40 +148,42 @@ func (e *experiment) run(x *expEnv) ([]expRun, string, error) {
 	return rs, body, err
 }
 
-// checkSpeedup refuses a ramp compression that is negative or not finite
-// (0 means 1), for the experiments and the sweep alike.
-func checkSpeedup(speedup float64) error {
-	if speedup < 0 || math.IsNaN(speedup) || math.IsInf(speedup, 0) {
-		return fmt.Errorf("jade: speedup must be a finite number >= 0, got %g", speedup)
+// maxSpeedup caps a ramp compression: at 1200 the paper's ramp climbs
+// its 420 clients in one virtual second, the sensors' sampling period, so
+// a faster ramp is one no manager sees. Far above it the ramp's step,
+// int(21*speedup), overflows.
+const maxSpeedup = 1200
+
+// minSpeedup is the slowest compression an experiment takes as given: the
+// ramp's step is int(21*speedup) clients per minute, and below 1/21 it
+// truncates to 0, which a ProfileSpec reads as the paper's 21.
+const minSpeedup = 1.0 / 21
+
+// checkSpeedup refuses a ramp compression other than 0 (the paper's pace)
+// outside [least, maxSpeedup]: the experiments pass minSpeedup, the sweep
+// 0, since it reads anything up to 1 as 1. NaN is outside every range.
+func checkSpeedup(speedup, least float64) error {
+	if speedup == 0 || speedup >= least && speedup <= maxSpeedup {
+		return nil
 	}
-	return nil
+	want := fmt.Sprintf("0 to %d (1 or less runs the paper's pace)", maxSpeedup)
+	if least > 0 {
+		want = fmt.Sprintf("0 (the paper's pace) or 1/21 to %d", maxSpeedup)
+	}
+	return fmt.Errorf("jade: speedup %g is out of range: want %s", speedup, want)
 }
 
-// runAll runs every Spec through RunSpec over min(Parallelism(), len(rs))
-// workers. Each run builds its own engine and platform, so results do not
-// depend on the worker count, and the error reported is the lowest-index
-// run's.
+// runAll runs every Spec through RunSpec on fanOut's workers. Each run
+// builds its own engine and platform, so results do not depend on the
+// worker count, and the error reported is the lowest-index run's.
 func runAll(experiment string, rs []expRun) error {
 	errs := make([]error, len(rs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(Parallelism(), len(rs)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < len(rs); i = int(next.Add(1) - 1) {
-				rs[i].res, errs[i] = RunSpec(rs[i].spec)
-				if errs[i] != nil {
-					errs[i] = fmt.Errorf("%s %q: %w", experiment, rs[i].name, errs[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	first := fanOut(len(rs), func(i int) bool {
+		rs[i].res, errs[i] = RunSpec(rs[i].spec)
+		return errs[i] != nil
+	})
+	if first < len(rs) {
+		return fmt.Errorf("%s %q: %w", experiment, rs[first].name, errs[first])
 	}
 	return nil
 }

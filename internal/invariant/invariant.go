@@ -1,8 +1,9 @@
 // Package invariant is the deterministic simulation-testing harness: a
 // pluggable set of machine-checkable predicates over the live managed
 // architecture, each evaluated in full every virtual second (a sim ticker)
-// and at every reconfiguration boundary, plus a seed-sweep chaos runner
-// with failing-schedule replay (see sweep.go).
+// and at every reconfiguration boundary. The chaos sweep that runs the
+// harness over seeds and shrinks a failing schedule lives in the root
+// package, where a run is its Spec.
 //
 // The paper's claim — that autonomic control loops can safely reconfigure
 // a live cluster — only holds if the system preserves its invariants under

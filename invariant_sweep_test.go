@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"jade/internal/core"
-	"jade/internal/invariant"
 )
 
 // TestChaosSweepPassesAcrossSeeds is the headline acceptance check: the
@@ -34,62 +33,53 @@ func TestChaosSweepPassesAcrossSeeds(t *testing.T) {
 	}
 }
 
-// sabotagedRunner runs the sweep's ×8 base with a deliberately broken
-// actuation in the chaos schedule: a test-only "sabotage" event that rips
-// a worker out of the PLB directly, bypassing the Fractal unbind path the
-// actuators use. No Spec carries the kind, so the runner adds the handler
-// to the compiled run.
-func sabotagedRunner(base Spec) invariant.Runner {
-	return func(seed int64, schedule ChaosSchedule) (*SweepOutcome, error) {
-		cfg := sweepRun(base, seed, schedule).compile()
-		cfg.ChaosHandler = func(res *ScenarioResult, ev ChaosEvent) bool {
-			if ev.Kind != "sabotage" {
-				return false
-			}
-			w := res.Deployment.MustComponent("plb1").Content().(*core.BalancerWrapper)
-			_ = w.Balancer().Remove(ev.Target)
-			return true
+// sabotagedRun runs a sweep Spec with a deliberately broken actuation in
+// its chaos schedule: a test-only "sabotage" event that rips a worker out
+// of the PLB directly, bypassing the Fractal unbind path the actuators
+// use. No Spec carries the kind, so the run adds the handler to the
+// compiled Spec.
+func sabotagedRun(s Spec) (*ScenarioResult, error) {
+	cfg := s.compile()
+	cfg.ChaosHandler = func(res *ScenarioResult, ev ChaosEvent) bool {
+		if ev.Kind != "sabotage" {
+			return false
 		}
-		r, err := RunScenario(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &SweepOutcome{Violation: r.InvariantViolation, Checks: r.InvariantChecks}, nil
+		w := res.Deployment.MustComponent("plb1").Content().(*core.BalancerWrapper)
+		_ = w.Balancer().Remove(ev.Target)
+		return true
 	}
+	return RunScenario(cfg)
 }
 
 // TestBrokenActuatorCaughtShrunkAndReplayed proves the harness catches a
 // buggy actuation, shrinks the failing schedule to the single guilty
 // event, and reproduces it from the encoded artifact.
 func TestBrokenActuatorCaughtShrunkAndReplayed(t *testing.T) {
-	base := sweepSpec(8)
-	run := sabotagedRunner(base)
 	duration := ChaosSweepScenario(8).Profile.Duration()
 	sched := append(DefaultCrashSchedule(duration),
 		ChaosEvent{At: duration * 0.05, Kind: "sabotage", Target: "tomcat1"})
 
-	res, err := invariant.Sweep(invariant.SweepConfig{Run: run, Logf: t.Logf}, []int64{1}, sched)
+	res, err := sweep(sabotagedRun, sweepSpec(8), 1, sched, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := res.Failure
-	if f == nil {
+	a := res.Failure
+	if a == nil {
 		t.Fatal("broken actuator not caught")
 	}
-	if !strings.HasPrefix(f.Violation.Checker, "balancer-agreement") {
-		t.Fatalf("caught by %s, want balancer-agreement", f.Violation.Checker)
+	if !strings.HasPrefix(a.Violation.Checker, "balancer-agreement") {
+		t.Fatalf("caught by %s, want balancer-agreement", a.Violation.Checker)
 	}
-	if len(f.Schedule) != 1 || f.Schedule[0].Kind != "sabotage" {
-		t.Fatalf("shrunk schedule = %v, want the single sabotage event", f.Schedule)
+	if chaos := a.Spec.Faults.Chaos; len(chaos) != 1 || chaos[0].Kind != "sabotage" {
+		t.Fatalf("shrunk schedule = %+v, want the single sabotage event", chaos)
 	}
-	if f.ShrunkFrom != len(sched) {
-		t.Fatalf("ShrunkFrom = %d, want %d", f.ShrunkFrom, len(sched))
+	if a.ShrunkFrom != len(sched) {
+		t.Fatalf("ShrunkFrom = %d, want %d", a.ShrunkFrom, len(sched))
 	}
 
 	// The artifact round-trips and replays to the same violation. Its
-	// Spec names a kind only this runner handles, so ParseSweepArtifact
+	// Spec names a kind only this run handles, so ParseSweepArtifact
 	// refuses it and the strict decoder alone reads it back.
-	a := &SweepArtifact{Spec: sweepRun(base, f.Seed, f.Schedule), Violation: f.Violation, ShrunkFrom: f.ShrunkFrom}
 	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -104,12 +94,12 @@ func TestBrokenActuatorCaughtShrunkAndReplayed(t *testing.T) {
 	if !reflect.DeepEqual(&parsed, a) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", parsed, *a)
 	}
-	out, err := run(parsed.Spec.Seed, parsed.Spec.Faults.Chaos)
+	r, err := sabotagedRun(parsed.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Violation == nil || out.Violation.Checker != a.Violation.Checker {
-		t.Fatalf("replay produced %+v, want %s again", out.Violation, a.Violation.Checker)
+	if r.InvariantViolation == nil || r.InvariantViolation.Checker != a.Violation.Checker {
+		t.Fatalf("replay produced %+v, want %s again", r.InvariantViolation, a.Violation.Checker)
 	}
 }
 
@@ -132,7 +122,7 @@ const fabricArtifactPath = "testdata/replay/fabric-x8-seed1.json"
 // violation. ROADMAP item 1's fix makes the run pass; that change
 // rewrites this test with the grid.
 func TestFabricFailureArtifact(t *testing.T) {
-	res, err := sweep(fabricFailureSpec(), 1, nil, t.Logf)
+	res, err := sweep(RunSpec, fabricFailureSpec(), 1, nil, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +158,7 @@ func TestFabricFailureArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reproduced {
-		t.Fatalf("replay hit %v, want %v", out.Violation, a.Violation)
+		t.Fatalf("replay hit %v, want %v", out.InvariantViolation, a.Violation)
 	}
 
 	var raw struct {
@@ -263,7 +253,7 @@ func TestSweepArtifactReplaysAtItsSpeedup(t *testing.T) {
 	base := sweepSpec(8)
 	base.Faults.Network.Enabled = true
 	duration := ChaosSweepScenario(8).Profile.Duration()
-	res, err := sweep(base, 1, DefaultCrashSchedule(duration), t.Logf)
+	res, err := sweep(RunSpec, base, 1, DefaultCrashSchedule(duration), t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +277,6 @@ func TestSweepArtifactReplaysAtItsSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reproduced {
-		t.Fatalf("replay hit %v, want %v", out.Violation, a.Violation)
+		t.Fatalf("replay hit %v, want %v", out.InvariantViolation, a.Violation)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -22,16 +21,11 @@ type OperatorEvent struct {
 	Patch json.RawMessage `json:"patch"`
 }
 
+func (e OperatorEvent) at() float64 { return e.At }
+
 // OperatorSchedule is a scripted live-configuration schedule, applied in
 // At order.
 type OperatorSchedule []OperatorEvent
-
-// Sorted returns the schedule ordered by At (stable, original intact).
-func (s OperatorSchedule) Sorted() OperatorSchedule {
-	out := append(OperatorSchedule(nil), s...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
 
 // ConfigPatch is the refreshable subset of Spec, with every field
 // optional: absent fields keep their current value. It is the wire

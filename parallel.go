@@ -3,6 +3,7 @@ package jade
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -28,4 +29,34 @@ func Parallelism() int {
 		return int(n)
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// fanOut calls run for the indexes 0..n-1 on min(Parallelism(), n)
+// workers and returns the lowest index whose run failed, or n. Workers
+// claim indexes in ascending order and claim none above the lowest
+// failure seen so far, so every index below the returned one has run and
+// the result is the same at any worker count; an index above it may have
+// run too. run is called concurrently, never twice for one index.
+func fanOut(n int, run func(i int) (failed bool)) int {
+	var next, first atomic.Int64
+	first.Store(int64(n))
+	var wg sync.WaitGroup
+	for w := min(Parallelism(), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < first.Load(); i = next.Add(1) - 1 {
+				if !run(int(i)) {
+					continue
+				}
+				for cur := first.Load(); i < cur; cur = first.Load() {
+					if first.CompareAndSwap(cur, i) {
+						break
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return int(first.Load())
 }

@@ -115,7 +115,7 @@ type ScenarioConfig struct {
 	// partition events), applied relative to workload start. Unlike
 	// MTBFSeconds it is fully deterministic: the same schedule and seed
 	// reproduce the same run.
-	Chaos invariant.Schedule
+	Chaos ChaosSchedule
 	// Net enables and configures the simulated network fabric: when
 	// Net.Enabled, every inter-tier call and heartbeat becomes a message
 	// with latency, jitter, loss and partitionability, tier RPCs gain
@@ -125,7 +125,7 @@ type ScenarioConfig struct {
 	// ChaosHandler, when set, receives Chaos events whose Kind this
 	// package does not implement and reports whether it handled them.
 	// Tests use it to inject deliberately broken actuations.
-	ChaosHandler func(res *ScenarioResult, ev invariant.Event) bool
+	ChaosHandler func(res *ScenarioResult, ev ChaosEvent) bool
 	// TraceRequests, when positive, opens a causal root span for every
 	// N-th client request (request -> forward -> app -> sql), bounding
 	// the span store on long runs. Decision/actuation spans and the

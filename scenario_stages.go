@@ -852,12 +852,12 @@ func (r *run) faults() error {
 	if len(cfg.Chaos) > 0 {
 		// A Reboot names the node its earlier Crash actually hit.
 		crashed := map[string]*cluster.Node{}
-		for _, ev := range cfg.Chaos.Sorted() {
+		for _, ev := range sortedByAt(cfg.Chaos) {
 			ev := ev
-			p.Eng.At(r.res.WorkloadStart+ev.At, "chaos:"+string(ev.Kind), func() { r.chaosEvent(ev, crashed) })
+			p.Eng.At(r.res.WorkloadStart+ev.At, "chaos:"+ev.Kind, func() { r.chaosEvent(ev, crashed) })
 		}
 	}
-	for _, ev := range cfg.Operator.Sorted() {
+	for _, ev := range sortedByAt(cfg.Operator) {
 		ev := ev
 		p.Eng.At(r.res.WorkloadStart+ev.At, "config:operator", func() {
 			r.applyPatch("operator", refresh.SourceOperator, ev.Patch)
@@ -902,14 +902,14 @@ func (r *run) applyPatch(who, source string, patch json.RawMessage) {
 }
 
 // chaosEvent executes one chaos-schedule event at its fire time.
-func (r *run) chaosEvent(ev invariant.Event, crashed map[string]*cluster.Node) {
+func (r *run) chaosEvent(ev ChaosEvent, crashed map[string]*cluster.Node) {
 	p, fabric := r.p, r.fabric
 	switch ev.Kind {
-	case invariant.Crash:
+	case ChaosCrash:
 		if node := r.resolveNode(ev.Target); r.crashNode(node, ev.Target) {
 			crashed[ev.Target] = node
 		}
-	case invariant.Reboot:
+	case ChaosReboot:
 		node := crashed[ev.Target]
 		if node == nil {
 			node = r.resolveNode(ev.Target)
@@ -918,7 +918,7 @@ func (r *run) chaosEvent(ev invariant.Event, crashed map[string]*cluster.Node) {
 			p.Logf("chaos: rebooting %s (%s)", node.Name(), ev.Target)
 			node.Reboot()
 		}
-	case invariant.Slow:
+	case ChaosSlow:
 		node := r.resolveNode(ev.Target)
 		if node == nil || node.Failed() {
 			return
@@ -931,7 +931,7 @@ func (r *run) chaosEvent(ev invariant.Event, crashed map[string]*cluster.Node) {
 		if hog := node.Submit(1e12, nil, nil); hog != nil {
 			p.Eng.After(dur, "chaos:slow-end", func() { node.Cancel(hog) })
 		}
-	case invariant.Partition: // check accepts one only with the fabric
+	case ChaosPartition: // check accepts one only with the fabric
 		a := resolveEndpoints(r.dep, ev.A)
 		b := resolveEndpoints(r.dep, ev.B)
 		p.Logf("chaos: partitioning %v | %v", a, b)
@@ -942,10 +942,10 @@ func (r *run) chaosEvent(ev invariant.Event, crashed map[string]*cluster.Node) {
 				fabric.Heal(id)
 			})
 		}
-	case invariant.Heal: // check accepts one only with the fabric
+	case ChaosHeal: // check accepts one only with the fabric
 		p.Logf("chaos: healing all partitions")
 		fabric.HealAll()
-	case invariant.Config:
+	case ChaosConfig:
 		r.applyPatch("chaos", refresh.SourceChaos, ev.Patch)
 	default: // check accepts an unknown kind only with a ChaosHandler
 		if !r.cfg.ChaosHandler(r.res, ev) {
