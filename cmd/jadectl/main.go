@@ -10,16 +10,14 @@
 //	jadectl deploy   [-adl FILE] [-seed N] [-nodes N] [-show-config] [-export]
 //	jadectl scenario [-config FILE] [-seed N] [-clients N] [-duration SECONDS] [-pace X]
 //	                 [-managed] [-sessions] [-recovery] [-fault.mtbf SECONDS]
+//	                 [-workload.mode MODE] [-workload.sample-rate X]
 //	                 [-route.policy NAME] [-route.l4 NAME] [-route.app NAME]
-//	                 [-route.db NAME] [-route.probe-after S] [-route.half-life S]
+//	                 [-route.db NAME]
 //	                 [-net.enable] [-net.latency MS] [-net.jitter MS] [-net.loss P]
 //	                 [-trace.chrome FILE] [-trace.jsonl FILE] [-trace.requests N]
 //	                 [-metrics.dir DIR] [-metrics.interval SECONDS]
 //	                 [-metrics.http ADDR] [-metrics.scrape-check] [-metrics.serve]
-//	                 [-alerts] [-alert.off] [-alert.interval S] [-alert.fast S]
-//	                 [-alert.slow S] [-alert.page-burn X] [-alert.warn-burn X]
-//	                 [-alert.z X] [-alert.skew X] [-alert.hysteresis S]
-//	                 [-alert.monitor]
+//	                 [-alerts] [-alert.off] [-alert.monitor]
 //	jadectl config get [-addr HOST:PORT]
 //	jadectl config set [-addr HOST:PORT] PATCH|@FILE|-
 //	jadectl trace-validate FILE
@@ -44,13 +42,14 @@
 //
 // -route.policy picks the backend-selection policy every tier uses
 // (round-robin, weighted-round-robin, least-pending, balanced,
-// rendezvous); -route.l4/-route.app/-route.db override it per tier, and
-// -route.probe-after/-route.half-life tune the shared selector pool.
+// rendezvous); -route.l4/-route.app/-route.db override it per tier.
 //
-// scenario flags are namespaced by concern (fault.*, route.*, net.*,
-// trace.*, metrics.*); the pre-namespace spellings (-mtbf, -trace,
-// -trace-jsonl, -trace-requests, -metrics-dir, -metrics-interval, -http,
-// -scrape-check, -serve) are rejected as unknown flags.
+// scenario flags are namespaced by concern (workload.*, fault.*, route.*,
+// net.*, trace.*, metrics.*, alert.*); the pre-namespace spellings (-mtbf,
+// -trace, -trace-jsonl, -trace-requests, -metrics-dir, -metrics-interval,
+// -http, -scrape-check, -serve) are rejected as unknown flags, as are the
+// flags of values that are constants now (-workload.tick, -route.probe-after,
+// -route.half-life, and -alert.* but -alert.off and -alert.monitor).
 //
 // -config loads a grouped run spec (JSON, the jade.Spec schema — see
 // examples/netfault.json); flags set explicitly on the command line
@@ -76,7 +75,8 @@
 // (/metrics, /metrics.json, /healthz, /components, /loops, /alerts,
 // /incidents, /fluid) while the scenario runs; -metrics.serve keeps it
 // up afterwards, and -metrics.scrape-check makes jadectl scrape and
-// validate its own endpoint after the run (the CI smoke check).
+// validate its own endpoint, /config included, after the run (the CI
+// smoke check).
 //
 // diff compares two such artifact directories — latency budgets, SLO
 // reports and final metrics snapshots — and emits a deterministic
@@ -86,10 +86,11 @@
 // regression, so it slots into CI.
 //
 // -alerts prints the run's alert and incident report (causal timelines
-// included) after the SLO table. -alert.* tunes the alerting plane
-// (burn-rate windows, anomaly z-score, pool-skew factor); -alert.off
-// disables rule evaluation, and -alert.monitor arms the φ-accrual
-// heartbeat detector as a pure signal source (requires -net.enable).
+// included) after the SLO table. The alerting plane's rules run with their
+// fixed tuning (burn-rate windows, anomaly z-score, pool-skew factor);
+// -alert.off disables rule evaluation, and -alert.monitor arms the
+// φ-accrual heartbeat detector as a pure signal source (requires
+// -net.enable).
 //
 // experiment regenerates the paper's evaluation: every figure and table
 // of §5, the flagship experiments and the ablation studies. NAME is one
@@ -175,16 +176,14 @@ func usage() {
   jadectl deploy   [-adl FILE] [-seed N] [-nodes N] [-show-config] [-export]
   jadectl scenario [-config FILE] [-seed N] [-clients N] [-duration SECONDS] [-pace X]
                    [-managed] [-sessions] [-recovery] [-fault.mtbf SECONDS]
+                   [-workload.mode MODE] [-workload.sample-rate X]
                    [-route.policy NAME] [-route.l4 NAME] [-route.app NAME]
-                   [-route.db NAME] [-route.probe-after S] [-route.half-life S]
+                   [-route.db NAME]
                    [-net.enable] [-net.latency MS] [-net.jitter MS] [-net.loss P]
                    [-trace.chrome FILE] [-trace.jsonl FILE] [-trace.requests N]
                    [-metrics.dir DIR] [-metrics.interval SECONDS]
                    [-metrics.http ADDR] [-metrics.scrape-check] [-metrics.serve]
-                   [-alerts] [-alert.off] [-alert.interval S] [-alert.fast S]
-                   [-alert.slow S] [-alert.page-burn X] [-alert.warn-burn X]
-                   [-alert.z X] [-alert.skew X] [-alert.hysteresis S]
-                   [-alert.monitor]
+                   [-alerts] [-alert.off] [-alert.monitor]
   jadectl config get [-addr HOST:PORT]
   jadectl config set [-addr HOST:PORT] PATCH|@FILE|-
   jadectl trace-validate FILE
@@ -345,15 +344,12 @@ func parseScenario(fs *flag.FlagSet, args []string) (*scenarioArgs, error) {
 	fs.BoolVar(&s.Workload.Sessions, "sessions", false, "use Markov sessions instead of i.i.d. interaction sampling")
 	fs.BoolVar(&s.Recovery, "recovery", false, "arm the self-recovery manager")
 	fs.StringVar(&s.Workload.Mode, "workload.mode", "", "workload engine: discrete|fluid|auto (empty = discrete)")
-	fs.Float64Var(&s.Workload.FluidTickSeconds, "workload.tick", 0, "fluid model tick in simulated seconds (0 = default 1)")
 	fs.Float64Var(&s.Workload.FluidSampleRate, "workload.sample-rate", 0, "fraction of clients kept as real discrete chains in fluid mode (0 = default 0.02)")
 	fs.Float64Var(&s.Faults.MTBFSeconds, "fault.mtbf", 0, "inject node crashes with this mean time between failures (seconds; 0 = none)")
 	fs.StringVar(&s.Routing.Policy, "route.policy", "", "routing policy for every tier: round-robin|weighted-round-robin|least-pending|balanced|rendezvous (empty = per-tier defaults)")
 	fs.StringVar(&s.Routing.L4, "route.l4", "", "routing policy for the L4 switch (overrides -route.policy)")
 	fs.StringVar(&s.Routing.App, "route.app", "", "routing policy for the PLB application tier (overrides -route.policy)")
 	fs.StringVar(&s.Routing.DB, "route.db", "", "read policy for the C-JDBC database tier (overrides -route.policy)")
-	fs.Float64Var(&s.Routing.ProbeAfterSeconds, "route.probe-after", 0, "seconds before a suspected-down backend is probed back in (0 = default)")
-	fs.Float64Var(&s.Routing.HalfLifeSeconds, "route.half-life", 0, "half-life of the balanced policy's failure/latency reservoirs (seconds; 0 = default)")
 	fs.BoolVar(&s.Faults.Network.Enabled, "net.enable", false, "route inter-tier calls and heartbeats over the simulated network")
 	fs.Float64Var(&s.Faults.Network.Default.LatencyMS, "net.latency", 0.3, "default link latency (milliseconds)")
 	fs.Float64Var(&s.Faults.Network.Default.JitterMS, "net.jitter", 0, "default link jitter (milliseconds)")
@@ -363,14 +359,6 @@ func parseScenario(fs *flag.FlagSet, args []string) (*scenarioArgs, error) {
 	fs.Float64Var(&s.Telemetry.MetricsIntervalSeconds, "metrics.interval", 60, "snapshot period in simulated seconds")
 	fs.StringVar(&s.Telemetry.HTTPAddr, "metrics.http", "", "serve the live admin endpoint on this address (e.g. :8080 or 127.0.0.1:0)")
 	fs.BoolVar(&s.Alerting.Off, "alert.off", false, "disable alerting-rule evaluation")
-	fs.Float64Var(&s.Alerting.EvalIntervalSeconds, "alert.interval", 0, "alert evaluation period in simulated seconds (0 = default 5)")
-	fs.Float64Var(&s.Alerting.FastWindowSeconds, "alert.fast", 0, "fast burn-rate window in simulated seconds (0 = default 60)")
-	fs.Float64Var(&s.Alerting.SlowWindowSeconds, "alert.slow", 0, "slow burn-rate window in simulated seconds (0 = default 600)")
-	fs.Float64Var(&s.Alerting.PageBurn, "alert.page-burn", 0, "error-budget burn rate that pages (0 = default 14.4)")
-	fs.Float64Var(&s.Alerting.WarnBurn, "alert.warn-burn", 0, "error-budget burn rate that warns (0 = default 3)")
-	fs.Float64Var(&s.Alerting.ZThreshold, "alert.z", 0, "anomaly z-score threshold (0 = default 4)")
-	fs.Float64Var(&s.Alerting.SkewFactor, "alert.skew", 0, "pool-skew multiplier vs the pool median (0 = default 3)")
-	fs.Float64Var(&s.Alerting.HysteresisSeconds, "alert.hysteresis", 0, "seconds an alert's condition must stay clear before it resolves (0 = default 30)")
 	fs.BoolVar(&s.Alerting.MonitorReplicas, "alert.monitor", false, "arm the φ-accrual heartbeat detector as a signal source without recovery (requires -net.enable)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -503,7 +491,9 @@ func describeProfile(ps jade.ProfileSpec) string {
 }
 
 // scrapeAdmin fetches the run's own admin endpoint and validates every
-// exposition format plus the SLO report — the CI smoke check. With a
+// exposition format, the /config document (parsed strictly, so a section
+// the grammar does not know fails) and the SLO report — the CI smoke
+// check. With a
 // metrics directory, the metrics history must validate line by line, its
 // times never decreasing, and end with /metrics.json, and /metrics and
 // /metrics.json must equal the run's final snapshot files, byte for byte
@@ -581,6 +571,13 @@ func scrapeAdmin(r *jade.ScenarioResult, metricsDir string) error {
 	}
 	if err := jade.ValidateFluidPage(fluid); err != nil {
 		return fmt.Errorf("/fluid: %w", err)
+	}
+	config, err := get("/config")
+	if err != nil {
+		return err
+	}
+	if _, err := jade.ParseConfigSnapshot(config); err != nil {
+		return fmt.Errorf("/config: %w", err)
 	}
 	evaluated := 0
 	for _, o := range r.SLOReport.Objectives {

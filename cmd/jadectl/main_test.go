@@ -22,10 +22,14 @@ func parse(args ...string) (*scenarioArgs, error) {
 	return parseScenario(fs, args)
 }
 
-// The pre-namespace spellings are gone: each now fails like any other
-// unknown flag, while the namespaced flag reaches the spec.
+// The pre-namespace spellings and the flags of values that are constants
+// now are gone: each fails like any other unknown flag, while the
+// namespaced flag reaches the spec.
 func TestOldSpellingsRejected(t *testing.T) {
-	for _, old := range []string{"mtbf", "trace", "trace-jsonl", "trace-requests", "metrics-dir", "metrics-interval", "http", "scrape-check", "serve"} {
+	for _, old := range []string{"mtbf", "trace", "trace-jsonl", "trace-requests", "metrics-dir", "metrics-interval", "http", "scrape-check", "serve",
+		// the flags of values that are constants now
+		"workload.tick", "route.probe-after", "route.half-life", "alert.interval", "alert.fast", "alert.slow",
+		"alert.page-burn", "alert.warn-burn", "alert.z", "alert.skew", "alert.hysteresis"} {
 		_, err := parse("-"+old, "1")
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("-%s: err = %v, want flag provided but not defined", old, err)

@@ -17,18 +17,10 @@ type RoutingConfig struct {
 	L4  string `json:"l4"`
 	App string `json:"app"`
 	DB  string `json:"db"`
-	// ProbeAfterSeconds overrides how long a suspected-down backend
-	// stays unpicked before a probe request tests it (selector default
-	// when zero).
-	ProbeAfterSeconds float64 `json:"probe_after_seconds"`
-	// HalfLifeSeconds overrides the decay half-life of the balanced
-	// scorer's failure/latency reservoirs (selector default when zero).
-	HalfLifeSeconds float64 `json:"half_life_seconds"`
 }
 
-// Check is the routing rule: every named policy parses and no tuning
-// value is negative. It calls bad with each violating field's JSON name
-// and the violation.
+// Check is the routing rule: every named policy parses. It calls bad
+// with each violating field's JSON name and the violation.
 func (r RoutingConfig) Check(bad func(field, msg string)) {
 	for _, tier := range [...]struct{ field, policy string }{
 		{"l4", r.L4}, {"app", r.App}, {"db", r.DB},
@@ -38,14 +30,6 @@ func (r RoutingConfig) Check(bad func(field, msg string)) {
 		}
 		if _, err := selector.ParsePolicy(tier.policy); err != nil {
 			bad(tier.field, fmt.Sprintf("unknown policy %q (want one of %v)", tier.policy, selector.PolicyNames()))
-		}
-	}
-	for _, f := range [...]struct {
-		field string
-		v     float64
-	}{{"probe_after_seconds", r.ProbeAfterSeconds}, {"half_life_seconds", r.HalfLifeSeconds}} {
-		if f.v < 0 {
-			bad(f.field, fmt.Sprintf("must be >= 0, got %g", f.v))
 		}
 	}
 }
@@ -62,8 +46,8 @@ func (r RoutingConfig) Validate() error {
 }
 
 // tierOptions builds the selector options for one tier: the named policy
-// (or the tier's default when empty) plus any pool-tuning overrides.
-func (r RoutingConfig) tierOptions(policy string, def selector.Policy) (selector.Options, error) {
+// (or the tier's default when empty) with the selector's own tuning.
+func tierOptions(policy string, def selector.Policy) (selector.Options, error) {
 	p := def
 	if policy != "" {
 		var err error
@@ -71,14 +55,7 @@ func (r RoutingConfig) tierOptions(policy string, def selector.Policy) (selector
 			return selector.Options{}, fmt.Errorf("%w: routing policy %q", ErrBadAttribute, policy)
 		}
 	}
-	o := selector.DefaultOptions(p)
-	if r.ProbeAfterSeconds > 0 {
-		o.ProbeAfterSeconds = r.ProbeAfterSeconds
-	}
-	if r.HalfLifeSeconds > 0 {
-		o.HalfLifeSeconds = r.HalfLifeSeconds
-	}
-	return o, nil
+	return selector.DefaultOptions(p), nil
 }
 
 // routed is a wrapper whose server balances over a selector pool.
@@ -106,7 +83,6 @@ func (p *Platform) SetRouting(d *Deployment, rc RoutingConfig) error {
 			return err
 		}
 		w.pool().SetPolicy(o.Policy)
-		w.pool().Retune(o.HalfLifeSeconds, o.ProbeAfterSeconds)
 	}
 	return nil
 }

@@ -571,7 +571,7 @@ func (w *CJDBCWrapper) routing() (selector.Options, error) {
 	if policy == "" {
 		policy = w.p.opts.Routing.DB
 	}
-	return w.p.opts.Routing.tierOptions(policy, cjdbc.DefaultOptions().Routing.Policy)
+	return tierOptions(policy, cjdbc.DefaultOptions().Routing.Policy)
 }
 
 func (w *CJDBCWrapper) pool() *selector.Pool {
@@ -758,8 +758,7 @@ func (w *BalancerWrapper) StartManaged(done func(error)) {
 
 // routing returns the options the balancer's pool starts with.
 func (w *BalancerWrapper) routing() (selector.Options, error) {
-	r := w.p.opts.Routing
-	return r.tierOptions(w.k.configured(r), w.k.options().Routing.Policy)
+	return tierOptions(w.k.configured(w.p.opts.Routing), w.k.options().Routing.Policy)
 }
 
 func (w *BalancerWrapper) pool() *selector.Pool {

@@ -231,27 +231,6 @@ func (f *Fabric) Instrument(tr *trace.Tracer, reg *obs.Registry) {
 // Enabled reports whether the fabric intercepts traffic (false for nil).
 func (f *Fabric) Enabled() bool { return f != nil && f.cfg.Enabled }
 
-// SetRPCBudgets replaces the per-tier RPC budgets live; RPCs issued
-// after the call resolve their timeout/retry/backoff from the new map
-// (missing tiers keep the budget defaults, as at construction).
-// Simulation goroutine only — the runtime-configuration plane's RPC
-// view drives it at an exact virtual tick.
-func (f *Fabric) SetRPCBudgets(rpc map[string]RPCBudget) {
-	if f == nil {
-		return
-	}
-	f.cfg.RPC = rpc
-}
-
-// RPCBudgets returns the per-tier budget overrides currently in force
-// (nil when every tier uses the defaults).
-func (f *Fabric) RPCBudgets() map[string]RPCBudget {
-	if f == nil {
-		return nil
-	}
-	return f.cfg.RPC
-}
-
 // Stats returns a copy of the cumulative counters (zero for nil).
 func (f *Fabric) Stats() Stats {
 	if f == nil {

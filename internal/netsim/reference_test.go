@@ -98,15 +98,13 @@ func (f *Fabric) referenceCall(from, to, tier string, attempt func(reply func(er
 // callTranscript is everything observable about a batch of RPCs: each
 // dispatched event, each done(err), and the fabric's counters; and how
 // often the script answered twice on one arrival, or after its call had
-// settled, how many calls had an arrival it never answered, and how many
-// calls were outstanding when the budgets changed.
+// settled, and how many calls had an arrival it never answered.
 type callTranscript struct {
-	Events       []string
-	Dones        []string
-	Stats        Stats
-	Twice, Late  int
-	Silent       int
-	OpenAtRetune int
+	Events      []string
+	Dones       []string
+	Stats       Stats
+	Twice, Late int
+	Silent      int
 }
 
 // callNet is a lossy network the scripted calls run over, each with a
@@ -115,10 +113,6 @@ type callNet struct {
 	name string
 	link Link            // the default link
 	over map[string]Link // per-link overrides
-	// retune, when set, replaces the budgets at 7 s, while calls issued
-	// under the old ones are outstanding: two timeouts, so two timer
-	// lanes, are live at once.
-	retune map[string]RPCBudget
 }
 
 var callNets = []callNet{
@@ -127,8 +121,6 @@ var callNets = []callNet{
 		"a->b": {LatencyMS: 2, Loss: 0.3},
 		"b->a": {LatencyMS: 1, JitterMS: 4, Loss: 0.3},
 	}},
-	{name: "budgets retuned mid-run", link: Link{LatencyMS: 1, Loss: 0.3},
-		retune: map[string]RPCBudget{"app": {TimeoutSeconds: 1.5, Attempts: 3, BackoffSeconds: 0.5}}},
 }
 
 // A scripted call goes through one of four paths. The reference chain and
@@ -228,20 +220,12 @@ func scriptedCalls(seed int64, net callNet, call scriptedCall, once bool) callTr
 		RPC:     map[string]RPCBudget{"app": {TimeoutSeconds: 1, Attempts: 3, BackoffSeconds: 0.5}},
 	}, seed)
 	var tr callTranscript
-	issued := 0
-	if net.retune != nil {
-		eng.At(7, "retune", func() {
-			tr.OpenAtRetune = issued - len(tr.Dones)
-			f.SetRPCBudgets(net.retune)
-		})
-	}
 	eng.SetEventHook(func(t float64, label string) {
 		tr.Events = append(tr.Events, fmt.Sprintf("%.9f %s", t, label))
 	})
 	for i := 0; i < 40; i++ {
 		i := i
 		eng.At(float64(i)*0.37, "issue", func() {
-			issued++
 			arrivals := 0
 			settled, silent := false, false
 			answer := func(reply Reply, err error) {
@@ -335,7 +319,7 @@ func requireSameSequence(t *testing.T, seed int64, what string, got, want []stri
 func TestCallMatchesReferenceClosures(t *testing.T) {
 	for _, net := range callNets {
 		var retransmits, abandoned uint64
-		var twice, late, open, silent, reused int
+		var twice, late, silent, reused int
 		for seed := int64(1); seed <= 20; seed++ {
 			want := scriptedCalls(seed, net, viaReference, false)
 			for _, via := range []struct {
@@ -352,7 +336,6 @@ func TestCallMatchesReferenceClosures(t *testing.T) {
 			abandoned += want.Stats.Abandoned
 			twice += want.Twice
 			late += want.Late
-			open += want.OpenAtRetune
 
 			want = scriptedCalls(seed, net, viaReference, true)
 			rec := newRecycler()
@@ -374,19 +357,19 @@ func TestCallMatchesReferenceClosures(t *testing.T) {
 			silent += want.Silent
 			reused += rec.reused
 		}
-		if retransmits == 0 || abandoned == 0 || twice == 0 || late == 0 || (net.retune != nil && open == 0) || silent == 0 || reused == 0 {
-			t.Fatalf("%s: script exercised %d retransmits, %d abandons, %d double and %d late answers, %d calls open at the retune, %d with an unanswered arrival, %d reused records; it must cover each",
-				net.name, retransmits, abandoned, twice, late, open, silent, reused)
+		if retransmits == 0 || abandoned == 0 || twice == 0 || late == 0 || silent == 0 || reused == 0 {
+			t.Fatalf("%s: script exercised %d retransmits, %d abandons, %d double and %d late answers, %d with an unanswered arrival, %d reused records; it must cover each",
+				net.name, retransmits, abandoned, twice, late, silent, reused)
 		}
 	}
 }
 
 func requireSameTranscript(t *testing.T, seed int64, name string, got, want callTranscript) {
 	t.Helper()
-	if got.Stats != want.Stats || got.Twice != want.Twice || got.Late != want.Late || got.Silent != want.Silent || got.OpenAtRetune != want.OpenAtRetune {
-		t.Errorf("%s, seed %d: stats %+v, %d twice, %d late, %d silent, %d open at retune; reference %+v, %d, %d, %d, %d",
-			name, seed, got.Stats, got.Twice, got.Late, got.Silent, got.OpenAtRetune,
-			want.Stats, want.Twice, want.Late, want.Silent, want.OpenAtRetune)
+	if got.Stats != want.Stats || got.Twice != want.Twice || got.Late != want.Late || got.Silent != want.Silent {
+		t.Errorf("%s, seed %d: stats %+v, %d twice, %d late, %d silent; reference %+v, %d, %d, %d",
+			name, seed, got.Stats, got.Twice, got.Late, got.Silent,
+			want.Stats, want.Twice, want.Late, want.Silent)
 	}
 	requireSameSequence(t, seed, name+" done", got.Dones, want.Dones)
 	requireSameSequence(t, seed, name+" event", got.Events, want.Events)

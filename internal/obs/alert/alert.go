@@ -37,43 +37,37 @@ func sevRank(s Severity) int {
 	return 1
 }
 
-// Config tunes the alerting plane. The zero value means "enabled with
-// defaults"; set Disabled to turn evaluation off (the ticker still runs
-// so the event schedule never depends on the alerting switch).
-type Config struct {
-	// Disabled turns rule evaluation off.
-	Disabled bool `json:"-"`
-	// EvalIntervalSeconds is the rule evaluation period (5 by default).
-	EvalIntervalSeconds float64 `json:"-"`
-	// FastWindowSeconds / SlowWindowSeconds are the burn-rate windows
-	// (60 and 600 virtual seconds by default): a page needs the error
-	// budget burning in both, so a single flapping window cannot strobe
-	// the pager.
-	FastWindowSeconds float64 `json:"fast_window_seconds"`
-	SlowWindowSeconds float64 `json:"slow_window_seconds"`
-	// BudgetFraction is the error budget as a fraction of evaluation
-	// windows allowed to miss their objective (0.01 by default: 99%
-	// compliance target).
-	BudgetFraction float64 `json:"budget_fraction"`
-	// PageBurn / WarnBurn are the burn-rate thresholds (14.4 and 3 by
-	// default, the classic multi-window multi-burn-rate pairing).
-	PageBurn float64 `json:"page_burn"`
-	WarnBurn float64 `json:"warn_burn"`
-	// ZThreshold is the EWMA z-score at which an anomaly rule trips
-	// (4 by default).
-	ZThreshold float64 `json:"z_threshold"`
-	// SkewFactor is the pool-skew multiplier: a backend whose decayed
-	// mean latency (or in-flight depth, or failure reservoir) sits at
-	// SkewFactor times the pool median is flagged (3 by default).
-	SkewFactor float64 `json:"skew_factor"`
-	// HysteresisSeconds is how long a firing alert's condition must stay
-	// clear before the alert resolves (30 by default).
-	HysteresisSeconds float64 `json:"hysteresis_seconds"`
-	// LookbackSeconds is how much pre-incident context (suspicions,
-	// decisions, evictions) is copied into a new incident's timeline
-	// (60 by default).
-	LookbackSeconds float64 `json:"-"`
-}
+// The plane's tuning, in virtual seconds where it is a time. Each is a
+// typed float64, so an expression over them rounds as it would over
+// variables.
+const (
+	// EvalInterval is the rule evaluation period (the run's ticker).
+	EvalInterval float64 = 5
+	// fastWindow / slowWindow are the burn-rate windows: a page needs the
+	// error budget burning in both, so a single flapping window cannot
+	// strobe the pager.
+	fastWindow float64 = 60
+	slowWindow float64 = 600
+	// errorBudget is the fraction of evaluation windows allowed to miss
+	// their objective (a 99% compliance target).
+	errorBudget float64 = 0.01
+	// pageBurnRate / warnBurnRate are the burn-rate thresholds, the
+	// classic multi-window multi-burn-rate pairing.
+	pageBurnRate float64 = 14.4
+	warnBurnRate float64 = 3
+	// zTrip is the EWMA z-score at which an anomaly rule trips.
+	zTrip float64 = 4
+	// skewRatio is the pool-skew multiplier: a backend whose decayed mean
+	// latency (or in-flight depth, or failure reservoir) sits at
+	// skewRatio times the pool median is flagged.
+	skewRatio float64 = 3
+	// clearSeconds is how long a firing alert's condition must stay clear
+	// before the alert resolves.
+	clearSeconds float64 = 30
+	// lookbackSeconds is how much pre-incident context (suspicions,
+	// decisions, evictions) is copied into a new incident's timeline.
+	lookbackSeconds float64 = 60
+)
 
 // The rules' fixed constants.
 const (
@@ -88,7 +82,7 @@ const (
 	spikeFactor = 4
 	// pagePersistSeconds is how long a skew finding must hold
 	// continuously before it escalates from warn to page even when the
-	// instantaneous ratio stays below 2x SkewFactor. A gray replica that
+	// instantaneous ratio stays below 2x skewRatio. A gray replica that
 	// is merely a few times slower than its pool — but stays that way —
 	// still pages.
 	pagePersistSeconds = 20
@@ -96,41 +90,6 @@ const (
 	// incident stays open to fold late-arriving alerts.
 	correlationGapSeconds = 120
 )
-
-// WithDefaults fills zero fields with the documented defaults.
-func (c Config) WithDefaults() Config {
-	if c.EvalIntervalSeconds == 0 {
-		c.EvalIntervalSeconds = 5
-	}
-	if c.FastWindowSeconds == 0 {
-		c.FastWindowSeconds = 60
-	}
-	if c.SlowWindowSeconds == 0 {
-		c.SlowWindowSeconds = 600
-	}
-	if c.BudgetFraction == 0 {
-		c.BudgetFraction = 0.01
-	}
-	if c.PageBurn == 0 {
-		c.PageBurn = 14.4
-	}
-	if c.WarnBurn == 0 {
-		c.WarnBurn = 3
-	}
-	if c.ZThreshold == 0 {
-		c.ZThreshold = 4
-	}
-	if c.SkewFactor == 0 {
-		c.SkewFactor = 3
-	}
-	if c.HysteresisSeconds == 0 {
-		c.HysteresisSeconds = 30
-	}
-	if c.LookbackSeconds == 0 {
-		c.LookbackSeconds = 60
-	}
-	return c
-}
 
 // Finding is one rule's verdict at one evaluation tick: the component it
 // blames, how badly, and whether the finding is a service-level symptom
@@ -202,7 +161,7 @@ const maxContext = 512
 // simulation goroutine is the only caller of every method; concurrent
 // readers see only pages previously rendered and published.
 type Engine struct {
-	cfg Config
+	off bool
 	tr  *trace.Tracer
 
 	rules       []Rule
@@ -224,46 +183,19 @@ type Engine struct {
 	openIncG     *obs.Gauge
 }
 
-// NewEngine builds an alerting engine. tr may be nil (no trace links).
-func NewEngine(cfg Config, tr *trace.Tracer) *Engine {
+// NewEngine builds an alerting engine; off turns rule evaluation off.
+// tr may be nil (no trace links).
+func NewEngine(off bool, tr *trace.Tracer) *Engine {
 	return &Engine{
-		cfg:         cfg.WithDefaults(),
+		off:         off,
 		tr:          tr,
 		activeByKey: make(map[string]*Alert),
 		firstPage:   -1,
 	}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// Retunable is implemented by rules that can adopt a new configuration
-// mid-run (the live-refresh plane retunes burn windows, z-thresholds and
-// skew factors without rebuilding rule state).
-type Retunable interface {
-	Retune(cfg Config)
-}
-
-// Retune adopts cfg (defaulted) for the engine's own hysteresis and
-// correlation windows and forwards it to every retunable rule.
-// Simulation goroutine only. The evaluation ticker period is fixed at
-// construction, so EvalIntervalSeconds changes are ignored by design.
-func (e *Engine) Retune(cfg Config) {
-	if e == nil {
-		return
-	}
-	cfg.EvalIntervalSeconds = e.cfg.EvalIntervalSeconds
-	cfg.Disabled = e.cfg.Disabled
-	e.cfg = cfg.WithDefaults()
-	for _, r := range e.rules {
-		if rt, ok := r.(Retunable); ok {
-			rt.Retune(e.cfg)
-		}
-	}
-}
-
 // Enabled reports whether rule evaluation is on.
-func (e *Engine) Enabled() bool { return e != nil && !e.cfg.Disabled }
+func (e *Engine) Enabled() bool { return e != nil && !e.off }
 
 // Instrument registers the plane's own metrics on reg (optional).
 func (e *Engine) Instrument(reg *obs.Registry) {
@@ -285,7 +217,7 @@ func (e *Engine) AddRule(r Rule) {
 // Tick evaluates every rule and reconciles the findings against the
 // active alert set. Call it from a fixed-interval sim ticker.
 func (e *Engine) Tick(now float64) {
-	if e == nil || e.cfg.Disabled {
+	if !e.Enabled() {
 		return
 	}
 	seen := make(map[string]Finding)
@@ -321,7 +253,7 @@ func (e *Engine) Tick(now float64) {
 	}
 	remaining := e.active[:0]
 	for _, a := range e.active {
-		if a.lastSeen < now && now-a.lastSeen >= e.cfg.HysteresisSeconds {
+		if a.lastSeen < now && now-a.lastSeen >= clearSeconds {
 			e.resolve(now, a)
 			continue
 		}
@@ -468,7 +400,7 @@ func (e *Engine) setGauges() {
 // it lands in the open incident's timeline, and in the lookback ring so
 // a future incident can reconstruct what preceded it.
 func (e *Engine) Observe(now float64, kind, source, component, detail string, id trace.ID) {
-	if e == nil || e.cfg.Disabled {
+	if !e.Enabled() {
 		return
 	}
 	entry := TimelineEntry{T: now, Kind: kind, Source: source, Component: component, Detail: detail, TraceID: id}

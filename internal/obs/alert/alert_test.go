@@ -23,8 +23,7 @@ func (r *scriptedRule) Name() string                   { return r.name }
 func (r *scriptedRule) Evaluate(now float64) []Finding { return r.script[now] }
 
 func TestBurnRulePagesOnBothWindows(t *testing.T) {
-	cfg := Config{FastWindowSeconds: 60, SlowWindowSeconds: 600, BudgetFraction: 0.01}
-	r := NewBurnRule(cfg, "client-latency-p95", "client")
+	r := NewBurnRule("client-latency-p95", "client")
 	// Healthy history fills the slow window.
 	for ts := 10.0; ts <= 600; ts += 10 {
 		r.Observe(ts, 0.5, true)
@@ -33,7 +32,7 @@ func TestBurnRulePagesOnBothWindows(t *testing.T) {
 		t.Fatalf("healthy stream produced findings: %+v", fs)
 	}
 	// Every interval bad from 610 on: the fast window saturates quickly
-	// (burn 100x), the slow window climbs past PageBurn once ~15% of its
+	// (burn 100x), the slow window climbs past pageBurnRate once ~15% of its
 	// samples are bad.
 	var got []Finding
 	var at float64
@@ -55,8 +54,7 @@ func TestBurnRulePagesOnBothWindows(t *testing.T) {
 }
 
 func TestBurnRuleSingleBadIntervalDoesNotPage(t *testing.T) {
-	cfg := Config{FastWindowSeconds: 60, SlowWindowSeconds: 600, BudgetFraction: 0.01}
-	r := NewBurnRule(cfg, "client-abandon-rate", "client")
+	r := NewBurnRule("client-abandon-rate", "client")
 	for ts := 10.0; ts <= 600; ts += 10 {
 		r.Observe(ts, 0, true)
 	}
@@ -68,13 +66,12 @@ func TestBurnRuleSingleBadIntervalDoesNotPage(t *testing.T) {
 }
 
 func TestEngineHysteresisAndResolve(t *testing.T) {
-	cfg := Config{EvalIntervalSeconds: 5, HysteresisSeconds: 30}
 	f := Finding{Component: "tomcat2", Tier: "app", Severity: SevWarn, Value: 3, Threshold: 2, Detail: "slow"}
 	script := map[float64][]Finding{}
 	for ts := 10.0; ts <= 40; ts += 5 {
 		script[ts] = []Finding{f}
 	}
-	e := NewEngine(cfg, nil)
+	e := NewEngine(false, nil)
 	e.AddRule(&scriptedRule{name: "skew:test", script: script})
 	tickTo(e, 5, 40)
 	if e.ActiveCount() != 1 {
@@ -108,7 +105,6 @@ func TestEngineHysteresisAndResolve(t *testing.T) {
 }
 
 func TestZScoreRuleFiresAndFreezesBaseline(t *testing.T) {
-	cfg := Config{EvalIntervalSeconds: 5, ZThreshold: 4}
 	series := map[float64]float64{}
 	for ts := 5.0; ts <= 60; ts += 5 { // the 12 warmup samples, around 1.0
 		series[ts] = 1.0 + 0.01*float64(int(ts)%3)
@@ -116,7 +112,7 @@ func TestZScoreRuleFiresAndFreezesBaseline(t *testing.T) {
 	for ts := 65.0; ts <= 120; ts += 5 { // sustained step to 5.0
 		series[ts] = 5.0
 	}
-	r := NewZScoreRule(cfg, "anomaly:test", "client", "client", true, 0.1,
+	r := NewZScoreRule("anomaly:test", "client", "client", true, 0.1,
 		func(now float64) (float64, bool) { v, ok := series[now]; return v, ok })
 	var first float64 = -1
 	for ts := 5.0; ts <= 120; ts += 5 {
@@ -138,14 +134,13 @@ func TestZScoreRuleFiresAndFreezesBaseline(t *testing.T) {
 }
 
 func TestSkewRuleNamesSlowBackendAndEscalates(t *testing.T) {
-	cfg := Config{EvalIntervalSeconds: 5, SkewFactor: 3}
 	stats := []BackendStat{
 		{Name: "tomcat1", MeanLatency: 0.06, LatencySamples: 10},
 		{Name: "tomcat2", MeanLatency: 0.20, LatencySamples: 10}, // ~3.3x median
 		{Name: "tomcat3", MeanLatency: 0.06, LatencySamples: 10},
 	}
-	r := NewSkewRule(cfg, "skew:app-pool", "app", 0.05, func() []BackendStat { return stats })
-	e := NewEngine(cfg, nil)
+	r := NewSkewRule("skew:app-pool", "app", 0.05, func() []BackendStat { return stats })
+	e := NewEngine(false, nil)
 	e.AddRule(r)
 	e.Tick(5)
 	if e.ActiveCount() != 0 {
@@ -156,7 +151,7 @@ func TestSkewRuleNamesSlowBackendAndEscalates(t *testing.T) {
 	if len(alerts) != 1 || alerts[0].Component != "tomcat2" || alerts[0].Severity != SevWarn {
 		t.Fatalf("alerts after 2 ticks = %+v", alerts)
 	}
-	// Moderate (<2x SkewFactor) but persistent: escalates to page once
+	// Moderate (<2x skewRatio) but persistent: escalates to page once
 	// the skew has held pagePersistSeconds.
 	tickTo(e, 15, 30)
 	if alerts[0].Severity != SevPage {
@@ -168,12 +163,11 @@ func TestSkewRuleNamesSlowBackendAndEscalates(t *testing.T) {
 }
 
 func TestSkewRuleExtremeRatioPagesImmediately(t *testing.T) {
-	cfg := Config{EvalIntervalSeconds: 5, SkewFactor: 3}
 	stats := []BackendStat{
 		{Name: "mysql1", MeanLatency: 0.05, LatencySamples: 10},
 		{Name: "mysql2", MeanLatency: 0.80, LatencySamples: 10}, // 16x median
 	}
-	r := NewSkewRule(cfg, "skew:db-pool", "db", 0.05, func() []BackendStat { return stats })
+	r := NewSkewRule("skew:db-pool", "db", 0.05, func() []BackendStat { return stats })
 	fs := r.Evaluate(5)
 	if len(fs) != 0 {
 		t.Fatal("fired on first tick")
@@ -185,13 +179,12 @@ func TestSkewRuleExtremeRatioPagesImmediately(t *testing.T) {
 }
 
 func TestSkewRuleFailureReservoir(t *testing.T) {
-	cfg := Config{EvalIntervalSeconds: 5, SkewFactor: 3}
 	stats := []BackendStat{
 		{Name: "tomcat1", MeanLatency: 0.06, LatencySamples: 10, Failures: 0},
 		{Name: "tomcat2", MeanLatency: 0.06, LatencySamples: 10, Failures: 12},
 		{Name: "tomcat3", MeanLatency: 0.06, LatencySamples: 10, Failures: 0},
 	}
-	r := NewSkewRule(cfg, "skew:app-pool", "app", 0.05, func() []BackendStat { return stats })
+	r := NewSkewRule("skew:app-pool", "app", 0.05, func() []BackendStat { return stats })
 	r.Evaluate(5)
 	fs := r.Evaluate(10)
 	if len(fs) != 1 || fs[0].Component != "tomcat2" || fs[0].Severity != SevPage {
@@ -200,7 +193,6 @@ func TestSkewRuleFailureReservoir(t *testing.T) {
 }
 
 func TestIncidentFoldsOverlappingAlertsAndPrefersReplicaSuspect(t *testing.T) {
-	cfg := Config{EvalIntervalSeconds: 5, HysteresisSeconds: 10}
 	burnF := Finding{Component: "client", Tier: "client", Severity: SevPage, Value: 20, Threshold: 14.4, ServiceLevel: true}
 	skewF := Finding{Component: "tomcat2", Tier: "app", Severity: SevWarn, Value: 3.4, Threshold: 3}
 	burnScript, skewScript := map[float64][]Finding{}, map[float64][]Finding{}
@@ -210,7 +202,7 @@ func TestIncidentFoldsOverlappingAlertsAndPrefersReplicaSuspect(t *testing.T) {
 	for ts := 20.0; ts <= 40; ts += 5 { // overlaps the burn alert
 		skewScript[ts] = []Finding{skewF}
 	}
-	e := NewEngine(cfg, nil)
+	e := NewEngine(false, nil)
 	e.AddRule(&scriptedRule{name: "burn:client-latency-p95", script: burnScript})
 	e.AddRule(&scriptedRule{name: "skew:app-pool", script: skewScript})
 	e.Observe(5, "detector.suspect", "detector", "tomcat9", "phi crossed", 0)
@@ -233,7 +225,7 @@ func TestIncidentFoldsOverlappingAlertsAndPrefersReplicaSuspect(t *testing.T) {
 	if inc.Severity != SevPage {
 		t.Fatalf("incident severity = %q, want page", inc.Severity)
 	}
-	// Pre-incident context within LookbackSeconds is spliced in.
+	// Pre-incident context within lookbackSeconds is spliced in.
 	foundContext := false
 	for _, entry := range inc.Timeline {
 		if entry.Kind == "detector.suspect" && entry.Component == "tomcat9" {
@@ -246,10 +238,9 @@ func TestIncidentFoldsOverlappingAlertsAndPrefersReplicaSuspect(t *testing.T) {
 }
 
 func TestSeparatedAlertsOpenSeparateIncidents(t *testing.T) {
-	cfg := Config{EvalIntervalSeconds: 5, HysteresisSeconds: 10}
 	f := Finding{Component: "tomcat2", Tier: "app", Severity: SevWarn, Value: 4, Threshold: 3}
 	script := map[float64][]Finding{10: {f}, 15: {f}, 200: {f}, 205: {f}}
-	e := NewEngine(cfg, nil)
+	e := NewEngine(false, nil)
 	e.AddRule(&scriptedRule{name: "skew:app-pool", script: script})
 	tickTo(e, 5, 300)
 	if n := len(e.Incidents()); n != 2 {
@@ -259,7 +250,6 @@ func TestSeparatedAlertsOpenSeparateIncidents(t *testing.T) {
 
 func TestExportsValidateAndAreDeterministic(t *testing.T) {
 	build := func() *Engine {
-		cfg := Config{EvalIntervalSeconds: 5, HysteresisSeconds: 10}
 		pageF := Finding{Component: "client", Tier: "client", Severity: SevPage, Value: 20, Threshold: 14.4, ServiceLevel: true}
 		warnF := Finding{Component: "tomcat2", Tier: "app", Severity: SevWarn, Value: 3.4, Threshold: 3}
 		burnScript, skewScript := map[float64][]Finding{}, map[float64][]Finding{}
@@ -267,7 +257,7 @@ func TestExportsValidateAndAreDeterministic(t *testing.T) {
 			burnScript[ts] = []Finding{pageF}
 			skewScript[ts+10] = []Finding{warnF}
 		}
-		e := NewEngine(cfg, nil)
+		e := NewEngine(false, nil)
 		e.AddRule(&scriptedRule{name: "burn:client-latency-p95", script: burnScript})
 		e.AddRule(&scriptedRule{name: "skew:app-pool", script: skewScript})
 		e.Observe(2, "loop.reconfig", "control-loop", "", "db grow", 0)
@@ -303,7 +293,7 @@ func TestExportsValidateAndAreDeterministic(t *testing.T) {
 }
 
 func TestDisabledEngineIsInert(t *testing.T) {
-	e := NewEngine(Config{Disabled: true}, nil)
+	e := NewEngine(true, nil)
 	e.AddRule(&scriptedRule{name: "skew:x", script: map[float64][]Finding{
 		5: {{Component: "c", Severity: SevPage, Value: 1}},
 	}})

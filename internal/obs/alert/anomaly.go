@@ -21,7 +21,7 @@ const (
 
 // AnomalyRule is a streaming detector over a probe: it keeps an
 // exponentially-weighted mean and variance of the series and flags
-// samples that sit ZThreshold standard deviations above the baseline
+// samples that sit zTrip standard deviations above the baseline
 // (z-score mode) or spikeFactor times above it (rate-of-change mode).
 // While a sample is anomalous the baseline is frozen, so a sustained
 // degradation cannot absorb itself into normality; two consecutive
@@ -32,7 +32,6 @@ type AnomalyRule struct {
 	tier         string
 	serviceLevel bool
 	probe        Probe
-	cfg          Config
 	mode         anomalyMode
 	floor        float64 // minimum absolute deviation worth flagging
 
@@ -45,27 +44,22 @@ type AnomalyRule struct {
 // NewZScoreRule builds an EWMA z-score detector over probe. floor is the
 // minimum absolute deviation from the baseline that can fire (guards
 // against microscopic variance making tiny wobbles look extreme).
-func NewZScoreRule(cfg Config, name, component, tier string, serviceLevel bool, floor float64, probe Probe) *AnomalyRule {
+func NewZScoreRule(name, component, tier string, serviceLevel bool, floor float64, probe Probe) *AnomalyRule {
 	return &AnomalyRule{name: name, component: component, tier: tier,
-		serviceLevel: serviceLevel, probe: probe, cfg: cfg.WithDefaults(),
+		serviceLevel: serviceLevel, probe: probe,
 		mode: modeZScore, floor: floor}
 }
 
 // NewRateRule builds a rate-of-change detector over probe: it fires when
 // the sample exceeds spikeFactor times the EWMA baseline (and the floor).
-func NewRateRule(cfg Config, name, component, tier string, serviceLevel bool, floor float64, probe Probe) *AnomalyRule {
+func NewRateRule(name, component, tier string, serviceLevel bool, floor float64, probe Probe) *AnomalyRule {
 	return &AnomalyRule{name: name, component: component, tier: tier,
-		serviceLevel: serviceLevel, probe: probe, cfg: cfg.WithDefaults(),
+		serviceLevel: serviceLevel, probe: probe,
 		mode: modeRate, floor: floor}
 }
 
 // Name implements Rule.
 func (r *AnomalyRule) Name() string { return r.name }
-
-// Retune implements Retunable: the EWMA baseline survives, only the
-// trip thresholds change. The ticker-derived decay alpha keeps the
-// construction-time EvalIntervalSeconds (the ticker itself is fixed).
-func (r *AnomalyRule) Retune(cfg Config) { r.cfg = cfg.WithDefaults() }
 
 // Evaluate implements Rule.
 func (r *AnomalyRule) Evaluate(now float64) []Finding {
@@ -82,7 +76,7 @@ func (r *AnomalyRule) Evaluate(now float64) []Finding {
 		ratio = x / math.Max(r.mean, math.Max(r.floor, 1e-9))
 		switch r.mode {
 		case modeZScore:
-			anomalous = dev > r.floor && z >= r.cfg.ZThreshold
+			anomalous = dev > r.floor && z >= zTrip
 		case modeRate:
 			anomalous = dev > r.floor && ratio >= spikeFactor
 		}
@@ -101,8 +95,8 @@ func (r *AnomalyRule) Evaluate(now float64) []Finding {
 	var detail string
 	switch r.mode {
 	case modeZScore:
-		threshold = r.cfg.ZThreshold
-		if z >= 2*r.cfg.ZThreshold {
+		threshold = zTrip
+		if z >= 2*zTrip {
 			sev = SevPage
 		}
 		detail = fmt.Sprintf("z=%.1f vs baseline %.4g (value %.4g)", z, r.mean, x)
@@ -126,7 +120,7 @@ func (r *AnomalyRule) Evaluate(now float64) []Finding {
 
 // update folds a non-anomalous sample into the EWMA baseline.
 func (r *AnomalyRule) update(x float64) {
-	alpha := 1 - math.Exp2(-r.cfg.EvalIntervalSeconds/ewmaHalfLifeSeconds)
+	alpha := 1 - math.Exp2(-EvalInterval/ewmaHalfLifeSeconds)
 	if r.n == 0 {
 		r.mean = x
 	} else {
@@ -148,7 +142,7 @@ type BackendStat struct {
 }
 
 // SkewRule compares every pool backend against the median of its peers:
-// a backend whose decayed mean latency sits SkewFactor times above that
+// a backend whose decayed mean latency sits skewRatio times above that
 // median (and above an absolute floor), whose in-flight depth piles up
 // the same way, or whose decayed failure reservoir runs hot is named
 // directly — this is what catches the φ-invisible gray replica, because
@@ -161,7 +155,6 @@ type BackendStat struct {
 type SkewRule struct {
 	name   string
 	tier   string
-	cfg    Config
 	stats  func() []BackendStat
 	floor  float64 // minimum latency gap (seconds) worth flagging
 	consec map[string]int
@@ -174,19 +167,14 @@ type SkewRule struct {
 // NewSkewRule builds a pool-skew rule; stats must return the pool's
 // backends in deterministic (registration) order. The rule reads the slice
 // only during Evaluate, so stats may reuse it from one call to the next.
-func NewSkewRule(cfg Config, name, tier string, floor float64, stats func() []BackendStat) *SkewRule {
-	return &SkewRule{name: name, tier: tier, cfg: cfg.WithDefaults(),
+func NewSkewRule(name, tier string, floor float64, stats func() []BackendStat) *SkewRule {
+	return &SkewRule{name: name, tier: tier,
 		stats: stats, floor: floor, consec: make(map[string]int)}
 }
 
 // Name implements Rule.
 func (r *SkewRule) Name() string { return r.name }
 
-// Retune implements Retunable: persistence counters survive, only the
-// skew thresholds change.
-func (r *SkewRule) Retune(cfg Config) { r.cfg = cfg.WithDefaults() }
-
-// median returns the median of vals, sorting a copy in the rule's scratch.
 func (r *SkewRule) median(vals []float64) float64 {
 	s := append(r.sorted[:0], vals...)
 	r.sorted = s
@@ -229,18 +217,18 @@ func (r *SkewRule) Evaluate(now float64) []Finding {
 		medLat, medFail, medFlight := r.median(lats), r.median(fails), r.median(flights)
 		var reasons []string
 		var ratio float64
-		if s.LatencySamples >= 0.5 && s.MeanLatency >= r.cfg.SkewFactor*medLat && s.MeanLatency-medLat >= r.floor {
+		if s.LatencySamples >= 0.5 && s.MeanLatency >= skewRatio*medLat && s.MeanLatency-medLat >= r.floor {
 			ratio = s.MeanLatency / math.Max(medLat, 1e-9)
 			reasons = append(reasons, fmt.Sprintf("latency %.0f ms vs pool median %.0f ms", s.MeanLatency*1e3, medLat*1e3))
 		}
-		if float64(s.InFlight) >= r.cfg.SkewFactor*medFlight && float64(s.InFlight)-medFlight >= 8 {
+		if float64(s.InFlight) >= skewRatio*medFlight && float64(s.InFlight)-medFlight >= 8 {
 			fr := float64(s.InFlight) / math.Max(medFlight, 1)
 			if fr > ratio {
 				ratio = fr
 			}
 			reasons = append(reasons, fmt.Sprintf("%d in flight vs pool median %.0f", s.InFlight, medFlight))
 		}
-		if s.Failures >= 3+float64(r.cfg.SkewFactor*medFail) {
+		if s.Failures >= 3+float64(skewRatio*medFail) {
 			fr := s.Failures / math.Max(medFail, 1)
 			if fr > ratio {
 				ratio = fr
@@ -259,8 +247,8 @@ func (r *SkewRule) Evaluate(now float64) []Finding {
 		// Page on an extreme instantaneous skew, or on a moderate one that
 		// has held for pagePersistSeconds of consecutive ticks — the gray
 		// replica that is "only" a few times slower but stays that way.
-		held := float64(r.consec[s.Name]-1) * r.cfg.EvalIntervalSeconds
-		if ratio >= 2*r.cfg.SkewFactor || held >= pagePersistSeconds {
+		held := float64(r.consec[s.Name]-1) * EvalInterval
+		if ratio >= 2*skewRatio || held >= pagePersistSeconds {
 			sev = SevPage
 		}
 		detail := reasons[0]
@@ -272,7 +260,7 @@ func (r *SkewRule) Evaluate(now float64) []Finding {
 			Tier:      r.tier,
 			Severity:  sev,
 			Value:     ratio,
-			Threshold: r.cfg.SkewFactor,
+			Threshold: skewRatio,
 			Detail:    detail,
 		})
 	}

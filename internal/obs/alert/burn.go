@@ -12,11 +12,10 @@ type burnSample struct {
 // multi-window error-budget burn-rate alerts. Each SLOEngine evaluation
 // interval that misses its bound spends budget; the burn rate is the
 // bad-interval fraction divided by the budget fraction, measured over a
-// fast and a slow window. Paging requires both windows over PageBurn —
+// fast and a slow window. Paging requires both windows over pageBurnRate —
 // the fast window gives low detection latency, the slow window stops a
 // single bad interval from strobing the pager.
 type BurnRule struct {
-	cfg       Config
 	objective string
 	tier      string
 	samples   []burnSample
@@ -26,22 +25,18 @@ type BurnRule struct {
 
 // NewBurnRule builds a burn-rate rule for one objective. Feed it from
 // SLOEngine.Observer via Observe.
-func NewBurnRule(cfg Config, objective, tier string) *BurnRule {
-	return &BurnRule{cfg: cfg.WithDefaults(), objective: objective, tier: tier}
+func NewBurnRule(objective, tier string) *BurnRule {
+	return &BurnRule{objective: objective, tier: tier}
 }
 
 // Name implements Rule.
 func (r *BurnRule) Name() string { return "burn:" + r.objective }
 
-// Retune implements Retunable: future windows use the new burn
-// thresholds; retained samples are re-windowed on the next Evaluate.
-func (r *BurnRule) Retune(cfg Config) { r.cfg = cfg.WithDefaults() }
-
 // Observe records one objective evaluation outcome (sim goroutine only).
 func (r *BurnRule) Observe(now float64, value float64, met bool) {
 	r.lastValue, r.hasValue = value, true
 	r.samples = append(r.samples, burnSample{t: now, met: met})
-	cut := now - r.cfg.SlowWindowSeconds
+	cut := now - slowWindow
 	i := 0
 	for i < len(r.samples) && r.samples[i].t < cut {
 		i++
@@ -71,13 +66,13 @@ func (r *BurnRule) window(t0 float64) (badFrac float64, n int) {
 
 // Evaluate implements Rule.
 func (r *BurnRule) Evaluate(now float64) []Finding {
-	fastBad, fastN := r.window(now - r.cfg.FastWindowSeconds)
-	slowBad, slowN := r.window(now - r.cfg.SlowWindowSeconds)
+	fastBad, fastN := r.window(now - fastWindow)
+	slowBad, slowN := r.window(now - slowWindow)
 	if fastN == 0 || slowN == 0 {
 		return nil
 	}
-	fastBurn := fastBad / r.cfg.BudgetFraction
-	slowBurn := slowBad / r.cfg.BudgetFraction
+	fastBurn := fastBad / errorBudget
+	slowBurn := slowBad / errorBudget
 	burn := fastBurn
 	if slowBurn < burn {
 		burn = slowBurn
@@ -85,10 +80,10 @@ func (r *BurnRule) Evaluate(now float64) []Finding {
 	var sev Severity
 	var threshold float64
 	switch {
-	case burn >= r.cfg.PageBurn:
-		sev, threshold = SevPage, r.cfg.PageBurn
-	case burn >= r.cfg.WarnBurn:
-		sev, threshold = SevWarn, r.cfg.WarnBurn
+	case burn >= pageBurnRate:
+		sev, threshold = SevPage, pageBurnRate
+	case burn >= warnBurnRate:
+		sev, threshold = SevWarn, warnBurnRate
 	default:
 		return nil
 	}

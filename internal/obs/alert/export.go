@@ -140,7 +140,7 @@ func (e *Engine) IncidentsJSON(now float64) []byte {
 // RenderText renders a human-readable alert + incident report for
 // `jadectl scenario -alerts`.
 func (e *Engine) RenderText() string {
-	if e == nil || e.cfg.Disabled {
+	if !e.Enabled() {
 		return "  alerting disabled\n"
 	}
 	var b strings.Builder

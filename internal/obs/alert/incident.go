@@ -89,7 +89,7 @@ func (inc *Incident) computeSuspect() {
 }
 
 // ensureIncident returns the open incident, creating one (seeded with
-// LookbackSeconds of context) if none is open.
+// lookbackSeconds of context) if none is open.
 func (e *Engine) ensureIncident(now float64, f Finding) *Incident {
 	if e.open != nil {
 		e.open.lastActivity = now
@@ -105,7 +105,7 @@ func (e *Engine) ensureIncident(now float64, f Finding) *Incident {
 		inc.SpanID = e.tr.Begin(0, "incident", fmt.Sprintf("incident-%d", inc.ID),
 			trace.F("first_component", f.Component), trace.F("first_severity", string(f.Severity)))
 	}
-	cut := now - e.cfg.LookbackSeconds
+	cut := now - lookbackSeconds
 	for _, entry := range e.context {
 		if entry.T >= cut {
 			inc.Timeline = append(inc.Timeline, entry)

@@ -136,45 +136,6 @@ func (e *SLOEngine) Evaluate(now float64) {
 	}
 }
 
-// Retarget replaces the named objective's finite bound with target: the
-// upper bound when the objective is bounded above, otherwise the lower
-// bound. It returns whether the objective exists. Simulation goroutine
-// only — the new target governs every window evaluated after the call.
-func (e *SLOEngine) Retarget(name string, target float64) bool {
-	if e == nil {
-		return false
-	}
-	for _, st := range e.states {
-		if st.obj.Name != name {
-			continue
-		}
-		if !math.IsNaN(st.obj.Max) {
-			st.obj.Max = target
-		} else {
-			st.obj.Min = target
-		}
-		return true
-	}
-	return false
-}
-
-// Targets reports each objective's finite bound (the one Retarget
-// would replace), keyed by objective name, in a fresh map.
-func (e *SLOEngine) Targets() map[string]float64 {
-	out := map[string]float64{}
-	if e == nil {
-		return out
-	}
-	for _, st := range e.states {
-		if !math.IsNaN(st.obj.Max) {
-			out[st.obj.Name] = st.obj.Max
-		} else if !math.IsNaN(st.obj.Min) {
-			out[st.obj.Name] = st.obj.Min
-		}
-	}
-	return out
-}
-
 // Burning returns the names of objectives whose most recently evaluated
 // window missed its bound, in registration order. The /healthz page uses
 // this to report "degraded" while the service is out of compliance.

@@ -103,32 +103,6 @@ func (p *Pool) SetPolicy(policy Policy) {
 	p.sel = newSelector(p.opts)
 }
 
-// Retune adjusts the reservoir and probe tuning live. Non-positive
-// arguments keep the current value. Existing backends' reservoirs pick
-// up the new half-life immediately; the probe interval applies to the
-// next eligibility check. Simulation goroutine only.
-func (p *Pool) Retune(halfLifeSeconds, probeAfterSeconds float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if halfLifeSeconds > 0 {
-		p.opts.HalfLifeSeconds = halfLifeSeconds
-		for _, b := range p.entries {
-			if b.fail.halfLife > 0 {
-				b.fail.halfLife = halfLifeSeconds
-			}
-			if b.lat.halfLife > 0 {
-				b.lat.halfLife = halfLifeSeconds
-			}
-			if b.latN.halfLife > 0 {
-				b.latN.halfLife = halfLifeSeconds
-			}
-		}
-	}
-	if probeAfterSeconds > 0 {
-		p.opts.ProbeAfterSeconds = probeAfterSeconds
-	}
-}
-
 func (p *Pool) now() float64 {
 	if p.opts.Now != nil {
 		p.lastNow = p.opts.Now()

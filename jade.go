@@ -246,8 +246,6 @@ func ValidateComponentsJSON(doc []byte) (int, error) { return obs.ValidateCompon
 // streaming anomaly detectors, and the incident correlation engine behind
 // /alerts, /incidents, alerts.jsonl and incidents.json.
 type (
-	// AlertConfig tunes the alerting plane (AlertingSpec.Config builds it).
-	AlertConfig = alert.Config
 	// Alert is one fired (or resolved) alert instance.
 	Alert = alert.Alert
 )

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 
-	"jade/internal/obs"
 	"jade/internal/refresh"
 )
 
@@ -30,15 +30,14 @@ type OperatorSchedule []OperatorEvent
 // ConfigPatch is the refreshable subset of Spec, with every field
 // optional: absent fields keep their current value. It is the wire
 // grammar of the admin POST /config body, Spec.Operator events and chaos
-// "config" events. Fields outside this grammar (workload shape, node
-// counts, telemetry sinks, ...) are structural and rejected as "not
-// refreshable at runtime".
+// "config" events: the sizing loops' thresholds and inhibition, and the
+// routing policies. Fields outside this grammar (workload shape, node
+// counts, RPC budgets, telemetry sinks, ...) are structural, and the
+// alerting rules' tuning and the SLO targets are constants; a patch
+// naming one is rejected as "not refreshable at runtime".
 type ConfigPatch struct {
-	Sizing   *SizingPatchGroup `json:"sizing,omitempty"`
-	Routing  *RoutingPatch     `json:"routing,omitempty"`
-	Faults   *FaultsPatch      `json:"faults,omitempty"`
-	Checks   *ChecksPatch      `json:"checks,omitempty"`
-	Alerting *AlertingPatch    `json:"alerting,omitempty"`
+	Sizing  *SizingPatchGroup `json:"sizing,omitempty"`
+	Routing *RoutingPatch     `json:"routing,omitempty"`
 }
 
 // SizingPatchGroup addresses the two sizing loops.
@@ -54,87 +53,78 @@ type SizingPatch struct {
 	InhibitSeconds *float64 `json:"inhibit_seconds,omitempty"`
 }
 
-// RoutingPatch swaps selector policies and tuning live. Policy, when
-// set, applies to every tier; per-tier fields override it.
+// RoutingPatch swaps selector policies live. Policy, when set, applies
+// to every tier; per-tier fields override it.
 type RoutingPatch struct {
-	Policy            *string  `json:"policy,omitempty"`
-	L4                *string  `json:"l4,omitempty"`
-	App               *string  `json:"app,omitempty"`
-	DB                *string  `json:"db,omitempty"`
-	ProbeAfterSeconds *float64 `json:"probe_after_seconds,omitempty"`
-	HalfLifeSeconds   *float64 `json:"half_life_seconds,omitempty"`
-}
-
-// FaultsPatch reaches the network fabric's refreshable knobs.
-type FaultsPatch struct {
-	Network *NetworkPatch `json:"network,omitempty"`
-}
-
-// NetworkPatch replaces per-tier RPC timeout/retry budgets.
-type NetworkPatch struct {
-	RPC map[string]RPCBudget `json:"rpc,omitempty"`
-}
-
-// ChecksPatch retargets SLO objectives by name.
-type ChecksPatch struct {
-	SLOTargets map[string]float64 `json:"slo_targets,omitempty"`
-}
-
-// AlertingPatch retunes the alerting plane's rule thresholds. The
-// evaluation ticker period and the on/off switch are structural (they
-// change the event schedule) and deliberately absent.
-type AlertingPatch struct {
-	FastWindowSeconds *float64 `json:"fast_window_seconds,omitempty"`
-	SlowWindowSeconds *float64 `json:"slow_window_seconds,omitempty"`
-	BudgetFraction    *float64 `json:"budget_fraction,omitempty"`
-	PageBurn          *float64 `json:"page_burn,omitempty"`
-	WarnBurn          *float64 `json:"warn_burn,omitempty"`
-	ZThreshold        *float64 `json:"z_threshold,omitempty"`
-	SkewFactor        *float64 `json:"skew_factor,omitempty"`
-	HysteresisSeconds *float64 `json:"hysteresis_seconds,omitempty"`
+	Policy *string `json:"policy,omitempty"`
+	L4     *string `json:"l4,omitempty"`
+	App    *string `json:"app,omitempty"`
+	DB     *string `json:"db,omitempty"`
 }
 
 // empty reports whether the patch changes nothing.
 func (p *ConfigPatch) empty() bool {
-	return p == nil || (p.Sizing == nil && p.Routing == nil && p.Faults == nil && p.Checks == nil && p.Alerting == nil)
+	return p == nil || (p.Sizing == nil && p.Routing == nil)
 }
 
 // ParseConfigPatch decodes a refreshable-config patch, rejecting fields
-// outside the refreshable grammar with a structured FieldError.
+// outside the refreshable grammar with a structured FieldError at their
+// path.
 func ParseConfigPatch(patch []byte) (*ConfigPatch, error) {
 	if len(bytes.TrimSpace(patch)) == 0 {
 		return nil, &ValidationError{Fields: []FieldError{{Msg: "empty patch"}}}
 	}
-	dec := json.NewDecoder(bytes.NewReader(patch))
-	dec.DisallowUnknownFields()
 	var p ConfigPatch
-	if err := dec.Decode(&p); err != nil {
-		if name, ok := unknownField(err); ok {
-			return nil, &ValidationError{Fields: []FieldError{{Path: name, Msg: "not refreshable at runtime (or unknown)"}}}
+	if err := decodeStrict(patch, &p); err != nil {
+		if strings.Contains(err.Error(), "json: unknown field ") {
+			path := unknownPath(json.NewDecoder(bytes.NewReader(patch)), reflect.TypeOf(p))
+			return nil, &ValidationError{Fields: []FieldError{{Path: path, Msg: "not refreshable at runtime (or unknown)"}}}
 		}
 		return nil, &ValidationError{Fields: []FieldError{{Msg: "invalid patch JSON: " + err.Error()}}}
-	}
-	if dec.More() {
-		return nil, &ValidationError{Fields: []FieldError{{Msg: "trailing data after patch object"}}}
 	}
 	return &p, nil
 }
 
-// unknownField extracts the field name from encoding/json's
-// DisallowUnknownFields error.
-func unknownField(err error) (string, bool) {
-	msg := err.Error()
-	const marker = `unknown field "`
-	i := strings.Index(msg, marker)
-	if i < 0 {
-		return "", false
+// unknownPath walks one JSON object in document order and returns the
+// dotted path of the first key that names no field of the struct type t,
+// or of the struct a known key nests: the key DisallowUnknownFields
+// refused, whose error names it without the sections around it.
+func unknownPath(dec *json.Decoder, t reflect.Type) string {
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return ""
 	}
-	rest := msg[i+len(marker):]
-	j := strings.Index(rest, `"`)
-	if j < 0 {
-		return "", false
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return ""
+		}
+		key, _ := tok.(string)
+		f, ok := jsonField(t, key)
+		if !ok {
+			return key
+		}
+		if ft := f.Type; ft.Kind() == reflect.Pointer && ft.Elem().Kind() == reflect.Struct {
+			if path := unknownPath(dec, ft.Elem()); path != "" {
+				return key + "." + path
+			}
+		} else if dec.Decode(new(json.RawMessage)) != nil {
+			return ""
+		}
 	}
-	return rest[:j], true
+	dec.Token() // the object's closing brace
+	return ""
+}
+
+// jsonField finds the field of the struct type t that a JSON key decodes
+// into, matching its name case-insensitively as encoding/json does.
+func jsonField(t reflect.Type, key string) (reflect.StructField, bool) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); strings.EqualFold(name, key) {
+			return f, true
+		}
+	}
+	return reflect.StructField{}, false
 }
 
 // ConfigChange is one applied (or rejected) live configuration change,
@@ -157,10 +147,7 @@ type ConfigSnapshot struct {
 			App SizingConfig `json:"app"`
 			DB  SizingConfig `json:"db"`
 		} `json:"sizing"`
-		Routing    RoutingConfig        `json:"routing"`
-		RPC        map[string]RPCBudget `json:"rpc,omitempty"`
-		SLOTargets map[string]float64   `json:"slo_targets,omitempty"`
-		Alerting   AlertConfig          `json:"alerting"`
+		Routing RoutingConfig `json:"routing"`
 	} `json:"refreshable"`
 	Applied  []ConfigChange `json:"applied"`
 	Rejected int            `json:"rejected"`
@@ -174,7 +161,7 @@ const ConfigSnapshotSchema = "jade-config/v1"
 // (jadectl's config subcommand and the smoke tests share it).
 func ParseConfigSnapshot(data []byte) (*ConfigSnapshot, error) {
 	var doc ConfigSnapshot
-	if err := json.Unmarshal(data, &doc); err != nil {
+	if err := decodeStrict(data, &doc); err != nil {
 		return nil, fmt.Errorf("jade: config snapshot: %w", err)
 	}
 	if doc.Schema != ConfigSnapshotSchema {
@@ -186,44 +173,20 @@ func ParseConfigSnapshot(data []byte) (*ConfigSnapshot, error) {
 // liveState is the refreshable configuration: what the live views hold,
 // and what Spec.Validate applies a spec's scripted patches to.
 type liveState struct {
-	app, db    SizingConfig
-	routing    RoutingConfig
-	rpc        map[string]RPCBudget
-	sloTargets map[string]float64
-	alerting   AlertConfig
+	app, db SizingConfig
+	routing RoutingConfig
 }
 
 // initialLive is a run's live state before any patch, built from its
-// defaulted configuration: the RPC budgets the fabric starts with, and
-// every objective's bound after the configured retargets.
+// defaulted configuration.
 func initialLive(cfg *ScenarioConfig) liveState {
-	var rpc map[string]RPCBudget
-	if cfg.Net.Enabled {
-		rpc = cfg.Net.RPC
-	}
-	slo := obs.NewSLOEngine(nil, sloInterval, DefaultSLOs())
-	retarget(slo, cfg.SLOTargets)
-	return liveState{
-		app:        cfg.AppSizing,
-		db:         cfg.DBSizing,
-		routing:    cfg.Routing,
-		rpc:        rpc,
-		sloTargets: slo.Targets(),
-		alerting:   cfg.Alerting,
-	}
-}
-
-// retarget gives each named objective its target, in name order.
-func retarget(slo *obs.SLOEngine, targets map[string]float64) {
-	for _, name := range sortedKeys(targets) {
-		slo.Retarget(name, targets[name])
-	}
+	return liveState{app: cfg.AppSizing, db: cfg.DBSizing, routing: cfg.Routing}
 }
 
 // patched is a live state after a patch, with the sections it touched.
 type patched struct {
 	liveState
-	appSet, dbSet, routingSet, rpcSet, sloSet, alertingSet bool
+	appSet, dbSet, routingSet bool
 }
 
 // resolve parses a patch, merges it over s and checks every section it
@@ -250,17 +213,6 @@ func (s liveState) resolve(raw []byte) (patched, error) {
 		}
 		n.routingSet = overlay(rc, r)
 	}
-	var rpc map[string]RPCBudget
-	if p.Faults != nil && p.Faults.Network != nil && p.Faults.Network.RPC != nil {
-		rpc = p.Faults.Network.RPC
-		n.rpc, n.rpcSet = merged(s.rpc, rpc), true
-	}
-	var slo map[string]float64
-	if p.Checks != nil && p.Checks.SLOTargets != nil {
-		slo = p.Checks.SLOTargets
-		n.sloTargets, n.sloSet = merged(s.sloTargets, slo), true
-	}
-	n.alertingSet = overlay(&n.alerting, p.Alerting)
 	if n.appSet {
 		ve.checkSizing("sizing.app", n.app)
 	}
@@ -269,11 +221,6 @@ func (s liveState) resolve(raw []byte) (patched, error) {
 	}
 	if n.routingSet {
 		ve.checkRouting(n.routing)
-	}
-	ve.checkRPC(rpc)
-	ve.checkSLOTargets(slo)
-	if n.alertingSet {
-		ve.checkAlerting(n.alerting)
 	}
 	return n, ve.or()
 }
@@ -289,31 +236,16 @@ func overlay[P any](dst any, section *P) bool {
 	return json.Unmarshal(b, dst) == nil
 }
 
-// merged returns a copy of cur with the patch's entries replacing its own.
-func merged[V any](cur, patch map[string]V) map[string]V {
-	out := make(map[string]V, len(cur)+len(patch))
-	for k, v := range cur {
-		out[k] = v
-	}
-	for k, v := range patch {
-		out[k] = v
-	}
-	return out
-}
-
 // configRuntime owns a scenario's refreshable configuration: the typed
 // views the managers subscribe to, the hub every change funnels through,
 // and the applied-change log. All mutation happens on the simulation
 // goroutine via hub.Apply/Drain; the views' own locks make reads safe
 // from anywhere.
 type configRuntime struct {
-	hub        *refresh.Hub
-	appSizing  *refresh.View[SizingConfig]
-	dbSizing   *refresh.View[SizingConfig]
-	routing    *refresh.View[RoutingConfig]
-	rpc        *refresh.View[map[string]RPCBudget]
-	sloTargets *refresh.View[map[string]float64]
-	alerting   *refresh.View[AlertConfig]
+	hub       *refresh.Hub
+	appSizing *refresh.View[SizingConfig]
+	dbSizing  *refresh.View[SizingConfig]
+	routing   *refresh.View[RoutingConfig]
 
 	mu  sync.Mutex
 	log []ConfigChange
@@ -323,13 +255,10 @@ type configRuntime struct {
 // binds the hub callbacks.
 func newConfigRuntime(hub *refresh.Hub, s liveState) *configRuntime {
 	rt := &configRuntime{
-		hub:        hub,
-		appSizing:  refresh.NewView("sizing.app", s.app),
-		dbSizing:   refresh.NewView("sizing.db", s.db),
-		routing:    refresh.NewView("routing", s.routing),
-		rpc:        refresh.NewView("faults.network.rpc", merged(s.rpc, nil)),
-		sloTargets: refresh.NewView("checks.slo_targets", merged(s.sloTargets, nil)),
-		alerting:   refresh.NewView("alerting", s.alerting),
+		hub:       hub,
+		appSizing: refresh.NewView("sizing.app", s.app),
+		dbSizing:  refresh.NewView("sizing.db", s.db),
+		routing:   refresh.NewView("routing", s.routing),
 	}
 	hub.Bind(rt.check, rt.apply)
 	return rt
@@ -337,14 +266,7 @@ func newConfigRuntime(hub *refresh.Hub, s liveState) *configRuntime {
 
 // current returns the committed live state.
 func (rt *configRuntime) current() liveState {
-	return liveState{
-		app:        rt.appSizing.Get(),
-		db:         rt.dbSizing.Get(),
-		routing:    rt.routing.Get(),
-		rpc:        rt.rpc.Get(),
-		sloTargets: rt.sloTargets.Get(),
-		alerting:   rt.alerting.Get(),
-	}
+	return liveState{app: rt.appSizing.Get(), db: rt.dbSizing.Get(), routing: rt.routing.Get()}
 }
 
 // check is the hub's advisory validator: it resolves the patch against
@@ -376,15 +298,6 @@ func (rt *configRuntime) apply(now float64, source string, patch []byte) error {
 	if r.routingSet {
 		rt.routing.Set(now, r.routing)
 	}
-	if r.rpcSet {
-		rt.rpc.Set(now, r.rpc)
-	}
-	if r.sloSet {
-		rt.sloTargets.Set(now, r.sloTargets)
-	}
-	if r.alertingSet {
-		rt.alerting.Set(now, r.alerting)
-	}
 	rt.mu.Lock()
 	rt.log = append(rt.log, change)
 	rt.mu.Unlock()
@@ -394,9 +307,7 @@ func (rt *configRuntime) apply(now float64, source string, patch []byte) error {
 // generation sums the view generations: it bumps on every committed
 // change.
 func (rt *configRuntime) generation() uint64 {
-	return rt.appSizing.Generation() + rt.dbSizing.Generation() +
-		rt.routing.Generation() + rt.rpc.Generation() +
-		rt.sloTargets.Generation() + rt.alerting.Generation()
+	return rt.appSizing.Generation() + rt.dbSizing.Generation() + rt.routing.Generation()
 }
 
 // changes returns a copy of the applied/rejected change log.
@@ -412,9 +323,6 @@ func (rt *configRuntime) renderPage(now float64) []byte {
 	doc.Refreshable.Sizing.App = rt.appSizing.Get()
 	doc.Refreshable.Sizing.DB = rt.dbSizing.Get()
 	doc.Refreshable.Routing = rt.routing.Get()
-	doc.Refreshable.RPC = rt.rpc.Get()
-	doc.Refreshable.SLOTargets = rt.sloTargets.Get()
-	doc.Refreshable.Alerting = rt.alerting.Get()
 	doc.Applied = rt.changes()
 	doc.Pending = rt.hub.Pending()
 	// The applied log includes rejected submissions (with their error);

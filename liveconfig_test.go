@@ -15,22 +15,17 @@ import (
 )
 
 func testConfigRuntime() *configRuntime {
-	alerting := AlertConfig{
-		FastWindowSeconds: 300, SlowWindowSeconds: 3600, BudgetFraction: 0.1,
-		PageBurn: 14, WarnBurn: 6, ZThreshold: 3, SkewFactor: 2, HysteresisSeconds: 120,
-	}
 	return newConfigRuntime(refresh.NewHub(nil), liveState{
-		app:        AppSizingDefaults(),
-		db:         DBSizingDefaults(),
-		routing:    RoutingConfig{App: "round-robin", DB: "least-pending"},
-		rpc:        map[string]RPCBudget{"app": {TimeoutSeconds: 2, Attempts: 3, BackoffSeconds: 0.1}},
-		sloTargets: map[string]float64{"client-latency-p95": 2.0},
-		alerting:   alerting,
+		app:     AppSizingDefaults(),
+		db:      DBSizingDefaults(),
+		routing: RoutingConfig{App: "round-robin", DB: "least-pending"},
 	})
 }
 
 // TestConfigPatchValidationErrors: rejected patches carry structured
-// field paths, the same ones the /config endpoint returns as JSON.
+// field paths, the same ones the /config endpoint returns as JSON. A
+// section outside the refreshable grammar (alerting, checks, faults) is
+// refused at its own path.
 func TestConfigPatchValidationErrors(t *testing.T) {
 	rt := testConfigRuntime()
 	cases := []struct {
@@ -39,13 +34,14 @@ func TestConfigPatchValidationErrors(t *testing.T) {
 		paths []string // every path must appear among the field errors
 	}{
 		{"unknown top-level field", `{"wibble": 1}`, []string{"wibble"}},
-		{"unknown nested field", `{"sizing":{"app":{"inhibit": 5}}}`, []string{"inhibit"}},
+		{"unknown nested field", `{"sizing":{"app":{"inhibit": 5}}}`, []string{"sizing.app.inhibit"}},
+		{"unknown section after a known one", `{"sizing":{"app":{"min":0.3}},"routing":{"policy":"balanced","probe_after_seconds":5}}`, []string{"routing.probe_after_seconds"}},
 		{"bad policy name", `{"routing":{"app":"fastest"}}`, []string{"routing.app"}},
 		{"max below min", `{"sizing":{"app":{"max":0.2}}}`, []string{"sizing.app.max"}},
 		{"negative inhibit", `{"sizing":{"db":{"inhibit_seconds":-1}}}`, []string{"sizing.db.inhibit_seconds"}},
-		{"windows out of order", `{"alerting":{"fast_window_seconds":7200}}`, []string{"alerting.fast_window_seconds"}},
-		{"bad slo target", `{"checks":{"slo_targets":{"client-latency-p95":-1}}}`, []string{"checks.slo_targets[client-latency-p95]"}},
-		{"negative rpc budget", `{"faults":{"network":{"rpc":{"app":{"timeout_seconds":-2}}}}}`, []string{"faults.network.rpc[app].timeout_seconds"}},
+		{"windows out of order", `{"alerting":{"fast_window_seconds":7200}}`, []string{"alerting"}},
+		{"bad slo target", `{"checks":{"slo_targets":{"client-latency-p95":-1}}}`, []string{"checks"}},
+		{"negative rpc budget", `{"faults":{"network":{"rpc":{"app":{"timeout_seconds":-2}}}}}`, []string{"faults"}},
 		{"empty patch", `{}`, []string{""}},
 		{"malformed json", `{"sizing":`, nil},
 	}
@@ -77,8 +73,7 @@ func TestConfigPatchValidationErrors(t *testing.T) {
 	for _, patch := range []string{
 		`{"routing":{"policy":"balanced"}}`,
 		`{"sizing":{"app":{"min":0.3,"max":0.7}}}`,
-		`{"alerting":{"page_burn":20}}`,
-		`{"checks":{"slo_targets":{"client-latency-p95":1.5}}}`,
+		`{"routing":{"db":"rendezvous"},"sizing":{"db":{"inhibit_seconds":30}}}`,
 	} {
 		if err := rt.check("test", []byte(patch)); err != nil {
 			t.Fatalf("valid patch %s rejected: %v", patch, err)
@@ -87,14 +82,15 @@ func TestConfigPatchValidationErrors(t *testing.T) {
 }
 
 // liveConfigSweepSpec is a short managed run whose operator schedule
-// exercises every refreshable group mid-run.
+// exercises every refreshable group mid-run: sizing, then the routing
+// policy, then both at once.
 func liveConfigSweepSpec(seed int64) Spec {
 	s := DefaultSpec(seed, true)
 	s.Workload.Profile = ProfileSpec{Kind: "constant", Clients: 40, DurationSeconds: 90}
 	s.Operator = OperatorSchedule{
-		{At: 20, Patch: json.RawMessage(`{"sizing":{"app":{"min":0.30,"max":0.70}},"checks":{"slo_targets":{"client-latency-p95":1.5}}}`)},
-		{At: 35, Patch: json.RawMessage(`{"routing":{"policy":"balanced","half_life_seconds":20}}`)},
-		{At: 50, Patch: json.RawMessage(`{"alerting":{"page_burn":20,"warn_burn":8},"faults":{"network":{"rpc":{"app":{"timeout_seconds":2,"attempts":2,"backoff_seconds":0.2}}}}}`)},
+		{At: 20, Patch: json.RawMessage(`{"sizing":{"app":{"min":0.30,"max":0.70},"db":{"inhibit_seconds":30}}}`)},
+		{At: 35, Patch: json.RawMessage(`{"routing":{"policy":"balanced"}}`)},
+		{At: 50, Patch: json.RawMessage(`{"sizing":{"db":{"min":0.30,"max":0.75}},"routing":{"app":"least-pending","db":"rendezvous"}}`)},
 	}
 	return s
 }
@@ -223,6 +219,17 @@ func TestConfigPostRoundTrip(t *testing.T) {
 		if len(pr.Fields) == 0 || pr.Fields[0].Path != "routing.app" {
 			t.Errorf("invalid POST fields = %+v, want path routing.app", pr.Fields)
 		}
+		// A knob that is a constant now: refused at the path that names it.
+		for _, row := range configRuleDoors {
+			if row.mutate != nil {
+				continue
+			}
+			code, pr := post(row.patch)
+			if code != 400 || len(pr.Fields) != 1 || pr.Fields[0].Path != row.paths[0] ||
+				!strings.HasPrefix(pr.Fields[0].Msg, "not refreshable at runtime") {
+				t.Errorf("POST %s: status %d %+v, want 400 not refreshable at %s", row.patch, code, pr, row.paths[0])
+			}
+		}
 	}
 	res, err := RunScenario(cfg)
 	if err != nil {
@@ -327,7 +334,10 @@ func TestLiveRetuneQuick(t *testing.T) {
 // configRuleDoors holds, for each refreshable rule, a Spec mutation and
 // the equivalent live patch: both doors must reach the same verdict at the
 // same paths. A Spec's zero field takes its default, so each mutation
-// leaves the fields it does not name at zero.
+// leaves the fields it does not name at zero. A row without a mutation
+// names a knob that is a constant now: the Spec carries its patch as an
+// operator event, and both doors refuse it as not refreshable at the path
+// of the first name the grammar lacks.
 var configRuleDoors = []struct {
 	name   string
 	mutate func(*Spec)
@@ -348,45 +358,50 @@ var configRuleDoors = []struct {
 		`{"routing":{"policy":"fastest"}}`, []string{"routing.app", "routing.db", "routing.l4"}},
 	{"unknown tier policy", func(s *Spec) { s.Routing.App = "fastest" },
 		`{"routing":{"app":"fastest"}}`, []string{"routing.app"}},
-	{"negative half-life", func(s *Spec) { s.Routing.HalfLifeSeconds = -1 },
-		`{"routing":{"half_life_seconds":-1}}`, []string{"routing.half_life_seconds"}},
-	{"rpc budget", func(s *Spec) { s.Faults.Network.RPC = map[string]RPCBudget{"app": {TimeoutSeconds: 2, Attempts: 2}} },
-		`{"faults":{"network":{"rpc":{"app":{"timeout_seconds":2,"attempts":2}}}}}`, nil},
-	{"negative rpc budget", func(s *Spec) {
-		s.Faults.Network.RPC = map[string]RPCBudget{"app": {TimeoutSeconds: -2}, "db": {Attempts: -1, BackoffSeconds: -1}}
-	}, `{"faults":{"network":{"rpc":{"app":{"timeout_seconds":-2},"db":{"attempts":-1,"backoff_seconds":-1}}}}}`,
-		[]string{"faults.network.rpc[app].timeout_seconds", "faults.network.rpc[db].attempts", "faults.network.rpc[db].backoff_seconds"}},
-	{"slo target", func(s *Spec) { s.Checks.SLOTargets = map[string]float64{"client-latency-p95": 1.5} },
-		`{"checks":{"slo_targets":{"client-latency-p95":1.5}}}`, nil},
-	{"negative slo target", func(s *Spec) { s.Checks.SLOTargets = map[string]float64{"client-latency-p95": -1} },
-		`{"checks":{"slo_targets":{"client-latency-p95":-1}}}`, []string{"checks.slo_targets[client-latency-p95]"}},
-	{"page burn", func(s *Spec) { s.Alerting.PageBurn = 20 },
-		`{"alerting":{"page_burn":20}}`, nil},
-	{"slow window under the default fast window", func(s *Spec) { s.Alerting.SlowWindowSeconds = 30 },
-		`{"alerting":{"slow_window_seconds":30}}`, []string{"alerting.fast_window_seconds"}},
-	{"negative page burn", func(s *Spec) { s.Alerting.PageBurn = -1 },
-		`{"alerting":{"page_burn":-1}}`, []string{"alerting.page_burn", "alerting.warn_burn"}},
-	{"warn above the default page burn", func(s *Spec) { s.Alerting.WarnBurn = 20 },
-		`{"alerting":{"warn_burn":20}}`, []string{"alerting.warn_burn"}},
-	{"budget above one", func(s *Spec) { s.Alerting.BudgetFraction = 2 },
-		`{"alerting":{"budget_fraction":2}}`, []string{"alerting.budget_fraction"}},
+	{"probe after", nil, `{"routing":{"probe_after_seconds":5}}`, []string{"routing.probe_after_seconds"}},
+	{"negative half-life", nil, `{"routing":{"policy":"balanced","half_life_seconds":-1}}`, []string{"routing.half_life_seconds"}},
+	{"rpc budget", nil, `{"faults":{"network":{"rpc":{"app":{"timeout_seconds":2,"attempts":2}}}}}`, []string{"faults"}},
+	{"negative rpc budget", nil, `{"faults":{"network":{"rpc":{"app":{"timeout_seconds":-2}}}}}`, []string{"faults"}},
+	{"slo target", nil, `{"checks":{"slo_targets":{"client-latency-p95":1.5}}}`, []string{"checks"}},
+	{"negative slo target", nil, `{"checks":{"slo_targets":{"client-latency-p95":-1}}}`, []string{"checks"}},
+	{"page burn", nil, `{"alerting":{"page_burn":20}}`, []string{"alerting"}},
+	{"slow window under the default fast window", nil, `{"alerting":{"slow_window_seconds":30}}`, []string{"alerting"}},
+	{"negative page burn", nil, `{"alerting":{"page_burn":-1}}`, []string{"alerting"}},
+	{"warn above the default page burn", nil, `{"alerting":{"warn_burn":20}}`, []string{"alerting"}},
+	{"budget above one", nil, `{"alerting":{"budget_fraction":2}}`, []string{"alerting"}},
 }
 
 func TestConfigRulesBothDoors(t *testing.T) {
 	cfg := DefaultSpec(1, true).compile().withDefaults()
 	rt := newConfigRuntime(refresh.NewHub(nil), initialLive(&cfg))
-	paths := func(err error) []string {
-		out := fieldPaths(err)
+	paths := func(err error, prefix string) []string {
+		var out []string
+		for _, fe := range AsValidationError(err) {
+			out = append(out, strings.TrimPrefix(fe.Path, prefix))
+		}
 		sort.Strings(out)
 		return out
 	}
 	for _, row := range configRuleDoors {
 		t.Run(row.name, func(t *testing.T) {
-			s := DefaultSpec(1, true)
-			row.mutate(&s)
-			spec, live := paths(s.Validate()), paths(rt.check("test", []byte(row.patch)))
+			s, prefix := DefaultSpec(1, true), ""
+			if row.mutate != nil {
+				row.mutate(&s)
+			} else {
+				s.Operator = OperatorSchedule{{At: 1, Patch: json.RawMessage(row.patch)}}
+				prefix = "operator[0].patch."
+			}
+			specErr, liveErr := s.Validate(), rt.check("test", []byte(row.patch))
+			spec, live := paths(specErr, prefix), paths(liveErr, "")
 			if !reflect.DeepEqual(spec, row.paths) || !reflect.DeepEqual(live, row.paths) {
 				t.Fatalf("Spec refused at %v, patch at %v, want %v", spec, live, row.paths)
+			}
+			if row.mutate == nil {
+				for _, fe := range append(AsValidationError(specErr), AsValidationError(liveErr)...) {
+					if !strings.HasPrefix(fe.Msg, "not refreshable at runtime") {
+						t.Fatalf("refused at %s with %q, want \"not refreshable at runtime\"", fe.Path, fe.Msg)
+					}
+				}
 			}
 		})
 	}

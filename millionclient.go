@@ -41,7 +41,6 @@ func millionClientSpec(seed int64, quick bool) Spec {
 	s.Sizing.App.InhibitSeconds = 20
 	s.Sizing.DB.InhibitSeconds = 20
 	s.Workload.FluidSampleRate = 0.0002
-	s.Workload.FluidMinSampled = 8
 	if quick {
 		s.Workload.Profile = ProfileSpec{Kind: "ramp", Base: 100_000, Peak: MillionClients, StepPerMinute: 200_000, HoldAtPeakSeconds: 120}
 		s.Workload.FluidSampleRate = 0.0001
@@ -86,7 +85,7 @@ func millionClientReport(x *expEnv, rs []expRun) (string, error) {
 	if r.Fluid == nil {
 		return "", fmt.Errorf("millionclient: run carried no fluid report")
 	}
-	sampledPeak := ScaledProfile{Inner: cfg.Profile, Rate: cfg.FluidSampleRate, Min: cfg.FluidMinSampled}.Max()
+	sampledPeak := ScaledProfile{Inner: cfg.Profile, Rate: cfg.FluidSampleRate, Min: fluidMinSampled}.Max()
 	if got := r.Fluid.PeakPopulation + float64(sampledPeak); got < MillionClients {
 		return "", fmt.Errorf("millionclient: peak population %.0f never reached %d", got, MillionClients)
 	}

@@ -57,16 +57,9 @@ type ScenarioConfig struct {
 	// exact percentiles, SLOs and alerts stay live); WorkloadAuto picks
 	// fluid when the profile's peak population reaches FluidAutoClients.
 	WorkloadMode string
-	// FluidTick is the fluid model's virtual-time tick in seconds
-	// (1 by default). Coarser ticks run faster but track ramps more
-	// loosely.
-	FluidTick float64
 	// FluidSampleRate is the fraction of the client population kept as
 	// real discrete request chains in fluid mode (0.02 by default).
 	FluidSampleRate float64
-	// FluidMinSampled floors the sampled population in fluid mode
-	// (8 by default), so small phases still produce a live stream.
-	FluidMinSampled int
 	// NodeCPU overrides the per-node CPU capacity in abstract
 	// CPU-seconds per second (1.0 by default, the paper's testbed
 	// machine). Million-client runs use datacenter-class values.
@@ -156,21 +149,16 @@ type ScenarioConfig struct {
 	// AdminReady, when set with HTTPAddr, receives the bound address as
 	// soon as the listener is up (useful with ephemeral ports).
 	AdminReady func(addr string)
-	// Alerting configures the burn-rate/anomaly alerting plane. The zero
-	// value means enabled with defaults; set Alerting.Disabled to turn
-	// rule evaluation off. The evaluation ticker runs either way and the
-	// rules only read existing measurement streams, so the simulation
-	// trajectory is identical with alerting on or off.
-	Alerting alert.Config
+	// AlertingOff turns the burn-rate/anomaly alerting plane's rule
+	// evaluation off (it is on by default). The evaluation ticker runs
+	// either way and the rules only read existing measurement streams, so
+	// the simulation trajectory is identical with alerting on or off.
+	AlertingOff bool
 	// Operator is the scripted live-configuration schedule: each event
 	// applies a refreshable-config patch through the run's refresh hub at
 	// an exact virtual time after workload start. Headless runs use it to
 	// replay live retunes byte-identically.
 	Operator OperatorSchedule
-	// SLOTargets overrides DefaultSLOs' bounds by name at scenario start and
-	// seeds the refreshable checks.slo_targets view, so /config patches
-	// and operator events can retarget objectives mid-run.
-	SLOTargets map[string]float64
 	// Pace, when positive, slows the simulation to Pace virtual seconds
 	// per wall-clock second (serve-mode only: it gives a human a real
 	// window to curl the admin endpoint mid-run). The pacing callback
@@ -196,8 +184,8 @@ const (
 	WorkloadDiscrete = "discrete"
 	// WorkloadFluid runs the hybrid fluid/discrete engine: tiers
 	// exchange request rates and queue-theoretic latency/CPU estimates
-	// each FluidTick, discrete events carry management actions, faults,
-	// network messages and a sampled request stream.
+	// each fluidTickSeconds, discrete events carry management actions,
+	// faults, network messages and a sampled request stream.
 	WorkloadFluid = "fluid"
 	// WorkloadAuto selects fluid when the profile's peak population
 	// reaches FluidAutoClients, discrete otherwise.
@@ -213,6 +201,13 @@ const FluidAutoClients = 5000
 // fluidCalibrationSamples is the Monte Carlo sample count used to
 // calibrate the mix's mean per-request demand (Mix.FluidDemand).
 const fluidCalibrationSamples = 4096
+
+// fluidTickSeconds is the fluid model's virtual-time tick.
+const fluidTickSeconds float64 = 1
+
+// fluidMinSampled floors the sampled population in fluid mode, so small
+// phases still produce a live request stream.
+const fluidMinSampled = 8
 
 // fluid reports whether the run uses the fluid engine (its mode has been
 // checked).
@@ -355,7 +350,7 @@ type ScenarioResult struct {
 	SLOReport *obs.SLOReport
 	// Alerts is the run's alerting plane: fired alerts, correlated
 	// incidents, and the deterministic alerts.jsonl / incidents.json
-	// exporters (never nil; empty when Alerting.Disabled).
+	// exporters (never nil; empty with AlertingOff).
 	Alerts *alert.Engine
 	// RequestLatency is the client-perceived end-to-end latency
 	// histogram (exact quantiles via RequestLatency.Quantile).
@@ -526,13 +521,10 @@ func (cfg ScenarioConfig) withDefaults() ScenarioConfig {
 	cfg.AppSizing = fillSizing(cfg.AppSizing, def.AppSizing)
 	cfg.DBSizing = fillSizing(cfg.DBSizing, def.DBSizing)
 	fill(&cfg.DrainSeconds, def.DrainSeconds)
-	fill(&cfg.FluidTick, 1)
 	fill(&cfg.FluidSampleRate, 0.02)
-	fill(&cfg.FluidMinSampled, 8)
 	fill(&cfg.NodeCPU, 1.0)
 	fill(&cfg.ADL, ThreeTierADL)
 	fill(&cfg.MetricsInterval, 60)
-	cfg.Alerting = cfg.Alerting.WithDefaults()
 	return cfg
 }
 
@@ -685,20 +677,15 @@ func (cfg *ScenarioConfig) check() (*architecture, error) {
 	default:
 		ve.addf("workload.mode", "unknown workload mode %q (want discrete, fluid or auto)", cfg.WorkloadMode)
 	}
-	ve.nonNegative("workload.fluid_tick_seconds", cfg.FluidTick)
 	if cfg.FluidSampleRate < 0 || cfg.FluidSampleRate > 1 {
 		ve.addf("workload.fluid_sample_rate", "must be within [0,1], got %g", cfg.FluidSampleRate)
 	}
-	ve.nonNegative("workload.fluid_min_sampled", float64(cfg.FluidMinSampled))
 	ve.nonNegative("sizing.nodes", float64(cfg.Nodes))
 	ve.nonNegative("sizing.node_cpu", cfg.NodeCPU)
 	ve.checkSizing("sizing.app", cfg.AppSizing)
 	ve.checkSizing("sizing.db", cfg.DBSizing)
 	ve.checkRouting(cfg.Routing)
 	ve.checkRPC(cfg.Net.RPC)
-	ve.checkSLOTargets(cfg.SLOTargets)
-	ve.nonNegative("alerting.eval_interval_seconds", cfg.Alerting.EvalIntervalSeconds)
-	ve.checkAlerting(cfg.Alerting)
 	if err := ve.or(); err != nil {
 		return nil, err
 	}

@@ -302,7 +302,7 @@ func (r *run) workload() error {
 	front := r.plb.Balancer()
 	driveProfile := cfg.Profile
 	if r.fluidOn {
-		sampled := rubis.ScaledProfile{Inner: cfg.Profile, Rate: cfg.FluidSampleRate, Min: cfg.FluidMinSampled}
+		sampled := rubis.ScaledProfile{Inner: cfg.Profile, Rate: cfg.FluidSampleRate, Min: fluidMinSampled}
 		driveProfile = sampled
 		r.startFluid(sampled)
 	}
@@ -425,7 +425,7 @@ func (r *run) startFluid(sampled rubis.ScaledProfile) {
 		Population: pop,
 	}, stations...)
 	last := p.Eng.Now()
-	p.Eng.Every(cfg.FluidTick, "fluid:tick", func(now float64) {
+	p.Eng.Every(fluidTickSeconds, "fluid:tick", func(now float64) {
 		r.fnet.Tick(now, now-last)
 		last = now
 	})
@@ -440,7 +440,6 @@ func (r *run) sloEval() error {
 	}
 	r.slo = obs.NewSLOEngine(r.p.Metrics(), sloInterval, objs)
 	r.p.Eng.Every(sloInterval, "slo-eval", r.slo.Evaluate)
-	retarget(r.slo, r.cfg.SLOTargets)
 	r.finish = append(r.finish, func() {
 		r.res.SLOReport = r.slo.Report()
 	})
@@ -452,13 +451,13 @@ func (r *run) sloEval() error {
 // measurement streams, so enabling alerting never changes the trajectory
 // — Tick is a pure observer of the run.
 func (r *run) alerting() error {
-	aeng := alert.NewEngine(r.cfg.Alerting, r.p.Trace())
+	aeng := alert.NewEngine(r.cfg.AlertingOff, r.p.Trace())
 	aeng.Instrument(r.p.Metrics())
 	r.alerts, r.res.Alerts = aeng, aeng
 	if aeng.Enabled() {
 		r.addAlertRules(aeng)
 	}
-	r.p.Eng.Every(aeng.Config().EvalIntervalSeconds, "alert-eval", aeng.Tick)
+	r.p.Eng.Every(alert.EvalInterval, "alert-eval", aeng.Tick)
 	return nil
 }
 
@@ -468,11 +467,10 @@ func (r *run) alerting() error {
 // detector suspicions, control-loop decisions and routing evictions.
 func (r *run) addAlertRules(aeng *alert.Engine) {
 	p, em := r.p, r.em
-	acfg := aeng.Config()
 	objs := DefaultSLOs()
 	burn := make(map[string]*alert.BurnRule, len(objs))
 	for _, o := range objs {
-		br := alert.NewBurnRule(acfg, o.Name, o.Tier)
+		br := alert.NewBurnRule(o.Name, o.Tier)
 		burn[o.Name] = br
 		aeng.AddRule(br)
 	}
@@ -483,9 +481,9 @@ func (r *run) addAlertRules(aeng *alert.Engine) {
 	}
 	latP99 := SLObjective{Kind: obs.LatencyPercentile, Percentile: 0.99}
 	abandon := SLObjective{Kind: obs.AbandonRate}
-	aeng.AddRule(alert.NewZScoreRule(acfg, "anomaly:client-latency-p99", "client", "client", true, 0.3,
+	aeng.AddRule(alert.NewZScoreRule("anomaly:client-latency-p99", "client", "client", true, 0.3,
 		sinceLast(scenarioProbe(&latP99, em, r.res))))
-	aeng.AddRule(alert.NewRateRule(acfg, "anomaly:client-abandon-rate", "client", "client", true, 0.02,
+	aeng.AddRule(alert.NewRateRule("anomaly:client-abandon-rate", "client", "client", true, 0.02,
 		sinceLast(scenarioProbe(&abandon, em, r.res))))
 	poolStats := func(pool func() *selector.Pool) func() []alert.BackendStat {
 		var snap []selector.Status // an alert tick's scratch, and its answer
@@ -507,8 +505,8 @@ func (r *run) addAlertRules(aeng *alert.Engine) {
 			return out
 		}
 	}
-	aeng.AddRule(alert.NewSkewRule(acfg, "skew:app-pool", "app", 0.1, poolStats(r.appPool)))
-	aeng.AddRule(alert.NewSkewRule(acfg, "skew:db-pool", "db", 0.05, poolStats(r.dbPool)))
+	aeng.AddRule(alert.NewSkewRule("skew:app-pool", "app", 0.1, poolStats(r.appPool)))
+	aeng.AddRule(alert.NewSkewRule("skew:db-pool", "db", 0.05, poolStats(r.dbPool)))
 	// Causal context for the incident timelines.
 	p.OnReconfiguration(func(now float64, event string) {
 		aeng.Observe(now, "loop.reconfig", "control-loop", "", event, 0)
@@ -567,15 +565,6 @@ func (r *run) liveConfig() error {
 		if err := p.SetRouting(r.dep, cur); err != nil {
 			p.Logf("config: routing not applied: %v", err)
 		}
-	})
-	crt.rpc.Subscribe(func(now float64, old, cur map[string]RPCBudget) {
-		r.fabric.SetRPCBudgets(cur)
-	})
-	crt.sloTargets.Subscribe(func(now float64, old, cur map[string]float64) {
-		retarget(r.slo, cur)
-	})
-	crt.alerting.Subscribe(func(now float64, old, cur AlertConfig) {
-		r.alerts.Retune(cur)
 	})
 
 	r.pub = obs.NewPublisher()

@@ -3,7 +3,9 @@ package jade
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -44,50 +46,16 @@ type Spec struct {
 	Operator OperatorSchedule `json:"operator,omitempty"`
 }
 
-// AlertingSpec groups the alerting plane's knobs. Everything defaults to
-// the enabled configuration; Off turns rule evaluation off (the
-// evaluation ticker still runs, so the trajectory is unchanged).
+// AlertingSpec groups the alerting plane's switches. Its rules run with
+// the plane's own tuning (internal/obs/alert); Off turns rule evaluation
+// off (the evaluation ticker still runs, so the trajectory is unchanged).
 type AlertingSpec struct {
 	// Off disables rule evaluation.
 	Off bool `json:"off,omitempty"`
-	// EvalIntervalSeconds is the rule evaluation period (5 by default).
-	EvalIntervalSeconds float64 `json:"eval_interval_seconds,omitempty"`
-	// FastWindowSeconds / SlowWindowSeconds are the burn-rate windows
-	// (60 / 600 by default).
-	FastWindowSeconds float64 `json:"fast_window_seconds,omitempty"`
-	SlowWindowSeconds float64 `json:"slow_window_seconds,omitempty"`
-	// BudgetFraction is the error budget (0.01 by default).
-	BudgetFraction float64 `json:"budget_fraction,omitempty"`
-	// PageBurn / WarnBurn are the burn-rate thresholds (14.4 / 3).
-	PageBurn float64 `json:"page_burn,omitempty"`
-	WarnBurn float64 `json:"warn_burn,omitempty"`
-	// ZThreshold is the anomaly z-score trip point (4 by default).
-	ZThreshold float64 `json:"z_threshold,omitempty"`
-	// SkewFactor is the pool-skew multiplier (3 by default).
-	SkewFactor float64 `json:"skew_factor,omitempty"`
-	// HysteresisSeconds keeps a firing alert up until its condition has
-	// been clear this long (30 by default).
-	HysteresisSeconds float64 `json:"hysteresis_seconds,omitempty"`
 	// MonitorReplicas arms the φ-accrual detector as a monitoring-only
 	// signal source on unmanaged runs (requires faults.network.enabled);
 	// suspicion history then feeds the incident timelines.
 	MonitorReplicas bool `json:"monitor_replicas,omitempty"`
-}
-
-// Config compiles the spec to the alert plane's Config.
-func (a AlertingSpec) Config() AlertConfig {
-	return AlertConfig{
-		Disabled:            a.Off,
-		EvalIntervalSeconds: a.EvalIntervalSeconds,
-		FastWindowSeconds:   a.FastWindowSeconds,
-		SlowWindowSeconds:   a.SlowWindowSeconds,
-		BudgetFraction:      a.BudgetFraction,
-		PageBurn:            a.PageBurn,
-		WarnBurn:            a.WarnBurn,
-		ZThreshold:          a.ZThreshold,
-		SkewFactor:          a.SkewFactor,
-		HysteresisSeconds:   a.HysteresisSeconds,
-	}
 }
 
 // RoutingSpec groups the backend-selection policies of the balancing
@@ -101,12 +69,6 @@ type RoutingSpec struct {
 	L4  string `json:"l4,omitempty"`
 	App string `json:"app,omitempty"`
 	DB  string `json:"db,omitempty"`
-	// ProbeAfterSeconds is how long a suspected-down backend stays out of
-	// rotation before a probe request tests it (10 by default).
-	ProbeAfterSeconds float64 `json:"probe_after_seconds,omitempty"`
-	// HalfLifeSeconds is the decay half-life of the balanced scorer's
-	// failure/latency reservoirs (30 by default).
-	HalfLifeSeconds float64 `json:"half_life_seconds,omitempty"`
 }
 
 // Config compiles the spec to the flat per-tier RoutingConfig.
@@ -117,13 +79,7 @@ func (r RoutingSpec) Config() RoutingConfig {
 		}
 		return r.Policy
 	}
-	return RoutingConfig{
-		L4:                pick(r.L4),
-		App:               pick(r.App),
-		DB:                pick(r.DB),
-		ProbeAfterSeconds: r.ProbeAfterSeconds,
-		HalfLifeSeconds:   r.HalfLifeSeconds,
-	}
+	return RoutingConfig{L4: pick(r.L4), App: pick(r.App), DB: pick(r.DB)}
 }
 
 // ProfileSpec selects a client population profile declaratively.
@@ -189,13 +145,9 @@ type WorkloadSpec struct {
 	// Mode selects the workload engine: "discrete" (default), "fluid"
 	// or "auto" (fluid above FluidAutoClients peak population).
 	Mode string `json:"mode,omitempty"`
-	// FluidTickSeconds is the fluid model's virtual tick (1 default).
-	FluidTickSeconds float64 `json:"fluid_tick_seconds,omitempty"`
 	// FluidSampleRate is the fraction of clients kept as real discrete
 	// request chains in fluid mode (0.02 default).
 	FluidSampleRate float64 `json:"fluid_sample_rate,omitempty"`
-	// FluidMinSampled floors the sampled population (8 default).
-	FluidMinSampled int `json:"fluid_min_sampled,omitempty"`
 }
 
 // FaultsSpec groups everything that goes wrong on purpose.
@@ -234,11 +186,6 @@ type SizingSpec struct {
 type ChecksSpec struct {
 	// Invariants enables the invariant-checking harness.
 	Invariants bool `json:"invariants,omitempty"`
-	// SLOTargets overrides objective bounds by name (e.g.
-	// "client-latency-p95": 1.5) and is refreshable at runtime: a /config
-	// patch or operator event replaces an objective's finite bound
-	// mid-run.
-	SLOTargets map[string]float64 `json:"slo_targets,omitempty"`
 }
 
 // TelemetrySpec groups observability outputs.
@@ -388,9 +335,7 @@ func (s Spec) compile() ScenarioConfig {
 		Sessions:        s.Workload.Sessions,
 		DrainSeconds:    s.Workload.DrainSeconds,
 		WorkloadMode:    s.Workload.Mode,
-		FluidTick:       s.Workload.FluidTickSeconds,
 		FluidSampleRate: s.Workload.FluidSampleRate,
-		FluidMinSampled: s.Workload.FluidMinSampled,
 		NodeCPU:         s.Sizing.NodeCPU,
 		MTBFSeconds:     s.Faults.MTBFSeconds,
 		Chaos:           s.Faults.Chaos,
@@ -405,14 +350,13 @@ func (s Spec) compile() ScenarioConfig {
 		Arbitrate:       s.Sizing.Arbitrate,
 		Routing:         s.Routing.Config(),
 		Invariants:      s.Checks.Invariants,
-		SLOTargets:      s.Checks.SLOTargets,
 		Operator:        s.Operator,
 		TraceRequests:   s.Telemetry.TraceRequests,
 		TraceOff:        s.Telemetry.TraceOff,
 		MetricsDir:      s.Telemetry.MetricsDir,
 		MetricsInterval: s.Telemetry.MetricsIntervalSeconds,
 		HTTPAddr:        s.Telemetry.HTTPAddr,
-		Alerting:        s.Alerting.Config(),
+		AlertingOff:     s.Alerting.Off,
 		Monitor:         s.Alerting.MonitorReplicas,
 	}
 	if s.Managed {
@@ -445,11 +389,20 @@ func ParseSpec(data []byte) (Spec, error) {
 	return s, nil
 }
 
-// decodeStrict decodes JSON into v, refusing unknown fields.
+// decodeStrict decodes one JSON value into v, refusing unknown fields and
+// anything but whitespace after the value. Every parser of outside JSON
+// (ParseSpec, ParseSweepArtifact, ParseConfigPatch, ParseConfigSnapshot)
+// decodes through it.
 func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // LoadSpec reads a JSON run spec from disk (jadectl scenario -config).

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -41,6 +43,82 @@ func TestSpecRejectsUnknownFields(t *testing.T) {
 	_, err := ParseSpec([]byte(`{"seed": 1, "wrokload": {}}`))
 	if err == nil {
 		t.Fatal("want an unknown-field error for a typoed key")
+	}
+}
+
+// The knobs no run set are constants of the packages that read them: a
+// Spec naming one is refused as naming an unknown field.
+func TestSpecRefusesRemovedFields(t *testing.T) {
+	for _, path := range []string{
+		"alerting.eval_interval_seconds", "alerting.fast_window_seconds",
+		"alerting.slow_window_seconds", "alerting.budget_fraction",
+		"alerting.page_burn", "alerting.warn_burn", "alerting.z_threshold",
+		"alerting.skew_factor", "alerting.hysteresis_seconds",
+		"routing.probe_after_seconds", "routing.half_life_seconds",
+		"checks.slo_targets", "workload.fluid_tick_seconds", "workload.fluid_min_sampled",
+	} {
+		section, field, _ := strings.Cut(path, ".")
+		doc := fmt.Sprintf(`{%q: {%q: 1}}`, section, field)
+		if _, err := ParseSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown field %q", field)) {
+			t.Errorf("ParseSpec(%s): err = %v, want the unknown field %q", doc, err, field)
+		}
+	}
+}
+
+// Every parser of outside JSON decodes one value: a document followed by
+// anything but whitespace is refused, and so is a key the document does
+// not have. Each parser's document ends in a newline, as committed files
+// do.
+func TestParsersAreStrict(t *testing.T) {
+	artifact, err := os.ReadFile(filepath.Join("testdata", "replay", "fabric-x8-seed1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const snapshot = `{"schema": "jade-config/v1", "time": 0, "generation": 0,
+		"refreshable": {"sizing": {"app": {}, "db": {}}, "routing": {"l4": "", "app": "", "db": ""}},
+		"applied": null, "rejected": 0, "pending": 0}`
+	parsers := []struct {
+		name         string
+		parse        func([]byte) error
+		doc, unknown string
+	}{
+		{"ParseSpec", func(b []byte) error { _, err := ParseSpec(b); return err },
+			`{"seed": 3}`, `{"seed": 3, "wibble": 1}`},
+		{"ParseSweepArtifact", func(b []byte) error { _, err := ParseSweepArtifact(b); return err },
+			string(bytes.TrimSpace(artifact)), `{"wibble": 1, ` + string(artifact[1:])},
+		{"ParseConfigPatch", func(b []byte) error { _, err := ParseConfigPatch(b); return err },
+			`{"routing": {"policy": "balanced"}}`, `{"routing": {"policy": "balanced", "wibble": 1}}`},
+		{"ParseConfigSnapshot", func(b []byte) error { _, err := ParseConfigSnapshot(b); return err },
+			snapshot, strings.Replace(snapshot, `"refreshable": {`, `"refreshable": {"alerting": {"page_burn": 14.4}, `, 1)},
+	}
+	for _, p := range parsers {
+		t.Run(p.name, func(t *testing.T) {
+			if err := p.parse([]byte(p.doc + "\n")); err != nil {
+				t.Fatalf("refused its document: %v", err)
+			}
+			for _, trailer := range []string{` {"seed": 2}`, " garbage", " ]", " }"} {
+				if err := p.parse([]byte(p.doc + trailer)); err == nil {
+					t.Errorf("accepted the document followed by %q", trailer)
+				}
+			}
+			if err := p.parse([]byte(p.unknown)); err == nil {
+				t.Errorf("accepted %s", p.unknown)
+			}
+		})
+	}
+}
+
+// An error without a path reads as its message alone.
+func TestFieldErrorWithoutPath(t *testing.T) {
+	if got := (FieldError{Msg: "empty patch"}).Error(); got != "empty patch" {
+		t.Errorf("FieldError without a path = %q", got)
+	}
+	_, err := ParseConfigPatch([]byte(" "))
+	if got := err.Error(); got != "jade: invalid spec: empty patch" {
+		t.Errorf("empty patch: %q", got)
+	}
+	if got := (FieldError{Path: "sizing.app.max", Msg: "must be > sizing.app.min"}).Error(); got != "sizing.app.max: must be > sizing.app.min" {
+		t.Errorf("FieldError with a path = %q", got)
 	}
 }
 
@@ -100,6 +178,12 @@ var specValidateCases = []struct {
 	}, false},
 	{"recovery without managed", func(s *Spec) { s.Managed = false; s.Recovery = true }, false},
 	{"monitor without network", func(s *Spec) { s.Alerting.MonitorReplicas = true }, false},
+	{"rpc budget", func(s *Spec) {
+		s.Faults.Network.RPC = map[string]RPCBudget{"app": {TimeoutSeconds: 2, Attempts: 2}}
+	}, true},
+	{"negative rpc budget", func(s *Spec) {
+		s.Faults.Network.RPC = map[string]RPCBudget{"app": {TimeoutSeconds: -2}, "db": {Attempts: -1}}
+	}, false},
 	{"sub-second snapshots into a metrics dir", func(s *Spec) {
 		s.Telemetry.MetricsDir, s.Telemetry.MetricsIntervalSeconds = "out", 0.5
 	}, false},
@@ -516,7 +600,7 @@ func scriptedSpec() Spec {
 		{At: 30, Patch: json.RawMessage(`{"sizing":{"app":{"min":0.5}}}`)},  // over max 0.2: refused
 		{At: 20, Patch: json.RawMessage(`{"sizing":{"app":{"max":0.15}}}`)}, // after the chaos event: fine
 		{At: 40, Patch: json.RawMessage(`{"sizing":{"app":{"max":0.12}}}`)}, // min is still 0.1: fine
-		{At: 10, Patch: json.RawMessage(`{"alerting":{"page_burn":-1}}`)},   // refused
+		{At: 10, Patch: json.RawMessage(`{"alerting":{"page_burn":-1}}`)},   // not refreshable: refused
 		{At: 50, Patch: json.RawMessage(`{"sizing":{"app":{"max":0.1}}}`)},  // not above min 0.1: refused
 		{At: 55, Patch: json.RawMessage(`{"routing":{"db":"fastest"}}`)},    // refused
 	}
@@ -534,8 +618,7 @@ func TestSpecChecksScriptedPatches(t *testing.T) {
 		got = append(got, fe.Path)
 	}
 	want := []string{
-		"operator[3].patch.alerting.page_burn",
-		"operator[3].patch.alerting.warn_burn",
+		"operator[3].patch.alerting",
 		"operator[0].patch.sizing.app.max",
 		"operator[4].patch.sizing.app.max",
 		"operator[5].patch.routing.db",

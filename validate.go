@@ -12,14 +12,20 @@ import (
 // jadectl -config, and the admin /config POST 400 body.
 type FieldError struct {
 	// Path is the JSON field path within the Spec, dot-joined
-	// ("alerting.fast_window_seconds", "faults.chaos[2].patch").
+	// ("sizing.app.max", "faults.chaos[2].patch").
 	Path string `json:"path"`
 	// Msg states the constraint the value violates.
 	Msg string `json:"message"`
 }
 
-// Error implements error.
-func (e FieldError) Error() string { return e.Path + ": " + e.Msg }
+// Error implements error: the path, then the message (the message alone
+// when the error has no path).
+func (e FieldError) Error() string {
+	if e.Path == "" {
+		return e.Msg
+	}
+	return e.Path + ": " + e.Msg
+}
 
 // ValidationError aggregates every FieldError found in one validation
 // pass, so a config file with three bad knobs reports all three at once
@@ -60,8 +66,8 @@ func (e *ValidationError) checkSizing(path string, c SizingConfig) {
 	e.nonNegative(path+".inhibit_seconds", c.InhibitSeconds)
 }
 
-// checkRouting checks the per-tier policies and the pool tuning with the
-// routing rule, which lives beside the tiers' default policies in core.
+// checkRouting checks the per-tier policies with the routing rule, which
+// lives beside the tiers' default policies in core.
 func (e *ValidationError) checkRouting(r RoutingConfig) {
 	r.Check(func(field, msg string) { e.addf("routing."+field, "%s", msg) })
 }
@@ -74,45 +80,6 @@ func (e *ValidationError) checkRPC(rpc map[string]RPCBudget) {
 		e.nonNegative(path+".timeout_seconds", b.TimeoutSeconds)
 		e.nonNegative(path+".attempts", float64(b.Attempts))
 		e.nonNegative(path+".backoff_seconds", b.BackoffSeconds)
-	}
-}
-
-// checkSLOTargets checks objective bounds given by name.
-func (e *ValidationError) checkSLOTargets(targets map[string]float64) {
-	for _, name := range sortedKeys(targets) {
-		if t := targets[name]; t <= 0 {
-			e.addf("checks.slo_targets["+name+"]", "must be > 0, got %g", t)
-		}
-	}
-}
-
-// checkAlerting checks the alerting plane's refreshable thresholds.
-func (e *ValidationError) checkAlerting(a AlertConfig) {
-	for _, f := range [...]struct {
-		path string
-		v    float64
-	}{
-		{"alerting.fast_window_seconds", a.FastWindowSeconds},
-		{"alerting.slow_window_seconds", a.SlowWindowSeconds},
-		{"alerting.budget_fraction", a.BudgetFraction},
-		{"alerting.page_burn", a.PageBurn},
-		{"alerting.warn_burn", a.WarnBurn},
-		{"alerting.z_threshold", a.ZThreshold},
-		{"alerting.skew_factor", a.SkewFactor},
-		{"alerting.hysteresis_seconds", a.HysteresisSeconds},
-	} {
-		if f.v <= 0 {
-			e.addf(f.path, "must be > 0, got %g", f.v)
-		}
-	}
-	if a.FastWindowSeconds > a.SlowWindowSeconds {
-		e.addf("alerting.fast_window_seconds", "must be <= slow window (%g), got %g", a.SlowWindowSeconds, a.FastWindowSeconds)
-	}
-	if a.WarnBurn > a.PageBurn {
-		e.addf("alerting.warn_burn", "must be <= page burn (%g), got %g", a.PageBurn, a.WarnBurn)
-	}
-	if a.BudgetFraction > 1 {
-		e.addf("alerting.budget_fraction", "must be <= 1, got %g", a.BudgetFraction)
 	}
 }
 
