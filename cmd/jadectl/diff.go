@@ -14,11 +14,8 @@ import (
 // responsible tier and latency component. Exits nonzero on regression.
 func cmdDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	relTol := fs.Float64("tol", 0, "relative tolerance for budget components and metric series (0 = default 0.05)")
-	sloTol := fs.Float64("slo-tol", 0, "absolute SLO compliance drop that flags an objective (0 = default 0.01)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: jadectl diff [-tol X] [-slo-tol X] RUN_DIR_A RUN_DIR_B")
-		fs.PrintDefaults()
+		fmt.Fprintln(os.Stderr, "usage: jadectl diff RUN_DIR_A RUN_DIR_B")
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -27,7 +24,7 @@ func cmdDiff(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("diff takes exactly two run directories")
 	}
-	d, err := jade.DiffRuns(fs.Arg(0), fs.Arg(1), jade.RunDiffOptions{RelTol: *relTol, SLOTol: *sloTol})
+	d, err := jade.DiffRuns(fs.Arg(0), fs.Arg(1))
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,7 @@
 //	jadectl config get [-addr HOST:PORT]
 //	jadectl config set [-addr HOST:PORT] PATCH|@FILE|-
 //	jadectl trace-validate FILE
-//	jadectl diff [-tol X] [-slo-tol X] RUN_DIR_A RUN_DIR_B
+//	jadectl diff RUN_DIR_A RUN_DIR_B
 //	jadectl experiment [-seed N] [-speedup X] [-quick] [-csv DIR] [-parallel N] [NAME]
 //	jadectl sweep [-seeds N] [-speedup X] [-parallel N] [-artifact PATH]
 //	jadectl replay FILE
@@ -82,8 +82,10 @@
 // reports and final metrics snapshots — and emits a deterministic
 // regression verdict: same-seed runs
 // diff clean, and a localized slowdown is blamed on the responsible tier
-// and latency component (e.g. app/queue). diff exits nonzero on
-// regression, so it slots into CI.
+// and latency component (e.g. app/queue). Its tolerances are fixed: 5 %
+// relative for budget components and metric series, a 0.01 drop in an
+// objective's compliance. diff exits nonzero on regression, so it slots
+// into CI.
 //
 // -alerts prints the run's alert and incident report (causal timelines
 // included) after the SLO table. The alerting plane's rules run with their
@@ -187,7 +189,7 @@ func usage() {
   jadectl config get [-addr HOST:PORT]
   jadectl config set [-addr HOST:PORT] PATCH|@FILE|-
   jadectl trace-validate FILE
-  jadectl diff [-tol X] [-slo-tol X] RUN_DIR_A RUN_DIR_B
+  jadectl diff RUN_DIR_A RUN_DIR_B
   jadectl experiment [-seed N] [-speedup X] [-quick] [-csv DIR] [-parallel N] [NAME]
   jadectl sweep [-seeds N] [-speedup X] [-parallel N] [-artifact PATH]
   jadectl replay FILE`)

@@ -568,6 +568,9 @@ func TestSelfSizingGrowsUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if mgr.Loop.Period() != 1 {
+		t.Fatalf("sizing loop period = %v s, want the paper's 1 s", mgr.Loop.Period())
+	}
 	if err := mgr.Loop.Start(); err != nil {
 		t.Fatal(err)
 	}

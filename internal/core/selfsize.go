@@ -560,10 +560,12 @@ func (r *ThresholdReactor) notify() {
 	}
 }
 
+// sizingPeriod is the sizing loops' execution interval, in seconds (1 s
+// in the paper).
+const sizingPeriod = 1
+
 // SizingConfig parameterizes one self-optimization manager instance.
 type SizingConfig struct {
-	// Period is the control loop execution interval (1 s in the paper).
-	Period float64 `json:"period,omitempty"`
 	// Window is the CPU moving-average span (60 s app tier, 90 s db
 	// tier in the paper).
 	Window float64 `json:"window,omitempty"`
@@ -572,18 +574,19 @@ type SizingConfig struct {
 	Max float64 `json:"max,omitempty"`
 	// InhibitSeconds is the post-reconfiguration quiet period (60 s).
 	InhibitSeconds float64 `json:"inhibit_seconds,omitempty"`
-	// MaxReplicas caps the tier (0 = pool-bounded).
+	// MaxReplicas caps the tier (0 = pool-bounded; 2 app and 3 db
+	// replicas on the paper's testbed).
 	MaxReplicas int `json:"max_replicas,omitempty"`
 }
 
 // AppSizingDefaults mirrors the paper's application-tier loop.
 func AppSizingDefaults() SizingConfig {
-	return SizingConfig{Period: 1, Window: 60, Min: 0.35, Max: 0.80, InhibitSeconds: 60}
+	return SizingConfig{Window: 60, Min: 0.35, Max: 0.80, InhibitSeconds: 60, MaxReplicas: 2}
 }
 
 // DBSizingDefaults mirrors the paper's database-tier loop.
 func DBSizingDefaults() SizingConfig {
-	return SizingConfig{Period: 1, Window: 90, Min: 0.40, Max: 0.80, InhibitSeconds: 60}
+	return SizingConfig{Window: 90, Min: 0.40, Max: 0.80, InhibitSeconds: 60, MaxReplicas: 3}
 }
 
 // SizingManager is one deployed self-optimization manager: a CPU sensor,
@@ -608,7 +611,7 @@ func NewSizingManager(p *Platform, name string, tier *Tier, cfg SizingConfig, sh
 	if cfg.MaxReplicas > 0 {
 		tier.MaxReplicas = cfg.MaxReplicas
 	}
-	loop, err := NewControlLoop(p, name, cfg.Period, sensor, reactor)
+	loop, err := NewControlLoop(p, name, sizingPeriod, sensor, reactor)
 	if err != nil {
 		return nil, err
 	}

@@ -154,12 +154,12 @@ func TestSLOEngine(t *testing.T) {
 	objs := []Objective{
 		{
 			Name: "client-latency-p95", Tier: "client", Kind: LatencyPercentile,
-			Percentile: 0.95, Max: 2.0, Min: Unbounded(),
+			Percentile: 0.95, Max: 2.0,
 			Probe: func(t0, t1 float64) (float64, bool) { return lat, true },
 		},
 		{
 			Name: "app-cpu-band", Tier: "app", Kind: CPUBand,
-			Max: 0.9, Min: Unbounded(),
+			Max:   0.9,
 			Probe: func(t0, t1 float64) (float64, bool) { return 0, false }, // never fires
 		},
 	}

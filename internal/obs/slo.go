@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"math"
 )
 
 // ObjectiveKind names the three objective families the paper's management
@@ -18,29 +17,22 @@ const (
 )
 
 // Objective is one service-level objective, evaluated over consecutive
-// virtual-time windows. Probe returns the observed value over [t0,t1)
-// and whether the window held any signal at all (empty windows — e.g. no
-// completed requests yet — are skipped, not failed).
+// virtual-time windows: the observed value must stay at or under Max.
+// Probe returns the observed value over [t0,t1) and whether the window
+// held any signal at all (empty windows — e.g. no completed requests yet
+// — are skipped, not failed).
 type Objective struct {
 	Name       string
 	Tier       string
 	Kind       ObjectiveKind
 	Percentile float64 // for LatencyPercentile, e.g. 0.95
-	Max        float64 // upper bound (NaN = unbounded)
-	Min        float64 // lower bound (NaN = unbounded)
+	Max        float64 // upper bound
 	Probe      func(t0, t1 float64) (float64, bool)
 }
 
-// met reports whether v satisfies the objective's band.
-func (o *Objective) met(v float64) bool {
-	if !math.IsNaN(o.Max) && v > o.Max {
-		return false
-	}
-	if !math.IsNaN(o.Min) && v < o.Min {
-		return false
-	}
-	return true
-}
+// met reports whether v satisfies the objective's bound (a NaN
+// observation does).
+func (o *Objective) met(v float64) bool { return !(v > o.Max) }
 
 // objectiveState accumulates one objective's evaluation history.
 type objectiveState struct {
@@ -56,16 +48,10 @@ type objectiveState struct {
 	metG      *Gauge
 }
 
-// worseThan reports whether v is a worse observation than the current
-// worst, given which bound the objective cares about.
+// worseThan reports whether v is a worse (higher) observation than the
+// current worst.
 func (s *objectiveState) worseThan(v float64) bool {
-	if !s.hasWorst {
-		return true
-	}
-	if !math.IsNaN(s.obj.Max) {
-		return v > s.worst
-	}
-	return v < s.worst
+	return !s.hasWorst || v > s.worst
 }
 
 // SLOEngine evaluates a set of objectives at a fixed virtual-time
@@ -185,7 +171,7 @@ func (e *SLOEngine) Report() *SLOReport {
 			Name:      st.obj.Name,
 			Tier:      st.obj.Tier,
 			Kind:      st.obj.Kind,
-			Bound:     boundString(st.obj),
+			Bound:     fmt.Sprintf("<= %g", st.obj.Max),
 			Intervals: st.intervals,
 			MetCount:  st.metCount,
 			Last:      st.last,
@@ -199,18 +185,6 @@ func (e *SLOEngine) Report() *SLOReport {
 		rep.Objectives = append(rep.Objectives, or)
 	}
 	return rep
-}
-
-func boundString(o Objective) string {
-	switch {
-	case !math.IsNaN(o.Max) && !math.IsNaN(o.Min):
-		return fmt.Sprintf("[%g, %g]", o.Min, o.Max)
-	case !math.IsNaN(o.Max):
-		return fmt.Sprintf("<= %g", o.Max)
-	case !math.IsNaN(o.Min):
-		return fmt.Sprintf(">= %g", o.Min)
-	}
-	return "unbounded"
 }
 
 // Compliant reports whether every objective met its bound in every
@@ -239,6 +213,3 @@ func (r *SLOReport) Render() string {
 	}
 	return b.String()
 }
-
-// Unbounded is the NaN sentinel for an Objective bound that doesn't apply.
-func Unbounded() float64 { return math.NaN() }

@@ -41,7 +41,7 @@ func latBudgetSpec(seed int64, variant string, quick bool) Spec {
 	// masking the very regression the diff must localize. Pinning models
 	// the capacity-capped deployment where attribution has to carry the
 	// diagnosis; the db loop keeps the resize/blame-shift story.
-	s.Sizing.MaxAppReplicas = 1
+	s.Sizing.App.MaxReplicas = 1
 	if variant == "slowapp" {
 		// Fifteen stacked hogs leave tomcat1 at ~1/16 speed.
 		profile, _ := s.Workload.Profile.Profile()
@@ -154,7 +154,7 @@ func latBudgetReport(x *expEnv, rs []expRun) (string, error) {
 		return "", fmt.Errorf("latbudget: same-seed budget artifacts differ (%d vs %d bytes)",
 			len(budgetA), len(budgetB))
 	}
-	cleanDiff, err := DiffRuns(baseDir, replayDir, RunDiffOptions{})
+	cleanDiff, err := DiffRuns(baseDir, replayDir)
 	if err != nil {
 		return "", err
 	}
@@ -163,7 +163,7 @@ func latBudgetReport(x *expEnv, rs []expRun) (string, error) {
 	}
 
 	// Injected slowdown: the diff must flag the run and blame app/queue.
-	slowDiff, err := DiffRuns(baseDir, slowDir, RunDiffOptions{})
+	slowDiff, err := DiffRuns(baseDir, slowDir)
 	if err != nil {
 		return "", err
 	}

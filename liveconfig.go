@@ -138,20 +138,16 @@ type ConfigChange struct {
 
 // ConfigSnapshot is the GET /config wire document (jade-config/v1): the
 // current refreshable configuration plus the applied-change log.
+// Refreshable gives every field a patch can set, at its current value, so
+// it is itself a valid patch that changes nothing.
 type ConfigSnapshot struct {
-	Schema      string  `json:"schema"`
-	Time        float64 `json:"time"`
-	Generation  uint64  `json:"generation"`
-	Refreshable struct {
-		Sizing struct {
-			App SizingConfig `json:"app"`
-			DB  SizingConfig `json:"db"`
-		} `json:"sizing"`
-		Routing RoutingConfig `json:"routing"`
-	} `json:"refreshable"`
-	Applied  []ConfigChange `json:"applied"`
-	Rejected int            `json:"rejected"`
-	Pending  int            `json:"pending"`
+	Schema      string         `json:"schema"`
+	Time        float64        `json:"time"`
+	Generation  uint64         `json:"generation"`
+	Refreshable ConfigPatch    `json:"refreshable"`
+	Applied     []ConfigChange `json:"applied"`
+	Rejected    int            `json:"rejected"`
+	Pending     int            `json:"pending"`
 }
 
 // ConfigSnapshotSchema identifies the /config document.
@@ -181,6 +177,18 @@ type liveState struct {
 // defaulted configuration.
 func initialLive(cfg *ScenarioConfig) liveState {
 	return liveState{app: cfg.AppSizing, db: cfg.DBSizing, routing: cfg.Routing}
+}
+
+// patch is the live state as a patch that sets every refreshable field.
+func (s liveState) patch() ConfigPatch {
+	sizing := func(c SizingConfig) *SizingPatch {
+		return &SizingPatch{Min: &c.Min, Max: &c.Max, InhibitSeconds: &c.InhibitSeconds}
+	}
+	r := s.routing
+	return ConfigPatch{
+		Sizing:  &SizingPatchGroup{App: sizing(s.app), DB: sizing(s.db)},
+		Routing: &RoutingPatch{L4: &r.L4, App: &r.App, DB: &r.DB},
+	}
 }
 
 // patched is a live state after a patch, with the sections it touched.
@@ -320,9 +328,7 @@ func (rt *configRuntime) changes() []ConfigChange {
 // renderPage renders the GET /config document.
 func (rt *configRuntime) renderPage(now float64) []byte {
 	doc := ConfigSnapshot{Schema: ConfigSnapshotSchema, Time: now, Generation: rt.generation()}
-	doc.Refreshable.Sizing.App = rt.appSizing.Get()
-	doc.Refreshable.Sizing.DB = rt.dbSizing.Get()
-	doc.Refreshable.Routing = rt.routing.Get()
+	doc.Refreshable = rt.current().patch()
 	doc.Applied = rt.changes()
 	doc.Pending = rt.hub.Pending()
 	// The applied log includes rejected submissions (with their error);

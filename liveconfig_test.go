@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -20,6 +22,47 @@ func testConfigRuntime() *configRuntime {
 		db:      DBSizingDefaults(),
 		routing: RoutingConfig{App: "round-robin", DB: "least-pending"},
 	})
+}
+
+// The refreshable section of a run's config.json lists exactly what a
+// patch can set: posted back as a patch, it is accepted, gives every
+// section and leaves every live value as it was.
+func TestRefreshableSectionIsAPatch(t *testing.T) {
+	s := DefaultSpec(1, true)
+	s.Workload.Profile = ProfileSpec{Kind: "constant", Clients: 20, DurationSeconds: 30}
+	s.Sizing.App.Min, s.Sizing.App.Max = 0.3, 0.7
+	s.Routing.App = "balanced"
+	s.Telemetry.MetricsDir = t.TempDir()
+	r, err := RunSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(s.Telemetry.MetricsDir, "config.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ParseConfigSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch, err := json.Marshal(snap.Refreshable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseConfigPatch(patch); err != nil {
+		t.Fatalf("refreshable section %s is not a patch: %v", patch, err)
+	}
+	live := initialLive(&r.Config)
+	next, err := live.resolve(patch)
+	if err != nil {
+		t.Fatalf("refreshable section %s refused: %v", patch, err)
+	}
+	if !next.appSet || !next.dbSet || !next.routingSet {
+		t.Errorf("refreshable section %s leaves a section out", patch)
+	}
+	if next.liveState != live {
+		t.Errorf("refreshable section %s moved the live state:\n%+v\nwas\n%+v", patch, next.liveState, live)
+	}
 }
 
 // TestConfigPatchValidationErrors: rejected patches carry structured
@@ -261,8 +304,8 @@ func TestConfigPostRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /config: %v\n%s", err, data)
 	}
-	if snap.Refreshable.Routing.App != "balanced" || snap.Refreshable.Routing.DB != "balanced" {
-		t.Fatalf("GET /config routing = %+v, want balanced", snap.Refreshable.Routing)
+	if r := snap.Refreshable.Routing; r == nil || r.App == nil || r.DB == nil || *r.App != "balanced" || *r.DB != "balanced" {
+		t.Fatalf("GET /config routing is not balanced:\n%s", data)
 	}
 	if len(snap.Applied) != 1 || snap.Applied[0].Source != "admin" {
 		t.Fatalf("GET /config applied = %+v, want one admin change", snap.Applied)

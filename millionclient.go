@@ -27,13 +27,12 @@ func millionClientSpec(seed int64, quick bool) Spec {
 	s.Workload.Mode = WorkloadFluid
 	s.Sizing.NodeCPU = 1024
 	s.Sizing.Nodes = 20
-	s.Sizing.MaxAppReplicas = 6
-	s.Sizing.MaxDBReplicas = 12
+	s.Sizing.App.MaxReplicas = 6
+	s.Sizing.DB.MaxReplicas = 12
 	// Datacenter nodes queue in memory rather than swap-collapsing, so
 	// the 2001 testbed's thrashing regime is off here; it would turn any
 	// transient backlog into an unrecoverable death spiral at this scale.
 	s.Sizing.ThrashThreshold = 0
-	s.Sizing.ThrashFactor = 0
 	// The paper's 60 s inhibition is tuned to a 9-node testbed growing
 	// one replica per tier; reaching million-client capacity takes ~8
 	// grows, so the quiet window shrinks to keep actuation ahead of a

@@ -14,29 +14,18 @@ import (
 	"jade/internal/obs/attrib"
 )
 
-// RunDiffOptions tunes the tolerances of DiffRuns. Zero values select
-// the defaults.
-type RunDiffOptions struct {
-	// RelTol is the relative tolerance for latency-budget components and
-	// metric series (default 0.05). A budget component is flagged when
-	// its request-weighted mean contribution moves by more than RelTol of
-	// the baseline's end-to-end mean, so many small jitters don't mask —
-	// or fake — a localized regression.
-	RelTol float64
-	// SLOTol is the absolute compliance-ratio drop that flags an
-	// objective (default 0.01).
-	SLOTol float64
-}
-
-func (o RunDiffOptions) withDefaults() RunDiffOptions {
-	if o.RelTol <= 0 {
-		o.RelTol = 0.05
-	}
-	if o.SLOTol <= 0 {
-		o.SLOTol = 0.01
-	}
-	return o
-}
+// The tolerances of DiffRuns.
+const (
+	// relTol is the relative tolerance for latency-budget components and
+	// metric series. A budget component is flagged when its
+	// request-weighted mean contribution moves by more than relTol of the
+	// baseline's end-to-end mean, so many small jitters don't mask — or
+	// fake — a localized regression.
+	relTol = 0.05
+	// sloTol is the absolute compliance-ratio drop that flags an
+	// objective.
+	sloTol = 0.01
+)
 
 // DiffFinding is one regression DiffRuns found: run B is worse than run
 // A in the named section. A and B carry the compared values.
@@ -99,17 +88,16 @@ func (d *RunDiff) Render() string {
 // a deterministic regression verdict: which sections regressed in B
 // relative to A, with the
 // dominant latency-budget delta localized to a tier and component.
-func DiffRuns(dirA, dirB string, opt RunDiffOptions) (*RunDiff, error) {
-	opt = opt.withDefaults()
+func DiffRuns(dirA, dirB string) (*RunDiff, error) {
 	d := &RunDiff{DirA: dirA, DirB: dirB}
 	for _, dir := range []string{dirA, dirB} {
 		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 			return nil, fmt.Errorf("diff: %s is not a readable run directory", dir)
 		}
 	}
-	d.diffBudgets(opt)
-	d.diffSLO(opt)
-	d.diffMetrics(opt)
+	d.diffBudgets()
+	d.diffSLO()
+	d.diffMetrics()
 	return d, nil
 }
 
@@ -142,7 +130,7 @@ func (d *RunDiff) pairNote(section, file string, a, b []byte) bool {
 	return true
 }
 
-func (d *RunDiff) diffBudgets(opt RunDiffOptions) {
+func (d *RunDiff) diffBudgets() {
 	rawA := readIfExists(filepath.Join(d.DirA, "latency_budget.json"))
 	rawB := readIfExists(filepath.Join(d.DirB, "latency_budget.json"))
 	if !d.pairNote("budget", "latency_budget.json", rawA, rawB) {
@@ -209,7 +197,7 @@ func (d *RunDiff) diffBudgets(opt RunDiffOptions) {
 		names = append(names, k)
 	}
 	sort.Strings(names)
-	floor := opt.RelTol * totalA
+	floor := relTol * totalA
 	var worstDelta float64
 	for _, k := range names {
 		delta := cb[k] - ca[k]
@@ -228,12 +216,12 @@ func (d *RunDiff) diffBudgets(opt RunDiffOptions) {
 			d.Notes = append(d.Notes, fmt.Sprintf("budget: %s improved by %.0f ms per request", k, -1000*delta))
 		}
 	}
-	if totalB > totalA*(1+opt.RelTol) {
+	if totalB > totalA*(1+relTol) {
 		d.Findings = append(d.Findings, DiffFinding{
 			Section: "budget", Name: "end-to-end", A: totalA, B: totalB,
 			Detail: fmt.Sprintf("mean latency +%.1f%%", 100*(totalB/totalA-1)),
 		})
-	} else if totalB < totalA*(1-opt.RelTol) {
+	} else if totalB < totalA*(1-relTol) {
 		d.Notes = append(d.Notes, fmt.Sprintf("budget: end-to-end mean improved %.1f%%", 100*(1-totalB/totalA)))
 	}
 	// Tail check: the p99 percentile band's mean and blame.
@@ -247,7 +235,7 @@ func (d *RunDiff) diffBudgets(opt RunDiffOptions) {
 	}
 	ba, bb := bandOf(a, "p99"), bandOf(b, "p99")
 	if ba != nil && bb != nil {
-		if bb.MeanSec > ba.MeanSec*(1+opt.RelTol) {
+		if bb.MeanSec > ba.MeanSec*(1+relTol) {
 			d.Findings = append(d.Findings, DiffFinding{
 				Section: "budget", Name: "p99-band", A: ba.MeanSec, B: bb.MeanSec,
 				Detail: fmt.Sprintf("tail mean +%.1f%%, dominated by %s/%s",
@@ -264,7 +252,7 @@ func (d *RunDiff) diffBudgets(opt RunDiffOptions) {
 	}
 }
 
-func (d *RunDiff) diffSLO(opt RunDiffOptions) {
+func (d *RunDiff) diffSLO() {
 	rawA := readIfExists(filepath.Join(d.DirA, "slo_report.json"))
 	rawB := readIfExists(filepath.Join(d.DirB, "slo_report.json"))
 	if !d.pairNote("slo", "slo_report.json", rawA, rawB) {
@@ -298,13 +286,13 @@ func (d *RunDiff) diffSLO(opt RunDiffOptions) {
 				Detail: "objective missing from run B"})
 			continue
 		}
-		if oa.Compliance-ob.Compliance > opt.SLOTol {
+		if oa.Compliance-ob.Compliance > sloTol {
 			d.Findings = append(d.Findings, DiffFinding{
 				Section: "slo", Name: n, A: oa.Compliance, B: ob.Compliance,
 				Detail: fmt.Sprintf("compliance dropped %.1f points (tier %s)",
 					100*(oa.Compliance-ob.Compliance), ob.Tier),
 			})
-		} else if ob.Compliance-oa.Compliance > opt.SLOTol {
+		} else if ob.Compliance-oa.Compliance > sloTol {
 			d.Notes = append(d.Notes, fmt.Sprintf("slo: %s compliance improved %.1f points",
 				n, 100*(ob.Compliance-oa.Compliance)))
 		}
@@ -383,7 +371,7 @@ func metricsScalars(raw []byte) (map[string]float64, error) {
 	return out, nil
 }
 
-func (d *RunDiff) diffMetrics(opt RunDiffOptions) {
+func (d *RunDiff) diffMetrics() {
 	rawA, rawB := latestSnapshot(d.DirA), latestSnapshot(d.DirB)
 	if !d.pairNote("metrics", "metrics-t*.json", rawA, rawB) {
 		return
@@ -430,7 +418,7 @@ func (d *RunDiff) diffMetrics(opt RunDiffOptions) {
 			denom := math.Max(math.Max(math.Abs(va), math.Abs(vb)), 1e-9)
 			rel = math.Abs(vb-va) / denom
 		}
-		if rel > opt.RelTol {
+		if rel > relTol {
 			differing++
 			if rel > worst {
 				worst, worstName, worstA, worstB = rel, k, va, vb
@@ -443,6 +431,6 @@ func (d *RunDiff) diffMetrics(opt RunDiffOptions) {
 	}
 	d.Findings = append(d.Findings, DiffFinding{
 		Section: "metrics", Name: worstName, A: worstA, B: worstB,
-		Detail: fmt.Sprintf("%d series differ beyond %.0f%% (worst shown)", differing, 100*opt.RelTol),
+		Detail: fmt.Sprintf("%d series differ beyond %.0f%% (worst shown)", differing, 100*relTol),
 	})
 }

@@ -37,7 +37,7 @@ func TestMetricsDiffReadsNonFiniteValues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, err := DiffRuns(dirA, dirB, RunDiffOptions{})
+	d, err := DiffRuns(dirA, dirB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestMetricsDiffReadsTheRunsOwnFinalPage(t *testing.T) {
 		write(dir, metricsHistory, append(page(0), page(v)...))
 		write(dir, "metrics-t00000042.json", page(v))
 	}
-	d, err := DiffRuns(dirA, dirB, RunDiffOptions{})
+	d, err := DiffRuns(dirA, dirB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,16 +71,13 @@ type ScenarioConfig struct {
 	MTBFSeconds float64
 	// Nodes is the cluster size (9 by default, as in the paper).
 	Nodes int
-	// AppSizing and DBSizing parameterize the two control loops.
+	// AppSizing and DBSizing parameterize the two control loops, the
+	// tiers' replica caps included.
 	AppSizing, DBSizing SizingConfig
-	// MaxAppReplicas / MaxDBReplicas cap the tiers (2 and 3 in the
-	// paper's testbed).
-	MaxAppReplicas, MaxDBReplicas int
-	// ThrashThreshold / ThrashFactor configure the nodes' overload
-	// regime (reproducing the database thrashing of Fig. 6/8). Zero
-	// threshold disables thrashing.
+	// ThrashThreshold is the per-node job count past which the nodes
+	// thrash, losing capacity as thrashFactor sets (reproducing the
+	// database thrashing of Fig. 6/8). Zero disables thrashing.
 	ThrashThreshold int
-	ThrashFactor    float64
 	// DrainSeconds extends the run after the profile ends so in-flight
 	// work completes.
 	DrainSeconds float64
@@ -202,6 +199,11 @@ const FluidAutoClients = 5000
 // calibrate the mix's mean per-request demand (Mix.FluidDemand).
 const fluidCalibrationSamples = 4096
 
+// thrashFactor is the nodes' capacity loss per job past the thrash
+// threshold: a node runs at 1/(1+thrashFactor·excess) of its capacity,
+// and the fluid stations mirror it.
+const thrashFactor = 0.08
+
 // fluidTickSeconds is the fluid model's virtual-time tick.
 const fluidTickSeconds float64 = 1
 
@@ -226,13 +228,10 @@ const sloInterval = 10
 func DefaultSLOs() []SLObjective {
 	return []SLObjective{
 		{Name: "client-latency-p95", Tier: "client", Kind: obs.LatencyPercentile,
-			Percentile: 0.95, Max: 2.0, Min: obs.Unbounded()},
-		{Name: "client-abandon-rate", Tier: "client", Kind: obs.AbandonRate,
-			Max: 0.01, Min: obs.Unbounded()},
-		{Name: "app-cpu-band", Tier: "app", Kind: obs.CPUBand,
-			Max: 0.90, Min: obs.Unbounded()},
-		{Name: "db-cpu-band", Tier: "db", Kind: obs.CPUBand,
-			Max: 0.90, Min: obs.Unbounded()},
+			Percentile: 0.95, Max: 2.0},
+		{Name: "client-abandon-rate", Tier: "client", Kind: obs.AbandonRate, Max: 0.01},
+		{Name: "app-cpu-band", Tier: "app", Kind: obs.CPUBand, Max: 0.90},
+		{Name: "db-cpu-band", Tier: "db", Kind: obs.CPUBand, Max: 0.90},
 	}
 }
 
@@ -277,10 +276,7 @@ func DefaultScenario(seed int64, managed bool) ScenarioConfig {
 		Nodes:           9,
 		AppSizing:       AppSizingDefaults(),
 		DBSizing:        DBSizingDefaults(),
-		MaxAppReplicas:  2,
-		MaxDBReplicas:   3,
 		ThrashThreshold: 60,
-		ThrashFactor:    0.08,
 		DrainSeconds:    60,
 	}
 }
@@ -410,7 +406,7 @@ func (r *ScenarioResult) Throughput() float64 {
 // it. Stages run in runStages order on the simulation goroutine; every
 // plane field is set by exactly one stage and read only by later ones.
 type run struct {
-	cfg ScenarioConfig // defaulted; management fills in the sizing caps
+	cfg ScenarioConfig // defaulted
 	res *ScenarioResult
 	p   *Platform
 	dep *Deployment
@@ -539,11 +535,11 @@ func fill[T comparable](v *T, def T) {
 // fillSizing defaults each zero field of a sizing loop separately, so a
 // loop given only its thresholds keeps them.
 func fillSizing(c, def SizingConfig) SizingConfig {
-	fill(&c.Period, def.Period)
 	fill(&c.Window, def.Window)
 	fill(&c.Min, def.Min)
 	fill(&c.Max, def.Max)
 	fill(&c.InhibitSeconds, def.InhibitSeconds)
+	fill(&c.MaxReplicas, def.MaxReplicas)
 	return c
 }
 
@@ -682,6 +678,7 @@ func (cfg *ScenarioConfig) check() (*architecture, error) {
 	}
 	ve.nonNegative("sizing.nodes", float64(cfg.Nodes))
 	ve.nonNegative("sizing.node_cpu", cfg.NodeCPU)
+	ve.nonNegative("sizing.thrash_threshold", float64(cfg.ThrashThreshold))
 	ve.checkSizing("sizing.app", cfg.AppSizing)
 	ve.checkSizing("sizing.db", cfg.DBSizing)
 	ve.checkRouting(cfg.Routing)
@@ -709,7 +706,7 @@ func newRun(cfg ScenarioConfig) (*run, error) {
 		CPUCapacity:     cfg.NodeCPU,
 		MemoryMB:        1024,
 		ThrashThreshold: cfg.ThrashThreshold,
-		ThrashFactor:    cfg.ThrashFactor,
+		ThrashFactor:    thrashFactor,
 	}
 	if !cfg.Managed {
 		// Without Jade there are no probes and no management components.

@@ -49,8 +49,6 @@ func (r *run) management() error {
 		return nil
 	}
 
-	cfg.AppSizing.MaxReplicas = cfg.MaxAppReplicas
-	cfg.DBSizing.MaxReplicas = cfg.MaxDBReplicas
 	shared := &Inhibitor{}
 	appMgr, err := NewSizingManager(p, "self-optimization-app", r.appTier, cfg.AppSizing, shared)
 	if err != nil {
@@ -388,7 +386,7 @@ func (r *run) startFluid(sampled rubis.ScaledProfile) {
 			Service:         func(int) float64 { return demand.App },
 			Members:         r.appTier.Nodes,
 			ThrashThreshold: cfg.ThrashThreshold,
-			ThrashFactor:    cfg.ThrashFactor,
+			ThrashFactor:    thrashFactor,
 		},
 		{
 			Name:    "cjdbc",
@@ -404,7 +402,7 @@ func (r *run) startFluid(sampled rubis.ScaledProfile) {
 			Service:         func(int) float64 { return demand.DBRead + demand.DBWrite },
 			Members:         r.dbTier.Nodes,
 			ThrashThreshold: cfg.ThrashThreshold,
-			ThrashFactor:    cfg.ThrashFactor,
+			ThrashFactor:    thrashFactor,
 		},
 	}
 	start := p.Eng.Now()

@@ -25,13 +25,10 @@ func TestDefaultScenarioMatchesPaperParameters(t *testing.T) {
 	if cfg.AppSizing.Window != 60 || cfg.DBSizing.Window != 90 {
 		t.Fatalf("windows = %v/%v, want 60/90 (paper)", cfg.AppSizing.Window, cfg.DBSizing.Window)
 	}
-	if cfg.AppSizing.Period != 1 || cfg.DBSizing.Period != 1 {
-		t.Fatal("loop period must be 1 s (paper)")
-	}
 	if cfg.AppSizing.InhibitSeconds != 60 {
 		t.Fatal("inhibition must be 60 s (paper)")
 	}
-	if cfg.MaxAppReplicas != 2 || cfg.MaxDBReplicas != 3 {
+	if cfg.AppSizing.MaxReplicas != 2 || cfg.DBSizing.MaxReplicas != 3 {
 		t.Fatal("tier caps must match the paper's testbed")
 	}
 	if cfg.Nodes != 9 {

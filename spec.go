@@ -165,16 +165,14 @@ type FaultsSpec struct {
 type SizingSpec struct {
 	// Nodes is the cluster size (9 by default).
 	Nodes int `json:"nodes,omitempty"`
-	// App and DB parameterize the two sizing loops.
+	// App and DB parameterize the two sizing loops, each with its tier's
+	// replica cap (2 and 3 by default).
 	App SizingConfig `json:"app"`
 	DB  SizingConfig `json:"db"`
-	// MaxAppReplicas / MaxDBReplicas cap the tiers (2 and 3 by default
-	// when managed).
-	MaxAppReplicas int `json:"max_app_replicas,omitempty"`
-	MaxDBReplicas  int `json:"max_db_replicas,omitempty"`
-	// ThrashThreshold / ThrashFactor configure node overload behavior.
-	ThrashThreshold int     `json:"thrash_threshold,omitempty"`
-	ThrashFactor    float64 `json:"thrash_factor,omitempty"`
+	// ThrashThreshold is the per-node job count past which nodes thrash
+	// (DefaultSpec sets the paper's 60). Zero turns thrashing off: the
+	// one sizing zero that does not take a default.
+	ThrashThreshold int `json:"thrash_threshold,omitempty"`
 	// NodeCPU overrides per-node CPU capacity (1.0 default).
 	NodeCPU float64 `json:"node_cpu,omitempty"`
 	// Arbitrate replaces the shared inhibitor with the arbitration
@@ -219,10 +217,7 @@ func DefaultSpec(seed int64, managed bool) Spec {
 			Nodes:           d.Nodes,
 			App:             d.AppSizing,
 			DB:              d.DBSizing,
-			MaxAppReplicas:  d.MaxAppReplicas,
-			MaxDBReplicas:   d.MaxDBReplicas,
 			ThrashThreshold: d.ThrashThreshold,
-			ThrashFactor:    d.ThrashFactor,
 		},
 	}
 }
@@ -316,15 +311,15 @@ func (s Spec) Flatten() (ScenarioConfig, error) {
 	return s.compile(), nil
 }
 
-// compile is Flatten without the validation. A managed run's zero replica
-// caps take the defaults. An unknown profile kind compiles to no profile.
+// compile is Flatten without the validation. An unknown profile kind
+// compiles to no profile.
 func (s Spec) compile() ScenarioConfig {
 	profile, _ := s.Workload.Profile.Profile()
 	var mix *Mix
 	if s.Workload.Mix == "browsing" {
 		mix = BrowsingMix()
 	}
-	cfg := ScenarioConfig{
+	return ScenarioConfig{
 		Seed:            s.Seed,
 		Managed:         s.Managed,
 		Recovery:        s.Recovery,
@@ -343,10 +338,7 @@ func (s Spec) compile() ScenarioConfig {
 		Nodes:           s.Sizing.Nodes,
 		AppSizing:       s.Sizing.App,
 		DBSizing:        s.Sizing.DB,
-		MaxAppReplicas:  s.Sizing.MaxAppReplicas,
-		MaxDBReplicas:   s.Sizing.MaxDBReplicas,
 		ThrashThreshold: s.Sizing.ThrashThreshold,
-		ThrashFactor:    s.Sizing.ThrashFactor,
 		Arbitrate:       s.Sizing.Arbitrate,
 		Routing:         s.Routing.Config(),
 		Invariants:      s.Checks.Invariants,
@@ -359,12 +351,6 @@ func (s Spec) compile() ScenarioConfig {
 		AlertingOff:     s.Alerting.Off,
 		Monitor:         s.Alerting.MonitorReplicas,
 	}
-	if s.Managed {
-		def := DefaultScenario(s.Seed, s.Managed)
-		fill(&cfg.MaxAppReplicas, def.MaxAppReplicas)
-		fill(&cfg.MaxDBReplicas, def.MaxDBReplicas)
-	}
-	return cfg
 }
 
 // RunSpec validates, flattens and runs the spec.

@@ -12,7 +12,8 @@ import (
 // JSON that it accepts again, the encoding must be a fixpoint from its
 // first application on, and the Spec must flatten into a run config that
 // passes newRun's field rules once defaulted, its ADL giving both tiers
-// an initial replica. Seeds are the committed example Specs, the specs of
+// an initial replica and each sizing loop a positive window and a cap of
+// at least one replica. Seeds are the committed example Specs, the specs of
 // spec_test.go and the gray-failure run's (which carries an adl);
 // found inputs go under testdata/fuzz/FuzzParseSpec.
 func FuzzParseSpec(f *testing.F) {
@@ -55,6 +56,7 @@ func FuzzParseSpec(f *testing.F) {
 		`{"faults": {"chaos": [{"at": -5, "kind": "crash", "target": "tomcat1"}]}}`,
 		`{"faults": {"network": {"enabled": true, "default": {"latency_ms": -1}}}}`,
 		`{"workload": {"profile": {"kind": "constant", "clients": 10}}}`,
+		`{"sizing":{"app":{"window":-60}}}`,
 		`null`,
 		`{"seed":`,
 	} {
@@ -88,6 +90,11 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if len(arch.app) == 0 || len(arch.db) == 0 {
 			t.Fatalf("accepted %q but its ADL gives a tier no replica: app %q, db %q", data, arch.app, arch.db)
+		}
+		for _, loop := range []SizingConfig{cfg.AppSizing, cfg.DBSizing} {
+			if !(loop.Window > 0) || loop.MaxReplicas < 1 {
+				t.Fatalf("accepted %q but a sizing loop defaults to %+v", data, loop)
+			}
 		}
 	})
 }

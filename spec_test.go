@@ -46,8 +46,9 @@ func TestSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// The knobs no run set are constants of the packages that read them: a
-// Spec naming one is refused as naming an unknown field.
+// The knobs no run set are constants of the packages that read them, and
+// the replica caps live in the sizing loops alone: a Spec naming a removed
+// field is refused as naming an unknown field.
 func TestSpecRefusesRemovedFields(t *testing.T) {
 	for _, path := range []string{
 		"alerting.eval_interval_seconds", "alerting.fast_window_seconds",
@@ -56,9 +57,13 @@ func TestSpecRefusesRemovedFields(t *testing.T) {
 		"alerting.skew_factor", "alerting.hysteresis_seconds",
 		"routing.probe_after_seconds", "routing.half_life_seconds",
 		"checks.slo_targets", "workload.fluid_tick_seconds", "workload.fluid_min_sampled",
+		"sizing.max_app_replicas", "sizing.max_db_replicas", "sizing.thrash_factor", "sizing.app.period",
 	} {
-		section, field, _ := strings.Cut(path, ".")
-		doc := fmt.Sprintf(`{%q: {%q: 1}}`, section, field)
+		keys := strings.Split(path, ".")
+		doc, field := "1", keys[len(keys)-1]
+		for i := len(keys) - 1; i >= 0; i-- {
+			doc = fmt.Sprintf(`{%q: %s}`, keys[i], doc)
+		}
 		if _, err := ParseSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown field %q", field)) {
 			t.Errorf("ParseSpec(%s): err = %v, want the unknown field %q", doc, err, field)
 		}
@@ -178,6 +183,9 @@ var specValidateCases = []struct {
 	}, false},
 	{"recovery without managed", func(s *Spec) { s.Managed = false; s.Recovery = true }, false},
 	{"monitor without network", func(s *Spec) { s.Alerting.MonitorReplicas = true }, false},
+	{"negative sizing window", func(s *Spec) { s.Sizing.App.Window = -60 }, false},
+	{"negative replica cap", func(s *Spec) { s.Sizing.DB.MaxReplicas = -1 }, false},
+	{"negative thrash threshold", func(s *Spec) { s.Sizing.ThrashThreshold = -3 }, false},
 	{"rpc budget", func(s *Spec) {
 		s.Faults.Network.RPC = map[string]RPCBudget{"app": {TimeoutSeconds: 2, Attempts: 2}}
 	}, true},
@@ -416,11 +424,8 @@ func TestSpecFlattenMatchesDefaultScenario(t *testing.T) {
 		if cfg.Seed != want.Seed || cfg.Managed != want.Managed ||
 			cfg.Nodes != want.Nodes || cfg.ThinkTime != want.ThinkTime ||
 			cfg.DrainSeconds != want.DrainSeconds ||
-			cfg.MaxAppReplicas != want.MaxAppReplicas ||
-			cfg.MaxDBReplicas != want.MaxDBReplicas ||
 			cfg.AppSizing != want.AppSizing || cfg.DBSizing != want.DBSizing ||
-			cfg.ThrashThreshold != want.ThrashThreshold ||
-			cfg.ThrashFactor != want.ThrashFactor {
+			cfg.ThrashThreshold != want.ThrashThreshold {
 			t.Fatalf("managed=%v: flattened spec diverges from DefaultScenario:\n%+v\nvs\n%+v", managed, cfg, want)
 		}
 	}

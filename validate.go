@@ -57,13 +57,16 @@ func (e *ValidationError) addf(path, format string, args ...any) {
 // the numbers the run will use, and reports them at the path a Spec and a
 // patch share.
 
-// checkSizing checks one sizing loop's thresholds and hysteresis.
+// checkSizing checks one sizing loop: its window, thresholds, hysteresis
+// and replica cap (a zero window or cap has taken its default).
 func (e *ValidationError) checkSizing(path string, c SizingConfig) {
+	e.nonNegative(path+".window", c.Window)
 	e.nonNegative(path+".min", c.Min)
 	if c.Max <= c.Min {
 		e.addf(path+".max", "must be > %s.min (%g), got %g", path, c.Min, c.Max)
 	}
 	e.nonNegative(path+".inhibit_seconds", c.InhibitSeconds)
+	e.nonNegative(path+".max_replicas", float64(c.MaxReplicas))
 }
 
 // checkRouting checks the per-tier policies with the routing rule, which
